@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_DATE ?= $(shell date +%F)
 
-.PHONY: all build vet magevet test magecheck fmt fmtcheck lint check bench cover
+.PHONY: all build vet magevet test magecheck fmt fmtcheck lint check bench bench-check cover
 
 all: check
 
@@ -66,6 +66,15 @@ bench:
 		| tee /dev/stderr | $(GO) run ./cmd/benchsnap \
 			-require 'BenchmarkMemnodePipeline:pages/s,BenchmarkMemnodePipeline:p99-us,BenchmarkServerRoundtrip:allocs/op,BenchmarkMemnodeShmPipeline:pages/s,BenchmarkMemnodeShmPipeline:p99-us,BenchmarkMemnodeShmPipeline:allocs/op,BenchmarkClusterFailoverRead:pages/s,BenchmarkClusterFailoverRead:p99-us,BenchmarkEngineDispatchSharded:events/s>=2700000,BenchmarkMagecacheZipf:ops/s>=120000,BenchmarkMagecacheZipf:p99-us' \
 			> BENCH_$(BENCH_DATE).json
+
+# bench/ is a module of its own (BENCHMARK.json's harness), so build,
+# vet and test above never compile it: a change to upager.Backing,
+# upager.Pager, memnode.Client or mage.Preset can break it unseen.
+# bench-check vets it and runs its tests (harness arithmetic and the
+# correctness self-test; no daemons, under a second). It runs no
+# benchmark.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Coverage floor for internal/core, set just under the level the
 # Node/Tenant split landed at so fault/eviction-path statements cannot

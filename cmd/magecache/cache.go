@@ -8,6 +8,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -36,18 +37,22 @@ type slot struct {
 	off uint16
 }
 
-// entry is one index record: where the value lives and how long it is.
+// entry is one index record: where the value lives, how long it is,
+// and which steal-FIFO node tracks its cell.
 type entry struct {
-	pg  uint32
-	off uint16
-	ln  uint16 // stored length - 1 would be needed past 65535; 4096 max fits
-	cls uint8
-	set bool // distinguishes the zero entry from a real one
+	pg   uint32
+	node uint32 // index into alloc.nodes
+	off  uint16
+	ln   uint16 // 4096 max fits
+	cls  uint8
 }
 
-type slotKey struct {
-	s   slot
-	key string
+// fifoNode is one link of a class's steal FIFO: the key that owns an
+// allocated cell, in allocation order (the key's index entry names the
+// cell). Node 0 is the list's nil.
+type fifoNode struct {
+	key        string
+	prev, next uint32
 }
 
 const indexShards = 64
@@ -64,13 +69,22 @@ type Cache struct {
 	shards [indexShards]idxShard
 
 	// Slab allocator state. Lock order: alloc.mu and a shard mu are
-	// never held together except in steal, which holds neither across
-	// the other (it releases alloc.mu before touching a shard).
+	// never held together.
+	//
+	// The steal FIFO is a doubly linked list per class threaded through
+	// nodes, one node per allocated cell, so the bookkeeping is O(live
+	// keys) however many SETs have been served. An index entry names its
+	// node, and ownership follows the entry: whoever removes or replaces
+	// an entry under its shard mu owns that entry's node and cell and
+	// gives both back under alloc.mu (release). A stealer only peeks at
+	// the head; it becomes the owner by deleting the head's entry.
 	alloc struct {
 		mu       sync.Mutex
 		free     [len(classSizes)][]slot
-		fifo     [len(classSizes)][]slotKey // allocation order, for steal
-		fifoHead [len(classSizes)]int
+		nodes    []fifoNode
+		freeNode uint32                  // free nodes, chained through next
+		head     [len(classSizes)]uint32 // oldest allocation of the class
+		tail     [len(classSizes)]uint32
 		nextPage uint32
 		pages    uint32
 	}
@@ -103,6 +117,7 @@ func NewCache(b upager.Backing, heapPages uint64, frames int, opts CacheOptions)
 	}
 	c := &Cache{pager: p}
 	c.alloc.pages = uint32(heapPages)
+	c.alloc.nodes = make([]fifoNode, 1)
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]entry)
 	}
@@ -115,7 +130,9 @@ func (c *Cache) Close() error { return c.pager.Close() }
 // Pager exposes the underlying pager (for stats reporting).
 func (c *Cache) Pager() *upager.Pager { return c.pager }
 
-func (c *Cache) shard(key string) *idxShard {
+// shard picks key's index shard (FNV-1a). Generic so that neither a
+// string key nor a byte-slice key pays a conversion.
+func shard[K string | []byte](c *Cache, key K) *idxShard {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -124,145 +141,205 @@ func (c *Cache) shard(key string) *idxShard {
 	return &c.shards[h%indexShards]
 }
 
-// allocSlot returns a free cell of class cls, carving a fresh heap page
-// when the free list is empty and stealing the oldest allocated cell of
-// the class (FIFO eviction of its key) when the heap is exhausted.
-func (c *Cache) allocSlot(cls int, key string) (slot, error) {
+// allocSlot returns a free cell of class cls, linked at the tail of the
+// class's steal FIFO under key, as an entry ready for the index. It
+// carves a fresh heap page when the free list is empty and steals the
+// oldest allocated cell of the class (FIFO eviction of its key) when
+// the heap is exhausted.
+func (c *Cache) allocSlot(cls int, key string) (entry, error) {
 	a := &c.alloc
 	for {
 		a.mu.Lock()
-		if n := len(a.free[cls]); n > 0 {
-			s := a.free[cls][n-1]
-			a.free[cls] = a.free[cls][:n-1]
+		if s, ok := c.takeCell(cls); ok {
+			e := entry{pg: s.pg, off: s.off, cls: uint8(cls), node: c.linkNode(cls, key)}
 			a.mu.Unlock()
-			return s, nil
+			return e, nil
 		}
-		if a.nextPage < a.pages {
-			pg := a.nextPage
-			a.nextPage++
-			size := classSizes[cls]
-			for off := pageBytes - size; off >= size; off -= size {
-				a.free[cls] = append(a.free[cls], slot{pg: pg, off: uint16(off)})
-			}
+		// Heap exhausted: evict the key that owns the oldest cell of
+		// this class, which puts the cell on the free list.
+		head := a.head[cls]
+		if head == 0 {
 			a.mu.Unlock()
-			return slot{pg: pg, off: 0}, nil
+			return entry{}, fmt.Errorf("magecache: heap full and no class-%d cell to steal", classSizes[cls])
 		}
-		// Heap exhausted: steal the oldest cell of this class.
-		if a.fifoHead[cls] >= len(a.fifo[cls]) {
-			a.mu.Unlock()
-			return slot{}, fmt.Errorf("magecache: heap full and no class-%d cell to steal", classSizes[cls])
-		}
-		cand := a.fifo[cls][a.fifoHead[cls]]
-		a.fifoHead[cls]++
-		if a.fifoHead[cls] > len(a.fifo[cls])/2 && a.fifoHead[cls] > 1024 {
-			a.fifo[cls] = append([]slotKey(nil), a.fifo[cls][a.fifoHead[cls]:]...)
-			a.fifoHead[cls] = 0
-		}
+		victim := a.nodes[head].key
 		a.mu.Unlock()
-		// Validate outside alloc.mu (lock-order: never both at once).
-		sh := c.shard(cand.key)
+		// Take ownership outside alloc.mu (lock order: never both).
+		sh := shard(c, victim)
 		sh.mu.Lock()
-		e, ok := sh.m[cand.key]
-		if ok && e.pg == cand.s.pg && e.off == cand.s.off {
-			delete(sh.m, cand.key)
-			sh.mu.Unlock()
-			c.steals.Add(1)
-			return cand.s, nil
+		e, ok := sh.m[victim]
+		owned := ok && e.node == head
+		if owned {
+			delete(sh.m, victim)
 		}
 		sh.mu.Unlock()
-		// Stale record (the key moved or died); its cell was freed
-		// separately. Loop for the next candidate.
+		if owned {
+			c.steals.Add(1)
+			c.release(e)
+			continue
+		}
+		// The head changed hands between the peek and the check: its
+		// owner (an overwrite, a Delete, another stealer, or a Set that
+		// has not published its entry yet) is about to move it.
+		runtime.Gosched()
 	}
 }
 
-func (c *Cache) freeSlot(cls int, s slot) {
+// takeCell pops a free cell of class cls, carving a fresh heap page
+// when the free list is empty. Caller holds alloc.mu.
+func (c *Cache) takeCell(cls int) (slot, bool) {
 	a := &c.alloc
-	a.mu.Lock()
-	a.free[cls] = append(a.free[cls], s)
-	a.mu.Unlock()
+	if n := len(a.free[cls]); n > 0 {
+		s := a.free[cls][n-1]
+		a.free[cls] = a.free[cls][:n-1]
+		return s, true
+	}
+	if a.nextPage == a.pages {
+		return slot{}, false
+	}
+	pg := a.nextPage
+	a.nextPage++
+	size := classSizes[cls]
+	for off := pageBytes - size; off >= size; off -= size {
+		a.free[cls] = append(a.free[cls], slot{pg: pg, off: uint16(off)})
+	}
+	return slot{pg: pg}, true
 }
 
-func (c *Cache) pushFIFO(cls int, s slot, key string) {
+// linkNode appends a node for key to the tail of the class's FIFO.
+// Caller holds alloc.mu.
+func (c *Cache) linkNode(cls int, key string) uint32 {
+	a := &c.alloc
+	n := a.freeNode
+	if n != 0 {
+		a.freeNode = a.nodes[n].next
+	} else {
+		a.nodes = append(a.nodes, fifoNode{})
+		n = uint32(len(a.nodes) - 1)
+	}
+	a.nodes[n] = fifoNode{key: key, prev: a.tail[cls]}
+	if a.tail[cls] != 0 {
+		a.nodes[a.tail[cls]].next = n
+	} else {
+		a.head[cls] = n
+	}
+	a.tail[cls] = n
+	return n
+}
+
+// release gives back the cell and FIFO node of an entry the caller
+// owns: one it removed from or replaced in the index, or never
+// published.
+func (c *Cache) release(e entry) {
 	a := &c.alloc
 	a.mu.Lock()
-	a.fifo[cls] = append(a.fifo[cls], slotKey{s: s, key: key})
+	nd := a.nodes[e.node]
+	if nd.prev != 0 {
+		a.nodes[nd.prev].next = nd.next
+	} else {
+		a.head[e.cls] = nd.next
+	}
+	if nd.next != 0 {
+		a.nodes[nd.next].prev = nd.prev
+	} else {
+		a.tail[e.cls] = nd.prev
+	}
+	a.nodes[e.node] = fifoNode{next: a.freeNode} // drops the key string
+	a.freeNode = e.node
+	a.free[e.cls] = append(a.free[e.cls], slot{pg: e.pg, off: e.off})
 	a.mu.Unlock()
 }
 
 // ErrValueTooLarge rejects values over one page.
 var ErrValueTooLarge = errors.New("magecache: value exceeds page size")
 
-// Set stores key=val (cache-aside fill or overwrite).
+// Set stores key=val (cache-aside fill or overwrite). An overwrite
+// moves the value to a fresh cell and frees the old one.
 func (c *Cache) Set(key string, val []byte) error {
 	cls, ok := classFor(len(val))
 	if !ok {
 		return ErrValueTooLarge
 	}
-	s, err := c.allocSlot(cls, key)
+	e, err := c.allocSlot(cls, key)
 	if err != nil {
 		return err
 	}
-	fr, err := c.pager.Pin(uint64(s.pg), true)
+	fr, err := c.pager.Pin(uint64(e.pg), true)
 	if err != nil {
-		c.freeSlot(cls, s)
+		c.release(e)
 		return err
 	}
-	copy(fr.Data[s.off:int(s.off)+len(val)], val)
+	copy(fr.Data[e.off:int(e.off)+len(val)], val)
 	fr.Unpin()
 
-	e := entry{pg: s.pg, off: s.off, ln: uint16(len(val)), cls: uint8(cls), set: true}
-	sh := c.shard(key)
+	e.ln = uint16(len(val))
+	sh := shard(c, key)
 	sh.mu.Lock()
 	old, had := sh.m[key]
 	sh.m[key] = e
 	sh.mu.Unlock()
-	c.pushFIFO(cls, s, key)
 	if had {
-		c.freeSlot(int(old.cls), slot{pg: old.pg, off: old.off})
+		c.release(old)
 	}
 	c.sets.Add(1)
 	return nil
 }
 
-// Get returns a copy of key's value. The copy-then-revalidate loop
-// handles the rare race where a steal reuses the cell mid-read: if the
-// index entry changed while the bytes were being copied, the read
-// retries against the fresh entry.
+// Get returns a copy of key's value.
 func (c *Cache) Get(key string) ([]byte, bool, error) {
+	return c.AppendGet(nil, []byte(key))
+}
+
+// AppendGet appends key's value to dst and returns the extended slice;
+// on a miss or an error dst comes back as it was. With room in dst a
+// hit allocates nothing.
+//
+// The page is pinned with no lock held (the pin may fault), and the
+// bytes are copied under the shard mu once the entry is seen to still
+// name the pinned cell. A cell is reused only after its entry has left
+// the index under that same mu, so no writer can be inside the cell
+// while it is copied, and a value that moved while its old page was
+// coming in is simply followed to its new cell.
+func (c *Cache) AppendGet(dst, key []byte) ([]byte, bool, error) {
 	c.gets.Add(1)
-	sh := c.shard(key)
-	for {
-		sh.mu.Lock()
-		e, ok := sh.m[key]
-		sh.mu.Unlock()
-		if !ok {
-			c.misses.Add(1)
-			return nil, false, nil
-		}
+	sh := shard(c, key)
+	sh.mu.Lock()
+	e, ok := sh.m[string(key)]
+	sh.mu.Unlock()
+	for ok {
 		fr, err := c.pager.Pin(uint64(e.pg), false)
 		if err != nil {
-			return nil, false, err
+			return dst, false, err
 		}
-		out := make([]byte, e.ln)
-		copy(out, fr.Data[e.off:uint32(e.off)+uint32(e.ln)])
-		fr.Unpin()
 		sh.mu.Lock()
-		e2, ok2 := sh.m[key]
+		cur, still := sh.m[string(key)]
+		if still && cur == e {
+			dst = append(dst, fr.Data[e.off:uint32(e.off)+uint32(e.ln)]...)
+		}
 		sh.mu.Unlock()
-		if ok2 && e2 == e {
-			return out, true, nil
+		fr.Unpin()
+		if still && cur == e {
+			return dst, true, nil
 		}
-		if !ok2 {
-			c.misses.Add(1)
-			return nil, false, nil
-		}
-		// The entry moved (overwrite or steal+refill): retry.
+		e, ok = cur, still
 	}
+	c.misses.Add(1)
+	return dst, false, nil
+}
+
+// pageOf resolves key to the heap page its value lives on, for the
+// connection loop's look-ahead.
+func (c *Cache) pageOf(key []byte) (uint64, bool) {
+	sh := shard(c, key)
+	sh.mu.Lock()
+	e, ok := sh.m[string(key)]
+	sh.mu.Unlock()
+	return uint64(e.pg), ok
 }
 
 // Delete removes key, freeing its cell.
 func (c *Cache) Delete(key string) bool {
-	sh := c.shard(key)
+	sh := shard(c, key)
 	sh.mu.Lock()
 	e, ok := sh.m[key]
 	if ok {
@@ -270,7 +347,7 @@ func (c *Cache) Delete(key string) bool {
 	}
 	sh.mu.Unlock()
 	if ok {
-		c.freeSlot(int(e.cls), slot{pg: e.pg, off: e.off})
+		c.release(e)
 	}
 	return ok
 }

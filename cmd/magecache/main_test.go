@@ -118,6 +118,140 @@ func TestCacheStealUnderPressure(t *testing.T) {
 	}
 }
 
+// fifoLen walks the steal FIFOs and returns how many cells they hold.
+func fifoLen(t *testing.T, c *Cache) int {
+	t.Helper()
+	a := &c.alloc
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	total := 0
+	for cls := range a.head {
+		prev := uint32(0)
+		for n := a.head[cls]; n != 0; prev, n = n, a.nodes[n].next {
+			if a.nodes[n].prev != prev {
+				t.Fatalf("class %d: node %d's prev is %d, want %d", cls, n, a.nodes[n].prev, prev)
+			}
+			if total++; total > len(a.nodes) {
+				t.Fatalf("class %d: FIFO loops", cls)
+			}
+		}
+		if a.tail[cls] != prev {
+			t.Fatalf("class %d: tail is %d, want %d", cls, a.tail[cls], prev)
+		}
+	}
+	return total
+}
+
+// TestFIFOBoundedByLiveKeys: the steal FIFO holds one record per live
+// cell, however many SETs have been served. It used to grow by one
+// record per SET, consumed only once the heap was exhausted, so a server
+// whose heap fits its keys leaked ~50 B per overwrite for ever.
+func TestFIFOBoundedByLiveKeys(t *testing.T) {
+	const keys = 1000
+	const sets = 1_000_000
+	c, _ := newMemCache(t, 256, 256)
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = keyName(int64(i))
+	}
+	var val [200]byte
+	for i := 0; i < sets; i++ {
+		k := (i * 7919) % keys
+		val[0] = byte(i)
+		// Lengths 1..200: overwrites change slab class now and then.
+		if err := c.Set(names[k], val[:1+(i+k)%200]); err != nil {
+			t.Fatalf("set %d: %v", i, err)
+		}
+		if i%100_000 == 99_999 {
+			if n := fifoLen(t, c); n != keys {
+				t.Fatalf("after %d sets of %d keys the FIFO holds %d records", i+1, keys, n)
+			}
+		}
+	}
+	for i := 0; i < keys; i += 2 {
+		if !c.Delete(names[i]) {
+			t.Fatalf("delete %s failed", names[i])
+		}
+	}
+	if n := fifoLen(t, c); n != keys/2 {
+		t.Errorf("after deleting half the keys the FIFO holds %d records, want %d", n, keys/2)
+	}
+	if n := len(c.alloc.nodes); n > 2*keys {
+		t.Errorf("%d FIFO nodes were ever allocated for %d keys", n, keys)
+	}
+	if c.Stats().Steals != 0 {
+		t.Error("a heap that fits its keys stole cells")
+	}
+}
+
+// TestStealRaces hammers a heap a quarter the size of its key space from
+// many goroutines, so that stealers, overwrites and deletes contend for
+// the same FIFO heads. Whoever removes an index entry owns its cell and
+// FIFO node: at the end every cell is either on a free list or linked
+// under exactly one live key, and no reader ever saw another key's bytes.
+func TestStealRaces(t *testing.T) {
+	const (
+		keys    = 64
+		pages   = 4 // 16 cells of class 1024
+		workers = 8
+		rounds  = 4000
+	)
+	c, _ := newMemCache(t, pages, pages)
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = keyName(int64(i))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; i < rounds; i++ {
+				k := (i*31 + w*17) % keys
+				switch i % 4 {
+				case 0, 1:
+					if err := c.Set(names[k], bytes.Repeat([]byte{byte(k)}, 600+k)); err != nil {
+						errs <- fmt.Errorf("set %d: %w", k, err)
+						return
+					}
+				case 2:
+					var ok bool
+					var err error
+					buf, ok, err = c.AppendGet(buf[:0], []byte(names[k]))
+					if err != nil {
+						errs <- fmt.Errorf("get %d: %w", k, err)
+						return
+					}
+					if ok && !bytes.Equal(buf, bytes.Repeat([]byte{byte(k)}, 600+k)) {
+						errs <- fmt.Errorf("key %d read %d bytes starting %#x", k, len(buf), buf[0])
+						return
+					}
+				case 3:
+					c.Delete(names[k])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if c.Stats().Steals == 0 {
+		t.Error("nothing was stolen")
+	}
+	live := 0
+	for i := range c.shards {
+		live += len(c.shards[i].m)
+	}
+	free := len(c.alloc.free[4]) // class 1024
+	if n := fifoLen(t, c); n != live || live+free != pages*4 {
+		t.Errorf("%d live keys, %d FIFO records, %d free cells; want live == records and live + free == %d", live, n, free, pages*4)
+	}
+}
+
 func TestLoadGenZeroFailures(t *testing.T) {
 	c := newTestCache(t, 2048, 256)
 	r := runLoad(c, loadConfig{
@@ -330,6 +464,7 @@ func BenchmarkMagecacheZipf(b *testing.B) {
 	heapPages := heapPagesFor(keys)
 	frames := int(heapPages) / 8
 	cache := newTestCache(b, heapPages, frames)
+	b.ReportAllocs()
 	b.ResetTimer()
 	r := runLoad(cache, loadConfig{
 		keys: keys, workers: 8, totalOps: b.N,

@@ -2,12 +2,10 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"strconv"
-	"strings"
 )
 
 // serveCache speaks a minimal memcached-flavoured text protocol:
@@ -17,8 +15,11 @@ import (
 //	del <key>\n            -> DELETED\n | MISS\n
 //	quit\n                 closes the connection
 //
-// Errors are reported as "ERR <reason>\n"; oversized or malformed
-// requests close the connection.
+// Errors are reported as "ERR <reason>\n". A request line is at most
+// maxLineLen bytes, a key at most maxKeyLen, a value at most one page.
+// A request after which the stream cannot be resynchronised — a line
+// that is too long, a malformed set line, a set payload not followed by
+// a newline — closes the connection after its ERR reply.
 func serveCache(ln net.Listener, c *Cache) error {
 	for {
 		conn, err := ln.Accept()
@@ -32,73 +33,278 @@ func serveCache(ln net.Listener, c *Cache) error {
 	}
 }
 
-func handleConn(conn net.Conn, c *Cache) {
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			return
+const (
+	maxKeyLen  = 250 // memcached's limit
+	maxLineLen = 512 // "set " + key + " 4096\n" with room to spare
+
+	// connBuf sizes a connection's read and write buffers. A pipelining
+	// client's window (the benchmark sends 16 requests per flush; 16
+	// SETs of the value model are 17 KiB, their GET replies as much)
+	// must fit, so that one refill shows the look-ahead the whole window
+	// and one write carries all its replies. The largest single request
+	// (maxLineLen + a page + newline) fits several times over.
+	connBuf = 32 << 10
+)
+
+type verb uint8
+
+const (
+	verbNone verb = iota // empty line: no reply
+	verbGet
+	verbSet
+	verbDel
+	verbQuit
+	verbUnknown // key holds the verb as sent
+)
+
+// request is one parsed request. key and payload alias the buffer it
+// was parsed from.
+type request struct {
+	verb    verb
+	key     []byte
+	payload []byte // set: the value
+	err     string // non-empty: reply "ERR <err>" instead of executing
+	fatal   bool   // ... and close: the next request boundary is unknown
+}
+
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f'
+}
+
+// nextField splits the first whitespace-delimited field off b.
+func nextField(b []byte) (field, rest []byte) {
+	for len(b) > 0 && isSpace(b[0]) {
+		b = b[1:]
+	}
+	i := 0
+	for i < len(b) && !isSpace(b[i]) {
+		i++
+	}
+	return b[:i], b[i:]
+}
+
+// parseLength parses a set line's decimal payload length.
+func parseLength(b []byte) (int, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	n := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
 		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "get":
-			if len(fields) != 2 {
-				fmt.Fprintf(w, "ERR get wants 1 arg\n")
-				break
-			}
-			val, ok, err := c.Get(fields[1])
-			switch {
-			case err != nil:
-				fmt.Fprintf(w, "ERR %v\n", err)
-			case !ok:
-				fmt.Fprintf(w, "MISS\n")
-			default:
-				fmt.Fprintf(w, "VALUE %d\n", len(val))
-				w.Write(val)
-				w.WriteByte('\n')
-			}
-		case "set":
-			if len(fields) != 3 {
-				fmt.Fprintf(w, "ERR set wants 2 args\n")
-				break
-			}
-			n, err := strconv.Atoi(fields[2])
-			if err != nil || n < 0 || n > pageBytes {
-				fmt.Fprintf(w, "ERR bad length\n")
-				return
-			}
-			buf := make([]byte, n+1) // payload + trailing newline
-			if _, err := io.ReadFull(r, buf); err != nil {
-				return
-			}
-			if err := c.Set(fields[1], buf[:n]); err != nil {
-				fmt.Fprintf(w, "ERR %v\n", err)
-			} else {
-				fmt.Fprintf(w, "STORED\n")
-			}
-		case "del":
-			if len(fields) != 2 {
-				fmt.Fprintf(w, "ERR del wants 1 arg\n")
-				break
-			}
-			if c.Delete(fields[1]) {
-				fmt.Fprintf(w, "DELETED\n")
-			} else {
-				fmt.Fprintf(w, "MISS\n")
-			}
-		case "quit":
-			w.Flush()
-			return
-		default:
-			fmt.Fprintf(w, "ERR unknown verb %q\n", fields[0])
-		}
-		if err := w.Flush(); err != nil {
-			return
+		if n = n*10 + int(c-'0'); n > pageBytes {
+			return 0, false
 		}
 	}
+	return n, true
+}
+
+// fatal is parseRequest's result for a request that ends the
+// conversation.
+func fatal(msg string) (request, int, bool) {
+	return request{err: msg, fatal: true}, 0, true
+}
+
+// parseRequest parses the request at the front of buf. ok is false when
+// buf does not yet hold all of it; otherwise size is the number of
+// bytes it occupies (meaningless after a fatal one). It is the only
+// parser: the serving loop and the look-ahead both walk the buffer with
+// it, so they cannot disagree on where a request ends.
+func parseRequest(buf []byte) (req request, size int, ok bool) {
+	line := buf
+	if len(line) > maxLineLen {
+		line = line[:maxLineLen]
+	}
+	nl := bytes.IndexByte(line, '\n')
+	if nl < 0 {
+		if len(buf) >= maxLineLen {
+			return fatal("line too long")
+		}
+		return request{}, 0, false
+	}
+	size = nl + 1
+	v, args := nextField(line[:nl])
+	var nargs int
+	var arg [2][]byte
+	for {
+		var f []byte
+		if f, args = nextField(args); len(f) == 0 {
+			break
+		}
+		if nargs < len(arg) {
+			arg[nargs] = f
+		}
+		nargs++
+	}
+	req.key = arg[0]
+	switch {
+	case len(v) == 0:
+		return req, size, true
+	case string(v) == "get":
+		req.verb = verbGet
+		if nargs != 1 {
+			req.err = "get wants 1 arg"
+		}
+	case string(v) == "del":
+		req.verb = verbDel
+		if nargs != 1 {
+			req.err = "del wants 1 arg"
+		}
+	case string(v) == "set":
+		req.verb = verbSet
+		if nargs != 2 {
+			return fatal("set wants 2 args")
+		}
+		n, valid := parseLength(arg[1])
+		if !valid {
+			return fatal("bad length")
+		}
+		if len(buf) < size+n+1 {
+			return request{}, 0, false
+		}
+		if buf[size+n] != '\n' {
+			return fatal("set payload not followed by newline")
+		}
+		req.payload = buf[size : size+n]
+		size += n + 1
+	case string(v) == "quit":
+		req.verb = verbQuit
+		return req, size, true
+	default:
+		req.verb, req.key = verbUnknown, v
+		return req, size, true
+	}
+	if req.err == "" && len(req.key) > maxKeyLen {
+		req.err = "key too long"
+	}
+	return req, size, true
+}
+
+// connState is one connection. The unit of work is the window — every
+// complete request the last read of the socket left in the buffer — not
+// the single request: replies collect in w and leave in one write when
+// the window is used up, and the window's GET misses are started
+// together, ahead of the requests that need them.
+type connState struct {
+	c   *Cache
+	r   *bufio.Reader
+	w   *bufio.Writer
+	val []byte   // GET scratch: the value between its pinned frame and w
+	pgs []uint64 // look-ahead scratch
+	num [20]byte // reply length digits
+}
+
+func handleConn(conn net.Conn, c *Cache) {
+	defer conn.Close()
+	cs := &connState{
+		c:   c,
+		r:   bufio.NewReaderSize(conn, connBuf),
+		w:   bufio.NewWriterSize(conn, connBuf),
+		val: make([]byte, 0, pageBytes),
+	}
+	cs.serve()
+	cs.w.Flush() // the ERR before a close; the peer may be gone already
+}
+
+func (cs *connState) serve() {
+	for {
+		buf, _ := cs.r.Peek(cs.r.Buffered()) // cannot fail: asks for what is there
+		req, size, ok := parseRequest(buf)
+		if !ok {
+			// The window is used up and the socket is about to be read:
+			// the one moment replies are flushed. A rule such as "flush
+			// when nothing is buffered" would hold the replies back here
+			// whenever part of a request is buffered, while the peer may
+			// be waiting for them before it sends the rest.
+			if cs.w.Flush() != nil {
+				return
+			}
+			if _, err := cs.r.Peek(len(buf) + 1); err != nil {
+				return
+			}
+			cs.lookAhead()
+			continue
+		}
+		if !cs.handle(req) {
+			return
+		}
+		cs.r.Discard(size) // cannot fail: size bytes are buffered
+	}
+}
+
+// lookAhead runs after every read of the socket: it walks the complete
+// requests now buffered and hands the heap pages of their GETs to the
+// pager, which starts the absent ones' faults together. Only a hint: a
+// key the window itself sets or deletes first resolves to a page the
+// GET will not read, which costs at most a wasted read.
+func (cs *connState) lookAhead() {
+	buf, _ := cs.r.Peek(cs.r.Buffered())
+	pgs := cs.pgs[:0]
+	for {
+		req, size, ok := parseRequest(buf)
+		if !ok || req.fatal || req.verb == verbQuit {
+			break
+		}
+		if req.verb == verbGet && req.err == "" {
+			if pg, ok := cs.c.pageOf(req.key); ok {
+				pgs = append(pgs, pg)
+			}
+		}
+		buf = buf[size:]
+	}
+	cs.pgs = pgs
+	if len(pgs) > 0 {
+		cs.c.pager.FaultAhead(pgs)
+	}
+}
+
+// handle executes one request and buffers its reply. It reports whether
+// the connection stays open.
+func (cs *connState) handle(req request) bool {
+	w := cs.w
+	if req.err != "" {
+		cs.replyErr(req.err)
+		return !req.fatal
+	}
+	switch req.verb {
+	case verbGet:
+		val, ok, err := cs.c.AppendGet(cs.val[:0], req.key)
+		switch {
+		case err != nil:
+			cs.replyErr(err.Error())
+		case !ok:
+			w.WriteString("MISS\n")
+		default:
+			w.WriteString("VALUE ")
+			w.Write(strconv.AppendInt(cs.num[:0], int64(len(val)), 10))
+			w.WriteByte('\n')
+			w.Write(val)
+			w.WriteByte('\n')
+		}
+	case verbSet:
+		if err := cs.c.Set(string(req.key), req.payload); err != nil {
+			cs.replyErr(err.Error())
+		} else {
+			w.WriteString("STORED\n")
+		}
+	case verbDel:
+		if cs.c.Delete(string(req.key)) {
+			w.WriteString("DELETED\n")
+		} else {
+			w.WriteString("MISS\n")
+		}
+	case verbQuit:
+		return false
+	case verbUnknown:
+		cs.replyErr("unknown verb " + strconv.Quote(string(req.key)))
+	}
+	return true
+}
+
+// Write errors on w are sticky and surface at the next Flush.
+func (cs *connState) replyErr(msg string) {
+	cs.w.WriteString("ERR ")
+	cs.w.WriteString(msg)
+	cs.w.WriteByte('\n')
 }

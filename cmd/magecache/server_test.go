@@ -1,0 +1,278 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"net"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mage/internal/upager"
+)
+
+// memBacking is an in-process upager.Backing that counts its reads, so
+// connection-loop tests and the fuzzer need no memnode.
+type memBacking struct {
+	mu     sync.Mutex
+	mem    []byte
+	reads  atomic.Uint64
+	readvs atomic.Uint64
+}
+
+func (b *memBacking) Register(size int64) (uint64, error) {
+	b.mem = make([]byte, size)
+	return 1, nil
+}
+
+func (b *memBacking) Read(_ uint64, off, n int64) ([]byte, error) {
+	b.reads.Add(1)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]byte(nil), b.mem[off:off+n]...), nil
+}
+
+func (b *memBacking) Write(_ uint64, off int64, data []byte) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	copy(b.mem[off:], data)
+	return nil
+}
+
+func (b *memBacking) ReadV(_ uint64, offs []int64, n int64) ([][]byte, error) {
+	b.readvs.Add(1)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make([][]byte, len(offs))
+	for i, off := range offs {
+		out[i] = append([]byte(nil), b.mem[off:off+n]...)
+	}
+	return out, nil
+}
+
+func (b *memBacking) WriteV(_ uint64, offs []int64, pages [][]byte) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, off := range offs {
+		copy(b.mem[off:], pages[i])
+	}
+	return nil
+}
+
+func newMemCache(t testing.TB, heapPages uint64, frames int) (*Cache, *memBacking) {
+	t.Helper()
+	b := &memBacking{}
+	c, err := NewCache(b, heapPages, frames, CacheOptions{Pager: upager.Options{NoPrefetch: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c, b
+}
+
+// pipeConn serves one end of a net.Pipe and returns the other, with a
+// deadline so that a server that withholds a reply fails the test
+// instead of hanging it.
+func pipeConn(t testing.TB, c *Cache) net.Conn {
+	t.Helper()
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		handleConn(server, c)
+	}()
+	t.Cleanup(func() {
+		client.Close()
+		<-done
+	})
+	client.SetDeadline(time.Now().Add(10 * time.Second))
+	return client
+}
+
+// readReplies reads n replies off r, one string each ("VALUE 5\nhello\n"
+// is one reply).
+func readReplies(t testing.TB, r *bufio.Reader, n int) []string {
+	t.Helper()
+	out := make([]string, 0, n)
+	for len(out) < n {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("reply %d of %d: %v (so far %q)", len(out)+1, n, err, out)
+		}
+		var ln int
+		if _, err := fmt.Sscanf(line, "VALUE %d\n", &ln); err == nil {
+			body := make([]byte, ln+1)
+			if _, err := io.ReadFull(r, body); err != nil {
+				t.Fatalf("reply %d: value body: %v", len(out)+1, err)
+			}
+			line += string(body)
+		}
+		out = append(out, line)
+	}
+	return out
+}
+
+func setReq(key, val string) string { return fmt.Sprintf("set %s %d\n%s\n", key, len(val), val) }
+func valueReply(val string) string  { return fmt.Sprintf("VALUE %d\n%s\n", len(val), val) }
+
+// TestWindowOneWrite: sixteen mixed requests arriving in one write come
+// back as sixteen replies in order, requests see the window's own
+// earlier writes, and the GETs whose pages were absent when the window
+// arrived were faulted together by the look-ahead, not one by one.
+func TestWindowOneWrite(t *testing.T) {
+	c, back := newMemCache(t, 256, 64)
+	// 400 values of class 1024, four to a page: 100 heap pages under 64
+	// frames, so the oldest keys' pages are long evicted.
+	old := func(i int) string { return strings.Repeat(string(rune('a'+i%26)), 700+i%300) }
+	for i := 0; i < 400; i++ {
+		if err := c.Set(fmt.Sprintf("old%d", i), []byte(old(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c.Pager().Stats().FreeFrames < 3 { // the evictor is on its way to its low-water mark of 8
+		runtime.Gosched()
+	}
+	reads0, readvs0 := back.reads.Load(), back.readvs.Load()
+	faults0 := c.Pager().Stats().Faults
+
+	window := []struct{ req, want string }{
+		{"get old0\n", valueReply(old(0))}, // pages 0, 1, 2: absent
+		{"get old4\n", valueReply(old(4))},
+		{"get old8\n", valueReply(old(8))},
+		{setReq("k", "first"), "STORED\n"},
+		{"get k\n", valueReply("first")},
+		{setReq("k", "second, and longer than sixty-four bytes so that it changes its slab class....."), "STORED\n"},
+		{"get k\n", valueReply("second, and longer than sixty-four bytes so that it changes its slab class.....")},
+		{"del old4\n", "DELETED\n"},
+		{"get old4\n", "MISS\n"},
+		{"del old4\n", "MISS\n"},
+		{"get nothing\n", "MISS\n"},
+		{"bogus\n", "ERR unknown verb \"bogus\"\n"},
+		{"get\n", "ERR get wants 1 arg\n"},
+		{setReq("old0", "rewritten"), "STORED\n"},
+		{"get old0\n", valueReply("rewritten")},
+		{"get old1\n", valueReply(old(1))}, // page 0 again
+	}
+	var all strings.Builder
+	for _, w := range window {
+		all.WriteString(w.req)
+	}
+	conn := pipeConn(t, c)
+	go io.WriteString(conn, all.String()) // one write; the pipe hands it over as the server reads
+	got := readReplies(t, bufio.NewReader(conn), len(window))
+	for i, w := range window {
+		if got[i] != w.want {
+			t.Errorf("reply %d to %q = %q, want %q", i, w.req, got[i], w.want)
+		}
+	}
+	if rv := back.readvs.Load() - readvs0; rv != 1 {
+		t.Errorf("the window's absent GET pages cost %d ReadV, want 1", rv)
+	}
+	if f := c.Pager().Stats().Faults - faults0; f < 3 {
+		t.Errorf("%d faults for three absent pages", f)
+	}
+	// The pages the look-ahead brought in were not read again one by one
+	// (the SETs may fault their own cells' pages).
+	if r := back.reads.Load() - reads0; r > 2 {
+		t.Errorf("%d solo reads beside the batch", r)
+	}
+}
+
+// TestHalfSentRequest: a client that has sent one request and half of
+// the next gets the first reply before it sends the rest. A server that
+// flushes only when its read buffer is empty would sit on that reply
+// while it waits for the second half, and the two would deadlock.
+func TestHalfSentRequest(t *testing.T) {
+	c, _ := newMemCache(t, 64, 8)
+	if err := c.Set("a", []byte("alpha")); err != nil {
+		t.Fatal(err)
+	}
+	conn := pipeConn(t, c)
+	r := bufio.NewReader(conn)
+	if _, err := io.WriteString(conn, "get a\nset b 4\nbr"); err != nil {
+		t.Fatal(err)
+	}
+	if got := readReplies(t, r, 1); got[0] != valueReply("alpha") {
+		t.Fatalf("first reply %q", got[0])
+	}
+	if _, err := io.WriteString(conn, "vo\nget b\n"); err != nil {
+		t.Fatal(err)
+	}
+	got := readReplies(t, r, 2)
+	if got[0] != "STORED\n" || got[1] != valueReply("brvo") {
+		t.Fatalf("replies after the second half: %q", got)
+	}
+}
+
+// TestProtocolLimits: what the doc comment promises about oversized and
+// malformed requests.
+func TestProtocolLimits(t *testing.T) {
+	longKey := strings.Repeat("k", maxKeyLen+1)
+	okKey := strings.Repeat("k", maxKeyLen)
+	for _, tc := range []struct {
+		name, send string
+		want       []string
+		closes     bool
+	}{
+		{"longest key", setReq(okKey, "v") + "get " + okKey + "\n", []string{"STORED\n", valueReply("v")}, false},
+		{"key too long, stream stays in step", "get " + longKey + "\n" + setReq(longKey, "get a\n") + "del " + longKey + "\nget a\n",
+			[]string{"ERR key too long\n", "ERR key too long\n", "ERR key too long\n", "MISS\n"}, false},
+		{"line never ends", strings.Repeat("x", maxLineLen), []string{"ERR line too long\n"}, true},
+		{"line too long", "get " + strings.Repeat("x", maxLineLen) + "\n", []string{"ERR line too long\n"}, true},
+		{"value too large", "set a 4097\n", []string{"ERR bad length\n"}, true},
+		{"length not a number", "set a -1\n", []string{"ERR bad length\n"}, true},
+		{"set without a length", "set a\nget a\n", []string{"ERR set wants 2 args\n"}, true},
+		{"payload runs on", "set a 3\nabcd\n", []string{"ERR set payload not followed by newline\n"}, true},
+		{"largest value", setReq("a", strings.Repeat("v", pageBytes)), []string{"STORED\n"}, false},
+		{"empty lines and blanks", "\n  \r\n\tget   a \r\n", []string{"MISS\n"}, false},
+		{"quit", "get a\nquit\nget a\n", []string{"MISS\n"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := newMemCache(t, 64, 8)
+			conn := pipeConn(t, c)
+			go io.WriteString(conn, tc.send)
+			r := bufio.NewReader(conn)
+			got := readReplies(t, r, len(tc.want))
+			for i := range tc.want {
+				if got[i] != tc.want[i] {
+					t.Errorf("reply %d = %q, want %q", i, got[i], tc.want[i])
+				}
+			}
+			if !tc.closes {
+				return
+			}
+			if rest, err := io.ReadAll(r); err != nil || len(rest) != 0 {
+				t.Errorf("connection not closed after the last reply: read %q, %v", rest, err)
+			}
+		})
+	}
+}
+
+// TestGetHitZeroAllocs pins the hit path of a GET — parse, index,
+// pin, copy, revalidate, reply — at zero allocations.
+func TestGetHitZeroAllocs(t *testing.T) {
+	c, _ := newMemCache(t, 64, 64)
+	if err := c.Set("k0123456789a", bytes.Repeat([]byte{7}, 900)); err != nil {
+		t.Fatal(err)
+	}
+	cs := &connState{c: c, w: bufio.NewWriterSize(io.Discard, connBuf), val: make([]byte, 0, pageBytes)}
+	line := []byte("get k0123456789a\n")
+	hits := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		req, _, ok := parseRequest(line)
+		if ok && cs.handle(req) {
+			hits++
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("GET hit path allocates %.1f times per request, want 0", allocs)
+	}
+	if s := c.Stats(); hits != 1001 || s.Misses != 0 {
+		t.Errorf("%d requests handled, %d misses", hits, s.Misses)
+	}
+}

@@ -11,7 +11,9 @@
 // thread, and the Stats counters expose the fault/eviction balance the
 // paper's controller steers by. Concurrent faults on one page coalesce
 // on a per-page latch, so a hot miss costs one wire read however many
-// goroutines hit it.
+// goroutines hit it; a caller that knows which pages it is about to pin
+// can start their faults together with FaultAhead, one READV for the
+// lot (P2 again, on the fault side).
 package upager
 
 import (
@@ -117,7 +119,7 @@ type Pager struct {
 	detMu sync.Mutex // the detector sees the global fault stream
 	det   prefetch.Detector
 
-	prefetchWG sync.WaitGroup
+	fillWG sync.WaitGroup // in-flight fillBatch goroutines; Close drains them
 
 	// Fault/eviction balance counters (the paper's steering signals).
 	faults          atomic.Uint64
@@ -389,8 +391,8 @@ func (p *Pager) takeFrame() (int32, error) {
 	}
 }
 
-// tryTakeFrame is the non-blocking variant the prefetcher uses: under
-// frame pressure prefetch is dropped rather than queued.
+// tryTakeFrame is the non-blocking variant the batched fills use: under
+// frame pressure a fill-ahead is dropped rather than queued.
 func (p *Pager) tryTakeFrame() (int32, bool) {
 	select {
 	case f := <-p.freeC:
@@ -414,9 +416,24 @@ func (p *Pager) maybeKick() {
 	}
 }
 
-// maybePrefetch feeds the fault address to the detector and issues
-// asynchronous fills for its proposals. Prefetch never blocks the
-// faulting caller: no free frame means the candidate is dropped.
+// FaultAhead starts the faults of pgs early and together: a caller that
+// already knows the pages its next Pins will touch (magecache, from the
+// requests buffered on a connection) hands them over, and every page
+// that is absent and can get a free frame right now is claimed
+// absent→faulting under the usual latch and filled by one ReadV on one
+// goroutine. It never blocks and promises nothing — pages that are
+// resident or in transit, out of range, or left over when the free pool
+// runs dry are skipped. Pin remains the only way to touch data: a Pin
+// of a claimed page coalesces on its latch like on any other fault.
+//
+// These are demand misses issued early, not speculation: they count in
+// Faults and the fault-latency histogram, land with the reference bit
+// set, and feed the prefetch detector.
+func (p *Pager) FaultAhead(pgs []uint64) { p.fillAhead(pgs, false) }
+
+// maybePrefetch feeds the fault address to the detector and fills its
+// proposals speculatively. Prefetch never blocks the faulting caller:
+// no free frame means the candidate is dropped.
 func (p *Pager) maybePrefetch(pg uint64) {
 	if p.det == nil {
 		return
@@ -424,59 +441,120 @@ func (p *Pager) maybePrefetch(pg uint64) {
 	p.detMu.Lock()
 	cands := p.det.OnFault(pg)
 	p.detMu.Unlock()
-	for _, c := range cands {
-		if c >= p.numPages {
-			continue
-		}
-		frame, ok := p.tryTakeFrame()
-		if !ok {
-			p.prefetchDropped.Add(1)
-			continue
-		}
-		p.mu.Lock()
-		pd := &p.pages[c]
-		if p.closed || pd.state != pageAbsent {
-			p.mu.Unlock()
-			p.freeC <- frame
-			continue
-		}
-		pd.state = pageFaulting
-		pd.latch = make(chan struct{})
-		// Add under mu so Close (which sets closed under mu before
-		// waiting) can never miss an in-flight fill.
-		p.prefetchWG.Add(1)
-		p.mu.Unlock()
-		p.prefetchIssued.Add(1)
-		go p.prefetchFill(c, frame) //magevet:ok real-host pager: prefetch fills overlap demand faults by design
+	if len(cands) > 0 {
+		p.fillAhead(cands, true)
 	}
 }
 
-// prefetchFill completes one prefetch: read, install unpinned with the
-// reference bit clear, so untouched prefetches are the first CLOCK
-// victims.
-func (p *Pager) prefetchFill(pg uint64, frame int32) {
-	defer p.prefetchWG.Done()
-	off := int64(pg) * p.pageBytes
-	body, err := p.backing.Read(p.handle, off, p.pageBytes)
-	if err != nil {
-		p.freeC <- frame
-		p.abortFault(pg)
+// fillAhead claims the absent pages of pgs that a free frame can be
+// had for without blocking and hands them to one fillBatch goroutine.
+func (p *Pager) fillAhead(pgs []uint64, speculative bool) {
+	var claimed []uint64
+	var frames []int32
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
 		return
 	}
-	copy(p.frameData(frame), body)
-	memnode.PutBuf(body)
-	p.mu.Lock()
-	pd := &p.pages[pg]
-	pd.state = pageResident
-	pd.frame = frame
-	pd.dirty = false
-	pd.ref = false
-	pd.prefetched = true
-	pd.pins = 0
-	p.owner[frame] = pg
-	close(pd.latch)
-	pd.latch = nil
+	for _, pg := range pgs {
+		if pg >= p.numPages || p.pages[pg].state != pageAbsent {
+			continue
+		}
+		if len(claimed) == p.batch {
+			break // one fill never takes more than the evictor's share of the arena
+		}
+		frame, ok := p.tryTakeFrame()
+		if !ok {
+			if speculative {
+				p.prefetchDropped.Add(1)
+				continue
+			}
+			p.kick() // the pins that follow will want frames
+			break
+		}
+		if claimed == nil {
+			claimed = make([]uint64, 0, len(pgs))
+			frames = make([]int32, 0, len(pgs))
+		}
+		pd := &p.pages[pg]
+		pd.state = pageFaulting
+		pd.latch = make(chan struct{})
+		claimed = append(claimed, pg)
+		frames = append(frames, frame)
+	}
+	if len(claimed) > 0 {
+		// Add under mu so Close (which sets closed under mu before
+		// waiting) can never miss an in-flight fill.
+		p.fillWG.Add(1)
+	}
 	p.mu.Unlock()
+	if len(claimed) == 0 {
+		return
+	}
+	if speculative {
+		p.prefetchIssued.Add(uint64(len(claimed)))
+	} else {
+		p.faults.Add(uint64(len(claimed)))
+	}
+	go p.fillBatch(claimed, frames, speculative) //magevet:ok real-host pager: fill-ahead overlaps the caller's own work by design
+}
+
+// fillBatch completes the pages fillAhead claimed: one ReadV, then every
+// page installed resident and unpinned. A speculative page lands with
+// the reference bit clear, so an untouched prefetch is the first CLOCK
+// victim; an early demand fault lands with it set, like any fault. A
+// failed read aborts every page to absent and returns every frame, and
+// the pinners waiting on the latches retry and surface their own error.
+func (p *Pager) fillBatch(pgs []uint64, frames []int32, speculative bool) {
+	defer p.fillWG.Done()
+	start := time.Now() //magevet:ok real-host pager: fault service time is a reported metric
+	offs := make([]int64, len(pgs))
+	for i, pg := range pgs {
+		offs[i] = int64(pg) * p.pageBytes
+	}
+	bodies, err := p.backing.ReadV(p.handle, offs, p.pageBytes)
+	if err == nil && len(bodies) != len(pgs) {
+		err = fmt.Errorf("upager: readv returned %d of %d pages", len(bodies), len(pgs))
+	}
+	if err != nil {
+		for i, pg := range pgs {
+			p.freeC <- frames[i]
+			p.abortFault(pg)
+		}
+		return
+	}
+	// The bodies are slices of one buffer the backing cut up per page, so
+	// there is no single slice to hand back to PutBuf.
+	for i, body := range bodies {
+		copy(p.frameData(frames[i]), body)
+	}
+	if !speculative {
+		// Before the latches open, so that a pinner that saw the page
+		// also sees its fault in the histogram.
+		lat := time.Since(start).Nanoseconds() //magevet:ok real-host pager: fault service time is a reported metric
+		for range pgs {
+			p.faultLat.Record(lat)
+		}
+	}
+	p.mu.Lock()
+	for i, pg := range pgs {
+		pd := &p.pages[pg]
+		pd.state = pageResident
+		pd.frame = frames[i]
+		pd.dirty = false
+		pd.ref = !speculative
+		pd.prefetched = speculative
+		pd.pins = 0
+		p.owner[frames[i]] = pg
+		close(pd.latch)
+		pd.latch = nil
+	}
+	p.mu.Unlock()
+	if !speculative {
+		for _, pg := range pgs {
+			p.maybePrefetch(pg)
+		}
+	}
 }
 
 // evictLoop is the write-behind evictor: on every kick it reclaims
@@ -654,8 +732,8 @@ func (p *Pager) Flush() error {
 }
 
 // Close flushes dirty pages, stops the evictor, and marks the pager
-// unusable. In-flight prefetches are drained first. The backing store
-// is not closed; the caller owns it.
+// unusable. In-flight fill-ahead batches are drained first. The backing
+// store is not closed; the caller owns it.
 func (p *Pager) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -664,7 +742,7 @@ func (p *Pager) Close() error {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	p.prefetchWG.Wait()
+	p.fillWG.Wait()
 	err := p.Flush()
 	close(p.stopC)
 	<-p.doneC
@@ -673,7 +751,8 @@ func (p *Pager) Close() error {
 
 // Stats is a point-in-time snapshot of the pager's balance counters.
 type Stats struct {
-	// Faults counts major faults (backing reads on the demand path).
+	// Faults counts major faults: pages read on the demand path, whether
+	// by the Pin that needed them or early through FaultAhead.
 	Faults uint64
 	// Hits counts pins served by an already-resident page.
 	Hits uint64

@@ -11,18 +11,25 @@ import (
 	"mage/internal/prefetch"
 )
 
-// fakeBacking is an in-memory Backing with op accounting and an
-// optional failure injector, so unit tests need no sockets.
+// fakeBacking is an in-memory Backing with op accounting, failure
+// injectors and gates that hold a batch verb on the wire until the test
+// lets it go, so unit tests need no sockets.
 type fakeBacking struct {
-	mu      sync.Mutex
-	mem     []byte
-	reads   atomic.Uint64
-	writevs atomic.Uint64
-	wvPages atomic.Uint64
-	failWV  atomic.Bool
+	mu       sync.Mutex
+	mem      []byte
+	reads    atomic.Uint64
+	readvs   atomic.Uint64
+	writevs  atomic.Uint64
+	wvPages  atomic.Uint64
+	failRead atomic.Bool // fails Read and ReadV
+	failWV   atomic.Bool
+
+	// A non-nil gate blocks the verb after it has signalled entered.
+	rvGate, wvGate chan struct{}
+	entered        chan struct{}
 }
 
-func newFakeBacking() *fakeBacking { return &fakeBacking{} }
+func newFakeBacking() *fakeBacking { return &fakeBacking{entered: make(chan struct{}, 16)} }
 
 func (f *fakeBacking) Register(size int64) (uint64, error) {
 	f.mu.Lock()
@@ -33,6 +40,9 @@ func (f *fakeBacking) Register(size int64) (uint64, error) {
 
 func (f *fakeBacking) Read(handle uint64, offset, length int64) ([]byte, error) {
 	f.reads.Add(1)
+	if f.failRead.Load() {
+		return nil, fmt.Errorf("fake: injected read failure")
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([]byte, length)
@@ -47,19 +57,32 @@ func (f *fakeBacking) Write(handle uint64, offset int64, data []byte) error {
 	return nil
 }
 
+// ReadV hands back slices of one buffer, as memnode.Client does.
 func (f *fakeBacking) ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]byte, error) {
+	f.readvs.Add(1)
+	if f.rvGate != nil {
+		f.entered <- struct{}{}
+		<-f.rvGate
+	}
+	if f.failRead.Load() {
+		return nil, fmt.Errorf("fake: injected readv failure")
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	body := make([]byte, int64(len(offsets))*pageBytes)
 	out := make([][]byte, len(offsets))
 	for i, off := range offsets {
-		b, err := f.Read(handle, off, pageBytes)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = b
+		out[i] = body[int64(i)*pageBytes : int64(i+1)*pageBytes]
+		copy(out[i], f.mem[off:off+pageBytes])
 	}
 	return out, nil
 }
 
 func (f *fakeBacking) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
+	if f.wvGate != nil {
+		f.entered <- struct{}{}
+		<-f.wvGate
+	}
 	if f.failWV.Load() {
 		return fmt.Errorf("fake: injected writev failure")
 	}
@@ -311,6 +334,11 @@ func TestSequentialPrefetch(t *testing.T) {
 	}
 	if s.Faults >= 512 {
 		t.Errorf("every pin was a demand fault (%d) despite prefetch", s.Faults)
+	}
+	// Speculation keeps its own books: demand faults are the solo reads,
+	// prefetches went out as batches and are not counted as faults.
+	if r, rv := fb.reads.Load(), fb.readvs.Load(); s.Faults != r || rv == 0 || rv > s.PrefetchIssued {
+		t.Errorf("faults=%d solo reads=%d, prefetch issued=%d in %d ReadV", s.Faults, r, s.PrefetchIssued, rv)
 	}
 }
 
