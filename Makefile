@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_DATE ?= $(shell date +%F)
 
-.PHONY: all build vet magevet test magecheck fmt fmtcheck lint check bench bench-check cover
+.PHONY: all build vet magevet test magecheck fmt fmtcheck lint check bench bench-check shm-shared-cpu cover
 
 all: check
 
@@ -75,6 +75,31 @@ bench:
 # benchmark.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The shm ring against a server that shares the client's CPU: memnode
+# and a depth-1 memnode-bench both confined to CPU 0, the same workload
+# over TCP and over shm in one run. A waiter that yields instead of
+# parking burns the timeslice the server needs, and shm — no socket
+# payloads, no kernel copies — then loses to TCP (0.53x before the
+# self-tuning wait primitive of DESIGN.md §13); the gate is that it does
+# not: shm_over_tcp >= 1. Linux only (taskset, memfd).
+shm-shared-cpu:
+	@set -e; dir=$$(mktemp -d); pid=; \
+	trap 'test -n "$$pid" && kill $$pid 2>/dev/null; rm -rf "$$dir"' EXIT; \
+	$(GO) build -o $$dir/memnode ./cmd/memnode; \
+	$(GO) build -o $$dir/memnode-bench ./cmd/memnode-bench; \
+	TMPDIR=$$dir taskset -c 0 $$dir/memnode -listen 127.0.0.1:0 -capacity-mb 1024 -transport shm 2>$$dir/memnode.log & pid=$$!; \
+	addr=; for i in $$(seq 50); do \
+		addr=$$(sed -n 's/.* serving [0-9]* MiB on \([^ ]*\) .*/\1/p' $$dir/memnode.log); \
+		test -n "$$addr" && break; sleep 0.1; \
+	done; \
+	test -n "$$addr" || { cat $$dir/memnode.log >&2; echo "memnode did not come up" >&2; exit 1; }; \
+	taskset -c 0 $$dir/memnode-bench -addr $$addr -workers 1 -depth 1 -compare -json > $$dir/compare.json; \
+	ratio=$$(sed -n 's/.*"shm_over_tcp": *\([0-9.e+-]*\).*/\1/p' $$dir/compare.json); \
+	grep -E '"(transport|pages_per_sec|p50_us|shm_parks_per_op|shm_spin_yields_per_op)"' $$dir/compare.json; \
+	echo "shm_over_tcp = $$ratio (both processes on CPU 0)"; \
+	awk -v r="$$ratio" 'BEGIN { exit (r+0 >= 1) ? 0 : 1 }' || \
+		{ echo "shm is slower than TCP on a shared CPU" >&2; exit 1; }
 
 # Coverage floor for internal/core, set just under the level the
 # Node/Tenant split landed at so fault/eviction-path statements cannot

@@ -70,6 +70,13 @@ type report struct {
 	P99Us       float64 `json:"p99_us"`
 	MaxUs       float64 `json:"max_us"`
 
+	// The client side's shm wait regime, per op: waits that ended in a
+	// park, doorbell bytes written to the server, and yields spent in
+	// waits that parked anyway. All zero over TCP.
+	ShmParksPerOp      float64 `json:"shm_parks_per_op"`
+	ShmDoorbellsPerOp  float64 `json:"shm_doorbells_per_op"`
+	ShmSpinYieldsPerOp float64 `json:"shm_spin_yields_per_op"`
+
 	// SLO accounting (-slo-p99-us): sampled ops over the target burn
 	// error budget; the run reports how much is left.
 	SLOTargetUs        float64 `json:"slo_target_us,omitempty"`
@@ -229,9 +236,10 @@ func runCompare(target string, cfg config, jsonOut bool) {
 		}
 		return
 	}
-	fmt.Printf("%-10s %12s %10s %10s %11s\n", "transport", "pages/s", "p50(us)", "p99(us)", "allocs/op")
+	fmt.Printf("%-10s %12s %10s %10s %11s %9s %12s %10s\n", "transport", "pages/s", "p50(us)", "p99(us)", "allocs/op", "parks/op", "doorbells/op", "yields/op")
 	for _, r := range []report{tcp, shm} {
-		fmt.Printf("%-10s %12.0f %10.1f %10.1f %11.1f\n", r.Transport, r.PagesPerSec, r.P50Us, r.P99Us, r.AllocsPerOp)
+		fmt.Printf("%-10s %12.0f %10.1f %10.1f %11.1f %9.3f %12.3f %10.2f\n", r.Transport, r.PagesPerSec, r.P50Us, r.P99Us, r.AllocsPerOp,
+			r.ShmParksPerOp, r.ShmDoorbellsPerOp, r.ShmSpinYieldsPerOp)
 	}
 	fmt.Printf("shm/tcp:   %.2fx pages/s\n", ratio)
 }
@@ -288,8 +296,9 @@ func runLoad(target string, mode int, cfg config) (report, error) {
 	var okOps atomic.Uint64
 	var errs atomic.Uint64
 	var wg sync.WaitGroup
-	var kindMu sync.Mutex
+	var kindMu sync.Mutex // guards kind and shm
 	kind := setup.TransportKind()
+	var shm memnode.ClientStats // the workers' shm wait counters, summed
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
@@ -398,8 +407,12 @@ func runLoad(target string, mode int, cfg config) (report, error) {
 			laneWG.Wait()
 			// The worker connections carry the ops, so the transport they
 			// actually negotiated is the one the report should name.
+			m := c.Metrics()
 			kindMu.Lock()
 			kind = c.TransportKind()
+			shm.ShmParks += m.ShmParks
+			shm.ShmDoorbells += m.ShmDoorbells
+			shm.ShmSpinYields += m.ShmSpinYields
 			kindMu.Unlock()
 		}()
 	}
@@ -430,6 +443,10 @@ func runLoad(target string, mode int, cfg config) (report, error) {
 		P90Us:       us(h.P90()),
 		P99Us:       us(h.P99()),
 		MaxUs:       us(h.Max()),
+
+		ShmParksPerOp:      float64(shm.ShmParks) / float64(done),
+		ShmDoorbellsPerOp:  float64(shm.ShmDoorbells) / float64(done),
+		ShmSpinYieldsPerOp: float64(shm.ShmSpinYields) / float64(done),
 	}
 	r.MiBPerSec = r.PagesPerSec * float64(cfg.pageBytes) / (1 << 20)
 	if slo != nil {
@@ -457,6 +474,10 @@ func printReport(r report) {
 	fmt.Printf("throughput: %.0f ops/s, %.0f pages/s, %.1f MiB/s\n", r.OpsPerSec, r.PagesPerSec, r.MiBPerSec)
 	fmt.Printf("latency:    p50=%.0fus p90=%.0fus p99=%.0fus max=%.0fus\n", r.P50Us, r.P90Us, r.P99Us, r.MaxUs)
 	fmt.Printf("allocs:     %.1f per op\n", r.AllocsPerOp)
+	if r.Transport == "shm" {
+		fmt.Printf("shm waits:  %.3f parks, %.3f doorbells, %.2f wasted yields per op\n",
+			r.ShmParksPerOp, r.ShmDoorbellsPerOp, r.ShmSpinYieldsPerOp)
+	}
 	if r.SLOTargetUs > 0 {
 		met := "MET"
 		if !r.SLOMet {

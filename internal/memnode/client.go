@@ -11,7 +11,6 @@ import (
 	"sync"        //magevet:ok memnode is a real TCP client, not virtual-time simulation code
 	"sync/atomic" //magevet:ok lock-free robustness counters keep Metrics off the data path
 	"time"
-	"unsafe"
 )
 
 // Options tunes the client's robustness behavior: connection and per-op
@@ -119,6 +118,17 @@ type ClientStats struct {
 	// ShmFallbacks counts connections that tried the shm transport and
 	// fell back to TCP v2 (dial/handshake/validation failure).
 	ShmFallbacks uint64
+	// ShmParks, ShmDoorbells and ShmSpinYields show which regime the shm
+	// streams run in (DESIGN.md §13): waits that ended in a park on a
+	// call, on the doorbell socket or in a backpressure sleep; wake-up
+	// bytes written to the server's doorbell; and yields spent in waits
+	// that parked anyway. Polling against a server with a core of its
+	// own keeps all three near zero per op; against one that shares the
+	// client's CPU parks and doorbells run at one or two per op and
+	// wasted yields stay at a few per op (the probes).
+	ShmParks      uint64
+	ShmDoorbells  uint64
+	ShmSpinYields uint64
 
 	// Per-verb op/byte counters of successfully completed operations,
 	// counted at the public API (one ReadV is one ReadV op regardless of
@@ -196,21 +206,30 @@ type call struct {
 	body     []byte
 	err      error
 
-	// Completion gate. fin advances 0→finResolving→finDone exactly once
-	// per attempt; a waiter parks on a lazily allocated channel only
-	// when the completion has not already landed, so the shm
-	// inline-polling fast path resolves calls without ever allocating a
-	// channel. The intermediate finResolving state exists because the
-	// completer must read waiter AFTER the fin transition (that order is
-	// what makes a lost wakeup impossible) — waiters therefore treat
-	// only finDone, the completer's final store to the struct, as
-	// permission to return and let doPooled recycle the memory. Raw
-	// atomic fields (not the typed atomic.Uint32/atomic.Pointer) because
-	// do() copies the call per attempt — typed atomics embed noCopy and
-	// would make that copy a vet violation. waiter holds a
-	// *chan struct{}.
-	fin    uint32
-	waiter unsafe.Pointer
+	// Completion gate: fin goes finPending → (finWaiting →) finDone once
+	// per attempt. A submitter that found its completion while polling
+	// never leaves finPending on its side; one that gives up registers
+	// as finWaiting and blocks on park until complete hands it a token.
+	// The recycle argument: complete's swap to finDone is its last
+	// access to the struct unless it swapped out finWaiting — and then
+	// the waiter is blocked on park until the send, which is complete's
+	// last access to anything of the call's. So finDone read by a
+	// poller, or a token received by a waiter, each mean no goroutine
+	// references the struct any more and doPooled may recycle it. A raw
+	// atomic field (not atomic.Uint32) because do() copies the call per
+	// attempt — typed atomics embed noCopy and would make that copy a
+	// vet violation.
+	fin uint32
+	// park carries the wake-up token of a registered waiter. Capacity
+	// one, made on the first park and kept for the life of the pooled
+	// struct (doPooled carries it across ops), so the parked path —
+	// the steady state of an shm stream whose peer shares its CPU —
+	// allocates nothing. A token is sent only when a waiter registered
+	// and that waiter always receives it, so none is ever left behind
+	// for the next op. Per-attempt copies share the channel with their
+	// prototype, which is safe for the same reason: exec returns only
+	// when its attempt completed.
+	park chan struct{}
 
 	// Arena extent backing this call on the shm transport (unused on
 	// TCP streams).
@@ -218,76 +237,46 @@ type call struct {
 	extCap int64
 }
 
-// Completion gate states. The gap between finResolving and finDone is
-// two instructions on the completer; waiters that catch it spin.
+// Completion gate states.
 const (
-	finPending   = 0 // in flight
-	finResolving = 1 // body/err published, completer still reading waiter
-	finDone      = 2 // completer's last store to the struct: safe to recycle
+	finPending = 0 // in flight, nobody parked on it
+	finWaiting = 1 // in flight, the submitter is blocked on park
+	finDone    = 2 // body/err published; complete's last store to the struct
 )
 
 // complete resolves the call: at most once per attempt (a second
 // completion is a demux bug and panics, exactly as double-closing the
 // old completion channel did), waking the parked waiter if there is
-// one. The fin transition and the waiter publication in wait are both
-// sequentially consistent, so either complete observes the waiter or
-// wait observes fin — a lost wakeup is impossible. The load of waiter
-// must stay AFTER the fin transition for that argument to hold, which
-// is why complete cannot simply finish with fin: the finDone store
-// below is what tells waiters every access to the struct is over.
-// close(ch) safely comes after finDone — it touches only the escaped
-// channel allocation, never the call struct.
+// one. Swap here and compare-and-swap in wait are sequentially
+// consistent on one word, so either complete observes the waiter or
+// wait observes finDone — a lost wakeup is impossible.
 func (ca *call) complete() {
-	if !atomic.CompareAndSwapUint32(&ca.fin, finPending, finResolving) {
+	switch atomic.SwapUint32(&ca.fin, finDone) {
+	case finDone:
 		panic("memnode: double completion of one request")
-	}
-	w := atomic.LoadPointer(&ca.waiter)
-	atomic.StoreUint32(&ca.fin, finDone)
-	if w != nil {
-		close(*(*chan struct{})(w))
+	case finWaiting:
+		ca.park <- struct{}{} // never blocks: capacity one, one token per registration
 	}
 }
 
-// completed reports whether the call has been fully resolved — body and
-// err published AND the completer done touching the struct. Callers
-// (the inline poller, wait) use it as permission to return the call to
-// its pool, so finResolving must read as "not yet".
+// completed reports whether the call has been resolved. A poller uses
+// it as permission to return the call to its pool.
 func (ca *call) completed() bool { return atomic.LoadUint32(&ca.fin) == finDone }
 
-// awaitDone spins out the completer's resolving window. Bounded: the
-// completer is between its fin transition and its finDone store.
-func (ca *call) awaitDone() {
-	for atomic.LoadUint32(&ca.fin) != finDone {
-		runtime.Gosched()
-	}
-}
-
-// wait blocks until the call completes, allocating the park channel
-// only on the slow path.
+// wait blocks until the call completes.
 func (ca *call) wait() {
-	if atomic.LoadUint32(&ca.fin) != finPending {
-		ca.awaitDone()
-		return
+	if ca.park == nil {
+		ca.park = make(chan struct{}, 1)
 	}
-	ch := make(chan struct{})
-	atomic.StorePointer(&ca.waiter, unsafe.Pointer(&ch))
-	if atomic.LoadUint32(&ca.fin) != finPending {
-		// Completed between the publish and this check. The completer may
-		// or may not have seen ch (a stray close of it is harmless); what
-		// matters is waiting out its final store before returning.
-		ca.awaitDone()
-		return
+	if atomic.CompareAndSwapUint32(&ca.fin, finPending, finWaiting) {
+		<-ca.park
 	}
-	<-ch // closed only after finDone is already published
 }
 
 // resetGate rearms the completion gate for a fresh attempt. Callers
 // guarantee no stale completer still references this struct (the same
 // discipline the per-attempt copy in do() exists for).
-func (ca *call) resetGate() {
-	atomic.StoreUint32(&ca.fin, finPending)
-	atomic.StorePointer(&ca.waiter, nil)
-}
+func (ca *call) resetGate() { atomic.StoreUint32(&ca.fin, finPending) }
 
 // link is one negotiated connection generation, whatever its data
 // plane: a TCP stream (v1 or v2) or a shared-memory ring stream. The
@@ -668,6 +657,11 @@ type Client struct {
 	v1Fallbacks   atomic.Uint64
 	shmConnects   atomic.Uint64
 	shmFallbacks  atomic.Uint64
+	shmWaits      shmWaitStats // summed over this client's shm streams
+
+	// shmParkOnly is a test hook: it holds every yield budget of the
+	// shm streams dialed after it is set at zero, so each wait parks.
+	shmParkOnly atomic.Bool
 
 	// verbOps/verbBytes index by wire verb (opRead..opProbe) and count
 	// completed public-API ops and their payload bytes.
@@ -751,6 +745,9 @@ func (c *Client) Metrics() ClientStats {
 		V1Fallbacks:   c.v1Fallbacks.Load(),
 		ShmConnects:   c.shmConnects.Load(),
 		ShmFallbacks:  c.shmFallbacks.Load(),
+		ShmParks:      c.shmWaits.parks.Load(),
+		ShmDoorbells:  c.shmWaits.doorbells.Load(),
+		ShmSpinYields: c.shmWaits.spinYields.Load(),
 		Read:          c.verbStats(opRead),
 		Write:         c.verbStats(opWrite),
 		ReadV:         c.verbStats(opReadV),
@@ -1164,6 +1161,7 @@ var callPool = sync.Pool{New: func() any { return new(call) }}
 // wrappers at zero steady-state allocations for the call bookkeeping.
 func (c *Client) doPooled(proto call) ([]byte, error) {
 	ca := callPool.Get().(*call)
+	proto.park = ca.park
 	*ca = proto
 	body, err := c.do(ca)
 	callPool.Put(ca)

@@ -138,6 +138,10 @@ type Server struct {
 	shmLn    *net.UnixListener
 	shmPath  string
 	shmToken uint64
+	shmConns map[*shmConn]struct{} // live shm connections; under mu
+	// shmParkOnly is a test hook: it holds the yield budget of every
+	// shm connection accepted after it is set at zero, so each wait parks.
+	shmParkOnly atomic.Bool
 
 	// Stats (atomic; served by STAT).
 	ReadOps    atomic.Uint64
@@ -185,6 +189,7 @@ func NewServerOptions(addr string, capacity int64, opts ServerOptions) (*Server,
 		nextID:   uint64(time.Now().UnixNano()), //magevet:ok restart-unique region-ID epoch on a real network daemon
 		capacity: capacity,
 		conns:    make(map[net.Conn]struct{}),
+		shmConns: make(map[*shmConn]struct{}),
 	}
 	if opts.EnableShm {
 		if err := s.setupShm(); err != nil {

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"        //magevet:ok memnode is a real transport client, not virtual-time simulation code
 	"sync/atomic" //magevet:ok host-side arena registry gate, not simulation state
 	"time"
@@ -33,12 +32,6 @@ import (
 // errShmUnsupported is surfaced when Options.Transport forces shm on a
 // platform (or against a server) that cannot provide it.
 var errShmUnsupported = errors.New("memnode: shm transport unsupported on this platform")
-
-// shmSpinYields bounds the cooperative spin both sides run before
-// parking on a doorbell read. Yield-based (not busy) spinning matters
-// on small machines: a single-core box makes progress only when the
-// peer gets the CPU.
-const shmSpinYields = 64
 
 // helloExt is the decoded shm extension of a v2 HELLO response.
 type helloExt struct {
@@ -160,6 +153,12 @@ func (c *Client) dialShm(ext helloExt) (*shmStream, error) {
 	}
 	st.srvSleep = shmWord(seg, shmOffSrvSleep)
 	st.cliSleep = shmWord(seg, shmOffCliSleep)
+	inline, idle := uint32(shmInlinePolls), uint32(shmSpinYields)
+	if c.shmParkOnly.Load() {
+		inline, idle = 0, 0
+	}
+	st.inline.init(inline, &c.shmWaits)
+	st.idle.init(idle, &c.shmWaits)
 	st.pending = make([]*call, layout.entries)
 	st.batch = make([]shmDone, 0, layout.entries)
 	st.refs.Store(1) // the completer's reference
@@ -180,6 +179,14 @@ type shmStream struct {
 
 	srvSleep *uint64
 	cliSleep *uint64
+
+	// Yield budgets (shm_wait.go): inline is shared by the submitters —
+	// polling for their completions and waiting out backpressure — and
+	// idle is the completer's before it parks on the doorbell socket.
+	inline shmWait
+	idle   shmWait
+	bellDl shmDeadline // write deadline bounding doorbell writes
+	parkDl shmDeadline // read deadline ticking under the parked completer
 
 	// mu guards stream state and the submission side of the ring. It is
 	// never held across socket IO or arena data copies.
@@ -320,7 +327,7 @@ func (st *shmStream) exec(ca *call) ([]byte, error) {
 	if err := st.acquire(); err != nil {
 		return nil, err
 	}
-	// Allocate the extent, yielding while the arena is momentarily
+	// Allocate the extent, waiting while the arena is momentarily
 	// exhausted by in-flight calls; the op's deadline bounds the wait
 	// without poisoning the stream. The deadline is computed lazily on
 	// this and every other slow path so the inline-completing hot path
@@ -335,12 +342,11 @@ func (st *shmStream) exec(ca *call) ([]byte, error) {
 		return time.Now().After(stallDl) //magevet:ok per-op network deadline
 	}
 	var extOff, extCap int64
-	for {
-		off, cp, ok := st.alloc.alloc(need)
-		if ok {
-			extOff, extCap = off, cp
-			break
-		}
+	tryAlloc := func() (ok bool) {
+		extOff, extCap, ok = st.alloc.alloc(need)
+		return ok
+	}
+	for !tryAlloc() {
 		st.mu.Lock()
 		err := st.err
 		st.mu.Unlock()
@@ -352,7 +358,9 @@ func (st *shmStream) exec(ca *call) ([]byte, error) {
 			st.release()
 			return nil, fmt.Errorf("memnode: arena exhausted past op deadline: %w", errShmStall)
 		}
-		runtime.Gosched()
+		if st.stall(tryAlloc) {
+			break
+		}
 	}
 	ca.extOff, ca.extCap = extOff, extCap
 	// Stage the request payload into the extent (outside any lock; the
@@ -372,26 +380,26 @@ func (st *shmStream) exec(ca *call) ([]byte, error) {
 			st.release()
 			return nil, err
 		}
-		full, ferr := st.sq.full()
+		free, ferr := st.slotFreeLocked()
 		if ferr != nil {
 			st.mu.Unlock()
 			st.fail(ferr)
 			st.release()
 			return nil, ferr
 		}
-		slot := (st.idSrc + 1) & (st.cq.entries - 1)
-		if !full && st.pending[slot] == nil {
+		if free {
 			break
 		}
 		// Ring momentarily full (possible only when the window exceeds
 		// half the ring) or the slot's previous generation is still in
-		// flight: yield and retry under the op deadline.
+		// flight: wait for the server under the op deadline.
 		st.mu.Unlock()
 		if overdue() {
+			st.alloc.free(extOff, extCap)
 			st.release()
 			return nil, fmt.Errorf("memnode: submission ring stalled past op deadline: %w", errShmStall)
 		}
-		runtime.Gosched()
+		st.stall(st.slotFree)
 		st.mu.Lock()
 	}
 	st.idSrc++
@@ -405,39 +413,34 @@ func (st *shmStream) exec(ca *call) ([]byte, error) {
 	})
 	st.sq.publish()
 	st.mu.Unlock()
-	// Ring the server's doorbell only when it announced it is parking;
-	// a busy server sees the published index on its next poll.
-	if shmShouldWake(st.srvSleep) {
-		_ = st.conn.SetWriteDeadline(time.Now().Add(st.c.opts.IOTimeout)) //magevet:ok doorbell write bound on a real unix socket
-		if _, err := st.conn.Write([]byte{1}); err != nil {
-			st.fail(err)
-		}
-	}
-	// Inline completion polling (io_uring style): the submitter drains
-	// the completion ring itself while its call is in flight. In steady
-	// state on a small box the submit → yield → server-burst → drain
-	// cycle resolves the call with no channel park/wake and no completer
-	// hop; the completer persists as the deadline and peer-death
-	// watchdog, and as the drain of last resort once we park below. The
-	// mapping reference taken above stays held across the polling.
+	st.ringServer()
+	// Inline completion polling (io_uring style): within the yield
+	// budget the submitter drains the completion ring itself while its
+	// call is in flight. Against a server that runs while we yield, the
+	// submit → yield → server-burst → drain cycle resolves the call with
+	// no park/wake and no completer hop; against one that does not the
+	// budget is zero and we park at once. The completer persists as the
+	// deadline and peer-death watchdog, and as the drain of last resort
+	// once we park below. The mapping reference taken above stays held
+	// across the polling.
 	var scratch [40]shmDone
-	for spin := 0; spin < shmInlinePolls; spin++ {
-		if ca.completed() {
-			st.release()
-			return ca.body, ca.err
-		}
-		if st.poisoned.Load() {
-			break
+	st.inline.spin(func() bool {
+		if ca.completed() || st.poisoned.Load() {
+			return true
 		}
 		// TryLock: when the lock is contended someone else is already
-		// draining — fall through to the yield so they get the CPU.
+		// draining — go on to the next yield so they get the CPU.
 		if st.cqReady() && st.mu.TryLock() {
 			if _, err := st.drainLocked(scratch[:0]); err != nil {
 				st.fail(err)
 			}
-			continue
+			return ca.completed()
 		}
-		runtime.Gosched()
+		return false
+	})
+	if ca.completed() {
+		st.release()
+		return ca.body, ca.err
 	}
 	// Parking: give the call a real deadline first (under st.mu — the
 	// completer's overdue scan reads it there) so a wedged server still
@@ -453,19 +456,77 @@ func (st *shmStream) exec(ca *call) ([]byte, error) {
 	return ca.body, ca.err
 }
 
-// shmInlinePolls bounds a submitter's inline completion polling before
-// it parks on its done channel and leaves draining to the completer.
-const shmInlinePolls = 256
+// slotFreeLocked reports whether the next request can be published: the
+// submission ring has room and the pending slot of the next id is not
+// still held by its previous generation. st.mu is held.
+func (st *shmStream) slotFreeLocked() (bool, error) {
+	full, err := st.sq.full()
+	if err != nil {
+		return false, err
+	}
+	return !full && st.pending[(st.idSrc+1)&(st.cq.entries-1)] == nil, nil
+}
+
+// slotFree is slotFreeLocked for a waiter that does not hold st.mu. A
+// dead stream or a corrupt ring reads as "stop waiting": the submitter
+// finds the error under the lock.
+func (st *shmStream) slotFree() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.err != nil {
+		return true
+	}
+	free, err := st.slotFreeLocked()
+	return free || err != nil
+}
+
+// shmStallSleep is how long either side sleeps per round of
+// backpressure once yielding has stopped paying. Nothing signals "arena
+// extent freed" or "ring slot freed", so this is a timed poll, bounded
+// by the op deadline on the client and by shmBellTimeout on the server.
+const shmStallSleep = 200 * time.Microsecond
+
+// stall waits out one round of backpressure — arena or ring space that
+// the server, or a local drain of its completions, has to free first.
+// It yields within the submitters' budget and reports true when freed
+// came true meanwhile. Past the budget it makes sure the server is not
+// asleep on work already published, sleeps, and reports false.
+func (st *shmStream) stall(freed func() bool) bool {
+	if st.inline.spin(freed) {
+		return true
+	}
+	st.ringServer()
+	time.Sleep(shmStallSleep) //magevet:ok shm backpressure: timed poll bounded by the op deadline
+	return false
+}
+
+// ringServer writes the server's doorbell byte, but only when the
+// server announced it is parking; a busy server sees the published
+// index on its next poll. The write is bounded so that a server which
+// never drains its socket poisons the stream.
+func (st *shmStream) ringServer() {
+	if !shmShouldWake(st.srvSleep) {
+		return
+	}
+	if dl, ok := st.bellDl.due(st.c.opts.IOTimeout); ok {
+		_ = st.conn.SetWriteDeadline(dl) // a failed set surfaces on the write below
+	}
+	st.c.shmWaits.doorbells.Add(1)
+	if _, err := st.conn.Write(shmBell); err != nil {
+		st.fail(err)
+	}
+}
 
 // errShmStall marks arena/ring backpressure that outlived an op
 // deadline; it is retryable (the op may succeed after reconnect or
 // once in-flight load drains).
 var errShmStall = errors.New("shm transport stalled")
 
-// completer drains the completion ring, spinning briefly between
-// bursts and then parking on the doorbell socket — where peer death
-// (EOF) and per-op timeouts (read deadline over the oldest pending
-// deadline) are detected, mirroring the TCP reader's semantics.
+// completer drains the completion ring, yielding within its budget
+// between bursts and then parking on the doorbell socket — where peer
+// death (EOF) and per-op timeouts (a read-deadline tick, then a scan of
+// the pending calls' deadlines) are detected, mirroring the TCP reader's
+// semantics.
 func (st *shmStream) completer() {
 	defer st.release()
 	var db [1]byte
@@ -481,15 +542,7 @@ func (st *shmStream) completer() {
 		if n > 0 {
 			continue
 		}
-		spun := false
-		for i := 0; i < shmSpinYields; i++ {
-			runtime.Gosched()
-			if st.cqReady() {
-				spun = true
-				break
-			}
-		}
-		if spun {
+		if st.idle.spin(st.cqReady) {
 			continue
 		}
 		shmAnnounceSleep(st.cliSleep)
@@ -499,8 +552,11 @@ func (st *shmStream) completer() {
 		}
 		// Park with a deadline tick so calls against a wedged (but not
 		// dead) server still time out: on each tick, overdue pending
-		// calls poison the stream; an idle tick just re-parks.
-		_ = st.conn.SetReadDeadline(time.Now().Add(st.c.opts.IOTimeout)) //magevet:ok per-op network deadline
+		// calls poison the stream; an idle tick just re-parks. The tick
+		// comes between IOTimeout/2 and IOTimeout after the park.
+		if dl, ok := st.parkDl.due(st.c.opts.IOTimeout); ok {
+			_ = st.conn.SetReadDeadline(dl) // a failed set surfaces on the read below
+		}
 		if _, rerr := st.conn.Read(db[:]); rerr != nil {
 			var ne net.Error
 			if errors.As(rerr, &ne) && ne.Timeout() && !st.anyOverdue(time.Now()) { //magevet:ok per-op deadline check against wall clock

@@ -12,6 +12,7 @@ package memnode
 import (
 	"errors"
 	"sync/atomic" //magevet:ok host-side shared-memory ring indices, not simulation state
+	"time"
 	"unsafe"
 )
 
@@ -113,3 +114,34 @@ func (r *shmRing) commit() { atomic.StoreUint64(r.mine, r.local) }
 func shmAnnounceSleep(flag *uint64)   { atomic.StoreUint64(flag, 1) }
 func shmCancelSleep(flag *uint64)     { atomic.StoreUint64(flag, 0) }
 func shmShouldWake(flag *uint64) bool { return atomic.CompareAndSwapUint64(flag, 1, 0) }
+
+// shmBell is the doorbell byte. Its value carries nothing; the write is
+// the wake-up.
+var shmBell = []byte{1}
+
+// shmEpoch anchors shmDeadline's monotonic clock.
+var shmEpoch = time.Now() //magevet:ok monotonic anchor for real socket deadlines
+
+// shmDeadline keeps a deadline armed on the doorbell socket without a
+// timer modification per use. A doorbell write (and the completer's
+// park) must stay bounded — a peer that never drains its socket has to
+// poison the stream — but the bound need not be exact: due asks for a
+// re-arm only when the armed deadline has less than half of span left,
+// so an IO that starts now is still bounded by between span/2 and span,
+// and a stream that parks per op modifies the runtime timer twice per
+// span, not once per op. Safe for concurrent use; racing re-arms set
+// deadlines a few microseconds apart.
+type shmDeadline struct {
+	until atomic.Int64 // when the armed deadline expires, as an offset from shmEpoch
+}
+
+// due returns the deadline to arm now, or false while the armed one
+// still has at least span/2 left.
+func (d *shmDeadline) due(span time.Duration) (time.Time, bool) {
+	now := time.Since(shmEpoch) //magevet:ok real socket deadline bookkeeping
+	if time.Duration(d.until.Load())-now >= span/2 {
+		return time.Time{}, false
+	}
+	d.until.Store(int64(now + span))
+	return shmEpoch.Add(now + span), true
+}

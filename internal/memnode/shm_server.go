@@ -33,7 +33,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 )
 
@@ -105,7 +104,19 @@ func (s *Server) serveShmConn(uc *net.UnixConn) {
 	}
 	h.srvSleep = shmWord(seg, shmOffSrvSleep)
 	h.cliSleep = shmWord(seg, shmOffCliSleep)
+	idle := uint32(shmSpinYields)
+	if s.shmParkOnly.Load() {
+		idle = 0
+	}
+	h.idle.init(idle, &h.waits)
+	// Live connections are kept so that their wait counters can be read.
+	s.mu.Lock()
+	s.shmConns[h] = struct{}{}
+	s.mu.Unlock()
 	h.loop()
+	s.mu.Lock()
+	delete(s.shmConns, h)
+	s.mu.Unlock()
 	shmUnmap(seg)
 }
 
@@ -145,12 +156,31 @@ type shmConn struct {
 
 	srvSleep *uint64
 	cliSleep *uint64
+
+	// idle is the loop's yield budget (shm_wait.go) before it parks on
+	// the doorbell socket, also spent waiting out a full completion
+	// ring; waits counts what this connection's waits cost.
+	idle   shmWait
+	waits  shmWaitStats
+	bellDl shmDeadline // write deadline bounding doorbell writes
+}
+
+// shmBellTimeout bounds a doorbell write and a completion-ring stall: a
+// client that stops draining its socket or its ring for this long has
+// its connection poisoned.
+const shmBellTimeout = 5 * time.Second
+
+// sqReady reports whether the loop has a reason to stop waiting: a
+// published submission, or a ring index process will reject.
+func (h *shmConn) sqReady() bool {
+	avail, err := h.sq.available()
+	return avail > 0 || err != nil
 }
 
 // loop consumes submissions until the connection dies. Between bursts
-// it spins briefly (yielding so a same-core client can run), then
-// parks on a doorbell read — which is also how peer death (EOF) and
-// server shutdown (Close closes the conn) are detected.
+// it yields within its budget (which pays when the client runs
+// meanwhile), then parks on a doorbell read — which is also how peer
+// death (EOF) and server shutdown (Close closes the conn) are detected.
 func (h *shmConn) loop() {
 	var db [1]byte
 	for {
@@ -161,23 +191,11 @@ func (h *shmConn) loop() {
 		if n > 0 {
 			continue
 		}
-		spun := false
-		for i := 0; i < shmSpinYields; i++ {
-			runtime.Gosched()
-			if avail, err := h.sq.available(); err != nil {
-				return
-			} else if avail > 0 {
-				spun = true
-				break
-			}
-		}
-		if spun {
+		if h.idle.spin(h.sqReady) {
 			continue
 		}
 		shmAnnounceSleep(h.srvSleep)
-		if avail, err := h.sq.available(); err != nil {
-			return
-		} else if avail > 0 {
+		if h.sqReady() {
 			shmCancelSleep(h.srvSleep)
 			continue
 		}
@@ -214,21 +232,43 @@ func (h *shmConn) process() (int, error) {
 		}
 		done++
 	}
-	if done > 0 && shmShouldWake(h.cliSleep) {
-		_ = h.conn.SetWriteDeadline(time.Now().Add(5 * time.Second)) //magevet:ok doorbell write bound on a real unix socket
-		if _, err := h.conn.Write([]byte{1}); err != nil {
-			return done, err
-		}
+	if done > 0 {
+		return done, h.ringClient()
 	}
 	return done, nil
 }
 
-// complete publishes one completion entry, waiting briefly if the ring
-// is full. An honestly sized ring (2x the window) cannot fill, so a
-// persistent full state means the client stopped consuming and the
-// connection is poisoned.
+// ringClient writes the client's doorbell byte, but only when its
+// completer announced it is parking. The write is bounded so that a
+// client which never drains its socket poisons the connection.
+func (h *shmConn) ringClient() error {
+	if !shmShouldWake(h.cliSleep) {
+		return nil
+	}
+	if dl, ok := h.bellDl.due(shmBellTimeout); ok {
+		_ = h.conn.SetWriteDeadline(dl) // a failed set surfaces on the write below
+	}
+	h.waits.doorbells.Add(1)
+	_, err := h.conn.Write(shmBell)
+	return err
+}
+
+// cqFree reports whether complete has a reason to stop waiting: room in
+// the completion ring, or a ring index it will reject.
+func (h *shmConn) cqFree() bool {
+	full, err := h.cq.full()
+	return !full || err != nil
+}
+
+// complete publishes one completion entry, waiting if the ring is full:
+// within the loop's yield budget, then — making sure the client's
+// completer is not asleep on completions already published — in
+// shmStallSleep naps. An honestly sized ring (2x the window) cannot
+// fill, so a ring still full after shmBellTimeout means the client
+// stopped consuming and the connection is poisoned.
 func (h *shmConn) complete(e cqEntry) error {
-	for waited := 0; ; waited++ {
+	var giveUp time.Time
+	for {
 		full, err := h.cq.full()
 		if err != nil {
 			return err
@@ -236,14 +276,19 @@ func (h *shmConn) complete(e cqEntry) error {
 		if !full {
 			break
 		}
-		if waited < 1024 {
-			runtime.Gosched()
+		if h.idle.spin(h.cqFree) {
 			continue
 		}
-		if waited > 1024+5000 {
+		if err := h.ringClient(); err != nil {
+			return err
+		}
+		now := time.Now() //magevet:ok shm backpressure: stall bound before poisoning
+		if giveUp.IsZero() {
+			giveUp = now.Add(shmBellTimeout)
+		} else if now.After(giveUp) {
 			return fmt.Errorf("shm: completion ring full, client not consuming")
 		}
-		time.Sleep(time.Millisecond) //magevet:ok shm backpressure: bounded 5s stall budget before poisoning
+		time.Sleep(shmStallSleep) //magevet:ok shm backpressure: timed poll bounded by shmBellTimeout
 	}
 	encodeCQE(h.cq.slot(h.cq.local), e)
 	h.cq.publish()

@@ -533,7 +533,15 @@ func TestShmLayout(t *testing.T) {
 // shared-memory transport: same 32-deep synchronous-read lanes, same
 // pages/s and p99 metrics, so the two numbers are directly comparable.
 // benchsnap -require pins the shm speedup in BENCH_*.json snapshots.
-func BenchmarkMemnodeShmPipeline(b *testing.B) {
+func BenchmarkMemnodeShmPipeline(b *testing.B) { benchShmPipeline(b, false) }
+
+// BenchmarkMemnodeShmPipelineParked is the same pipeline with every
+// yield budget on both sides held at zero, so each wait parks and each
+// publish rings a doorbell: the steady state of a stream whose peer
+// shares its CPU. Its allocs/op must read 0 like the polling variant's.
+func BenchmarkMemnodeShmPipelineParked(b *testing.B) { benchShmPipeline(b, true) }
+
+func benchShmPipeline(b *testing.B, parked bool) {
 	if !shmSupported {
 		b.Skip("shm transport unsupported on this platform")
 	}
@@ -542,11 +550,13 @@ func BenchmarkMemnodeShmPipeline(b *testing.B) {
 		b.Skipf("shm server unavailable: %v", err)
 	}
 	defer srv.Close()
+	srv.shmParkOnly.Store(parked)
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	c.shmParkOnly.Store(parked)
 	id, _ := c.Register(32 << 20)
 	if got := c.TransportKind(); got != "shm" {
 		b.Fatalf("TransportKind = %q, want shm", got)
