@@ -47,8 +47,8 @@ type entry struct {
 	cls  uint8
 }
 
-// fifoNode is one link of a class's steal FIFO: the key that owns an
-// allocated cell, in allocation order (the key's index entry names the
+// fifoNode is one link of a class's steal FIFO: the key that owns a
+// published cell, in publication order (the key's index entry names the
 // cell). Node 0 is the list's nil.
 type fifoNode struct {
 	key        string
@@ -71,28 +71,44 @@ type Cache struct {
 	// Slab allocator state. Lock order: alloc.mu and a shard mu are
 	// never held together.
 	//
+	// A cell is in one of three places. Free: on its class's free list.
+	// Held: taken off the list (or stolen) by a Set that is writing it, or
+	// by a connection that reserved it for a SET it has parsed and not
+	// yet executed; the holder alone knows it, and either publishes it or
+	// puts it back. Published: named by an index entry and linked, under
+	// that entry's key, into its class's steal FIFO.
+	//
 	// The steal FIFO is a doubly linked list per class threaded through
-	// nodes, one node per allocated cell, so the bookkeeping is O(live
-	// keys) however many SETs have been served. An index entry names its
-	// node, and ownership follows the entry: whoever removes or replaces
-	// an entry under its shard mu owns that entry's node and cell and
-	// gives both back under alloc.mu (release). A stealer only peeks at
-	// the head; it becomes the owner by deleting the head's entry.
+	// nodes, one node per published cell, so the bookkeeping is O(live
+	// keys) however many SETs have been served. A cell is linked only when
+	// it is published, never while it is held: a stealer that finds a
+	// head finds a key it can evict now, not a SET that has yet to read
+	// its page from far memory, or to be reached on a connection whose
+	// peer has stopped reading. An index entry names its node, and
+	// ownership follows the entry: whoever removes or replaces an entry
+	// under its shard mu owns that entry's node and cell and gives both
+	// back under alloc.mu (release). A stealer only peeks at the head; it
+	// becomes the owner by deleting the head's entry.
 	alloc struct {
 		mu       sync.Mutex
 		free     [len(classSizes)][]slot
 		nodes    []fifoNode
 		freeNode uint32                  // free nodes, chained through next
-		head     [len(classSizes)]uint32 // oldest allocation of the class
+		head     [len(classSizes)]uint32 // oldest publication of the class
 		tail     [len(classSizes)]uint32
 		nextPage uint32
 		pages    uint32
 	}
+	// writing counts, per class, the held cells a Set is writing right
+	// now: cells that are about to be published. A stealer that finds the
+	// FIFO empty waits for those, and for nothing else.
+	writing [len(classSizes)]atomic.Int32
 
-	steals atomic.Uint64
-	sets   atomic.Uint64
-	gets   atomic.Uint64
-	misses atomic.Uint64
+	steals      atomic.Uint64
+	stealYields atomic.Uint64
+	sets        atomic.Uint64
+	gets        atomic.Uint64
+	misses      atomic.Uint64
 }
 
 // CacheOptions sizes a cache.
@@ -141,26 +157,36 @@ func shard[K string | []byte](c *Cache, key K) *idxShard {
 	return &c.shards[h%indexShards]
 }
 
-// allocSlot returns a free cell of class cls, linked at the tail of the
-// class's steal FIFO under key, as an entry ready for the index. It
-// carves a fresh heap page when the free list is empty and steals the
-// oldest allocated cell of the class (FIFO eviction of its key) when
-// the heap is exhausted.
-func (c *Cache) allocSlot(cls int, key string) (entry, error) {
+// holdCell takes a cell of class cls for a Set to write. It carves a
+// fresh heap page when the free list is empty and steals the oldest
+// published cell of the class (FIFO eviction of its key) when the heap
+// is exhausted.
+func (c *Cache) holdCell(cls int) (slot, error) {
 	a := &c.alloc
 	for {
 		a.mu.Lock()
 		if s, ok := c.takeCell(cls); ok {
-			e := entry{pg: s.pg, off: s.off, cls: uint8(cls), node: c.linkNode(cls, key)}
+			c.writing[cls].Add(1)
 			a.mu.Unlock()
-			return e, nil
+			return s, nil
 		}
 		// Heap exhausted: evict the key that owns the oldest cell of
 		// this class, which puts the cell on the free list.
 		head := a.head[cls]
 		if head == 0 {
+			// Read under alloc.mu: a Set links its cell under it before it
+			// stops counting as writing, so an empty FIFO and a zero here
+			// together mean that no cell is on its way.
+			writing := c.writing[cls].Load()
 			a.mu.Unlock()
-			return entry{}, fmt.Errorf("magecache: heap full and no class-%d cell to steal", classSizes[cls])
+			if writing == 0 {
+				return slot{}, fmt.Errorf("magecache: heap full and no class-%d cell to steal", classSizes[cls])
+			}
+			// Every cell of the class is being written: one is published
+			// as soon as its Set has its page.
+			c.stealYields.Add(1)
+			runtime.Gosched()
+			continue
 		}
 		victim := a.nodes[head].key
 		a.mu.Unlock()
@@ -179,10 +205,36 @@ func (c *Cache) allocSlot(cls int, key string) (entry, error) {
 			continue
 		}
 		// The head changed hands between the peek and the check: its
-		// owner (an overwrite, a Delete, another stealer, or a Set that
-		// has not published its entry yet) is about to move it.
+		// owner (an overwrite, a Delete, another stealer, or a Set between
+		// linking its cell and publishing the entry) is a few instructions
+		// from moving it.
+		c.stealYields.Add(1)
 		runtime.Gosched()
 	}
+}
+
+// reserveCell takes a cell of class cls for a SET that will run later,
+// or reports that there is none to be had without stealing. It never
+// takes a class's cells while nothing of the class is published: what a
+// reservation holds is out of every stealer's reach for as long as the
+// connection takes to get to that SET, so a class must keep something
+// to steal.
+func (c *Cache) reserveCell(cls int) (slot, bool) {
+	a := &c.alloc
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.head[cls] == 0 {
+		return slot{}, false
+	}
+	return c.takeCell(cls)
+}
+
+// freeCell puts a held cell back on its free list.
+func (c *Cache) freeCell(cls int, s slot) {
+	a := &c.alloc
+	a.mu.Lock()
+	a.free[cls] = append(a.free[cls], s)
+	a.mu.Unlock()
 }
 
 // takeCell pops a free cell of class cls, carving a fresh heap page
@@ -228,8 +280,7 @@ func (c *Cache) linkNode(cls int, key string) uint32 {
 }
 
 // release gives back the cell and FIFO node of an entry the caller
-// owns: one it removed from or replaced in the index, or never
-// published.
+// owns: one it removed from or replaced in the index.
 func (c *Cache) release(e entry) {
 	a := &c.alloc
 	a.mu.Lock()
@@ -260,19 +311,35 @@ func (c *Cache) Set(key string, val []byte) error {
 	if !ok {
 		return ErrValueTooLarge
 	}
-	e, err := c.allocSlot(cls, key)
+	s, err := c.holdCell(cls)
 	if err != nil {
 		return err
 	}
-	fr, err := c.pager.Pin(uint64(e.pg), true)
+	return c.store(key, cls, s, val)
+}
+
+// setReserved is Set into the cell a connection reserved for it.
+func (c *Cache) setReserved(r reservation, val []byte) error {
+	c.writing[r.cls].Add(1)
+	return c.store(r.key, r.cls, r.s, val)
+}
+
+// store writes val into the held cell s and publishes it under key, or
+// puts the cell back when its page cannot be had.
+func (c *Cache) store(key string, cls int, s slot, val []byte) error {
+	defer c.writing[cls].Add(-1)
+	fr, err := c.pager.Pin(uint64(s.pg), true)
 	if err != nil {
-		c.release(e)
+		c.freeCell(cls, s)
 		return err
 	}
-	copy(fr.Data[e.off:int(e.off)+len(val)], val)
+	copy(fr.Data[s.off:int(s.off)+len(val)], val)
 	fr.Unpin()
 
-	e.ln = uint16(len(val))
+	e := entry{pg: s.pg, off: s.off, ln: uint16(len(val)), cls: uint8(cls)}
+	c.alloc.mu.Lock()
+	e.node = c.linkNode(cls, key)
+	c.alloc.mu.Unlock()
 	sh := shard(c, key)
 	sh.mu.Lock()
 	old, had := sh.m[key]
@@ -327,6 +394,15 @@ func (c *Cache) AppendGet(dst, key []byte) ([]byte, bool, error) {
 	return dst, false, nil
 }
 
+// reservation is a cell a connection holds for a SET it has parsed and
+// not yet executed, and the key the cell will be published under: the
+// one string made for that SET, which the index and the steal FIFO keep.
+type reservation struct {
+	key string
+	s   slot
+	cls int
+}
+
 // pageOf resolves key to the heap page its value lives on, for the
 // connection loop's look-ahead.
 func (c *Cache) pageOf(key []byte) (uint64, bool) {
@@ -356,14 +432,18 @@ func (c *Cache) Delete(key string) bool {
 // in Pager().Stats()).
 type CacheStats struct {
 	Gets, Misses, Sets, Steals uint64
+	// StealYields counts the times a stealer found the cell it was after
+	// changing hands and gave way.
+	StealYields uint64
 }
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() CacheStats {
 	return CacheStats{
-		Gets:   c.gets.Load(),
-		Misses: c.misses.Load(),
-		Sets:   c.sets.Load(),
-		Steals: c.steals.Load(),
+		Gets:        c.gets.Load(),
+		Misses:      c.misses.Load(),
+		Sets:        c.sets.Load(),
+		Steals:      c.steals.Load(),
+		StealYields: c.stealYields.Load(),
 	}
 }

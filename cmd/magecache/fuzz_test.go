@@ -167,5 +167,8 @@ func FuzzServeProtocol(f *testing.F) {
 		if s := c.Stats(); s.Steals != 0 {
 			t.Fatalf("the heap stole %d cells: the model does not cover eviction", s.Steals)
 		}
+		// However the stream was cut up and however it ended — a fatal
+		// request, a quit, a hang-up — the connection took no cell with it.
+		checkLedger(t, c)
 	})
 }

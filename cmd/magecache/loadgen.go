@@ -190,14 +190,14 @@ func printLoadReport(r loadReport, c *Cache, sloP99Us float64) {
 	if cs.Gets > 0 {
 		hitRate = float64(cs.Gets-cs.Misses) / float64(cs.Gets) * 100
 	}
-	fmt.Printf("magecache-cache: %d gets (%.1f%% hit), %d sets, %d steals\n",
-		cs.Gets, hitRate, cs.Sets, cs.Steals)
+	fmt.Printf("magecache-cache: %d gets (%.1f%% hit), %d sets, %d steals (%d stealer yields)\n",
+		cs.Gets, hitRate, cs.Sets, cs.Steals, cs.StealYields)
 	batching := 0.0
 	if ps.WritebackBatches > 0 {
 		batching = float64(ps.WritebackPages) / float64(ps.WritebackBatches)
 	}
-	fmt.Printf("magecache-pager: %d faults, %d hits, %d coalesced, %d evictions (%d clean), writeback %.1f pages/batch, prefetch %d issued / %d hit / %d dropped\n",
-		ps.Faults, ps.Hits, ps.Coalesced, ps.Evictions, ps.CleanDrops, batching,
+	fmt.Printf("magecache-pager: %d faults (%d batched ahead, %d on demand), %d hits, %d coalesced, %d evictions (%d clean), writeback %.1f pages/batch, prefetch %d issued / %d hit / %d dropped\n",
+		ps.Faults, ps.FaultsAhead, ps.Faults-ps.FaultsAhead, ps.Hits, ps.Coalesced, ps.Evictions, ps.CleanDrops, batching,
 		ps.PrefetchIssued, ps.PrefetchHits, ps.PrefetchDropped)
 	if r.FirstErr != nil {
 		fmt.Printf("magecache-error: first failed op: %v\n", r.FirstErr)

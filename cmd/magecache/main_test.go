@@ -188,7 +188,8 @@ func TestFIFOBoundedByLiveKeys(t *testing.T) {
 // many goroutines, so that stealers, overwrites and deletes contend for
 // the same FIFO heads. Whoever removes an index entry owns its cell and
 // FIFO node: at the end every cell is either on a free list or linked
-// under exactly one live key, and no reader ever saw another key's bytes.
+// under exactly one live key, none is still held, and no reader ever saw
+// another key's bytes.
 func TestStealRaces(t *testing.T) {
 	const (
 		keys    = 64
@@ -242,14 +243,7 @@ func TestStealRaces(t *testing.T) {
 	if c.Stats().Steals == 0 {
 		t.Error("nothing was stolen")
 	}
-	live := 0
-	for i := range c.shards {
-		live += len(c.shards[i].m)
-	}
-	free := len(c.alloc.free[4]) // class 1024
-	if n := fifoLen(t, c); n != live || live+free != pages*4 {
-		t.Errorf("%d live keys, %d FIFO records, %d free cells; want live == records and live + free == %d", live, n, free, pages*4)
-	}
+	checkLedger(t, c)
 }
 
 func TestLoadGenZeroFailures(t *testing.T) {

@@ -1,0 +1,442 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// checkLedger walks the allocator's books once everything that used the
+// cache has stopped: every cell of every carved page is on a free list
+// or published under exactly one live key, none is held — by a Set that
+// never finished or a reservation nobody consumed — and the steal FIFOs
+// hold the published ones and nothing else.
+func checkLedger(t *testing.T, c *Cache) {
+	t.Helper()
+	var live [len(classSizes)]int
+	total := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for _, e := range sh.m {
+			live[e.cls]++
+			total++
+		}
+		sh.mu.Unlock()
+	}
+	a := &c.alloc
+	a.mu.Lock()
+	bytesHeld := 0
+	for cls, size := range classSizes {
+		bytesHeld += (len(a.free[cls]) + live[cls]) * size
+		seen := make(map[slot]bool, len(a.free[cls]))
+		for _, s := range a.free[cls] {
+			if seen[s] {
+				t.Errorf("class %d: cell %+v is on the free list twice", size, s)
+			}
+			seen[s] = true
+		}
+	}
+	carved := int(a.nextPage) * pageBytes
+	a.mu.Unlock()
+	if bytesHeld != carved {
+		t.Errorf("free and published cells cover %d bytes of %d carved: %d bytes of cells are still held", bytesHeld, carved, carved-bytesHeld)
+	}
+	for cls := range c.writing {
+		if n := c.writing[cls].Load(); n != 0 {
+			t.Errorf("class %d: %d cells still counted as being written", classSizes[cls], n)
+		}
+	}
+	if n := fifoLen(t, c); n != total {
+		t.Errorf("%d live keys but %d steal-FIFO records", total, n)
+	}
+}
+
+// TestWindowOfOneSkipsLookAhead: one request alone in the buffer goes
+// straight to handle. Its page is demand-faulted by the Pin that needs
+// it, with no batch of one, no goroutine and no latch hand-off before.
+func TestWindowOfOneSkipsLookAhead(t *testing.T) {
+	c, back := newMemCache(t, 256, 16)
+	for i := 0; i < 200; i++ {
+		if err := c.Set(fmt.Sprintf("old%d", i), bytes.Repeat([]byte{byte(i)}, 900)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reads0, readvs0 := back.reads.Load(), back.readvs.Load()
+	conn := pipeConn(t, c)
+	r := bufio.NewReader(conn)
+	for i := 0; i < 8; i++ { // pages 0..7, long evicted from 16 frames
+		if _, err := io.WriteString(conn, fmt.Sprintf("get old%d\n", i*4)); err != nil {
+			t.Fatal(err)
+		}
+		if got := readReplies(t, r, 1); got[0] != valueReply(strings.Repeat(string(rune(i*4)), 900)) {
+			t.Fatalf("reply %d: %.40q", i, got[0])
+		}
+	}
+	// A SET alone in the buffer takes the plain path too.
+	if _, err := io.WriteString(conn, setReq("solo", "v")); err != nil {
+		t.Fatal(err)
+	}
+	readReplies(t, r, 1)
+	if rv := back.readvs.Load() - readvs0; rv != 0 {
+		t.Errorf("depth-1 requests cost %d batched reads, want none", rv)
+	}
+	if rd := back.reads.Load() - reads0; rd < 8 {
+		t.Errorf("%d single reads for 8 absent pages", rd)
+	}
+	if s := c.Pager().Stats(); s.FaultsAhead != 0 {
+		t.Errorf("%d faults went through FaultAhead at depth 1", s.FaultsAhead)
+	}
+}
+
+// TestReservationOutOfStealersReach: a connection whose peer has stopped
+// reading blocks in the middle of a window, holding cells it reserved
+// for SETs it has not reached. Another connection that needs cells of
+// that class steals published ones and carries on: it never waits for a
+// held cell, because a held cell is not in the steal FIFO. (With the
+// FIFO node linked at reservation the second connection spins on "head
+// is changing hands" until the first one's peer comes back.)
+func TestReservationOutOfStealersReach(t *testing.T) {
+	// 3 heap pages: one for the page-sized value, two of class 1024.
+	c, _ := newMemCache(t, 3, 3)
+	big := strings.Repeat("B", 4000)
+	if err := c.Set("big", []byte(big)); err != nil {
+		t.Fatal(err)
+	}
+	val := func(k string) string { return strings.Repeat(k[len(k)-1:], 700) }
+	for i := 0; i < 8; i++ {
+		k := fmt.Sprintf("seed%d", i)
+		if err := c.Set(k, []byte(val(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ { // four free cells, four published, heap exhausted
+		c.Delete(fmt.Sprintf("seed%d", i))
+	}
+
+	// A: nine replies of 4 KiB overflow the 32 KiB reply buffer, so the
+	// ninth GET blocks writing to a peer that is not reading, with the
+	// four SETs behind it reserved.
+	var win strings.Builder
+	for i := 0; i < 9; i++ {
+		win.WriteString("get big\n")
+	}
+	for i := 0; i < 4; i++ {
+		win.WriteString(setReq(fmt.Sprintf("a%d", i), val(fmt.Sprintf("a%d", i))))
+	}
+	connA, doneA := pipeConnDone(t, c)
+	wroteA := make(chan error, 1)
+	go func() {
+		_, err := io.WriteString(connA, win.String())
+		wroteA <- err
+	}()
+	if err := <-wroteA; err != nil { // the server has the whole window
+		t.Fatal(err)
+	}
+	freeCells := func() int {
+		c.alloc.mu.Lock()
+		defer c.alloc.mu.Unlock()
+		return len(c.alloc.free[4])
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for freeCells() != 0 { // ... and has reserved the four free cells
+		if time.Now().After(deadline) {
+			t.Fatal("connection A never reserved its cells")
+		}
+		runtime.Gosched()
+	}
+
+	// B: 64 SETs of the class, one per round trip, each of which steals.
+	connB, doneB := pipeConnDone(t, c)
+	rB := bufio.NewReader(connB)
+	for i := 0; i < 64; i++ {
+		k := fmt.Sprintf("b%d", i%16)
+		if _, err := io.WriteString(connB, setReq(k, val(k))); err != nil {
+			t.Fatal(err)
+		}
+		if got := readReplies(t, rB, 1); got[0] != "STORED\n" {
+			t.Fatalf("set %d while A is blocked: %q", i, got[0])
+		}
+	}
+	if s := c.Stats(); s.Steals < 60 {
+		t.Errorf("%d steals; B's sets should all have stolen", s.Steals)
+	}
+	if y := c.Stats().StealYields; y != 0 {
+		t.Errorf("a stealer yielded %d times with nobody else running", y)
+	}
+
+	// A's peer comes back: the window finishes into the reserved cells.
+	got := readReplies(t, bufio.NewReader(connA), 13)
+	for i, g := range got {
+		want := "STORED\n"
+		if i < 9 {
+			want = valueReply(big)
+		}
+		if g != want {
+			t.Fatalf("A's reply %d = %.40q", i, g)
+		}
+	}
+	connA.Close()
+	connB.Close()
+	<-doneA
+	<-doneB
+	checkLedger(t, c)
+}
+
+// TestStealRacesConnections is TestStealRaces through the front door:
+// eight connections send windows of SETs, GETs and DELs over a key
+// space four times the heap, so reservations, steals, overwrites and
+// deletes contend for the same cells. Every reply is checked, nothing
+// may fail, stealers hardly ever find a cell changing hands, and when
+// the connections have closed every cell is free or published.
+func TestStealRacesConnections(t *testing.T) {
+	const (
+		keys    = 64
+		pages   = 4 // 16 cells of class 1024
+		conns   = 8
+		windows = 300
+	)
+	c, _ := newMemCache(t, pages, 2)
+	val := func(k int) string { return strings.Repeat(string(rune('A'+k%26)), 600+k) }
+	var wg sync.WaitGroup
+	errs := make(chan error, conns)
+	conn := make([]io.Closer, conns)
+	done := make([]<-chan struct{}, conns)
+	for w := 0; w < conns; w++ {
+		cn, dn := pipeConnDone(t, c)
+		conn[w], done[w] = cn, dn
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := bufio.NewReader(cn)
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < windows; i++ {
+				var win strings.Builder
+				type sent struct{ verb, key int }
+				var reqs []sent
+				for j := 0; j < 12; j++ {
+					k := rng.Intn(keys)
+					v := rng.Intn(4)
+					reqs = append(reqs, sent{v, k})
+					switch v {
+					case 0, 1:
+						win.WriteString(setReq(keyName(int64(k)), val(k)))
+					case 2:
+						win.WriteString("get " + keyName(int64(k)) + "\n")
+					case 3:
+						win.WriteString("del " + keyName(int64(k)) + "\n")
+					}
+				}
+				go io.WriteString(cn, win.String())
+				got := readReplies(t, r, len(reqs))
+				for j, q := range reqs {
+					ok := false
+					switch q.verb {
+					case 0, 1:
+						ok = got[j] == "STORED\n"
+					case 2:
+						ok = got[j] == "MISS\n" || got[j] == valueReply(val(q.key))
+					case 3:
+						ok = got[j] == "MISS\n" || got[j] == "DELETED\n"
+					}
+					if !ok {
+						errs <- fmt.Errorf("conn %d window %d request %d (verb %d key %d): %.60q", w, i, j, q.verb, q.key, got[j])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for w, cn := range conn {
+		cn.Close()
+		<-done[w]
+	}
+	s := c.Stats()
+	if s.Steals == 0 {
+		t.Error("nothing was stolen")
+	}
+	// A stealer yields when it loses the head to another stealer, or
+	// lands in the few instructions between another goroutine's linking
+	// or unlinking of a cell and its index update: at worst once per
+	// rival and steal. One that waited for a SET to read its page, or for
+	// a connection to reach it, would yield thousands of times.
+	if y := s.StealYields; y > s.Steals*conns {
+		t.Errorf("%d stealer yields for %d steals", y, s.Steals)
+	}
+	checkLedger(t, c)
+}
+
+// windowSource feeds a connection loop one prepared window per serve
+// call: a Read that returns the window, then EOF.
+type windowSource struct{ rest []byte }
+
+func (s *windowSource) Read(p []byte) (int, error) {
+	if len(s.rest) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, s.rest)
+	s.rest = s.rest[n:]
+	return n, nil
+}
+
+// farWindows prepares 16-request windows over a heap of 1024 one-KiB
+// keys (256 pages) that walk the key space in order, so that under 64
+// frames — a free pool of 8, more than a window needs — every window
+// finds the pages of its twelve GETs absent. Its four SETs overwrite
+// keys on those pages.
+func farWindows(t testing.TB) (*Cache, *memBacking, [][]byte) {
+	const keys = 1024
+	c, back := newMemCache(t, 300, 64)
+	val := bytes.Repeat([]byte{'v'}, 900)
+	for k := 0; k < keys; k++ {
+		if err := c.Set(keyName(int64(k)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wins [][]byte
+	for w := 0; w < keys/16; w++ {
+		var win bytes.Buffer
+		for j := 0; j < 16; j++ {
+			k := keyName(int64(w*16 + j))
+			if j%4 == 3 {
+				fmt.Fprintf(&win, "set %s %d\n%s\n", k, len(val), val)
+			} else {
+				fmt.Fprintf(&win, "get %s\n", k)
+			}
+		}
+		wins = append(wins, win.Bytes())
+	}
+	return c, back, wins
+}
+
+// TestFarWindowAllocs pins what a window that faults costs in
+// allocations: the key string of each SET, one latch and one goroutine
+// for the batch, one latch for the evictor's sweep — a small constant,
+// where a buffer per batch (pages x 4 KiB, which no caller could ever
+// hand back), three lists per batch and sweep, and a latch per page
+// faulted or written back used to be.
+func TestFarWindowAllocs(t *testing.T) {
+	c, back, wins := farWindows(t)
+	src := &windowSource{}
+	cs := &connState{
+		c:   c,
+		r:   bufio.NewReaderSize(src, connBuf),
+		w:   bufio.NewWriterSize(io.Discard, connBuf),
+		val: make([]byte, 0, pageBytes),
+	}
+	next := 0
+	serve := func() {
+		src.rest = wins[next%len(wins)]
+		next++
+		cs.r.Reset(src)
+		cs.serve()
+	}
+	for i := 0; i < 2*len(wins); i++ { // every key overwritten once: the slab layout has settled
+		serve()
+	}
+	s0, rv0 := c.Pager().Stats(), back.readvs.Load()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const runs = 256
+	for i := 0; i < runs; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&m1)
+	s1 := c.Pager().Stats()
+	faults := float64(s1.Faults-s0.Faults) / runs
+	if faults < 4 {
+		t.Fatalf("%.1f faults per window: the windows do not exercise the fill path", faults)
+	}
+	if rv := float64(back.readvs.Load()-rv0) / runs; rv > 1.05 {
+		t.Errorf("%.2f batched reads per window, want 1", rv)
+	}
+	allocs := float64(m1.Mallocs-m0.Mallocs) / runs
+	bytesPer := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	t.Logf("%.1f faults, %.1f allocations, %.0f bytes per window", faults, allocs, bytesPer)
+	// Seven today: 4 SET keys, the batch's latch and goroutine, the
+	// latch of the evictor's sweep.
+	if allocs > 12 || bytesPer > 2048 {
+		t.Errorf("a window that faults %.1f pages costs %.1f allocations and %.0f bytes; want a constant well under one page", faults, allocs, bytesPer)
+	}
+	if s := c.Stats(); s.Misses != 0 {
+		t.Errorf("%d misses", s.Misses)
+	}
+}
+
+// TestDemandFaultShare: steady Zipf traffic at 8:1, 10 % SETs, windows
+// of 16 — the benchmark's far workload in miniature. Nearly every fault
+// is one the window's look-ahead started in a batch. What is left for a
+// Pin to fault alone is a page that was resident when the window was
+// looked over and that the CLOCK hand reached before its request did:
+// under 2 % of the faults (5 % under the race detector, which gives the
+// evictor more of every window). With SETs faulting their cells on
+// demand it was about 13 %.
+func TestDemandFaultShare(t *testing.T) {
+	const keys = 8192
+	heap := heapPagesFor(keys)
+	c, _ := newMemCache(t, heap, int(heap)/8)
+	for k := int64(0); k < keys; k++ {
+		if err := c.Set(keyName(k), valFor(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn := pipeConn(t, c)
+	r := bufio.NewReader(conn)
+	rng := rand.New(rand.NewSource(7))
+	zipf := rand.NewZipf(rng, 1.01, 1, keys-1)
+	s0 := c.Pager().Stats()
+	const windows = 1500
+	for w := 0; w < windows; w++ {
+		var win bytes.Buffer
+		var ks [16]int64
+		var set [16]bool
+		for j := range ks {
+			// Scramble the rank so that hot keys are spread over the heap.
+			k := int64(fnv64(zipf.Uint64()) % keys)
+			ks[j], set[j] = k, rng.Intn(10) == 0
+			if set[j] {
+				v := valFor(k)
+				fmt.Fprintf(&win, "set %s %d\n%s\n", keyName(k), len(v), v)
+			} else {
+				fmt.Fprintf(&win, "get %s\n", keyName(k))
+			}
+		}
+		go conn.Write(win.Bytes())
+		got := readReplies(t, r, 16)
+		for j, g := range got {
+			want := "STORED\n"
+			if !set[j] {
+				want = valueReply(string(valFor(ks[j])))
+			}
+			if g != want {
+				t.Fatalf("window %d request %d: %.60q", w, j, g)
+			}
+		}
+	}
+	s1 := c.Pager().Stats()
+	faults := s1.Faults - s0.Faults
+	demand := faults - (s1.FaultsAhead - s0.FaultsAhead)
+	t.Logf("%d faults in %d ops, %d of them on demand (%.2f%%)", faults, windows*16, demand, 100*float64(demand)/float64(faults))
+	if faults < windows {
+		t.Fatalf("only %d faults: the run does not page", faults)
+	}
+	bound := uint64(2)
+	if raceEnabled {
+		bound = 5
+	}
+	if demand*100 > faults*bound {
+		t.Errorf("%d of %d faults were demand faults, want under %d%%", demand, faults, bound)
+	}
+}

@@ -184,8 +184,9 @@ func parseRequest(buf []byte) (req request, size int, ok bool) {
 // connState is one connection. The unit of work is the window — every
 // complete request the last read of the socket left in the buffer — not
 // the single request: replies collect in w and leave in one write when
-// the window is used up, and the window's GET misses are started
-// together, ahead of the requests that need them.
+// the window is used up, and the window's misses, of its GETs and of
+// its SETs alike, are started together, ahead of the requests that need
+// them.
 type connState struct {
 	c   *Cache
 	r   *bufio.Reader
@@ -193,7 +194,24 @@ type connState struct {
 	val []byte   // GET scratch: the value between its pinned frame and w
 	pgs []uint64 // look-ahead scratch
 	num [20]byte // reply length digits
+
+	// resv[next:] are the cells reserved for the SETs of the window being
+	// served, in request order; the look-ahead fills it, handle takes one
+	// per SET until they run out. A reserved cell belongs to the
+	// connection until handle publishes it or puts it back, and a window
+	// ends with none left. noMore: a SET of this window went without, so
+	// those behind it do too — handle cannot tell which SET a later
+	// reservation would be for.
+	resv   []reservation
+	next   int
+	noMore bool
 }
+
+// maxReserve bounds the cells one window reserves. It is the pager's
+// default fill batch: a page beyond what one FaultAhead claims would be
+// demand-faulted anyway, and a connection whose peer stops reading must
+// not sit on more of the heap than that.
+const maxReserve = 32
 
 func handleConn(conn net.Conn, c *Cache) {
 	defer conn.Close()
@@ -204,6 +222,7 @@ func handleConn(conn net.Conn, c *Cache) {
 		val: make([]byte, 0, pageBytes),
 	}
 	cs.serve()
+	cs.unreserve()
 	cs.w.Flush() // the ERR before a close; the peer may be gone already
 }
 
@@ -234,28 +253,83 @@ func (cs *connState) serve() {
 }
 
 // lookAhead runs after every read of the socket: it walks the complete
-// requests now buffered and hands the heap pages of their GETs to the
-// pager, which starts the absent ones' faults together. Only a hint: a
-// key the window itself sets or deletes first resolves to a page the
-// GET will not read, which costs at most a wasted read.
+// requests now buffered, resolves each GET to the heap page its value
+// is on, reserves each SET the cell it will fill, and hands the pages of
+// both to the pager, which starts the absent ones' faults together. The
+// pages are only a hint: a key the window itself deletes first, or sets
+// into a cell it could not reserve, resolves to a page the GET will not
+// read, which costs at most a wasted read.
+//
+// A SET's cell is reserved, not predicted: two connections interleave
+// at every fault, so a peek at the free list would often name the cell
+// the other one takes, and a wrong guess costs a wasted read on top of
+// the demand fault it was meant to remove.
+//
+// A window of one is left to handle: its one page would be faulted by
+// the Pin that needs it anyway, and a batch of one only adds a goroutine
+// and a latch hand-off to that.
 func (cs *connState) lookAhead() {
 	buf, _ := cs.r.Peek(cs.r.Buffered())
-	pgs := cs.pgs[:0]
-	for {
+	cs.pgs, cs.resv, cs.next, cs.noMore = cs.pgs[:0], cs.resv[:0], 0, false
+	var first request
+	for n := 0; ; n++ {
 		req, size, ok := parseRequest(buf)
 		if !ok || req.fatal || req.verb == verbQuit {
 			break
 		}
-		if req.verb == verbGet && req.err == "" {
-			if pg, ok := cs.c.pageOf(req.key); ok {
-				pgs = append(pgs, pg)
-			}
+		switch n {
+		case 0:
+			first = req
+		case 1:
+			cs.hint(first)
+			fallthrough
+		default:
+			cs.hint(req)
 		}
 		buf = buf[size:]
 	}
-	cs.pgs = pgs
-	if len(pgs) > 0 {
-		cs.c.pager.FaultAhead(pgs)
+	if len(cs.pgs) > 0 {
+		cs.c.pager.FaultAhead(cs.pgs)
+	}
+}
+
+// hint adds the page req will pin to the look-ahead's list.
+func (cs *connState) hint(req request) {
+	if req.err != "" {
+		return
+	}
+	switch req.verb {
+	case verbGet:
+		// A key the window has set by then is read from its new cell,
+		// whose page is on the list already.
+		for i := range cs.resv {
+			if cs.resv[i].key == string(req.key) {
+				return
+			}
+		}
+		if pg, ok := cs.c.pageOf(req.key); ok {
+			cs.pgs = append(cs.pgs, pg)
+		}
+	case verbSet:
+		if cs.noMore {
+			return
+		}
+		cls, _ := classFor(len(req.payload)) // a parsed payload fits a page
+		s, ok := cs.c.reserveCell(cls)
+		if !ok {
+			cs.noMore = true
+			return
+		}
+		cs.resv = append(cs.resv, reservation{key: string(req.key), s: s, cls: cls})
+		cs.noMore = len(cs.resv) == maxReserve
+		cs.pgs = append(cs.pgs, uint64(s.pg))
+	}
+}
+
+// unreserve puts back the cells the connection still holds.
+func (cs *connState) unreserve() {
+	for _, r := range cs.resv[cs.next:] {
+		cs.c.freeCell(r.cls, r.s)
 	}
 }
 
@@ -283,7 +357,18 @@ func (cs *connState) handle(req request) bool {
 			w.WriteByte('\n')
 		}
 	case verbSet:
-		if err := cs.c.Set(string(req.key), req.payload); err != nil {
+		var err error
+		if cs.next < len(cs.resv) {
+			r := cs.resv[cs.next]
+			cs.next++
+			if r.key != string(req.key) {
+				panic("magecache: reservation out of step with the requests")
+			}
+			err = cs.c.setReserved(r, req.payload)
+		} else {
+			err = cs.c.Set(string(req.key), req.payload)
+		}
+		if err != nil {
 			cs.replyErr(err.Error())
 		} else {
 			w.WriteString("STORED\n")

@@ -16,7 +16,7 @@ import (
 	"mage/internal/upager"
 )
 
-// memBacking is an in-process upager.Backing that counts its reads, so
+// memBacking is an in-process far memory that counts its reads, so
 // connection-loop tests and the fuzzer need no memnode.
 type memBacking struct {
 	mu     sync.Mutex
@@ -44,15 +44,24 @@ func (b *memBacking) Write(_ uint64, off int64, data []byte) error {
 	return nil
 }
 
-func (b *memBacking) ReadV(_ uint64, offs []int64, n int64) ([][]byte, error) {
+// ReadVInto is the pager's batched read; like memnode's it allocates
+// nothing.
+func (b *memBacking) ReadVInto(_ uint64, offs []int64, dst [][]byte) error {
 	b.readvs.Add(1)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([][]byte, len(offs))
 	for i, off := range offs {
-		out[i] = append([]byte(nil), b.mem[off:off+n]...)
+		copy(dst[i], b.mem[off:])
 	}
-	return out, nil
+	return nil
+}
+
+func (b *memBacking) ReadV(h uint64, offs []int64, n int64) ([][]byte, error) {
+	out := make([][]byte, len(offs))
+	for i := range out {
+		out[i] = make([]byte, n)
+	}
+	return out, b.ReadVInto(h, offs, out)
 }
 
 func (b *memBacking) WriteV(_ uint64, offs []int64, pages [][]byte) error {
@@ -79,6 +88,13 @@ func newMemCache(t testing.TB, heapPages uint64, frames int) (*Cache, *memBackin
 // deadline so that a server that withholds a reply fails the test
 // instead of hanging it.
 func pipeConn(t testing.TB, c *Cache) net.Conn {
+	conn, _ := pipeConnDone(t, c)
+	return conn
+}
+
+// pipeConnDone is pipeConn for a test that closes the connection itself
+// and must know when the server's loop has returned.
+func pipeConnDone(t testing.TB, c *Cache) (net.Conn, <-chan struct{}) {
 	t.Helper()
 	client, server := net.Pipe()
 	done := make(chan struct{})
@@ -91,7 +107,7 @@ func pipeConn(t testing.TB, c *Cache) net.Conn {
 		<-done
 	})
 	client.SetDeadline(time.Now().Add(10 * time.Second))
-	return client
+	return client, done
 }
 
 // readReplies reads n replies off r, one string each ("VALUE 5\nhello\n"
@@ -122,41 +138,51 @@ func valueReply(val string) string  { return fmt.Sprintf("VALUE %d\n%s\n", len(v
 
 // TestWindowOneWrite: sixteen mixed requests arriving in one write come
 // back as sixteen replies in order, requests see the window's own
-// earlier writes, and the GETs whose pages were absent when the window
-// arrived were faulted together by the look-ahead, not one by one.
+// earlier writes, and every page the window misses on — under the values
+// its GETs read and under the cells its three SETs fill — was faulted by
+// the look-ahead in one batched read, none of them alone.
 func TestWindowOneWrite(t *testing.T) {
 	c, back := newMemCache(t, 256, 64)
-	// 400 values of class 1024, four to a page: 100 heap pages under 64
-	// frames, so the oldest keys' pages are long evicted.
+	// One value each of classes 64, 128 and 256, on heap pages 0, 1 and
+	// 2: the cells the window's SETs will reserve are their neighbours.
+	for _, n := range []int{5, 100, 200} {
+		if err := c.Set(fmt.Sprintf("seed%d", n), bytes.Repeat([]byte{'s'}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 400 values of class 1024, four to a page: 100 more heap pages under
+	// 64 frames, so the seeds' pages and the oldest keys' are long evicted.
 	old := func(i int) string { return strings.Repeat(string(rune('a'+i%26)), 700+i%300) }
 	for i := 0; i < 400; i++ {
 		if err := c.Set(fmt.Sprintf("old%d", i), []byte(old(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for c.Pager().Stats().FreeFrames < 3 { // the evictor is on its way to its low-water mark of 8
+	for c.Pager().Stats().FreeFrames < 6 { // the evictor is on its way to its low-water mark of 8
 		runtime.Gosched()
 	}
 	reads0, readvs0 := back.reads.Load(), back.readvs.Load()
-	faults0 := c.Pager().Stats().Faults
+	s0 := c.Pager().Stats()
 
+	second := strings.Repeat("2", 100)
+	third := strings.Repeat("3", 200)
 	window := []struct{ req, want string }{
-		{"get old0\n", valueReply(old(0))}, // pages 0, 1, 2: absent
+		{"get old0\n", valueReply(old(0))}, // pages 3, 4, 5: absent
 		{"get old4\n", valueReply(old(4))},
 		{"get old8\n", valueReply(old(8))},
-		{setReq("k", "first"), "STORED\n"},
+		{setReq("k", "first"), "STORED\n"}, // a class-64 cell on page 0: absent
 		{"get k\n", valueReply("first")},
-		{setReq("k", "second, and longer than sixty-four bytes so that it changes its slab class....."), "STORED\n"},
-		{"get k\n", valueReply("second, and longer than sixty-four bytes so that it changes its slab class.....")},
+		{setReq("k", second), "STORED\n"}, // class 128, page 1: absent
+		{"get k\n", valueReply(second)},
 		{"del old4\n", "DELETED\n"},
 		{"get old4\n", "MISS\n"},
 		{"del old4\n", "MISS\n"},
 		{"get nothing\n", "MISS\n"},
 		{"bogus\n", "ERR unknown verb \"bogus\"\n"},
 		{"get\n", "ERR get wants 1 arg\n"},
-		{setReq("old0", "rewritten"), "STORED\n"},
-		{"get old0\n", valueReply("rewritten")},
-		{"get old1\n", valueReply(old(1))}, // page 0 again
+		{setReq("old0", third), "STORED\n"}, // class 256, page 2: absent
+		{"get old0\n", valueReply(third)},
+		{"get old1\n", valueReply(old(1))}, // page 3 again
 	}
 	var all strings.Builder
 	for _, w := range window {
@@ -171,15 +197,14 @@ func TestWindowOneWrite(t *testing.T) {
 		}
 	}
 	if rv := back.readvs.Load() - readvs0; rv != 1 {
-		t.Errorf("the window's absent GET pages cost %d ReadV, want 1", rv)
+		t.Errorf("the window's absent pages cost %d batched reads, want 1", rv)
 	}
-	if f := c.Pager().Stats().Faults - faults0; f < 3 {
-		t.Errorf("%d faults for three absent pages", f)
+	if r := back.reads.Load() - reads0; r != 0 {
+		t.Errorf("%d single reads beside the batch, want none", r)
 	}
-	// The pages the look-ahead brought in were not read again one by one
-	// (the SETs may fault their own cells' pages).
-	if r := back.reads.Load() - reads0; r > 2 {
-		t.Errorf("%d solo reads beside the batch", r)
+	s := c.Pager().Stats()
+	if f, ahead := s.Faults-s0.Faults, s.FaultsAhead-s0.FaultsAhead; f != 6 || ahead != 6 {
+		t.Errorf("%d faults, %d of them in the batch; want the 6 absent pages, all batched", f, ahead)
 	}
 }
 

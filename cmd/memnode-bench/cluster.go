@@ -114,6 +114,8 @@ func runCluster(cfg config, shards, replicas int, chaos bool, jsonOut bool) (rep
 				bufs[i] = buf
 			}
 			offs := make([]int64, cfg.batch)
+			// Every batched read of the worker lands in the same pages.
+			got := memnode.SplitPages(make([]byte, int64(cfg.batch)*cfg.pageBytes), cfg.pageBytes)
 			var ok uint64
 			for i := 0; i < cfg.ops; i++ {
 				isWrite := rng.Float64() < cfg.writeFrac
@@ -130,13 +132,7 @@ func runCluster(cfg config, shards, replicas int, chaos bool, jsonOut bool) (rep
 				case cfg.batch > 1 && isWrite:
 					err = cl.WriteV(region, offs, bufs)
 				case cfg.batch > 1:
-					var got [][]byte
-					got, err = cl.ReadV(region, offs, cfg.pageBytes)
-					if err == nil {
-						for _, b := range got {
-							memnode.PutBuf(b)
-						}
-					}
+					err = cl.ReadVInto(region, offs, got)
 				case isWrite:
 					err = cl.Write(region, offs[0], buf)
 				default:

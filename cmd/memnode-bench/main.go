@@ -338,6 +338,8 @@ func runLoad(target string, mode int, cfg config) (report, error) {
 					for i := range bufs {
 						bufs[i] = buf
 					}
+					// Every batched read of the lane lands in the same pages.
+					got := memnode.SplitPages(make([]byte, int64(cfg.batch)*cfg.pageBytes), cfg.pageBytes)
 					// Generate the lane's whole workload up front so the
 					// timed loop measures the protocol, not the rng.
 					writes := make([]bool, laneOps)
@@ -368,11 +370,7 @@ func runLoad(target string, mode int, cfg config) (report, error) {
 						case cfg.batch > 1 && isWrite:
 							err = c.WriteV(region, offs, bufs)
 						case cfg.batch > 1:
-							var got [][]byte
-							got, err = c.ReadV(region, offs, cfg.pageBytes)
-							if err == nil {
-								memnode.PutBuf(got[0][:0:cap(got[0])])
-							}
+							err = c.ReadVInto(region, offs, got)
 						case isWrite:
 							err = c.Write(region, offs[0], buf)
 						default:

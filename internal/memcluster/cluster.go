@@ -593,15 +593,9 @@ func (cl *Cluster) Read(handle uint64, offset, length int64) ([]byte, error) {
 		si := placement.ShardOfIDs(key, topo.ids)
 		return cl.readOne(reg, topo.shards[si], si, key, offset, length)
 	}
-	segs := cl.segments(topo, handle, offset, length)
 	out := make([]byte, length)
-	for _, sg := range segs {
-		body, err := cl.readOne(reg, topo.shards[sg.shardIdx], sg.shardIdx, sg.key, sg.off, sg.length)
-		if err != nil {
-			return nil, err
-		}
-		copy(out[sg.outOff:sg.outOff+sg.length], body)
-		memnode.PutBuf(body)
+	if err := cl.readSpanLocked(reg, topo, handle, offset, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -633,81 +627,90 @@ func (cl *Cluster) Write(handle uint64, offset int64, data []byte) error {
 	return nil
 }
 
-// ReadV reads len(offsets) pages of pageBytes each, grouping the
-// descriptors by owning shard and issuing one batched READV per
-// shard. Descriptors that straddle an ownership-page boundary fall
-// back to the split single-read path. Returned pages each satisfy the
-// memnode buffer contract per batch group.
-func (cl *Cluster) ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]byte, error) {
+// ReadVInto reads len(offsets) pages, page i of len(dst[i]) bytes at
+// offsets[i] into dst[i], grouping the descriptors by owning shard and
+// issuing one batched READV per shard. Descriptors that straddle an
+// ownership-page boundary fall back to the split single-read path. The
+// buffers are the caller's; every replica a shard's ladder tries fills
+// the same ones.
+func (cl *Cluster) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
 	if err := cl.checkClosed(); err != nil {
-		return nil, err
+		return err
 	}
 	reg, err := cl.region(handle)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(offsets) == 0 || len(offsets) > memnode.MaxBatchPages || pageBytes <= 0 {
-		return nil, fmt.Errorf("memcluster: bad batch shape (%d pages of %d bytes)", len(offsets), pageBytes)
+	if len(dst) == 0 || len(dst) > memnode.MaxBatchPages || len(dst) != len(offsets) {
+		return fmt.Errorf("memcluster: bad batch shape (%d offsets, %d buffers)", len(offsets), len(dst))
 	}
 	cl.topoMu.RLock()
 	defer cl.topoMu.RUnlock()
 	topo := cl.topo
 	pb := cl.opts.PageBytes
-	pages := make([][]byte, len(offsets))
 	// Group whole-page descriptors by shard; split stragglers.
 	byShard := make(map[int][]int)
 	for i, off := range offsets {
-		if off < 0 || pageBytes > reg.size || off > reg.size-pageBytes {
-			return nil, fmt.Errorf("memcluster: batch desc %d out of bounds off=%d len=%d in %d", i, off, pageBytes, reg.size)
+		n := int64(len(dst[i]))
+		if off < 0 || n == 0 || n > reg.size || off > reg.size-n {
+			return fmt.Errorf("memcluster: batch desc %d out of bounds off=%d len=%d in %d", i, off, n, reg.size)
 		}
-		if off/pb != (off+pageBytes-1)/pb {
+		if off/pb != (off+n-1)/pb {
 			// Straddles ownership pages: read via the splitting path.
-			body, err := cl.readSpanLocked(reg, topo, handle, off, pageBytes)
-			if err != nil {
-				return nil, err
+			if err := cl.readSpanLocked(reg, topo, handle, off, dst[i]); err != nil {
+				return err
 			}
-			pages[i] = body
 			continue
 		}
 		si := placement.ShardOfIDs(placement.Key(handle, uint64(off/pb)), topo.ids)
 		byShard[si] = append(byShard[si], i)
 	}
 	for si, idxs := range byShard { //magevet:ok per-shard sub-ops are independent; results land by original index
-		sort.Ints(idxs)
-		offs := make([]int64, len(idxs))
-		for j, i := range idxs {
-			offs[j] = offsets[i]
+		offs, bufs := offsets, dst
+		if len(idxs) != len(dst) {
+			offs, bufs = make([]int64, len(idxs)), make([][]byte, len(idxs))
+			for j, i := range idxs {
+				offs[j], bufs[j] = offsets[i], dst[i]
+			}
 		}
-		bodies, err := cl.readVShard(reg, topo.shards[si], si, handle, offs, pageBytes)
-		if err != nil {
-			return nil, err
+		if err := cl.readVShard(reg, topo.shards[si], si, handle, offs, bufs); err != nil {
+			return err
 		}
-		for j, i := range idxs {
-			pages[i] = bodies[j]
-		}
+	}
+	return nil
+}
+
+// ReadV is ReadVInto into pages of pageBytes each that it allocates as
+// one contiguous buffer.
+func (cl *Cluster) ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]byte, error) {
+	if len(offsets) == 0 || len(offsets) > memnode.MaxBatchPages || pageBytes <= 0 || pageBytes > memnode.MaxIO/int64(len(offsets)) {
+		return nil, fmt.Errorf("memcluster: bad batch shape (%d pages of %d bytes)", len(offsets), pageBytes)
+	}
+	pages := memnode.SplitPages(make([]byte, pageBytes*int64(len(offsets))), pageBytes)
+	if err := cl.ReadVInto(handle, offsets, pages); err != nil {
+		return nil, err
 	}
 	return pages, nil
 }
 
-// readSpanLocked is Read's splitting path for callers already holding
-// the topology read lock.
-func (cl *Cluster) readSpanLocked(reg *cregion, topo *topology, handle uint64, offset, length int64) ([]byte, error) {
-	segs := cl.segments(topo, handle, offset, length)
-	out := make([]byte, length)
-	for _, sg := range segs {
+// readSpanLocked is Read's splitting path, into out, for callers already
+// holding the topology read lock.
+func (cl *Cluster) readSpanLocked(reg *cregion, topo *topology, handle uint64, offset int64, out []byte) error {
+	for _, sg := range cl.segments(topo, handle, offset, int64(len(out))) {
 		body, err := cl.readOne(reg, topo.shards[sg.shardIdx], sg.shardIdx, sg.key, sg.off, sg.length)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		copy(out[sg.outOff:sg.outOff+sg.length], body)
 		memnode.PutBuf(body)
 	}
-	return out, nil
+	return nil
 }
 
 // readVShard issues one READV against one shard with the same
-// failover ladder as readOne.
-func (cl *Cluster) readVShard(reg *cregion, sh *shard, shardIdx int, handle uint64, offs []int64, pageBytes int64) ([][]byte, error) {
+// failover ladder as readOne: a replica that fails mid-batch leaves
+// dst to the next one.
+func (cl *Cluster) readVShard(reg *cregion, sh *shard, shardIdx int, handle uint64, offs []int64, dst [][]byte) error {
 	key := placement.Key(handle, uint64(offs[0]/cl.opts.PageBytes))
 	reps, weights, healthy := snapshotReplicas(sh)
 	order := selectionOrder(key, reps, weights, healthy)
@@ -718,12 +721,12 @@ func (cl *Cluster) readVShard(reg *cregion, sh *shard, shardIdx int, handle uint
 		if !ok {
 			continue
 		}
-		bodies, err := r.c.ReadV(h, offs, pageBytes)
+		err := r.c.ReadVInto(h, offs, dst)
 		if err == nil {
-			return bodies, nil
+			return nil
 		}
 		if memnode.IsTerminal(err) {
-			return nil, err
+			return err
 		}
 		cl.markDown(sh, r, true)
 		lastErr = err
@@ -731,7 +734,7 @@ func (cl *Cluster) readVShard(reg *cregion, sh *shard, shardIdx int, handle uint
 	if lastErr == nil {
 		lastErr = errors.New("no replica holds the region")
 	}
-	return nil, errAllReplicasFailed(shardIdx, lastErr)
+	return errAllReplicasFailed(shardIdx, lastErr)
 }
 
 // selectionOrder builds readOne's replica ladder: weighted healthy

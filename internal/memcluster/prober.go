@@ -302,6 +302,7 @@ func (cl *Cluster) copyOwnedPages(topo *topology, si int, sh *shard, r *replica,
 	npages := (reg.size + pb - 1) / pb
 	batchMax := cl.resyncBatchPages()
 	offs := make([]int64, 0, batchMax)
+	bufs := cl.copyBuffers(npages) // every batch of this region lands in the same pages
 	for p := int64(0); p < npages; p++ {
 		key := placement.Key(handle, uint64(p))
 		if placement.ShardOfIDs(key, topo.ids) != si {
@@ -316,43 +317,42 @@ func (cl *Cluster) copyOwnedPages(topo *topology, si int, sh *shard, r *replica,
 		}
 		offs = append(offs, p*pb)
 		if len(offs) == batchMax {
-			if err := cl.copyBatch(sh, si, r, reg, offs, pb); err != nil {
+			if err := cl.copyBatch(sh, si, r, reg, offs, bufs); err != nil {
 				return err
 			}
 			offs = offs[:0]
 		}
 	}
 	if len(offs) > 0 {
-		return cl.copyBatch(sh, si, r, reg, offs, pb)
+		return cl.copyBatch(sh, si, r, reg, offs, bufs)
 	}
 	return nil
 }
 
+// copyBuffers returns the destination pages a copy loop over a region
+// of npages reuses for every batch it reads: one allocation of at most
+// a full batch.
+func (cl *Cluster) copyBuffers(npages int64) [][]byte {
+	n := min(npages, int64(cl.resyncBatchPages()))
+	return memnode.SplitPages(make([]byte, n*cl.opts.PageBytes), cl.opts.PageBytes)
+}
+
 // copyBatch moves one READV-worth of full pages from a surviving peer
-// to the resync target.
-func (cl *Cluster) copyBatch(sh *shard, si int, target *replica, reg *cregion, offs []int64, pageBytes int64) error {
-	bodies, err := cl.readVShardExcluding(reg, sh, si, target, offs, pageBytes)
-	if err != nil {
+// to the resync target, through the first len(offs) of bufs.
+func (cl *Cluster) copyBatch(sh *shard, si int, target *replica, reg *cregion, offs []int64, bufs [][]byte) error {
+	bufs = bufs[:len(offs)]
+	if err := cl.readVShardExcluding(reg, sh, si, target, offs, bufs); err != nil {
 		return err
 	}
 	th, ok := reg.handle(target)
 	if !ok {
-		freeBodies(bodies)
 		return errAllReplicasFailed(si, errors.New("resync target lost its region handle"))
 	}
-	err = target.c.WriteV(th, offs, bodies)
-	freeBodies(bodies)
-	if err != nil {
+	if err := target.c.WriteV(th, offs, bufs); err != nil {
 		return err
 	}
 	cl.stats.rebalancedPages.Add(uint64(len(offs)))
 	return nil
-}
-
-func freeBodies(bodies [][]byte) {
-	for _, b := range bodies {
-		memnode.PutBuf(b)
-	}
 }
 
 // copyPage moves one (possibly partial) page from a surviving peer to
@@ -426,7 +426,7 @@ func (cl *Cluster) copyDirty(si int, sh *shard, r *replica, dirty map[uint64]str
 // target — its data is the stale data being replaced) removed from
 // the source set. A resync source must be current, not merely alive,
 // so there is no degraded tail here.
-func (cl *Cluster) readVShardExcluding(reg *cregion, sh *shard, shardIdx int, exclude *replica, offs []int64, pageBytes int64) ([][]byte, error) {
+func (cl *Cluster) readVShardExcluding(reg *cregion, sh *shard, shardIdx int, exclude *replica, offs []int64, dst [][]byte) error {
 	reps, _, healthy := snapshotReplicas(sh)
 	var lastErr error
 	for i, r := range reps {
@@ -437,12 +437,12 @@ func (cl *Cluster) readVShardExcluding(reg *cregion, sh *shard, shardIdx int, ex
 		if !ok {
 			continue
 		}
-		bodies, err := r.c.ReadV(h, offs, pageBytes)
+		err := r.c.ReadVInto(h, offs, dst)
 		if err == nil {
-			return bodies, nil
+			return nil
 		}
 		if memnode.IsTerminal(err) {
-			return nil, err
+			return err
 		}
 		cl.markDown(sh, r, true)
 		lastErr = err
@@ -450,7 +450,7 @@ func (cl *Cluster) readVShardExcluding(reg *cregion, sh *shard, shardIdx int, ex
 	if lastErr == nil {
 		lastErr = errors.New("no healthy resync source")
 	}
-	return nil, errAllReplicasFailed(shardIdx, lastErr)
+	return errAllReplicasFailed(shardIdx, lastErr)
 }
 
 // readOneExcluding mirrors readOne minus the excluded replica and the

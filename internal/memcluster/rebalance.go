@@ -271,14 +271,13 @@ func (cl *Cluster) copyMovedPages(oldTopo, newTopo *topology, handle uint64, reg
 	batchMax := cl.resyncBatchPages()
 	type pair struct{ src, dst int }
 	batches := make(map[pair][]int64)
+	bufs := cl.copyBuffers(npages) // every batch of this region lands in the same pages
 	flush := func(pr pair, offs []int64) error {
-		bodies, err := cl.readVShard(reg, oldTopo.shards[pr.src], pr.src, handle, offs, pb)
-		if err != nil {
+		bodies := bufs[:len(offs)]
+		if err := cl.readVShard(reg, oldTopo.shards[pr.src], pr.src, handle, offs, bodies); err != nil {
 			return err
 		}
-		err = cl.writeMoved(reg, newTopo.shards[pr.dst], pr.dst, offs, bodies)
-		freeBodies(bodies)
-		if err != nil {
+		if err := cl.writeMoved(reg, newTopo.shards[pr.dst], pr.dst, offs, bodies); err != nil {
 			return err
 		}
 		cl.stats.rebalancedPages.Add(uint64(len(offs)))

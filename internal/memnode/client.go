@@ -187,7 +187,8 @@ func IsTerminal(err error) bool {
 
 // call is one operation attempt as the stream layer sees it: the wire
 // fields, the payload vectors to writev after the header, and the
-// completion state the reader fills in.
+// completion state the reader fills in. do() arms one pooled struct per
+// attempt from the op's prototype.
 type call struct {
 	op     byte
 	handle uint64 // caller's stable region handle (do translates per attempt)
@@ -196,10 +197,21 @@ type call struct {
 	length int64       // wire length field (payload bytes, read size, or region size)
 	bufs   net.Buffers // request payload vectors (nil for READ/STAT/REGISTER)
 
-	// Batch shape, kept so the v1 fallback can decompose the batch into
-	// single-page ops with identical semantics.
+	// WRITEV's batch shape, kept so the v1 fallback can decompose the
+	// batch into single-page ops with identical semantics.
 	iovs  []iovec
 	pages [][]byte
+
+	// READV's batch shape: the region offset and the caller-owned
+	// destination of each page, dstLen bytes in all. The destinations are
+	// lent to the wire for as long as an attempt is in flight: only the
+	// goroutine that took the call out of its stream's pending table
+	// writes into them, and it completes the call only when it has
+	// stopped, so a retry never shares them with a reader of the stream
+	// that failed.
+	offsets []int64
+	dst     [][]byte
+	dstLen  int64
 
 	id       uint64
 	deadline time.Time
@@ -210,31 +222,54 @@ type call struct {
 	// per attempt. A submitter that found its completion while polling
 	// never leaves finPending on its side; one that gives up registers
 	// as finWaiting and blocks on park until complete hands it a token.
-	// The recycle argument: complete's swap to finDone is its last
-	// access to the struct unless it swapped out finWaiting — and then
-	// the waiter is blocked on park until the send, which is complete's
-	// last access to anything of the call's. So finDone read by a
-	// poller, or a token received by a waiter, each mean no goroutine
-	// references the struct any more and doPooled may recycle it. A raw
-	// atomic field (not atomic.Uint32) because do() copies the call per
-	// attempt — typed atomics embed noCopy and would make that copy a
-	// vet violation.
+	// complete's swap to finDone is its last access to the struct unless
+	// it swapped out finWaiting — and then the waiter is blocked on park
+	// until the send, which is complete's last access to anything of the
+	// call's. So finDone read by a poller, or a token received by a
+	// waiter, each mean the completing side holds no reference any more.
+	// A raw atomic field (not atomic.Uint32) because arm copies the
+	// prototype over the struct — typed atomics embed noCopy and would
+	// make that copy a vet violation.
 	fin uint32
+	// sent is the sending side's release, the other half of do()'s
+	// permission to recycle the struct: the TCP writer stores 1 once its
+	// writev has returned, after which it reads neither the struct nor
+	// the payload in desc again; for the shm and v1 streams, which submit
+	// on the caller's goroutine, that goroutine stores it. A call failed while
+	// its writer may still be draining the old send queue never gets it,
+	// and the struct is left to the collector. Atomic for the same reason
+	// as fin.
+	sent uint32
 	// park carries the wake-up token of a registered waiter. Capacity
 	// one, made on the first park and kept for the life of the pooled
-	// struct (doPooled carries it across ops), so the parked path —
-	// the steady state of an shm stream whose peer shares its CPU —
-	// allocates nothing. A token is sent only when a waiter registered
-	// and that waiter always receives it, so none is ever left behind
-	// for the next op. Per-attempt copies share the channel with their
-	// prototype, which is safe for the same reason: exec returns only
-	// when its attempt completed.
+	// struct (arm carries it across ops), so the parked path — the steady
+	// state of an shm stream whose peer shares its CPU — allocates
+	// nothing. A token is sent only when a waiter registered and that
+	// waiter always receives it, so none is ever left behind for the next
+	// op.
 	park chan struct{}
+	// desc is READV's descriptor table, encoded per attempt into a buffer
+	// that stays with the pooled struct like park does; descVec is the
+	// one-element payload vector that names it.
+	desc    []byte
+	descVec [1][]byte
 
 	// Arena extent backing this call on the shm transport (unused on
 	// TCP streams).
 	extOff int64
 	extCap int64
+}
+
+// arm readies a pooled struct for one attempt of the op proto describes.
+func (ca *call) arm(proto *call, srvID uint64) {
+	park, desc := ca.park, ca.desc
+	*ca = *proto
+	ca.park, ca.desc, ca.srvID = park, desc, srvID
+	if ca.dst != nil {
+		ca.desc = appendReadDescs(ca.desc, ca.offsets, ca.dst)
+		ca.descVec[0] = ca.desc
+		ca.bufs, ca.length = ca.descVec[:], int64(len(ca.desc))
+	}
 }
 
 // Completion gate states.
@@ -274,9 +309,12 @@ func (ca *call) wait() {
 }
 
 // resetGate rearms the completion gate for a fresh attempt. Callers
-// guarantee no stale completer still references this struct (the same
-// discipline the per-attempt copy in do() exists for).
+// guarantee no stale completer still references this struct (do() arms a
+// struct only after both sides of its last attempt let go of it).
 func (ca *call) resetGate() { atomic.StoreUint32(&ca.fin, finPending) }
+
+// markSent is the sending side letting go of the struct (see sent).
+func (ca *call) markSent() { atomic.StoreUint32(&ca.sent, 1) }
 
 // link is one negotiated connection generation, whatever its data
 // plane: a TCP stream (v1 or v2) or a shared-memory ring stream. The
@@ -293,15 +331,6 @@ type link interface {
 	// decomposeBatch reports whether batch verbs must be decomposed
 	// into single-page ops client-side (true only for v1 streams).
 	decomposeBatch() bool
-	// exclusiveCall reports whether exec holds the only references to
-	// its call struct once it returns. TCP streams return false: a
-	// poisoned stream's writer may still be draining the old send queue
-	// and touching queued call structs, so every attempt needs its own
-	// copy. The shm stream returns true: submission is inline and
-	// completion removes the call from the pending table before exec
-	// returns, so do() can reuse one struct across attempts — which
-	// keeps the hot path at a single call allocation per op.
-	exclusiveCall() bool
 }
 
 // stream is one live connection generation. A v2 stream runs a writer
@@ -324,6 +353,7 @@ type stream struct {
 	pending map[uint64]*call
 	err     error
 	idSrc   uint64 // last request ID issued; under pmu
+	inBody  bool   // the reader is between a response's header and the end of its body; under pmu
 }
 
 func newStream(c *Client, conn net.Conn, v1 bool) *stream {
@@ -345,10 +375,6 @@ func newStream(c *Client, conn net.Conn, v1 bool) *stream {
 // decomposeBatch reports whether this stream needs client-side batch
 // decomposition (only the v1 stop-and-wait protocol does).
 func (s *stream) decomposeBatch() bool { return s.v1 }
-
-// exclusiveCall: false — the v2 writer goroutine may still touch a
-// queued call struct after the stream is poisoned.
-func (s *stream) exclusiveCall() bool { return false }
 
 // alive reports whether the stream has not been poisoned.
 func (s *stream) alive() bool {
@@ -427,7 +453,10 @@ const inlineExecMax = 64 << 10
 // the reader was idle.
 func (s *stream) writeLoop() {
 	var hdrs [writeBatch][v2ReqHdrLen]byte
-	iov := make(net.Buffers, 0, 2*writeBatch)
+	// WriteTo consumes the slice it is called on, capacity and all, so
+	// each batch's vector is cut afresh from vecs.
+	vecs := make(net.Buffers, 0, 2*writeBatch)
+	var iov net.Buffers
 	batch := make([]*call, 0, writeBatch)
 	for {
 		select {
@@ -449,7 +478,7 @@ func (s *stream) writeLoop() {
 					runtime.Gosched() // micro-batching yield on the writer goroutine
 				}
 			}
-			iov = iov[:0]
+			iov = vecs[:0]
 			for i, b := range batch {
 				hdr := &hdrs[i]
 				hdr[0] = b.op
@@ -460,6 +489,7 @@ func (s *stream) writeLoop() {
 				iov = append(iov, hdr[:])
 				iov = append(iov, b.bufs...)
 			}
+			vecs = iov // keeps what a large batch grew
 			last := batch[len(batch)-1].deadline
 			// A failed deadline set surfaces as an error on the very
 			// next WriteTo, which poisons the stream.
@@ -468,14 +498,20 @@ func (s *stream) writeLoop() {
 				s.fail(err)
 				return
 			}
+			for _, b := range batch {
+				b.markSent()
+			}
 			// Arm the read deadline under pmu so it linearizes against the
 			// reader's drained-pipeline clear: a new batch can never be
 			// left without a deadline by a racing clear. If the batch's
 			// responses already arrived and drained pending, the reader's
 			// clear won — re-arming here would leave an idle connection
-			// with a live deadline that later poisons the stream.
+			// with a live deadline that later poisons the stream. A
+			// response whose body is still arriving counts as pending: its
+			// call has left the table, but the read must not outlive the
+			// deadline.
 			s.pmu.Lock()
-			if len(s.pending) > 0 {
+			if len(s.pending) > 0 || s.inBody {
 				// Failure surfaces on the reader's next blocking Read,
 				// which poisons the stream.
 				_ = s.conn.SetReadDeadline(last)
@@ -494,6 +530,12 @@ func (s *stream) writeLoop() {
 // batch, and the reader clears it when the pipeline drains — so a
 // healthy stream pays no per-response deadline syscalls while a stuck
 // one still poisons within ~2x IOTimeout of its oldest request.
+//
+// A response's call is looked up, and leaves the pending table, before
+// its body is read: a READV body goes straight to the buffers the call
+// names, and from that moment this goroutine alone completes the call —
+// a fail() from the writer's side can no longer complete it, and have
+// it retried into the same buffers, while the body is still landing.
 func (s *stream) readLoop() {
 	br := bufio.NewReaderSize(s.conn, 64<<10)
 	var rhdr [v2RespHdrLen]byte
@@ -509,29 +551,23 @@ func (s *stream) readLoop() {
 			s.fail(fmt.Errorf("memnode: oversized response %d", n))
 			return
 		}
-		var body []byte
-		if n > 0 {
-			body = getBuf(int(n))
-			if _, err := io.ReadFull(br, body); err != nil {
-				PutBuf(body)
-				s.fail(err)
-				return
-			}
-		}
 		s.pmu.Lock()
 		ca, ok := s.pending[id]
+		if ok {
+			delete(s.pending, id)
+			s.inBody = true
+		}
+		s.pmu.Unlock()
 		if !ok {
-			s.pmu.Unlock()
-			if body != nil {
-				PutBuf(body)
-			}
 			// Unknown or duplicate ID: the stream is desynchronized and
 			// nothing on it can be trusted.
 			s.fail(fmt.Errorf("memnode: response for unknown request id %d", id))
 			return
 		}
-		delete(s.pending, id)
-		if len(s.pending) == 0 {
+		err := readBody(br, ca, status, n)
+		s.pmu.Lock()
+		s.inBody = false
+		if err == nil && len(s.pending) == 0 {
 			// Clear the deadline so an idle connection never times out;
 			// the writer re-arms it with the next request batch. Done
 			// under pmu: a new call inserts itself into pending before
@@ -540,18 +576,54 @@ func (s *stream) readLoop() {
 			_ = s.conn.SetReadDeadline(time.Time{}) // failure surfaces on the next Read
 		}
 		s.pmu.Unlock()
-		switch status {
-		case statusOK:
-			ca.body = body
-		case statusErrRegion:
-			ca.err = fmt.Errorf("%w: %s", errRegionLost, body)
-			PutBuf(body)
-		default:
-			ca.err = &serverError{msg: string(body)}
-			PutBuf(body)
+		if err != nil {
+			ca.err = err
 		}
 		ca.complete()
+		if err != nil {
+			s.fail(err)
+			return
+		}
 	}
+}
+
+// readBody reads the n payload bytes of ca's response and files them on
+// the call. A READV's pages are scattered into the call's destinations
+// as they come out of the reader — one copy out of its buffer, none when
+// a read is large enough to bypass it. An error is the stream's: a
+// failed read, or a READV answered with another length than its
+// destinations hold, after which nothing that follows can be trusted.
+func readBody(br *bufio.Reader, ca *call, status byte, n uint64) error {
+	if status == statusOK && ca.dst != nil {
+		if n != uint64(ca.dstLen) {
+			return fmt.Errorf("memnode: readv response of %d bytes for %d bytes of buffers", n, ca.dstLen)
+		}
+		for _, d := range ca.dst {
+			if _, err := io.ReadFull(br, d); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var body []byte
+	if n > 0 {
+		body = getBuf(int(n))
+		if _, err := io.ReadFull(br, body); err != nil {
+			PutBuf(body)
+			return err
+		}
+	}
+	switch status {
+	case statusOK:
+		ca.body = body
+	case statusErrRegion:
+		ca.err = fmt.Errorf("%w: %s", errRegionLost, body)
+		PutBuf(body)
+	default:
+		ca.err = &serverError{msg: string(body)}
+		PutBuf(body)
+	}
+	return nil
 }
 
 // execV1 performs one stop-and-wait exchange on a v1 connection. The
@@ -1017,7 +1089,7 @@ func (c *Client) replayRegion(st link, handle, usedSrvID uint64) error {
 // op's whole lifetime, per-attempt deadlines, reconnect-on-poison with
 // capped backoff, and lazy REGISTER replay when the server reports the
 // region unknown.
-func (c *Client) do(ca *call) ([]byte, error) {
+func (c *Client) do(proto *call) ([]byte, error) {
 	// Non-blocking fast path first: a two-case select pays the full
 	// selectgo machinery even when the window has room, which is the
 	// common case on the per-op hot path.
@@ -1051,21 +1123,23 @@ func (c *Client) do(ca *call) ([]byte, error) {
 			lastErr = err
 			continue
 		}
-		// The links own att.deadline: TCP streams stamp it at exec entry
+		// Each attempt runs on a struct of its own: after a TCP stream is
+		// poisoned its writer may still be draining the old send queue, so
+		// the previous attempt's struct must never be mutated again. It
+		// goes back to the pool only once both sides of the stream have
+		// let go of it — the completer by completing it, the sender by
+		// marking it sent — which on a healthy stream is every time.
+		// The links own the deadline: TCP streams stamp it at exec entry
 		// (their writer/reader arm socket deadlines from it), the shm
 		// stream computes it lazily only on stall/park slow paths — the
 		// inline-completing hot path never reads the wall clock.
-		att := ca
-		if !st.exclusiveCall() {
-			// Each attempt gets its own copy of the call: after a TCP
-			// stream is poisoned its writer may still be draining the old
-			// send queue, so the previous attempt's struct must never be
-			// mutated again. The payload slices are shared read-only.
-			cp := *ca
-			att = &cp
-		}
-		att.srvID = c.translate(ca.handle)
+		att := callPool.Get().(*call)
+		att.arm(proto, c.translate(proto.handle))
 		body, err := c.execute(st, att)
+		srvID := att.srvID
+		if atomic.LoadUint32(&att.sent) == 1 {
+			callPool.Put(att)
+		}
 		if err == nil {
 			return body, nil
 		}
@@ -1074,12 +1148,12 @@ func (c *Client) do(ca *call) ([]byte, error) {
 			return nil, se // terminal; connection stays healthy
 		}
 		if errors.Is(err, errRegionLost) {
-			if !c.canReplay(ca.handle) {
+			if !c.canReplay(proto.handle) {
 				// Not a region we registered — a genuinely bad ID, or a
 				// shared region we cannot replay. Terminal either way.
 				return nil, &serverError{msg: err.Error()}
 			}
-			if rerr := c.replayRegion(st, ca.handle, att.srvID); rerr != nil {
+			if rerr := c.replayRegion(st, proto.handle, srvID); rerr != nil {
 				lastErr = rerr
 				continue
 			}
@@ -1088,14 +1162,19 @@ func (c *Client) do(ca *call) ([]byte, error) {
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("memnode: op %d failed after %d attempts: %w", ca.op, c.opts.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("memnode: op %d failed after %d attempts: %w", proto.op, c.opts.MaxAttempts, lastErr)
 }
 
 // execute dispatches one attempt, decomposing batch verbs into v1
 // single-page ops when the negotiated stream predates them.
 func (c *Client) execute(st link, ca *call) ([]byte, error) {
-	if st.decomposeBatch() && (ca.op == opReadV || ca.op == opWriteV) {
-		return c.executeBatchV1(st, ca)
+	if st.decomposeBatch() {
+		// A v1 exchange runs on this goroutine from end to end: nobody
+		// else ever holds ca.
+		ca.markSent()
+		if ca.op == opReadV || ca.op == opWriteV {
+			return c.executeBatchV1(st, ca)
+		}
 	}
 	return st.exec(ca)
 }
@@ -1117,59 +1196,35 @@ func (c *Client) executeBatchV1(st link, ca *call) ([]byte, error) {
 		}
 		return nil, nil
 	}
-	var total int64
-	for _, v := range ca.iovs {
-		total += v.length
-	}
-	buf := getBuf(int(total))
-	out := buf
-	for _, v := range ca.iovs {
+	for i, d := range ca.dst {
 		sub := &call{
-			op: opRead, srvID: ca.srvID, offset: v.off, length: v.length,
+			op: opRead, srvID: ca.srvID, offset: ca.offsets[i], length: int64(len(d)),
 			deadline: time.Now().Add(c.opts.IOTimeout), //magevet:ok per-op network deadline
 		}
 		body, err := st.exec(sub)
 		if err != nil {
-			PutBuf(buf)
 			return nil, err
 		}
-		if int64(len(body)) != v.length {
+		if len(body) != len(d) {
 			PutBuf(body)
-			PutBuf(buf)
-			return nil, fmt.Errorf("memnode: short read response (%d of %d bytes)", len(body), v.length)
+			return nil, fmt.Errorf("memnode: short read response (%d of %d bytes)", len(body), len(d))
 		}
-		copy(out[:v.length], body)
+		copy(d, body)
 		PutBuf(body)
-		out = out[v.length:]
 	}
-	return buf, nil
+	return nil, nil
 }
+
+// callPool recycles call structs across attempts; do() decides when one
+// may go back.
+var callPool = sync.Pool{New: func() any { return new(call) }}
 
 // Register sets up a memory region of size bytes and returns a stable
 // handle for it: the region ID the server issued. The handle survives
 // server restarts — ops that hit a restarted server transparently
 // re-register the region (at its original size, zero-filled) and retry.
-// callPool recycles call prototypes across ops. Safe because do() owns
-// the prototype end to end: TCP attempts run on private copies (only
-// those enter the writer queue and pending tables), and on the shm
-// stream exec returns only once the completion gate reads finDone —
-// the completer's final store to the struct — so once do() is back, no
-// goroutine holds a reference.
-var callPool = sync.Pool{New: func() any { return new(call) }}
-
-// doPooled runs one op on a pooled call struct, keeping the public op
-// wrappers at zero steady-state allocations for the call bookkeeping.
-func (c *Client) doPooled(proto call) ([]byte, error) {
-	ca := callPool.Get().(*call)
-	proto.park = ca.park
-	*ca = proto
-	body, err := c.do(ca)
-	callPool.Put(ca)
-	return body, err
-}
-
 func (c *Client) Register(size int64) (uint64, error) {
-	body, err := c.doPooled(call{op: opRegister, length: size})
+	body, err := c.do(&call{op: opRegister, length: size})
 	if err != nil {
 		return 0, err
 	}
@@ -1195,7 +1250,7 @@ func (c *Client) Unregister(handle uint64) error {
 	if !c.canReplay(handle) {
 		return &serverError{msg: fmt.Sprintf("unknown region handle %d", handle)}
 	}
-	if _, err := c.doPooled(call{op: opUnregister, handle: handle}); err != nil {
+	if _, err := c.do(&call{op: opUnregister, handle: handle}); err != nil {
 		return err
 	}
 	c.regMu.Lock()
@@ -1211,7 +1266,7 @@ func (c *Client) Read(handle uint64, offset, length int64) ([]byte, error) {
 	if length <= 0 || length > MaxIO {
 		return nil, fmt.Errorf("memnode: bad read length %d", length)
 	}
-	body, err := c.doPooled(call{op: opRead, handle: handle, offset: offset, length: length})
+	body, err := c.do(&call{op: opRead, handle: handle, offset: offset, length: length})
 	if err != nil {
 		return nil, err
 	}
@@ -1228,7 +1283,7 @@ func (c *Client) Write(handle uint64, offset int64, data []byte) error {
 	if len(data) == 0 || len(data) > MaxIO {
 		return fmt.Errorf("memnode: bad write length %d", len(data))
 	}
-	_, err := c.doPooled(call{
+	_, err := c.do(&call{
 		op: opWrite, handle: handle, offset: offset,
 		length: int64(len(data)), bufs: net.Buffers{data},
 	})
@@ -1277,41 +1332,56 @@ func (c *Client) WriteAsync(handle uint64, offset int64, data []byte) *Pending {
 	return p
 }
 
-// ReadV reads len(offsets) pages of pageBytes each in one wire round
-// trip (the transport analogue of the DES evictor's grouped
-// writebacks). The returned pages alias one contiguous buffer. Against
-// a v1 server the batch transparently decomposes into single reads.
-func (c *Client) ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]byte, error) {
-	if len(offsets) == 0 || len(offsets) > MaxBatchPages {
-		return nil, fmt.Errorf("memnode: bad batch size %d", len(offsets))
+// ReadVInto reads len(offsets) pages in one wire round trip (the
+// transport analogue of the DES evictor's grouped writebacks), page i
+// of len(dst[i]) bytes from offsets[i] into dst[i]. The buffers are the
+// caller's and are written by the transport alone until the call
+// returns; on an error their contents are unspecified. Against a v1
+// server the batch transparently decomposes into single reads.
+func (c *Client) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
+	if len(dst) == 0 || len(dst) > MaxBatchPages || len(dst) != len(offsets) {
+		return fmt.Errorf("memnode: bad batch shape (%d offsets, %d buffers)", len(offsets), len(dst))
 	}
+	var total int64
+	for i, d := range dst {
+		if len(d) == 0 {
+			return fmt.Errorf("memnode: empty buffer %d in batch", i)
+		}
+		if total += int64(len(d)); total > MaxIO {
+			return fmt.Errorf("memnode: batch total exceeds MaxIO")
+		}
+	}
+	_, err := c.do(&call{op: opReadV, handle: handle, offsets: offsets, dst: dst, dstLen: total})
+	if err == nil {
+		c.countVerb(opReadV, total)
+	}
+	return err
+}
+
+// ReadV is ReadVInto into pages of pageBytes each that it allocates as
+// one contiguous buffer.
+func (c *Client) ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]byte, error) {
 	// Division, not multiplication: pageBytes*len(offsets) can overflow
 	// int64 and slip past a product-form check.
-	if pageBytes <= 0 || pageBytes > MaxIO/int64(len(offsets)) {
-		return nil, fmt.Errorf("memnode: bad batch page size %d", pageBytes)
+	if len(offsets) == 0 || len(offsets) > MaxBatchPages || pageBytes <= 0 || pageBytes > MaxIO/int64(len(offsets)) {
+		return nil, fmt.Errorf("memnode: bad batch shape (%d pages of %d bytes)", len(offsets), pageBytes)
 	}
-	iovs := make([]iovec, len(offsets))
-	for i, off := range offsets {
-		iovs[i] = iovec{off: off, length: pageBytes}
-	}
-	desc := putIovecs(iovs)
-	body, err := c.doPooled(call{
-		op: opReadV, handle: handle,
-		length: int64(len(desc)), bufs: net.Buffers{desc}, iovs: iovs,
-	})
-	if err != nil {
+	pages := SplitPages(make([]byte, pageBytes*int64(len(offsets))), pageBytes)
+	if err := c.ReadVInto(handle, offsets, pages); err != nil {
 		return nil, err
 	}
-	total := pageBytes * int64(len(offsets))
-	if int64(len(body)) != total {
-		return nil, fmt.Errorf("memnode: short readv response (%d of %d bytes)", len(body), total)
-	}
-	c.countVerb(opReadV, total)
-	pages := make([][]byte, len(offsets))
-	for i := range pages {
-		pages[i] = body[int64(i)*pageBytes : int64(i+1)*pageBytes : int64(i+1)*pageBytes]
-	}
 	return pages, nil
+}
+
+// SplitPages cuts buf into pageBytes-sized pages, each capped at its own
+// end: a destination set for ReadVInto over one allocation.
+func SplitPages(buf []byte, pageBytes int64) [][]byte {
+	pages := make([][]byte, int64(len(buf))/pageBytes)
+	for i := range pages {
+		lo := int64(i) * pageBytes
+		pages[i] = buf[lo : lo+pageBytes : lo+pageBytes]
+	}
+	return pages
 }
 
 // WriteV writes len(pages) pages at the matching offsets in one wire
@@ -1337,7 +1407,7 @@ func (c *Client) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
 	bufs := make(net.Buffers, 0, len(pages)+1)
 	bufs = append(bufs, desc)
 	bufs = append(bufs, pages...)
-	_, err := c.doPooled(call{
+	_, err := c.do(&call{
 		op: opWriteV, handle: handle,
 		length: int64(len(desc)) + total, bufs: bufs, iovs: iovs, pages: pages,
 	})
@@ -1349,7 +1419,7 @@ func (c *Client) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
 
 // Stat fetches server statistics.
 func (c *Client) Stat() (Stats, error) {
-	body, err := c.doPooled(call{op: opStat})
+	body, err := c.do(&call{op: opStat})
 	if err != nil {
 		return Stats{}, err
 	}
@@ -1374,7 +1444,7 @@ func (c *Client) Stat() (Stats, error) {
 // client's configured attempt budget — which is exactly the signal a
 // cluster health prober wants.
 func (c *Client) Probe() (HealthStats, error) {
-	body, err := c.doPooled(call{op: opProbe})
+	body, err := c.do(&call{op: opProbe})
 	if err != nil {
 		return HealthStats{}, err
 	}

@@ -101,6 +101,23 @@ func putIovecs(iovs []iovec) []byte {
 	return buf
 }
 
+// appendReadDescs encodes a READV's descriptor table — count, then
+// {offsets[i], len(dst[i])} per page — into buf's storage, growing it
+// only when it is too small.
+func appendReadDescs(buf []byte, offsets []int64, dst [][]byte) []byte {
+	n := 8 + 16*len(dst)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	binary.LittleEndian.PutUint64(buf, uint64(len(dst)))
+	for i, d := range dst {
+		binary.LittleEndian.PutUint64(buf[8+16*i:], uint64(offsets[i]))
+		binary.LittleEndian.PutUint64(buf[16+16*i:], uint64(len(d)))
+	}
+	return buf
+}
+
 // parseIovecs decodes and bounds-checks a batch descriptor table. It
 // returns the descriptors, the number of payload bytes consumed, and the
 // total data bytes the descriptors cover.

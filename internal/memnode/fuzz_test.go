@@ -171,8 +171,9 @@ func v2respFrame(status byte, id uint64, payload []byte) []byte {
 // stream. The demux must never panic, never deliver a frame to the
 // wrong call, and must resolve every pending op (success or error)
 // even when the stream is garbage — duplicate IDs, unknown IDs,
-// truncated or oversized frames all poison the stream, which fails all
-// pending calls and surfaces a terminal error through the retry layer.
+// truncated or oversized frames, a READV answered with another length
+// than its pages hold, all poison the stream, which fails all pending
+// calls and surfaces a terminal error through the retry layer.
 func FuzzClientDemux(f *testing.F) {
 	page := make([]byte, 4096)
 	// Clean completions for the three reads the harness issues (ids 1-3).
@@ -194,6 +195,14 @@ func FuzzClientDemux(f *testing.F) {
 	f.Add(huge)
 	// Interleaved valid and garbage.
 	f.Add(append(v2respFrame(statusOK, 2, page), 0xFF, 0x00, 0xAB))
+	// The two-page READV (one of ids 1-4) answered in full, short, long,
+	// and with an error.
+	for id := uint64(1); id <= 4; id++ {
+		f.Add(v2respFrame(statusOK, id, make([]byte, 8192)))
+		f.Add(v2respFrame(statusOK, id, make([]byte, 8193)))
+		f.Add(v2respFrame(statusOK, id, nil))
+	}
+	f.Add(append(v2respFrame(statusErr, 4, []byte("boom")), v2respFrame(statusOK, 1, page)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -242,6 +251,21 @@ func FuzzClientDemux(f *testing.F) {
 			c.ReadAsync(1, 0, 4096),
 			c.ReadAsync(1, 4096, 4096),
 			c.ReadAsync(1, 8192, 4096),
+		}
+		// A batched read into caller-owned pages rides the same stream: a
+		// response of another length than its pages must fail it, never
+		// fill it short or run over.
+		buf := make([]byte, 2*4096+1)
+		buf[2*4096] = 0xEE // the byte after the pages
+		readv := make(chan error, 1)
+		go func() { readv <- c.ReadVInto(1, []int64{0, 4096}, SplitPages(buf[:2*4096], 4096)) }()
+		select {
+		case <-readv:
+			if buf[2*4096] != 0xEE {
+				t.Fatal("a READV response ran over its pages")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("ReadVInto hung on a hostile response stream")
 		}
 		for _, p := range pend {
 			select {

@@ -7,7 +7,8 @@
 // extent, stages the request payload, publishes a submission-ring entry
 // and rings the server's doorbell when it sleeps; a single completer
 // goroutine drains the completion ring, copies response bytes out of
-// the arena into pooled buffers, and resolves calls by request ID.
+// the arena — into the buffers the call names for a READV, into pooled
+// buffers otherwise — and resolves calls by request ID.
 //
 // Every value read from shared memory is hostile input: implausible
 // ring indices, unknown or duplicate completion IDs, and lengths
@@ -251,12 +252,6 @@ func (st *shmStream) alive() bool {
 
 func (st *shmStream) decomposeBatch() bool { return false }
 
-// exclusiveCall: true — submission is inline and completion removes
-// the call from the pending table before exec returns, so no other
-// goroutine holds a reference afterwards and do() may reuse the
-// struct across attempts.
-func (st *shmStream) exclusiveCall() bool { return true }
-
 // fail poisons the stream exactly once: the doorbell socket closes
 // (waking the completer and notifying the server), and every pending
 // call completes with err. The mapping is unmapped by the last
@@ -302,14 +297,7 @@ func needBytes(ca *call) int64 {
 	case opUnregister:
 		return 64 // no response data; room for an error message
 	case opReadV:
-		var total int64
-		for _, v := range ca.iovs {
-			total += v.length
-		}
-		if total > ca.length {
-			return total
-		}
-		return ca.length
+		return max(ca.dstLen, ca.length)
 	default: // opRead reads length bytes; opWrite/opWriteV stage length bytes
 		return ca.length
 	}
@@ -318,6 +306,9 @@ func needBytes(ca *call) int64 {
 // exec runs one request through the rings and blocks until the
 // completer resolves it or the stream dies.
 func (st *shmStream) exec(ca *call) ([]byte, error) {
+	// Submission is inline and completion takes the call out of the
+	// pending table before exec returns: nobody else ever holds ca.
+	ca.markSent()
 	ca.body, ca.err = nil, nil
 	ca.resetGate()
 	need := needBytes(ca)
@@ -633,6 +624,10 @@ func (st *shmStream) drainLocked(scratch []shmDone) (int, error) {
 			herr = fmt.Errorf("shm: completion length %d exceeds extent cap %d", e.length, ca.extCap)
 			break
 		}
+		if e.status == statusOK && ca.dst != nil && e.length != ca.dstLen {
+			herr = fmt.Errorf("shm: readv completion of %d bytes for %d bytes of buffers", e.length, ca.dstLen)
+			break
+		}
 		st.pending[slot] = nil
 		st.npend--
 		st.cq.advanceLocal()
@@ -662,9 +657,11 @@ func (st *shmStream) drainLocked(scratch []shmDone) (int, error) {
 // can still scribble on those bytes until PutBuf, exactly as one-sided
 // RDMA into a registered buffer could.
 //
-// Everything else (REGISTER ids, STAT blobs, READV bodies that callers
-// re-slice per page, error messages) copies into pooled buffers and
-// frees the extent immediately.
+// A READV's pages are copied from the extent into the call's own
+// destinations (the drain checked that the lengths agree); the call has
+// left the pending table, so nobody else completes it meanwhile.
+// Everything else (REGISTER ids, STAT blobs, error messages) copies into
+// pooled buffers. Both free the extent immediately.
 func (st *shmStream) finish(ca *call, e cqEntry) {
 	ext := st.arena[ca.extOff : ca.extOff+e.length]
 	switch e.status {
@@ -675,7 +672,11 @@ func (st *shmStream) finish(ca *call, e cqEntry) {
 			ca.complete()
 			return
 		}
-		if e.length > 0 {
+		if ca.dst != nil {
+			for _, d := range ca.dst {
+				ext = ext[copy(d, ext):]
+			}
+		} else if e.length > 0 {
 			body := getBuf(int(e.length))
 			copy(body, ext)
 			ca.body = body

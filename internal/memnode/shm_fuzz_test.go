@@ -1,6 +1,7 @@
 package memnode
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -122,6 +123,12 @@ func fuzzShmConsume(data []byte) {
 			op: opRead, id: base + uint64(i) + 1, length: 4096,
 			extOff: off, extCap: cp,
 		}
+		if i == 1 {
+			// One batched read into caller-owned pages: only a completion
+			// of exactly their length may touch them.
+			ca.op, ca.dstLen = opReadV, 4096
+			ca.dst = SplitPages(bytes.Repeat([]byte{0xEE}, 4096), 2048)
+		}
 		slot := ca.id & (fuzzRingEntries - 1)
 		if st.pending[slot] != nil {
 			st.alloc.free(off, cp)
@@ -146,6 +153,20 @@ func fuzzShmConsume(data []byte) {
 	for _, ca := range calls {
 		if ca.completed() && ca.err == nil && ca.body != nil {
 			PutBuf(ca.body)
+		}
+		if ca.dst == nil {
+			continue
+		}
+		// The arena is all zeroes: the pages are filled whole by a
+		// completion that succeeded, and untouched otherwise.
+		want := byte(0xEE)
+		if ca.completed() && ca.err == nil {
+			want = 0
+		}
+		for _, d := range ca.dst {
+			if !bytes.Equal(d, bytes.Repeat([]byte{want}, len(d))) {
+				panic("shm demux left a READV's pages partly filled")
+			}
 		}
 	}
 }
@@ -196,6 +217,10 @@ func FuzzRingDemux(f *testing.F) {
 		cqeBytes(cqEntry{status: statusErrRegion, id: 1, length: 8}),
 		cqeBytes(cqEntry{status: statusErr, id: 2, length: 8}),
 	))
+	// The READV staged as id 2: completed in full, short, and in error.
+	f.Add(ringSeed(0, 1, 3, cqeBytes(cqEntry{status: statusOK, id: 2, length: 4096})))
+	f.Add(ringSeed(0, 1, 3, cqeBytes(cqEntry{status: statusOK, id: 2, length: 2048})))
+	f.Add(ringSeed(0, 1, 3, cqeBytes(cqEntry{status: statusErr, id: 2, length: 16})))
 	// Completion wraparound with live pending calls on both sides of it.
 	f.Add(ringSeed(math.MaxUint64-1, 2, 4,
 		cqeBytes(cqEntry{status: statusOK, id: math.MaxUint64, length: 0}),

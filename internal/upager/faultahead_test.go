@@ -85,9 +85,9 @@ func TestFaultAheadOneReadV(t *testing.T) {
 		t.Fatalf("backing saw %d ReadV and %d Read; want 1 and 0", rv, r)
 	}
 	s := p.Stats()
-	if s.Faults != 16 || s.Hits != pinners || s.PrefetchIssued != 0 || s.PrefetchHits != 0 {
-		t.Errorf("faults=%d hits=%d prefetch issued=%d hit=%d; want 16, %d, 0, 0",
-			s.Faults, s.Hits, s.PrefetchIssued, s.PrefetchHits, pinners)
+	if s.Faults != 16 || s.FaultsAhead != 16 || s.Hits != pinners || s.PrefetchIssued != 0 || s.PrefetchHits != 0 {
+		t.Errorf("faults=%d ahead=%d hits=%d prefetch issued=%d hit=%d; want 16, 16, %d, 0, 0",
+			s.Faults, s.FaultsAhead, s.Hits, s.PrefetchIssued, s.PrefetchHits, pinners)
 	}
 	if n := p.FaultLatency().Count(); n != 16 {
 		t.Errorf("fault-latency histogram holds %d samples; want 16", n)
@@ -166,14 +166,15 @@ func TestFaultAheadNeverBlocks(t *testing.T) {
 	}
 	checkPage(t, fr.Data, 10)
 	fr.Unpin()
-	if s := p.Stats(); s.Faults != 5 {
-		t.Errorf("faults = %d, want 5", s.Faults)
+	if s := p.Stats(); s.Faults != 5 || s.FaultsAhead != 0 {
+		t.Errorf("faults = %d, %d of them ahead; want 5 and 0", s.Faults, s.FaultsAhead)
 	}
 }
 
 // TestFaultAheadReadVFailure: a failed batch aborts every claimed page
-// to absent and returns every frame; the Pins that were waiting retry
-// and surface their own error, and the pages fault once reads work.
+// to absent and returns every frame it was lent; the Pins that were
+// waiting retry and surface their own error, and pages fault into the
+// returned frames once reads work.
 func TestFaultAheadReadVFailure(t *testing.T) {
 	const frames = 16
 	fb := newFakeBacking()
@@ -184,6 +185,7 @@ func TestFaultAheadReadVFailure(t *testing.T) {
 	}
 	stampBacking(fb, 64)
 	fb.failRead.Store(true)
+	fb.scribble = true // the failed batch leaves rubbish in the frames it was lent
 
 	p.FaultAhead(pageRange(8, 8))
 	<-fb.entered
@@ -213,18 +215,20 @@ func TestFaultAheadReadVFailure(t *testing.T) {
 		t.Errorf("%d of %d frames free after the failed batch", free, frames)
 	}
 
+	// The frames came back dirty, and every one is reused here: what a
+	// page shows is what its own fault read, never the failed batch.
 	fb.failRead.Store(false)
-	fr, err := p.Pin(8, false)
-	if err != nil {
-		t.Fatal(err)
+	p.FaultAhead(pageRange(16, frames))
+	for pg := uint64(16); pg < 16+frames; pg++ {
+		fr, err := p.Pin(pg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPage(t, fr.Data, pg)
+		fr.Unpin()
 	}
-	checkPage(t, fr.Data, 8)
-	fr.Unpin()
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if free := p.Stats().FreeFrames; free != frames-1 {
-		t.Errorf("%d frames free after close, want %d", free, frames-1)
 	}
 }
 
@@ -303,6 +307,11 @@ func TestFaultAheadBalance(t *testing.T) {
 	}
 	if s.PrefetchIssued != 0 {
 		t.Errorf("look-ahead booked %d prefetches", s.PrefetchIssued)
+	}
+	// FaultsAhead splits the faults by how they reached the backing: in
+	// batches of up to 8, or page by page where a window was skipped.
+	if rv := fb.readvs.Load(); s.FaultsAhead > 8*rv || s.FaultsAhead < rv || s.Faults-s.FaultsAhead != fb.reads.Load() {
+		t.Errorf("faults = %d, %d ahead; the backing saw %d batches and %d single reads", s.Faults, s.FaultsAhead, rv, fb.reads.Load())
 	}
 	if n := p.FaultLatency().Count(); n != s.Faults {
 		t.Errorf("fault-latency histogram holds %d samples for %d faults", n, s.Faults)

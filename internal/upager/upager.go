@@ -30,12 +30,30 @@ import (
 
 // Backing is the far-memory store a pager swaps against. Both
 // memnode.Client and memcluster.Cluster satisfy it.
+//
+// The method set is frozen by bench/, which a change that claims a gain
+// may not edit: its shim embeds the interface and forwards Read, ReadV
+// and WriteV by name, and its self-test passes New a five-method fake.
+// ReadV is here for those two alone — the pager fills batches through
+// IntoBacking, and calls ReadV only on a backing that is not one.
 type Backing interface {
 	Register(size int64) (uint64, error)
 	Read(handle uint64, offset, length int64) ([]byte, error)
 	Write(handle uint64, offset int64, data []byte) error
 	ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]byte, error)
 	WriteV(handle uint64, offsets []int64, pages [][]byte) error
+}
+
+// IntoBacking is a Backing whose batched read lands in buffers the
+// caller names: page i, len(dst[i]) bytes at offsets[i], into dst[i].
+// The pager passes the frames it has claimed for the batch, so a page
+// crosses user space once, from the transport's buffer into its frame.
+// The frames are lent for the duration of the call: the backing may
+// write them (and on failure leave anything in them) until it returns,
+// and not after. memnode.Client and memcluster.Cluster satisfy it.
+type IntoBacking interface {
+	Backing
+	ReadVInto(handle uint64, offsets []int64, dst [][]byte) error
 }
 
 // AsyncBacking is a Backing that can issue one-sided reads returning a
@@ -96,6 +114,7 @@ type Options struct {
 type Pager struct {
 	backing   Backing
 	async     AsyncBacking // nil when backing has no futures API
+	readVInto func(handle uint64, offsets []int64, dst [][]byte) error
 	handle    uint64
 	pageBytes int64
 	numPages  uint64
@@ -119,10 +138,13 @@ type Pager struct {
 	detMu sync.Mutex // the detector sees the global fault stream
 	det   prefetch.Detector
 
-	fillWG sync.WaitGroup // in-flight fillBatch goroutines; Close drains them
+	fillWG   sync.WaitGroup // in-flight fillBatch goroutines; Close drains them
+	fillPool sync.Pool      // *fill scratch between batches
+	evict    evictScratch
 
 	// Fault/eviction balance counters (the paper's steering signals).
 	faults          atomic.Uint64
+	faultsAhead     atomic.Uint64
 	hits            atomic.Uint64
 	coalesced       atomic.Uint64
 	prefetchIssued  atomic.Uint64
@@ -203,6 +225,11 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 		faultLat:  stats.NewConcurrentHistogram(),
 	}
 	p.async, _ = backing.(AsyncBacking)
+	if into, ok := backing.(IntoBacking); ok {
+		p.readVInto = into.ReadVInto
+	} else {
+		p.readVInto = p.readVCopy
+	}
 	for f := 0; f < frames; f++ {
 		p.owner[f] = noPage
 		p.freeC <- int32(f)
@@ -420,15 +447,15 @@ func (p *Pager) maybeKick() {
 // already knows the pages its next Pins will touch (magecache, from the
 // requests buffered on a connection) hands them over, and every page
 // that is absent and can get a free frame right now is claimed
-// absent→faulting under the usual latch and filled by one ReadV on one
+// absent→faulting under one latch and filled by one batched read on one
 // goroutine. It never blocks and promises nothing — pages that are
 // resident or in transit, out of range, or left over when the free pool
 // runs dry are skipped. Pin remains the only way to touch data: a Pin
-// of a claimed page coalesces on its latch like on any other fault.
+// of a claimed page coalesces on the latch like on any other fault.
 //
 // These are demand misses issued early, not speculation: they count in
-// Faults and the fault-latency histogram, land with the reference bit
-// set, and feed the prefetch detector.
+// Faults (and in FaultsAhead) and the fault-latency histogram, land
+// with the reference bit set, and feed the prefetch detector.
 func (p *Pager) FaultAhead(pgs []uint64) { p.fillAhead(pgs, false) }
 
 // maybePrefetch feeds the fault address to the detector and fills its
@@ -446,11 +473,24 @@ func (p *Pager) maybePrefetch(pg uint64) {
 	}
 }
 
+// fill is one batch between fillAhead and fillBatch: the pages claimed,
+// the frame, region offset and frame bytes of each, and the latch they
+// share — the pages of a batch open together, so one channel serves
+// them all. The slices are scratch that travels with the struct through
+// fillPool; only the latch is made per batch.
+type fill struct {
+	pgs         []uint64
+	frames      []int32
+	offs        []int64
+	dst         [][]byte
+	latch       chan struct{}
+	speculative bool
+}
+
 // fillAhead claims the absent pages of pgs that a free frame can be
 // had for without blocking and hands them to one fillBatch goroutine.
 func (p *Pager) fillAhead(pgs []uint64, speculative bool) {
-	var claimed []uint64
-	var frames []int32
+	var f *fill
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -460,7 +500,7 @@ func (p *Pager) fillAhead(pgs []uint64, speculative bool) {
 		if pg >= p.numPages || p.pages[pg].state != pageAbsent {
 			continue
 		}
-		if len(claimed) == p.batch {
+		if f != nil && len(f.pgs) == p.batch {
 			break // one fill never takes more than the evictor's share of the arena
 		}
 		frame, ok := p.tryTakeFrame()
@@ -472,89 +512,103 @@ func (p *Pager) fillAhead(pgs []uint64, speculative bool) {
 			p.kick() // the pins that follow will want frames
 			break
 		}
-		if claimed == nil {
-			claimed = make([]uint64, 0, len(pgs))
-			frames = make([]int32, 0, len(pgs))
+		if f == nil {
+			if f, _ = p.fillPool.Get().(*fill); f == nil {
+				f = new(fill)
+			}
+			f.pgs, f.frames, f.offs, f.dst = f.pgs[:0], f.frames[:0], f.offs[:0], f.dst[:0]
+			f.latch, f.speculative = make(chan struct{}), speculative
 		}
 		pd := &p.pages[pg]
 		pd.state = pageFaulting
-		pd.latch = make(chan struct{})
-		claimed = append(claimed, pg)
-		frames = append(frames, frame)
+		pd.latch = f.latch
+		f.pgs = append(f.pgs, pg)
+		f.frames = append(f.frames, frame)
+		f.offs = append(f.offs, int64(pg)*p.pageBytes)
+		f.dst = append(f.dst, p.frameData(frame))
 	}
-	if len(claimed) > 0 {
+	if f != nil {
 		// Add under mu so Close (which sets closed under mu before
 		// waiting) can never miss an in-flight fill.
 		p.fillWG.Add(1)
 	}
 	p.mu.Unlock()
-	if len(claimed) == 0 {
+	if f == nil {
 		return
 	}
 	if speculative {
-		p.prefetchIssued.Add(uint64(len(claimed)))
+		p.prefetchIssued.Add(uint64(len(f.pgs)))
 	} else {
-		p.faults.Add(uint64(len(claimed)))
+		p.faults.Add(uint64(len(f.pgs)))
+		p.faultsAhead.Add(uint64(len(f.pgs)))
 	}
-	go p.fillBatch(claimed, frames, speculative) //magevet:ok real-host pager: fill-ahead overlaps the caller's own work by design
+	go p.fillBatch(f) //magevet:ok real-host pager: fill-ahead overlaps the caller's own work by design
 }
 
-// fillBatch completes the pages fillAhead claimed: one ReadV, then every
-// page installed resident and unpinned. A speculative page lands with
-// the reference bit clear, so an untouched prefetch is the first CLOCK
-// victim; an early demand fault lands with it set, like any fault. A
-// failed read aborts every page to absent and returns every frame, and
-// the pinners waiting on the latches retry and surface their own error.
-func (p *Pager) fillBatch(pgs []uint64, frames []int32, speculative bool) {
+// fillBatch completes the pages fillAhead claimed: one batched read
+// straight into their frames, then every page installed resident and
+// unpinned. A speculative page lands with the reference bit clear, so
+// an untouched prefetch is the first CLOCK victim; an early demand
+// fault lands with it set, like any fault.
+//
+// Between the claim and the end of the read the frames belong to the
+// wire: no page names them, so no Pin can see them, and they go back to
+// the free pool — on a failed read, which aborts every page to absent
+// for the pinners waiting on the latch to retry and surface their own
+// error — only once the backing has returned and writes them no more.
+func (p *Pager) fillBatch(f *fill) {
 	defer p.fillWG.Done()
 	start := time.Now() //magevet:ok real-host pager: fault service time is a reported metric
-	offs := make([]int64, len(pgs))
-	for i, pg := range pgs {
-		offs[i] = int64(pg) * p.pageBytes
-	}
-	bodies, err := p.backing.ReadV(p.handle, offs, p.pageBytes)
-	if err == nil && len(bodies) != len(pgs) {
-		err = fmt.Errorf("upager: readv returned %d of %d pages", len(bodies), len(pgs))
-	}
-	if err != nil {
-		for i, pg := range pgs {
-			p.freeC <- frames[i]
-			p.abortFault(pg)
-		}
-		return
-	}
-	// The bodies are slices of one buffer the backing cut up per page, so
-	// there is no single slice to hand back to PutBuf.
-	for i, body := range bodies {
-		copy(p.frameData(frames[i]), body)
-	}
-	if !speculative {
-		// Before the latches open, so that a pinner that saw the page
+	err := p.readVInto(p.handle, f.offs, f.dst)
+	if err == nil && !f.speculative {
+		// Before the latch opens, so that a pinner that saw the page
 		// also sees its fault in the histogram.
 		lat := time.Since(start).Nanoseconds() //magevet:ok real-host pager: fault service time is a reported metric
-		for range pgs {
+		for range f.pgs {
 			p.faultLat.Record(lat)
 		}
 	}
 	p.mu.Lock()
-	for i, pg := range pgs {
+	for i, pg := range f.pgs {
 		pd := &p.pages[pg]
-		pd.state = pageResident
-		pd.frame = frames[i]
-		pd.dirty = false
-		pd.ref = !speculative
-		pd.prefetched = speculative
-		pd.pins = 0
-		p.owner[frames[i]] = pg
-		close(pd.latch)
 		pd.latch = nil
+		if err != nil {
+			pd.state = pageAbsent
+			p.freeC <- f.frames[i] //magevet:ok freeC is buffered to frames, so returning a frame can never block
+			continue
+		}
+		pd.state = pageResident
+		pd.frame = f.frames[i]
+		pd.dirty = false
+		pd.ref = !f.speculative
+		pd.prefetched = f.speculative
+		pd.pins = 0
+		p.owner[f.frames[i]] = pg
 	}
+	close(f.latch)
 	p.mu.Unlock()
-	if !speculative {
-		for _, pg := range pgs {
+	if err == nil && !f.speculative {
+		for _, pg := range f.pgs {
 			p.maybePrefetch(pg)
 		}
 	}
+	p.fillPool.Put(f)
+}
+
+// readVCopy is readVInto over a backing that is not an IntoBacking: its
+// ReadV, and a copy.
+func (p *Pager) readVCopy(handle uint64, offsets []int64, dst [][]byte) error {
+	bodies, err := p.backing.ReadV(handle, offsets, p.pageBytes)
+	if err != nil {
+		return err
+	}
+	if len(bodies) != len(dst) {
+		return fmt.Errorf("upager: readv returned %d of %d pages", len(bodies), len(dst))
+	}
+	for i, body := range bodies {
+		copy(dst[i], body)
+	}
+	return nil
 }
 
 // evictLoop is the write-behind evictor: on every kick it reclaims
@@ -584,16 +638,23 @@ func (p *Pager) evictLoop() {
 	}
 }
 
+// evictScratch is the evictor's batch between sweeps: evictSome runs on
+// the evictor goroutine alone, so one set of lists serves every sweep.
+type evictScratch struct {
+	victims []uint64
+	offs    []int64
+	bufs    [][]byte
+}
+
 // evictSome runs one CLOCK sweep. Clean victims are freed on the spot;
 // dirty victims transition to pageEvicting (blocking new pinners, so
 // the in-flight WRITEV can safely alias the arena) and go out as one
-// batch. Returns whether the sweep made progress toward freeing frames.
+// batch under one latch — they come back together. Returns whether the
+// sweep made progress toward freeing frames.
 func (p *Pager) evictSome() (bool, error) {
-	var (
-		victims []uint64
-		offs    []int64
-		bufs    [][]byte
-	)
+	ev := &p.evict
+	victims, offs, bufs := ev.victims[:0], ev.offs[:0], ev.bufs[:0]
+	var latch chan struct{}
 	progress := false
 	p.mu.Lock()
 	// Two revolutions bound the sweep: the first may only clear
@@ -624,13 +685,17 @@ func (p *Pager) evictSome() (bool, error) {
 			progress = true
 			continue
 		}
+		if latch == nil {
+			latch = make(chan struct{})
+		}
 		pd.state = pageEvicting
-		pd.latch = make(chan struct{})
+		pd.latch = latch
 		victims = append(victims, pg)
 		offs = append(offs, int64(pg)*p.pageBytes)
 		bufs = append(bufs, p.frameData(int32(f)))
 	}
 	p.mu.Unlock()
+	ev.victims, ev.offs, ev.bufs = victims, offs, bufs
 	if len(victims) == 0 {
 		return progress, nil
 	}
@@ -640,30 +705,27 @@ func (p *Pager) evictSome() (bool, error) {
 	err := p.backing.WriteV(p.handle, offs, bufs)
 
 	p.mu.Lock()
-	if err != nil {
-		// Put the victims back; they stay dirty and will be retried on
-		// a later sweep.
-		for _, pg := range victims {
-			pd := &p.pages[pg]
-			pd.state = pageResident
-			close(pd.latch)
-			pd.latch = nil
-		}
-		p.mu.Unlock()
-		p.wbErrors.Add(1)
-		return progress, fmt.Errorf("upager: write-behind batch: %w", err)
-	}
 	for _, pg := range victims {
 		pd := &p.pages[pg]
+		pd.latch = nil
+		if err != nil {
+			// Put the victim back; it stays dirty and will be retried on
+			// a later sweep.
+			pd.state = pageResident
+			continue
+		}
 		pd.state = pageAbsent
 		pd.dirty = false
 		pd.prefetched = false
 		p.owner[pd.frame] = noPage
-		p.freeC <- pd.frame
-		close(pd.latch)
-		pd.latch = nil
+		p.freeC <- pd.frame //magevet:ok freeC is buffered to frames, so returning a frame can never block
 	}
+	close(latch)
 	p.mu.Unlock()
+	if err != nil {
+		p.wbErrors.Add(1)
+		return progress, fmt.Errorf("upager: write-behind batch: %w", err)
+	}
 	n := uint64(len(victims))
 	p.evictions.Add(n)
 	p.wbBatches.Add(1)
@@ -754,6 +816,10 @@ type Stats struct {
 	// Faults counts major faults: pages read on the demand path, whether
 	// by the Pin that needed them or early through FaultAhead.
 	Faults uint64
+	// FaultsAhead counts the faults among Faults that FaultAhead started,
+	// in batches; Faults - FaultsAhead are the demand faults a Pin had to
+	// issue alone and wait out.
+	FaultsAhead uint64
 	// Hits counts pins served by an already-resident page.
 	Hits uint64
 	// Coalesced counts pins that waited on another pin's in-flight
@@ -782,6 +848,7 @@ type Stats struct {
 func (p *Pager) Stats() Stats {
 	return Stats{
 		Faults:           p.faults.Load(),
+		FaultsAhead:      p.faultsAhead.Load(),
 		Hits:             p.hits.Load(),
 		Coalesced:        p.coalesced.Load(),
 		PrefetchIssued:   p.prefetchIssued.Load(),

@@ -21,7 +21,8 @@ type fakeBacking struct {
 	readvs   atomic.Uint64
 	writevs  atomic.Uint64
 	wvPages  atomic.Uint64
-	failRead atomic.Bool // fails Read and ReadV
+	failRead atomic.Bool // fails Read and ReadVInto
+	scribble bool        // a failing ReadVInto dirties its buffers first
 	failWV   atomic.Bool
 
 	// A non-nil gate blocks the verb after it has signalled entered.
@@ -57,25 +58,36 @@ func (f *fakeBacking) Write(handle uint64, offset int64, data []byte) error {
 	return nil
 }
 
-// ReadV hands back slices of one buffer, as memnode.Client does.
-func (f *fakeBacking) ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]byte, error) {
+// ReadVInto is the batched read the pager issues. scribble makes a
+// failing one write into its buffers first, as a transport that dies
+// mid-body does.
+func (f *fakeBacking) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
 	f.readvs.Add(1)
 	if f.rvGate != nil {
 		f.entered <- struct{}{}
 		<-f.rvGate
 	}
 	if f.failRead.Load() {
-		return nil, fmt.Errorf("fake: injected readv failure")
+		if f.scribble {
+			for _, d := range dst {
+				for i := range d {
+					d[i] = 0xBD
+				}
+			}
+		}
+		return fmt.Errorf("fake: injected readv failure")
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	body := make([]byte, int64(len(offsets))*pageBytes)
-	out := make([][]byte, len(offsets))
 	for i, off := range offsets {
-		out[i] = body[int64(i)*pageBytes : int64(i+1)*pageBytes]
-		copy(out[i], f.mem[off:off+pageBytes])
+		copy(dst[i], f.mem[off:off+int64(len(dst[i]))])
 	}
-	return out, nil
+	return nil
+}
+
+func (f *fakeBacking) ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]byte, error) {
+	out := memnode.SplitPages(make([]byte, int64(len(offsets))*pageBytes), pageBytes)
+	return out, f.ReadVInto(handle, offsets, out)
 }
 
 func (f *fakeBacking) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
