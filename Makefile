@@ -39,7 +39,7 @@ lint: fmtcheck vet magevet
 
 # Benchmark snapshot: engine dispatch + figure regeneration + the fault
 # pipeline with and without injected faults + the memnode wire protocol
-# (stop-and-wait roundtrip, depth-32 TCP pipeline, and the depth-32
+# (depth-1 write+read roundtrip, depth-32 TCP pipeline, and the depth-32
 # shared-memory ring), recorded as JSON (name, ns/op, reported metrics
 # such as events/s, retries/op, pages/s, p99-us, allocs/op) for diffing
 # across commits — robustness regressions show up next to perf ones.

@@ -346,7 +346,7 @@ func TestFarWindowAllocs(t *testing.T) {
 	for i := 0; i < 2*len(wins); i++ { // every key overwritten once: the slab layout has settled
 		serve()
 	}
-	s0, rv0 := c.Pager().Stats(), back.readvs.Load()
+	s0, rv0, rd0 := c.Pager().Stats(), back.readvs.Load(), back.reads.Load()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	const runs = 256
@@ -363,11 +363,22 @@ func TestFarWindowAllocs(t *testing.T) {
 		t.Errorf("%.2f batched reads per window, want 1", rv)
 	}
 	allocs := float64(m1.Mallocs-m0.Mallocs) / runs
-	bytesPer := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
-	t.Logf("%.1f faults, %.1f allocations, %.0f bytes per window", faults, allocs, bytesPer)
-	// Seven today: 4 SET keys, the batch's latch and goroutine, the
-	// latch of the evictor's sweep.
-	if allocs > 12 || bytesPer > 2048 {
+	// The bytes that are not the window's: a page the CLOCK hand took
+	// between the look-ahead and its request is faulted by its Pin alone
+	// — 0.15 to 0.45 times a window, as the evictor's timing has it —
+	// and the fake's Read allocates the page that memnode.Client.Read
+	// takes from its pool. One allocation, 4 KiB: the count barely moves,
+	// the bytes swung between 860 and 2070 per window.
+	fakes := float64(back.reads.Load()-rd0) * pageBytes
+	bytesPer := (float64(m1.TotalAlloc-m0.TotalAlloc) - fakes) / runs
+	t.Logf("%.1f faults, %.1f allocations, %.0f bytes per window (and %.0f of the fake backing's)", faults, allocs, bytesPer, fakes/runs)
+	// Seven allocations today: 4 SET keys, the batch's latch and
+	// goroutine, the latch of the evictor's sweep. About 250 bytes. What
+	// the ceiling tells apart is a cost that grows with the pages faulted:
+	// a buffer per batch is pages x 4 KiB, 16 KiB for these windows (what
+	// they cost before the frames were lent to the wire). Half a page has
+	// a factor of eight to either side.
+	if allocs > 12 || bytesPer > pageBytes/2 {
 		t.Errorf("a window that faults %.1f pages costs %.1f allocations and %.0f bytes; want a constant well under one page", faults, allocs, bytesPer)
 	}
 	if s := c.Stats(); s.Misses != 0 {

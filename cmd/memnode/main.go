@@ -1,8 +1,8 @@
 // Command memnode runs the far-memory node daemon (§5.2): a passive
 // server that registers memory regions and serves one-sided page reads
-// and writes over TCP. Connections speak the pipelined v2 wire protocol
-// when the client negotiates it and fall back to v1 stop-and-wait
-// otherwise; -proto 1 pins the node to v1 for interop testing.
+// and writes over TCP, in pipelined frames that a connection opens with
+// a HELLO (internal/memnode/frame.go); a peer that opens with anything
+// else is refused.
 //
 // -transport shm (or auto) additionally offers the shared-memory ring
 // transport to same-host clients: the HELLO response advertises a unix
@@ -23,7 +23,7 @@
 //
 // Usage:
 //
-//	memnode -listen :7170 -capacity-mb 4096 -workers 8 -transport shm
+//	memnode -listen :7170 -capacity-mb 4096 -transport shm
 //	memnode -listen 127.0.0.1:7170 -capacity-mb 512 -nodes 6
 package main
 
@@ -43,15 +43,10 @@ func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:7170", "listen address (with -nodes > 1: first of consecutive ports, or :0 for ephemeral)")
 		capacity  = flag.Int64("capacity-mb", 1024, "served memory capacity in MiB (per node)")
-		proto     = flag.Int("proto", 2, "max wire protocol to accept (1 = legacy stop-and-wait, 2 = pipelined)")
-		workers   = flag.Int("workers", 0, "per-connection worker pool for pipelined ops (0 = default)")
 		transport = flag.String("transport", "tcp", "data planes to offer: tcp, shm, or auto (shm = offer the shared-memory ring to same-host clients, requires Linux memfd; auto = offer it when the platform supports it)")
 		nodes     = flag.Int("nodes", 1, "independent nodes to run in this process (a local shard set for the cluster client)")
 	)
 	flag.Parse()
-	if *proto != 1 && *proto != 2 {
-		log.Fatalf("memnode: -proto must be 1 or 2, got %d", *proto)
-	}
 	if *nodes < 1 {
 		log.Fatalf("memnode: -nodes must be >= 1, got %d", *nodes)
 	}
@@ -70,11 +65,7 @@ func main() {
 	}
 	var srvs []*memnode.Server
 	for _, addr := range addrs {
-		srv, err := memnode.NewServerOptions(addr, *capacity<<20, memnode.ServerOptions{
-			MaxProtocol: *proto,
-			Workers:     *workers,
-			EnableShm:   enableShm,
-		})
+		srv, err := memnode.NewServerOptions(addr, *capacity<<20, memnode.ServerOptions{EnableShm: enableShm})
 		if err != nil {
 			for _, s := range srvs {
 				_ = s.Close()
@@ -88,10 +79,12 @@ func main() {
 			}
 			log.Fatal("memnode: -transport shm requires Linux memfd support, which this platform lacks (use auto for best-effort)")
 		}
+		// bench/ and `make shm-shared-cpu` read the address out of this
+		// line: it is followed by a space and a parenthesis.
 		if srv.ShmAddr() != "" {
-			log.Printf("memnode: serving %d MiB on %s (max proto v%d, shm doorbell %s)", *capacity, srv.Addr(), *proto, srv.ShmAddr())
+			log.Printf("memnode: serving %d MiB on %s (tcp, shm doorbell %s)", *capacity, srv.Addr(), srv.ShmAddr())
 		} else {
-			log.Printf("memnode: serving %d MiB on %s (max proto v%d)", *capacity, srv.Addr(), *proto)
+			log.Printf("memnode: serving %d MiB on %s (tcp)", *capacity, srv.Addr())
 		}
 	}
 

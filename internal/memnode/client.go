@@ -32,16 +32,11 @@ type Options struct {
 	// multiplexed connection (default 128). Ops beyond the window queue
 	// at the client instead of on the wire.
 	Window int
-	// Protocol pins the wire protocol: 1 forces v1 stop-and-wait (no
-	// HELLO is sent); any other value negotiates v2 with transparent
-	// fallback to v1 when the server predates it.
-	Protocol int
 	// Transport selects the data plane. TransportAuto (the default)
 	// takes the shared-memory ring transport whenever the server
 	// advertises it and the platform supports it, falling back to TCP
 	// transparently; TransportTCP pins TCP; TransportShm requires shm
-	// and fails ops when it cannot be negotiated. Forcing Protocol to
-	// v1 implies TransportTCP.
+	// and fails ops when it cannot be negotiated.
 	Transport int
 }
 
@@ -62,7 +57,6 @@ func DefaultOptions() Options {
 		BaseBackoff: 20 * time.Millisecond,
 		MaxBackoff:  time.Second,
 		Window:      128,
-		Protocol:    protoV2,
 	}
 }
 
@@ -86,14 +80,8 @@ func (o *Options) fillDefaults() {
 	if o.Window <= 0 {
 		o.Window = d.Window
 	}
-	if o.Protocol != protoV1 {
-		o.Protocol = protoV2
-	}
 	if o.Transport != TransportTCP && o.Transport != TransportShm {
 		o.Transport = TransportAuto
-	}
-	if o.Protocol == protoV1 {
-		o.Transport = TransportTCP
 	}
 }
 
@@ -109,14 +97,11 @@ type ClientStats struct {
 	RegionReplays uint64
 	// Timeouts counts stream failures caused by an expired deadline.
 	Timeouts uint64
-	// V1Fallbacks counts connections negotiated down to the v1
-	// stop-and-wait protocol because the server rejected the HELLO.
-	V1Fallbacks uint64
 	// ShmConnects counts successful shared-memory transport
 	// negotiations (segment mapped, rings live).
 	ShmConnects uint64
 	// ShmFallbacks counts connections that tried the shm transport and
-	// fell back to TCP v2 (dial/handshake/validation failure).
+	// fell back to TCP (dial/handshake/validation failure).
 	ShmFallbacks uint64
 	// ShmParks, ShmDoorbells and ShmSpinYields show which regime the shm
 	// streams run in (DESIGN.md §13): waits that ended in a park on a
@@ -132,7 +117,7 @@ type ClientStats struct {
 
 	// Per-verb op/byte counters of successfully completed operations,
 	// counted at the public API (one ReadV is one ReadV op regardless of
-	// transport decomposition or retries). Bytes are payload bytes
+	// transport or retries). Bytes are payload bytes
 	// moved: response body for reads, request payload for writes, zero
 	// for STATS. They make an application's fault/evict balance
 	// observable at the wire: a pager's fault path shows up as
@@ -197,11 +182,6 @@ type call struct {
 	length int64       // wire length field (payload bytes, read size, or region size)
 	bufs   net.Buffers // request payload vectors (nil for READ/STAT/REGISTER)
 
-	// WRITEV's batch shape, kept so the v1 fallback can decompose the
-	// batch into single-page ops with identical semantics.
-	iovs  []iovec
-	pages [][]byte
-
 	// READV's batch shape: the region offset and the caller-owned
 	// destination of each page, dstLen bytes in all. The destinations are
 	// lent to the wire for as long as an attempt is in flight: only the
@@ -234,8 +214,8 @@ type call struct {
 	// sent is the sending side's release, the other half of do()'s
 	// permission to recycle the struct: the TCP writer stores 1 once its
 	// writev has returned, after which it reads neither the struct nor
-	// the payload in desc again; for the shm and v1 streams, which submit
-	// on the caller's goroutine, that goroutine stores it. A call failed while
+	// the payload in desc again; for the shm stream, which submits on the
+	// caller's goroutine, that goroutine stores it. A call failed while
 	// its writer may still be draining the old send queue never gets it,
 	// and the struct is left to the collector. Atomic for the same reason
 	// as fin.
@@ -266,7 +246,7 @@ func (ca *call) arm(proto *call, srvID uint64) {
 	*ca = *proto
 	ca.park, ca.desc, ca.srvID = park, desc, srvID
 	if ca.dst != nil {
-		ca.desc = appendReadDescs(ca.desc, ca.offsets, ca.dst)
+		ca.desc = appendDescs(ca.desc, ca.offsets, ca.dst)
 		ca.descVec[0] = ca.desc
 		ca.bufs, ca.length = ca.descVec[:], int64(len(ca.desc))
 	}
@@ -317,7 +297,7 @@ func (ca *call) resetGate() { atomic.StoreUint32(&ca.fin, finPending) }
 func (ca *call) markSent() { atomic.StoreUint32(&ca.sent, 1) }
 
 // link is one negotiated connection generation, whatever its data
-// plane: a TCP stream (v1 or v2) or a shared-memory ring stream. The
+// plane: the pipelined TCP stream or a shared-memory ring stream. The
 // retry/reconnect/replay stack in do() is transport-agnostic above
 // this interface.
 type link interface {
@@ -328,23 +308,16 @@ type link interface {
 	alive() bool
 	// fail poisons the link exactly once, failing all pending calls.
 	fail(err error)
-	// decomposeBatch reports whether batch verbs must be decomposed
-	// into single-page ops client-side (true only for v1 streams).
-	decomposeBatch() bool
 }
 
-// stream is one live connection generation. A v2 stream runs a writer
-// goroutine (draining sendq, one writev per frame) and a reader
-// goroutine (matching response frames to pending calls by ID); a v1
-// stream degenerates to mutex-serialized stop-and-wait on the same
-// struct. Any IO or protocol error poisons the whole stream: every
-// pending call fails at once and the client re-dials lazily.
+// stream is one live TCP connection generation: a writer goroutine
+// (draining sendq, one writev per batch of frames) and a reader
+// goroutine (matching response frames to pending calls by ID). Any IO
+// or protocol error poisons the whole stream: every pending call fails
+// at once and the client re-dials lazily.
 type stream struct {
 	c    *Client
 	conn net.Conn
-	v1   bool
-
-	v1mu sync.Mutex // serializes stop-and-wait exchanges on a v1 connection
 
 	sendq chan *call
 	dead  chan struct{}
@@ -356,25 +329,18 @@ type stream struct {
 	inBody  bool   // the reader is between a response's header and the end of its body; under pmu
 }
 
-func newStream(c *Client, conn net.Conn, v1 bool) *stream {
+func newStream(c *Client, conn net.Conn) *stream {
 	s := &stream{
 		c:       c,
 		conn:    conn,
-		v1:      v1,
+		sendq:   make(chan *call, c.opts.Window+8),
 		dead:    make(chan struct{}),
 		pending: make(map[uint64]*call),
 	}
-	if !v1 {
-		s.sendq = make(chan *call, c.opts.Window+8)
-		go s.writeLoop() //magevet:ok real TCP client: one writer goroutine per pipelined connection
-		go s.readLoop()  //magevet:ok real TCP client: one reader/demux goroutine per pipelined connection
-	}
+	go s.writeLoop() //magevet:ok real TCP client: one writer goroutine per pipelined connection
+	go s.readLoop()  //magevet:ok real TCP client: one reader/demux goroutine per pipelined connection
 	return s
 }
-
-// decomposeBatch reports whether this stream needs client-side batch
-// decomposition (only the v1 stop-and-wait protocol does).
-func (s *stream) decomposeBatch() bool { return s.v1 }
 
 // alive reports whether the stream has not been poisoned.
 func (s *stream) alive() bool {
@@ -398,14 +364,25 @@ func (s *stream) fail(err error) {
 	close(s.dead)
 	s.pmu.Unlock()
 	_ = s.conn.Close() // the stream is already poisoned; nothing to salvage
+	s.c.countTimeout(err)
+	for _, ca := range pend { //magevet:ok fail-all on a poisoned stream: each pending call errors exactly once, order cannot matter
+		ca.fail(err)
+	}
+}
+
+// countTimeout and call.fail are the end of either link's fail: a link
+// that died of an expired deadline is counted, and every call it still
+// held completes with the link's error.
+func (c *Client) countTimeout(err error) {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
-		s.c.timeouts.Add(1)
+		c.timeouts.Add(1)
 	}
-	for _, ca := range pend { //magevet:ok fail-all on a poisoned stream: each pending call errors exactly once, order cannot matter
-		ca.err = err
-		ca.complete()
-	}
+}
+
+func (ca *call) fail(err error) {
+	ca.err = err
+	ca.complete()
 }
 
 // exec runs one request on the stream and blocks until its response
@@ -414,9 +391,6 @@ func (s *stream) fail(err error) {
 func (s *stream) exec(ca *call) ([]byte, error) {
 	ca.body, ca.err = nil, nil
 	ca.deadline = time.Now().Add(s.c.opts.IOTimeout) //magevet:ok per-op network deadline
-	if s.v1 {
-		return s.execV1(ca)
-	}
 	ca.resetGate()
 	s.pmu.Lock()
 	if s.err != nil {
@@ -440,8 +414,8 @@ func (s *stream) exec(ca *call) ([]byte, error) {
 // writeBatch bounds how many queued requests one writev coalesces.
 const writeBatch = 32
 
-// inlineExecMax is the largest transfer the server's v2 reader executes
-// inline rather than handing to the worker pool (see serveV2).
+// inlineExecMax is the largest transfer the server's frame reader executes
+// inline rather than handing to the worker pool (see serveFrames).
 const inlineExecMax = 64 << 10
 
 // writeLoop drains the send queue, coalescing up to writeBatch queued
@@ -613,85 +587,27 @@ func readBody(br *bufio.Reader, ca *call, status byte, n uint64) error {
 			return err
 		}
 	}
-	switch status {
-	case statusOK:
+	if status == statusOK {
 		ca.body = body
-	case statusErrRegion:
-		ca.err = fmt.Errorf("%w: %s", errRegionLost, body)
-		PutBuf(body)
-	default:
-		ca.err = &serverError{msg: string(body)}
+	} else {
+		ca.err = statusError(status, body)
 		PutBuf(body)
 	}
 	return nil
 }
 
-// execV1 performs one stop-and-wait exchange on a v1 connection. The
-// stream mutex serializes concurrent callers; the rest of the
-// robustness machinery (deadline, poison-on-error) matches v2.
-func (s *stream) execV1(ca *call) ([]byte, error) {
-	s.v1mu.Lock()
-	defer s.v1mu.Unlock()
-	s.pmu.Lock()
-	if s.err != nil {
-		err := s.err
-		s.pmu.Unlock()
-		return nil, err
+// statusError is the error the retry layer acts on for a response whose
+// status is not OK: a lost region is replayed, anything else is the
+// server's terminal refusal. msg is the response's bytes, not kept.
+func statusError(status byte, msg []byte) error {
+	if status == statusErrRegion {
+		return fmt.Errorf("%w: %s", errRegionLost, msg)
 	}
-	s.pmu.Unlock()
-	if err := s.conn.SetDeadline(ca.deadline); err != nil {
-		s.fail(err)
-		return nil, err
-	}
-	var hdr [v1ReqHdrLen]byte
-	hdr[0] = ca.op
-	binary.LittleEndian.PutUint64(hdr[1:], ca.srvID)
-	binary.LittleEndian.PutUint64(hdr[9:], uint64(ca.offset))
-	binary.LittleEndian.PutUint64(hdr[17:], uint64(ca.length))
-	iov := append(net.Buffers{hdr[:]}, ca.bufs...)
-	//magevet:ok v1 is stop-and-wait by design: v1mu held across the exchange IS the depth-1 pipeline
-	if _, err := iov.WriteTo(s.conn); err != nil {
-		s.fail(err)
-		return nil, err
-	}
-	var rhdr [v1RespHdrLen]byte
-	//magevet:ok v1 stop-and-wait response read; see the WriteTo above
-	if _, err := io.ReadFull(s.conn, rhdr[:]); err != nil {
-		s.fail(err)
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint64(rhdr[1:])
-	if n > MaxIO {
-		err := fmt.Errorf("memnode: oversized response %d", n)
-		s.fail(err)
-		return nil, err
-	}
-	var body []byte
-	if n > 0 {
-		body = getBuf(int(n))
-		//magevet:ok v1 stop-and-wait body read; see the WriteTo above
-		if _, err := io.ReadFull(s.conn, body); err != nil {
-			PutBuf(body)
-			s.fail(err)
-			return nil, err
-		}
-	}
-	switch rhdr[0] {
-	case statusOK:
-		return body, nil
-	case statusErrRegion:
-		err := fmt.Errorf("%w: %s", errRegionLost, body)
-		PutBuf(body)
-		return nil, err
-	default:
-		err := &serverError{msg: string(body)}
-		PutBuf(body)
-		return nil, err
-	}
+	return &serverError{msg: string(msg)}
 }
 
 // Client is one connection to a memory node, hardened for the real
-// world and pipelined for throughput: a v2 connection multiplexes up to
+// world and pipelined for throughput: a connection multiplexes up to
 // Options.Window concurrent requests by ID, every op has a deadline, a
 // broken connection fails all in-flight calls at once and is re-dialed
 // with capped exponential backoff, and idempotent ops are retried
@@ -726,7 +642,6 @@ type Client struct {
 	reconnects    atomic.Uint64
 	regionReplays atomic.Uint64
 	timeouts      atomic.Uint64
-	v1Fallbacks   atomic.Uint64
 	shmConnects   atomic.Uint64
 	shmFallbacks  atomic.Uint64
 	shmWaits      shmWaitStats // summed over this client's shm streams
@@ -814,7 +729,6 @@ func (c *Client) Metrics() ClientStats {
 		Reconnects:    c.reconnects.Load(),
 		RegionReplays: c.regionReplays.Load(),
 		Timeouts:      c.timeouts.Load(),
-		V1Fallbacks:   c.v1Fallbacks.Load(),
 		ShmConnects:   c.shmConnects.Load(),
 		ShmFallbacks:  c.shmFallbacks.Load(),
 		ShmParks:      c.shmWaits.parks.Load(),
@@ -829,18 +743,15 @@ func (c *Client) Metrics() ClientStats {
 }
 
 // TransportKind reports the data plane of the current connection
-// generation: "shm", "tcp-v2", "tcp-v1", or "none" when no connection
-// has been negotiated yet.
+// generation: "shm", "tcp-v2" (the pipelined frames, wire version 2), or
+// "none" when no connection has been negotiated yet.
 func (c *Client) TransportKind() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch st := c.cur.(type) {
+	switch c.cur.(type) {
 	case *shmStream:
 		return "shm"
 	case *stream:
-		if st.v1 {
-			return "tcp-v1"
-		}
 		return "tcp-v2"
 	}
 	return "none"
@@ -949,87 +860,74 @@ func (c *Client) getStream() (link, error) {
 	}
 }
 
-// negotiate upgrades a fresh connection to protocol v2 — and, when the
-// server's HELLO response advertises it and Options.Transport allows,
-// to the shared-memory transport — or falls back to v1 when the server
-// rejects the HELLO. On IO error the connection is closed and the
-// error returned; the caller's retry loop re-dials.
+// negotiate opens a fresh connection with the HELLO exchange and moves
+// to the shared-memory transport when the server's response advertises
+// it and Options.Transport allows. On an error the connection is closed;
+// the caller's retry loop re-dials unless the error is terminal.
 func (c *Client) negotiate(conn net.Conn) (link, error) {
-	if c.opts.Protocol == protoV1 {
-		return newStream(c, conn, true), nil
+	st, err := c.hello(conn)
+	if _, keep := st.(*stream); !keep {
+		_ = conn.Close() // it failed, or the shm rings replace it; the error returned is the one that matters
 	}
+	return st, err
+}
+
+func (c *Client) hello(conn net.Conn) (link, error) {
 	if err := conn.SetDeadline(time.Now().Add(c.opts.IOTimeout)); err != nil { //magevet:ok per-op network deadline
-		_ = conn.Close() // already failing; the dial error wins
 		return nil, err
 	}
-	var hdr [v1ReqHdrLen]byte
+	var hdr [helloReqLen]byte
 	hdr[0] = opHello
 	binary.LittleEndian.PutUint64(hdr[1:], helloMagic)
 	binary.LittleEndian.PutUint64(hdr[9:], protoV2)
 	if _, err := conn.Write(hdr[:]); err != nil {
-		_ = conn.Close() // already failing; the write error wins
 		return nil, err
 	}
-	var rhdr [v1RespHdrLen]byte
+	var rhdr [helloRespHdrLen]byte
 	if _, err := io.ReadFull(conn, rhdr[:]); err != nil {
-		_ = conn.Close() // already failing; the read error wins
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint64(rhdr[1:])
 	if n > 4096 {
-		_ = conn.Close() // already failing; the protocol error wins
 		return nil, fmt.Errorf("memnode: oversized hello response %d", n)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(conn, body); err != nil {
-		_ = conn.Close() // already failing; the read error wins
 		return nil, err
 	}
-	if rhdr[0] == statusOK {
-		if len(body) >= helloRespLen &&
-			binary.LittleEndian.Uint64(body) == helloMagic &&
-			binary.LittleEndian.Uint64(body[8:]) >= protoV2 {
-			// The stream manages deadlines from here; a failed clear
-			// surfaces as a spurious timeout the retry path absorbs.
-			_ = conn.SetDeadline(time.Time{})
-			if c.opts.Transport != TransportTCP {
-				ext := parseHelloExt(body)
-				if ext.shm && shmSupported {
-					st, serr := c.dialShm(ext)
-					if serr == nil {
-						// The shm rings replace the TCP data path entirely.
-						_ = conn.Close() // superseded by the shm stream
-						c.shmConnects.Add(1)
-						return st, nil
-					}
-					c.shmFallbacks.Add(1)
-					if c.opts.Transport == TransportShm {
-						_ = conn.Close() // shm was required; the shm error wins
-						return nil, fmt.Errorf("memnode: shm transport required: %w", serr)
-					}
-				} else if c.opts.Transport == TransportShm {
-					_ = conn.Close() // shm was required; report why it cannot happen
-					if !shmSupported {
-						return nil, errShmUnsupported
-					}
-					return nil, errors.New("memnode: shm transport required: server does not offer it")
-				}
-			}
-			return newStream(c, conn, false), nil
-		}
-		_ = conn.Close() // already failing; the protocol error wins
+	if rhdr[0] != statusOK {
+		// The server does not speak this client's protocol, and no retry
+		// changes what either side speaks.
+		return nil, &serverError{msg: "hello refused: " + string(body)}
+	}
+	if len(body) < helloRespLen ||
+		binary.LittleEndian.Uint64(body) != helloMagic ||
+		binary.LittleEndian.Uint64(body[8:]) < protoV2 {
 		return nil, errors.New("memnode: malformed hello response")
 	}
-	// The server rejected the probe as a bad opcode: it speaks v1 only,
-	// and its connection is still healthy. A failed deadline clear
-	// surfaces as a spurious timeout the retry path absorbs.
-	if c.opts.Transport == TransportShm {
-		_ = conn.Close() // shm was required; a v1 server cannot provide it
-		return nil, errors.New("memnode: shm transport required: server speaks v1 only")
-	}
+	// The stream manages deadlines from here; a failed clear surfaces as
+	// a spurious timeout the retry path absorbs.
 	_ = conn.SetDeadline(time.Time{})
-	c.v1Fallbacks.Add(1)
-	return newStream(c, conn, true), nil
+	if c.opts.Transport != TransportTCP {
+		ext := parseHelloExt(body)
+		switch {
+		case ext.shm && shmSupported:
+			st, err := c.dialShm(ext)
+			if err == nil {
+				c.shmConnects.Add(1)
+				return st, nil
+			}
+			c.shmFallbacks.Add(1)
+			if c.opts.Transport == TransportShm {
+				return nil, fmt.Errorf("memnode: shm transport required: %w", err)
+			}
+		case c.opts.Transport == TransportShm && !shmSupported:
+			return nil, errShmUnsupported
+		case c.opts.Transport == TransportShm:
+			return nil, errors.New("memnode: shm transport required: server does not offer it")
+		}
+	}
+	return newStream(c, conn), nil
 }
 
 // translate maps a caller's stable handle to the server's current
@@ -1075,13 +973,23 @@ func (c *Client) replayRegion(st link, handle, usedSrvID uint64) error {
 		}
 		return err
 	}
-	if len(body) != 8 {
-		return fmt.Errorf("memnode: short register response (%d bytes)", len(body))
+	id, err := registeredID(body)
+	if err != nil {
+		return err
 	}
-	reg.srvID = binary.LittleEndian.Uint64(body)
-	PutBuf(body)
+	reg.srvID = id
 	c.regionReplays.Add(1)
 	return nil
+}
+
+// registeredID decodes a REGISTER response and recycles it.
+func registeredID(body []byte) (uint64, error) {
+	if len(body) != registerRespLen {
+		return 0, fmt.Errorf("memnode: short register response (%d bytes)", len(body))
+	}
+	id := binary.LittleEndian.Uint64(body)
+	PutBuf(body)
+	return id, nil
 }
 
 // do runs one idempotent op with the full robustness stack re-layered
@@ -1117,8 +1025,8 @@ func (c *Client) do(proto *call) ([]byte, error) {
 		}
 		st, err := c.getStream()
 		if err != nil {
-			if errors.Is(err, ErrClosed) {
-				return nil, err
+			if errors.Is(err, ErrClosed) || IsTerminal(err) {
+				return nil, err // a refused HELLO is as final as a refused op
 			}
 			lastErr = err
 			continue
@@ -1135,7 +1043,7 @@ func (c *Client) do(proto *call) ([]byte, error) {
 		// inline-completing hot path never reads the wall clock.
 		att := callPool.Get().(*call)
 		att.arm(proto, c.translate(proto.handle))
-		body, err := c.execute(st, att)
+		body, err := st.exec(att)
 		srvID := att.srvID
 		if atomic.LoadUint32(&att.sent) == 1 {
 			callPool.Put(att)
@@ -1165,56 +1073,6 @@ func (c *Client) do(proto *call) ([]byte, error) {
 	return nil, fmt.Errorf("memnode: op %d failed after %d attempts: %w", proto.op, c.opts.MaxAttempts, lastErr)
 }
 
-// execute dispatches one attempt, decomposing batch verbs into v1
-// single-page ops when the negotiated stream predates them.
-func (c *Client) execute(st link, ca *call) ([]byte, error) {
-	if st.decomposeBatch() {
-		// A v1 exchange runs on this goroutine from end to end: nobody
-		// else ever holds ca.
-		ca.markSent()
-		if ca.op == opReadV || ca.op == opWriteV {
-			return c.executeBatchV1(st, ca)
-		}
-	}
-	return st.exec(ca)
-}
-
-// executeBatchV1 emulates READV/WRITEV against a v1 server: the batch
-// becomes a sequence of single-page ops on the stop-and-wait stream.
-// Any failure aborts the attempt; the outer retry loop re-runs the
-// whole (idempotent) batch.
-func (c *Client) executeBatchV1(st link, ca *call) ([]byte, error) {
-	if ca.op == opWriteV {
-		for i, v := range ca.iovs {
-			sub := &call{
-				op: opWrite, srvID: ca.srvID, offset: v.off, length: v.length,
-				bufs: net.Buffers{ca.pages[i]}, deadline: time.Now().Add(c.opts.IOTimeout), //magevet:ok per-op network deadline
-			}
-			if _, err := st.exec(sub); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	}
-	for i, d := range ca.dst {
-		sub := &call{
-			op: opRead, srvID: ca.srvID, offset: ca.offsets[i], length: int64(len(d)),
-			deadline: time.Now().Add(c.opts.IOTimeout), //magevet:ok per-op network deadline
-		}
-		body, err := st.exec(sub)
-		if err != nil {
-			return nil, err
-		}
-		if len(body) != len(d) {
-			PutBuf(body)
-			return nil, fmt.Errorf("memnode: short read response (%d of %d bytes)", len(body), len(d))
-		}
-		copy(d, body)
-		PutBuf(body)
-	}
-	return nil, nil
-}
-
 // callPool recycles call structs across attempts; do() decides when one
 // may go back.
 var callPool = sync.Pool{New: func() any { return new(call) }}
@@ -1228,11 +1086,10 @@ func (c *Client) Register(size int64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(body) != 8 {
-		return 0, fmt.Errorf("memnode: short register response (%d bytes)", len(body))
+	id, err := registeredID(body)
+	if err != nil {
+		return 0, err
 	}
-	id := binary.LittleEndian.Uint64(body)
-	PutBuf(body)
 	c.regMu.Lock()
 	defer c.regMu.Unlock()
 	c.regions[id] = &region{size: size, srvID: id}
@@ -1336,8 +1193,7 @@ func (c *Client) WriteAsync(handle uint64, offset int64, data []byte) *Pending {
 // transport analogue of the DES evictor's grouped writebacks), page i
 // of len(dst[i]) bytes from offsets[i] into dst[i]. The buffers are the
 // caller's and are written by the transport alone until the call
-// returns; on an error their contents are unspecified. Against a v1
-// server the batch transparently decomposes into single reads.
+// returns; on an error their contents are unspecified.
 func (c *Client) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
 	if len(dst) == 0 || len(dst) > MaxBatchPages || len(dst) != len(offsets) {
 		return fmt.Errorf("memnode: bad batch shape (%d offsets, %d buffers)", len(offsets), len(dst))
@@ -1391,26 +1247,21 @@ func (c *Client) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
 	if len(pages) == 0 || len(pages) > MaxBatchPages || len(pages) != len(offsets) {
 		return fmt.Errorf("memnode: bad batch shape (%d offsets, %d pages)", len(offsets), len(pages))
 	}
-	iovs := make([]iovec, len(pages))
 	var total int64
 	for i, pg := range pages {
 		if len(pg) == 0 {
 			return fmt.Errorf("memnode: empty page %d in batch", i)
 		}
-		iovs[i] = iovec{off: offsets[i], length: int64(len(pg))}
 		total += int64(len(pg))
 	}
 	if total > MaxIO {
 		return fmt.Errorf("memnode: batch total %d exceeds MaxIO", total)
 	}
-	desc := putIovecs(iovs)
+	desc := appendDescs(nil, offsets, pages)
 	bufs := make(net.Buffers, 0, len(pages)+1)
 	bufs = append(bufs, desc)
 	bufs = append(bufs, pages...)
-	_, err := c.do(&call{
-		op: opWriteV, handle: handle,
-		length: int64(len(desc)) + total, bufs: bufs, iovs: iovs, pages: pages,
-	})
+	_, err := c.do(&call{op: opWriteV, handle: handle, length: int64(len(desc)) + total, bufs: bufs})
 	if err == nil {
 		c.countVerb(opWriteV, total)
 	}
@@ -1423,7 +1274,7 @@ func (c *Client) Stat() (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	if len(body) != 48 {
+	if len(body) != statRespLen {
 		return Stats{}, fmt.Errorf("memnode: short stat response (%d bytes)", len(body))
 	}
 	st := Stats{

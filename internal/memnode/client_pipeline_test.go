@@ -15,7 +15,23 @@ import (
 	"mage/internal/stats"
 )
 
-// stallListener accepts connections, completes the v2 negotiation, then
+// answerHello plays the server's half of the connection preamble on a
+// fake server's conn: it reads the HELLO and answers OK, offering no shm.
+func answerHello(conn net.Conn) error {
+	var hello [helloReqLen]byte
+	if _, err := io.ReadFull(conn, hello[:]); err != nil {
+		return err
+	}
+	var resp [helloRespHdrLen + helloRespLen]byte
+	resp[0] = statusOK
+	binary.LittleEndian.PutUint64(resp[1:], helloRespLen)
+	binary.LittleEndian.PutUint64(resp[helloRespHdrLen:], helloMagic)
+	binary.LittleEndian.PutUint64(resp[helloRespHdrLen+8:], protoV2)
+	_, err := conn.Write(resp[:])
+	return err
+}
+
+// stallListener accepts connections, completes the negotiation, then
 // swallows every request without ever responding — the pathological
 // server the Close-mid-flight regression needs. The returned channel
 // closes when the first post-negotiation request byte arrives, so the
@@ -38,16 +54,7 @@ func stallListener(t *testing.T) (string, <-chan struct{}) {
 			}
 			go func() {
 				defer conn.Close()
-				hdr := make([]byte, v1ReqHdrLen)
-				if _, err := io.ReadFull(conn, hdr); err != nil {
-					return
-				}
-				var resp [v1RespHdrLen + helloRespLen]byte
-				resp[0] = statusOK
-				binary.LittleEndian.PutUint64(resp[1:], helloRespLen)
-				binary.LittleEndian.PutUint64(resp[v1RespHdrLen:], helloMagic)
-				binary.LittleEndian.PutUint64(resp[v1RespHdrLen+8:], protoV2)
-				if _, err := conn.Write(resp[:]); err != nil {
+				if answerHello(conn) != nil {
 					return
 				}
 				var b [1]byte
@@ -212,58 +219,14 @@ func TestServerChaosDeepPipeline(t *testing.T) {
 	}
 }
 
-// TestProtocolNegotiation proves both interop directions: a v1-pinned
-// client against a v2 server, and a v2 client against a v1-only server
-// (which must transparently fall back).
+// TestProtocolNegotiation: a client and a server with nothing but TCP
+// between them settle on the pipelined frames.
 func TestProtocolNegotiation(t *testing.T) {
-	t.Run("v1ClientV2Server", func(t *testing.T) {
-		srv, err := NewServer("127.0.0.1:0", 16<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		opts := DefaultOptions()
-		opts.Protocol = protoV1
-		c, err := DialOptions(srv.Addr(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		roundtrip(t, c)
-		if f := c.Metrics().V1Fallbacks; f != 0 {
-			t.Errorf("pinned-v1 client counted %d fallbacks", f)
-		}
-	})
-	t.Run("v2ClientV1Server", func(t *testing.T) {
-		srv, err := NewServerOptions("127.0.0.1:0", 16<<20, ServerOptions{MaxProtocol: protoV1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		c, err := Dial(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		roundtrip(t, c)
-		if f := c.Metrics().V1Fallbacks; f == 0 {
-			t.Error("v2 client against v1 server recorded no fallback")
-		}
-	})
 	t.Run("v2Both", func(t *testing.T) {
-		srv, err := NewServer("127.0.0.1:0", 16<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		c, err := Dial(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
+		_, c := newPair(t, 16<<20)
 		roundtrip(t, c)
-		if f := c.Metrics().V1Fallbacks; f != 0 {
-			t.Errorf("v2<->v2 counted %d fallbacks", f)
+		if got := c.TransportKind(); got != "tcp-v2" {
+			t.Errorf("TransportKind = %q, want tcp-v2", got)
 		}
 	})
 }
@@ -373,45 +336,6 @@ func TestBatchAtomicRejection(t *testing.T) {
 		}
 	}
 	PutBuf(got)
-}
-
-// TestBatchAgainstV1Server: the batch APIs must transparently decompose
-// into single-page ops when negotiation lands on v1.
-func TestBatchAgainstV1Server(t *testing.T) {
-	srv, err := NewServerOptions("127.0.0.1:0", 16<<20, ServerOptions{MaxProtocol: protoV1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	id, err := c.Register(4 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offsets := []int64{0, 8192, ChunkBytes - 2048}
-	pages := make([][]byte, len(offsets))
-	for i := range pages {
-		pages[i] = bytes.Repeat([]byte{byte(i + 1)}, 4096)
-	}
-	if err := c.WriteV(id, offsets, pages); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ReadV(id, offsets, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], pages[i]) {
-			t.Errorf("v1-decomposed batch page %d mismatch", i)
-		}
-	}
-	if c.Metrics().V1Fallbacks == 0 {
-		t.Error("expected a v1 fallback against the pinned server")
-	}
 }
 
 // TestBatchValidation covers the client-side batch shape checks.

@@ -1,22 +1,25 @@
-// Wire protocol v2: multiplexed, pipelined frames.
+// Wire framing on TCP: multiplexed, pipelined frames.
 //
-// v1 (see the package comment in memnode.go) is strict stop-and-wait —
-// one request in flight per connection, responses implicitly matched by
-// order. v2 keeps the same verbs but stamps every frame with a request
-// ID so a single connection can multiplex many outstanding operations,
-// and adds the batched verbs READV/WRITEV that move N pages in one
-// frame — the transport analogue of the DES evictor's grouped
-// writebacks (internal/core/evict.go).
+// Every frame carries a request ID, so one connection multiplexes many
+// outstanding operations and responses complete out of order. The
+// batched verbs READV/WRITEV move N pages in one frame — the transport
+// analogue of the DES evictor's grouped writebacks
+// (internal/core/evict.go).
 //
-// Version negotiation piggybacks on v1: a v2 client opens with a HELLO
-// request shaped exactly like a v1 request header. A v2 server answers
-// with a v1-framed OK response carrying a magic + version payload and
-// switches the connection to v2 framing; a v1 server answers
-// "bad opcode" (statusErr) and the client silently falls back to v1
-// stop-and-wait. Both directions therefore interoperate across
-// versions with no out-of-band configuration.
+// A connection opens with one HELLO exchange in a frame shape of its
+// own, older than the request IDs, which every client build ever made
+// can decode:
 //
-// v2 framing, little-endian like v1:
+//	request:  op(1)=0xA5 magic(8) version(8) zero(8)
+//	response: status(1) length(8) payload(length)
+//
+// A server answers a HELLO offering version 2 or later with OK and
+// magic(8) version(8), followed by the optional shm advertisement
+// (helloBody), and the connection speaks the frames below from then on.
+// Anything else in the first 25 bytes gets one statusErr response
+// naming the version the server requires, and the connection is closed.
+//
+// Frames, little-endian:
 //
 //	request:  op(1) id(8) regionID(8) offset(8) length(8) payload(...)
 //	response: status(1) id(8) length(8) payload(length)
@@ -44,43 +47,40 @@ import (
 	"sync" //magevet:ok memnode is a real TCP service; the frame buffer pool is shared by client and server goroutines
 )
 
-// Protocol versions.
-const (
-	protoV1 = 1
-	protoV2 = 2
-)
+// protoV2 is the wire protocol version, the only one spoken: the
+// pipelined frames above. Version 1 was stop-and-wait without request
+// IDs; a peer offering it is refused.
+const protoV2 = 2
 
-// v2 opcodes (v1 opcodes live in memnode.go).
+// The batch opcodes (the single-page ones are in memnode.go) and the
+// connection preamble's.
 const (
 	opReadV  = 5
 	opWriteV = 6
-	// opHello is the negotiation probe. It is deliberately far from the
-	// v1 opcode range so a v1 server rejects it as a bad opcode (keeping
-	// its connection healthy) instead of misinterpreting it.
-	opHello = 0xA5
+	opHello  = 0xA5
 )
 
-// helloMagic fills the regionID field of a HELLO request and leads the
-// HELLO response payload, so stray v1 traffic can never be mistaken for
-// a negotiation.
+// helloMagic follows the opcode of a HELLO request and leads the HELLO
+// response payload, so stray traffic can never be mistaken for a
+// negotiation.
 const helloMagic uint64 = 0x3250_5745_4741_4d21 // "!MAGEWP2" (LE)
 
 // Frame-size constants.
 const (
-	v1ReqHdrLen  = 25 // op(1) regionID(8) offset(8) length(8)
-	v1RespHdrLen = 9  // status(1) length(8)
-	v2ReqHdrLen  = 33 // op(1) id(8) regionID(8) offset(8) length(8)
-	v2RespHdrLen = 17 // status(1) id(8) length(8)
-	helloRespLen = 16 // magic(8) version(8)
+	helloReqLen     = 25 // op(1) magic(8) version(8) zero(8)
+	helloRespHdrLen = 9  // status(1) length(8)
+	helloRespLen    = 16 // magic(8) version(8)
+	v2ReqHdrLen     = 33 // op(1) id(8) regionID(8) offset(8) length(8)
+	v2RespHdrLen    = 17 // status(1) id(8) length(8)
 )
 
 // MaxBatchPages bounds the descriptor count of one READV/WRITEV frame.
 const MaxBatchPages = 1024
 
-// maxV2Payload bounds a v2 request or response payload: the largest
-// legal frame is a WRITEV carrying MaxIO bytes of data plus a full
-// descriptor table. Anything larger is a protocol violation and
-// terminates the connection.
+// maxV2Payload bounds a request or response payload: the largest legal
+// frame is a WRITEV carrying MaxIO bytes of data plus a full descriptor
+// table. Anything larger is a protocol violation and terminates the
+// connection.
 const maxV2Payload = MaxIO + 8 + 16*MaxBatchPages
 
 // iovec is one page-sized slot of a batched verb.
@@ -89,63 +89,72 @@ type iovec struct {
 	length int64
 }
 
-// putIovecs encodes count + descriptors into a fresh slice of the exact
-// encoded size (8 + 16·len(iovs) bytes).
-func putIovecs(iovs []iovec) []byte {
-	buf := make([]byte, 8+16*len(iovs))
-	binary.LittleEndian.PutUint64(buf, uint64(len(iovs)))
-	for i, v := range iovs {
-		binary.LittleEndian.PutUint64(buf[8+16*i:], uint64(v.off))
-		binary.LittleEndian.PutUint64(buf[16+16*i:], uint64(v.length))
-	}
-	return buf
-}
-
-// appendReadDescs encodes a READV's descriptor table — count, then
-// {offsets[i], len(dst[i])} per page — into buf's storage, growing it
+// appendDescs encodes a batch's descriptor table — count, then
+// {offsets[i], len(pages[i])} per page — into buf's storage, growing it
 // only when it is too small.
-func appendReadDescs(buf []byte, offsets []int64, dst [][]byte) []byte {
-	n := 8 + 16*len(dst)
+func appendDescs(buf []byte, offsets []int64, pages [][]byte) []byte {
+	n := 8 + 16*len(pages)
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	binary.LittleEndian.PutUint64(buf, uint64(len(dst)))
-	for i, d := range dst {
+	binary.LittleEndian.PutUint64(buf, uint64(len(pages)))
+	for i, d := range pages {
 		binary.LittleEndian.PutUint64(buf[8+16*i:], uint64(offsets[i]))
 		binary.LittleEndian.PutUint64(buf[16+16*i:], uint64(len(d)))
 	}
 	return buf
 }
 
-// parseIovecs decodes and bounds-checks a batch descriptor table. It
-// returns the descriptors, the number of payload bytes consumed, and the
-// total data bytes the descriptors cover.
-func parseIovecs(payload []byte) (iovs []iovec, consumed int, total int64, err error) {
+// batchTableLen cuts a READV/WRITEV payload: the leading bytes that are
+// its descriptor table, never more than a full one (MaxBatchPages
+// descriptors); the rest is WRITEV's data (or READV's trailing garbage).
+// A payload whose count is out of range or whose descriptors are cut
+// short is cut where parseIovecs will refuse it.
+func batchTableLen(payload []byte) int {
 	if len(payload) < 8 {
-		return nil, 0, 0, fmt.Errorf("batch: truncated count (have %d bytes)", len(payload))
+		return len(payload)
 	}
 	n := binary.LittleEndian.Uint64(payload)
-	if n == 0 || n > MaxBatchPages {
-		return nil, 0, 0, fmt.Errorf("batch: bad page count %d (max %d)", n, MaxBatchPages)
+	if n > MaxBatchPages {
+		return 8
 	}
-	consumed = 8 + 16*int(n)
-	if len(payload) < consumed {
-		return nil, 0, 0, fmt.Errorf("batch: truncated descriptors (%d pages, %d bytes)", n, len(payload))
+	// Subtracted form of 8+16n > len(payload), n bounded first.
+	if int(n) > (len(payload)-8)/16 {
+		return len(payload)
+	}
+	return 8 + 16*int(n)
+}
+
+// parseIovecs decodes and bounds-checks a batch descriptor table, the
+// bytes batchTableLen cut. It returns the descriptors and the total data
+// bytes they cover.
+func parseIovecs(table []byte) (iovs []iovec, total int64, err error) {
+	if len(table) < 8 {
+		return nil, 0, fmt.Errorf("batch: truncated count (have %d bytes)", len(table))
+	}
+	n := binary.LittleEndian.Uint64(table)
+	if n == 0 || n > MaxBatchPages {
+		return nil, 0, fmt.Errorf("batch: bad page count %d (max %d)", n, MaxBatchPages)
+	}
+	// Subtracted form, as in batchTableLen. A longer table is one whose
+	// count changed under a ring's cut; its tail is ignored.
+	if int(n) > (len(table)-8)/16 {
+		return nil, 0, fmt.Errorf("batch: truncated descriptors (%d pages, %d bytes)", n, len(table))
 	}
 	iovs = make([]iovec, n)
 	for i := range iovs {
-		iovs[i].off = int64(binary.LittleEndian.Uint64(payload[8+16*i:]))
-		iovs[i].length = int64(binary.LittleEndian.Uint64(payload[16+16*i:]))
+		iovs[i].off = int64(binary.LittleEndian.Uint64(table[8+16*i:]))
+		iovs[i].length = int64(binary.LittleEndian.Uint64(table[16+16*i:]))
 		if iovs[i].length <= 0 || iovs[i].length > MaxIO {
-			return nil, 0, 0, fmt.Errorf("batch: bad descriptor length %d", iovs[i].length)
+			return nil, 0, fmt.Errorf("batch: bad descriptor length %d", iovs[i].length)
 		}
 		total += iovs[i].length
 		if total > MaxIO {
-			return nil, 0, 0, fmt.Errorf("batch: total %d exceeds MaxIO", total)
+			return nil, 0, fmt.Errorf("batch: total %d exceeds MaxIO", total)
 		}
 	}
-	return iovs, consumed, total, nil
+	return iovs, total, nil
 }
 
 // bufPool recycles payload buffers on both sides of the wire: the

@@ -12,7 +12,11 @@ import (
 // fuzzServer builds a listener-less Server with one pre-registered
 // 4 MiB region (ID 1) so READ/WRITE frames can hit a real target.
 func fuzzServer() *Server {
+	// One worker: mutated inputs can put overlapping concurrent WRITEs on
+	// the wire, which race by design (RDMA semantics); the fuzz target is
+	// the frame decoder, so serialize execution to stay -race clean.
 	s := &Server{
+		workers:  1,
 		regions:  make(map[uint64][][]byte),
 		sizes:    make(map[uint64]int64),
 		nextID:   2,
@@ -20,11 +24,6 @@ func fuzzServer() *Server {
 		used:     4 << 20,
 		conns:    make(map[net.Conn]struct{}),
 	}
-	// One worker: mutated inputs can put overlapping concurrent WRITEs on
-	// the wire, which race by design (RDMA semantics); the fuzz target is
-	// the frame decoder, so serialize execution to stay -race clean.
-	s.opts.fillDefaults()
-	s.opts.Workers = 1
 	s.regions[1] = [][]byte{make([]byte, ChunkBytes), make([]byte, ChunkBytes)}
 	s.sizes[1] = 4 << 20
 	return s
@@ -40,7 +39,7 @@ func frame(op byte, regionID uint64, offset, length int64, payload []byte) []byt
 	return buf
 }
 
-// helloFrame is the negotiation probe that upgrades a connection to v2.
+// helloFrame is the connection preamble that opens the pipelined frames.
 func helloFrame() []byte {
 	return frame(opHello, helloMagic, protoV2, 0, nil)
 }
@@ -57,8 +56,8 @@ func v2frame(op byte, id, regionID uint64, offset, length int64, payload []byte)
 	return buf
 }
 
-// v2stream prefixes frames with the HELLO so the server's decoder runs
-// them through the v2 path.
+// v2stream prefixes frames with the HELLO, without which the server
+// decodes none of them.
 func v2stream(frames ...[]byte) []byte {
 	out := helloFrame()
 	for _, f := range frames {
@@ -84,7 +83,9 @@ func descs(pairs ...int64) []byte {
 // unboundedly (bad lengths are rejected before allocation), and must
 // always terminate the handler when the stream ends.
 func FuzzServeRequest(f *testing.F) {
-	// Seed corpus: one valid frame of each op, then hostile variants.
+	// Seed corpus. First what a v1 peer would open with — frames without
+	// a request ID, valid and hostile — all of which are now one input to
+	// the preamble check: refused.
 	f.Add(frame(opRegister, 0, 0, 1<<20, nil))
 	f.Add(frame(opRead, 1, 4096, 4096, nil))
 	f.Add(frame(opWrite, 1, 0, 8, []byte("pagedata")))
@@ -104,8 +105,8 @@ func FuzzServeRequest(f *testing.F) {
 	// worker pool executes them in parallel and overlapping writes race
 	// by design (as one-sided RDMA would).
 	f.Add(helloFrame())                                  // bare negotiation
-	f.Add(frame(opHello, helloMagic, protoV1, 0, nil))   // stale version: stays v1
-	f.Add(frame(opHello, 0xDEAD_BEEF, protoV2, 0, nil))  // bad magic: stays v1
+	f.Add(frame(opHello, helloMagic, 1, 0, nil))         // stale version: refused
+	f.Add(frame(opHello, 0xDEAD_BEEF, protoV2, 0, nil))  // bad magic: refused
 	f.Add(v2stream(v2frame(opRead, 1, 1, 0, 4096, nil))) // valid v2 read
 	f.Add(v2stream(v2frame(opStat, 2, 0, 0, 0, nil)))    // valid v2 stat
 	f.Add(v2stream(v2frame(opRegister, 3, 0, 0, 1<<20, nil)))
@@ -218,16 +219,7 @@ func FuzzClientDemux(f *testing.F) {
 				}
 				go func() {
 					defer conn.Close()
-					hdr := make([]byte, v1ReqHdrLen)
-					if _, err := io.ReadFull(conn, hdr); err != nil {
-						return
-					}
-					resp := make([]byte, v1RespHdrLen+helloRespLen)
-					resp[0] = statusOK
-					binary.LittleEndian.PutUint64(resp[1:], helloRespLen)
-					binary.LittleEndian.PutUint64(resp[v1RespHdrLen:], helloMagic)
-					binary.LittleEndian.PutUint64(resp[v1RespHdrLen+8:], protoV2)
-					if _, err := conn.Write(resp); err != nil {
+					if answerHello(conn) != nil {
 						return
 					}
 					// Replay the fuzz bytes as the response stream, then

@@ -11,19 +11,12 @@
 // HugeTLB backing the paper uses to keep page-table walks cheap on the
 // memory node.
 //
-// Two wire protocols are spoken, negotiated per connection (frame.go):
-//
-// v1, length-prefixed binary, little-endian, strict stop-and-wait:
-//
-//	request:  op(1) regionID(8) offset(8) length(8) payload(length, WRITE only)
-//	response: status(1) length(8) payload(length)
-//
-// v2 adds a request ID to every frame so one connection multiplexes many
-// outstanding operations; see frame.go for the layout and the batch-verb
-// payload format. Server-side, a v2 connection demuxes requests into a
-// bounded per-connection worker pool and serializes responses through a
-// single writev-based writer, so deep client pipelines actually overlap
-// region copies with wire IO.
+// The store and its verbs are written once: Server.exec runs a request
+// against the regions whichever framing carried it. A framing only
+// locates a request's bytes and encodes the reply — pipelined frames on
+// TCP (frame.go; a per-connection worker pool and a single writev-based
+// writer, so deep client pipelines overlap region copies with wire IO)
+// or descriptors on a shared-memory ring (shm_server.go).
 package memnode
 
 import (
@@ -39,7 +32,7 @@ import (
 	"time"
 )
 
-// Opcodes shared by v1 and v2 (batch opcodes live in frame.go).
+// Opcodes (the batch verbs' are in frame.go).
 const (
 	opRegister = 1
 	opRead     = 2
@@ -55,8 +48,13 @@ const (
 	opUnregister = 8
 )
 
-// probeRespLen is the STATS response: free(8) inflight(8) capacity(8).
-const probeRespLen = 24
+// Fixed reply sizes: REGISTER's region ID, STAT's six counters, and
+// STATS' free(8) inflight(8) capacity(8).
+const (
+	registerRespLen = 8
+	statRespLen     = 48
+	probeRespLen    = 24
+)
 
 // Status codes.
 const (
@@ -78,18 +76,8 @@ const ChunkBytes = 2 << 20
 // one READV/WRITEV batch.
 const MaxIO = 8 << 20
 
-// ServerOptions tunes protocol support and per-connection concurrency.
+// ServerOptions selects the data planes a server offers besides TCP.
 type ServerOptions struct {
-	// MaxProtocol caps the negotiated wire protocol: protoV2 (the
-	// default) accepts both v1 and v2 clients; protoV1 refuses the v2
-	// HELLO, turning the server into a legacy node (used by the
-	// negotiation tests and the -proto flag of cmd/memnode).
-	MaxProtocol int
-	// Workers is the per-connection worker pool size for v2
-	// connections: how many requests from one pipelined client may be
-	// executed concurrently. Default 8.
-	Workers int
-
 	// EnableShm additionally serves the shared-memory ring transport
 	// (DESIGN.md §13): the HELLO response advertises a unix-domain
 	// socket where clients obtain a memfd-backed segment and move page
@@ -100,25 +88,19 @@ type ServerOptions struct {
 	// memnode-shm-<port>.sock in the temp directory. A stale socket
 	// file at the path is removed.
 	ShmPath string
-	// ShmArenaBytes overrides the per-connection data arena size.
-	// Default: sized for the client's window plus two maximal batches
-	// (~20 MiB at the default window).
-	ShmArenaBytes int64
 }
 
-func (o *ServerOptions) fillDefaults() {
-	if o.MaxProtocol <= 0 || o.MaxProtocol > protoV2 {
-		o.MaxProtocol = protoV2
-	}
-	if o.Workers <= 0 {
-		o.Workers = 8
-	}
-}
+// connWorkers is the per-connection worker pool size: how many requests
+// from one pipelined client may be executed concurrently.
+const connWorkers = 8
 
 // Server is the far-memory node daemon.
 type Server struct {
-	ln      net.Listener
-	opts    ServerOptions
+	ln   net.Listener
+	opts ServerOptions
+	// workers is connWorkers, except in the decoder fuzz target, which
+	// serializes execution so that overlapping fuzzed WRITEs cannot race.
+	workers int
 	mu      sync.Mutex
 	regions map[uint64][][]byte // regionID -> chunks
 	sizes   map[uint64]int64
@@ -150,8 +132,7 @@ type Server struct {
 	BytesWrite atomic.Uint64
 
 	// inflight counts requests currently executing across every
-	// transport and protocol version; served by the STATS probe as the
-	// server's load signal.
+	// transport; served by the STATS probe as the server's load signal.
 	inflight atomic.Int64
 
 	wg     sync.WaitGroup
@@ -164,13 +145,11 @@ func NewServer(addr string, capacity int64) (*Server, error) {
 	return NewServerOptions(addr, capacity, ServerOptions{})
 }
 
-// NewServerOptions listens on addr with explicit protocol/concurrency
-// options.
+// NewServerOptions listens on addr with explicit transport options.
 func NewServerOptions(addr string, capacity int64, opts ServerOptions) (*Server, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("memnode: invalid capacity %d", capacity)
 	}
-	opts.fillDefaults()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("memnode: listen: %w", err)
@@ -178,6 +157,7 @@ func NewServerOptions(addr string, capacity int64, opts ServerOptions) (*Server,
 	s := &Server{
 		ln:      ln,
 		opts:    opts,
+		workers: connWorkers,
 		regions: make(map[uint64][][]byte),
 		sizes:   make(map[uint64]int64),
 		// Region IDs are seeded with a startup epoch rather than 1: a
@@ -264,96 +244,33 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serve runs the v1 stop-and-wait loop. A HELLO request upgrades the
-// connection to v2 framing (serveV2) when the server allows it; any
-// other traffic is served as v1 forever, so legacy clients never notice
-// the server understands more.
+// errNeedV2 refuses a connection that did not open with a HELLO this
+// server can accept. It goes out in the HELLO response's framing, which
+// every client build decodes.
+const errNeedV2 = "protocol v2 required: open with a HELLO offering version 2"
+
+// serve reads the connection preamble — one HELLO — and then runs the
+// pipelined frames, or refuses the connection and closes it.
 func (s *Server) serve(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
-	hdr := make([]byte, v1ReqHdrLen)
-	for {
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			return
-		}
-		op := hdr[0]
-		regionID := binary.LittleEndian.Uint64(hdr[1:9])
-		offset := int64(binary.LittleEndian.Uint64(hdr[9:17]))
-		length := int64(binary.LittleEndian.Uint64(hdr[17:25]))
-
-		var err error
-		if op != opHello {
-			// Count every data exchange toward the STATS load signal; the
-			// HELLO negotiation is excluded (its v2 branch returns without
-			// falling through to the decrement below).
-			s.inflight.Add(1)
-		}
-		switch op {
-		case opHello:
-			// regionID carries the magic, offset the client's max version.
-			if s.opts.MaxProtocol >= protoV2 && regionID == helloMagic && offset >= protoV2 {
-				if err := respond(conn, s.helloBody()); err != nil {
-					return
-				}
-				s.serveV2(conn, br)
-				return
-			}
-			// A v1-only server (or a garbled probe) rejects the HELLO the
-			// same way it rejects any unknown opcode; the connection stays
-			// healthy and the client falls back to v1.
-			err = respondErr(conn, fmt.Sprintf("bad opcode %d", op))
-		case opRegister:
-			err = s.handleRegister(conn, length)
-		case opRead:
-			err = s.handleRead(conn, regionID, offset, length)
-		case opWrite:
-			err = s.handleWrite(conn, br, regionID, offset, length)
-		case opStat:
-			err = s.handleStat(conn)
-		case opProbe:
-			err = respond(conn, s.doProbe())
-		case opUnregister:
-			err = s.handleUnregister(conn, regionID)
-		default:
-			err = respondErr(conn, fmt.Sprintf("bad opcode %d", op))
-		}
-		if op != opHello {
-			s.inflight.Add(-1)
-		}
-		if err != nil {
-			return
-		}
+	var hello [helloReqLen]byte
+	if _, err := io.ReadFull(br, hello[:]); err != nil {
+		return
 	}
-}
-
-// writeFrames writes a header and optional payload as one writev, so a
-// response never costs two syscalls (or two TCP segments under
-// TCP_NODELAY) the way the old header-then-payload pair of Writes did.
-func writeFrames(conn net.Conn, hdr, payload []byte) error {
-	if len(payload) == 0 {
-		_, err := conn.Write(hdr)
-		return err
+	magic := binary.LittleEndian.Uint64(hello[1:9])
+	version := binary.LittleEndian.Uint64(hello[9:17])
+	status, body := byte(statusOK), s.helloBody()
+	if hello[0] != opHello || magic != helloMagic || version < protoV2 {
+		status, body = statusErr, []byte(errNeedV2)
 	}
-	bufs := net.Buffers{hdr, payload}
-	_, err := bufs.WriteTo(conn)
-	return err
-}
-
-func respond(conn net.Conn, payload []byte) error {
-	var hdr [v1RespHdrLen]byte
-	hdr[0] = statusOK
-	binary.LittleEndian.PutUint64(hdr[1:], uint64(len(payload)))
-	return writeFrames(conn, hdr[:], payload)
-}
-
-func respondErr(conn net.Conn, msg string) error {
-	return respondErrCode(conn, statusErr, msg)
-}
-
-func respondErrCode(conn net.Conn, code byte, msg string) error {
-	var hdr [v1RespHdrLen]byte
-	hdr[0] = code
-	binary.LittleEndian.PutUint64(hdr[1:], uint64(len(msg)))
-	return writeFrames(conn, hdr[:], []byte(msg))
+	var hdr [helloRespHdrLen]byte
+	hdr[0] = status
+	binary.LittleEndian.PutUint64(hdr[1:], uint64(len(body)))
+	bufs := net.Buffers{hdr[:], body}
+	if _, err := bufs.WriteTo(conn); err != nil || status != statusOK {
+		return
+	}
+	s.serveFrames(conn, br)
 }
 
 // errUnknownRegion marks lookups of region IDs the server has never
@@ -370,20 +287,19 @@ func heapRegionChunks(nChunks int) [][]byte {
 	return chunks
 }
 
-// doRegister allocates a region and returns its ID payload, or a status
-// code and message. Shared by the v1 and v2 paths.
-func (s *Server) doRegister(size int64) ([]byte, byte, string) {
+// doRegister allocates a region and returns its ID as the reply body.
+func (s *Server) doRegister(size int64) ([]byte, error) {
 	// Bounds-check before any allocation: size is attacker-controlled
 	// wire input.
 	if size <= 0 || size > s.capacity {
-		return nil, statusErr, fmt.Sprintf("register: bad size %d (capacity %d)", size, s.capacity)
+		return nil, fmt.Errorf("register: bad size %d (capacity %d)", size, s.capacity)
 	}
 	s.mu.Lock()
 	// Overflow-safe form of used+size > capacity: used stays within
 	// [0, capacity], so the subtraction cannot wrap.
 	if size > s.capacity-s.used {
 		s.mu.Unlock()
-		return nil, statusErr, "register: capacity exhausted"
+		return nil, errors.New("register: capacity exhausted")
 	}
 	id := s.nextID
 	s.nextID++
@@ -397,44 +313,27 @@ func (s *Server) doRegister(size int64) ([]byte, byte, string) {
 	s.used += size
 	s.mu.Unlock()
 
-	resp := make([]byte, 8)
+	resp := make([]byte, registerRespLen)
 	binary.LittleEndian.PutUint64(resp, id)
-	return resp, statusOK, ""
-}
-
-func (s *Server) handleRegister(conn net.Conn, size int64) error {
-	body, code, msg := s.doRegister(size)
-	if code != statusOK {
-		return respondErrCode(conn, code, msg)
-	}
-	return respond(conn, body)
+	return resp, nil
 }
 
 // doUnregister forgets a region: the ID stops resolving and its bytes
 // return to the capacity pool. The backing chunks are deliberately NOT
-// released here — zero-copy v2 READ responses may still hold writev
+// released here — zero-copy READ responses may still hold writev
 // segments aliasing them — so mmap-backed chunks stay mapped until
 // Close (regionFrees) and heap chunks are garbage-collected once the
-// last in-flight response drops its reference. Shared by the v1, v2,
-// and shm dispatch paths.
-func (s *Server) doUnregister(regionID uint64) (byte, string) {
+// last in-flight response drops its reference.
+func (s *Server) doUnregister(regionID uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.regions[regionID]; !ok {
-		return statusErrRegion, fmt.Sprintf("%v %d", errUnknownRegion, regionID)
+		return fmt.Errorf("%w %d", errUnknownRegion, regionID)
 	}
 	delete(s.regions, regionID)
 	s.used -= s.sizes[regionID]
 	delete(s.sizes, regionID)
-	return statusOK, ""
-}
-
-func (s *Server) handleUnregister(conn net.Conn, regionID uint64) error {
-	code, msg := s.doUnregister(regionID)
-	if code != statusOK {
-		return respondErrCode(conn, code, msg)
-	}
-	return respond(conn, nil)
+	return nil
 }
 
 // regionAt validates and returns the chunk list for an IO.
@@ -476,14 +375,6 @@ func (s *Server) regionForBatch(regionID uint64, iovs []iovec) ([][]byte, error)
 	return chunks, nil
 }
 
-// errStatus maps a validation error to its wire status code.
-func errStatus(err error) byte {
-	if errors.Is(err, errUnknownRegion) {
-		return statusErrRegion
-	}
-	return statusErr
-}
-
 func chunkedCopy(chunks [][]byte, offset int64, buf []byte, toRegion bool) {
 	for len(buf) > 0 {
 		ci := offset / ChunkBytes
@@ -500,171 +391,6 @@ func chunkedCopy(chunks [][]byte, offset int64, buf []byte, toRegion bool) {
 		buf = buf[n:]
 		offset += n
 	}
-}
-
-// doRead copies length bytes out of a region into a pooled buffer. The
-// caller owns the buffer and must PutBuf it after the response is on
-// the wire.
-func (s *Server) doRead(regionID uint64, offset, length int64) ([]byte, byte, string) {
-	chunks, err := s.regionAt(regionID, offset, length)
-	if err != nil {
-		return nil, errStatus(err), err.Error()
-	}
-	buf := getBuf(int(length))
-	chunkedCopy(chunks, offset, buf, false)
-	s.ReadOps.Add(1)
-	s.BytesRead.Add(uint64(length))
-	return buf, statusOK, ""
-}
-
-func (s *Server) handleRead(conn net.Conn, regionID uint64, offset, length int64) error {
-	body, code, msg := s.doRead(regionID, offset, length)
-	if code != statusOK {
-		return respondErrCode(conn, code, msg)
-	}
-	err := respond(conn, body)
-	PutBuf(body)
-	return err
-}
-
-// doWrite applies one write whose payload has already been read off the
-// wire.
-func (s *Server) doWrite(regionID uint64, offset int64, data []byte) (byte, string) {
-	chunks, err := s.regionAt(regionID, offset, int64(len(data)))
-	if err != nil {
-		return errStatus(err), err.Error()
-	}
-	chunkedCopy(chunks, offset, data, true)
-	s.WriteOps.Add(1)
-	s.BytesWrite.Add(uint64(len(data)))
-	return statusOK, ""
-}
-
-func (s *Server) handleWrite(conn net.Conn, br *bufio.Reader, regionID uint64, offset, length int64) error {
-	if length <= 0 || length > MaxIO {
-		return respondErr(conn, fmt.Sprintf("bad length %d", length))
-	}
-	buf := getBuf(int(length))
-	if _, err := io.ReadFull(br, buf); err != nil {
-		PutBuf(buf)
-		return err
-	}
-	code, msg := s.doWrite(regionID, offset, buf)
-	PutBuf(buf)
-	if code != statusOK {
-		return respondErrCode(conn, code, msg)
-	}
-	return respond(conn, nil)
-}
-
-// doWriteV applies a batched write: payload is the descriptor table
-// followed by the concatenated data. Every descriptor is validated
-// before any byte lands, so a bad batch has no partial effects.
-func (s *Server) doWriteV(regionID uint64, payload []byte) (byte, string) {
-	iovs, consumed, total, err := parseIovecs(payload)
-	if err != nil {
-		return statusErr, err.Error()
-	}
-	data := payload[consumed:]
-	if int64(len(data)) != total {
-		return statusErr, fmt.Sprintf("writev: descriptors cover %d bytes, payload carries %d", total, len(data))
-	}
-	chunks, err := s.regionForBatch(regionID, iovs)
-	if err != nil {
-		return errStatus(err), err.Error()
-	}
-	for _, v := range iovs {
-		chunkedCopy(chunks, v.off, data[:v.length], true)
-		data = data[v.length:]
-	}
-	s.WriteOps.Add(uint64(len(iovs)))
-	s.BytesWrite.Add(uint64(total))
-	return statusOK, ""
-}
-
-// Stats is the STAT response.
-type Stats struct {
-	Regions    uint64
-	UsedBytes  uint64
-	ReadOps    uint64
-	WriteOps   uint64
-	BytesRead  uint64
-	BytesWrite uint64
-}
-
-func (s *Server) doStat() []byte {
-	s.mu.Lock()
-	st := Stats{
-		Regions:   uint64(len(s.regions)),
-		UsedBytes: uint64(s.used),
-	}
-	s.mu.Unlock()
-	st.ReadOps = s.ReadOps.Load()
-	st.WriteOps = s.WriteOps.Load()
-	st.BytesRead = s.BytesRead.Load()
-	st.BytesWrite = s.BytesWrite.Load()
-	buf := make([]byte, 48)
-	binary.LittleEndian.PutUint64(buf[0:], st.Regions)
-	binary.LittleEndian.PutUint64(buf[8:], st.UsedBytes)
-	binary.LittleEndian.PutUint64(buf[16:], st.ReadOps)
-	binary.LittleEndian.PutUint64(buf[24:], st.WriteOps)
-	binary.LittleEndian.PutUint64(buf[32:], st.BytesRead)
-	binary.LittleEndian.PutUint64(buf[40:], st.BytesWrite)
-	return buf
-}
-
-func (s *Server) handleStat(conn net.Conn) error {
-	return respond(conn, s.doStat())
-}
-
-// HealthStats is the STATS probe response: the load/health sample
-// memcluster's replica selection and failure detection run on. One
-// mutex acquisition and two atomic loads per probe — cheap enough for
-// a sub-second cadence against a loaded node.
-type HealthStats struct {
-	// FreeBytes is the unregistered remainder of the node's capacity.
-	FreeBytes int64
-	// InFlight is the number of requests executing at sample time
-	// (including the probe itself).
-	InFlight int64
-	// CapacityBytes is the node's total configured capacity.
-	CapacityBytes int64
-}
-
-// doProbe builds the STATS response. Shared by the v1, v2, and shm
-// dispatch paths.
-func (s *Server) doProbe() []byte {
-	s.mu.Lock()
-	free := s.capacity - s.used
-	s.mu.Unlock()
-	buf := make([]byte, probeRespLen)
-	binary.LittleEndian.PutUint64(buf[0:], uint64(free))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(s.inflight.Load()))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(s.capacity))
-	return buf
-}
-
-// v2req is one decoded v2 request frame handed to the worker pool.
-type v2req struct {
-	op       byte
-	id       uint64
-	regionID uint64
-	offset   int64
-	length   int64
-	payload  []byte // pooled; recycled by the worker after execution
-}
-
-// v2resp is one response frame queued for the connection's writer.
-// Exactly one of body/segs is set: body is an owned buffer (pooled
-// when flagged), segs are zero-copy references into live region chunks
-// that the writer hands straight to writev — a successful v2 READ
-// never copies the page inside the server.
-type v2resp struct {
-	status byte
-	id     uint64
-	body   []byte
-	segs   net.Buffers
-	pooled bool // body came from the frame pool; writer recycles it
 }
 
 // appendChunkSegs appends the chunk subslices covering
@@ -689,76 +415,284 @@ func appendChunkSegs(segs net.Buffers, chunks [][]byte, offset, length int64) ne
 	return segs
 }
 
-// doReadSegs is the zero-copy v2 read: it returns writev segments
-// aliasing the region instead of a copied buffer.
-func (s *Server) doReadSegs(regionID uint64, offset, length int64) (net.Buffers, byte, string) {
-	chunks, err := s.regionAt(regionID, offset, length)
-	if err != nil {
-		return nil, errStatus(err), err.Error()
-	}
-	s.ReadOps.Add(1)
-	s.BytesRead.Add(uint64(length))
-	return appendChunkSegs(nil, chunks, offset, length), statusOK, ""
+// Stats is the STAT response.
+type Stats struct {
+	Regions    uint64
+	UsedBytes  uint64
+	ReadOps    uint64
+	WriteOps   uint64
+	BytesRead  uint64
+	BytesWrite uint64
 }
 
-// doReadVSegs is the zero-copy batched read: one segment list covering
-// every descriptor in order.
-func (s *Server) doReadVSegs(regionID uint64, payload []byte) (net.Buffers, byte, string) {
-	iovs, consumed, total, err := parseIovecs(payload)
-	if err != nil {
-		return nil, statusErr, err.Error()
-	}
-	if consumed != len(payload) {
-		return nil, statusErr, fmt.Sprintf("readv: %d trailing payload bytes", len(payload)-consumed)
-	}
-	chunks, err := s.regionForBatch(regionID, iovs)
-	if err != nil {
-		return nil, errStatus(err), err.Error()
-	}
-	segs := make(net.Buffers, 0, len(iovs)+1)
-	for _, v := range iovs {
-		segs = appendChunkSegs(segs, chunks, v.off, v.length)
-	}
-	s.ReadOps.Add(uint64(len(iovs)))
-	s.BytesRead.Add(uint64(total))
-	return segs, statusOK, ""
+func (s *Server) doStat() []byte {
+	s.mu.Lock()
+	regions, used := uint64(len(s.regions)), uint64(s.used)
+	s.mu.Unlock()
+	buf := make([]byte, statRespLen)
+	binary.LittleEndian.PutUint64(buf[0:], regions)
+	binary.LittleEndian.PutUint64(buf[8:], used)
+	binary.LittleEndian.PutUint64(buf[16:], s.ReadOps.Load())
+	binary.LittleEndian.PutUint64(buf[24:], s.WriteOps.Load())
+	binary.LittleEndian.PutUint64(buf[32:], s.BytesRead.Load())
+	binary.LittleEndian.PutUint64(buf[40:], s.BytesWrite.Load())
+	return buf
 }
 
-// serveV2 runs the pipelined protocol on one connection: this goroutine
-// decodes frames and feeds a bounded worker pool; workers execute
-// against the region store concurrently; a single writer goroutine
-// serializes responses back onto the wire (one writev per frame).
-// Responses complete out of order — that is the point of request IDs.
+// HealthStats is the STATS probe response: the load/health sample
+// memcluster's replica selection and failure detection run on. One
+// mutex acquisition and two atomic loads per probe — cheap enough for
+// a sub-second cadence against a loaded node.
+type HealthStats struct {
+	// FreeBytes is the unregistered remainder of the node's capacity.
+	FreeBytes int64
+	// InFlight is the number of requests executing at sample time
+	// (including the probe itself).
+	InFlight int64
+	// CapacityBytes is the node's total configured capacity.
+	CapacityBytes int64
+}
+
+func (s *Server) doProbe() []byte {
+	s.mu.Lock()
+	free := s.capacity - s.used
+	s.mu.Unlock()
+	buf := make([]byte, probeRespLen)
+	binary.LittleEndian.PutUint64(buf[0:], uint64(free))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(s.inflight.Load()))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(s.capacity))
+	return buf
+}
+
+// request is one decoded verb, whichever framing carried it. The framing
+// fills in where it located the payload and how many bytes it can carry
+// back; exec checks both against what the header declares.
+type request struct {
+	op       byte
+	regionID uint64
+	offset   int64
+	length   int64  // READ: bytes wanted; REGISTER: region size; WRITE, READV, WRITEV: payload bytes
+	table    []byte // READV, WRITEV: the descriptor table, in memory the peer cannot write
+	data     []byte // WRITE, WRITEV: the payload past the table; may alias memory the peer can write
+	room     int64  // the largest reply the framing can carry
+}
+
+// carriesPayload reports whether op's requests are followed by payload
+// bytes, length of them.
+func carriesPayload(op byte) bool { return op == opWrite || op == opReadV || op == opWriteV }
+
+// cutPayload splits a located payload by verb: WRITE's is all data, a
+// batch verb's is its descriptor table and whatever follows it.
+func cutPayload(op byte, payload []byte) (table, data []byte) {
+	if op == opWrite {
+		return nil, payload
+	}
+	n := batchTableLen(payload)
+	return payload[:n], payload[n:]
+}
+
+// fits refuses a reply of n bytes that the framing has no room for. exec
+// asks before it allocates, counts or moves anything.
+func (req *request) fits(n int64) error {
+	if n > req.room {
+		return fmt.Errorf("op %d: reply of %d bytes exceeds the %d the request left room for", req.op, n, req.room)
+	}
+	return nil
+}
+
+// batch parses a batch verb's table and holds the rest of the payload to
+// it: WRITEV's data is exactly what the descriptors cover, READV has none.
+func (req *request) batch() (iovs []iovec, total int64, err error) {
+	iovs, total, err = parseIovecs(req.table)
+	switch {
+	case err != nil:
+	case req.op == opWriteV && int64(len(req.data)) != total:
+		err = fmt.Errorf("writev: descriptors cover %d bytes, payload carries %d", total, len(req.data))
+	case req.op == opReadV && len(req.data) != 0:
+		err = fmt.Errorf("readv: %d trailing payload bytes", len(req.data))
+	}
+	return iovs, total, err
+}
+
+// reply is exec's answer: a status with a small body (a region ID, a
+// counter blob, an error message) or, for a READ or READV that passed
+// every check, a read plan — the ranges to move, which the framing
+// encodes its own way (appendSegs, copyTo).
+type reply struct {
+	status byte
+	body   []byte
+	// The plan: total bytes (zero: no plan) of the region chunks holds,
+	// at read for a READ and at readv for a READV. read is a value — a
+	// slice of the reply's own array would point the reply at itself,
+	// which sends every reply to the heap, and the ring path allocates
+	// nothing per op.
+	total  int64
+	chunks [][]byte
+	read   iovec
+	readv  []iovec
+}
+
+// appendSegs appends the plan to segs as segments that alias the region:
+// the zero-copy read of the TCP framing.
+func (rp *reply) appendSegs(segs net.Buffers) net.Buffers {
+	segs = appendChunkSegs(segs, rp.chunks, rp.read.off, rp.read.length)
+	for _, v := range rp.readv {
+		segs = appendChunkSegs(segs, rp.chunks, v.off, v.length)
+	}
+	return segs
+}
+
+// copyTo copies the plan's total bytes into dst, in order: the ring
+// framing's read, into the request's extent.
+func (rp *reply) copyTo(dst []byte) {
+	chunkedCopy(rp.chunks, rp.read.off, dst[:rp.read.length], false)
+	for _, v := range rp.readv {
+		chunkedCopy(rp.chunks, v.off, dst[:v.length], false)
+		dst = dst[v.length:]
+	}
+}
+
+// exec runs one request against the region store: the one
+// implementation of every verb, behind both framings. The checks and
+// their wording, batch atomicity (every descriptor validated before the
+// first byte moves), the op counters and the in-flight gauge are here and
+// nowhere else, and a request exec refuses has had no effect.
 //
 // Concurrent requests touching overlapping byte ranges race exactly as
-// one-sided RDMA would: the server guarantees frame integrity, not
-// cross-request ordering. Callers that need ordering (the paging
+// one-sided RDMA would — and so does a peer rewriting a ring payload
+// under its own WRITE: the server guarantees bounds and frame integrity,
+// not cross-request ordering. Callers that need ordering (the paging
 // systems do: one page has one owner at a time) must not issue
 // conflicting ops concurrently.
-func (s *Server) serveV2(conn net.Conn, br *bufio.Reader) {
-	reqs := make(chan *v2req, s.opts.Workers*2)
-	resps := make(chan *v2resp, s.opts.Workers*2)
+func (s *Server) exec(req *request, rp *reply) {
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	var (
+		err    error
+		chunks [][]byte
+		iovs   []iovec
+		total  int64
+	)
+	if held := int64(len(req.table) + len(req.data)); carriesPayload(req.op) && req.length != held {
+		err = fmt.Errorf("op %d: header declares %d payload bytes, the request holds %d", req.op, req.length, held)
+	} else {
+		switch req.op {
+		case opRegister:
+			if err = req.fits(registerRespLen); err == nil {
+				rp.body, err = s.doRegister(req.length)
+			}
+		case opRead:
+			if chunks, err = s.regionAt(req.regionID, req.offset, req.length); err == nil {
+				err = req.fits(req.length)
+			}
+			if err == nil {
+				rp.total, rp.chunks, rp.read = req.length, chunks, iovec{req.offset, req.length}
+				s.ReadOps.Add(1)
+				s.BytesRead.Add(uint64(req.length))
+			}
+		case opWrite:
+			if chunks, err = s.regionAt(req.regionID, req.offset, req.length); err == nil {
+				chunkedCopy(chunks, req.offset, req.data, true)
+				s.WriteOps.Add(1)
+				s.BytesWrite.Add(uint64(req.length))
+			}
+		case opReadV:
+			if iovs, total, err = req.batch(); err == nil {
+				chunks, err = s.regionForBatch(req.regionID, iovs)
+			}
+			if err == nil {
+				err = req.fits(total)
+			}
+			if err == nil {
+				rp.total, rp.chunks, rp.readv = total, chunks, iovs
+				s.ReadOps.Add(uint64(len(iovs)))
+				s.BytesRead.Add(uint64(total))
+			}
+		case opWriteV:
+			if iovs, total, err = req.batch(); err == nil {
+				chunks, err = s.regionForBatch(req.regionID, iovs)
+			}
+			if err == nil {
+				data := req.data
+				for _, v := range iovs {
+					chunkedCopy(chunks, v.off, data[:v.length], true)
+					data = data[v.length:]
+				}
+				s.WriteOps.Add(uint64(len(iovs)))
+				s.BytesWrite.Add(uint64(total))
+			}
+		case opStat:
+			if err = req.fits(statRespLen); err == nil {
+				rp.body = s.doStat()
+			}
+		case opProbe:
+			if err = req.fits(probeRespLen); err == nil {
+				rp.body = s.doProbe()
+			}
+		case opUnregister:
+			err = s.doUnregister(req.regionID)
+		default:
+			err = fmt.Errorf("bad opcode %d", req.op)
+		}
+	}
+	if err != nil {
+		*rp = reply{status: statusErr, body: []byte(err.Error())}
+		if errors.Is(err, errUnknownRegion) {
+			rp.status = statusErrRegion
+		}
+	}
+}
+
+// tcpFrame is one request on a TCP connection from its decode to its
+// response's write: the reader fills in req, whoever executes it rp.
+type tcpFrame struct {
+	id      uint64
+	req     request
+	rp      reply
+	payload []byte // pooled; req.table and req.data are cut from it
+}
+
+// run executes a decoded frame and recycles its payload — a read plan's
+// ranges are parsed out of the table, so no reply refers to it.
+func (s *Server) run(f *tcpFrame) *tcpFrame {
+	s.exec(&f.req, &f.rp)
+	PutBuf(f.payload)
+	return f
+}
+
+// serveFrames runs the pipelined frames on one connection: this goroutine
+// decodes requests and feeds a bounded worker pool; workers execute
+// against the region store concurrently; a single writer goroutine
+// serializes responses back onto the wire (one writev per batch of
+// them). Responses complete out of order — that is the point of request
+// IDs.
+func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader) {
+	reqs := make(chan *tcpFrame, s.workers*2)
+	resps := make(chan *tcpFrame, s.workers*2)
 	var workWG, writeWG sync.WaitGroup
-	for i := 0; i < s.opts.Workers; i++ {
+	for i := 0; i < s.workers; i++ {
 		workWG.Add(1)
 		go func() { //magevet:ok real network daemon: bounded per-connection worker pool for the pipelined protocol
 			defer workWG.Done()
-			for r := range reqs {
-				resps <- s.execV2(r)
+			for f := range reqs {
+				resps <- s.run(f)
 			}
 		}()
 	}
 	writeWG.Add(1)
-	go func() { //magevet:ok real network daemon: single response-writer goroutine per v2 connection
+	go func() { //magevet:ok real network daemon: single response-writer goroutine per connection
 		defer writeWG.Done()
 		var hdrs [writeBatch][v2RespHdrLen]byte
-		iov := make(net.Buffers, 0, 2*writeBatch)
-		batch := make([]*v2resp, 0, writeBatch)
+		// WriteTo consumes the slice it is called on, capacity and all, so
+		// each batch's vector is cut afresh from vecs.
+		vecs := make(net.Buffers, 0, 2*writeBatch)
+		var iov net.Buffers
+		batch := make([]*tcpFrame, 0, writeBatch)
 		var werr error
-		for r := range resps {
+		for f := range resps {
 			// Coalesce every queued response into one writev: under a
 			// deep pipeline the syscall, not the copy, is the bottleneck.
-			batch = append(batch[:0], r)
+			batch = append(batch[:0], f)
 			// Yield once between drain rounds so concurrently-finishing
 			// workers can queue their responses into this writev (see the
 			// client writeLoop for the rationale).
@@ -774,64 +708,58 @@ func (s *Server) serveV2(conn net.Conn, br *bufio.Reader) {
 					runtime.Gosched() // micro-batching yield on the response-writer goroutine
 				}
 			}
-			if werr == nil {
-				iov = iov[:0]
-				for i, b := range batch {
-					n := int64(len(b.body))
-					for _, seg := range b.segs {
-						n += int64(len(seg))
-					}
-					hdr := &hdrs[i]
-					hdr[0] = b.status
-					binary.LittleEndian.PutUint64(hdr[1:], b.id)
-					binary.LittleEndian.PutUint64(hdr[9:], uint64(n))
-					iov = append(iov, hdr[:])
-					if len(b.body) > 0 {
-						iov = append(iov, b.body)
-					}
-					iov = append(iov, b.segs...)
-				}
-				if _, err := iov.WriteTo(conn); err != nil {
-					werr = err
-				}
-			}
 			// Keep draining after a write error so workers never block;
 			// the reader will notice the dead connection and shut down.
-			for _, b := range batch {
-				if b.pooled {
-					PutBuf(b.body)
-				}
+			if werr != nil {
+				continue
 			}
+			iov = vecs[:0]
+			for i, b := range batch {
+				hdr := &hdrs[i]
+				hdr[0] = b.rp.status
+				binary.LittleEndian.PutUint64(hdr[1:], b.id)
+				binary.LittleEndian.PutUint64(hdr[9:], uint64(int64(len(b.rp.body))+b.rp.total))
+				iov = append(iov, hdr[:])
+				if len(b.rp.body) > 0 {
+					iov = append(iov, b.rp.body)
+				}
+				// A read goes out as segments aliasing the region: the
+				// server never copies the page.
+				iov = b.rp.appendSegs(iov)
+			}
+			vecs = iov // keeps what a large batch grew
+			_, werr = iov.WriteTo(conn)
 		}
 	}()
 
-	hdr := make([]byte, v2ReqHdrLen)
+	var hdr [v2ReqHdrLen]byte
 	for {
-		if _, err := io.ReadFull(br, hdr); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			break
 		}
-		r := &v2req{
+		f := &tcpFrame{id: binary.LittleEndian.Uint64(hdr[1:9]), req: request{
 			op:       hdr[0],
-			id:       binary.LittleEndian.Uint64(hdr[1:9]),
 			regionID: binary.LittleEndian.Uint64(hdr[9:17]),
 			offset:   int64(binary.LittleEndian.Uint64(hdr[17:25])),
 			length:   int64(binary.LittleEndian.Uint64(hdr[25:33])),
-		}
+			room:     maxV2Payload,
+		}}
 		// Ops that carry a payload declare its size in the length field.
 		// An absurd size is a framing violation we cannot skip past, so
 		// the connection dies; in-range payloads are always consumed so
 		// the stream stays aligned even when the op is later rejected.
-		if r.op == opWrite || r.op == opReadV || r.op == opWriteV {
-			if r.length < 0 || r.length > maxV2Payload {
+		if carriesPayload(f.req.op) {
+			if f.req.length < 0 || f.req.length > maxV2Payload {
 				break
 			}
-			if r.length > 0 {
-				r.payload = getBuf(int(r.length))
-				if _, err := io.ReadFull(br, r.payload); err != nil {
-					PutBuf(r.payload)
+			if f.req.length > 0 {
+				f.payload = getBuf(int(f.req.length))
+				if _, err := io.ReadFull(br, f.payload); err != nil {
+					PutBuf(f.payload)
 					break
 				}
 			}
+			f.req.table, f.req.data = cutPayload(f.req.op, f.payload)
 		}
 		// Fast path: execute page-sized ops inline instead of bouncing
 		// them through the worker pool. A 4 KiB read is cheaper than the
@@ -839,59 +767,14 @@ func (s *Server) serveV2(conn net.Conn, br *bufio.Reader) {
 		// zero-copy reads do no memmove at all; only large transfers and
 		// region registration (which allocates the region) are worth
 		// shipping to a worker.
-		if r.length >= 0 && r.length <= inlineExecMax && r.op != opRegister {
-			resps <- s.execV2(r)
+		if f.req.length >= 0 && f.req.length <= inlineExecMax && f.req.op != opRegister {
+			resps <- s.run(f)
 			continue
 		}
-		reqs <- r
+		reqs <- f
 	}
 	close(reqs)
 	workWG.Wait()
 	close(resps)
 	writeWG.Wait()
-}
-
-// execV2 executes one decoded request and builds its response frame,
-// recycling the request payload.
-func (s *Server) execV2(r *v2req) *v2resp {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	resp := &v2resp{id: r.id}
-	var code byte
-	var msg string
-	switch r.op {
-	case opRegister:
-		resp.body, code, msg = s.doRegister(r.length)
-	case opRead:
-		resp.segs, code, msg = s.doReadSegs(r.regionID, r.offset, r.length)
-	case opWrite:
-		if len(r.payload) == 0 {
-			code, msg = statusErr, "bad length 0"
-		} else if r.length > MaxIO {
-			code, msg = statusErr, fmt.Sprintf("bad length %d", r.length)
-		} else {
-			code, msg = s.doWrite(r.regionID, r.offset, r.payload)
-		}
-	case opReadV:
-		resp.segs, code, msg = s.doReadVSegs(r.regionID, r.payload)
-	case opWriteV:
-		code, msg = s.doWriteV(r.regionID, r.payload)
-	case opStat:
-		resp.body, code = s.doStat(), statusOK
-	case opProbe:
-		resp.body, code = s.doProbe(), statusOK
-	case opUnregister:
-		code, msg = s.doUnregister(r.regionID)
-	default:
-		code, msg = statusErr, fmt.Sprintf("bad opcode %d", r.op)
-	}
-	if r.payload != nil {
-		PutBuf(r.payload)
-		r.payload = nil
-	}
-	resp.status = code
-	if code != statusOK {
-		resp.body, resp.pooled = []byte(msg), false
-	}
-	return resp
 }

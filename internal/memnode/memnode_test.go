@@ -278,25 +278,12 @@ func unregisterSuite(t *testing.T, c *Client) {
 	}
 }
 
+// TestUnregister runs the suite over TCP (TestShmUnregister: the ring).
 func TestUnregister(t *testing.T) {
-	for _, proto := range []int{protoV1, protoV2} {
-		proto := proto
-		t.Run(fmt.Sprintf("v%d", proto), func(t *testing.T) {
-			srv, err := NewServer("127.0.0.1:0", 8<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			opts := DefaultOptions()
-			opts.Protocol = proto
-			c, err := DialOptions(srv.Addr(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
-			unregisterSuite(t, c)
-		})
-	}
+	t.Run("v2", func(t *testing.T) {
+		_, c := newPair(t, 8<<20)
+		unregisterSuite(t, c)
+	})
 }
 
 func TestUnregisterUnknownHandle(t *testing.T) {

@@ -167,16 +167,7 @@ func TestReadVIntoLengthMismatchPoisons(t *testing.T) {
 			}
 			go func() {
 				defer conn.Close()
-				hdr := make([]byte, v1ReqHdrLen)
-				if _, err := io.ReadFull(conn, hdr); err != nil {
-					return
-				}
-				resp := make([]byte, v1RespHdrLen+helloRespLen)
-				resp[0] = statusOK
-				binary.LittleEndian.PutUint64(resp[1:], helloRespLen)
-				binary.LittleEndian.PutUint64(resp[v1RespHdrLen:], helloMagic)
-				binary.LittleEndian.PutUint64(resp[v1RespHdrLen+8:], protoV2)
-				if _, err := conn.Write(resp); err != nil {
+				if answerHello(conn) != nil {
 					return
 				}
 				// Answer whichever of ids 1 and 2 is the READV — one page
@@ -284,8 +275,9 @@ func TestReadVIntoShapes(t *testing.T) {
 // struct back to the pool — the writer's release and the reader's
 // completion both happen — so a batched read costs the client no call,
 // descriptor, vector or body allocation, whatever the batch size. The
-// in-process server's seven (descriptor table, response vector, worker
-// hand-off) are in the count, and do not grow with the batch either.
+// in-process server's three (the frame, the box its payload goes back to
+// the pool in, the parsed descriptors) are in the count, and do not grow
+// with the batch either.
 func TestReadVIntoRecyclesCalls(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations swamp the count")
@@ -319,7 +311,7 @@ func TestReadVIntoRecyclesCalls(t *testing.T) {
 		})
 	}
 	small, large := perBatch(4), perBatch(64)
-	if small > 7.5 || large > small+0.5 {
-		t.Errorf("ReadVInto costs %.1f allocations for 4 pages and %.1f for 64; want the server's 7 for both", small, large)
+	if small > 3.5 || large > small+0.5 {
+		t.Errorf("ReadVInto costs %.1f allocations for 4 pages and %.1f for 64; want the server's 3 for both", small, large)
 	}
 }

@@ -34,7 +34,7 @@ import (
 // platform (or against a server) that cannot provide it.
 var errShmUnsupported = errors.New("memnode: shm transport unsupported on this platform")
 
-// helloExt is the decoded shm extension of a v2 HELLO response.
+// helloExt is the decoded shm extension of a HELLO response.
 type helloExt struct {
 	shm   bool
 	token uint64
@@ -250,8 +250,6 @@ func (st *shmStream) alive() bool {
 	return st.err == nil
 }
 
-func (st *shmStream) decomposeBatch() bool { return false }
-
 // fail poisons the stream exactly once: the doorbell socket closes
 // (waking the completer and notifying the server), and every pending
 // call completes with err. The mapping is unmapped by the last
@@ -274,13 +272,9 @@ func (st *shmStream) fail(err error) {
 	st.npend = 0
 	st.mu.Unlock()
 	_ = st.conn.Close() // the stream is already poisoned; nothing to salvage
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		st.c.timeouts.Add(1)
-	}
+	st.c.countTimeout(err)
 	for _, ca := range pend {
-		ca.err = err
-		ca.complete()
+		ca.fail(err)
 	}
 }
 
@@ -289,9 +283,9 @@ func (st *shmStream) fail(err error) {
 func needBytes(ca *call) int64 {
 	switch ca.op {
 	case opRegister:
-		return 8
+		return registerRespLen
 	case opStat:
-		return 48
+		return statRespLen
 	case opProbe:
 		return probeRespLen
 	case opUnregister:
@@ -681,10 +675,8 @@ func (st *shmStream) finish(ca *call, e cqEntry) {
 			copy(body, ext)
 			ca.body = body
 		}
-	case statusErrRegion:
-		ca.err = fmt.Errorf("%w: %s", errRegionLost, ext)
 	default:
-		ca.err = &serverError{msg: string(ext)}
+		ca.err = statusError(e.status, ext)
 	}
 	st.alloc.free(ca.extOff, ca.extCap)
 	ca.complete()

@@ -59,13 +59,12 @@ func fuzzRingSegment(arenaBytes int64) ([]byte, int64) {
 	return make([]byte, arenaOff+arenaBytes), arenaOff
 }
 
-// fuzzShmProcess replays fuzz bytes as the submission ring a hostile
-// client produced and runs the server-side consumer over it.
-func fuzzShmProcess(data []byte) {
-	const arenaBytes = 128 << 10
+// fakeShmConn is the server side of a ring over a plain in-memory
+// segment, no socket: what process() needs and nothing else.
+func fakeShmConn(s *Server, arenaBytes int64) *shmConn {
 	seg, arenaOff := fuzzRingSegment(arenaBytes)
 	h := &shmConn{
-		s:     fuzzServer(),
+		s:     s,
 		seg:   seg,
 		arena: seg[arenaOff : arenaOff+arenaBytes],
 		sq:    newShmRing(seg, shmHdrBytes, fuzzRingEntries, shmOffSqCons, shmOffSqProd),
@@ -73,13 +72,19 @@ func fuzzShmProcess(data []byte) {
 	}
 	h.srvSleep = shmWord(seg, shmOffSrvSleep)
 	h.cliSleep = shmWord(seg, shmOffCliSleep)
+	return h
+}
 
+// fuzzShmProcess replays fuzz bytes as the submission ring a hostile
+// client produced and runs the server-side consumer over it.
+func fuzzShmProcess(data []byte) {
+	h := fakeShmConn(fuzzServer(), 128<<10)
 	base := binary.LittleEndian.Uint64(data)
 	delta := binary.LittleEndian.Uint64(data[8:])
 	h.sq.local = base
 	*h.sq.mine = base
 	*h.sq.peer = base + delta
-	copy(seg[shmHdrBytes:shmHdrBytes+fuzzRingEntries*shmSlotBytes], data[17:])
+	copy(h.seg[shmHdrBytes:shmHdrBytes+fuzzRingEntries*shmSlotBytes], data[17:])
 
 	// A poisoned ring returns an error once and the handler dies; a sane
 	// burst drains in the first call and the rest are no-ops.

@@ -139,8 +139,8 @@ type shmLayout struct {
 // shmLayoutFor sizes a segment for a client window. Rings get twice the
 // window (rounded up to a power of two) so a full ring always means a
 // broken peer, never backpressure; the arena gets the small-extent pool
-// plus room for two maximal batch transfers, unless arenaBytes pins it.
-func shmLayoutFor(window int, arenaBytes int64, token uint64) shmLayout {
+// plus room for two maximal batch transfers.
+func shmLayoutFor(window int, token uint64) shmLayout {
 	if window < 1 {
 		window = 1
 	}
@@ -149,12 +149,7 @@ func shmLayoutFor(window int, arenaBytes int64, token uint64) shmLayout {
 	for entries < want && entries < shmMaxEntries {
 		entries <<= 1
 	}
-	if arenaBytes <= 0 {
-		arenaBytes = int64(window+8)*shmSmallExtBytes + 2*(MaxIO+shmSmallExtBytes)
-	}
-	if arenaBytes < shmMinArenaBytes {
-		arenaBytes = shmMinArenaBytes
-	}
+	arenaBytes := int64(window+8)*shmSmallExtBytes + 2*(MaxIO+shmSmallExtBytes)
 	if arenaBytes > shmMaxArenaBytes {
 		arenaBytes = shmMaxArenaBytes
 	}

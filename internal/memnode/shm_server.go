@@ -8,10 +8,11 @@
 // doorbell bytes and peer-death notification (EOF); all requests,
 // responses, and page data move through the mapped segment.
 //
-// Execution reuses the same region store and validation helpers as the
-// TCP paths (doRegister/regionAt/regionForBatch/chunkedCopy/doStat), so
-// the two transports cannot drift semantically. Safety against a
-// hostile peer sharing the mapping:
+// The verbs are Server.exec, their one implementation, which the TCP
+// frames run too: shmConn.exec below is the ring's framing of it — a
+// submission becomes a request, the reply goes back through the
+// submission's extent — so the two transports cannot drift
+// semantically. Safety against a hostile peer sharing the mapping:
 //
 //   - extents are bounds-checked against the arena before any access
 //     (unsigned subtracted form), so no descriptor can point the server
@@ -43,9 +44,6 @@ const (
 	shmMaxWindow    = 1 << 16
 )
 
-// shmTableMax bounds a READV/WRITEV descriptor table.
-const shmTableMax = 8 + 16*MaxBatchPages
-
 // serveShmConn runs one shm connection: handshake (create + pass the
 // segment), then the submission-ring consumer loop until the peer dies,
 // the ring turns hostile, or the server closes.
@@ -68,7 +66,7 @@ func (s *Server) serveShmConn(uc *net.UnixConn) {
 		_ = writeShmRefusal(uc, fmt.Sprintf("bad window %d", window))
 		return
 	}
-	layout := shmLayoutFor(int(window), s.opts.ShmArenaBytes, s.shmToken)
+	layout := shmLayoutFor(int(window), s.shmToken)
 	fd, err := shmCreateSegment(layout.segBytes)
 	if err != nil {
 		_ = writeShmRefusal(uc, "segment creation failed")
@@ -295,145 +293,37 @@ func (h *shmConn) complete(e cqEntry) error {
 	return nil
 }
 
-// exec runs one validated-extent submission against the region store
-// and returns the completion status and response length. All response
-// bytes (data, REGISTER ids, STAT blobs, error messages) land in the
-// submission's own extent.
+// exec is the ring's framing of one submission whose extent process has
+// validated: the payload is the head of the extent, the reply — data,
+// REGISTER ids, STAT blobs, error messages alike — lands in the extent
+// from its first byte, and may be as long as the extent is. It returns
+// the completion's status and length.
 func (h *shmConn) exec(e sqEntry) (byte, int64) {
-	s := h.s
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 	ext := h.arena[e.extOff : e.extOff+e.extCap]
-	switch e.op {
-	case opRegister:
-		body, code, msg := s.doRegister(e.length)
-		if code != statusOK {
-			return shmErr(ext, code, msg)
+	req := request{op: e.op, regionID: e.regionID, offset: e.offset, length: e.length, room: int64(len(ext))}
+	if carriesPayload(e.op) {
+		// A length the extent cannot hold locates what there is; exec
+		// refuses the request for the difference.
+		var shared []byte
+		shared, req.data = cutPayload(e.op, ext[:max(0, min(e.length, req.room))])
+		if shared != nil {
+			// The extent stays client-writable: the table is parsed from a
+			// private copy, so that it cannot change between validation and
+			// use (and a READV's reply overwrites it).
+			req.table = getBuf(len(shared))
+			copy(req.table, shared)
 		}
-		if len(body) > len(ext) {
-			return shmErr(ext, statusErr, "register: extent too small")
-		}
-		return statusOK, int64(copy(ext, body))
-	case opRead:
-		if e.length <= 0 || e.length > int64(len(ext)) {
-			return shmErr(ext, statusErr, fmt.Sprintf("bad length %d for extent %d", e.length, len(ext)))
-		}
-		chunks, err := s.regionAt(e.regionID, e.offset, e.length)
-		if err != nil {
-			return shmErr(ext, errStatus(err), err.Error())
-		}
-		chunkedCopy(chunks, e.offset, ext[:e.length], false)
-		s.ReadOps.Add(1)
-		s.BytesRead.Add(uint64(e.length))
-		return statusOK, e.length
-	case opWrite:
-		if e.length <= 0 || e.length > MaxIO || e.length > int64(len(ext)) {
-			return shmErr(ext, statusErr, fmt.Sprintf("bad length %d", e.length))
-		}
-		// The copy source aliases client-writable memory: a client racing
-		// its own write tears its own data, exactly as one-sided RDMA
-		// would; the server-side bounds are already pinned.
-		code, msg := s.doWrite(e.regionID, e.offset, ext[:e.length])
-		if code != statusOK {
-			return shmErr(ext, code, msg)
-		}
-		return statusOK, 0
-	case opReadV:
-		// length = descriptor table bytes; the response data overwrites
-		// the extent from the start.
-		if e.length < 8 || e.length > shmTableMax || e.length > int64(len(ext)) {
-			return shmErr(ext, statusErr, fmt.Sprintf("readv: bad table length %d", e.length))
-		}
-		tbl := getBuf(int(e.length))
-		copy(tbl, ext[:e.length]) // private copy: the table must not change between parse and use
-		iovs, consumed, total, err := parseIovecs(tbl)
-		if err == nil && consumed != len(tbl) {
-			err = fmt.Errorf("readv: %d trailing table bytes", len(tbl)-consumed)
-		}
-		PutBuf(tbl)
-		if err != nil {
-			return shmErr(ext, statusErr, err.Error())
-		}
-		if total > int64(len(ext)) {
-			return shmErr(ext, statusErr, fmt.Sprintf("readv: %d bytes exceed extent %d", total, len(ext)))
-		}
-		chunks, err := s.regionForBatch(e.regionID, iovs)
-		if err != nil {
-			return shmErr(ext, errStatus(err), err.Error())
-		}
-		out := ext[:total]
-		for _, v := range iovs {
-			chunkedCopy(chunks, v.off, out[:v.length], false)
-			out = out[v.length:]
-		}
-		s.ReadOps.Add(uint64(len(iovs)))
-		s.BytesRead.Add(uint64(total))
-		return statusOK, total
-	case opWriteV:
-		// length = table + concatenated data bytes.
-		if e.length < 8 || e.length > int64(len(ext)) {
-			return shmErr(ext, statusErr, fmt.Sprintf("writev: bad payload length %d", e.length))
-		}
-		var cnt [8]byte
-		copy(cnt[:], ext[:8])
-		n := binary.LittleEndian.Uint64(cnt[:])
-		if n == 0 || n > MaxBatchPages {
-			return shmErr(ext, statusErr, fmt.Sprintf("batch: bad page count %d (max %d)", n, MaxBatchPages))
-		}
-		tblLen := int64(8 + 16*n)
-		if tblLen > e.length {
-			return shmErr(ext, statusErr, fmt.Sprintf("writev: table %d exceeds payload %d", tblLen, e.length))
-		}
-		tbl := getBuf(int(tblLen))
-		copy(tbl, ext[:tblLen]) // private copy: see opReadV
-		iovs, _, total, err := parseIovecs(tbl)
-		PutBuf(tbl)
-		if err != nil {
-			return shmErr(ext, statusErr, err.Error())
-		}
-		data := ext[tblLen:e.length]
-		if int64(len(data)) != total {
-			return shmErr(ext, statusErr, fmt.Sprintf("writev: descriptors cover %d bytes, payload carries %d", total, len(data)))
-		}
-		chunks, err := s.regionForBatch(e.regionID, iovs)
-		if err != nil {
-			return shmErr(ext, errStatus(err), err.Error())
-		}
-		for _, v := range iovs {
-			chunkedCopy(chunks, v.off, data[:v.length], true)
-			data = data[v.length:]
-		}
-		s.WriteOps.Add(uint64(len(iovs)))
-		s.BytesWrite.Add(uint64(total))
-		return statusOK, 0
-	case opStat:
-		body := s.doStat()
-		if len(body) > len(ext) {
-			return shmErr(ext, statusErr, "stat: extent too small")
-		}
-		return statusOK, int64(copy(ext, body))
-	case opProbe:
-		body := s.doProbe()
-		if len(body) > len(ext) {
-			return shmErr(ext, statusErr, "stats: extent too small")
-		}
-		return statusOK, int64(copy(ext, body))
-	case opUnregister:
-		code, msg := s.doUnregister(e.regionID)
-		if code != statusOK {
-			return shmErr(ext, code, msg)
-		}
-		return statusOK, 0
-	default:
-		return shmErr(ext, statusErr, fmt.Sprintf("bad opcode %d", e.op))
 	}
-}
-
-// shmErr writes an error message into the extent (truncating to fit)
-// and returns the completion fields for it.
-func shmErr(ext []byte, code byte, msg string) (byte, int64) {
-	n := copy(ext, msg)
-	return code, int64(n)
+	var rp reply
+	h.s.exec(&req, &rp)
+	if req.table != nil {
+		PutBuf(req.table)
+	}
+	if rp.total > 0 {
+		rp.copyTo(ext)
+		return rp.status, rp.total
+	}
+	return rp.status, int64(copy(ext, rp.body)) // an error message is cut to fit
 }
 
 // setupShm creates the shm negotiation socket and the per-server token

@@ -241,42 +241,6 @@ func TestShmNegotiationMatrix(t *testing.T) {
 			t.Fatal("forced-shm client succeeded against a tcp-only server")
 		}
 	})
-	t.Run("v1ClientShmServer", func(t *testing.T) {
-		srv := newShmServer(t, 16<<20)
-		defer srv.Close()
-		opts := fastOpts()
-		opts.Protocol = protoV1
-		c, err := DialOptions(srv.Addr(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		roundtrip(t, c)
-		if got := c.TransportKind(); got != "tcp-v1" {
-			t.Fatalf("TransportKind = %q, want tcp-v1", got)
-		}
-	})
-	t.Run("v1PinnedServerShmIgnored", func(t *testing.T) {
-		// A server capped at v1 never sends the HELLO extension, so even
-		// an shm-enabled build of it serves v1 clients only.
-		if !shmSupported {
-			t.Skip("shm transport unsupported on this platform")
-		}
-		srv, err := NewServerOptions("127.0.0.1:0", 16<<20, ServerOptions{MaxProtocol: protoV1, EnableShm: true})
-		if err != nil {
-			t.Skipf("shm server unavailable: %v", err)
-		}
-		defer srv.Close()
-		c, err := DialOptions(srv.Addr(), fastOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		roundtrip(t, c)
-		if got := c.TransportKind(); got != "tcp-v1" {
-			t.Fatalf("TransportKind = %q, want tcp-v1", got)
-		}
-	})
 }
 
 // TestShmServerChaos kills the server mid-ring with the arena still
@@ -507,7 +471,7 @@ func TestShmArenaAllocator(t *testing.T) {
 // TestShmLayout pins the geometry validation: hostile handshake values
 // must be rejected before any mapping math uses them.
 func TestShmLayout(t *testing.T) {
-	l := shmLayoutFor(128, 0, 42)
+	l := shmLayoutFor(128, 42)
 	if err := l.validate(l.segBytes); err != nil {
 		t.Fatalf("valid layout rejected: %v", err)
 	}
