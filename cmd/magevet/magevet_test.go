@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -56,15 +57,26 @@ func mustSelect(t *testing.T, passesFlag, skipFlag string) []*pass {
 	return ps
 }
 
+// fixtures is the fixture tree, loaded and type-checked once per test
+// binary: that is most of what a run over it costs, and the tests below
+// differ only in the pass set.
+var fixtures struct {
+	once   sync.Once
+	ld     *loaded
+	nerrs  int
+	stderr bytes.Buffer
+}
+
 // fixtureDiags runs the given pass set over the fixture tree.
 func fixtureDiags(t *testing.T, passes []*pass) []diagnostic {
 	t.Helper()
-	var stderr bytes.Buffer
-	diags, nerrs := analyzeRoots([]string{fixtureRoot + "/..."}, nil, passes, &stderr)
-	if nerrs > 0 {
-		t.Fatalf("%d load error(s) analyzing fixtures:\n%s", nerrs, &stderr)
+	fixtures.once.Do(func() {
+		fixtures.ld, fixtures.nerrs = loadRoots([]string{fixtureRoot + "/..."}, nil, &fixtures.stderr)
+	})
+	if fixtures.nerrs > 0 || fixtures.ld == nil {
+		t.Fatalf("%d load error(s) loading fixtures:\n%s", fixtures.nerrs, &fixtures.stderr)
 	}
-	return diags
+	return fixtures.ld.analyze(passes, io.Discard)
 }
 
 // TestFixtures checks the full default suite against the expected-

@@ -125,6 +125,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 // enabled passes, and returns the sorted, suppression-filtered
 // diagnostics plus the number of load errors.
 func analyzeRoots(roots, tags []string, passes []*pass, stderr io.Writer) ([]diagnostic, int) {
+	ld, nerrs := loadRoots(roots, tags, stderr)
+	if ld == nil {
+		return nil, nerrs
+	}
+	return ld.analyze(passes, stderr), nerrs
+}
+
+// loaded is the packages under a set of roots, parsed and type-checked
+// once; any number of pass sets can be run over them.
+type loaded struct {
+	l    *loader
+	pkgs []*pkgInfo
+}
+
+// loadRoots loads every package under the given roots and counts the
+// ones that failed to. It returns nil when there is nothing to analyze.
+func loadRoots(roots, tags []string, stderr io.Writer) (*loaded, int) {
 	dirs, err := discover(roots)
 	if err != nil {
 		fmt.Fprintf(stderr, "magevet: %v\n", err)
@@ -138,8 +155,7 @@ func analyzeRoots(roots, tags []string, passes []*pass, stderr io.Writer) ([]dia
 		fmt.Fprintf(stderr, "magevet: %v\n", err)
 		return nil, 1
 	}
-
-	a := newAnalyzer(l, passes)
+	ld := &loaded{l: l}
 	nerrs := 0
 	for _, dir := range dirs {
 		path, err := l.importPathFor(dir)
@@ -154,6 +170,15 @@ func analyzeRoots(roots, tags []string, passes []*pass, stderr io.Writer) ([]dia
 			nerrs++
 			continue
 		}
+		ld.pkgs = append(ld.pkgs, p)
+	}
+	return ld, nerrs
+}
+
+// analyze runs one pass set over the loaded packages.
+func (ld *loaded) analyze(passes []*pass, stderr io.Writer) []diagnostic {
+	a := newAnalyzer(ld.l, passes)
+	for _, p := range ld.pkgs {
 		a.analyze(p)
 		a.collectAllowlist(p)
 	}
@@ -166,5 +191,5 @@ func analyzeRoots(roots, tags []string, passes []*pass, stderr io.Writer) ([]dia
 		}
 	}
 	sortDiags(diags)
-	return diags, nerrs
+	return diags
 }

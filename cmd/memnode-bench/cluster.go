@@ -10,14 +10,12 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mage/internal/memcluster"
 	"mage/internal/memnode"
-	"mage/internal/stats"
 )
 
 // runCluster drives the cluster workload and returns its report.
@@ -96,8 +94,9 @@ func runCluster(cfg config, shards, replicas int, chaos bool, jsonOut bool) (rep
 	}
 
 	totalOps := uint64(cfg.workers * cfg.ops)
-	lat := stats.NewConcurrentHistogram()
-	var okOps, errs, doneOps atomic.Uint64
+	ld := newLoad(cfg, region, pages)
+	var doneOps atomic.Uint64
+	ld.progress = &doneOps
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < cfg.workers; w++ {
@@ -105,55 +104,7 @@ func runCluster(cfg config, shards, replicas int, chaos bool, jsonOut bool) (rep
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.seed + int64(w)*1009))
-			h := stats.NewHistogram()
-			buf := make([]byte, cfg.pageBytes)
-			rng.Read(buf)
-			bufs := make([][]byte, cfg.batch)
-			for i := range bufs {
-				bufs[i] = buf
-			}
-			offs := make([]int64, cfg.batch)
-			// Every batched read of the worker lands in the same pages.
-			got := memnode.SplitPages(make([]byte, int64(cfg.batch)*cfg.pageBytes), cfg.pageBytes)
-			var ok uint64
-			for i := 0; i < cfg.ops; i++ {
-				isWrite := rng.Float64() < cfg.writeFrac
-				for j := range offs {
-					offs[j] = rng.Int63n(pages) * cfg.pageBytes
-				}
-				sampled := i&3 == 0
-				var t0 time.Time
-				if sampled {
-					t0 = time.Now()
-				}
-				var err error
-				switch {
-				case cfg.batch > 1 && isWrite:
-					err = cl.WriteV(region, offs, bufs)
-				case cfg.batch > 1:
-					err = cl.ReadVInto(region, offs, got)
-				case isWrite:
-					err = cl.Write(region, offs[0], buf)
-				default:
-					var body []byte
-					body, err = cl.Read(region, offs[0], cfg.pageBytes)
-					if err == nil {
-						memnode.PutBuf(body)
-					}
-				}
-				doneOps.Add(1)
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				ok++
-				if sampled {
-					h.Record(time.Since(t0).Nanoseconds())
-				}
-			}
-			okOps.Add(ok)
-			lat.Merge(h)
+			ld.lane(cl, cfg.seed+int64(w)*1009, cfg.ops)
 		}()
 	}
 
@@ -171,38 +122,20 @@ func runCluster(cfg config, shards, replicas int, chaos bool, jsonOut bool) (rep
 		return report{}, chaosErr
 	}
 
-	h := lat.Snapshot()
-	done := okOps.Load()
-	if done == 0 || h.Count() == 0 {
-		return report{}, fmt.Errorf("no successful operations")
+	r, err := ld.report(elapsed)
+	if err != nil {
+		return report{}, err
 	}
 	st := cl.Stats()
-	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	r := report{
-		Transport:       "tcp",
-		Workers:         cfg.workers,
-		Depth:           1,
-		Batch:           cfg.batch,
-		PageBytes:       cfg.pageBytes,
-		Ops:             done,
-		Pages:           done * uint64(cfg.batch),
-		Errors:          errs.Load(),
-		ElapsedSec:      elapsed.Seconds(),
-		OpsPerSec:       float64(done) / elapsed.Seconds(),
-		PagesPerSec:     float64(done*uint64(cfg.batch)) / elapsed.Seconds(),
-		P50Us:           us(h.P50()),
-		P90Us:           us(h.P90()),
-		P99Us:           us(h.P99()),
-		MaxUs:           us(h.Max()),
-		Shards:          st.Shards,
-		Replicas:        st.Replicas / st.Shards,
-		Chaos:           chaos,
-		Failovers:       st.Failovers,
-		Readmissions:    st.Readmissions,
-		RebalancedPages: st.RebalancedPages,
-		DegradedWrites:  st.DegradedWrites,
-	}
-	r.MiBPerSec = r.PagesPerSec * float64(cfg.pageBytes) / (1 << 20)
+	r.Transport = "tcp"
+	r.Depth = 1
+	r.Shards = st.Shards
+	r.Replicas = st.Replicas / st.Shards
+	r.Chaos = chaos
+	r.Failovers = st.Failovers
+	r.Readmissions = st.Readmissions
+	r.RebalancedPages = st.RebalancedPages
+	r.DegradedWrites = st.DegradedWrites
 	if chaos && r.Errors > 0 {
 		return r, fmt.Errorf("chaos run had %d failed ops (want zero: failover must absorb the kill)", r.Errors)
 	}

@@ -287,14 +287,7 @@ func runLoad(target string, mode int, cfg config) (report, error) {
 		return report{}, fmt.Errorf("prewarm: %w", err)
 	}
 
-	lat := stats.NewConcurrentHistogram()
-	var sloMu sync.Mutex
-	var slo *stats.SLOTracker
-	if cfg.sloP99Us > 0 {
-		slo = stats.NewSLOTracker(int64(cfg.sloP99Us*1e3), 0.01)
-	}
-	var okOps atomic.Uint64
-	var errs atomic.Uint64
+	ld := newLoad(cfg, region, pages)
 	var wg sync.WaitGroup
 	var kindMu sync.Mutex // guards kind and shm
 	kind := setup.TransportKind()
@@ -309,7 +302,7 @@ func runLoad(target string, mode int, cfg config) (report, error) {
 			defer wg.Done()
 			c, err := memnode.DialOptions(target, opts)
 			if err != nil {
-				errs.Add(uint64(cfg.ops))
+				ld.errs.Add(uint64(cfg.ops))
 				return
 			}
 			defer c.Close()
@@ -326,80 +319,7 @@ func runLoad(target string, mode int, cfg config) (report, error) {
 				laneWG.Add(1)
 				go func() {
 					defer laneWG.Done()
-					rng := rand.New(rand.NewSource(cfg.seed + int64(w)*1009 + int64(d)))
-					h := stats.NewHistogram()
-					var laneSLO *stats.SLOTracker
-					if slo != nil {
-						laneSLO = stats.NewSLOTracker(slo.TargetNs, slo.BudgetFrac)
-					}
-					buf := make([]byte, cfg.pageBytes)
-					rng.Read(buf)
-					bufs := make([][]byte, cfg.batch)
-					for i := range bufs {
-						bufs[i] = buf
-					}
-					// Every batched read of the lane lands in the same pages.
-					got := memnode.SplitPages(make([]byte, int64(cfg.batch)*cfg.pageBytes), cfg.pageBytes)
-					// Generate the lane's whole workload up front so the
-					// timed loop measures the protocol, not the rng.
-					writes := make([]bool, laneOps)
-					laneOffs := make([][]int64, laneOps)
-					for i := range writes {
-						writes[i] = rng.Float64() < cfg.writeFrac
-						laneOffs[i] = make([]int64, cfg.batch)
-						for j := range laneOffs[i] {
-							laneOffs[i][j] = rng.Int63n(pages) * cfg.pageBytes
-						}
-					}
-					var ok uint64
-					for i := 0; i < laneOps; i++ {
-						isWrite := writes[i]
-						offs := laneOffs[i]
-						var err error
-						// Sample latency on every 4th op: two time.Now calls
-						// plus a histogram record cost a measurable fraction
-						// of a ~µs-scale shm op, and throughput is wall clock
-						// over all ops regardless. ~25% of a depth-32 run is
-						// still tens of thousands of samples per percentile.
-						sampled := i&3 == 0
-						var t0 time.Time
-						if sampled {
-							t0 = time.Now()
-						}
-						switch {
-						case cfg.batch > 1 && isWrite:
-							err = c.WriteV(region, offs, bufs)
-						case cfg.batch > 1:
-							err = c.ReadVInto(region, offs, got)
-						case isWrite:
-							err = c.Write(region, offs[0], buf)
-						default:
-							var body []byte
-							body, err = c.Read(region, offs[0], cfg.pageBytes)
-							if err == nil {
-								memnode.PutBuf(body)
-							}
-						}
-						if err != nil {
-							errs.Add(1)
-							continue
-						}
-						ok++
-						if sampled {
-							ns := time.Since(t0).Nanoseconds()
-							h.Record(ns)
-							if laneSLO != nil {
-								laneSLO.Record(ns)
-							}
-						}
-					}
-					okOps.Add(ok)
-					lat.Merge(h)
-					if laneSLO != nil {
-						sloMu.Lock()
-						slo.Merge(laneSLO)
-						sloMu.Unlock()
-					}
+					ld.lane(c, cfg.seed+int64(w)*1009+int64(d), laneOps)
 				}()
 			}
 			laneWG.Wait()
@@ -418,41 +338,167 @@ func runLoad(target string, mode int, cfg config) (report, error) {
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
 
-	h := lat.Snapshot()
-	done := okOps.Load()
+	r, err := ld.report(elapsed)
+	if err != nil {
+		return report{}, err
+	}
+	done := float64(r.Ops)
+	r.Transport = kind
+	r.Depth = cfg.depth
+	r.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / done
+	r.ShmParksPerOp = float64(shm.ShmParks) / done
+	r.ShmDoorbellsPerOp = float64(shm.ShmDoorbells) / done
+	r.ShmSpinYieldsPerOp = float64(shm.ShmSpinYields) / done
+	return r, nil
+}
+
+// target is what a lane drives: the four data verbs a memnode.Client
+// and a memcluster.Cluster share.
+type target interface {
+	Read(handle uint64, offset, length int64) ([]byte, error)
+	Write(handle uint64, offset int64, data []byte) error
+	ReadVInto(handle uint64, offsets []int64, dst [][]byte) error
+	WriteV(handle uint64, offsets []int64, pages [][]byte) error
+}
+
+// load is one timed run's workload and what its lanes add up to.
+type load struct {
+	cfg    config
+	region uint64
+	pages  int64 // pages in the region
+
+	lat         *stats.ConcurrentHistogram
+	sloMu       sync.Mutex
+	slo         *stats.SLOTracker // nil without -slo-p99-us
+	okOps, errs atomic.Uint64
+	// progress, when set, counts every op as it completes, failed ones
+	// too (the chaos schedule keys off it).
+	progress *atomic.Uint64
+}
+
+func newLoad(cfg config, region uint64, pages int64) *load {
+	ld := &load{cfg: cfg, region: region, pages: pages, lat: stats.NewConcurrentHistogram()}
+	if cfg.sloP99Us > 0 {
+		ld.slo = stats.NewSLOTracker(int64(cfg.sloP99Us*1e3), 0.01)
+	}
+	return ld
+}
+
+// lane is the one closed loop of synchronous ops: laneOps of them
+// against tg, drawn from seed.
+func (ld *load) lane(tg target, seed int64, laneOps int) {
+	cfg := ld.cfg
+	rng := rand.New(rand.NewSource(seed))
+	h := stats.NewHistogram()
+	var laneSLO *stats.SLOTracker
+	if ld.slo != nil {
+		laneSLO = stats.NewSLOTracker(ld.slo.TargetNs, ld.slo.BudgetFrac)
+	}
+	buf := make([]byte, cfg.pageBytes)
+	rng.Read(buf)
+	bufs := make([][]byte, cfg.batch)
+	for i := range bufs {
+		bufs[i] = buf
+	}
+	// Every batched read of the lane lands in the same pages.
+	got := memnode.SplitPages(make([]byte, int64(cfg.batch)*cfg.pageBytes), cfg.pageBytes)
+	// Generate the lane's whole workload up front so the
+	// timed loop measures the protocol, not the rng.
+	writes := make([]bool, laneOps)
+	laneOffs := make([][]int64, laneOps)
+	for i := range writes {
+		writes[i] = rng.Float64() < cfg.writeFrac
+		laneOffs[i] = make([]int64, cfg.batch)
+		for j := range laneOffs[i] {
+			laneOffs[i][j] = rng.Int63n(ld.pages) * cfg.pageBytes
+		}
+	}
+	var ok uint64
+	for i := 0; i < laneOps; i++ {
+		isWrite := writes[i]
+		offs := laneOffs[i]
+		var err error
+		// Sample latency on every 4th op: two time.Now calls
+		// plus a histogram record cost a measurable fraction
+		// of a ~µs-scale shm op, and throughput is wall clock
+		// over all ops regardless. ~25% of a depth-32 run is
+		// still tens of thousands of samples per percentile.
+		sampled := i&3 == 0
+		var t0 time.Time
+		if sampled {
+			t0 = time.Now()
+		}
+		switch {
+		case cfg.batch > 1 && isWrite:
+			err = tg.WriteV(ld.region, offs, bufs)
+		case cfg.batch > 1:
+			err = tg.ReadVInto(ld.region, offs, got)
+		case isWrite:
+			err = tg.Write(ld.region, offs[0], buf)
+		default:
+			var body []byte
+			body, err = tg.Read(ld.region, offs[0], cfg.pageBytes)
+			if err == nil {
+				memnode.PutBuf(body)
+			}
+		}
+		if ld.progress != nil {
+			ld.progress.Add(1)
+		}
+		if err != nil {
+			ld.errs.Add(1)
+			continue
+		}
+		ok++
+		if sampled {
+			ns := time.Since(t0).Nanoseconds()
+			h.Record(ns)
+			if laneSLO != nil {
+				laneSLO.Record(ns)
+			}
+		}
+	}
+	ld.okOps.Add(ok)
+	ld.lat.Merge(h)
+	if laneSLO != nil {
+		ld.sloMu.Lock()
+		ld.slo.Merge(laneSLO)
+		ld.sloMu.Unlock()
+	}
+}
+
+// report fills in what every mode reports: counts, throughput, the
+// latency spread and the SLO accounting.
+func (ld *load) report(elapsed time.Duration) (report, error) {
+	cfg := ld.cfg
+	h := ld.lat.Snapshot()
+	done := ld.okOps.Load()
 	if done == 0 || h.Count() == 0 {
 		return report{}, fmt.Errorf("no successful operations")
 	}
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
 	r := report{
-		Transport:   kind,
 		Workers:     cfg.workers,
-		Depth:       cfg.depth,
 		Batch:       cfg.batch,
 		PageBytes:   cfg.pageBytes,
 		Ops:         done,
 		Pages:       done * uint64(cfg.batch),
-		Errors:      errs.Load(),
+		Errors:      ld.errs.Load(),
 		ElapsedSec:  elapsed.Seconds(),
 		OpsPerSec:   float64(done) / elapsed.Seconds(),
 		PagesPerSec: float64(done*uint64(cfg.batch)) / elapsed.Seconds(),
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(done),
 		P50Us:       us(h.P50()),
 		P90Us:       us(h.P90()),
 		P99Us:       us(h.P99()),
 		MaxUs:       us(h.Max()),
-
-		ShmParksPerOp:      float64(shm.ShmParks) / float64(done),
-		ShmDoorbellsPerOp:  float64(shm.ShmDoorbells) / float64(done),
-		ShmSpinYieldsPerOp: float64(shm.ShmSpinYields) / float64(done),
 	}
 	r.MiBPerSec = r.PagesPerSec * float64(cfg.pageBytes) / (1 << 20)
-	if slo != nil {
+	if ld.slo != nil {
 		r.SLOTargetUs = cfg.sloP99Us
-		r.SLOViolations = slo.Violations()
-		r.SLOSampled = slo.Total()
-		r.SLOBudgetRemaining = slo.ErrorBudgetRemaining()
-		r.SLOMet = slo.Met()
+		r.SLOViolations = ld.slo.Violations()
+		r.SLOSampled = ld.slo.Total()
+		r.SLOBudgetRemaining = ld.slo.ErrorBudgetRemaining()
+		r.SLOMet = ld.slo.Met()
 	}
 	return r, nil
 }

@@ -28,7 +28,6 @@ package memcluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"        //magevet:ok memcluster is a real network client layered over TCP/shm memnode clients
 	"sync/atomic" //magevet:ok lock-free hot-path gates and robustness counters
 	"time"
@@ -97,10 +96,12 @@ func errAllReplicasFailed(shard int, last error) error {
 	return fmt.Errorf("memcluster: shard %d: all replicas failed: %w", shard, last)
 }
 
-// replica is one memnode endpoint of a shard. Health, weights, and
-// the resync dirty set are guarded by the owning shard's mu; the
-// client pointer is written only under mu but read lock-free after
-// snapshot (memnode.Client is internally synchronized).
+// replica is one memnode endpoint of a shard. Health, weights, the
+// resync dirty set and the client pointer are guarded by the owning
+// shard's mu. The prober stores the pointer when it first dials a
+// replica that was dead at New, so nothing reads it bare: an op carries
+// the client it saw under the lock in its rungs (memnode.Client is
+// internally synchronized, so the copy is used lock-free).
 type replica struct {
 	addr string
 	c    *memnode.Client // nil until the first successful dial
@@ -261,11 +262,9 @@ func New(shardAddrs [][]string, opts Options) (*Cluster, error) {
 
 func closeShard(sh *shard) error {
 	var err error
-	for _, r := range sh.replicas {
-		if r.c != nil {
-			if cerr := r.c.Close(); err == nil {
-				err = cerr
-			}
+	for _, g := range dialled(sh) {
+		if cerr := g.c.Close(); err == nil {
+			err = cerr
 		}
 	}
 	return err
@@ -333,34 +332,27 @@ func (cl *Cluster) Register(size int64) (uint64, error) {
 	defer cl.topoMu.RUnlock()
 	topo := cl.topo
 	reg := &cregion{size: size}
-	handles := make(map[*replica]uint64)
+	var granted []rung
 	for si, sh := range topo.shards {
-		ok := 0
-		sh.mu.Lock()
-		replicas := append([]*replica(nil), sh.replicas...)
-		sh.mu.Unlock()
-		for _, r := range replicas {
-			if r.c == nil {
-				continue
+		before := len(granted)
+		for _, g := range dialled(sh) {
+			if h, err := g.c.Register(size); err == nil {
+				granted = append(granted, rung{g.r, g.c, h})
 			}
-			h, err := r.c.Register(size)
-			if err != nil {
-				continue
-			}
-			handles[r] = h
-			ok++
 		}
-		if ok == 0 {
+		if len(granted) == before {
 			// Roll back handles already granted by earlier shards' nodes.
 			// Best-effort: a replica that fails the unregister keeps the
 			// orphan region until its server restarts.
-			for r, h := range handles { //magevet:ok best-effort rollback: each handle released exactly once, order cannot matter
-				if r.c != nil {
-					_ = r.c.Unregister(h) // best-effort; the register error below is the one to surface
-				}
+			for _, g := range granted {
+				_ = g.c.Unregister(g.h) // best-effort; the register error below is the one to surface
 			}
 			return 0, fmt.Errorf("memcluster: shard %d: register failed on every replica", si)
 		}
+	}
+	handles := make(map[*replica]uint64, len(granted))
+	for _, g := range granted {
+		handles[g.r] = g.h
 	}
 	reg.handles.Store(handles)
 	cl.regMu.Lock()
@@ -381,54 +373,97 @@ func (cl *Cluster) region(handle uint64) (*cregion, error) {
 	return reg, nil
 }
 
-// seg is one ownership-page-aligned piece of a byte range: it lies
-// entirely within the page keyed by key, on shard shardIdx.
-type seg struct {
-	key      uint64
-	shardIdx int
-	off      int64 // region offset
-	length   int64
-	outOff   int64 // offset in the caller's assembled buffer
-}
-
-// segments splits [offset, offset+length) along ownership-page
-// boundaries and assigns each piece its owning shard under topo.
-func (cl *Cluster) segments(topo *topology, handle uint64, offset, length int64) []seg {
-	pb := cl.opts.PageBytes
-	segs := make([]seg, 0, (length+pb-1)/pb+1)
-	var outOff int64
-	for length > 0 {
-		pageNo := offset / pb
-		n := pb - offset%pb
-		if n > length {
-			n = length
-		}
-		key := placement.Key(handle, uint64(pageNo))
-		segs = append(segs, seg{
-			key:      key,
-			shardIdx: placement.ShardOfIDs(key, topo.ids),
-			off:      offset,
-			length:   n,
-			outOff:   outOff,
-		})
-		offset += n
-		outOff += n
-		length -= n
+// bounds is the one rule for whether [off, off+n) lies inside the
+// region, in the overflow-safe form (off+n may wrap). Read sizes a
+// buffer from a length before route can judge it, so both use this.
+func (reg *cregion) bounds(off, n int64) error {
+	if n <= 0 || off < 0 || n > reg.size || off > reg.size-n {
+		return fmt.Errorf("memcluster: out of bounds off=%d len=%d in %d", off, n, reg.size)
 	}
-	return segs
+	return nil
 }
 
-// snapshotReplicas copies a shard's selection state out from under its
-// lock: the replica list with health and weights as parallel slices.
-func snapshotReplicas(sh *shard) (reps []*replica, weights []int64, healthy []bool) {
+// rung is one step of an attempt list: a replica that holds the region,
+// with the client and the region handle it had when the list was built
+// under the shard's mu. Two orderings make lists and nothing else
+// differs between callers: ladder for ops, holders for write targets
+// and copy sources.
+type rung struct {
+	r *replica
+	c *memnode.Client
+	h uint64
+}
+
+// appendRung adds r's rung unless r was never dialled or lacks the
+// region. Caller holds the shard's mu.
+func appendRung(rungs []rung, reg *cregion, r *replica) []rung {
+	if h, ok := reg.handle(r); ok && r.c != nil {
+		rungs = append(rungs, rung{r, r.c, h})
+	}
+	return rungs
+}
+
+// ladder is the read order for key on sh: weighted draws among the
+// healthy replicas for attempt 0, 1, ..., then the replicas marked down
+// in list order (a stale answer from a survivor beats no answer).
+func (cl *Cluster) ladder(sh *shard, reg *cregion, key uint64) []rung {
+	// The draws' scratch stays on the stack for any sane replica count.
+	var wbuf [8]int64
+	var mbuf [8]bool
+	weights, mask := wbuf[:0], mbuf[:0]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	reps = append(reps, sh.replicas...)
-	for _, r := range reps {
+	for _, r := range sh.replicas {
 		weights = append(weights, r.weight)
-		healthy = append(healthy, r.healthy && r.c != nil)
+		mask = append(mask, r.healthy && r.c != nil)
 	}
-	return reps, weights, healthy
+	rungs := make([]rung, 0, len(sh.replicas))
+	for attempt := range sh.replicas {
+		i := placement.SelectReplica(key, attempt, weights, mask)
+		if i == -1 {
+			break
+		}
+		mask[i] = false // each draw excludes the picks before it
+		rungs = appendRung(rungs, reg, sh.replicas[i])
+	}
+	for _, r := range sh.replicas {
+		if !r.healthy {
+			rungs = appendRung(rungs, reg, r)
+		}
+	}
+	return rungs
+}
+
+// holders lists the healthy replicas of sh that hold the region, minus
+// skip (a resync target: its data is the stale data being replaced).
+// They are where a write goes and where a copy reads from — a copy
+// source must be current, not merely alive, so there is no degraded
+// tail.
+func holders(sh *shard, reg *cregion, skip *replica) []rung {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	rungs := make([]rung, 0, len(sh.replicas))
+	for _, r := range sh.replicas {
+		if r != skip && r.healthy {
+			rungs = appendRung(rungs, reg, r)
+		}
+	}
+	return rungs
+}
+
+// dialled snapshots every replica of sh that has a client, healthy or
+// not, for the callers that address nodes rather than a region
+// (Register, Close); the rungs carry no handle.
+func dialled(sh *shard) []rung {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	rungs := make([]rung, 0, len(sh.replicas))
+	for _, r := range sh.replicas {
+		if r.c != nil {
+			rungs = append(rungs, rung{r: r, c: r.c})
+		}
+	}
+	return rungs
 }
 
 // markDown demotes a replica after an op or probe failure. The caller
@@ -450,83 +485,71 @@ func (cl *Cluster) markDown(sh *shard, r *replica, failover bool) {
 	cl.stats.flaps.Add(1)
 }
 
-// readOne reads [off, off+length) — entirely within one ownership
-// page — from shard sh, preferring the memory-weighted pick among
-// healthy replicas, failing over through the remaining healthy ones,
-// and finally degrading to replicas marked down (a stale answer from
-// a survivor beats no answer). The returned buffer follows the
-// memnode.Client.Read contract (PutBuf-able).
-func (cl *Cluster) readOne(reg *cregion, sh *shard, shardIdx int, key uint64, off, length int64) ([]byte, error) {
-	reps, weights, healthy := snapshotReplicas(sh)
-	order := selectionOrder(key, reps, weights, healthy)
+// climb is the only read loop: try each rung in order until one
+// answers. A terminal error stops the climb (the same request would
+// fail the same way on every node); any other demotes the replica and
+// moves on. try only names the verb.
+func (cl *Cluster) climb(sh *shard, si int, rungs []rung, try func(rung) error) error {
 	var lastErr error
-	for _, i := range order {
-		r := reps[i]
-		h, ok := reg.handle(r)
-		if !ok {
-			continue
-		}
-		body, err := r.c.Read(h, off, length)
+	for _, g := range rungs {
+		err := try(g)
 		if err == nil {
-			return body, nil
+			return nil
 		}
 		if memnode.IsTerminal(err) {
-			return nil, err
+			return err
 		}
-		cl.markDown(sh, r, true)
+		cl.markDown(sh, g.r, true)
 		lastErr = err
 	}
 	if lastErr == nil {
 		lastErr = errors.New("no replica holds the region")
 	}
-	return nil, errAllReplicasFailed(shardIdx, lastErr)
+	return errAllReplicasFailed(si, lastErr)
 }
 
-// writeOne writes data — entirely within one ownership page — to
-// every healthy replica of the owning shard. One replica accepting
-// the write is success; replicas that fail demote and resync later.
-// After completion the page is logged dirty for any replica mid-
-// resync, which is what lets resync's final settle pass (run with all
-// ops drained) guarantee no missed write.
-func (cl *Cluster) writeOne(reg *cregion, sh *shard, shardIdx int, key uint64, off int64, data []byte) error {
-	reps, _, healthy := snapshotReplicas(sh)
+// replicate is the only write loop: send to every rung at once (the
+// first inline, the rest on goroutines) and drain them all, even past
+// a terminal error — a send still in flight references the caller's
+// buffers, and a replica that did apply the write must be dirty-logged
+// before this returns. One ack is success; replicas that fail demote
+// and resync later. With log set the pages at (handle, offs) are then
+// logged dirty, which is what lets a settle pass run with all ops
+// drained guarantee no missed write; a migration copy passes false, or
+// it would re-mark the very pages it just moved and the settle would
+// never converge.
+func (cl *Cluster) replicate(sh *shard, si int, rungs []rung, handle uint64, offs []int64, log bool, send func(rung) error) error {
+	errs := make([]error, len(rungs))
+	var wg sync.WaitGroup
+	for i := 1; i < len(rungs); i++ {
+		wg.Add(1)
+		go func(i int) { //magevet:ok write fan-out on a real network client: the wait below, not goroutine scheduling, orders completion
+			defer wg.Done()
+			errs[i] = send(rungs[i])
+		}(i)
+	}
+	if len(rungs) > 0 {
+		errs[0] = send(rungs[0])
+	}
+	wg.Wait()
 	acks := 0
-	var lastErr error
-	type pend struct {
-		r *replica
-		p *memnode.Pending
-	}
-	var pends []pend
-	for i, r := range reps {
-		if !healthy[i] {
-			continue
-		}
-		h, ok := reg.handle(r)
-		if !ok {
-			continue
-		}
-		pends = append(pends, pend{r, r.c.WriteAsync(h, off, data)})
-	}
-	// Drain every pending even on a terminal error: an unwaited pending
-	// still references the caller's data buffer, and a sibling replica
-	// that did apply the write must be dirty-logged for any in-flight
-	// resync before this function returns.
-	var termErr error
-	for _, p := range pends {
-		if _, err := p.p.Wait(); err != nil {
-			if memnode.IsTerminal(err) {
-				if termErr == nil {
-					termErr = err
-				}
-				continue
+	var lastErr, termErr error
+	for i, err := range errs {
+		switch {
+		case err == nil:
+			acks++
+		case memnode.IsTerminal(err):
+			if termErr == nil {
+				termErr = err
 			}
-			cl.markDown(sh, p.r, true)
+		default:
+			cl.markDown(sh, rungs[i].r, true)
 			lastErr = err
-			continue
 		}
-		acks++
 	}
-	cl.logDirty(sh, key)
+	if log {
+		cl.logDirty(sh, handle, offs)
+	}
 	if termErr != nil {
 		return termErr
 	}
@@ -534,7 +557,7 @@ func (cl *Cluster) writeOne(reg *cregion, sh *shard, shardIdx int, key uint64, o
 		if lastErr == nil {
 			lastErr = errors.New("no healthy replica")
 		}
-		return errAllReplicasFailed(shardIdx, lastErr)
+		return errAllReplicasFailed(si, lastErr)
 	}
 	if lastErr != nil {
 		cl.stats.degradedWrites.Add(1)
@@ -542,18 +565,23 @@ func (cl *Cluster) writeOne(reg *cregion, sh *shard, shardIdx int, key uint64, o
 	return nil
 }
 
-// logDirty records a completed write's page for every replica of the
-// shard that is mid-resync, and for a live rebalance when the page
-// moves shards under the pending topology.
-func (cl *Cluster) logDirty(sh *shard, key uint64) {
+// logDirty records a completed write's pages for every replica of the
+// shard that is mid-resync, and for a live rebalance the pages that
+// move shards under the pending topology. Each offset lies in the page
+// it names (route cut the request that way).
+func (cl *Cluster) logDirty(sh *shard, handle uint64, offs []int64) {
+	pb := cl.opts.PageBytes
 	if sh.resyncCount.Load() > 0 {
 		sh.mu.Lock()
 		for _, r := range sh.replicas {
-			if r.resyncing {
-				if r.dirty == nil {
-					r.dirty = make(map[uint64]struct{})
-				}
-				r.dirty[key] = struct{}{}
+			if !r.resyncing {
+				continue
+			}
+			if r.dirty == nil {
+				r.dirty = make(map[uint64]struct{})
+			}
+			for _, off := range offs {
+				r.dirty[placement.Key(handle, uint64(off/pb))] = struct{}{}
 			}
 		}
 		sh.mu.Unlock()
@@ -561,12 +589,120 @@ func (cl *Cluster) logDirty(sh *shard, key uint64) {
 	if cl.migOn.Load() {
 		cl.migMu.Lock()
 		if m := cl.mig; m != nil {
-			if placement.ShardOfIDs(key, m.oldIDs) != placement.ShardOfIDs(key, m.newIDs) {
-				m.dirty[key] = struct{}{}
+			for _, off := range offs {
+				if _, moves := m.lane(handle, off/pb); moves {
+					m.dirty[placement.Key(handle, uint64(off/pb))] = struct{}{}
+				}
 			}
 		}
 		cl.migMu.Unlock()
 	}
+}
+
+// readInto fills bufs from the first rung that answers; every rung
+// tried fills the same buffers.
+func (cl *Cluster) readInto(sh *shard, si int, rungs []rung, offs []int64, bufs [][]byte) error {
+	return cl.climb(sh, si, rungs, func(g rung) error { return g.c.ReadVInto(g.h, offs, bufs) })
+}
+
+// writeTo replicates one batch to every rung.
+func (cl *Cluster) writeTo(sh *shard, si int, rungs []rung, handle uint64, offs []int64, bufs [][]byte, log bool) error {
+	return cl.replicate(sh, si, rungs, handle, offs, log, func(g rung) error { return g.c.WriteV(g.h, offs, bufs) })
+}
+
+// part is the share of one request that one shard serves as one node
+// op: descriptors that each lie inside one ownership page, at most
+// MaxBatchPages of them and MaxIO bytes.
+type part struct {
+	si    int
+	offs  []int64
+	bufs  [][]byte
+	bytes int64
+}
+
+// route is the only place a request's shape and bounds are judged. It
+// cuts (offsets, bufs) along ownership pages by sub-slicing the
+// caller's buffers — a descriptor that straddles a boundary becomes one
+// entry on each side — and groups the pieces by owning shard into parts
+// a node accepts. Parts of one shard keep the request's order.
+func (cl *Cluster) route(topo *topology, reg *cregion, handle uint64, offsets []int64, bufs [][]byte) ([]part, error) {
+	if len(bufs) == 0 || len(bufs) != len(offsets) {
+		return nil, fmt.Errorf("memcluster: bad batch shape (%d offsets, %d buffers)", len(offsets), len(bufs))
+	}
+	pb := cl.opts.PageBytes
+	owner := func(off int64) int {
+		return placement.ShardOfIDs(placement.Key(handle, uint64(off/pb)), topo.ids)
+	}
+	// Judge every descriptor before any is served, and notice the common
+	// case on the way: one shard owns the whole request as one legal op,
+	// which is then the caller's slices as they are.
+	whole, one, total := len(bufs) <= memnode.MaxBatchPages, -1, int64(0)
+	for i, off := range offsets {
+		n := int64(len(bufs[i]))
+		if err := reg.bounds(off, n); err != nil {
+			return nil, fmt.Errorf("batch desc %d: %w", i, err)
+		}
+		if !whole {
+			continue
+		}
+		si := owner(off)
+		total += n
+		whole = total <= memnode.MaxIO && off/pb == (off+n-1)/pb && (one == -1 || one == si)
+		one = si
+	}
+	if whole {
+		return []part{{si: one, offs: offsets, bufs: bufs}}, nil
+	}
+	open := make([]part, len(topo.shards)) // the part each shard is still filling
+	var parts []part
+	for i, off := range offsets {
+		for buf := bufs[i]; len(buf) > 0; {
+			n := min(int64(len(buf)), pb-off%pb, memnode.MaxIO)
+			si := owner(off)
+			p := &open[si]
+			if len(p.offs) == memnode.MaxBatchPages || p.bytes > memnode.MaxIO-n {
+				parts = append(parts, *p)
+				*p = part{}
+			}
+			p.si = si
+			p.offs = append(p.offs, off)
+			p.bufs = append(p.bufs, buf[:n:n])
+			p.bytes += n
+			off += n
+			buf = buf[n:]
+		}
+	}
+	for _, p := range open {
+		if len(p.offs) > 0 {
+			parts = append(parts, p)
+		}
+	}
+	return parts, nil
+}
+
+// each routes one request and runs do on every part, all under the
+// topology read lock.
+func (cl *Cluster) each(handle uint64, offsets []int64, bufs [][]byte, do func(reg *cregion, sh *shard, p part) error) error {
+	if err := cl.checkClosed(); err != nil {
+		return err
+	}
+	reg, err := cl.region(handle)
+	if err != nil {
+		return err
+	}
+	cl.topoMu.RLock()
+	defer cl.topoMu.RUnlock()
+	topo := cl.topo
+	parts, err := cl.route(topo, reg, handle, offsets, bufs)
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if err := do(reg, topo.shards[p.si], p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Read performs a one-sided read of length bytes at offset, fanning
@@ -580,108 +716,53 @@ func (cl *Cluster) Read(handle uint64, offset, length int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if length <= 0 || offset < 0 || length > reg.size || offset > reg.size-length {
-		return nil, fmt.Errorf("memcluster: bad read off=%d len=%d in %d", offset, length, reg.size)
+	if err := reg.bounds(offset, length); err != nil {
+		return nil, err
 	}
+	pb := cl.opts.PageBytes
+	if offset/pb != (offset+length-1)/pb || length > memnode.MaxIO {
+		out := make([]byte, length)
+		if err := cl.ReadVInto(handle, []int64{offset}, [][]byte{out}); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	// A read inside one ownership page stays a wire READ: the node hands
+	// back its own buffer (pooled on TCP, arena-backed on shm), which a
+	// READV of one would make this layer allocate on every demand fault.
 	cl.topoMu.RLock()
 	defer cl.topoMu.RUnlock()
 	topo := cl.topo
-	// Fast path: a read inside one ownership page is one node op and
-	// returns that node's buffer without reassembly.
-	if offset/cl.opts.PageBytes == (offset+length-1)/cl.opts.PageBytes {
-		key := placement.Key(handle, uint64(offset/cl.opts.PageBytes))
-		si := placement.ShardOfIDs(key, topo.ids)
-		return cl.readOne(reg, topo.shards[si], si, key, offset, length)
-	}
-	out := make([]byte, length)
-	if err := cl.readSpanLocked(reg, topo, handle, offset, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	key := placement.Key(handle, uint64(offset/pb))
+	si := placement.ShardOfIDs(key, topo.ids)
+	sh := topo.shards[si]
+	var body []byte
+	err = cl.climb(sh, si, cl.ladder(sh, reg, key), func(g rung) (err error) {
+		body, err = g.c.Read(g.h, offset, length)
+		return err
+	})
+	return body, err
 }
 
 // Write performs a one-sided write, replicated to every healthy
-// replica of each owning shard.
+// replica of each owning shard: a WriteV of one.
 func (cl *Cluster) Write(handle uint64, offset int64, data []byte) error {
-	if err := cl.checkClosed(); err != nil {
-		return err
-	}
-	reg, err := cl.region(handle)
-	if err != nil {
-		return err
-	}
-	length := int64(len(data))
-	if length == 0 || offset < 0 || length > reg.size || offset > reg.size-length {
-		return fmt.Errorf("memcluster: bad write off=%d len=%d in %d", offset, length, reg.size)
-	}
-	cl.topoMu.RLock()
-	defer cl.topoMu.RUnlock()
-	topo := cl.topo
-	segs := cl.segments(topo, handle, offset, length)
-	for _, sg := range segs {
-		if err := cl.writeOne(reg, topo.shards[sg.shardIdx], sg.shardIdx, sg.key,
-			sg.off, data[sg.outOff:sg.outOff+sg.length]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cl.WriteV(handle, []int64{offset}, [][]byte{data})
 }
 
 // ReadVInto reads len(offsets) pages, page i of len(dst[i]) bytes at
-// offsets[i] into dst[i], grouping the descriptors by owning shard and
-// issuing one batched READV per shard. Descriptors that straddle an
-// ownership-page boundary fall back to the split single-read path. The
-// buffers are the caller's; every replica a shard's ladder tries fills
-// the same ones.
+// offsets[i] into dst[i], one batched READV per part route cuts the
+// request into. The buffers are the caller's; every replica a shard's
+// ladder tries fills the same ones.
 func (cl *Cluster) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
-	if err := cl.checkClosed(); err != nil {
-		return err
-	}
-	reg, err := cl.region(handle)
-	if err != nil {
-		return err
-	}
-	if len(dst) == 0 || len(dst) > memnode.MaxBatchPages || len(dst) != len(offsets) {
-		return fmt.Errorf("memcluster: bad batch shape (%d offsets, %d buffers)", len(offsets), len(dst))
-	}
-	cl.topoMu.RLock()
-	defer cl.topoMu.RUnlock()
-	topo := cl.topo
-	pb := cl.opts.PageBytes
-	// Group whole-page descriptors by shard; split stragglers.
-	byShard := make(map[int][]int)
-	for i, off := range offsets {
-		n := int64(len(dst[i]))
-		if off < 0 || n == 0 || n > reg.size || off > reg.size-n {
-			return fmt.Errorf("memcluster: batch desc %d out of bounds off=%d len=%d in %d", i, off, n, reg.size)
-		}
-		if off/pb != (off+n-1)/pb {
-			// Straddles ownership pages: read via the splitting path.
-			if err := cl.readSpanLocked(reg, topo, handle, off, dst[i]); err != nil {
-				return err
-			}
-			continue
-		}
-		si := placement.ShardOfIDs(placement.Key(handle, uint64(off/pb)), topo.ids)
-		byShard[si] = append(byShard[si], i)
-	}
-	for si, idxs := range byShard { //magevet:ok per-shard sub-ops are independent; results land by original index
-		offs, bufs := offsets, dst
-		if len(idxs) != len(dst) {
-			offs, bufs = make([]int64, len(idxs)), make([][]byte, len(idxs))
-			for j, i := range idxs {
-				offs[j], bufs[j] = offsets[i], dst[i]
-			}
-		}
-		if err := cl.readVShard(reg, topo.shards[si], si, handle, offs, bufs); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cl.each(handle, offsets, dst, func(reg *cregion, sh *shard, p part) error {
+		key := placement.Key(handle, uint64(p.offs[0]/cl.opts.PageBytes))
+		return cl.readInto(sh, p.si, cl.ladder(sh, reg, key), p.offs, p.bufs)
+	})
 }
 
 // ReadV is ReadVInto into pages of pageBytes each that it allocates as
-// one contiguous buffer.
+// one contiguous buffer, which is what its limits bound.
 func (cl *Cluster) ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]byte, error) {
 	if len(offsets) == 0 || len(offsets) > memnode.MaxBatchPages || pageBytes <= 0 || pageBytes > memnode.MaxIO/int64(len(offsets)) {
 		return nil, fmt.Errorf("memcluster: bad batch shape (%d pages of %d bytes)", len(offsets), pageBytes)
@@ -693,169 +774,10 @@ func (cl *Cluster) ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]b
 	return pages, nil
 }
 
-// readSpanLocked is Read's splitting path, into out, for callers already
-// holding the topology read lock.
-func (cl *Cluster) readSpanLocked(reg *cregion, topo *topology, handle uint64, offset int64, out []byte) error {
-	for _, sg := range cl.segments(topo, handle, offset, int64(len(out))) {
-		body, err := cl.readOne(reg, topo.shards[sg.shardIdx], sg.shardIdx, sg.key, sg.off, sg.length)
-		if err != nil {
-			return err
-		}
-		copy(out[sg.outOff:sg.outOff+sg.length], body)
-		memnode.PutBuf(body)
-	}
-	return nil
-}
-
-// readVShard issues one READV against one shard with the same
-// failover ladder as readOne: a replica that fails mid-batch leaves
-// dst to the next one.
-func (cl *Cluster) readVShard(reg *cregion, sh *shard, shardIdx int, handle uint64, offs []int64, dst [][]byte) error {
-	key := placement.Key(handle, uint64(offs[0]/cl.opts.PageBytes))
-	reps, weights, healthy := snapshotReplicas(sh)
-	order := selectionOrder(key, reps, weights, healthy)
-	var lastErr error
-	for _, i := range order {
-		r := reps[i]
-		h, ok := reg.handle(r)
-		if !ok {
-			continue
-		}
-		err := r.c.ReadVInto(h, offs, dst)
-		if err == nil {
-			return nil
-		}
-		if memnode.IsTerminal(err) {
-			return err
-		}
-		cl.markDown(sh, r, true)
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no replica holds the region")
-	}
-	return errAllReplicasFailed(shardIdx, lastErr)
-}
-
-// selectionOrder builds readOne's replica ladder: weighted healthy
-// draws first, then the degraded tail.
-func selectionOrder(key uint64, reps []*replica, weights []int64, healthy []bool) []int {
-	order := make([]int, 0, len(reps))
-	taken := make([]bool, len(reps))
-	mask := append([]bool(nil), healthy...)
-	for attempt := 0; attempt < len(reps); attempt++ {
-		i := placement.SelectReplica(key, attempt, weights, mask)
-		if i == -1 {
-			break
-		}
-		taken[i] = true
-		order = append(order, i)
-		mask[i] = false //magevet:ok mask is consumed in place by design: each draw excludes prior picks
-	}
-	for i := range reps {
-		if !taken[i] && reps[i].c != nil {
-			order = append(order, i)
-		}
-	}
-	return order
-}
-
 // WriteV writes len(pages) pages at the matching offsets, one batched
-// WRITEV per owning shard per healthy replica.
+// WRITEV per part per healthy replica.
 func (cl *Cluster) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
-	if err := cl.checkClosed(); err != nil {
-		return err
-	}
-	reg, err := cl.region(handle)
-	if err != nil {
-		return err
-	}
-	if len(pages) == 0 || len(pages) > memnode.MaxBatchPages || len(pages) != len(offsets) {
-		return fmt.Errorf("memcluster: bad batch shape (%d offsets, %d pages)", len(offsets), len(pages))
-	}
-	cl.topoMu.RLock()
-	defer cl.topoMu.RUnlock()
-	topo := cl.topo
-	pb := cl.opts.PageBytes
-	byShard := make(map[int][]int)
-	for i, off := range offsets {
-		length := int64(len(pages[i]))
-		if length == 0 || off < 0 || length > reg.size || off > reg.size-length {
-			return fmt.Errorf("memcluster: batch desc %d out of bounds off=%d len=%d in %d", i, off, length, reg.size)
-		}
-		if off/pb != (off+length-1)/pb {
-			// Straddling descriptor: split it along ownership pages.
-			for _, sg := range cl.segments(topo, handle, off, length) {
-				if err := cl.writeOne(reg, topo.shards[sg.shardIdx], sg.shardIdx, sg.key,
-					sg.off, pages[i][sg.outOff:sg.outOff+sg.length]); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		si := placement.ShardOfIDs(placement.Key(handle, uint64(off/pb)), topo.ids)
-		byShard[si] = append(byShard[si], i)
-	}
-	for si, idxs := range byShard { //magevet:ok per-shard sub-ops are independent; results land by original index
-		sort.Ints(idxs)
-		offs := make([]int64, len(idxs))
-		pgs := make([][]byte, len(idxs))
-		keys := make([]uint64, len(idxs))
-		for j, i := range idxs {
-			offs[j] = offsets[i]
-			pgs[j] = pages[i]
-			keys[j] = placement.Key(handle, uint64(offsets[i]/pb))
-		}
-		if err := cl.writeVShard(reg, topo.shards[si], si, keys, offs, pgs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeVShard replicates one WRITEV batch to every healthy replica of
-// a shard.
-func (cl *Cluster) writeVShard(reg *cregion, sh *shard, shardIdx int, keys []uint64, offs []int64, pgs [][]byte) error {
-	reps, _, healthy := snapshotReplicas(sh)
-	acks := 0
-	var lastErr, termErr error
-	for i, r := range reps {
-		if !healthy[i] {
-			continue
-		}
-		h, ok := reg.handle(r)
-		if !ok {
-			continue
-		}
-		if err := r.c.WriteV(h, offs, pgs); err != nil {
-			if memnode.IsTerminal(err) {
-				// Stop replicating (the same arguments would fail the same
-				// way) but fall through to the dirty log: a replica that
-				// already acked must not leave the batch unlogged for an
-				// in-flight resync.
-				termErr = err
-				break
-			}
-			cl.markDown(sh, r, true)
-			lastErr = err
-			continue
-		}
-		acks++
-	}
-	for _, k := range keys {
-		cl.logDirty(sh, k)
-	}
-	if termErr != nil {
-		return termErr
-	}
-	if acks == 0 {
-		if lastErr == nil {
-			lastErr = errors.New("no healthy replica")
-		}
-		return errAllReplicasFailed(shardIdx, lastErr)
-	}
-	if lastErr != nil {
-		cl.stats.degradedWrites.Add(1)
-	}
-	return nil
+	return cl.each(handle, offsets, pages, func(reg *cregion, sh *shard, p part) error {
+		return cl.writeTo(sh, p.si, holders(sh, reg, nil), handle, p.offs, p.bufs, true)
+	})
 }

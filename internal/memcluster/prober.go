@@ -99,10 +99,17 @@ func (cl *Cluster) ProbeNow() {
 					cl.bumpProbeBackoff(sh, r)
 					continue
 				}
+				// A user-driven ProbeNow can race the background sweep
+				// to this dial: the first client stored is the replica's.
 				sh.mu.Lock()
-				r.c = nc
-				c = nc
+				if r.c == nil {
+					r.c = nc
+				}
+				c = r.c
 				sh.mu.Unlock()
+				if c != nc {
+					_ = nc.Close() // the spare of a lost race, never used
+				}
 			}
 			if _, err := c.Probe(); err != nil {
 				cl.bumpProbeBackoff(sh, r)
@@ -134,19 +141,6 @@ func (cl *Cluster) bumpProbeBackoff(sh *shard, r *replica) {
 		r.probeBackoff = cl.opts.ProbeBackoffMax
 	}
 	r.nextProbe = time.Now().Add(r.probeBackoff) //magevet:ok probe-backoff schedule on a real network client
-}
-
-// resyncBatchPages bounds one resync copy batch: MaxBatchPages or
-// whatever number of full pages fits MaxIO, whichever is smaller.
-func (cl *Cluster) resyncBatchPages() int {
-	n := int(int64(memnode.MaxIO) / cl.opts.PageBytes)
-	if n > memnode.MaxBatchPages {
-		n = memnode.MaxBatchPages
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // readmit brings a down-but-answering replica back: register any
@@ -181,6 +175,7 @@ func (cl *Cluster) readmit(sh *shard, r *replica) error {
 	}
 	r.resyncing = true
 	r.dirty = make(map[uint64]struct{})
+	t := rung{r: r, c: r.c}
 	sh.mu.Unlock()
 	sh.resyncCount.Add(1)
 	abort := func(err error) error {
@@ -190,29 +185,28 @@ func (cl *Cluster) readmit(sh *shard, r *replica) error {
 	}
 	// Register missing regions first (the node may have restarted and
 	// lost everything it knew).
-	cl.regMu.Lock()
-	regs := make(map[uint64]*cregion, len(cl.regions))
-	for h, reg := range cl.regions { //magevet:ok snapshot clone of the region table; order cannot affect the result
-		regs[h] = reg
-	}
-	cl.regMu.Unlock()
+	regs := cl.snapshotRegions()
+	var most int64
 	for _, reg := range regs { //magevet:ok registrations are independent; order cannot affect the result
-		if _, ok := reg.handle(r); ok {
-			continue
-		}
-		h, err := r.c.Register(reg.size)
-		if err != nil {
+		if err := cl.registerOn(reg, t); err != nil {
 			return abort(err)
 		}
-		cl.regMu.Lock()
-		reg.setHandle(r, h)
-		cl.regMu.Unlock()
+		most = max(most, cl.pagesOf(reg))
 	}
 	// Bulk copy: every page this shard owns, batched.
+	m := cl.resyncMover(sh, t, most)
 	for handle, reg := range regs { //magevet:ok regions copy independently; order cannot affect the result
-		if err := cl.copyOwnedPages(topo, si, sh, r, handle, reg); err != nil {
-			return abort(err)
+		for p, n := int64(0), cl.pagesOf(reg); p < n; p++ {
+			if placement.ShardOfIDs(placement.Key(handle, uint64(p)), topo.ids) != si {
+				continue
+			}
+			if err := m.add(lane{handle, si, si}, reg, p); err != nil {
+				return abort(err)
+			}
 		}
+	}
+	if err := m.drain(); err != nil {
+		return abort(err)
 	}
 	// Settle rounds: re-copy pages written during the bulk copy. Each
 	// round shrinks the window; the final round runs under the topology
@@ -236,7 +230,7 @@ func (cl *Cluster) readmit(sh *shard, r *replica) error {
 			round = 2 // nothing raced this round; jump to the final pass
 			continue
 		}
-		err := cl.copyDirty(si, sh, r, dirty)
+		err := cl.copyDirty(si, sh, t, dirty)
 		if !final {
 			if err != nil {
 				return abort(err)
@@ -295,85 +289,36 @@ func (cl *Cluster) admitReplica(sh *shard, r *replica) {
 	cl.stats.readmissions.Add(1)
 }
 
-// copyOwnedPages bulk-copies every page of region handle owned by
-// shard si from a surviving replica to the resync target r.
-func (cl *Cluster) copyOwnedPages(topo *topology, si int, sh *shard, r *replica, handle uint64, reg *cregion) error {
-	pb := cl.opts.PageBytes
-	npages := (reg.size + pb - 1) / pb
-	batchMax := cl.resyncBatchPages()
-	offs := make([]int64, 0, batchMax)
-	bufs := cl.copyBuffers(npages) // every batch of this region lands in the same pages
-	for p := int64(0); p < npages; p++ {
-		key := placement.Key(handle, uint64(p))
-		if placement.ShardOfIDs(key, topo.ids) != si {
-			continue
-		}
-		if (p+1)*pb > reg.size {
-			// Tail partial page: copy individually.
-			if err := cl.copyPage(sh, si, r, reg, p*pb, reg.size-p*pb); err != nil {
-				return err
-			}
-			continue
-		}
-		offs = append(offs, p*pb)
-		if len(offs) == batchMax {
-			if err := cl.copyBatch(sh, si, r, reg, offs, bufs); err != nil {
-				return err
-			}
-			offs = offs[:0]
-		}
+// registerOn gives the replica of rung t a handle for reg unless it has
+// one.
+func (cl *Cluster) registerOn(reg *cregion, t rung) error {
+	if _, ok := reg.handle(t.r); ok {
+		return nil
 	}
-	if len(offs) > 0 {
-		return cl.copyBatch(sh, si, r, reg, offs, bufs)
-	}
-	return nil
-}
-
-// copyBuffers returns the destination pages a copy loop over a region
-// of npages reuses for every batch it reads: one allocation of at most
-// a full batch.
-func (cl *Cluster) copyBuffers(npages int64) [][]byte {
-	n := min(npages, int64(cl.resyncBatchPages()))
-	return memnode.SplitPages(make([]byte, n*cl.opts.PageBytes), cl.opts.PageBytes)
-}
-
-// copyBatch moves one READV-worth of full pages from a surviving peer
-// to the resync target, through the first len(offs) of bufs.
-func (cl *Cluster) copyBatch(sh *shard, si int, target *replica, reg *cregion, offs []int64, bufs [][]byte) error {
-	bufs = bufs[:len(offs)]
-	if err := cl.readVShardExcluding(reg, sh, si, target, offs, bufs); err != nil {
-		return err
-	}
-	th, ok := reg.handle(target)
-	if !ok {
-		return errAllReplicasFailed(si, errors.New("resync target lost its region handle"))
-	}
-	if err := target.c.WriteV(th, offs, bufs); err != nil {
-		return err
-	}
-	cl.stats.rebalancedPages.Add(uint64(len(offs)))
-	return nil
-}
-
-// copyPage moves one (possibly partial) page from a surviving peer to
-// the resync target.
-func (cl *Cluster) copyPage(sh *shard, si int, target *replica, reg *cregion, off, length int64) error {
-	body, err := cl.readOneExcluding(reg, sh, si, target, off, length)
+	h, err := t.c.Register(reg.size)
 	if err != nil {
 		return err
 	}
-	th, ok := reg.handle(target)
-	if !ok {
-		memnode.PutBuf(body)
-		return errAllReplicasFailed(si, errors.New("resync target lost its region handle"))
-	}
-	err = target.c.Write(th, off, body)
-	memnode.PutBuf(body)
-	if err != nil {
-		return err
-	}
-	cl.stats.rebalancedPages.Add(1)
+	cl.regMu.Lock()
+	reg.setHandle(t.r, h)
+	cl.regMu.Unlock()
 	return nil
+}
+
+// resyncMover copies pages of sh from a healthy peer to the resync
+// target t, which no ladder reaches while it is down.
+func (cl *Cluster) resyncMover(sh *shard, t rung, pages int64) *mover {
+	return cl.newMover(pages,
+		func(l lane, reg *cregion, offs []int64, bufs [][]byte) error {
+			return cl.readInto(sh, l.src, holders(sh, reg, t.r), offs, bufs)
+		},
+		func(l lane, reg *cregion, offs []int64, bufs [][]byte) error {
+			th, ok := reg.handle(t.r)
+			if !ok {
+				return errors.New("memcluster: resync target lost its region handle")
+			}
+			return t.c.WriteV(th, offs, bufs)
+		})
 }
 
 // copyDirty re-copies the pages in one settle round's dirty set.
@@ -381,103 +326,29 @@ func (cl *Cluster) copyPage(sh *shard, si int, target *replica, reg *cregion, of
 // copy's snapshot: a write to a region registered after the resync
 // began goes only to healthy replicas, so skipping its key here would
 // leave the target serving zero-filled pages after admission.
-func (cl *Cluster) copyDirty(si int, sh *shard, r *replica, dirty map[uint64]struct{}) error {
-	pb := cl.opts.PageBytes
+func (cl *Cluster) copyDirty(si int, sh *shard, t rung, dirty map[uint64]struct{}) error {
+	m := cl.resyncMover(sh, t, int64(len(dirty)))
 	for key := range dirty { //magevet:ok settle-pass copy set: each page is copied exactly once; order cannot matter
-		handle := key >> placement.KeyPageBits
-		pageNo := int64(key & (1<<placement.KeyPageBits - 1))
+		handle, page := splitKey(key)
 		cl.regMu.Lock()
 		reg := cl.regions[handle]
 		cl.regMu.Unlock()
 		if reg == nil {
-			// No live region for the key (cannot happen today — there is
-			// no unregister verb — but a missing entry means there is no
-			// page to copy).
+			// No live region for the key. Cannot happen today: memnode has
+			// an UNREGISTER verb (Register's rollback uses it), but the
+			// cluster has no Unregister, so its region table only grows.
+			// A missing entry would mean there is no page to copy.
 			continue
 		}
-		if _, ok := reg.handle(r); !ok {
-			// The region appeared after readmit's own register pass, and
-			// the concurrent Register failed to reach this replica.
-			// Create it on the target now so the dirty copy can land.
-			h, err := r.c.Register(reg.size)
-			if err != nil {
-				return err
-			}
-			cl.regMu.Lock()
-			reg.setHandle(r, h)
-			cl.regMu.Unlock()
+		// The region may have appeared after readmit's own register pass
+		// with its Register failing to reach this replica: create it on
+		// the target now so the dirty copy can land.
+		if err := cl.registerOn(reg, t); err != nil {
+			return err
 		}
-		off := pageNo * pb
-		length := pb
-		if off > reg.size-length { // overflow-safe form of off+length > reg.size
-			length = reg.size - off
-		}
-		if length <= 0 {
-			continue
-		}
-		if err := cl.copyPage(sh, si, r, reg, off, length); err != nil {
+		if err := m.add(lane{handle, si, si}, reg, page); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// readVShardExcluding is readVShard with one replica (the resync
-// target — its data is the stale data being replaced) removed from
-// the source set. A resync source must be current, not merely alive,
-// so there is no degraded tail here.
-func (cl *Cluster) readVShardExcluding(reg *cregion, sh *shard, shardIdx int, exclude *replica, offs []int64, dst [][]byte) error {
-	reps, _, healthy := snapshotReplicas(sh)
-	var lastErr error
-	for i, r := range reps {
-		if r == exclude || !healthy[i] {
-			continue
-		}
-		h, ok := reg.handle(r)
-		if !ok {
-			continue
-		}
-		err := r.c.ReadVInto(h, offs, dst)
-		if err == nil {
-			return nil
-		}
-		if memnode.IsTerminal(err) {
-			return err
-		}
-		cl.markDown(sh, r, true)
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no healthy resync source")
-	}
-	return errAllReplicasFailed(shardIdx, lastErr)
-}
-
-// readOneExcluding mirrors readOne minus the excluded replica and the
-// degraded tail.
-func (cl *Cluster) readOneExcluding(reg *cregion, sh *shard, shardIdx int, exclude *replica, off, length int64) ([]byte, error) {
-	reps, _, healthy := snapshotReplicas(sh)
-	var lastErr error
-	for i, r := range reps {
-		if r == exclude || !healthy[i] {
-			continue
-		}
-		h, ok := reg.handle(r)
-		if !ok {
-			continue
-		}
-		body, err := r.c.Read(h, off, length)
-		if err == nil {
-			return body, nil
-		}
-		if memnode.IsTerminal(err) {
-			return nil, err
-		}
-		cl.markDown(sh, r, true)
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no healthy resync source")
-	}
-	return nil, errAllReplicasFailed(shardIdx, lastErr)
+	return m.drain()
 }

@@ -11,6 +11,8 @@
 // logDirty records every completed write whose key changes owner
 // between the old and new ID sets, and the final settle pass re-copies
 // that set under the topology write lock with all ops drained.
+//
+// Every page a migration or a resync copies goes through one mover.
 package memcluster
 
 import (
@@ -30,17 +32,26 @@ type migration struct {
 	dirty  map[uint64]struct{}
 }
 
+// lane names the shards a page travels between under this migration,
+// and whether it travels at all: ownership is compared by stable ID —
+// a leave shifts the indices of the shards behind the one that left.
+func (m *migration) lane(handle uint64, page int64) (lane, bool) {
+	key := placement.Key(handle, uint64(page))
+	so, sn := placement.ShardOfIDs(key, m.oldIDs), placement.ShardOfIDs(key, m.newIDs)
+	return lane{handle, so, sn}, m.oldIDs[so] != m.newIDs[sn]
+}
+
 // beginMigration installs the migration record; the write path starts
 // logging moved-key dirt the moment migOn flips.
-func (cl *Cluster) beginMigration(oldIDs, newIDs []uint64) error {
+func (cl *Cluster) beginMigration(oldIDs, newIDs []uint64) (*migration, error) {
 	cl.migMu.Lock()
 	defer cl.migMu.Unlock()
 	if cl.mig != nil {
-		return errors.New("memcluster: a rebalance is already running")
+		return nil, errors.New("memcluster: a rebalance is already running")
 	}
 	cl.mig = &migration{oldIDs: oldIDs, newIDs: newIDs, dirty: make(map[uint64]struct{})}
 	cl.migOn.Store(true)
-	return nil
+	return cl.mig, nil
 }
 
 // endMigration clears the record and returns the accumulated dirty
@@ -79,80 +90,18 @@ func (cl *Cluster) AddShard(addrs []string) error {
 		}
 		newSh.replicas = append(newSh.replicas, &replica{addr: addr, c: c, healthy: true})
 	}
-	// Allocate the stable ID and build the candidate topology under the
-	// write lock (nextID is barrier-guarded), then release: the copy
-	// runs against the still-current old topology.
-	cl.topoMu.Lock()
-	oldTopo := cl.topo
-	newSh.id = cl.nextID
-	cl.nextID++
-	newTopo := &topology{
-		shards: append(append([]*shard(nil), oldTopo.shards...), newSh),
-		ids:    append(append([]uint64(nil), oldTopo.ids...), newSh.id),
-	}
-	if err := cl.beginMigration(oldTopo.ids, newTopo.ids); err != nil {
-		cl.topoMu.Unlock()
+	err := cl.migrate(newSh, func(old *topology) (*topology, error) {
+		newSh.id = cl.nextID
+		cl.nextID++
+		return &topology{
+			shards: append(append([]*shard(nil), old.shards...), newSh),
+			ids:    append(append([]uint64(nil), old.ids...), newSh.id),
+		}, nil
+	})
+	if err != nil {
 		_ = closeShard(newSh)
-		return err
 	}
-	cl.topoMu.Unlock()
-
-	abort := func(err error) error {
-		cl.endMigration()
-		_ = closeShard(newSh)
-		return err
-	}
-	// Register every existing region on the new replicas and bulk-copy
-	// the moved pages while ops keep flowing under the read lock.
-	cl.topoMu.RLock()
-	if cl.topo != oldTopo {
-		cl.topoMu.RUnlock()
-		return abort(errors.New("memcluster: topology changed during AddShard"))
-	}
-	regs := cl.snapshotRegions()
-	for _, reg := range regs { //magevet:ok registrations are independent; order cannot affect the result
-		if err := cl.registerOnShard(reg, newSh); err != nil {
-			cl.topoMu.RUnlock()
-			return abort(err)
-		}
-	}
-	for handle, reg := range regs { //magevet:ok regions copy independently; order cannot affect the result
-		if err := cl.copyMovedPages(oldTopo, newTopo, handle, reg); err != nil {
-			cl.topoMu.RUnlock()
-			return abort(err)
-		}
-	}
-	cl.topoMu.RUnlock()
-	// Final settle under the drained barrier: register regions created
-	// mid-copy, re-copy raced writes, swap the topology.
-	cl.topoMu.Lock()
-	if cl.topo != oldTopo {
-		cl.topoMu.Unlock()
-		return abort(errors.New("memcluster: topology changed during AddShard"))
-	}
-	lateRegs := cl.snapshotRegions()
-	for handle, reg := range lateRegs { //magevet:ok registrations are independent; order cannot affect the result
-		if _, ok := regs[handle]; ok {
-			continue
-		}
-		if err := cl.registerOnShard(reg, newSh); err != nil {
-			cl.topoMu.Unlock()
-			return abort(err)
-		}
-		if err := cl.copyMovedPages(oldTopo, newTopo, handle, reg); err != nil {
-			cl.topoMu.Unlock()
-			return abort(err)
-		}
-	}
-	dirty := cl.endMigration()
-	if err := cl.settleMoved(oldTopo, newTopo, lateRegs, dirty); err != nil {
-		cl.topoMu.Unlock()
-		_ = closeShard(newSh)
-		return err
-	}
-	cl.topo = newTopo
-	cl.topoMu.Unlock()
-	return nil
+	return err
 }
 
 // RemoveShard drains shard idx out of the cluster: its pages migrate
@@ -162,71 +111,115 @@ func (cl *Cluster) RemoveShard(idx int) error {
 	if err := cl.checkClosed(); err != nil {
 		return err
 	}
-	cl.topoMu.Lock()
-	oldTopo := cl.topo
-	if idx < 0 || idx >= len(oldTopo.shards) {
-		cl.topoMu.Unlock()
-		return fmt.Errorf("memcluster: RemoveShard: no shard %d", idx)
-	}
-	if len(oldTopo.shards) == 1 {
-		cl.topoMu.Unlock()
-		return errors.New("memcluster: cannot remove the last shard")
-	}
-	removed := oldTopo.shards[idx]
-	newTopo := &topology{}
-	for i, sh := range oldTopo.shards {
-		if i == idx {
-			continue
+	var removed *shard
+	err := cl.migrate(nil, func(old *topology) (*topology, error) {
+		if idx < 0 || idx >= len(old.shards) {
+			return nil, fmt.Errorf("memcluster: RemoveShard: no shard %d", idx)
 		}
-		newTopo.shards = append(newTopo.shards, sh)
-		newTopo.ids = append(newTopo.ids, oldTopo.ids[i])
-	}
-	if err := cl.beginMigration(oldTopo.ids, newTopo.ids); err != nil {
-		cl.topoMu.Unlock()
+		if len(old.shards) == 1 {
+			return nil, errors.New("memcluster: cannot remove the last shard")
+		}
+		removed = old.shards[idx]
+		next := &topology{}
+		for i, sh := range old.shards {
+			if i != idx {
+				next.shards = append(next.shards, sh)
+				next.ids = append(next.ids, old.ids[i])
+			}
+		}
+		return next, nil
+	})
+	if err != nil {
 		return err
 	}
-	cl.topoMu.Unlock()
+	return closeShard(removed)
+}
 
-	abort := func(err error) error {
+// migrate is the one topology change. next builds the candidate from
+// the current topology under the write lock (which also guards nextID);
+// the pages whose owner differs between the two are then bulk-copied
+// while ops keep flowing against the old one, and the final settle —
+// regions created mid-copy, writes that raced it — and the swap run
+// under the drained barrier. Every region is first registered on the
+// replicas of joining, the shard a join adds (nil for a leave).
+//
+// cl.topo cannot change underneath: beginMigration admits one migration
+// at a time and nothing else stores it.
+func (cl *Cluster) migrate(joining *shard, next func(old *topology) (*topology, error)) error {
+	cl.topoMu.Lock()
+	oldTopo := cl.topo
+	newTopo, err := next(oldTopo)
+	var mig *migration
+	if err == nil {
+		mig, err = cl.beginMigration(oldTopo.ids, newTopo.ids)
+	}
+	cl.topoMu.Unlock()
+	if err != nil {
+		return err
+	}
+	bulk := func(regs, done map[uint64]*cregion) error {
+		var most int64
+		for handle, reg := range regs { //magevet:ok registrations are independent; order cannot affect the result
+			if done[handle] != nil {
+				continue
+			}
+			if joining != nil {
+				// Joining replicas are freshly dialled and healthy: every one
+				// must accept, or the join aborts.
+				for _, g := range dialled(joining) {
+					if err := cl.registerOn(reg, g); err != nil {
+						return err
+					}
+				}
+			}
+			most = max(most, cl.pagesOf(reg))
+		}
+		m := cl.rebalanceMover(oldTopo, newTopo, most)
+		for handle, reg := range regs { //magevet:ok regions copy independently; order cannot affect the result
+			if done[handle] != nil {
+				continue
+			}
+			for p, n := int64(0), cl.pagesOf(reg); p < n; p++ {
+				if l, ok := mig.lane(handle, p); ok {
+					if err := m.add(l, reg, p); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return m.drain()
+	}
+	cl.topoMu.RLock()
+	regs := cl.snapshotRegions()
+	err = bulk(regs, nil)
+	cl.topoMu.RUnlock()
+	if err != nil {
 		cl.endMigration()
 		return err
 	}
-	cl.topoMu.RLock()
-	if cl.topo != oldTopo {
-		cl.topoMu.RUnlock()
-		return abort(errors.New("memcluster: topology changed during RemoveShard"))
-	}
-	regs := cl.snapshotRegions()
-	for handle, reg := range regs { //magevet:ok regions copy independently; order cannot affect the result
-		if err := cl.copyMovedPages(oldTopo, newTopo, handle, reg); err != nil {
-			cl.topoMu.RUnlock()
-			return abort(err)
-		}
-	}
-	cl.topoMu.RUnlock()
 	cl.topoMu.Lock()
-	if cl.topo != oldTopo {
-		cl.topoMu.Unlock()
-		return abort(errors.New("memcluster: topology changed during RemoveShard"))
-	}
-	lateRegs := cl.snapshotRegions()
-	for handle, reg := range lateRegs { //magevet:ok regions copy independently; order cannot affect the result
-		if _, ok := regs[handle]; ok {
-			continue
-		}
-		if err := cl.copyMovedPages(oldTopo, newTopo, handle, reg); err != nil {
-			cl.topoMu.Unlock()
-			return abort(err)
-		}
-	}
+	defer cl.topoMu.Unlock()
+	late := cl.snapshotRegions()
+	err = bulk(late, regs)
 	dirty := cl.endMigration()
-	if err := cl.settleMoved(oldTopo, newTopo, lateRegs, dirty); err != nil {
-		cl.topoMu.Unlock()
+	if err != nil {
+		return err
+	}
+	m := cl.rebalanceMover(oldTopo, newTopo, int64(len(dirty)))
+	for key := range dirty { //magevet:ok settle-pass copy set: each page is copied exactly once; order cannot matter
+		handle, page := splitKey(key)
+		reg := late[handle]
+		if l, ok := mig.lane(handle, page); ok && reg != nil {
+			if err := m.add(l, reg, page); err != nil {
+				return err
+			}
+		}
+	}
+	if err := m.drain(); err != nil {
 		return err
 	}
 	cl.topo = newTopo
-	cl.topoMu.Unlock()
-	return closeShard(removed)
+	return nil
 }
 
 // snapshotRegions copies the region table out from under regMu.
@@ -240,156 +233,112 @@ func (cl *Cluster) snapshotRegions() map[uint64]*cregion {
 	return regs
 }
 
-// registerOnShard registers reg on every replica of sh that lacks a
-// handle. Every replica must accept — joining replicas are freshly
-// dialed and healthy, so failure here means the join should abort.
-func (cl *Cluster) registerOnShard(reg *cregion, sh *shard) error {
-	sh.mu.Lock()
-	reps := append([]*replica(nil), sh.replicas...)
-	sh.mu.Unlock()
-	for _, r := range reps {
-		if _, ok := reg.handle(r); ok {
-			continue
-		}
-		h, err := r.c.Register(reg.size)
-		if err != nil {
-			return err
-		}
-		cl.regMu.Lock()
-		reg.setHandle(r, h)
-		cl.regMu.Unlock()
-	}
-	return nil
+// pagesOf counts reg's ownership pages; the last may be partial.
+func (cl *Cluster) pagesOf(reg *cregion) int64 {
+	return (reg.size + cl.opts.PageBytes - 1) / cl.opts.PageBytes
 }
 
-// copyMovedPages copies every page of one region whose owner changes
-// between oldTopo and newTopo, batching full pages per (source, dest)
-// shard pair.
-func (cl *Cluster) copyMovedPages(oldTopo, newTopo *topology, handle uint64, reg *cregion) error {
-	pb := cl.opts.PageBytes
-	npages := (reg.size + pb - 1) / pb
-	batchMax := cl.resyncBatchPages()
-	type pair struct{ src, dst int }
-	batches := make(map[pair][]int64)
-	bufs := cl.copyBuffers(npages) // every batch of this region lands in the same pages
-	flush := func(pr pair, offs []int64) error {
-		bodies := bufs[:len(offs)]
-		if err := cl.readVShard(reg, oldTopo.shards[pr.src], pr.src, handle, offs, bodies); err != nil {
-			return err
-		}
-		if err := cl.writeMoved(reg, newTopo.shards[pr.dst], pr.dst, offs, bodies); err != nil {
-			return err
-		}
-		cl.stats.rebalancedPages.Add(uint64(len(offs)))
+// splitKey undoes placement.Key.
+func splitKey(key uint64) (handle uint64, page int64) {
+	return key >> placement.KeyPageBits, int64(key & (1<<placement.KeyPageBits - 1))
+}
+
+// rebalanceMover copies pages from their owner under oldTopo, read as
+// any op reads them, to every healthy replica of their owner under
+// newTopo.
+func (cl *Cluster) rebalanceMover(oldTopo, newTopo *topology, pages int64) *mover {
+	return cl.newMover(pages,
+		func(l lane, reg *cregion, offs []int64, bufs [][]byte) error {
+			sh := oldTopo.shards[l.src]
+			key := placement.Key(l.handle, uint64(offs[0]/cl.opts.PageBytes))
+			return cl.readInto(sh, l.src, cl.ladder(sh, reg, key), offs, bufs)
+		},
+		func(l lane, reg *cregion, offs []int64, bufs [][]byte) error {
+			sh := newTopo.shards[l.dst]
+			return cl.writeTo(sh, l.dst, holders(sh, reg, nil), l.handle, offs, bufs, false)
+		})
+}
+
+// lane is one stream of a copy: the pages of one region that travel
+// from shard src to shard dst (indices into the topology each side is
+// read under; equal for a resync, which stays inside one shard).
+type lane struct {
+	handle   uint64
+	src, dst int
+}
+
+// batch is the pages a lane has queued: offsets and where each will
+// land in the mover's buffer. It holds no data until it is flushed.
+type batch struct {
+	reg  *cregion
+	offs []int64
+	bufs [][]byte
+}
+
+// mover is the one page-copy routine. It queues page numbers per lane
+// and moves a lane's batch — one read, one write, both batched verbs —
+// when the batch fills the copy buffer and at drain. Resync and
+// rebalance, bulk and settle, differ only in the read and write they
+// hand it. The lanes share the buffer: flushes run one at a time and a
+// queued batch is only offsets. A region's partial last page is a
+// shorter descriptor, not a path of its own.
+type mover struct {
+	cl          *Cluster
+	buf         []byte
+	lanes       map[lane]*batch
+	read, write func(l lane, reg *cregion, offs []int64, bufs [][]byte) error
+}
+
+// newMover sizes the copy buffer for the pages expected, at most one
+// node op's worth (MaxBatchPages pages or MaxIO bytes).
+func (cl *Cluster) newMover(pages int64, read, write func(lane, *cregion, []int64, [][]byte) error) *mover {
+	n := max(1, min(pages, memnode.MaxBatchPages, memnode.MaxIO/cl.opts.PageBytes))
+	return &mover{cl: cl, buf: make([]byte, n*cl.opts.PageBytes), lanes: make(map[lane]*batch), read: read, write: write}
+}
+
+// add queues one page of reg on lane l; a page number past the region's
+// end (a dirty key can be anything) is no page.
+func (m *mover) add(l lane, reg *cregion, page int64) error {
+	if page >= m.cl.pagesOf(reg) {
 		return nil
 	}
-	for p := int64(0); p < npages; p++ {
-		key := placement.Key(handle, uint64(p))
-		so := placement.ShardOfIDs(key, oldTopo.ids)
-		sn := placement.ShardOfIDs(key, newTopo.ids)
-		if oldTopo.ids[so] == newTopo.ids[sn] {
-			continue
-		}
-		if (p+1)*pb > reg.size {
-			if err := cl.copyMovedPage(oldTopo, newTopo, reg, key, p*pb, reg.size-p*pb); err != nil {
-				return err
-			}
-			continue
-		}
-		pr := pair{so, sn}
-		batches[pr] = append(batches[pr], p*pb) //magevet:ok per-pair batch accumulator; flush resets the slice it consumed
-		if len(batches[pr]) == batchMax {
-			if err := flush(pr, batches[pr]); err != nil {
-				return err
-			}
-			delete(batches, pr)
-		}
+	b := m.lanes[l]
+	if b == nil {
+		b = &batch{reg: reg}
+		m.lanes[l] = b
 	}
-	for pr, offs := range batches { //magevet:ok disjoint page sets per shard pair; copy order cannot matter
-		if err := flush(pr, offs); err != nil {
-			return err
-		}
+	pb := m.cl.opts.PageBytes
+	off, lo := page*pb, int64(len(b.offs))*pb
+	n := min(pb, reg.size-off)
+	b.offs = append(b.offs, off)
+	b.bufs = append(b.bufs, m.buf[lo:lo+n:lo+n])
+	if lo+pb == int64(len(m.buf)) {
+		return m.flush(l, b)
 	}
 	return nil
 }
 
-// copyMovedPage moves a single (possibly partial) page between its
-// old and new owner shards.
-func (cl *Cluster) copyMovedPage(oldTopo, newTopo *topology, reg *cregion, key uint64, off, length int64) error {
-	so := placement.ShardOfIDs(key, oldTopo.ids)
-	sn := placement.ShardOfIDs(key, newTopo.ids)
-	if so < 0 || sn < 0 || oldTopo.ids[so] == newTopo.ids[sn] {
+// flush is the only place pages are read from one place and written to
+// another.
+func (m *mover) flush(l lane, b *batch) error {
+	if len(b.offs) == 0 {
 		return nil
 	}
-	body, err := cl.readOne(reg, oldTopo.shards[so], so, key, off, length)
-	if err != nil {
+	if err := m.read(l, b.reg, b.offs, b.bufs); err != nil {
 		return err
 	}
-	err = cl.writeMoved(reg, newTopo.shards[sn], sn, []int64{off}, [][]byte{body})
-	memnode.PutBuf(body)
-	if err != nil {
+	if err := m.write(l, b.reg, b.offs, b.bufs); err != nil {
 		return err
 	}
-	cl.stats.rebalancedPages.Add(1)
+	m.cl.stats.rebalancedPages.Add(uint64(len(b.offs)))
+	b.offs, b.bufs = b.offs[:0], b.bufs[:0]
 	return nil
 }
 
-// writeMoved replicates one batch of migrated pages to every healthy
-// replica of the destination shard. Unlike writeVShard it does NOT
-// log dirt: migration copies must not re-mark the very pages they
-// just moved, or the settle pass would never converge.
-func (cl *Cluster) writeMoved(reg *cregion, sh *shard, shardIdx int, offs []int64, bodies [][]byte) error {
-	reps, _, healthy := snapshotReplicas(sh)
-	acks := 0
-	var lastErr error
-	for i, r := range reps {
-		if !healthy[i] {
-			continue
-		}
-		h, ok := reg.handle(r)
-		if !ok {
-			continue
-		}
-		if err := r.c.WriteV(h, offs, bodies); err != nil {
-			if memnode.IsTerminal(err) {
-				return err
-			}
-			cl.markDown(sh, r, true)
-			lastErr = err
-			continue
-		}
-		acks++
-	}
-	if acks == 0 {
-		if lastErr == nil {
-			lastErr = errors.New("no healthy destination replica")
-		}
-		return errAllReplicasFailed(shardIdx, lastErr)
-	}
-	return nil
-}
-
-// settleMoved re-copies the migration dirty set (keys written during
-// the bulk copy whose owner changes). Caller holds topoMu exclusively
-// with all ops drained.
-func (cl *Cluster) settleMoved(oldTopo, newTopo *topology, regs map[uint64]*cregion, dirty map[uint64]struct{}) error {
-	pb := cl.opts.PageBytes
-	for key := range dirty { //magevet:ok settle-pass copy set: each page is copied exactly once; order cannot matter
-		handle := key >> placement.KeyPageBits
-		pageNo := int64(key & (1<<placement.KeyPageBits - 1))
-		reg, ok := regs[handle]
-		if !ok {
-			continue
-		}
-		off := pageNo * pb
-		length := pb
-		if off > reg.size-length { // overflow-safe form of off+length > reg.size
-			length = reg.size - off
-		}
-		if length <= 0 {
-			continue
-		}
-		if err := cl.copyMovedPage(oldTopo, newTopo, reg, key, off, length); err != nil {
+// drain flushes what every lane still holds.
+func (m *mover) drain() error {
+	for l, b := range m.lanes { //magevet:ok lanes hold disjoint page sets; copy order cannot matter
+		if err := m.flush(l, b); err != nil {
 			return err
 		}
 	}

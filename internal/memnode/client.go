@@ -148,20 +148,29 @@ type region struct {
 // ErrClosed is returned by operations on a closed client.
 var ErrClosed = errors.New("memnode: client closed")
 
-// serverError is a terminal statusErr response: the server understood
-// the request and rejected it, so retrying cannot help and the
+// serverError is a terminal refusal: a statusErr response — the server
+// understood the request and rejected it — or a request this client
+// refused to send because its shape is one no node accepts (a bad
+// length, an empty or mismatched batch, a batch over MaxIO). Either way
+// retrying cannot help, another node would say the same, and the
 // connection remains healthy.
 type serverError struct{ msg string }
 
 func (e *serverError) Error() string { return "memnode: " + e.msg }
 
+// refusef is a request the client's own checks turn away.
+func refusef(format string, args ...any) error {
+	return &serverError{msg: fmt.Sprintf(format, args...)}
+}
+
 // errRegionLost is the in-client signal that the server answered
 // statusErrRegion.
 var errRegionLost = errors.New("memnode: server lost region")
 
-// IsTerminal reports whether err is a terminal server rejection: the
-// request was understood and refused (bad bounds, bad opcode, capacity)
-// over a healthy connection. Layered clients (memcluster) use this to
+// IsTerminal reports whether err is a terminal rejection: the request
+// was understood and refused (bad bounds, bad opcode, capacity) over a
+// healthy connection, or refused by this client before it was sent.
+// Layered clients (memcluster) use this to
 // distinguish "this op can never succeed" from "this node is in
 // trouble" — only the latter justifies failover and marking the node
 // down.
@@ -1105,7 +1114,7 @@ func (c *Client) Register(size int64) (uint64, error) {
 // success — a failed unregister leaves the region usable.
 func (c *Client) Unregister(handle uint64) error {
 	if !c.canReplay(handle) {
-		return &serverError{msg: fmt.Sprintf("unknown region handle %d", handle)}
+		return refusef("unknown region handle %d", handle)
 	}
 	if _, err := c.do(&call{op: opUnregister, handle: handle}); err != nil {
 		return err
@@ -1121,7 +1130,7 @@ func (c *Client) Unregister(handle uint64) error {
 // the client recycle it.
 func (c *Client) Read(handle uint64, offset, length int64) ([]byte, error) {
 	if length <= 0 || length > MaxIO {
-		return nil, fmt.Errorf("memnode: bad read length %d", length)
+		return nil, refusef("bad read length %d", length)
 	}
 	body, err := c.do(&call{op: opRead, handle: handle, offset: offset, length: length})
 	if err != nil {
@@ -1138,7 +1147,7 @@ func (c *Client) Read(handle uint64, offset, length int64) ([]byte, error) {
 // Write performs a one-sided write of data at offset.
 func (c *Client) Write(handle uint64, offset int64, data []byte) error {
 	if len(data) == 0 || len(data) > MaxIO {
-		return fmt.Errorf("memnode: bad write length %d", len(data))
+		return refusef("bad write length %d", len(data))
 	}
 	_, err := c.do(&call{
 		op: opWrite, handle: handle, offset: offset,
@@ -1196,15 +1205,15 @@ func (c *Client) WriteAsync(handle uint64, offset int64, data []byte) *Pending {
 // returns; on an error their contents are unspecified.
 func (c *Client) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
 	if len(dst) == 0 || len(dst) > MaxBatchPages || len(dst) != len(offsets) {
-		return fmt.Errorf("memnode: bad batch shape (%d offsets, %d buffers)", len(offsets), len(dst))
+		return refusef("bad batch shape (%d offsets, %d buffers)", len(offsets), len(dst))
 	}
 	var total int64
 	for i, d := range dst {
 		if len(d) == 0 {
-			return fmt.Errorf("memnode: empty buffer %d in batch", i)
+			return refusef("empty buffer %d in batch", i)
 		}
 		if total += int64(len(d)); total > MaxIO {
-			return fmt.Errorf("memnode: batch total exceeds MaxIO")
+			return refusef("batch total exceeds MaxIO")
 		}
 	}
 	_, err := c.do(&call{op: opReadV, handle: handle, offsets: offsets, dst: dst, dstLen: total})
@@ -1220,7 +1229,7 @@ func (c *Client) ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]byt
 	// Division, not multiplication: pageBytes*len(offsets) can overflow
 	// int64 and slip past a product-form check.
 	if len(offsets) == 0 || len(offsets) > MaxBatchPages || pageBytes <= 0 || pageBytes > MaxIO/int64(len(offsets)) {
-		return nil, fmt.Errorf("memnode: bad batch shape (%d pages of %d bytes)", len(offsets), pageBytes)
+		return nil, refusef("bad batch shape (%d pages of %d bytes)", len(offsets), pageBytes)
 	}
 	pages := SplitPages(make([]byte, pageBytes*int64(len(offsets))), pageBytes)
 	if err := c.ReadVInto(handle, offsets, pages); err != nil {
@@ -1245,17 +1254,17 @@ func SplitPages(buf []byte, pageBytes int64) [][]byte {
 // the whole batch, which is safe because page writes are idempotent.
 func (c *Client) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
 	if len(pages) == 0 || len(pages) > MaxBatchPages || len(pages) != len(offsets) {
-		return fmt.Errorf("memnode: bad batch shape (%d offsets, %d pages)", len(offsets), len(pages))
+		return refusef("bad batch shape (%d offsets, %d pages)", len(offsets), len(pages))
 	}
 	var total int64
 	for i, pg := range pages {
 		if len(pg) == 0 {
-			return fmt.Errorf("memnode: empty page %d in batch", i)
+			return refusef("empty page %d in batch", i)
 		}
 		total += int64(len(pg))
 	}
 	if total > MaxIO {
-		return fmt.Errorf("memnode: batch total %d exceeds MaxIO", total)
+		return refusef("batch total %d exceeds MaxIO", total)
 	}
 	desc := appendDescs(nil, offsets, pages)
 	bufs := make(net.Buffers, 0, len(pages)+1)

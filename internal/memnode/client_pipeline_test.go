@@ -356,6 +356,50 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
+// TestClientRefusalsAreTerminal: a request the client's own shape
+// checks refuse before sending is a caller's mistake, not a node in
+// trouble. IsTerminal must say so — memcluster demotes a replica on any
+// error that is not terminal — and the refusal must cost no retry.
+func TestClientRefusalsAreTerminal(t *testing.T) {
+	_, c := newPair(t, 16<<20)
+	id, err := c.Register(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, 4096)
+	huge := make([]byte, MaxIO/2+1)
+	refusals := map[string]func() error{
+		"read length zero":     func() error { _, err := c.Read(id, 0, 0); return err },
+		"read length > MaxIO":  func() error { _, err := c.Read(id, 0, MaxIO+1); return err },
+		"write empty":          func() error { return c.Write(id, 0, nil) },
+		"write > MaxIO":        func() error { return c.Write(id, 0, make([]byte, MaxIO+1)) },
+		"readvinto empty":      func() error { return c.ReadVInto(id, nil, nil) },
+		"readvinto mismatched": func() error { return c.ReadVInto(id, []int64{0, 4096}, [][]byte{page}) },
+		"readvinto > pages":    func() error { return c.ReadVInto(id, make([]int64, MaxBatchPages+1), make([][]byte, MaxBatchPages+1)) },
+		"readvinto nil buffer": func() error { return c.ReadVInto(id, []int64{0}, [][]byte{nil}) },
+		"readvinto > MaxIO":    func() error { return c.ReadVInto(id, []int64{0, 0}, [][]byte{huge, huge}) },
+		"readv empty":          func() error { _, err := c.ReadV(id, nil, 4096); return err },
+		"readv > MaxIO":        func() error { _, err := c.ReadV(id, []int64{0, 0}, MaxIO); return err },
+		"writev mismatched":    func() error { return c.WriteV(id, []int64{0, 4096}, [][]byte{page}) },
+		"writev empty page":    func() error { return c.WriteV(id, []int64{0}, [][]byte{nil}) },
+		"writev > MaxIO":       func() error { return c.WriteV(id, []int64{0, 0}, [][]byte{huge, huge}) },
+	}
+	for name, do := range refusals {
+		err := do()
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if !IsTerminal(err) {
+			t.Errorf("%s: %v is not terminal", name, err)
+		}
+	}
+	if m := c.Metrics(); m.Retries != 0 || m.Reconnects != 0 {
+		t.Errorf("refusals cost %d retries, %d reconnects", m.Retries, m.Reconnects)
+	}
+	if err := c.Write(id, 0, page); err != nil {
+		t.Errorf("the client stopped serving after refusals: %v", err)
+	}
+}
+
 // TestAsyncPipeline issues a deep burst of async writes then reads and
 // verifies every page — the bread-and-butter pipelined workload.
 func TestAsyncPipeline(t *testing.T) {

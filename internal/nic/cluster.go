@@ -105,7 +105,7 @@ func (c *Cluster) demote(r *clusterReplica, now sim.Time) {
 
 // ladder builds the replica attempt order for key on one shard:
 // weighted healthy draws first, then every replica as a degraded
-// tail — the same shape as the real cluster's selectionOrder.
+// tail — the same shape as the real cluster's ladder.
 func (c *Cluster) ladder(key uint64, reps []*clusterReplica, now sim.Time) []int {
 	weights := make([]int64, len(reps))
 	mask := make([]bool, len(reps))
