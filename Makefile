@@ -61,10 +61,19 @@ lint: fmtcheck vet magevet
 # at a remote:local ratio of 8:1 on a live memnode socket (measured
 # ~360k on the reference box; the floor leaves 3x for noisy runners),
 # with the p99 recorded alongside.
+# The pager-fault pins are ceilings on what a demand fault costs beyond
+# its round trip, on TCP and on the ring: the future and nothing else
+# from the allocator (a mean over a run in which the collector empties
+# the pools now and then and the TCP writer's release of a call
+# sometimes loses to the reader, hence 1.05, not 1), and no goroutine
+# (the count is off by up to sixteen ids per P, hence 0.01, not 0; a
+# goroutine per fault reads 1). Beside them the allocation ceilings the
+# memnode pipelines have held since PRs 13 and 16: none on either shm
+# variant, the in-process server's two on TCP.
 bench:
-	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkEngineDispatch|BenchmarkParexpFigures|BenchmarkFaultPathMageLib|BenchmarkFaultToleranceMageLib|BenchmarkColocateNode|BenchmarkMemnodePipeline|BenchmarkMemnodeShmPipeline|BenchmarkServerRoundtrip|BenchmarkClusterFailoverRead|BenchmarkMagecacheZipf' ./... \
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkEngineDispatch|BenchmarkParexpFigures|BenchmarkFaultPathMageLib|BenchmarkFaultToleranceMageLib|BenchmarkColocateNode|BenchmarkMemnodePipeline|BenchmarkMemnodeShmPipeline|BenchmarkServerRoundtrip|BenchmarkClusterFailoverRead|BenchmarkMagecacheZipf|BenchmarkPagerFault' ./... \
 		| tee /dev/stderr | $(GO) run ./cmd/benchsnap \
-			-require 'BenchmarkMemnodePipeline:pages/s,BenchmarkMemnodePipeline:p99-us,BenchmarkServerRoundtrip:allocs/op,BenchmarkMemnodeShmPipeline:pages/s,BenchmarkMemnodeShmPipeline:p99-us,BenchmarkMemnodeShmPipeline:allocs/op,BenchmarkClusterFailoverRead:pages/s,BenchmarkClusterFailoverRead:p99-us,BenchmarkEngineDispatchSharded:events/s>=2700000,BenchmarkMagecacheZipf:ops/s>=120000,BenchmarkMagecacheZipf:p99-us' \
+			-require 'BenchmarkMemnodePipeline:pages/s,BenchmarkMemnodePipeline:p99-us,BenchmarkServerRoundtrip:allocs/op,BenchmarkMemnodeShmPipeline:pages/s,BenchmarkMemnodeShmPipeline:p99-us,BenchmarkMemnodeShmPipeline:allocs/op,BenchmarkClusterFailoverRead:pages/s,BenchmarkClusterFailoverRead:p99-us,BenchmarkEngineDispatchSharded:events/s>=2700000,BenchmarkMagecacheZipf:ops/s>=120000,BenchmarkMagecacheZipf:p99-us,BenchmarkPagerFault/tcp:allocs/fault<=1.05,BenchmarkPagerFault/shm:allocs/fault<=1.05,BenchmarkPagerFault/tcp:goroutines/fault<=0.01,BenchmarkPagerFault/shm:goroutines/fault<=0.01,BenchmarkMemnodeShmPipeline:allocs/op<=0,BenchmarkMemnodeShmPipelineParked:allocs/op<=0,BenchmarkMemnodePipeline:allocs/op<=2' \
 			> BENCH_$(BENCH_DATE).json
 
 # bench/ is a module of its own (BENCHMARK.json's harness), so build,

@@ -196,8 +196,8 @@ func printLoadReport(r loadReport, c *Cache, sloP99Us float64) {
 	if ps.WritebackBatches > 0 {
 		batching = float64(ps.WritebackPages) / float64(ps.WritebackBatches)
 	}
-	fmt.Printf("magecache-pager: %d faults (%d batched ahead, %d on demand), %d hits, %d coalesced, %d evictions (%d clean), writeback %.1f pages/batch, prefetch %d issued / %d hit / %d dropped\n",
-		ps.Faults, ps.FaultsAhead, ps.Faults-ps.FaultsAhead, ps.Hits, ps.Coalesced, ps.Evictions, ps.CleanDrops, batching,
+	fmt.Printf("magecache-pager: %d faults (%d batched ahead, %d on demand, %d waited for a frame), %d hits, %d coalesced, %d evictions (%d clean), writeback %.1f pages/batch, prefetch %d issued / %d hit / %d dropped\n",
+		ps.Faults, ps.FaultsAhead, ps.Faults-ps.FaultsAhead, ps.FrameWaits, ps.Hits, ps.Coalesced, ps.Evictions, ps.CleanDrops, batching,
 		ps.PrefetchIssued, ps.PrefetchHits, ps.PrefetchDropped)
 	if r.FirstErr != nil {
 		fmt.Printf("magecache-error: first failed op: %v\n", r.FirstErr)

@@ -191,8 +191,9 @@ type call struct {
 	length int64       // wire length field (payload bytes, read size, or region size)
 	bufs   net.Buffers // request payload vectors (nil for READ/STAT/REGISTER)
 
-	// READV's batch shape: the region offset and the caller-owned
-	// destination of each page, dstLen bytes in all. The destinations are
+	// A batch's shape: the region offset of each page and the page itself,
+	// the caller's — READV's destinations (dst, dstLen bytes in all) or
+	// WRITEV's sources (src, length bytes in all). The destinations are
 	// lent to the wire for as long as an attempt is in flight: only the
 	// goroutine that took the call out of its stream's pending table
 	// writes into them, and it completes the call only when it has
@@ -200,7 +201,13 @@ type call struct {
 	// that failed.
 	offsets []int64
 	dst     [][]byte
+	src     [][]byte
 	dstLen  int64
+
+	// owner is the future behind an asynchronous op, set on the attempt
+	// its starter put on the wire and nil on every attempt a waiter runs:
+	// whoever completes the attempt tells it (see Pending).
+	owner *Pending
 
 	id       uint64
 	deadline time.Time
@@ -237,11 +244,12 @@ type call struct {
 	// waiter always receives it, so none is ever left behind for the next
 	// op.
 	park chan struct{}
-	// desc is READV's descriptor table, encoded per attempt into a buffer
-	// that stays with the pooled struct like park does; descVec is the
-	// one-element payload vector that names it.
-	desc    []byte
-	descVec [1][]byte
+	// desc is a batch's descriptor table and vec the payload vector that
+	// starts with it (and, for WRITEV, goes on with the pages), both built
+	// per attempt in storage that stays with the pooled struct like park
+	// does.
+	desc []byte
+	vec  net.Buffers
 
 	// Arena extent backing this call on the shm transport (unused on
 	// TCP streams).
@@ -251,13 +259,18 @@ type call struct {
 
 // arm readies a pooled struct for one attempt of the op proto describes.
 func (ca *call) arm(proto *call, srvID uint64) {
-	park, desc := ca.park, ca.desc
+	park, desc, vec := ca.park, ca.desc, ca.vec
 	*ca = *proto
-	ca.park, ca.desc, ca.srvID = park, desc, srvID
-	if ca.dst != nil {
+	ca.park, ca.desc, ca.vec, ca.srvID = park, desc, vec, srvID
+	switch {
+	case ca.dst != nil:
 		ca.desc = appendDescs(ca.desc, ca.offsets, ca.dst)
-		ca.descVec[0] = ca.desc
-		ca.bufs, ca.length = ca.descVec[:], int64(len(ca.desc))
+		ca.vec = append(ca.vec[:0], ca.desc)
+		ca.bufs, ca.length = ca.vec, int64(len(ca.desc))
+	case ca.src != nil:
+		ca.desc = appendDescs(ca.desc, ca.offsets, ca.src)
+		ca.vec = append(append(ca.vec[:0], ca.desc), ca.src...)
+		ca.bufs, ca.length = ca.vec, int64(len(ca.desc))+ca.length
 	}
 }
 
@@ -273,13 +286,19 @@ const (
 // old completion channel did), waking the parked waiter if there is
 // one. Swap here and compare-and-swap in wait are sequentially
 // consistent on one word, so either complete observes the waiter or
-// wait observes finDone — a lost wakeup is impossible.
+// wait observes finDone — a lost wakeup is impossible. The attempt of
+// an asynchronous op then tells its future, which is read out of the
+// struct before the swap gives the struct away.
 func (ca *call) complete() {
+	p, err := ca.owner, ca.err
 	switch atomic.SwapUint32(&ca.fin, finDone) {
 	case finDone:
 		panic("memnode: double completion of one request")
 	case finWaiting:
 		ca.park <- struct{}{} // never blocks: capacity one, one token per registration
+	}
+	if p != nil {
+		p.attemptOver(err)
 	}
 }
 
@@ -289,6 +308,9 @@ func (ca *call) completed() bool { return atomic.LoadUint32(&ca.fin) == finDone 
 
 // wait blocks until the call completes.
 func (ca *call) wait() {
+	if ca.completed() {
+		return
+	}
 	if ca.park == nil {
 		ca.park = make(chan struct{}, 1)
 	}
@@ -305,18 +327,49 @@ func (ca *call) resetGate() { atomic.StoreUint32(&ca.fin, finPending) }
 // markSent is the sending side letting go of the struct (see sent).
 func (ca *call) markSent() { atomic.StoreUint32(&ca.sent, 1) }
 
+// retire is the waiter's side letting go of a finished attempt: the
+// struct goes back to the pool when the sending side has let go of it
+// too, which on a healthy stream is every time. It returns the region
+// ID the attempt used, which a REGISTER replay wants to know.
+func (ca *call) retire() uint64 {
+	srvID := ca.srvID
+	if atomic.LoadUint32(&ca.sent) == 1 {
+		callPool.Put(ca)
+	}
+	return srvID
+}
+
 // link is one negotiated connection generation, whatever its data
 // plane: the pipelined TCP stream or a shared-memory ring stream. The
-// retry/reconnect/replay stack in do() is transport-agnostic above
-// this interface.
+// retry/reconnect/replay stack in attempts() is transport-agnostic
+// above this interface.
+//
+// An op is started by its caller and completed by the link. start does
+// on the caller's goroutine everything short of waiting — TCP: the call
+// is entered in the pending table and queued for the stream's writer;
+// shm: its extent is staged, its submission published, the doorbell
+// rung — and from then on exactly one completion of the call follows:
+// from the link's completing side (the TCP reader, the shm completer, a
+// submitter draining the completion ring inline), from fail, or from
+// start itself when the link is dead or refuses the request. None of
+// them holds a lock of the link's while it completes a call, because
+// completing the attempt of a started READV runs its caller's hook.
 type link interface {
-	// exec runs one request and blocks until its response arrives or
-	// the link dies.
-	exec(ca *call) ([]byte, error)
+	start(ca *call)
+	// wait blocks until ca, started on this link, has completed, and
+	// returns its outcome.
+	wait(ca *call) ([]byte, error)
 	// alive reports whether the link has not been poisoned.
 	alive() bool
 	// fail poisons the link exactly once, failing all pending calls.
 	fail(err error)
+}
+
+// roundTrip runs one request on st and blocks until its response arrives or
+// the link dies: start, then wait.
+func roundTrip(st link, ca *call) ([]byte, error) {
+	st.start(ca)
+	return st.wait(ca)
 }
 
 // stream is one live TCP connection generation: a writer goroutine
@@ -394,18 +447,23 @@ func (ca *call) fail(err error) {
 	ca.complete()
 }
 
-// exec runs one request on the stream and blocks until its response
-// arrives or the stream dies. Safe for any number of concurrent callers;
-// that concurrency is exactly the pipeline.
-func (s *stream) exec(ca *call) ([]byte, error) {
+// start enters ca in the pending table and queues it for the writer.
+// Safe for any number of concurrent callers; that concurrency is exactly
+// the pipeline. The writer goroutine, not the caller, does the send: two
+// callers that start back to back go out in one writev (see writeLoop).
+func (s *stream) start(ca *call) {
 	ca.body, ca.err = nil, nil
-	ca.deadline = time.Now().Add(s.c.opts.IOTimeout) //magevet:ok per-op network deadline
+	if ca.deadline.IsZero() {
+		ca.deadline = s.c.deadline()
+	}
 	ca.resetGate()
 	s.pmu.Lock()
 	if s.err != nil {
 		err := s.err
 		s.pmu.Unlock()
-		return nil, err
+		ca.markSent() // no writer will ever see it
+		ca.fail(err)
+		return
 	}
 	s.idSrc++
 	ca.id = s.idSrc
@@ -416,6 +474,9 @@ func (s *stream) exec(ca *call) ([]byte, error) {
 	case <-s.dead:
 		// fail() already completed ca (it was in the pending table).
 	}
+}
+
+func (s *stream) wait(ca *call) ([]byte, error) {
 	ca.wait()
 	return ca.body, ca.err
 }
@@ -775,6 +836,11 @@ func (c *Client) isClosed() bool {
 	}
 }
 
+// deadline is when an attempt started now is overdue.
+func (c *Client) deadline() time.Time {
+	return time.Now().Add(c.opts.IOTimeout) //magevet:ok per-op network deadline
+}
+
 // sleep waits d or until the client closes, reporting whether the wait
 // completed.
 func (c *Client) sleep(d time.Duration) bool {
@@ -802,6 +868,18 @@ func (c *Client) backoff(attempt int) time.Duration {
 		d = c.opts.MaxBackoff
 	}
 	return d
+}
+
+// liveLink returns the current link when an op can start on it right
+// now, and nil when that would take a dial first (or the client is
+// closed).
+func (c *Client) liveLink() link {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed || c.cur == nil || !c.cur.alive() {
+		return nil
+	}
+	return c.cur
 }
 
 // getStream returns the live stream, dialing and negotiating a new
@@ -882,7 +960,7 @@ func (c *Client) negotiate(conn net.Conn) (link, error) {
 }
 
 func (c *Client) hello(conn net.Conn) (link, error) {
-	if err := conn.SetDeadline(time.Now().Add(c.opts.IOTimeout)); err != nil { //magevet:ok per-op network deadline
+	if err := conn.SetDeadline(c.deadline()); err != nil {
 		return nil, err
 	}
 	var hdr [helloReqLen]byte
@@ -973,8 +1051,7 @@ func (c *Client) replayRegion(st link, handle, usedSrvID uint64) error {
 	if reg.srvID != usedSrvID {
 		return nil // a concurrent op already replayed this region
 	}
-	ca := &call{op: opRegister, length: reg.size, deadline: time.Now().Add(c.opts.IOTimeout)} //magevet:ok per-op network deadline
-	body, err := st.exec(ca)
+	body, err := roundTrip(st, &call{op: opRegister, length: reg.size})
 	if err != nil {
 		var se *serverError
 		if errors.As(err, &se) {
@@ -1007,22 +1084,40 @@ func registeredID(body []byte) (uint64, error) {
 // capped backoff, and lazy REGISTER replay when the server reports the
 // region unknown.
 func (c *Client) do(proto *call) ([]byte, error) {
-	// Non-blocking fast path first: a two-case select pays the full
-	// selectgo machinery even when the window has room, which is the
-	// common case on the per-op hot path.
+	if !c.acquire() {
+		return nil, ErrClosed
+	}
+	defer c.release()
+	return c.attempts(proto, 1, nil)
+}
+
+// acquire takes a slot of the in-flight window, waiting for one unless
+// the client closes. Non-blocking fast path first: a two-case select
+// pays the full selectgo machinery even when the window has room, which
+// is the common case on the per-op hot path.
+func (c *Client) acquire() bool {
 	select {
 	case c.window <- struct{}{}:
+		return true
 	default:
-		select {
-		case c.window <- struct{}{}:
-		case <-c.closedCh:
-			return nil, ErrClosed
-		}
 	}
-	defer func() { <-c.window }()
+	select {
+	case c.window <- struct{}{}:
+		return true
+	case <-c.closedCh:
+		return false
+	}
+}
 
-	var lastErr error
-	for attempt := 1; attempt <= c.opts.MaxAttempts; attempt++ {
+func (c *Client) release() { <-c.window }
+
+// attempts is the one retry loop: the op's tries from the attempt-th on,
+// lastErr being what the try before failed of. The caller holds a
+// window slot. do enters it at the first attempt; the driver of an
+// asynchronous op whose first attempt, started on its caller's
+// goroutine, has failed enters it at the second.
+func (c *Client) attempts(proto *call, attempt int, lastErr error) ([]byte, error) {
+	for ; attempt <= c.opts.MaxAttempts; attempt++ {
 		if c.isClosed() {
 			return nil, ErrClosed
 		}
@@ -1044,42 +1139,72 @@ func (c *Client) do(proto *call) ([]byte, error) {
 		// poisoned its writer may still be draining the old send queue, so
 		// the previous attempt's struct must never be mutated again. It
 		// goes back to the pool only once both sides of the stream have
-		// let go of it — the completer by completing it, the sender by
-		// marking it sent — which on a healthy stream is every time.
-		// The links own the deadline: TCP streams stamp it at exec entry
-		// (their writer/reader arm socket deadlines from it), the shm
-		// stream computes it lazily only on stall/park slow paths — the
+		// let go of it (see retire).
+		// The links own the deadline: TCP streams stamp it at start (their
+		// writer/reader arm socket deadlines from it), the shm stream
+		// computes it lazily only on stall/park slow paths — the
 		// inline-completing hot path never reads the wall clock.
 		att := callPool.Get().(*call)
 		att.arm(proto, c.translate(proto.handle))
-		body, err := st.exec(att)
-		srvID := att.srvID
-		if atomic.LoadUint32(&att.sent) == 1 {
-			callPool.Put(att)
-		}
+		body, err := roundTrip(st, att)
+		srvID := att.retire()
 		if err == nil {
 			return body, nil
 		}
-		var se *serverError
-		if errors.As(err, &se) {
-			return nil, se // terminal; connection stays healthy
+		var final bool
+		if final, lastErr = c.failed(st, proto, srvID, err); final {
+			return nil, lastErr
 		}
-		if errors.Is(err, errRegionLost) {
-			if !c.canReplay(proto.handle) {
-				// Not a region we registered — a genuinely bad ID, or a
-				// shared region we cannot replay. Terminal either way.
-				return nil, &serverError{msg: err.Error()}
-			}
-			if rerr := c.replayRegion(st, proto.handle, srvID); rerr != nil {
-				lastErr = rerr
-				continue
-			}
-			lastErr = err
-			continue
-		}
-		lastErr = err
 	}
 	return nil, fmt.Errorf("memnode: op %d failed after %d attempts: %w", proto.op, c.opts.MaxAttempts, lastErr)
+}
+
+// failed judges an attempt that ended in err on st. final: the op is
+// over and the error returned is its result — a terminal refusal, over
+// a connection that stays healthy. Otherwise another attempt follows,
+// of which the error returned is the cause; a region the server lost is
+// replayed first, which is a round trip on st.
+func (c *Client) failed(st link, proto *call, srvID uint64, err error) (final bool, _ error) {
+	var se *serverError
+	if errors.As(err, &se) {
+		return true, se
+	}
+	if errors.Is(err, errRegionLost) {
+		if !c.canReplay(proto.handle) {
+			// Not a region we registered — a genuinely bad ID, or a
+			// shared region we cannot replay. Terminal either way.
+			return true, &serverError{msg: err.Error()}
+		}
+		if rerr := c.replayRegion(st, proto.handle, srvID); rerr != nil {
+			return false, rerr
+		}
+	}
+	return false, err
+}
+
+// finish is the end of a page op on the public API, however it ran: a
+// READ's body is checked against the length asked for, and a completed
+// op is counted under its verb with the bytes it moved.
+func (c *Client) finish(proto *call, body []byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	if proto.op == opRead && int64(len(body)) != proto.length {
+		PutBuf(body)
+		return nil, fmt.Errorf("memnode: short read response (%d of %d bytes)", len(body), proto.length)
+	}
+	moved := proto.length
+	if proto.dst != nil {
+		moved = proto.dstLen
+	}
+	c.countVerb(proto.op, moved)
+	return body, nil
+}
+
+// doPages is do and finish: a synchronous page op.
+func (c *Client) doPages(proto *call) ([]byte, error) {
+	body, err := c.do(proto)
+	return c.finish(proto, body, err)
 }
 
 // callPool recycles call structs across attempts; do() decides when one
@@ -1129,81 +1254,243 @@ func (c *Client) Unregister(handle uint64) error {
 // returned buffer is the caller's; passing it to PutBuf when done lets
 // the client recycle it.
 func (c *Client) Read(handle uint64, offset, length int64) ([]byte, error) {
-	if length <= 0 || length > MaxIO {
-		return nil, refusef("bad read length %d", length)
-	}
-	body, err := c.do(&call{op: opRead, handle: handle, offset: offset, length: length})
-	if err != nil {
+	proto := call{op: opRead, handle: handle, offset: offset, length: length}
+	if err := proto.check(); err != nil {
 		return nil, err
 	}
-	if int64(len(body)) != length {
-		PutBuf(body)
-		return nil, fmt.Errorf("memnode: short read response (%d of %d bytes)", len(body), length)
-	}
-	c.countVerb(opRead, length)
-	return body, nil
+	return c.doPages(&proto)
 }
 
 // Write performs a one-sided write of data at offset.
 func (c *Client) Write(handle uint64, offset int64, data []byte) error {
-	if len(data) == 0 || len(data) > MaxIO {
-		return refusef("bad write length %d", len(data))
+	proto := call{op: opWrite, handle: handle, offset: offset, length: int64(len(data)), bufs: net.Buffers{data}}
+	if err := proto.check(); err != nil {
+		return err
 	}
-	_, err := c.do(&call{
-		op: opWrite, handle: handle, offset: offset,
-		length: int64(len(data)), bufs: net.Buffers{data},
-	})
-	if err == nil {
-		c.countVerb(opWrite, int64(len(data)))
-	}
+	_, err := c.doPages(&proto)
 	return err
 }
 
-// Pending is the future returned by the asynchronous operations.
+// check is the client's own refusal of a single-page op no node would
+// accept.
+func (ca *call) check() error {
+	if ca.length <= 0 || ca.length > MaxIO {
+		if ca.op == opWrite {
+			return refusef("bad write length %d", ca.length)
+		}
+		return refusef("bad read length %d", ca.length)
+	}
+	return nil
+}
+
+// Pending is the future of an asynchronous operation: the op's first
+// attempt was put on the wire by the goroutine that started it, the
+// link completes it, and no goroutine stands between the two. What
+// happens at the completion depends on who is watching.
+//
+// ReadAsync and WriteAsync return the future and nobody watches: the
+// completion leaves the outcome on the attempt and lets go of its window
+// slot, and Wait is what ends the op — it waits out the attempt (on the
+// shm ring by draining completions itself, like a synchronous op), and
+// if the attempt failed of something a retry can cure it runs the rest
+// of the retry loop itself. An op nobody waits for therefore gets one
+// attempt. Wait may be called any number of times, from any number of
+// goroutines: one of them drives the op, the others wait for it.
+//
+// A started READV carries a hook and nobody will wait: whoever completes
+// the attempt ends the op and runs the hook, unless that takes what a
+// completer may not do — a backoff, a dial, a REGISTER replay — in which
+// case the rest of the loop gets a goroutine. Done, for a caller that
+// wants a channel, is the same: a goroutine that waits. So is an op that
+// found the window full or no negotiated link to start on, which is not
+// started but run, as a synchronous op on a goroutine of its own: ops
+// beyond the window queue at the client. On a healthy link none of the
+// three happens and an asynchronous op starts no goroutine.
 type Pending struct {
-	done chan struct{}
-	body []byte
-	err  error
+	c     *Client
+	proto call
+	vec   [1][]byte   // WriteAsync's payload vector
+	hook  func(error) // a started READV's; nil on a future that was returned
+
+	// The first attempt and the link it went out on, set before it starts
+	// and the driver's from then on.
+	st  link
+	att *call
+
+	mu       sync.Mutex
+	driving  bool          // a waiter, a completer or a goroutine is taking the op to its end
+	resolved bool          // body and err are the op's result
+	done     chan struct{} // made when somebody has to wait for another's drive; closed with resolved
+	body     []byte
+	err      error
 }
 
 // Wait blocks until the operation completes and returns its result.
 // For writes the returned buffer is nil.
 func (p *Pending) Wait() ([]byte, error) {
-	<-p.done
+	p.mu.Lock()
+	switch {
+	case p.resolved:
+		p.mu.Unlock()
+	case p.driving:
+		done := p.doneLocked()
+		p.mu.Unlock()
+		<-done
+	default:
+		p.driving = true
+		p.mu.Unlock()
+		p.run()
+	}
 	return p.body, p.err
 }
 
-// Done returns a channel closed when the operation has completed.
-func (p *Pending) Done() <-chan struct{} { return p.done }
+// Done returns a channel closed when the operation has completed. An op
+// that nobody is driving yet gets a goroutine that does.
+func (p *Pending) Done() <-chan struct{} {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.resolved && !p.driving {
+		p.spawn()
+	}
+	return p.doneLocked()
+}
+
+func (p *Pending) doneLocked() chan struct{} {
+	if p.done == nil {
+		p.done = make(chan struct{})
+		if p.resolved {
+			close(p.done)
+		}
+	}
+	return p.done
+}
+
+// spawn gives the op a goroutine to drive it: the one place an
+// asynchronous op starts one. The caller holds p.mu, or nobody else can
+// reach p: it is not returned yet, or it carries a hook and never is.
+func (p *Pending) spawn() {
+	p.driving = true
+	go p.run() //magevet:ok real TCP client: the slow paths of an async op (window full, link down, failed attempt, Done) block, and their caller must not
+}
+
+// start puts the op's first attempt on the wire from the caller's
+// goroutine, when there is a slot in the window and a live link to put
+// it on.
+func (p *Pending) start() {
+	c := p.c
+	select {
+	case c.window <- struct{}{}:
+	default:
+		p.spawn()
+		return
+	}
+	st := c.liveLink()
+	if st == nil {
+		c.release()
+		p.spawn()
+		return
+	}
+	att := callPool.Get().(*call)
+	att.arm(&p.proto, c.translate(p.proto.handle))
+	att.owner = p
+	// Stamped here, not when a waiter parks: nobody may ever wait for this
+	// attempt, and a link times out only what carries a deadline.
+	att.deadline = c.deadline()
+	p.st, p.att = st, att
+	st.start(att)
+}
+
+// attemptOver is the completing side's word that the first attempt has
+// ended in err: its window slot is free, and if the op carries a hook
+// this is where it goes on. The completer holds no lock.
+func (p *Pending) attemptOver(err error) {
+	p.c.release()
+	if p.hook == nil {
+		return
+	}
+	if err != nil && !IsTerminal(err) && !p.c.isClosed() {
+		p.spawn()
+		return
+	}
+	// A success, a terminal refusal, a closed client: run finds the op
+	// over without blocking.
+	p.run()
+}
+
+// run drives the op from wherever its start left it to its result, and
+// publishes that.
+func (p *Pending) run() {
+	c := p.c
+	body, err := p.drive()
+	body, err = c.finish(&p.proto, body, err)
+	p.mu.Lock()
+	p.body, p.err, p.resolved = body, err, true
+	if p.done != nil {
+		close(p.done)
+	}
+	p.mu.Unlock()
+	if p.hook != nil {
+		p.hook(err)
+	}
+}
+
+// drive is do for an op whose first attempt may already be in flight:
+// wait it out, and on a failure go on from the second.
+func (p *Pending) drive() ([]byte, error) {
+	c, att := p.c, p.att
+	if att == nil {
+		return c.do(&p.proto)
+	}
+	body, err := p.st.wait(att)
+	srvID := att.retire()
+	if err == nil {
+		return body, nil
+	}
+	final, lastErr := c.failed(p.st, &p.proto, srvID, err)
+	if final {
+		return nil, lastErr
+	}
+	if !c.acquire() {
+		return nil, ErrClosed
+	}
+	defer c.release()
+	return c.attempts(&p.proto, 2, lastErr)
+}
+
+// refused is the future of an op the client's own checks turned away.
+func refused(p *Pending, err error) *Pending {
+	p.resolved, p.err = true, err
+	return p
+}
 
 // ReadAsync issues a one-sided read and returns immediately. The
 // request is pipelined onto the shared connection; completion order
 // across ops is whatever the server delivers.
 func (c *Client) ReadAsync(handle uint64, offset, length int64) *Pending {
-	p := &Pending{done: make(chan struct{})}
-	go func() { //magevet:ok async façade on a real TCP client: the future, not goroutine scheduling, orders completion
-		p.body, p.err = c.Read(handle, offset, length)
-		close(p.done)
-	}()
+	p := &Pending{c: c, proto: call{op: opRead, handle: handle, offset: offset, length: length}}
+	if err := p.proto.check(); err != nil {
+		return refused(p, err)
+	}
+	p.start()
 	return p
 }
 
-// WriteAsync issues a one-sided write and returns immediately.
+// WriteAsync issues a one-sided write and returns immediately. data is
+// lent to the client until the future resolves.
 func (c *Client) WriteAsync(handle uint64, offset int64, data []byte) *Pending {
-	p := &Pending{done: make(chan struct{})}
-	go func() { //magevet:ok async façade on a real TCP client: the future, not goroutine scheduling, orders completion
-		p.err = c.Write(handle, offset, data)
-		close(p.done)
-	}()
+	p := &Pending{c: c, proto: call{op: opWrite, handle: handle, offset: offset, length: int64(len(data))}}
+	p.vec[0] = data
+	p.proto.bufs = p.vec[:]
+	if err := p.proto.check(); err != nil {
+		return refused(p, err)
+	}
+	p.start()
 	return p
 }
 
-// ReadVInto reads len(offsets) pages in one wire round trip (the
-// transport analogue of the DES evictor's grouped writebacks), page i
-// of len(dst[i]) bytes from offsets[i] into dst[i]. The buffers are the
-// caller's and are written by the transport alone until the call
-// returns; on an error their contents are unspecified.
-func (c *Client) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
+// readv shapes ca as a READV of len(offsets) pages, page i of len(dst[i])
+// bytes from offsets[i] into dst[i], or refuses the batch.
+func (ca *call) readv(handle uint64, offsets []int64, dst [][]byte) error {
 	if len(dst) == 0 || len(dst) > MaxBatchPages || len(dst) != len(offsets) {
 		return refusef("bad batch shape (%d offsets, %d buffers)", len(offsets), len(dst))
 	}
@@ -1216,11 +1503,41 @@ func (c *Client) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
 			return refusef("batch total exceeds MaxIO")
 		}
 	}
-	_, err := c.do(&call{op: opReadV, handle: handle, offsets: offsets, dst: dst, dstLen: total})
-	if err == nil {
-		c.countVerb(opReadV, total)
+	*ca = call{op: opReadV, handle: handle, offsets: offsets, dst: dst, dstLen: total}
+	return nil
+}
+
+// ReadVInto reads len(offsets) pages in one wire round trip (the
+// transport analogue of the DES evictor's grouped writebacks), page i
+// of len(dst[i]) bytes from offsets[i] into dst[i]. The buffers are the
+// caller's and are written by the transport alone until the call
+// returns; on an error their contents are unspecified.
+func (c *Client) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
+	var proto call
+	if err := proto.readv(handle, offsets, dst); err != nil {
+		return err
 	}
+	_, err := c.doPages(&proto)
 	return err
+}
+
+// StartReadVInto is ReadVInto started, not run: the batch goes on the
+// wire from the caller's goroutine and done is called, once, with the
+// outcome ReadVInto would have returned. offsets and dst are lent until
+// then. done runs on whichever goroutine ends the op — a completer of
+// the link, another op's waiter that drained the completion ring, the
+// goroutine that closed the client or poisoned the link, or this one,
+// before StartReadVInto returns, when the request is refused on the
+// spot — so it must not block, must not start or wait for an op of this
+// client, and must take no lock that is held around a call into the
+// client.
+func (c *Client) StartReadVInto(handle uint64, offsets []int64, dst [][]byte, done func(error)) {
+	p := &Pending{c: c, hook: done}
+	if err := p.proto.readv(handle, offsets, dst); err != nil {
+		done(err)
+		return
+	}
+	p.start()
 }
 
 // ReadV is ReadVInto into pages of pageBytes each that it allocates as
@@ -1266,14 +1583,7 @@ func (c *Client) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
 	if total > MaxIO {
 		return refusef("batch total %d exceeds MaxIO", total)
 	}
-	desc := appendDescs(nil, offsets, pages)
-	bufs := make(net.Buffers, 0, len(pages)+1)
-	bufs = append(bufs, desc)
-	bufs = append(bufs, pages...)
-	_, err := c.do(&call{op: opWriteV, handle: handle, length: int64(len(desc)) + total, bufs: bufs})
-	if err == nil {
-		c.countVerb(opWriteV, total)
-	}
+	_, err := c.doPages(&call{op: opWriteV, handle: handle, offsets: offsets, src: pages, length: total})
 	return err
 }
 

@@ -291,7 +291,7 @@ func runVerbRows(t *testing.T, srv *Server, c *Client, kind string) {
 	exec := func(proto *call) ([]byte, error) {
 		ca := new(call)
 		ca.arm(proto, proto.srvID)
-		return st.exec(ca)
+		return roundTrip(st, ca)
 	}
 	for _, row := range verbRows() {
 		if row.sqe != nil && kind != "shm" {

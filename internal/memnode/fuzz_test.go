@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -174,7 +175,9 @@ func v2respFrame(status byte, id uint64, payload []byte) []byte {
 // even when the stream is garbage — duplicate IDs, unknown IDs,
 // truncated or oversized frames, a READV answered with another length
 // than its pages hold, all poison the stream, which fails all pending
-// calls and surfaces a terminal error through the retry layer.
+// calls and surfaces a terminal error through the retry layer. One of
+// the ops is a started READV: whatever the stream does to it, its hook
+// runs once.
 func FuzzClientDemux(f *testing.F) {
 	page := make([]byte, 4096)
 	// Clean completions for the three reads the harness issues (ids 1-3).
@@ -196,9 +199,9 @@ func FuzzClientDemux(f *testing.F) {
 	f.Add(huge)
 	// Interleaved valid and garbage.
 	f.Add(append(v2respFrame(statusOK, 2, page), 0xFF, 0x00, 0xAB))
-	// The two-page READV (one of ids 1-4) answered in full, short, long,
-	// and with an error.
-	for id := uint64(1); id <= 4; id++ {
+	// The two two-page READVs (two of ids 1-5) answered in full, short,
+	// long, and with an error.
+	for id := uint64(1); id <= 5; id++ {
 		f.Add(v2respFrame(statusOK, id, make([]byte, 8192)))
 		f.Add(v2respFrame(statusOK, id, make([]byte, 8193)))
 		f.Add(v2respFrame(statusOK, id, nil))
@@ -251,14 +254,31 @@ func FuzzClientDemux(f *testing.F) {
 		buf[2*4096] = 0xEE // the byte after the pages
 		readv := make(chan error, 1)
 		go func() { readv <- c.ReadVInto(1, []int64{0, 4096}, SplitPages(buf[:2*4096], 4096)) }()
-		select {
-		case <-readv:
-			if buf[2*4096] != 0xEE {
-				t.Fatal("a READV response ran over its pages")
+		// And one that is started, not run: its hook is all that tells.
+		hbuf := make([]byte, 2*4096+1)
+		hbuf[2*4096] = 0xEE
+		var hooked atomic.Int32
+		started := make(chan error, 2)
+		c.StartReadVInto(1, []int64{8192, 0}, SplitPages(hbuf[:2*4096], 4096), func(err error) {
+			hooked.Add(1)
+			started <- err
+		})
+		for _, ch := range []chan error{readv, started} {
+			select {
+			case <-ch:
+			case <-time.After(5 * time.Second):
+				t.Fatal("a READV hung on a hostile response stream")
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("ReadVInto hung on a hostile response stream")
 		}
+		if buf[2*4096] != 0xEE || hbuf[2*4096] != 0xEE {
+			t.Fatal("a READV response ran over its pages")
+		}
+		defer func() {
+			c.Close() // whatever is left of the client's goroutines has had its chance
+			if n := hooked.Load(); n != 1 {
+				t.Fatalf("the started READV's hook ran %d times", n)
+			}
+		}()
 		for _, p := range pend {
 			select {
 			case <-p.Done():

@@ -315,3 +315,52 @@ func TestReadVIntoRecyclesCalls(t *testing.T) {
 		t.Errorf("ReadVInto costs %.1f allocations for 4 pages and %.1f for 64; want the server's 3 for both", small, large)
 	}
 }
+
+// TestWriteVRecyclesCalls: the evictor's batched write costs the client
+// nothing either — its descriptor table and payload vector live in the
+// pooled call like READV's — on TCP or on the ring, whatever the batch
+// size. What is counted is the in-process server's: the frame, its box
+// and the parsed descriptors over TCP, the descriptors and their private
+// copy of the table on the ring.
+func TestWriteVRecyclesCalls(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations swamp the count")
+	}
+	for _, transport := range []int{TransportTCP, TransportShm} {
+		if transport == TransportShm && !shmSupported {
+			continue
+		}
+		srv, err := NewServerOptions("127.0.0.1:0", 64<<20, ServerOptions{EnableShm: transport == TransportShm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := fastOpts()
+		opts.Transport = transport
+		c, err := DialOptions(srv.Addr(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := c.Register(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perBatch := func(pages int) float64 {
+			offs := make([]int64, pages)
+			for i := range offs {
+				offs[i] = int64(i) * 4096
+			}
+			src := SplitPages(make([]byte, pages*4096), 4096)
+			return testing.AllocsPerRun(300, func() {
+				if err := c.WriteV(id, offs, src); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := perBatch(4), perBatch(64)
+		if server := map[int]float64{TransportTCP: 3, TransportShm: 2}[transport]; small > server+0.5 || large > small+0.5 {
+			t.Errorf("%s: WriteV costs %.1f allocations for 4 pages and %.1f for 64; want the server's %.0f for both", c.TransportKind(), small, large, server)
+		}
+		c.Close()
+		srv.Close()
+	}
+}

@@ -83,7 +83,7 @@ func (c *Client) dialShm(ext helloExt) (*shmStream, error) {
 		_ = uc.Close() // handshake failed; the returned error wins
 		return nil, err
 	}
-	if err := uc.SetDeadline(time.Now().Add(c.opts.IOTimeout)); err != nil { //magevet:ok handshake deadline on a real unix socket
+	if err := uc.SetDeadline(c.deadline()); err != nil {
 		return fail(err)
 	}
 	window := c.opts.Window
@@ -297,32 +297,36 @@ func needBytes(ca *call) int64 {
 	}
 }
 
-// exec runs one request through the rings and blocks until the
-// completer resolves it or the stream dies.
-func (st *shmStream) exec(ca *call) ([]byte, error) {
+// start submits one request on the caller's goroutine: an arena extent
+// for it, its payload staged there, its entry published on the
+// submission ring, the server's doorbell rung if the server sleeps. What
+// can make it wait is backpressure — an arena or a ring momentarily
+// full of in-flight calls — which the op's deadline bounds without
+// poisoning the stream. A request that cannot be submitted completes
+// here, with st.mu released.
+func (st *shmStream) start(ca *call) {
 	// Submission is inline and completion takes the call out of the
-	// pending table before exec returns: nobody else ever holds ca.
+	// pending table: past its completion nobody of the stream's holds ca.
 	ca.markSent()
 	ca.body, ca.err = nil, nil
 	ca.resetGate()
 	need := needBytes(ca)
 	if need < 0 || need > int64(len(st.arena)) {
-		return nil, &serverError{msg: fmt.Sprintf("op %d needs %d arena bytes, segment has %d", ca.op, need, len(st.arena))}
+		ca.fail(&serverError{msg: fmt.Sprintf("op %d needs %d arena bytes, segment has %d", ca.op, need, len(st.arena))})
+		return
 	}
 	if err := st.acquire(); err != nil {
-		return nil, err
+		ca.fail(err)
+		return
 	}
-	// Allocate the extent, waiting while the arena is momentarily
-	// exhausted by in-flight calls; the op's deadline bounds the wait
-	// without poisoning the stream. The deadline is computed lazily on
-	// this and every other slow path so the inline-completing hot path
+	defer st.release()
+	// The deadline of a call that carries none is computed lazily, on
+	// this and every other slow path, so the inline-completing hot path
 	// never reads the wall clock.
-	var stallDl time.Time
+	stallDl := ca.deadline
 	overdue := func() bool {
 		if stallDl.IsZero() {
-			if stallDl = ca.deadline; stallDl.IsZero() {
-				stallDl = time.Now().Add(st.c.opts.IOTimeout) //magevet:ok per-op network deadline, computed on the stall slow path
-			}
+			stallDl = st.c.deadline()
 		}
 		return time.Now().After(stallDl) //magevet:ok per-op network deadline
 	}
@@ -335,13 +339,12 @@ func (st *shmStream) exec(ca *call) ([]byte, error) {
 		st.mu.Lock()
 		err := st.err
 		st.mu.Unlock()
-		if err != nil {
-			st.release()
-			return nil, err
+		if err == nil && overdue() {
+			err = fmt.Errorf("memnode: arena exhausted past op deadline: %w", errShmStall)
 		}
-		if overdue() {
-			st.release()
-			return nil, fmt.Errorf("memnode: arena exhausted past op deadline: %w", errShmStall)
+		if err != nil {
+			ca.fail(err)
+			return
 		}
 		if st.stall(tryAlloc) {
 			break
@@ -356,21 +359,23 @@ func (st *shmStream) exec(ca *call) ([]byte, error) {
 		n += copy(w[n:], b)
 	}
 	// Publish the submission entry.
+	abort := func(err error) {
+		st.alloc.free(extOff, extCap)
+		ca.fail(err)
+	}
 	st.mu.Lock()
 	for {
-		if st.err != nil {
-			err := st.err
+		if err := st.err; err != nil {
 			st.mu.Unlock()
-			st.alloc.free(extOff, extCap)
-			st.release()
-			return nil, err
+			abort(err)
+			return
 		}
 		free, ferr := st.slotFreeLocked()
 		if ferr != nil {
 			st.mu.Unlock()
 			st.fail(ferr)
-			st.release()
-			return nil, ferr
+			abort(ferr)
+			return
 		}
 		if free {
 			break
@@ -380,9 +385,8 @@ func (st *shmStream) exec(ca *call) ([]byte, error) {
 		// flight: wait for the server under the op deadline.
 		st.mu.Unlock()
 		if overdue() {
-			st.alloc.free(extOff, extCap)
-			st.release()
-			return nil, fmt.Errorf("memnode: submission ring stalled past op deadline: %w", errShmStall)
+			abort(fmt.Errorf("memnode: submission ring stalled past op deadline: %w", errShmStall))
+			return
 		}
 		st.stall(st.slotFree)
 		st.mu.Lock()
@@ -399,44 +403,47 @@ func (st *shmStream) exec(ca *call) ([]byte, error) {
 	st.sq.publish()
 	st.mu.Unlock()
 	st.ringServer()
-	// Inline completion polling (io_uring style): within the yield
-	// budget the submitter drains the completion ring itself while its
-	// call is in flight. Against a server that runs while we yield, the
-	// submit → yield → server-burst → drain cycle resolves the call with
-	// no park/wake and no completer hop; against one that does not the
-	// budget is zero and we park at once. The completer persists as the
-	// deadline and peer-death watchdog, and as the drain of last resort
-	// once we park below. The mapping reference taken above stays held
-	// across the polling.
-	var scratch [40]shmDone
-	st.inline.spin(func() bool {
-		if ca.completed() || st.poisoned.Load() {
-			return true
-		}
-		// TryLock: when the lock is contended someone else is already
-		// draining — go on to the next yield so they get the CPU.
-		if st.cqReady() && st.mu.TryLock() {
-			if _, err := st.drainLocked(scratch[:0]); err != nil {
-				st.fail(err)
+}
+
+// wait takes a started call to its completion. Inline completion
+// polling (io_uring style): within the yield budget the waiter drains
+// the completion ring itself while its call is in flight. Against a
+// server that runs while we yield, the submit → yield → server-burst →
+// drain cycle resolves the call with no park/wake and no completer hop;
+// against one that does not the budget is zero and we park at once. The
+// completer persists as the deadline and peer-death watchdog, and as
+// the drain of last resort once we park below. A drain completes
+// whatever it finds, other callers' calls and their hooks included.
+func (st *shmStream) wait(ca *call) ([]byte, error) {
+	// The polling reads the mapping; on a poisoned stream fail is on its
+	// way to the call, if it has not been there yet.
+	if !ca.completed() && st.acquire() == nil {
+		var scratch [40]shmDone
+		st.inline.spin(func() bool {
+			if ca.completed() || st.poisoned.Load() {
+				return true
 			}
-			return ca.completed()
+			// TryLock: when the lock is contended someone else is already
+			// draining — go on to the next yield so they get the CPU.
+			if st.cqReady() && st.mu.TryLock() {
+				if _, err := st.drainLocked(scratch[:0]); err != nil {
+					st.fail(err)
+				}
+				return ca.completed()
+			}
+			return false
+		})
+		// Parking: give the call a real deadline first (under st.mu — the
+		// completer's overdue scan reads it there) so a wedged server
+		// still times the op out. Inline-completed calls never reach this
+		// and never pay the wall-clock read.
+		if !ca.completed() && ca.deadline.IsZero() {
+			st.mu.Lock()
+			ca.deadline = st.c.deadline()
+			st.mu.Unlock()
 		}
-		return false
-	})
-	if ca.completed() {
 		st.release()
-		return ca.body, ca.err
 	}
-	// Parking: give the call a real deadline first (under st.mu — the
-	// completer's overdue scan reads it there) so a wedged server still
-	// times the op out. Inline-completed calls never reach this and
-	// never pay the wall-clock read.
-	st.mu.Lock()
-	if ca.deadline.IsZero() {
-		ca.deadline = time.Now().Add(st.c.opts.IOTimeout) //magevet:ok per-op network deadline, stamped only when parking
-	}
-	st.mu.Unlock()
-	st.release()
 	ca.wait()
 	return ca.body, ca.err
 }

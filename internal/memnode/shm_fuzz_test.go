@@ -3,8 +3,11 @@ package memnode
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // FuzzRingDemux drives both sides of the shm ring protocol on fake
@@ -14,7 +17,9 @@ import (
 // wraparound. Neither side may ever panic or index out of bounds; a
 // hostile ring must fail the connection cleanly (a returned error that
 // the caller turns into poison), and no call may complete twice (a
-// double completion would double-close the done channel and panic).
+// double completion panics). One of the staged calls is the attempt of
+// a started READV: completed by the ring or failed with the poisoned
+// stream, its hook runs once.
 //
 // Input format (shared by both drivers):
 //
@@ -102,7 +107,14 @@ func fuzzShmProcess(data []byte) {
 func fuzzShmConsume(data []byte) {
 	const arenaBytes = 128 << 10
 	seg, arenaOff := fuzzRingSegment(arenaBytes)
+	// A client with no server behind it: enough for a hooked op to end on
+	// — one attempt, so a failure a retry could cure is final too.
+	c := &Client{opts: Options{MaxAttempts: 1}, window: make(chan struct{}, 1), closedCh: make(chan struct{})}
+	var hooked atomic.Int32
+	hookRan := make(chan struct{}, 2)
+	started := false
 	st := &shmStream{
+		c:       c,
 		seg:     seg,
 		arena:   seg[arenaOff : arenaOff+arenaBytes],
 		alloc:   newShmArena(arenaBytes, 4),
@@ -128,9 +140,9 @@ func fuzzShmConsume(data []byte) {
 			op: opRead, id: base + uint64(i) + 1, length: 4096,
 			extOff: off, extCap: cp,
 		}
-		if i == 1 {
-			// One batched read into caller-owned pages: only a completion
-			// of exactly their length may touch them.
+		if i == 1 || i == 2 {
+			// Batched reads into caller-owned pages: only a completion of
+			// exactly their length may touch them.
 			ca.op, ca.dstLen = opReadV, 4096
 			ca.dst = SplitPages(bytes.Repeat([]byte{0xEE}, 4096), 2048)
 		}
@@ -138,6 +150,16 @@ func fuzzShmConsume(data []byte) {
 		if st.pending[slot] != nil {
 			st.alloc.free(off, cp)
 			continue
+		}
+		if i == 2 {
+			// The second READV was started, not run: as Pending.start
+			// leaves it, holding the window's one slot.
+			ca.owner = &Pending{c: c, proto: *ca, st: st, att: ca, hook: func(error) {
+				hooked.Add(1)
+				hookRan <- struct{}{}
+			}}
+			c.window <- struct{}{}
+			started = true
 		}
 		st.pending[slot] = ca
 		st.npend++
@@ -149,9 +171,32 @@ func fuzzShmConsume(data []byte) {
 
 	for i := 0; i < 3; i++ {
 		n, err := st.consumeCompletions(nil)
+		if err != nil {
+			// The caller poisons the stream, which fails what is still
+			// pending — as fail does, short of the socket this stream lacks.
+			for slot, ca := range st.pending {
+				if ca != nil {
+					st.pending[slot] = nil
+					ca.fail(err)
+				}
+			}
+		}
 		if err != nil || n == 0 {
 			break
 		}
+	}
+	over := started && len(c.window) == 0 // completing the attempt frees its slot
+	if over {
+		// The hook runs where the attempt completed, or — after a failure
+		// that a retry might cure — on a goroutine.
+		select {
+		case <-hookRan:
+		case <-time.After(5 * time.Second):
+			panic("a completed attempt's hook did not run")
+		}
+	}
+	if n := hooked.Load(); over != (n == 1) || n > 1 {
+		panic(fmt.Sprintf("the started READV's hook ran %d times; its attempt over: %v", n, over))
 	}
 	// Recycle whatever legitimately completed; a double completion would
 	// already have panicked inside complete().
@@ -222,10 +267,14 @@ func FuzzRingDemux(f *testing.F) {
 		cqeBytes(cqEntry{status: statusErrRegion, id: 1, length: 8}),
 		cqeBytes(cqEntry{status: statusErr, id: 2, length: 8}),
 	))
-	// The READV staged as id 2: completed in full, short, and in error.
-	f.Add(ringSeed(0, 1, 3, cqeBytes(cqEntry{status: statusOK, id: 2, length: 4096})))
-	f.Add(ringSeed(0, 1, 3, cqeBytes(cqEntry{status: statusOK, id: 2, length: 2048})))
-	f.Add(ringSeed(0, 1, 3, cqeBytes(cqEntry{status: statusErr, id: 2, length: 16})))
+	// The READVs staged as ids 2 and 3 (the started one): completed in
+	// full, short, in error, and for a region the server has lost.
+	for id := uint64(2); id <= 3; id++ {
+		f.Add(ringSeed(0, 1, 3, cqeBytes(cqEntry{status: statusOK, id: id, length: 4096})))
+		f.Add(ringSeed(0, 1, 3, cqeBytes(cqEntry{status: statusOK, id: id, length: 2048})))
+		f.Add(ringSeed(0, 1, 3, cqeBytes(cqEntry{status: statusErr, id: id, length: 16})))
+		f.Add(ringSeed(0, 1, 3, cqeBytes(cqEntry{status: statusErrRegion, id: id, length: 16})))
+	}
 	// Completion wraparound with live pending calls on both sides of it.
 	f.Add(ringSeed(math.MaxUint64-1, 2, 4,
 		cqeBytes(cqEntry{status: statusOK, id: math.MaxUint64, length: 0}),

@@ -1,0 +1,112 @@
+package upager
+
+import (
+	"bytes"
+	"runtime"
+	"strconv"
+	"testing"
+
+	"mage/internal/memnode"
+)
+
+// BenchmarkPagerFault is the demand-fault path and nothing else: one
+// goroutine pins its way round a region eight times the arena, read-only
+// and with prefetch off, so every Pin is a major fault over a real
+// client — TCP or the shm ring, to an in-process memnode — and every
+// eviction a clean drop. Besides faults/s it reports what a fault costs
+// beyond the round trip it cannot avoid:
+//
+//   - allocs/fault: the process's allocations per fault less its
+//     allocations per bare synchronous Read on the same link, measured
+//     just before — that is the in-process server's share, which a fault
+//     pays as well. What is left is the client stack's: the future.
+//   - goroutines/fault: goroutines started per fault, read off the
+//     runtime's goroutine ids, which it hands out in order of creation.
+//     Each P takes ids sixteen at a time, so the count can be off by
+//     sixteen per P whatever the number of faults: run it with
+//     -benchtime 20000x or more, where that is under 0.002.
+//
+// `make bench` holds both: at most one allocation per fault, no
+// goroutine (cmd/benchsnap -require).
+func BenchmarkPagerFault(b *testing.B) {
+	b.Run("tcp", func(b *testing.B) { benchPagerFault(b, memnode.TransportTCP) })
+	b.Run("shm", func(b *testing.B) { benchPagerFault(b, memnode.TransportShm) })
+}
+
+func benchPagerFault(b *testing.B, transport int) {
+	srv, err := memnode.NewServerOptions("127.0.0.1:0", 256<<20, memnode.ServerOptions{EnableShm: transport == memnode.TransportShm})
+	if err != nil {
+		b.Skipf("no server for this transport: %v", err)
+	}
+	defer srv.Close()
+	c, err := memnode.DialOptions(srv.Addr(), memnode.Options{Transport: transport})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	const frames, pages = 1024, 8 * 1024
+	p, err := New(c, pages, frames, Options{NoPrefetch: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	next := uint64(0)
+	fault := func() {
+		fr, err := p.Pin(next%pages, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fr.Unpin()
+		next++
+	}
+	for i := 0; i < 2*frames; i++ { // fill the arena: from here on a fault evicts
+		fault()
+	}
+	const probe = 2048
+	m0 := mallocs()
+	for i := 0; i < probe; i++ {
+		body, err := c.Read(p.handle, int64(i)*4096, 4096)
+		if err != nil {
+			b.Fatal(err)
+		}
+		memnode.PutBuf(body)
+	}
+	perRead := float64(mallocs()-m0) / probe
+
+	before := p.Stats()
+	m0, g0 := mallocs(), newGoroutineID()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fault()
+	}
+	b.StopTimer()
+	m1, g1 := mallocs(), newGoroutineID()
+	after := p.Stats()
+	if n := after.Faults - before.Faults; n != uint64(b.N) || after.Hits != before.Hits {
+		b.Fatalf("%d pins made %d faults and %d hits", b.N, n, after.Hits-before.Hits)
+	}
+	n := float64(b.N)
+	b.ReportMetric(n/b.Elapsed().Seconds(), "faults/s")
+	b.ReportMetric(max(0, float64(m1-m0)/n-perRead), "allocs/fault")
+	b.ReportMetric(float64(g1-g0-1)/n, "goroutines/fault")
+	b.ReportMetric(float64(after.FrameWaits-before.FrameWaits)/n, "frame-waits/fault")
+}
+
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// newGoroutineID starts a goroutine and returns its id.
+func newGoroutineID() uint64 {
+	ch := make(chan uint64)
+	go func() {
+		var buf [64]byte
+		// "goroutine 123 [running]:..."
+		fields := bytes.Fields(buf[:runtime.Stack(buf[:], false)])
+		id, _ := strconv.ParseUint(string(fields[1]), 10, 64)
+		ch <- id
+	}()
+	return <-ch
+}

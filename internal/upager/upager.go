@@ -65,13 +65,27 @@ type AsyncBacking interface {
 	ReadAsync(handle uint64, offset, length int64) *memnode.Pending
 }
 
+// startBacking is a backing that can start a batched read from the
+// caller's goroutine and report its end through a hook: ReadVInto's
+// contract, with the frames lent until done has been called — once, on
+// whichever goroutine ends the read, holding no lock of the backing's.
+// memnode.Client is the one; with it a fill-ahead starts no goroutine.
+// It is not exported: bench's shim hides the method, and a backing that
+// has none gets its batched reads run on a goroutine each, as before
+// (see New).
+type startBacking interface {
+	StartReadVInto(handle uint64, offsets []int64, dst [][]byte, done func(error))
+}
+
 // ErrClosed is returned by Pin after Close.
 var ErrClosed = errors.New("upager: pager closed")
 
-// Page lifecycle. Transitions happen under Pager.mu; the latch channel
-// is non-nil exactly while the page is in a transient state
-// (faulting/evicting) and is closed when the transition completes, so
-// concurrent pinners wait without spinning.
+// Page lifecycle. Transitions happen under Pager.mu; a page in a
+// transient state (faulting/evicting) has a latch channel that is closed
+// when the transition completes, so concurrent pinners wait without
+// spinning. A batch's pages share the latch their batch was claimed
+// under; the page of a lone demand fault gets one only when a second
+// pinner turns up to wait on it, which it mostly does not.
 const (
 	pageAbsent   = iota // only in far memory
 	pageFaulting        // one fault in flight; pinners wait on latch
@@ -112,15 +126,15 @@ type Options struct {
 // Pager pages a numPages*PageBytes region through a frames-sized local
 // arena.
 type Pager struct {
-	backing   Backing
-	async     AsyncBacking // nil when backing has no futures API
-	readVInto func(handle uint64, offsets []int64, dst [][]byte) error
-	handle    uint64
-	pageBytes int64
-	numPages  uint64
-	frames    int
-	batch     int
-	lowWater  int
+	backing    Backing
+	async      AsyncBacking // nil when backing has no futures API
+	startReadV func(handle uint64, offsets []int64, dst [][]byte, done func(error))
+	handle     uint64
+	pageBytes  int64
+	numPages   uint64
+	frames     int
+	batch      int
+	lowWater   int
 
 	arena []byte
 
@@ -138,13 +152,14 @@ type Pager struct {
 	detMu sync.Mutex // the detector sees the global fault stream
 	det   prefetch.Detector
 
-	fillWG   sync.WaitGroup // in-flight fillBatch goroutines; Close drains them
+	fillWG   sync.WaitGroup // fills claimed and not yet installed; Close drains them
 	fillPool sync.Pool      // *fill scratch between batches
 	evict    evictScratch
 
 	// Fault/eviction balance counters (the paper's steering signals).
 	faults          atomic.Uint64
 	faultsAhead     atomic.Uint64
+	frameWaits      atomic.Uint64
 	hits            atomic.Uint64
 	coalesced       atomic.Uint64
 	prefetchIssued  atomic.Uint64
@@ -225,10 +240,19 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 		faultLat:  stats.NewConcurrentHistogram(),
 	}
 	p.async, _ = backing.(AsyncBacking)
-	if into, ok := backing.(IntoBacking); ok {
-		p.readVInto = into.ReadVInto
+	// A batched read is started and ends in a hook. The backing that can
+	// do that starts it itself; for any other, starting it is a goroutine
+	// that runs its ReadVInto — or its ReadV, and a copy.
+	if st, ok := backing.(startBacking); ok {
+		p.startReadV = st.StartReadVInto
 	} else {
-		p.readVInto = p.readVCopy
+		readVInto := p.readVCopy
+		if into, ok := backing.(IntoBacking); ok {
+			readVInto = into.ReadVInto
+		}
+		p.startReadV = func(handle uint64, offsets []int64, dst [][]byte, done func(error)) {
+			go func() { done(readVInto(handle, offsets, dst)) }() //magevet:ok real-host pager: a backing that cannot start a read has it run beside the caller's own work
+		}
 	}
 	for f := 0; f < frames; f++ {
 		p.owner[f] = noPage
@@ -306,6 +330,9 @@ func (p *Pager) Pin(pg uint64, write bool) (Frame, error) {
 			p.hits.Add(1)
 			return p.frameView(pg, frame), nil
 		case pageFaulting, pageEvicting:
+			if pd.latch == nil {
+				pd.latch = make(chan struct{})
+			}
 			latch := pd.latch
 			p.mu.Unlock()
 			p.coalesced.Add(1)
@@ -314,7 +341,6 @@ func (p *Pager) Pin(pg uint64, write bool) (Frame, error) {
 			// fresh fault.
 		case pageAbsent:
 			pd.state = pageFaulting
-			pd.latch = make(chan struct{})
 			p.mu.Unlock()
 			return p.faultIn(pg, write)
 		}
@@ -363,7 +389,7 @@ func (p *Pager) faultIn(pg uint64, write bool) (Frame, error) {
 		body, err = p.backing.Read(p.handle, off, p.pageBytes)
 	}
 	if err != nil {
-		p.freeC <- frame
+		p.putFrame(frame)
 		p.abortFault(pg)
 		return Frame{}, fmt.Errorf("upager: fault-in page %d: %w", pg, err)
 	}
@@ -379,8 +405,7 @@ func (p *Pager) faultIn(pg uint64, write bool) (Frame, error) {
 	pd.prefetched = false
 	pd.pins = 1
 	p.owner[frame] = pg
-	close(pd.latch)
-	pd.latch = nil
+	pd.openLatch()
 	p.mu.Unlock()
 
 	p.faultLat.Record(time.Since(start).Nanoseconds()) //magevet:ok real-host pager: fault service time is a reported metric
@@ -394,9 +419,17 @@ func (p *Pager) abortFault(pg uint64) {
 	p.mu.Lock()
 	pd := &p.pages[pg]
 	pd.state = pageAbsent
-	close(pd.latch)
-	pd.latch = nil
+	pd.openLatch()
 	p.mu.Unlock()
+}
+
+// openLatch ends a lone fault's transition for whoever waited on it.
+// p.mu is held.
+func (pd *page) openLatch() {
+	if pd.latch != nil {
+		close(pd.latch)
+		pd.latch = nil
+	}
 }
 
 // takeFrame pops a free frame, kicking the evictor and blocking while
@@ -408,6 +441,7 @@ func (p *Pager) takeFrame() (int32, error) {
 		return f, nil
 	default:
 	}
+	p.frameWaits.Add(1)
 	p.kick()
 	select {
 	case f := <-p.freeC:
@@ -417,6 +451,10 @@ func (p *Pager) takeFrame() (int32, error) {
 		return -1, ErrClosed
 	}
 }
+
+// putFrame returns a frame to the free pool. freeC is buffered to
+// frames, so the send never blocks, under p.mu or not.
+func (p *Pager) putFrame(f int32) { p.freeC <- f }
 
 // tryTakeFrame is the non-blocking variant the batched fills use: under
 // frame pressure a fill-ahead is dropped rather than queued.
@@ -447,11 +485,13 @@ func (p *Pager) maybeKick() {
 // already knows the pages its next Pins will touch (magecache, from the
 // requests buffered on a connection) hands them over, and every page
 // that is absent and can get a free frame right now is claimed
-// absent→faulting under one latch and filled by one batched read on one
-// goroutine. It never blocks and promises nothing — pages that are
-// resident or in transit, out of range, or left over when the free pool
-// runs dry are skipped. Pin remains the only way to touch data: a Pin
-// of a claimed page coalesces on the latch like on any other fault.
+// absent→faulting under one latch and filled by one batched read, which
+// is on its way to the backing when FaultAhead returns. It never waits
+// for a read or a frame and promises nothing — pages that are resident
+// or in transit, out of range, or left over when the free pool runs dry
+// are skipped. Pin remains the only way to touch data: a Pin of a
+// claimed page coalesces on the latch like on any other fault, and finds
+// the page resident when the read's completion has installed it.
 //
 // These are demand misses issued early, not speculation: they count in
 // Faults (and in FaultsAhead) and the fault-latency histogram, land
@@ -473,22 +513,27 @@ func (p *Pager) maybePrefetch(pg uint64) {
 	}
 }
 
-// fill is one batch between fillAhead and fillBatch: the pages claimed,
-// the frame, region offset and frame bytes of each, and the latch they
-// share — the pages of a batch open together, so one channel serves
-// them all. The slices are scratch that travels with the struct through
-// fillPool; only the latch is made per batch.
+// fill is one batch from fillAhead's claim to install: the pages
+// claimed, the frame, region offset and frame bytes of each, and the
+// latch they share — the pages of a batch open together, so one channel
+// serves them all. The slices are scratch that travels with the struct
+// through fillPool, and so does done, the struct's install as the hook
+// a started read takes; only the latch is made per batch.
 type fill struct {
+	p           *Pager
 	pgs         []uint64
 	frames      []int32
 	offs        []int64
 	dst         [][]byte
 	latch       chan struct{}
 	speculative bool
+	start       time.Time
+	done        func(error)
 }
 
-// fillAhead claims the absent pages of pgs that a free frame can be
-// had for without blocking and hands them to one fillBatch goroutine.
+// fillAhead claims the absent pages of pgs that a free frame can be had
+// for without blocking and starts one batched read for them, here, on
+// the caller's goroutine; install runs wherever the read completes.
 func (p *Pager) fillAhead(pgs []uint64, speculative bool) {
 	var f *fill
 	p.mu.Lock()
@@ -514,7 +559,8 @@ func (p *Pager) fillAhead(pgs []uint64, speculative bool) {
 		}
 		if f == nil {
 			if f, _ = p.fillPool.Get().(*fill); f == nil {
-				f = new(fill)
+				f = &fill{p: p}
+				f.done = f.install
 			}
 			f.pgs, f.frames, f.offs, f.dst = f.pgs[:0], f.frames[:0], f.offs[:0], f.dst[:0]
 			f.latch, f.speculative = make(chan struct{}), speculative
@@ -542,28 +588,34 @@ func (p *Pager) fillAhead(pgs []uint64, speculative bool) {
 		p.faults.Add(uint64(len(f.pgs)))
 		p.faultsAhead.Add(uint64(len(f.pgs)))
 	}
-	go p.fillBatch(f) //magevet:ok real-host pager: fill-ahead overlaps the caller's own work by design
+	f.start = time.Now() //magevet:ok real-host pager: fault service time is a reported metric
+	// With p.mu dropped: the hook takes it, and a read refused on the spot
+	// runs the hook before this returns.
+	p.startReadV(p.handle, f.offs, f.dst, f.done)
 }
 
-// fillBatch completes the pages fillAhead claimed: one batched read
-// straight into their frames, then every page installed resident and
-// unpinned. A speculative page lands with the reference bit clear, so
-// an untouched prefetch is the first CLOCK victim; an early demand
-// fault lands with it set, like any fault.
+// install ends a batch whose read has returned err: every page
+// installed resident and unpinned, or, on a failed read, aborted to
+// absent for the pinners waiting on the latch to retry and surface
+// their own error. A speculative page lands with the reference bit
+// clear, so an untouched prefetch is the first CLOCK victim; an early
+// demand fault lands with it set, like any fault.
 //
 // Between the claim and the end of the read the frames belong to the
 // wire: no page names them, so no Pin can see them, and they go back to
-// the free pool — on a failed read, which aborts every page to absent
-// for the pinners waiting on the latch to retry and surface their own
-// error — only once the backing has returned and writes them no more.
-func (p *Pager) fillBatch(f *fill) {
-	defer p.fillWG.Done()
-	start := time.Now() //magevet:ok real-host pager: fault service time is a reported metric
-	err := p.readVInto(p.handle, f.offs, f.dst)
+// the free pool on a failed read only now, when the backing has
+// returned and writes them no more.
+//
+// install is the hook of a started read, so it runs on whichever
+// goroutine completed that: it takes p.mu and nothing else, never
+// blocks, and sends nothing to the backing — the detector, whose
+// proposals are reads of their own, is fed from a goroutine.
+func (f *fill) install(err error) {
+	p := f.p
 	if err == nil && !f.speculative {
 		// Before the latch opens, so that a pinner that saw the page
 		// also sees its fault in the histogram.
-		lat := time.Since(start).Nanoseconds() //magevet:ok real-host pager: fault service time is a reported metric
+		lat := time.Since(f.start).Nanoseconds() //magevet:ok real-host pager: fault service time is a reported metric
 		for range f.pgs {
 			p.faultLat.Record(lat)
 		}
@@ -574,7 +626,7 @@ func (p *Pager) fillBatch(f *fill) {
 		pd.latch = nil
 		if err != nil {
 			pd.state = pageAbsent
-			p.freeC <- f.frames[i] //magevet:ok freeC is buffered to frames, so returning a frame can never block
+			p.putFrame(f.frames[i])
 			continue
 		}
 		pd.state = pageResident
@@ -587,10 +639,19 @@ func (p *Pager) fillBatch(f *fill) {
 	}
 	close(f.latch)
 	p.mu.Unlock()
-	if err == nil && !f.speculative {
-		for _, pg := range f.pgs {
-			p.maybePrefetch(pg)
-		}
+	p.fillWG.Done()
+	if err == nil && !f.speculative && p.det != nil {
+		go p.feedDetector(f) //magevet:ok real-host pager: the detector's proposals are batched reads, which a completion hook may not send
+		return
+	}
+	p.fillPool.Put(f)
+}
+
+// feedDetector shows the detector the pages of an early demand batch,
+// and recycles the batch.
+func (p *Pager) feedDetector(f *fill) {
+	for _, pg := range f.pgs {
+		p.maybePrefetch(pg)
 	}
 	p.fillPool.Put(f)
 }
@@ -679,7 +740,7 @@ func (p *Pager) evictSome() (bool, error) {
 			pd.state = pageAbsent
 			pd.prefetched = false
 			p.owner[f] = noPage
-			p.freeC <- int32(f) //magevet:ok freeC is buffered to frames, so returning a frame can never block
+			p.putFrame(int32(f))
 			p.cleanDrops.Add(1)
 			p.evictions.Add(1)
 			progress = true
@@ -718,7 +779,7 @@ func (p *Pager) evictSome() (bool, error) {
 		pd.dirty = false
 		pd.prefetched = false
 		p.owner[pd.frame] = noPage
-		p.freeC <- pd.frame //magevet:ok freeC is buffered to frames, so returning a frame can never block
+		p.putFrame(pd.frame)
 	}
 	close(latch)
 	p.mu.Unlock()
@@ -820,6 +881,13 @@ type Stats struct {
 	// in batches; Faults - FaultsAhead are the demand faults a Pin had to
 	// issue alone and wait out.
 	FaultsAhead uint64
+	// FrameWaits counts the faults that found the free pool empty and
+	// blocked until the evictor freed a frame: reclaim running behind the
+	// fault rate. It is the real pager's core.sync_evictions — the DES
+	// reclaims on the faulting thread at that point, this pager waits for
+	// its evictor — and, with FreeFrames, the balance signal: a pool that
+	// runs dry shows here even when no sample of FreeFrames catches it.
+	FrameWaits uint64
 	// Hits counts pins served by an already-resident page.
 	Hits uint64
 	// Coalesced counts pins that waited on another pin's in-flight
@@ -849,6 +917,7 @@ func (p *Pager) Stats() Stats {
 	return Stats{
 		Faults:           p.faults.Load(),
 		FaultsAhead:      p.faultsAhead.Load(),
+		FrameWaits:       p.frameWaits.Load(),
 		Hits:             p.hits.Load(),
 		Coalesced:        p.coalesced.Load(),
 		PrefetchIssued:   p.prefetchIssued.Load(),

@@ -441,10 +441,11 @@ func TestHitPathTouchesNoNetwork(t *testing.T) {
 	}
 }
 
-// TestAsyncBackingUsed: against a memnode client the demand path must
-// go through the futures API (ReadAsync wraps Read, so the wire counter
-// still moves — this test checks content integrity end to end over a
-// real socket including write-behind and re-fault).
+// TestMemnodeRoundtrip: against a memnode client the demand path goes
+// through the futures API — a read started by the Pin and completed by
+// the link, counted under the Read verb like a synchronous one — and
+// content survives write-behind and re-fault end to end over a real
+// socket.
 func TestMemnodeRoundtrip(t *testing.T) {
 	srv, err := memnode.NewServer("127.0.0.1:0", 64<<20)
 	if err != nil {
@@ -460,8 +461,8 @@ func TestMemnodeRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.async == nil {
-		t.Fatal("memnode.Client not detected as AsyncBacking")
+	if _, starts := Backing(c).(startBacking); p.async == nil || !starts {
+		t.Fatal("memnode.Client not detected as a backing that returns futures and starts batched reads")
 	}
 	for pg := uint64(0); pg < 2048; pg++ {
 		fr, err := p.Pin(pg, true)
@@ -492,6 +493,9 @@ func TestMemnodeRoundtrip(t *testing.T) {
 	}
 	if m.WriteV.Ops != s.WritebackBatches {
 		t.Errorf("WriteV wire ops %d != pager writeback batches %d", m.WriteV.Ops, s.WritebackBatches)
+	}
+	if m.Read.Ops != s.Faults {
+		t.Errorf("Read wire ops %d != pager faults %d", m.Read.Ops, s.Faults)
 	}
 }
 
