@@ -70,10 +70,15 @@ lint: fmtcheck vet magevet
 # goroutine per fault reads 1). Beside them the allocation ceilings the
 # memnode pipelines have held since PRs 13 and 16: none on either shm
 # variant, the in-process server's two on TCP.
+# The pin-hit pins are the other side of the pager: a Pin of a resident
+# page records itself for victim selection under the lock it already
+# holds, and must stay a few tens of nanoseconds and no allocation (68 ns
+# measured; 250 leaves room for noisy runners and none for a second lock
+# or a map on that path).
 bench:
-	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkEngineDispatch|BenchmarkParexpFigures|BenchmarkFaultPathMageLib|BenchmarkFaultToleranceMageLib|BenchmarkColocateNode|BenchmarkMemnodePipeline|BenchmarkMemnodeShmPipeline|BenchmarkServerRoundtrip|BenchmarkClusterFailoverRead|BenchmarkMagecacheZipf|BenchmarkPagerFault' ./... \
+	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkEngineDispatch|BenchmarkParexpFigures|BenchmarkFaultPathMageLib|BenchmarkFaultToleranceMageLib|BenchmarkColocateNode|BenchmarkMemnodePipeline|BenchmarkMemnodeShmPipeline|BenchmarkServerRoundtrip|BenchmarkClusterFailoverRead|BenchmarkMagecacheZipf|BenchmarkPagerFault|BenchmarkPinHit' ./... \
 		| tee /dev/stderr | $(GO) run ./cmd/benchsnap \
-			-require 'BenchmarkMemnodePipeline:pages/s,BenchmarkMemnodePipeline:p99-us,BenchmarkServerRoundtrip:allocs/op,BenchmarkMemnodeShmPipeline:pages/s,BenchmarkMemnodeShmPipeline:p99-us,BenchmarkMemnodeShmPipeline:allocs/op,BenchmarkClusterFailoverRead:pages/s,BenchmarkClusterFailoverRead:p99-us,BenchmarkEngineDispatchSharded:events/s>=2700000,BenchmarkMagecacheZipf:ops/s>=120000,BenchmarkMagecacheZipf:p99-us,BenchmarkPagerFault/tcp:allocs/fault<=1.05,BenchmarkPagerFault/shm:allocs/fault<=1.05,BenchmarkPagerFault/tcp:goroutines/fault<=0.01,BenchmarkPagerFault/shm:goroutines/fault<=0.01,BenchmarkMemnodeShmPipeline:allocs/op<=0,BenchmarkMemnodeShmPipelineParked:allocs/op<=0,BenchmarkMemnodePipeline:allocs/op<=2' \
+			-require 'BenchmarkMemnodePipeline:pages/s,BenchmarkMemnodePipeline:p99-us,BenchmarkServerRoundtrip:allocs/op,BenchmarkMemnodeShmPipeline:pages/s,BenchmarkMemnodeShmPipeline:p99-us,BenchmarkMemnodeShmPipeline:allocs/op,BenchmarkClusterFailoverRead:pages/s,BenchmarkClusterFailoverRead:p99-us,BenchmarkEngineDispatchSharded:events/s>=2700000,BenchmarkMagecacheZipf:ops/s>=120000,BenchmarkMagecacheZipf:p99-us,BenchmarkPagerFault/tcp:allocs/fault<=1.05,BenchmarkPagerFault/shm:allocs/fault<=1.05,BenchmarkPagerFault/tcp:goroutines/fault<=0.01,BenchmarkPagerFault/shm:goroutines/fault<=0.01,BenchmarkPinHit:ns/op<=250,BenchmarkPinHit:allocs/op<=0,BenchmarkMemnodeShmPipeline:allocs/op<=0,BenchmarkMemnodeShmPipelineParked:allocs/op<=0,BenchmarkMemnodePipeline:allocs/op<=2' \
 			> BENCH_$(BENCH_DATE).json
 
 # bench/ is a module of its own (BENCHMARK.json's harness), so build,

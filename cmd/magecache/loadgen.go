@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mage/internal/stats"
+	"mage/internal/upager"
 	"mage/internal/workload"
 )
 
@@ -86,6 +87,45 @@ type loadReport struct {
 	Violations uint64
 	BudgetLeft float64
 	FirstErr   error
+	Balance    []balanceRow
+}
+
+// balanceEvery is the interval of the pager's fault/eviction balance
+// that bench mode prints: the paper's balance plot, for the real stack.
+const balanceEvery = 250 * time.Millisecond
+
+// balanceRow is what the pager did in one interval ending at: faults
+// against evictions, the refaults among the faults (evicted too early),
+// the faults that found the pool dry, and the pool's depth at the end.
+type balanceRow struct {
+	at                                      time.Duration
+	faults, evictions, refaults, frameWaits uint64
+	free                                    int
+}
+
+// watchBalance samples the pager every balanceEvery until stop is
+// closed, and once more then.
+func watchBalance(p *upager.Pager, start time.Time, stop <-chan struct{}) []balanceRow {
+	var rows []balanceRow
+	tick := time.NewTicker(balanceEvery)
+	defer tick.Stop()
+	prev := p.Stats()
+	for running := true; running; {
+		select {
+		case <-tick.C:
+		case <-stop:
+			running = false
+		}
+		s := p.Stats()
+		rows = append(rows, balanceRow{
+			at:     time.Since(start),
+			faults: s.Faults - prev.Faults, evictions: s.Evictions - prev.Evictions,
+			refaults: s.Refaults - prev.Refaults, frameWaits: s.FrameWaits - prev.FrameWaits,
+			free: s.FreeFrames,
+		})
+		prev = s
+	}
+	return rows
 }
 
 // runLoad drives cfg.totalOps ops across cfg.workers closed-loop
@@ -113,6 +153,8 @@ func runLoad(c *Cache, cfg loadConfig) loadReport {
 		firstErr error
 	)
 	start := time.Now()
+	stop, balance := make(chan struct{}), make(chan []balanceRow, 1)
+	go func() { balance <- watchBalance(c.Pager(), start, stop) }()
 	for w := 0; w < cfg.workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -159,6 +201,7 @@ func runLoad(c *Cache, cfg loadConfig) loadReport {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	close(stop)
 	return loadReport{
 		Ops:        ops,
 		Fails:      fails,
@@ -170,6 +213,7 @@ func runLoad(c *Cache, cfg loadConfig) loadReport {
 		Violations: slo.Violations(),
 		BudgetLeft: slo.ErrorBudgetRemaining(),
 		FirstErr:   firstErr,
+		Balance:    <-balance,
 	}
 }
 
@@ -199,6 +243,11 @@ func printLoadReport(r loadReport, c *Cache, sloP99Us float64) {
 	fmt.Printf("magecache-pager: %d faults (%d batched ahead, %d on demand, %d waited for a frame), %d hits, %d coalesced, %d evictions (%d clean), writeback %.1f pages/batch, prefetch %d issued / %d hit / %d dropped\n",
 		ps.Faults, ps.FaultsAhead, ps.Faults-ps.FaultsAhead, ps.FrameWaits, ps.Hits, ps.Coalesced, ps.Evictions, ps.CleanDrops, batching,
 		ps.PrefetchIssued, ps.PrefetchHits, ps.PrefetchDropped)
+	fmt.Printf("magecache-balance: %d refaults of %d faults; per interval:\n", ps.Refaults, ps.Faults)
+	fmt.Printf("magecache-balance: %8s %8s %9s %8s %11s %5s\n", "t", "faults", "evictions", "refaults", "frame-waits", "free")
+	for _, b := range r.Balance {
+		fmt.Printf("magecache-balance: %7.2fs %8d %9d %8d %11d %5d\n", b.at.Seconds(), b.faults, b.evictions, b.refaults, b.frameWaits, b.free)
+	}
 	if r.FirstErr != nil {
 		fmt.Printf("magecache-error: first failed op: %v\n", r.FirstErr)
 	}

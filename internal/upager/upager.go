@@ -1,10 +1,11 @@
 // Package upager is a user-level pager: it manages a small local page
 // arena over a far-memory backing store, giving real host services the
 // same fault/evict mechanics the DES models — demand fault-in over the
-// async futures API, a sequential-pattern prefetch window, CLOCK
-// second-chance frame reclaim, and a dedicated write-behind evictor
-// that batches dirty victims into WRITEV frames (the paper's P2
-// cross-batch pipeline, in userspace).
+// async futures API, a sequential-pattern prefetch window, frame reclaim
+// that picks its victims by how often a page was pinned (S3-FIFO, see
+// selection.go), and a dedicated write-behind evictor that batches
+// dirty victims into WRITEV frames (the paper's P2 cross-batch
+// pipeline, in userspace).
 //
 // The pager is the userspace mirror of the kernel data path the paper
 // instruments: Pin is the page fault, the evictor is the reclaim
@@ -95,14 +96,17 @@ const (
 
 const noPage = ^uint64(0)
 
+// page is one entry of the page table: 24 bytes, which at 65,536 pages
+// is the pager's largest allocation after the arena.
 type page struct {
-	state      int8
-	dirty      bool
-	ref        bool // CLOCK second-chance bit
-	prefetched bool // resident via prefetch, not yet touched
-	pins       int32
-	frame      int32
-	latch      chan struct{}
+	state     int8
+	dirty     bool
+	freq      uint8 // pins since it was queued, saturating at maxFreq
+	untouched uint8 // touched, or who installed it ahead of its first Pin
+	pins      int32
+	frame     int32
+	ghost     uint32 // selection's stamp of its eviction from small; 0 is none
+	latch     chan struct{}
 }
 
 // Options sizes a Pager. The zero value of every field selects a
@@ -138,10 +142,10 @@ type Pager struct {
 
 	arena []byte
 
-	mu     sync.Mutex // guards pages, owner, hand, closed
+	mu     sync.Mutex // guards pages, owner, sel, closed
 	pages  []page
-	owner  []uint64 // frame -> resident page, noPage when free or in transit
-	hand   int      // CLOCK hand over frames
+	owner  []uint64   // frame -> resident page, noPage when free or on the wire
+	sel    *selection // the resident frames, queued for eviction
 	closed bool
 
 	freeC chan int32    // free frame pool (buffered to frames: sends never block)
@@ -166,6 +170,7 @@ type Pager struct {
 	prefetchHits    atomic.Uint64
 	prefetchDropped atomic.Uint64
 	evictions       atomic.Uint64
+	refaults        atomic.Uint64
 	cleanDrops      atomic.Uint64
 	wbBatches       atomic.Uint64
 	wbPages         atomic.Uint64
@@ -233,6 +238,7 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 		arena:     make([]byte, int64(frames)*pb),
 		pages:     make([]page, numPages),
 		owner:     make([]uint64, frames),
+		sel:       newSelection(frames),
 		freeC:     make(chan int32, frames),
 		kickC:     make(chan struct{}, 1),
 		stopC:     make(chan struct{}),
@@ -303,6 +309,12 @@ func (f Frame) Unpin() {
 // write pin marks the page dirty; its mutations are persisted by the
 // write-behind evictor or Flush. Concurrent Pins of one absent page
 // coalesce onto a single backing read.
+//
+// A pin is a reference, not a lock: it keeps the page in its frame and
+// orders nothing between the goroutines that hold one. Two write pins of
+// one page may be held at once, and whether their stores may touch the
+// same bytes is the callers' to settle — as it is one level down, where
+// memnode and memcluster take one logical writer per page for granted.
 func (p *Pager) Pin(pg uint64, write bool) (Frame, error) {
 	if pg >= p.numPages {
 		return Frame{}, fmt.Errorf("upager: page %d out of range [0,%d)", pg, p.numPages)
@@ -316,17 +328,16 @@ func (p *Pager) Pin(pg uint64, write bool) (Frame, error) {
 		pd := &p.pages[pg]
 		switch pd.state {
 		case pageResident:
-			pd.ref = true
 			pd.pins++
 			if write {
 				pd.dirty = true
 			}
-			if pd.prefetched {
-				pd.prefetched = false
-				p.prefetchHits.Add(1)
-			}
+			prefetchHit := pd.touch()
 			frame := pd.frame
 			p.mu.Unlock()
+			if prefetchHit {
+				p.prefetchHits.Add(1)
+			}
 			p.hits.Add(1)
 			return p.frameView(pg, frame), nil
 		case pageFaulting, pageEvicting:
@@ -401,12 +412,15 @@ func (p *Pager) faultIn(pg uint64, write bool) (Frame, error) {
 	pd.state = pageResident
 	pd.frame = frame
 	pd.dirty = write
-	pd.ref = true
-	pd.prefetched = false
 	pd.pins = 1
 	p.owner[frame] = pg
+	refault := p.sel.admit(pd, frame, touched)
 	pd.openLatch()
+	p.sel.check(p.pages, p.owner)
 	p.mu.Unlock()
+	if refault {
+		p.refaults.Add(1)
+	}
 
 	p.faultLat.Record(time.Since(start).Nanoseconds()) //magevet:ok real-host pager: fault service time is a reported metric
 	p.maybePrefetch(pg)
@@ -494,8 +508,8 @@ func (p *Pager) maybeKick() {
 // the page resident when the read's completion has installed it.
 //
 // These are demand misses issued early, not speculation: they count in
-// Faults (and in FaultsAhead) and the fault-latency histogram, land
-// with the reference bit set, and feed the prefetch detector.
+// Faults (and in FaultsAhead) and the fault-latency histogram, and feed
+// the prefetch detector.
 func (p *Pager) FaultAhead(pgs []uint64) { p.fillAhead(pgs, false) }
 
 // maybePrefetch feeds the fault address to the detector and fills its
@@ -597,9 +611,10 @@ func (p *Pager) fillAhead(pgs []uint64, speculative bool) {
 // install ends a batch whose read has returned err: every page
 // installed resident and unpinned, or, on a failed read, aborted to
 // absent for the pinners waiting on the latch to retry and surface
-// their own error. A speculative page lands with the reference bit
-// clear, so an untouched prefetch is the first CLOCK victim; an early
-// demand fault lands with it set, like any fault.
+// their own error. Either kind lands untouched: the Pin that follows is
+// the use the page was read for, as the faulting Pin is of a lone fault,
+// and records no second one — so a prefetch nobody comes for leaves from
+// the small queue's head with nothing to its name.
 //
 // Between the claim and the end of the read the frames belong to the
 // wire: no page names them, so no Pin can see them, and they go back to
@@ -620,6 +635,10 @@ func (f *fill) install(err error) {
 			p.faultLat.Record(lat)
 		}
 	}
+	untouched, refaults := uint8(faultedAhead), uint64(0)
+	if f.speculative {
+		untouched = prefetched
+	}
 	p.mu.Lock()
 	for i, pg := range f.pgs {
 		pd := &p.pages[pg]
@@ -632,13 +651,18 @@ func (f *fill) install(err error) {
 		pd.state = pageResident
 		pd.frame = f.frames[i]
 		pd.dirty = false
-		pd.ref = !f.speculative
-		pd.prefetched = f.speculative
 		pd.pins = 0
 		p.owner[f.frames[i]] = pg
+		if p.sel.admit(pd, f.frames[i], untouched) && !f.speculative {
+			refaults++
+		}
 	}
 	close(f.latch)
+	p.sel.check(p.pages, p.owner)
 	p.mu.Unlock()
+	if refaults > 0 {
+		p.refaults.Add(refaults)
+	}
 	p.fillWG.Done()
 	if err == nil && !f.speculative && p.det != nil {
 		go p.feedDetector(f) //magevet:ok real-host pager: the detector's proposals are batched reads, which a completion hook may not send
@@ -707,10 +731,12 @@ type evictScratch struct {
 	bufs    [][]byte
 }
 
-// evictSome runs one CLOCK sweep. Clean victims are freed on the spot;
-// dirty victims transition to pageEvicting (blocking new pinners, so
-// the in-flight WRITEV can safely alias the arena) and go out as one
-// batch under one latch — they come back together. Returns whether the
+// evictSome runs one sweep of the selection's queues. Clean victims are
+// freed on the spot; dirty victims transition to pageEvicting (blocking
+// new pinners, so the in-flight WRITEV can safely alias the arena) and
+// go out as one batch under one latch — they come back together. A
+// sweep ends with a full batch, or after looking at two heads per frame,
+// which is enough to have met every evictable page. Returns whether the
 // sweep made progress toward freeing frames.
 func (p *Pager) evictSome() (bool, error) {
 	ev := &p.evict
@@ -718,29 +744,19 @@ func (p *Pager) evictSome() (bool, error) {
 	var latch chan struct{}
 	progress := false
 	p.mu.Lock()
-	// Two revolutions bound the sweep: the first may only clear
-	// reference bits, the second then finds victims.
-	for scanned := 0; scanned < 2*p.frames && len(victims) < p.batch; scanned++ {
-		f := p.hand
-		p.hand = (p.hand + 1) % p.frames
+	sel := p.sel
+	limit, spared := sel.examined+2*uint64(p.frames), sel.spared
+	for len(victims) < p.batch {
+		f, ok := sel.next(p.pages, p.owner, limit)
+		if !ok {
+			break
+		}
 		pg := p.owner[f]
-		if pg == noPage {
-			continue
-		}
 		pd := &p.pages[pg]
-		if pd.state != pageResident || pd.pins > 0 {
-			continue
-		}
-		if pd.ref {
-			pd.ref = false
-			progress = true
-			continue
-		}
+		p.owner[f] = noPage
 		if !pd.dirty {
 			pd.state = pageAbsent
-			pd.prefetched = false
-			p.owner[f] = noPage
-			p.putFrame(int32(f))
+			p.putFrame(f)
 			p.cleanDrops.Add(1)
 			p.evictions.Add(1)
 			progress = true
@@ -753,8 +769,11 @@ func (p *Pager) evictSome() (bool, error) {
 		pd.latch = latch
 		victims = append(victims, pg)
 		offs = append(offs, int64(pg)*p.pageBytes)
-		bufs = append(bufs, p.frameData(int32(f)))
+		bufs = append(bufs, p.frameData(f))
 	}
+	// A head spared now is one look nearer to being a victim.
+	progress = progress || sel.spared != spared
+	sel.check(p.pages, p.owner)
 	p.mu.Unlock()
 	ev.victims, ev.offs, ev.bufs = victims, offs, bufs
 	if len(victims) == 0 {
@@ -770,18 +789,19 @@ func (p *Pager) evictSome() (bool, error) {
 		pd := &p.pages[pg]
 		pd.latch = nil
 		if err != nil {
-			// Put the victim back; it stays dirty and will be retried on
-			// a later sweep.
+			// Put the victim back, resident, dirty and queued; a later
+			// sweep retries it.
 			pd.state = pageResident
+			p.owner[pd.frame] = pg
+			sel.requeue(pd, pd.frame)
 			continue
 		}
 		pd.state = pageAbsent
 		pd.dirty = false
-		pd.prefetched = false
-		p.owner[pd.frame] = noPage
 		p.putFrame(pd.frame)
 	}
 	close(latch)
+	sel.check(p.pages, p.owner)
 	p.mu.Unlock()
 	if err != nil {
 		p.wbErrors.Add(1)
@@ -901,6 +921,13 @@ type Stats struct {
 	PrefetchDropped uint64
 	// Evictions counts frames reclaimed (clean drops + written back).
 	Evictions uint64
+	// Refaults counts the faults among Faults on a page that had been
+	// evicted, unpromoted, less than a main queue's worth of such
+	// evictions before (its ghost was live): evicted too early. It is
+	// over-eviction as a number: a working set that fits reads 0, a
+	// reclaim that runs ahead of need, or a small queue shorter than the
+	// stream's reuse distance, reads high.
+	Refaults uint64
 	// CleanDrops counts evictions that needed no writeback.
 	CleanDrops uint64
 	// WritebackBatches/Pages count write-behind WRITEV frames and the
@@ -924,6 +951,7 @@ func (p *Pager) Stats() Stats {
 		PrefetchHits:     p.prefetchHits.Load(),
 		PrefetchDropped:  p.prefetchDropped.Load(),
 		Evictions:        p.evictions.Load(),
+		Refaults:         p.refaults.Load(),
 		CleanDrops:       p.cleanDrops.Load(),
 		WritebackBatches: p.wbBatches.Load(),
 		WritebackPages:   p.wbPages.Load(),

@@ -237,7 +237,12 @@ func TestConcurrentFaultCoalescing(t *testing.T) {
 
 // TestConcurrentMixedChurn is the race-detector workout: many workers
 // pinning, writing, and unpinning across a region much larger than the
-// arena while the evictor churns underneath.
+// arena while the evictor churns underneath. A pin is a reference, not a
+// lock — two workers may hold write pins of one page at once — so each
+// writes a lane of its own, as bench/page.go's clients do: the count of
+// its write pins of that page, checked on every pin and, in far memory,
+// after Close. A lost writeback or a stale fault is a lane gone back in
+// time.
 func TestConcurrentMixedChurn(t *testing.T) {
 	fb := newFakeBacking()
 	p, err := New(fb, 512, 32, Options{EvictBatch: 8, NoPrefetch: true})
@@ -247,7 +252,9 @@ func TestConcurrentMixedChurn(t *testing.T) {
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
+	wrote := make([][]uint64, workers)
 	for w := 0; w < workers; w++ {
+		wrote[w] = make([]uint64, 512)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -259,8 +266,15 @@ func TestConcurrentMixedChurn(t *testing.T) {
 					errs <- fmt.Errorf("worker %d pin %d: %w", w, pg, err)
 					return
 				}
+				lane := fr.Data[8*w : 8*w+8]
+				if got := binary.LittleEndian.Uint64(lane); got != wrote[w][pg] {
+					errs <- fmt.Errorf("worker %d page %d: lane reads %d, want %d", w, pg, got, wrote[w][pg])
+					fr.Unpin()
+					return
+				}
 				if write {
-					stampPage(fr.Data, pg)
+					wrote[w][pg]++
+					binary.LittleEndian.PutUint64(lane, wrote[w][pg])
 				}
 				fr.Unpin()
 			}
@@ -278,11 +292,19 @@ func TestConcurrentMixedChurn(t *testing.T) {
 	if s.Faults == 0 || s.Evictions == 0 {
 		t.Errorf("churn produced faults=%d evictions=%d; want both > 0", s.Faults, s.Evictions)
 	}
+	for w := range wrote {
+		for pg, want := range wrote[w] {
+			if got := binary.LittleEndian.Uint64(fb.mem[pg*4096+8*w:]); got != want {
+				t.Fatalf("after Close, far memory has worker %d's lane of page %d at %d; want %d", w, pg, got, want)
+			}
+		}
+	}
 }
 
 // TestWritebackFailureKeepsPagesDirty: a failed write-behind batch must
-// leave the victims resident and dirty, and their data must survive to
-// a later successful flush.
+// leave the victims resident, dirty and queued — the next sweep can
+// take them again — and their data must survive to a later successful
+// flush.
 func TestWritebackFailureKeepsPagesDirty(t *testing.T) {
 	fb := newFakeBacking()
 	p, err := New(fb, 64, 8, Options{EvictBatch: 4, NoPrefetch: true})
@@ -299,10 +321,38 @@ func TestWritebackFailureKeepsPagesDirty(t *testing.T) {
 		stampPage(fr.Data, pg)
 		fr.Unpin()
 	}
+	// The eighth fault left the pool dry, so the evictor has swept, or is
+	// about to. Once its batch has failed, every page is back in a queue.
+	waitFor(t, "the evictor's batch to fail", func() bool { return p.Stats().WritebackErrors > 0 })
+	p.mu.Lock()
+	resident, dirty := 0, 0
+	for pg := range p.pages[:8] {
+		if p.pages[pg].state == pageResident {
+			resident++
+		}
+		if p.pages[pg].dirty {
+			dirty++
+		}
+	}
+	queued := p.sel.small.n + p.sel.main.n
+	p.mu.Unlock()
+	if resident != 8 || dirty != 8 || queued != 8 {
+		t.Fatalf("after a failed batch: %d resident, %d dirty, %d queued; want 8 of each", resident, dirty, queued)
+	}
 	if err := p.Flush(); err == nil {
 		t.Fatal("flush succeeded against a failing backing")
 	}
+	// With the backing mended, the sweep a ninth fault waits on takes the
+	// same pages again, and writes them.
 	fb.failWV.Store(false)
+	fr, err := p.Pin(8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Unpin()
+	if s := p.Stats(); s.Evictions == 0 || s.WritebackPages == 0 {
+		t.Errorf("%d evictions, %d pages written back after the retry; want both > 0", s.Evictions, s.WritebackPages)
+	}
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -318,6 +368,112 @@ func TestWritebackFailureKeepsPagesDirty(t *testing.T) {
 		if binary.LittleEndian.Uint64(b) != pg^0x6d616765 {
 			t.Fatalf("page %d stamp missing from backing after retry", pg)
 		}
+	}
+}
+
+// TestWhichPinsCount: what the pager tells the selection. The Pin a page
+// was read for records no use of it — not the faulting Pin, not the
+// first Pin of a page FaultAhead brought — while a Pin that coalesced on
+// another's fault, and every later one, does.
+func TestWhichPinsCount(t *testing.T) {
+	fb := newFakeBacking()
+	p, err := New(fb, 64, 32, Options{NoPrefetch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	pin := func(pg uint64) {
+		t.Helper()
+		fr, err := p.Pin(pg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Unpin()
+	}
+	recorded := func(pg uint64) (uint8, uint8) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.pages[pg].freq, p.pages[pg].untouched
+	}
+	want := func(what string, pg uint64, freq, untouched uint8) {
+		t.Helper()
+		if f, u := recorded(pg); f != freq || u != untouched {
+			t.Errorf("%s: %d pins recorded, untouched %d; want %d and %d", what, f, u, freq, untouched)
+		}
+	}
+
+	pin(0)
+	want("a page and the Pin that faulted it", 0, 0, touched)
+	pin(0)
+	want("pinned again", 0, 1, touched)
+	for i := 0; i < 5; i++ {
+		pin(0)
+	}
+	want("pinned seven times", 0, maxFreq, touched)
+
+	p.FaultAhead([]uint64{1})
+	waitFor(t, "the batch to install", func() bool { _, u := recorded(1); return u == faultedAhead })
+	want("a page FaultAhead brought", 1, 0, faultedAhead)
+	pin(1)
+	want("and the Pin it was brought for", 1, 0, touched)
+	pin(1)
+	want("and the next", 1, 1, touched)
+
+	// A second pinner of a lone fault: held on the latch, then a hit.
+	fb.rvGate = make(chan struct{})
+	p.FaultAhead([]uint64{2})
+	<-fb.entered
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); pin(2) }()
+	}
+	waitFor(t, "both pins to wait on the latch", func() bool { return p.Stats().Coalesced == 2 })
+	close(fb.rvGate)
+	wg.Wait()
+	want("two pinners coalesced on one page", 2, 1, touched)
+}
+
+// TestRefaultsCountLiveGhosts: a page evicted from the small queue and
+// faulted back within the ghost window is a refault, in Stats and in
+// where it is queued; one faulted back for the first time is not.
+func TestRefaultsCountLiveGhosts(t *testing.T) {
+	fb := newFakeBacking()
+	p, err := New(fb, 64, 16, Options{EvictBatch: 4, LowWater: 4, NoPrefetch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for pg := uint64(0); pg < 16; pg++ {
+		fr, err := p.Pin(pg, true) // dirty: a sweep ends with a batch of four
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Unpin()
+	}
+	// The pool went under low water on the way; page 0, first in and
+	// pinned once, is first out.
+	waitFor(t, "page 0 to be evicted", func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.pages[0].state == pageAbsent
+	})
+	if s := p.Stats(); s.Refaults != 0 {
+		t.Fatalf("%d refaults before any page came back; want 0", s.Refaults)
+	}
+	fr, err := p.Pin(0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Unpin()
+	if s := p.Stats(); s.Refaults != 1 || s.Faults != 17 {
+		t.Errorf("%d refaults of %d faults; want 1 of 17", s.Refaults, s.Faults)
+	}
+	p.mu.Lock()
+	inMain := p.sel.main.n
+	p.mu.Unlock()
+	if inMain != 1 {
+		t.Errorf("main holds %d frames; want the refaulted page's alone", inMain)
 	}
 }
 
