@@ -43,7 +43,7 @@ func TestShutdownReleasesAbandonedProcs(t *testing.T) {
 	if eng.Live() != 0 {
 		t.Fatalf("Live = %d after Shutdown, want 0", eng.Live())
 	}
-	if got := stableGoroutines(); got > base {
+	if got := goroutinesDownTo(base); got > base {
 		t.Errorf("goroutines leaked: %d before, %d after Shutdown", base, got)
 	}
 }

@@ -1,11 +1,12 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
 // The engine provides virtual time measured in integer nanoseconds and
-// cooperatively scheduled processes (goroutines that run one at a time,
-// hand-off style). All far-memory experiments in this repository run on
-// this engine so that results are reproducible bit-for-bit: given the same
-// seed and configuration, every run produces the same event order and the
-// same measurements.
+// cooperatively scheduled processes: each process is a coroutine, and the
+// engine's run loop is the only thing that ever resumes one. All
+// far-memory experiments in this repository run on this engine so that
+// results are reproducible bit-for-bit: given the same seed and
+// configuration, every run produces the same event order and the same
+// measurements.
 //
 // A process interacts with the engine only through its *Proc handle:
 //
@@ -18,9 +19,12 @@
 //	})
 //	eng.Run()
 //
-// Exactly one process executes at any instant, so code between blocking
-// calls (Sleep, Lock, Wait, ...) never races with other processes and needs
-// no host-level synchronization.
+// Exactly one process executes at any instant, by construction: a process
+// runs only between the loop's resume and its own suspend, on the thread
+// of whoever called Run. Code between blocking calls (Sleep, Lock, Wait,
+// ...) therefore never races with other processes and needs no host-level
+// synchronization. Which process runs next is the event heap's (time, seq)
+// order and nothing else; the Go scheduler is never asked.
 //
 // # Sharded event queues
 //
@@ -40,7 +44,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"        //magevet:ok teardown join only: Shutdown waits for process goroutines to finish unwinding; no simulation state is shared
 	"sync/atomic" //magevet:ok engine-construction epoch only: seeds seq before any process runs; all simulation state stays single-threaded
 
 	"mage/internal/invariant"
@@ -87,8 +90,6 @@ const (
 	wakeSleep
 	wakeSignal
 	wakeTimeout
-	// wakePoison tells a parked process to unwind and exit (Shutdown).
-	wakePoison
 )
 
 type event struct {
@@ -194,12 +195,12 @@ type Proc struct {
 	eng     *Engine
 	name    string
 	id      int
-	domain  int   // rack-node (or other) domain; routes events to a shard
-	shard   int32 // cached domain % len(eng.shards)
-	resume  chan wakeReason
-	blocked bool   // parked with no pending event (waiting on a queue)
-	pending *event // the single scheduled wake event, if any
-	exited  bool
+	domain  int        // rack-node (or other) domain; routes events to a shard
+	shard   int32      // cached domain % len(eng.shards)
+	co      coro       // the suspended body; see switch_coro.go
+	woke    wakeReason // the reason on the wake event last delivered
+	blocked bool       // parked with no pending event (waiting on a queue)
+	pending *event     // the single scheduled wake event, if any
 }
 
 // Name returns the name given at Spawn time.
@@ -218,32 +219,34 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() Time { return p.eng.now }
 
 // Engine runs the simulation: it owns the virtual clock and the event
-// queue shards. Dispatch is distributed: a parking or exiting process
-// pops the next merged event and resumes its target directly (one
-// goroutine switch per event, zero when the next event is its own),
-// returning control to the engine goroutine only when nothing is
-// dispatchable. Exactly one goroutine is ever active, and every handoff
-// goes through a channel, so the shared state below needs no locking and
-// stays race-detector-clean.
+// queue shards, and RunUntil's loop is the one dispatcher: it pops the
+// merged head and resumes that event's process, which runs until it parks
+// or returns and so hands control straight back to the loop. A parking
+// process whose own event is the next one takes it and keeps running
+// without any switch. A process is never runnable in the Go scheduler's
+// sense, only resumed by the loop, so exactly one runs at a time by
+// construction and the shared state below needs no locking.
 type Engine struct {
 	now      Time
 	seq      uint64
 	deadline Time
 	shards   []shard
-	yield    chan struct{}
 	cur      *Proc
-	procs    []*Proc // indexed by Proc.ID; nil once exited
-	live     int
-	panicV   interface{}
-	stopped  bool
+	// popped is the event a parking process took off the queue and found
+	// to be another process's: it suspends and the loop dispatches this
+	// instead of calling next again, so next runs once per event.
+	popped *event
+	// resumes counts the loop's hand-offs, so that a test can hold the
+	// no-switch park to a count instead of a timing.
+	resumes uint64
+	procs   []*Proc // indexed by Proc.ID; nil once exited
+	live    int
+	panicV  interface{}
+	stopped bool
 	// spawnDomain is the domain Spawn assigns when called from outside
 	// any running process (setup code); spawns from inside a process
 	// inherit the spawner's domain instead.
 	spawnDomain int
-	// reap counts process goroutines that have not finished unwinding;
-	// Shutdown joins on it so that, once it returns, every goroutine the
-	// engine ever spawned is gone (not merely poisoned and runnable).
-	reap sync.WaitGroup
 }
 
 // DefaultShards is the shard count NewEngine uses. It exists so the
@@ -285,7 +288,6 @@ func NewEngineShards(n int) *Engine {
 	e := &Engine{
 		seq:    engineEpoch.Add(1) * seqEpochStride,
 		shards: make([]shard, n),
-		yield:  make(chan struct{}),
 	}
 	for i := range e.shards {
 		e.shards[i].refresh()
@@ -342,42 +344,30 @@ func (e *Engine) SpawnIn(domain int, name string, fn func(*Proc)) *Proc {
 		id:     len(e.procs),
 		domain: domain,
 		shard:  int32(domain % len(e.shards)),
-		resume: make(chan wakeReason),
 	}
 	e.live++
 	e.procs = append(e.procs, p)
 	e.scheduleWake(p, e.now, wakeSleep)
-	e.reap.Add(1)
-	go func() { //magevet:ok coroutine hand-off: exactly one process runs at a time, resumed by the engine
-
-		// Registered first so it runs last, after the handoff below: by
-		// the time Shutdown's join observes it, this goroutine has
-		// nothing left to do but return.
-		defer e.reap.Done()
+	// The body starts when the loop dispatches the wake event above.
+	p.co.init(func() {
 		defer func() {
 			if v := recover(); v != nil && v != (poison{}) {
 				e.panicV = v
 			}
-			p.exited = true
-			e.live--
-			e.procs[p.id] = nil
-			// Hand off like park does, except an exiting process can
-			// never be its own successor (it has no pending event), and
-			// a surfacing panic must reach the engine goroutine now.
-			if e.panicV == nil {
-				if ev := e.next(); ev != nil {
-					e.dispatch(ev)
-					return
-				}
-			}
-			e.yield <- struct{}{}
+			e.retire(p)
 		}()
-		if r := <-p.resume; r == wakePoison {
-			return
-		}
 		fn(p)
-	}()
+	})
 	return p
+}
+
+// retire takes an exiting process off the books. e.cur is cleared here
+// as well as in the loop because a process that leaves by runtime.Goexit
+// takes Run's caller with it, past the loop's own store.
+func (e *Engine) retire(p *Proc) {
+	e.live--
+	e.procs[p.id] = nil
+	e.cur = nil
 }
 
 func (e *Engine) schedule(at Time, p *Proc, reason wakeReason) *event {
@@ -419,10 +409,9 @@ func (e *Engine) recycle(ev *event) {
 // (time, seq) among the cached shard-head keys wins, and the ascending
 // shard scan breaks full ties by lowest domain — though seq is
 // engine-global, so a full tie cannot occur and the merged order is
-// independent of the shard count. It returns nil when control must pass
-// back to the engine goroutine: every shard is drained, the engine is
-// stopped, or the earliest event lies past the deadline (it stays
-// queued for a later RunUntil).
+// independent of the shard count. It returns nil when RunUntil must
+// return: every shard is drained, the engine is stopped, or the earliest
+// event lies past the deadline (it stays queued for a later RunUntil).
 func (e *Engine) next() *event {
 	if e.stopped {
 		return nil
@@ -485,17 +474,15 @@ func (e *Engine) queued() int {
 	return n
 }
 
-// dispatch advances the clock to ev and resumes its process. It must
-// only be called by the currently active goroutine; the caller blocks
-// (or exits) immediately afterwards.
-func (e *Engine) dispatch(ev *event) {
+// deliver advances the clock to ev, consumes it, and returns its process
+// with the wake reason noted in it; the caller runs that process next.
+func (e *Engine) deliver(ev *event) *Proc {
 	e.now = ev.at
-	q := ev.p
-	reason := ev.reason
-	q.pending = nil
+	p := ev.p
+	p.woke = ev.reason
+	p.pending = nil
 	e.recycle(ev)
-	e.cur = q
-	q.resume <- reason
+	return p
 }
 
 // scheduleWake arranges for p to resume at time at, canceling any
@@ -520,16 +507,17 @@ func (e *Engine) Run() Time {
 // Events at exactly the deadline still execute.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.deadline = deadline
-	for !e.stopped {
-		ev := e.next()
+	for {
+		ev := e.popped
+		e.popped = nil
 		if ev == nil {
-			break
+			if ev = e.next(); ev == nil {
+				break
+			}
 		}
-		e.dispatch(ev)
-		// The dispatched process (and those it hands off to in turn)
-		// run the simulation; control returns here only when nothing is
-		// dispatchable or a panic must surface.
-		<-e.yield
+		e.cur = e.deliver(ev)
+		e.resumes++
+		e.cur.co.resume()
 		e.cur = nil
 		if e.panicV != nil {
 			panic(e.panicV)
@@ -553,7 +541,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 func (e *Engine) blockedNames() []string {
 	var names []string
 	for _, p := range e.procs {
-		if p != nil && !p.exited {
+		if p != nil {
 			names = append(names, p.name)
 		}
 	}
@@ -565,61 +553,53 @@ func (e *Engine) blockedNames() []string {
 }
 
 // Stop makes Run return after the current event completes. Blocked
-// processes are abandoned but their goroutines stay parked; call
-// Shutdown once Run has returned to release them.
+// processes are abandoned but stay suspended; call Shutdown once Run has
+// returned to release them.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Shutdown terminates every process that has not yet exited by resuming
-// it with a poison wake that unwinds its stack. It must be called after
-// Run/RunUntil has returned (never from inside a running process), and
-// it is idempotent: a drained engine shuts down as a no-op. Engines that
-// stop early (Stop, RunUntil deadlines) would otherwise leak one parked
-// goroutine per abandoned process for the life of the host process.
+// Shutdown terminates every process that has not yet exited: a suspended
+// one is killed, which unwinds its stack from the park it sits in so its
+// deferred clean-ups run, and one that never started is simply retired.
+// It must be called after Run/RunUntil has returned (never from inside a
+// running process), and it is idempotent: a drained engine shuts down as
+// a no-op. Engines that stop early (Stop, RunUntil deadlines) would
+// otherwise keep one suspended coroutine per abandoned process for the
+// life of the host process. Every body has returned before Shutdown
+// does.
 func (e *Engine) Shutdown() {
 	if e.cur != nil {
 		panic("sim: Shutdown called from inside a running process")
 	}
 	e.stopped = true
 	for _, p := range e.procs {
-		if p == nil || p.exited {
+		if p == nil {
 			continue
 		}
-		p.resume <- wakePoison
-		<-e.yield
+		p.co.kill()
+		if e.procs[p.id] == p {
+			e.retire(p) // never started: its body, and the retire in it, never ran
+		}
 	}
-	// Join: every process goroutine (poisoned above or exited earlier)
-	// has fully unwound before Shutdown returns, so callers — and
-	// goroutine-leak checks in tests — never race with teardown.
-	e.reap.Wait()
 }
 
-// park blocks the process until resumed. The parking process dispatches
-// the next event itself: when that event is its own (consecutive sleeps
-// with no one else runnable) it returns without any goroutine switch;
-// when it belongs to another process control transfers directly to it;
-// only when nothing is dispatchable does control bounce back to the
-// engine goroutine. A poison wake (Shutdown) unwinds the process's stack
-// instead of returning; the spawn wrapper swallows the sentinel panic.
+// park suspends the process until its next wake event is dispatched. It
+// pops the next event itself: when that event is its own (consecutive
+// sleeps with no one else due) it returns without any switch; otherwise
+// it leaves the event, or nil when nothing is dispatchable, for the loop
+// and suspends. A kill (Shutdown) unwinds the process's stack instead of
+// returning; the spawn wrapper swallows the sentinel panic.
 func (p *Proc) park() wakeReason {
 	e := p.eng
-	if ev := e.next(); ev != nil {
-		if ev.p == p {
-			e.now = ev.at
-			reason := ev.reason
-			p.pending = nil
-			e.recycle(ev)
-			e.cur = p
-			return reason
-		}
-		e.dispatch(ev)
-	} else {
-		e.yield <- struct{}{}
+	ev := e.next()
+	if ev != nil && ev.p == p {
+		e.deliver(ev)
+		return p.woke
 	}
-	r := <-p.resume
-	if r == wakePoison {
+	e.popped = ev
+	if !p.co.suspend() {
 		panic(poison{})
 	}
-	return r
+	return p.woke
 }
 
 // Sleep advances this process's virtual time by d nanoseconds. Other

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync" //magevet:ok memo of a pure function: zeta(n, theta) is the same number whichever parexp worker computes it first, so sharing it cannot reach a digest
 )
 
 // Zipfian draws keys in [0, N) with P(k) ∝ 1/(k+1)^theta, using the
@@ -22,6 +23,7 @@ type Zipfian struct {
 	zetan            float64
 	eta              float64
 	zeta2theta       float64
+	second           float64 // 1 + 0.5^theta: u*zetan below it draws key 1
 	countForzeta     int64
 	allowItemDecreas bool
 }
@@ -36,11 +38,32 @@ func NewZipfian(n int64, theta float64) *Zipfian {
 	}
 	z := &Zipfian{n: n, theta: theta}
 	z.zeta2theta = zetaStatic(2, theta)
-	z.zetan = zetaStatic(n, theta)
+	z.zetan = zeta(n, theta)
+	z.second = 1.0 + math.Pow(0.5, theta)
 	z.countForzeta = n
 	z.alpha = 1.0 / (1.0 - theta)
 	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2theta/z.zetan)
 	return z
+}
+
+// zetaMemo holds zetaStatic's sums. One is n calls to math.Pow, and
+// every thread of every cell of a grid builds its own generator over the
+// same key space, so the same sum was being taken hundreds of times.
+var zetaMemo sync.Map // zetaKey -> float64
+
+type zetaKey struct {
+	n     int64
+	theta float64
+}
+
+func zeta(n int64, theta float64) float64 {
+	k := zetaKey{n, theta}
+	if v, ok := zetaMemo.Load(k); ok {
+		return v.(float64)
+	}
+	v := zetaStatic(n, theta)
+	zetaMemo.Store(k, v)
+	return v
 }
 
 func zetaStatic(n int64, theta float64) float64 {
@@ -58,7 +81,7 @@ func (z *Zipfian) Next(rng *rand.Rand) int64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+math.Pow(0.5, z.theta) {
+	if uz < z.second {
 		return 1
 	}
 	k := int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
