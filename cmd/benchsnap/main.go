@@ -11,7 +11,7 @@
 // if a named benchmark or metric is missing the exit code is 1, so a
 // CI bench step fails loudly when a pinned number silently disappears
 // instead of producing a snapshot that no longer tracks it. A pair may
-// carry a bound — "BenchmarkEngineDispatchSharded:events/s>=2700000"
+// carry a bound — "BenchmarkEngineDispatch:events/s>=2700000"
 // (throughput floor) or "BenchmarkMemnodePipeline:ns/op<=20000"
 // (latency ceiling) — in which case the measured value must satisfy it,
 // turning the snapshot step into a hard perf regression gate.

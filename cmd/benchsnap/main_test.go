@@ -165,25 +165,25 @@ BenchmarkMemnodePipeline-8   	  500000	      6500 ns/op	 630.15 MB/s	    215000 
 // and a malformed bound is diagnosed rather than silently treated as a
 // presence pin.
 func TestRequiredBounds(t *testing.T) {
-	const sharded = `pkg: mage/internal/sim
-BenchmarkEngineDispatchSharded-8   	 3300000	       300.0 ns/op	   3300000 events/s
+	const dispatch = `pkg: mage/internal/sim
+BenchmarkEngineDispatch-8   	 3300000	       300.0 ns/op	   3300000 events/s
 `
 	cases := []struct {
 		require string
 		code    int
 	}{
-		{"BenchmarkEngineDispatchSharded:events/s>=2700000", 0},
-		{"BenchmarkEngineDispatchSharded:events/s >= 2700000", 0}, // spaces tolerated
-		{"BenchmarkEngineDispatchSharded:events/s>=4000000", 1},   // below the floor
-		{"BenchmarkEngineDispatchSharded:ns/op<=500", 0},
-		{"BenchmarkEngineDispatchSharded:ns/op<=100", 1}, // above the ceiling
-		{"BenchmarkEngineDispatchSharded:events/s>=2.7e6", 0},
-		{"BenchmarkEngineDispatchSharded:events/s>=fast", 1}, // unparseable bound
-		{"BenchmarkVanished:events/s>=1", 1},                 // benchmark not present
+		{"BenchmarkEngineDispatch:events/s>=2700000", 0},
+		{"BenchmarkEngineDispatch:events/s >= 2700000", 0}, // spaces tolerated
+		{"BenchmarkEngineDispatch:events/s>=4000000", 1},   // below the floor
+		{"BenchmarkEngineDispatch:ns/op<=500", 0},
+		{"BenchmarkEngineDispatch:ns/op<=100", 1}, // above the ceiling
+		{"BenchmarkEngineDispatch:events/s>=2.7e6", 0},
+		{"BenchmarkEngineDispatch:events/s>=fast", 1}, // unparseable bound
+		{"BenchmarkVanished:events/s>=1", 1},          // benchmark not present
 	}
 	for _, tc := range cases {
 		var out, errw bytes.Buffer
-		if code := run(strings.NewReader(sharded), &out, &errw, tc.require); code != tc.code {
+		if code := run(strings.NewReader(dispatch), &out, &errw, tc.require); code != tc.code {
 			t.Errorf("run(-require %q) = %d, want %d; stderr: %s", tc.require, code, tc.code, &errw)
 		}
 		if tc.code == 1 && errw.Len() == 0 {

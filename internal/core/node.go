@@ -127,9 +127,9 @@ func NewNode(cfg Config, specs []TenantSpec) (*Node, error) {
 }
 
 // newNodeOn is NewNode on a caller-owned engine — the seam NewRack uses
-// to put several nodes on one shared engine (each in its own event
-// domain). Construction itself schedules no events, so a node built here
-// behaves identically to one built by NewNode.
+// to put several nodes on one shared engine. Construction itself
+// schedules no events, so a node built here behaves identically to one
+// built by NewNode.
 func newNodeOn(eng *sim.Engine, cfg Config, specs []TenantSpec) (*Node, error) {
 	if len(specs) == 0 {
 		specs = []TenantSpec{{Name: cfg.Name, AppThreads: cfg.AppThreads, TotalPages: cfg.TotalPages}}

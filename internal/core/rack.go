@@ -9,12 +9,10 @@ import (
 )
 
 // This file scales the Node/Tenant split one level up: a Rack is N nodes
-// sharing one discrete-event engine (each node's processes in their own
-// event domain, so a sharded engine can give every node its own event
-// queue) joined by a simulated fabric. The rack exists for one policy:
-// cross-node eviction — a node under memory pressure offers victim pages
-// to a neighbour with free frames before paying a swap writeback (see
-// borrow.go).
+// sharing one discrete-event engine, joined by a simulated fabric. The
+// rack exists for one policy: cross-node eviction — a node under memory
+// pressure offers victim pages to a neighbour with free frames before
+// paying a swap writeback (see borrow.go).
 
 // NodeSpec describes one rack node: its shared substrate plus the
 // tenants co-located on it (empty Tenants builds a single-tenant node
@@ -34,10 +32,6 @@ type RackConfig struct {
 	// Borrow enables cross-node eviction: victims are offered to the
 	// neighbour with the most spare frames before being written to swap.
 	Borrow bool
-	// EngineShards is the engine's event-queue shard count; 0 takes the
-	// package default. Digests are shard-count invariant, so this is a
-	// pure performance knob.
-	EngineShards int
 	// LinkPlans attaches deterministic fault schedules to individual
 	// links, keyed by node-index pair (either order). A severed link
 	// (outage window) stops borrowing across it and times out transfers,
@@ -54,8 +48,7 @@ type Rack struct {
 }
 
 // NewRack assembles the rack: one engine, one fabric, and every node
-// built in its own event domain so node i's processes dispatch from
-// event-queue shard i mod shards.
+// built on that engine in index order.
 func NewRack(rc RackConfig) (*Rack, error) {
 	if len(rc.Nodes) == 0 {
 		return nil, fmt.Errorf("core: rack needs at least one node")
@@ -63,19 +56,13 @@ func NewRack(rc RackConfig) (*Rack, error) {
 	if rc.Link == (nic.LinkCosts{}) {
 		rc.Link = nic.DefaultLinkCosts()
 	}
-	var eng *sim.Engine
-	if rc.EngineShards > 0 {
-		eng = sim.NewEngineShards(rc.EngineShards)
-	} else {
-		eng = sim.NewEngine()
-	}
+	eng := sim.NewEngine()
 	r := &Rack{
 		Eng:    eng,
 		Fab:    nic.NewFabric(eng, len(rc.Nodes), rc.Link),
 		Borrow: rc.Borrow,
 	}
 	for i, spec := range rc.Nodes {
-		eng.SetSpawnDomain(i)
 		n, err := newNodeOn(eng, spec.Cfg, spec.Tenants)
 		if err != nil {
 			return nil, fmt.Errorf("core: rack node %d: %w", i, err)
@@ -87,7 +74,6 @@ func NewRack(rc RackConfig) (*Rack, error) {
 		n.Cfg.Retry.fillDefaults()
 		r.Nodes = append(r.Nodes, n)
 	}
-	eng.SetSpawnDomain(0)
 	for a := 0; a < len(rc.Nodes); a++ {
 		for b := a + 1; b < len(rc.Nodes); b++ {
 			plan := rc.LinkPlans[[2]int{a, b}]
@@ -133,18 +119,16 @@ func (r *Rack) pickHost(from *Node, now sim.Time) (*Node, int) {
 // to completion on the shared engine and returns one RunResult per
 // tenant per node. Every node's processes are spawned in node order
 // before the engine runs — the rack-scale extension of RunTenants'
-// fixed spawn order — so the merged event sequence is a pure function of
-// the configuration and streams at any shard count.
+// fixed spawn order — so the event sequence is a pure function of the
+// configuration and streams.
 func (r *Rack) Run(streams [][][]AccessStream, opts RunOptions) [][]RunResult {
 	if len(streams) != len(r.Nodes) {
 		panic(fmt.Sprintf("core: %d stream sets for %d rack nodes", len(streams), len(r.Nodes)))
 	}
 	runs := make([]*nodeRun, len(r.Nodes))
 	for i, n := range r.Nodes {
-		r.Eng.SetSpawnDomain(i)
 		runs[i] = n.startTenants(streams[i], opts)
 	}
-	r.Eng.SetSpawnDomain(0)
 	if opts.Deadline > 0 {
 		r.Eng.RunUntil(opts.Deadline)
 		for _, n := range r.Nodes {

@@ -61,15 +61,14 @@ func streamsOf(lists ...[]Access) []AccessStream {
 // pressuredPlusIdleRack is the canonical borrow scenario: node 0 churns a
 // working set far beyond its local DRAM while node 1 sits on a mostly
 // free pool.
-func pressuredPlusIdleRack(t *testing.T, borrow bool, shards int) *Rack {
+func pressuredPlusIdleRack(t *testing.T, borrow bool) *Rack {
 	t.Helper()
 	r, err := NewRack(RackConfig{
 		Nodes: []NodeSpec{
 			{Cfg: rackNodeCfg("hot", 2, 2048, 256)},
 			{Cfg: rackNodeCfg("idle", 1, 2048, 2048)},
 		},
-		Borrow:       borrow,
-		EngineShards: shards,
+		Borrow: borrow,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +89,7 @@ func pressuredPlusIdleStreams() [][][]AccessStream {
 // or still hosted).
 func TestRackBorrowReducesSwapWritebacks(t *testing.T) {
 	run := func(borrow bool) ([][]RunResult, *Rack) {
-		r := pressuredPlusIdleRack(t, borrow, 0)
+		r := pressuredPlusIdleRack(t, borrow)
 		return r.Run(pressuredPlusIdleStreams(), RunOptions{}), r
 	}
 	off, _ := run(false)
@@ -188,24 +187,18 @@ func TestRackReclaimUnderHostPressure(t *testing.T) {
 	}
 }
 
-// TestRackDeterministicAcrossShardCounts is the rack half of the
-// shard-count equivalence contract: the full cross-node run — borrows,
-// reclaims, fabric contention and all — must produce identical results
-// on a single-queue engine and a sharded one, and be replayable.
-func TestRackDeterministicAcrossShardCounts(t *testing.T) {
-	run := func(shards int) [][]RunResult {
-		r := pressuredPlusIdleRack(t, true, shards)
-		return r.Run(pressuredPlusIdleStreams(), RunOptions{})
+// TestRackReplays: the full cross-node run — borrows, reclaims, fabric
+// contention and all — produces identical results when run again.
+func TestRackReplays(t *testing.T) {
+	run := func() [][]RunResult {
+		return pressuredPlusIdleRack(t, true).Run(pressuredPlusIdleStreams(), RunOptions{})
 	}
-	base := run(1)
+	base := run()
 	if base[0][0].Metrics.BorrowsOut == 0 {
 		t.Fatal("determinism scenario exercises no borrows")
 	}
-	for _, shards := range []int{1, 2, 4} {
-		if got := run(shards); !reflect.DeepEqual(got, base) {
-			t.Fatalf("rack run diverges at %d engine shards:\n got %+v\nwant %+v",
-				shards, got[0][0].Metrics, base[0][0].Metrics)
-		}
+	if got := run(); !reflect.DeepEqual(got, base) {
+		t.Fatalf("rack run diverges on replay:\n got %+v\nwant %+v", got[0][0].Metrics, base[0][0].Metrics)
 	}
 }
 

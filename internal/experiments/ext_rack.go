@@ -45,7 +45,7 @@ const (
 //
 // Every cell is one self-contained rack on a private engine; stream and
 // injector seeds derive from the cell identity, so the tables render
-// byte-identical at any worker count and any event-shard count.
+// byte-identical at any worker count.
 func ExtRack(sc Scale) []*Table {
 	return []*Table{rackPlacementSweep(sc), rackDegradeSweep(sc)}
 }

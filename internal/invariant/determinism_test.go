@@ -54,38 +54,33 @@ func digest(tables []*experiments.Table) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// The digest matrix: every registered experiment is rendered at five
-// engine shapes — one worker and four at one event shard, and 2, 4 and 8
-// shards — and each render is compared with its pin in
+// The digest matrix: every registered experiment is rendered twice — on
+// one worker and on four — and each render is compared with its pin in
 // testdata/golden_digests.json. Same seed and configuration, same bytes,
-// whatever the worker count, the shard count and the run: five renders
-// in one process matching one pin are the determinism check too. The
-// three tests below are the matrix's rows; the shard row's one-shard
-// column is the golden test's render, not a sixth.
-type shape struct{ workers, shards int }
-
-var (
-	sequential = shape{workers: 1, shards: 1} // the reference path: no host goroutines
-	workerPool = shape{workers: 4, shards: 1}
+// whatever the worker count and the run: two renders in one process
+// matching one pin are the determinism check too. The golden test and
+// the test below are the matrix's two columns; TestShardCountByteIdentical
+// reads the golden test's column again, and a -count repeat compares
+// again, both without rendering again.
+const (
+	sequential = 1 // workers on the reference path: no host goroutines
+	workerPool = 4
 )
 
-// rendered is one cell of the matrix, rendered once per process: a
-// -count repeat compares again, it does not render again.
+// rendered is one cell of the matrix, rendered once per process.
 type rendered struct {
 	once   sync.Once
 	digest string
 }
 
-var renders sync.Map // struct{ id string; sh shape } -> *rendered
+var renders sync.Map // struct{ id string; workers int } -> *rendered
 
-// render returns experiment id's digest at sh. sim.DefaultShards is a
-// process global: the caller has set it to sh.shards for as long as its
-// parallel subtests run.
-func render(t *testing.T, id string, sh shape) string {
+// render returns experiment id's digest on the given number of workers.
+func render(t *testing.T, id string, workers int) string {
 	v, _ := renders.LoadOrStore(struct {
-		id string
-		sh shape
-	}{id, sh}, new(rendered))
+		id      string
+		workers int
+	}{id, workers}, new(rendered))
 	r := v.(*rendered)
 	r.once.Do(func() {
 		runner, err := experiments.Lookup(id)
@@ -93,15 +88,15 @@ func render(t *testing.T, id string, sh shape) string {
 			t.Fatal(err)
 		}
 		sc := determinismScale()
-		sc.Workers = sh.workers
+		sc.Workers = workers
 		r.digest = digest(runner(sc))
 	})
 	return r.digest
 }
 
-// checkGolden renders each of ids at sh, one parallel subtest each, and
-// holds the digest to its pin.
-func checkGolden(t *testing.T, ids []string, sh shape) {
+// checkGolden renders each of ids on the given number of workers, one
+// parallel subtest each, and holds the digest to its pin.
+func checkGolden(t *testing.T, ids []string, workers int) {
 	golden := readGolden(t)
 	for _, id := range ids {
 		id := id
@@ -111,9 +106,8 @@ func checkGolden(t *testing.T, ids []string, sh shape) {
 			if !ok {
 				t.Fatalf("experiment %q has no pinned golden digest (run -update-golden and review the diff)", id)
 			}
-			if got := render(t, id, sh); got != want {
-				t.Errorf("experiment %s at %d workers, %d engine shards: digest %s, want the golden %s",
-					id, sh.workers, sh.shards, got, want)
+			if got := render(t, id, workers); got != want {
+				t.Errorf("experiment %s at %d workers: digest %s, want the golden %s", id, workers, got, want)
 			}
 		})
 	}

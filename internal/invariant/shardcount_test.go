@@ -1,50 +1,20 @@
 package invariant_test
 
 import (
-	"fmt"
 	"testing"
 
 	"mage/internal/experiments"
-	"mage/internal/sim"
 )
 
-// TestShardCountByteIdentical is the digest matrix at sim.DefaultShards
-// ∈ {1, 2, 4, 8}, every registered experiment against its golden pin
-// (the one-shard round is the golden test's render, memoised). This is
-// the sharded engine's core contract: the per-domain event queues change
-// how the dispatch loop finds the next event, never which event is next
-// — the merge key (time, seq, domain) totally orders events regardless
-// of how they are distributed across shards. Any digest drift means
-// shard routing leaked into simulation behaviour.
-//
-// DefaultShards is a process global, so each shard round runs under a
-// non-parallel group subtest: the group does not return until all its
-// parallel children finish, which serialises the global's mutations.
-//
-// Under the race detector the full matrix (4 shard counts x every
-// experiment) blows the package timeout, so the matrix trims itself to
-// the endpoints {1, 8} and a representative experiment subset: extrack
-// (the rack itself — multi-domain spawns, fabric, borrows), extfault
-// (fault-injection event patterns), and colocate (multi-tenant node).
-// The full matrix runs raceless in CI's rack-determinism job.
+// TestShardCountByteIdentical is the digest matrix at every event-queue
+// count the engine runs. Since the sharded queue was deleted for one
+// (time, seq) heap (DESIGN.md §15) that is a single count, so the row has
+// one column, shards=1: every registered experiment on the reference
+// path against the golden pin the sharded engine's one-shard path
+// rendered. It is the golden test's render, memoised, as it always was.
 func TestShardCountByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates full experiments per shard count; skipped in -short mode")
+		t.Skip("runs full experiments; skipped in -short mode")
 	}
-	defer func(n int) { sim.DefaultShards = n }(sim.DefaultShards)
-
-	shardCounts := []int{1, 2, 4, 8}
-	ids := experiments.Names()
-	if raceEnabled {
-		shardCounts = []int{1, 8}
-		ids = []string{"extrack", "extfault", "colocate"}
-	}
-	for _, shards := range shardCounts {
-		sh := shape{shards: shards}
-		if shards == 1 {
-			sh = sequential
-		}
-		sim.DefaultShards = shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { checkGolden(t, ids, sh) })
-	}
+	t.Run("shards=1", func(t *testing.T) { checkGolden(t, experiments.Names(), sequential) })
 }

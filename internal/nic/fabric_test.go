@@ -144,11 +144,11 @@ func TestFabricTopologyGuards(t *testing.T) {
 // clocks — the fabric must be as replayable as the rest of the DES.
 func TestFabricDeterministicUnderContention(t *testing.T) {
 	run := func() (sim.Time, uint64) {
-		eng := sim.NewEngineShards(4)
+		eng := sim.NewEngine()
 		f := NewFabric(eng, 8, testLinkCosts())
 		for i := 0; i < 8; i++ {
 			src := i
-			eng.SpawnIn(src, "spill", func(p *sim.Proc) {
+			eng.Spawn("spill", func(p *sim.Proc) {
 				for k := 0; k < 5; k++ {
 					dst := (src + k + 1) % 8
 					f.Link(src, dst).Transfer(p, int64(4096*(1+k%3)))

@@ -28,37 +28,6 @@ func BenchmarkEngineDispatch(b *testing.B) {
 	b.ReportMetric(float64(per*procs)*1e9/float64(b.Elapsed().Nanoseconds()), "events/s")
 }
 
-// BenchmarkEngineDispatchSharded measures per-event cost on a sharded
-// engine shaped like a rack grid: 4 event-queue shards, 8 domains of 4
-// sleeper processes each, so every dispatch goes through the
-// cross-shard (time, seq, domain) merge. events/s here is the pinned
-// floor for rack-scale runs (see the benchsnap -require in the
-// Makefile).
-func BenchmarkEngineDispatchSharded(b *testing.B) {
-	const (
-		domains = 8
-		perDom  = 4
-		procs   = domains * perDom
-	)
-	eng := NewEngineShards(4)
-	per := b.N / procs
-	b.ResetTimer()
-	for i := 0; i < procs; i++ {
-		dom := i % domains
-		eng.SpawnIn(dom, "sleeper", func(p *Proc) {
-			for j := 0; j < per; j++ {
-				p.Sleep(Time(1 + (j+dom)%7))
-			}
-		})
-	}
-	eng.Run()
-	b.StopTimer()
-	if eng.Live() != 0 {
-		b.Fatalf("%d processes still live", eng.Live())
-	}
-	b.ReportMetric(float64(per*procs)*1e9/float64(b.Elapsed().Nanoseconds()), "events/s")
-}
-
 // BenchmarkEngineDispatchCancel stresses the lazy-cancellation path:
 // every wait is signaled just before its timeout, so each round schedules
 // a timeout event, cancels it, and the canceled carcass must be popped

@@ -120,3 +120,30 @@ func TestShutdownAfterDeadlineRun(t *testing.T) {
 		t.Fatalf("Live = %d after Shutdown, want 0", eng.Live())
 	}
 }
+
+// TestSeqEpochNoAliasAcrossRestart pins the epoch seeding: an engine
+// constructed after another one ran (the Shutdown/restart pattern in
+// tests) starts its seq counter strictly above everything the earlier
+// engine issued, so a resumed simulation can never reissue — and thus
+// never reorder against — seq numbers from a previous engine's life.
+func TestSeqEpochNoAliasAcrossRestart(t *testing.T) {
+	first := NewEngine()
+	for i := 0; i < 3; i++ {
+		first.Spawn("w", func(p *Proc) {
+			for j := 0; j < 100; j++ {
+				p.Sleep(1)
+			}
+		})
+	}
+	first.RunUntil(50)
+	first.Stop()
+	first.Shutdown()
+
+	second := NewEngine()
+	if second.seq <= first.seq {
+		t.Fatalf("restarted engine seq %d does not clear prior engine's last seq %d", second.seq, first.seq)
+	}
+	if second.seq%seqEpochStride != 0 {
+		t.Fatalf("engine seq base %d not a stride multiple", second.seq)
+	}
+}

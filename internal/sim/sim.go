@@ -25,19 +25,6 @@
 // ...) therefore never races with other processes and needs no host-level
 // synchronization. Which process runs next is the event heap's (time, seq)
 // order and nothing else; the Go scheduler is never asked.
-//
-// # Sharded event queues
-//
-// Rack-scale simulations (many Nodes on one engine) keep the event queue
-// large enough that heap sifts dominate dispatch. The engine therefore
-// supports sharding the queue by process domain: every Proc belongs to a
-// domain (a small integer, typically the rack node index), each domain
-// maps onto one of N event-queue shards, and each shard keeps its own
-// inlined binary heap and *event freelist. Dispatch merges the shard
-// heads deterministically: the lowest (time, seq, domain) wins, where seq
-// is a single engine-global counter, so the merged order is a total order
-// that does not depend on the shard count. NewEngine() builds one shard;
-// NewEngineShards(n) builds n. Digests are byte-identical at any n.
 package sim
 
 import (
@@ -101,11 +88,8 @@ type event struct {
 }
 
 // before is the event ordering: time, then schedule order. seq is issued
-// by a single engine-global counter, so it is unique across shards and
-// this is a total order: every shard layout pops events in exactly the
-// same merged sequence. The cross-shard merge in next() additionally
-// breaks (impossible) full ties by lowest domain, completing the
-// documented (time, seq, domain) rule.
+// by one engine-wide counter, so no two events tie and this is a total
+// order.
 func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -159,44 +143,11 @@ func (h *eventHeap) pop() *event {
 	return ev
 }
 
-// shard is one event-queue shard: its own heap and its own *event
-// freelist, so steady-state scheduling in a domain touches only that
-// domain's arrays. headAt/headSeq mirror the heap head's ordering key so
-// the cross-shard merge scans contiguous keys instead of chasing *event
-// pointers; refresh keeps them in sync after every heap mutation.
-type shard struct {
-	headAt  Time
-	headSeq uint64
-	events  eventHeap
-	// free is the *event freelist: dispatched and canceled events are
-	// recycled so steady-state scheduling allocates nothing.
-	free []*event
-}
-
-// shardEmptyAt / shardEmptySeq are the cached-key sentinel for an empty
-// shard. No real event can carry this key: seq counters start at an
-// epoch-stride multiple and could not reach MaxUint64 in any run, so the
-// sentinel loses every merge comparison against a real event.
-const (
-	shardEmptyAt  = MaxTime
-	shardEmptySeq = math.MaxUint64
-)
-
-func (sh *shard) refresh() {
-	if len(sh.events) > 0 {
-		sh.headAt, sh.headSeq = sh.events[0].at, sh.events[0].seq
-	} else {
-		sh.headAt, sh.headSeq = shardEmptyAt, shardEmptySeq
-	}
-}
-
 // Proc is the handle a simulated process uses to interact with the engine.
 type Proc struct {
 	eng     *Engine
 	name    string
 	id      int
-	domain  int        // rack-node (or other) domain; routes events to a shard
-	shard   int32      // cached domain % len(eng.shards)
 	co      coro       // the suspended body; see switch_coro.go
 	woke    wakeReason // the reason on the wake event last delivered
 	blocked bool       // parked with no pending event (waiting on a queue)
@@ -209,9 +160,6 @@ func (p *Proc) Name() string { return p.name }
 // ID returns a small unique integer identifying this process.
 func (p *Proc) ID() int { return p.id }
 
-// Domain returns the event-queue domain this process was spawned in.
-func (p *Proc) Domain() int { return p.domain }
-
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
 
@@ -219,19 +167,22 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() Time { return p.eng.now }
 
 // Engine runs the simulation: it owns the virtual clock and the event
-// queue shards, and RunUntil's loop is the one dispatcher: it pops the
-// merged head and resumes that event's process, which runs until it parks
-// or returns and so hands control straight back to the loop. A parking
-// process whose own event is the next one takes it and keeps running
-// without any switch. A process is never runnable in the Go scheduler's
-// sense, only resumed by the loop, so exactly one runs at a time by
-// construction and the shared state below needs no locking.
+// queue, and RunUntil's loop is the one dispatcher: it pops the head and
+// resumes that event's process, which runs until it parks or returns and
+// so hands control straight back to the loop. A parking process whose own
+// event is the next one takes it and keeps running without any switch. A
+// process is never runnable in the Go scheduler's sense, only resumed by
+// the loop, so exactly one runs at a time by construction and the shared
+// state below needs no locking.
 type Engine struct {
 	now      Time
 	seq      uint64
 	deadline Time
-	shards   []shard
-	cur      *Proc
+	events   eventHeap
+	// free is the *event freelist: dispatched and canceled events are
+	// recycled so steady-state scheduling allocates nothing.
+	free []*event
+	cur  *Proc
 	// popped is the event a parking process took off the queue and found
 	// to be another process's: it suspends and the loop dispatches this
 	// instead of calling next again, so next runs once per event.
@@ -243,19 +194,10 @@ type Engine struct {
 	live    int
 	panicV  interface{}
 	stopped bool
-	// spawnDomain is the domain Spawn assigns when called from outside
-	// any running process (setup code); spawns from inside a process
-	// inherit the spawner's domain instead.
-	spawnDomain int
+	// lastAt, lastSeq: the key next last returned (magecheck builds only).
+	lastAt  Time
+	lastSeq uint64
 }
-
-// DefaultShards is the shard count NewEngine uses. It exists so the
-// shard-count equivalence suite (and any caller that builds engines
-// indirectly, e.g. through experiment configs) can vary the shard count
-// of every engine in the process without threading a parameter through
-// each construction site. It must only be changed from the host test
-// goroutine while no engine is running.
-var DefaultShards = 1
 
 // engineEpoch seeds each new engine's seq counter. Every engine gets a
 // disjoint 2^40-wide seq range, mirroring how memnode seeds region IDs
@@ -272,27 +214,9 @@ var engineEpoch atomic.Uint64
 // before the epoch wraps — both orders of magnitude beyond any grid.
 const seqEpochStride = 1 << 40
 
-// NewEngine returns an engine with the clock at zero, no processes, and
-// DefaultShards event-queue shards.
+// NewEngine returns an engine with the clock at zero and no processes.
 func NewEngine() *Engine {
-	return NewEngineShards(DefaultShards)
-}
-
-// NewEngineShards returns an engine whose event queue is split into n
-// shards (n < 1 is treated as 1). Processes route to shard
-// domain % n. The merged dispatch order is byte-identical for every n.
-func NewEngineShards(n int) *Engine {
-	if n < 1 {
-		n = 1
-	}
-	e := &Engine{
-		seq:    engineEpoch.Add(1) * seqEpochStride,
-		shards: make([]shard, n),
-	}
-	for i := range e.shards {
-		e.shards[i].refresh()
-	}
-	return e
+	return &Engine{seq: engineEpoch.Add(1) * seqEpochStride}
 }
 
 // Now returns the current virtual time.
@@ -301,50 +225,15 @@ func (e *Engine) Now() Time { return e.now }
 // Live returns the number of processes that have not yet exited.
 func (e *Engine) Live() int { return e.live }
 
-// Shards returns the number of event-queue shards.
-func (e *Engine) Shards() int { return len(e.shards) }
-
-// SetSpawnDomain sets the domain assigned to processes spawned from
-// outside any running process (setup code). Rack construction points it
-// at each node's index in turn so that a node's processes — and
-// everything they spawn in turn, which inherits the spawner's domain —
-// land in that node's event-queue shard.
-func (e *Engine) SetSpawnDomain(d int) {
-	if d < 0 {
-		d = 0
-	}
-	e.spawnDomain = d
-}
-
 // poison is the panic value park uses to unwind a process being shut
 // down; the spawn wrapper recognizes and swallows it.
 type poison struct{}
 
 // Spawn creates a process that will begin executing fn at the current
 // virtual time. It may be called before Run or from inside a running
-// process. The process inherits its domain from the spawning process,
-// or from SetSpawnDomain when called from setup code.
+// process.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	d := e.spawnDomain
-	if e.cur != nil {
-		d = e.cur.domain
-	}
-	return e.SpawnIn(d, name, fn)
-}
-
-// SpawnIn is Spawn with an explicit domain (negative domains are treated
-// as 0). Events waking the process are queued on shard domain % Shards().
-func (e *Engine) SpawnIn(domain int, name string, fn func(*Proc)) *Proc {
-	if domain < 0 {
-		domain = 0
-	}
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		id:     len(e.procs),
-		domain: domain,
-		shard:  int32(domain % len(e.shards)),
-	}
+	p := &Proc{eng: e, name: name, id: len(e.procs)}
 	e.live++
 	e.procs = append(e.procs, p)
 	e.scheduleWake(p, e.now, wakeSleep)
@@ -374,104 +263,57 @@ func (e *Engine) schedule(at Time, p *Proc, reason wakeReason) *event {
 	if at < e.now {
 		at = e.now
 	}
-	sh := &e.shards[p.shard]
 	var ev *event
-	if n := len(sh.free); n > 0 {
-		ev = sh.free[n-1]
-		sh.free[n-1] = nil
-		sh.free = sh.free[:n-1]
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
 		*ev = event{at: at, seq: e.seq, p: p, reason: reason}
 	} else {
 		ev = &event{at: at, seq: e.seq, p: p, reason: reason}
 	}
 	e.seq++
-	sh.events.push(ev)
-	if len(e.shards) > 1 {
-		// Single-shard engines never consult the cached merge keys, so
-		// the refresh stores are skipped on that fast path.
-		sh.refresh()
-	}
+	e.events.push(ev)
 	return ev
 }
 
-// recycle returns a no-longer-referenced event to its shard's freelist.
-// The event's process pointer locates the shard, so recycle must run
-// before the pointer is cleared.
+// recycle returns a no-longer-referenced event to the freelist.
 func (e *Engine) recycle(ev *event) {
-	sh := &e.shards[ev.p.shard]
 	ev.p = nil
-	sh.free = append(sh.free, ev)
+	e.free = append(e.free, ev)
 }
 
-// next selects the next dispatchable event across all shards, recycling
-// canceled carcasses when their key wins the merge (exactly when a
-// single queue would have popped them). The merge rule: lowest
-// (time, seq) among the cached shard-head keys wins, and the ascending
-// shard scan breaks full ties by lowest domain — though seq is
-// engine-global, so a full tie cannot occur and the merged order is
-// independent of the shard count. It returns nil when RunUntil must
-// return: every shard is drained, the engine is stopped, or the earliest
-// event lies past the deadline (it stays queued for a later RunUntil).
+// next pops the next dispatchable event, recycling canceled carcasses it
+// finds at the head on the way. It returns nil when RunUntil must return:
+// the queue is drained, the engine is stopped, or the earliest event lies
+// past the deadline (it stays queued for a later RunUntil).
 func (e *Engine) next() *event {
 	if e.stopped {
 		return nil
 	}
-	if len(e.shards) == 1 {
-		// Single-shard fast path: no merge scan on the common case.
-		sh := &e.shards[0]
-		for len(sh.events) > 0 {
-			ev := sh.events[0]
-			if ev.canceled {
-				sh.events.pop()
-				e.recycle(ev)
-				continue
-			}
-			if ev.at > e.deadline {
-				return nil
-			}
-			sh.events.pop()
-			if invariant.Enabled {
-				invariant.Assert(ev.at >= e.now,
-					"sim: event at t=%v dispatched after clock reached t=%v", ev.at, e.now)
-			}
-			return ev
-		}
-		return nil
-	}
-	for {
-		bestAt, bestSeq, best := shardEmptyAt, uint64(shardEmptySeq), -1
-		for i := range e.shards {
-			sh := &e.shards[i]
-			if sh.headAt < bestAt || (sh.headAt == bestAt && sh.headSeq < bestSeq) {
-				bestAt, bestSeq, best = sh.headAt, sh.headSeq, i
-			}
-		}
-		if best < 0 || bestAt > e.deadline {
-			return nil
-		}
-		sh := &e.shards[best]
-		ev := sh.events.pop()
-		sh.refresh()
+	for len(e.events) > 0 {
+		ev := e.events[0]
 		if ev.canceled {
+			e.events.pop()
 			e.recycle(ev)
 			continue
 		}
+		if ev.at > e.deadline {
+			return nil
+		}
+		e.events.pop()
 		if invariant.Enabled {
+			// The heap's contract: events leave in strictly increasing
+			// (at, seq) order, and never behind the clock.
 			invariant.Assert(ev.at >= e.now,
 				"sim: event at t=%v dispatched after clock reached t=%v", ev.at, e.now)
+			invariant.Assert(ev.at > e.lastAt || (ev.at == e.lastAt && ev.seq > e.lastSeq),
+				"sim: event (t=%v, seq %d) dispatched after (t=%v, seq %d)", ev.at, ev.seq, e.lastAt, e.lastSeq)
+			e.lastAt, e.lastSeq = ev.at, ev.seq
 		}
 		return ev
 	}
-}
-
-// queued reports how many events (including canceled carcasses) remain
-// across all shards.
-func (e *Engine) queued() int {
-	n := 0
-	for i := range e.shards {
-		n += len(e.shards[i].events)
-	}
-	return n
+	return nil
 }
 
 // deliver advances the clock to ev, consumes it, and returns its process
@@ -524,7 +366,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		}
 	}
 	if !e.stopped {
-		if e.queued() > 0 {
+		if len(e.events) > 0 {
 			// The next event lies beyond the deadline; leave it queued
 			// for a later RunUntil call.
 			e.now = deadline

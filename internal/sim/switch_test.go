@@ -222,15 +222,14 @@ func TestShutdownEveryState(t *testing.T) {
 	}
 }
 
-// TestSpawnInsideProcessOrder: a child spawned by a running process gets
-// the spawner's domain and starts at the current instant, behind the
-// events already queued at that instant and ahead of later ones.
+// TestSpawnInsideProcessOrder: a child spawned by a running process
+// starts at the current instant, behind the events already queued at
+// that instant and ahead of later ones.
 func TestSpawnInsideProcessOrder(t *testing.T) {
-	eng := NewEngineShards(4)
-	eng.SetSpawnDomain(2)
+	eng := NewEngine()
 	var got []string
 	log := func(p *Proc, what string) {
-		got = append(got, fmt.Sprintf("t=%d d%d %s", p.Now(), p.Domain(), what))
+		got = append(got, fmt.Sprintf("t=%d %s", p.Now(), what))
 	}
 	eng.Spawn("parent", func(p *Proc) {
 		p.Sleep(10)
@@ -239,12 +238,12 @@ func TestSpawnInsideProcessOrder(t *testing.T) {
 		p.Yield()
 		log(p, "parent again")
 	})
-	eng.SpawnIn(1, "peer", func(p *Proc) {
+	eng.Spawn("peer", func(p *Proc) {
 		p.Sleep(10)
 		log(p, "peer")
 	})
 	eng.Run()
-	want := []string{"t=10 d2 parent spawned", "t=10 d1 peer", "t=10 d2 child", "t=10 d2 parent again"}
+	want := []string{"t=10 parent spawned", "t=10 peer", "t=10 child", "t=10 parent again"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("order %q, want %q", got, want)
 	}

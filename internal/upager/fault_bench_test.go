@@ -6,34 +6,39 @@ import (
 	"strconv"
 	"testing"
 
+	"mage/internal/memcluster"
 	"mage/internal/memnode"
 )
 
 // BenchmarkPagerFault is the demand-fault path and nothing else: one
 // goroutine pins its way round a region eight times the arena, read-only
 // and with prefetch off, so every Pin is a major fault over a real
-// client — TCP or the shm ring, to an in-process memnode — and every
+// client — TCP or the shm ring to an in-process memnode, or a 2 × 2
+// memcluster of in-process memnodes with its prober off — and every
 // eviction a clean drop. Besides faults/s it reports what a fault costs
 // beyond the round trip it cannot avoid:
 //
 //   - allocs/fault: the process's allocations per fault less its
-//     allocations per bare synchronous Read on the same link, measured
-//     just before — that is the in-process server's share, which a fault
-//     pays as well. What is left is the client stack's: the future.
+//     allocations per bare synchronous Read of one memnode.Client on the
+//     same link (on the cluster, on one replica), measured just before —
+//     that is the in-process server's share, which a fault pays as well.
+//     What is left is the client stack's: the future, or on the cluster
+//     the replica ladder of its synchronous read.
 //   - goroutines/fault: goroutines started per fault, read off the
 //     runtime's goroutine ids, which it hands out in order of creation.
 //     Each P takes ids sixteen at a time, so the count can be off by
 //     sixteen per P whatever the number of faults: run it with
 //     -benchtime 20000x or more, where that is under 0.002.
 //
-// `make bench` holds both: at most one allocation per fault, no
-// goroutine (cmd/benchsnap -require).
+// `make bench` holds both on all three: at most one allocation per
+// fault, no goroutine (cmd/benchsnap -require).
 func BenchmarkPagerFault(b *testing.B) {
-	b.Run("tcp", func(b *testing.B) { benchPagerFault(b, memnode.TransportTCP) })
-	b.Run("shm", func(b *testing.B) { benchPagerFault(b, memnode.TransportShm) })
+	b.Run("tcp", func(b *testing.B) { benchNodeFault(b, memnode.TransportTCP) })
+	b.Run("shm", func(b *testing.B) { benchNodeFault(b, memnode.TransportShm) })
+	b.Run("cluster", benchClusterFault)
 }
 
-func benchPagerFault(b *testing.B, transport int) {
+func benchNodeFault(b *testing.B, transport int) {
 	srv, err := memnode.NewServerOptions("127.0.0.1:0", 256<<20, memnode.ServerOptions{EnableShm: transport == memnode.TransportShm})
 	if err != nil {
 		b.Skipf("no server for this transport: %v", err)
@@ -44,8 +49,37 @@ func benchPagerFault(b *testing.B, transport int) {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	benchPagerFault(b, c, c)
+}
+
+func benchClusterFault(b *testing.B) {
+	addrs := make([][]string, 2) // two shards of two replicas
+	for i := 0; i < 4; i++ {
+		srv, err := memnode.NewServer("127.0.0.1:0", 64<<20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		addrs[i/2] = append(addrs[i/2], srv.Addr())
+	}
+	cl, err := memcluster.New(addrs, memcluster.Options{DisableProber: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	replica, err := memnode.Dial(addrs[0][0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer replica.Close()
+	benchPagerFault(b, cl, replica)
+}
+
+// benchPagerFault runs the benchmark over backing; node is a client of
+// one of the servers behind it, whose bare Read is the server's share.
+func benchPagerFault(b *testing.B, backing Backing, node *memnode.Client) {
 	const frames, pages = 1024, 8 * 1024
-	p, err := New(c, pages, frames, Options{NoPrefetch: true})
+	p, err := New(backing, pages, frames, Options{NoPrefetch: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,9 +97,13 @@ func benchPagerFault(b *testing.B, transport int) {
 		fault()
 	}
 	const probe = 2048
+	h, err := node.Register(probe * 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
 	m0 := mallocs()
 	for i := 0; i < probe; i++ {
-		body, err := c.Read(p.handle, int64(i)*4096, 4096)
+		body, err := node.Read(h, int64(i)*4096, 4096)
 		if err != nil {
 			b.Fatal(err)
 		}
