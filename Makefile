@@ -1,5 +1,4 @@
 GO ?= go
-BENCH_DATE ?= $(shell date +%F)
 
 .PHONY: all build vet magevet test magecheck fmt fmtcheck lint check bench bench-check shm-shared-cpu cover
 
@@ -17,8 +16,8 @@ vet:
 
 # Static-analysis suite: determinism rules for the DES core plus the
 # bug-class passes (overflowcmp, lockscope, mapdrain, errdrop,
-# oksuppress); see DESIGN.md §12. Runs with no baseline: any finding
-# fails, under both build-tag variants.
+# oksuppress); see DESIGN.md §12. Any finding fails, under both
+# build-tag variants.
 magevet:
 	$(GO) run ./cmd/magevet ./...
 	$(GO) run ./cmd/magevet -tags magecheck ./...
@@ -39,24 +38,20 @@ fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
 # The full static gate CI's static-analysis job runs: formatting, go
-# vet, and the magevet suite with an empty baseline.
+# vet, and the magevet suite.
 lint: fmtcheck vet magevet
 
-# Benchmark snapshot: engine dispatch + figure regeneration + the fault
+# Benchmark pins: engine dispatch + figure regeneration + the fault
 # pipeline with and without injected faults + the memnode wire protocol
 # (depth-1 write+read roundtrip, depth-32 TCP pipeline, and the depth-32
-# shared-memory ring), recorded as JSON (name, ns/op, reported metrics
-# such as events/s, retries/op, pages/s, p99-us, allocs/op) for diffing
-# across commits — robustness regressions show up next to perf ones.
-# -require makes the snapshot fail loudly if a pinned memnode metric
-# stops being reported; the shm pins hold the kernel-copy-wall numbers
-# (pages/s, p99, allocs/op on the shm data plane) in every snapshot.
+# shared-memory ring), each checked by benchsnap -require, which fails
+# loudly if a pinned metric stops being reported or breaks its bound;
+# the shm pins hold the kernel-copy-wall numbers (pages/s, p99,
+# allocs/op on the shm data plane) in every run.
 # On platforms without the shm transport BenchmarkMemnodeShmPipeline
 # skips, so the shm pins would fail: bench is a Linux target.
 # The memcluster failover pin (p99 of reads on a 3x2 cluster with one
-# replica down) keeps the degraded-mode tail in every snapshot; the
-# bench also stamps its shards/replicas/transport topology into the
-# snapshot's "clusters" section.
+# replica down) keeps the degraded-mode tail in every run.
 # The engine pins are hard floors, not just presence checks: dispatch
 # must stay at or above 2.7M events/s with no allocation per event (a
 # process is a coroutine the run loop resumes; with a goroutine parked
@@ -87,8 +82,7 @@ lint: fmtcheck vet magevet
 bench:
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkEngineDispatch|BenchmarkParexpFigures|BenchmarkFaultPathMageLib|BenchmarkFaultToleranceMageLib|BenchmarkColocateNode|BenchmarkMemnodePipeline|BenchmarkMemnodeShmPipeline|BenchmarkServerRoundtrip|BenchmarkClusterFailoverRead|BenchmarkMagecacheZipf|BenchmarkPagerFault|BenchmarkPinHit' ./... \
 		| tee /dev/stderr | $(GO) run ./cmd/benchsnap \
-			-require 'BenchmarkMemnodePipeline:pages/s,BenchmarkMemnodePipeline:p99-us,BenchmarkServerRoundtrip:allocs/op,BenchmarkMemnodeShmPipeline:pages/s,BenchmarkMemnodeShmPipeline:p99-us,BenchmarkMemnodeShmPipeline:allocs/op,BenchmarkClusterFailoverRead:pages/s,BenchmarkClusterFailoverRead:p99-us,BenchmarkEngineDispatch:events/s>=2700000,BenchmarkEngineDispatch:allocs/op<=0,BenchmarkParexpFigures/sequential:ns/op<=4000000000,BenchmarkMagecacheZipf:ops/s>=120000,BenchmarkMagecacheZipf:p99-us,BenchmarkPagerFault/tcp:allocs/fault<=1.05,BenchmarkPagerFault/shm:allocs/fault<=1.05,BenchmarkPagerFault/cluster:allocs/fault<=1.05,BenchmarkPagerFault/tcp:goroutines/fault<=0.01,BenchmarkPagerFault/shm:goroutines/fault<=0.01,BenchmarkPagerFault/cluster:goroutines/fault<=0.01,BenchmarkPinHit:ns/op<=250,BenchmarkPinHit:allocs/op<=0,BenchmarkMemnodeShmPipeline:allocs/op<=0,BenchmarkMemnodeShmPipelineParked:allocs/op<=0,BenchmarkMemnodePipeline:allocs/op<=2' \
-			> BENCH_$(BENCH_DATE).json
+			-require 'BenchmarkMemnodePipeline:pages/s,BenchmarkMemnodePipeline:p99-us,BenchmarkServerRoundtrip:allocs/op,BenchmarkMemnodeShmPipeline:pages/s,BenchmarkMemnodeShmPipeline:p99-us,BenchmarkMemnodeShmPipeline:allocs/op,BenchmarkClusterFailoverRead:pages/s,BenchmarkClusterFailoverRead:p99-us,BenchmarkEngineDispatch:events/s>=2700000,BenchmarkEngineDispatch:allocs/op<=0,BenchmarkParexpFigures/sequential:ns/op<=4000000000,BenchmarkMagecacheZipf:ops/s>=120000,BenchmarkMagecacheZipf:p99-us,BenchmarkPagerFault/tcp:allocs/fault<=1.05,BenchmarkPagerFault/shm:allocs/fault<=1.05,BenchmarkPagerFault/cluster:allocs/fault<=1.05,BenchmarkPagerFault/tcp:goroutines/fault<=0.01,BenchmarkPagerFault/shm:goroutines/fault<=0.01,BenchmarkPagerFault/cluster:goroutines/fault<=0.01,BenchmarkPinHit:ns/op<=250,BenchmarkPinHit:allocs/op<=0,BenchmarkMemnodeShmPipeline:allocs/op<=0,BenchmarkMemnodeShmPipelineParked:allocs/op<=0,BenchmarkMemnodePipeline:allocs/op<=2'
 
 # bench/ is a module of its own (BENCHMARK.json's harness), so build,
 # vet and test above never compile it: a change to upager.Backing,

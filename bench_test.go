@@ -232,9 +232,8 @@ func BenchmarkFaultPathMageLib(b *testing.B) {
 
 // BenchmarkFaultToleranceMageLib runs the fault pipeline under injected
 // faults (per-op NACKs, spikes, periodic outages) and reports the
-// robustness counters per simulated op alongside host ns/op — benchsnap
-// picks the extra metrics up into BENCH_*.json so robustness regressions
-// show next to performance ones.
+// robustness counters per simulated op alongside host ns/op, so that
+// benchsnap -require can pin robustness next to performance.
 func BenchmarkFaultToleranceMageLib(b *testing.B) {
 	cfg := mage.MageLib(8, 1<<14, 1<<13)
 	cfg.Sockets = 1

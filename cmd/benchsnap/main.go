@@ -1,23 +1,22 @@
-// Command benchsnap converts `go test -bench` text output into a JSON
-// snapshot so benchmark history can be diffed across commits.
+// Command benchsnap checks `go test -bench` text output against pinned
+// metrics, so that a bench step fails loudly when a pinned number
+// regresses or silently disappears.
 //
 // Usage:
 //
-//	go test -bench=. -benchmem ./... | benchsnap > BENCH_2026-01-02.json
+//	go test -run '^$' -bench . -benchmem ./... | benchsnap -require 'BenchmarkEngineDispatch:events/s>=2700000'
 //
-// -require pins metrics that must be present in the snapshot
-// (comma-separated Bench:metric pairs, e.g.
+// -require names the metrics that must be present (comma-separated
+// Bench:metric pairs, e.g.
 // "BenchmarkMemnodePipeline:pages/s,BenchmarkEngineDispatch:events/s");
-// if a named benchmark or metric is missing the exit code is 1, so a
-// CI bench step fails loudly when a pinned number silently disappears
-// instead of producing a snapshot that no longer tracks it. A pair may
-// carry a bound — "BenchmarkEngineDispatch:events/s>=2700000"
+// if a named benchmark or metric is missing the exit code is 1. A pair
+// may carry a bound — "BenchmarkEngineDispatch:events/s>=2700000"
 // (throughput floor) or "BenchmarkMemnodePipeline:ns/op<=20000"
-// (latency ceiling) — in which case the measured value must satisfy it,
-// turning the snapshot step into a hard perf regression gate.
+// (latency ceiling) — in which case the measured value must satisfy it.
+// A stream with no benchmark line, or with a FAIL line, exits 1 too.
 //
-// Every benchmark line is captured with its iteration count, ns/op, and
-// any extra metrics the benchmark reported via b.ReportMetric (e.g. the
+// Every benchmark line is read with its iteration count, ns/op, and any
+// extra metrics the benchmark reported via b.ReportMetric (e.g. the
 // engine's events/s — simulated events dispatched per host second — the
 // fault-tolerance bench's robustness counters (retries/op, timeouts/op,
 // giveups/op, degraded-ms), or allocation counters from -benchmem).
@@ -25,7 +24,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -36,54 +34,18 @@ import (
 
 // Result is one benchmark measurement.
 type Result struct {
-	Name       string             `json:"name"`
-	Pkg        string             `json:"pkg,omitempty"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	Name       string
+	Pkg        string
+	Iterations int64
+	NsPerOp    float64
+	Metrics    map[string]float64
 }
 
-// ClusterTopology records the shape of a clustered-memnode benchmark:
-// the cluster benches print one "cluster-topology: bench=... shards=N
-// replicas=R transport=..." line per run so a snapshot says what
-// topology its failover numbers were measured against.
-type ClusterTopology struct {
-	Bench     string `json:"bench"`
-	Shards    int    `json:"shards"`
-	Replicas  int    `json:"replicas"`
-	Transport string `json:"transport,omitempty"`
-}
-
-// Snapshot is the full parsed run.
-type Snapshot struct {
-	GoOS      string            `json:"goos,omitempty"`
-	GoArch    string            `json:"goarch,omitempty"`
-	CPU       string            `json:"cpu,omitempty"`
-	Results   []Result          `json:"results"`
-	Clusters  []ClusterTopology `json:"clusters,omitempty"`
-	FailLines []string          `json:"fail_lines,omitempty"`
-}
-
-// parseTopology parses one "cluster-topology: k=v ..." line.
-func parseTopology(line string) (ClusterTopology, bool) {
-	var ct ClusterTopology
-	for _, kv := range strings.Fields(line) {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			continue
-		}
-		switch k {
-		case "bench":
-			ct.Bench = v
-		case "shards":
-			ct.Shards, _ = strconv.Atoi(v)
-		case "replicas":
-			ct.Replicas, _ = strconv.Atoi(v)
-		case "transport":
-			ct.Transport = v
-		}
-	}
-	return ct, ct.Bench != ""
+// Parsed is a whole `go test -bench` stream: its results, and the FAIL
+// lines among its output.
+type Parsed struct {
+	Results   []Result
+	FailLines []string
 }
 
 // parseLine parses one "BenchmarkX-8  N  12.3 ns/op  45 u/s" line.
@@ -116,52 +78,27 @@ func parseLine(line string) (Result, bool) {
 	return r, true
 }
 
-// addTopology dedups one parsed topology into the snapshot. A bench run
-// repeats for timing refinement; one topology line per benchmark is
-// enough.
-func addTopology(snap *Snapshot, payload string) {
-	ct, ok := parseTopology(payload)
-	if !ok {
-		return
-	}
-	for _, have := range snap.Clusters {
-		if have == ct {
-			return
-		}
-	}
-	snap.Clusters = append(snap.Clusters, ct)
-}
-
 // parse consumes a `go test -bench` stream.
-func parse(in io.Reader) (Snapshot, error) {
-	var snap Snapshot
+func parse(in io.Reader) (Parsed, error) {
+	var snap Parsed
 	var pkg string // most recent "pkg:" header; stamps following results
 	// pending holds a benchmark name whose numeric result has not been
-	// seen yet. A benchmark that prints to stdout mid-run (the cluster
-	// benches emit a "cluster-topology: ..." line) splits its result:
-	// the framework flushes the name token first, the print lands on
-	// the same line, and the "N  12.3 ns/op ..." numbers arrive on a
-	// later line with no Benchmark prefix. Stitching the two back
-	// together keeps those results (and their -require pins) in the
-	// snapshot instead of silently dropping them.
+	// seen yet. A benchmark that prints to stdout mid-run splits its
+	// result: the framework flushes the name token first, the print
+	// lands on the same line, and the "N  12.3 ns/op ..." numbers
+	// arrive on a later line with no Benchmark prefix. Stitching the
+	// two back together keeps those results (and their -require pins)
+	// instead of silently dropping them.
 	var pending string
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
-		case strings.HasPrefix(line, "goos: "):
-			snap.GoOS = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			snap.GoArch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
 			pkg = strings.TrimPrefix(line, "pkg: ")
-		case strings.HasPrefix(line, "cpu: "):
-			snap.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "--- FAIL") || strings.HasPrefix(line, "FAIL"):
 			snap.FailLines = append(snap.FailLines, line)
-		case strings.HasPrefix(line, "cluster-topology: "):
-			addTopology(&snap, strings.TrimPrefix(line, "cluster-topology: "))
 		default:
 			if r, ok := parseLine(line); ok {
 				r.Pkg = pkg
@@ -172,12 +109,8 @@ func parse(in io.Reader) (Snapshot, error) {
 			fields := strings.Fields(line)
 			if len(fields) > 0 && strings.HasPrefix(fields[0], "Benchmark") {
 				// Name-only line (result split by a mid-run print):
-				// remember the name, and salvage a topology payload
-				// glued onto it.
+				// remember the name.
 				pending = fields[0]
-				if i := strings.Index(line, "cluster-topology: "); i >= 0 {
-					addTopology(&snap, line[i+len("cluster-topology: "):])
-				}
 				continue
 			}
 			if pending == "" || len(fields) < 3 {
@@ -197,13 +130,13 @@ func parse(in io.Reader) (Snapshot, error) {
 }
 
 // checkRequired verifies every "Bench:metric" pair against the parsed
-// snapshot. Benchmark names are matched by prefix because bench lines
+// stream. Benchmark names are matched by prefix because bench lines
 // carry a -N GOMAXPROCS suffix ("BenchmarkMemnodePipeline-8"); the
 // metric "ns/op" is always present on a parsed line, anything else must
 // appear in the result's extra-metrics map. A pair suffixed with
 // ">=floor" or "<=ceiling" additionally bounds the measured value;
 // every matching result must satisfy the bound.
-func checkRequired(snap Snapshot, require string, errw io.Writer) int {
+func checkRequired(snap Parsed, require string, errw io.Writer) int {
 	missing := 0
 	for _, req := range strings.Split(require, ",") {
 		req = strings.TrimSpace(req)
@@ -267,7 +200,7 @@ func splitBound(req string) (spec, op string, bound float64, err error) {
 	return req, "", 0, nil
 }
 
-func run(in io.Reader, out, errw io.Writer, require string) int {
+func run(in io.Reader, errw io.Writer, require string) int {
 	snap, err := parse(in)
 	if err != nil {
 		fmt.Fprintln(errw, "benchsnap:", err)
@@ -275,12 +208,6 @@ func run(in io.Reader, out, errw io.Writer, require string) int {
 	}
 	if len(snap.Results) == 0 {
 		fmt.Fprintln(errw, "benchsnap: no benchmark lines on stdin")
-		return 1
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
-		fmt.Fprintln(errw, "benchsnap:", err)
 		return 1
 	}
 	if len(snap.FailLines) > 0 {
@@ -298,5 +225,5 @@ func main() {
 		"comma-separated Bench:metric pairs that must be present, optionally bounded"+
 			" (Bench:metric>=floor or Bench:metric<=ceiling); exit 1 if missing or violated")
 	flag.Parse()
-	os.Exit(run(os.Stdin, os.Stdout, os.Stderr, *require))
+	os.Exit(run(os.Stdin, os.Stderr, *require))
 }

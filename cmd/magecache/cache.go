@@ -111,23 +111,10 @@ type Cache struct {
 	misses      atomic.Uint64
 }
 
-// CacheOptions sizes a cache.
-type CacheOptions struct {
-	// Pager tunables forwarded to upager.New.
-	Pager upager.Options
-}
-
 // NewCache builds a cache whose value heap is heapPages pages backed by
 // b, paged through frames local frames (remote:local = heapPages/frames).
-func NewCache(b upager.Backing, heapPages uint64, frames int, opts CacheOptions) (*Cache, error) {
-	po := opts.Pager
-	if po.PageBytes == 0 {
-		po.PageBytes = pageBytes
-	}
-	if po.PageBytes != pageBytes {
-		return nil, fmt.Errorf("magecache: page size must be %d", pageBytes)
-	}
-	p, err := upager.New(b, heapPages, frames, po)
+func NewCache(b upager.Backing, heapPages uint64, frames int) (*Cache, error) {
+	p, err := upager.New(b, heapPages, frames, upager.Options{PageBytes: pageBytes})
 	if err != nil {
 		return nil, err
 	}

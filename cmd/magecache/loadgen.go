@@ -240,9 +240,8 @@ func printLoadReport(r loadReport, c *Cache, sloP99Us float64) {
 	if ps.WritebackBatches > 0 {
 		batching = float64(ps.WritebackPages) / float64(ps.WritebackBatches)
 	}
-	fmt.Printf("magecache-pager: %d faults (%d batched ahead, %d on demand, %d waited for a frame), %d hits, %d coalesced, %d evictions (%d clean), writeback %.1f pages/batch, prefetch %d issued / %d hit / %d dropped\n",
-		ps.Faults, ps.FaultsAhead, ps.Faults-ps.FaultsAhead, ps.FrameWaits, ps.Hits, ps.Coalesced, ps.Evictions, ps.CleanDrops, batching,
-		ps.PrefetchIssued, ps.PrefetchHits, ps.PrefetchDropped)
+	fmt.Printf("magecache-pager: %d faults (%d batched ahead, %d on demand, %d waited for a frame), %d hits, %d coalesced, %d evictions (%d clean), writeback %.1f pages/batch\n",
+		ps.Faults, ps.FaultsAhead, ps.Faults-ps.FaultsAhead, ps.FrameWaits, ps.Hits, ps.Coalesced, ps.Evictions, ps.CleanDrops, batching)
 	fmt.Printf("magecache-balance: %d refaults of %d faults; per interval:\n", ps.Refaults, ps.Faults)
 	fmt.Printf("magecache-balance: %8s %8s %9s %8s %11s %5s\n", "t", "faults", "evictions", "refaults", "frame-waits", "free")
 	for _, b := range r.Balance {

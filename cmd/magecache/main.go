@@ -28,7 +28,6 @@ type config struct {
 	setFrac  float64
 	sloP99Us float64
 	seed     int64
-	prefetch bool
 	requireS bool
 }
 
@@ -48,7 +47,6 @@ func parseFlags() config {
 	flag.Float64Var(&cfg.setFrac, "set-frac", 0.1, "bench mode: extra SET fraction (dirties pages)")
 	flag.Float64Var(&cfg.sloP99Us, "slo-p99-us", 0, "SLO: target p99 in microseconds (0 = report only)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "workload seed")
-	flag.BoolVar(&cfg.prefetch, "prefetch", false, "enable the pager's sequential prefetcher")
 	flag.BoolVar(&cfg.requireS, "require-slo", false, "bench mode: exit 1 when the SLO is missed")
 	flag.Parse()
 	return cfg
@@ -139,9 +137,7 @@ func run(cfg config) error {
 	if frames < 64 {
 		frames = 64
 	}
-	cache, err := NewCache(backing, heapPages, frames, CacheOptions{
-		Pager: upager.Options{NoPrefetch: !cfg.prefetch},
-	})
+	cache, err := NewCache(backing, heapPages, frames)
 	if err != nil {
 		return err
 	}

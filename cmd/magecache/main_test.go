@@ -14,7 +14,6 @@ import (
 
 	"mage/internal/memcluster"
 	"mage/internal/memnode"
-	"mage/internal/upager"
 )
 
 // newTestCache spawns an in-process memnode and a cache over it.
@@ -30,9 +29,7 @@ func newTestCache(t testing.TB, heapPages uint64, frames int) *Cache {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	cache, err := NewCache(c, heapPages, frames, CacheOptions{
-		Pager: upager.Options{NoPrefetch: true},
-	})
+	cache, err := NewCache(c, heapPages, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,9 +348,7 @@ func TestMagecacheClusterChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cache, err := NewCache(cl, 2048, 256, CacheOptions{
-		Pager: upager.Options{NoPrefetch: true},
-	})
+	cache, err := NewCache(cl, 2048, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,5 +469,4 @@ func BenchmarkMagecacheZipf(b *testing.B) {
 	if cs.Gets > 0 {
 		b.ReportMetric(float64(cs.Gets-cs.Misses)/float64(cs.Gets)*100, "hit-%")
 	}
-	fmt.Printf("cluster-topology: bench=BenchmarkMagecacheZipf shards=1 replicas=1 transport=tcp ratio=8:1\n")
 }

@@ -12,8 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"mage/internal/upager"
 )
 
 // memBacking is an in-process far memory that counts its reads, so
@@ -76,7 +74,7 @@ func (b *memBacking) WriteV(_ uint64, offs []int64, pages [][]byte) error {
 func newMemCache(t testing.TB, heapPages uint64, frames int) (*Cache, *memBacking) {
 	t.Helper()
 	b := &memBacking{}
-	c, err := NewCache(b, heapPages, frames, CacheOptions{Pager: upager.Options{NoPrefetch: true}})
+	c, err := NewCache(b, heapPages, frames)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,42 +222,6 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
-// TestBaselineRatchet drives the debt workflow: -write-baseline
-// captures the current findings, a run against that baseline is clean,
-// and the stored entries carry no line numbers so they survive
-// unrelated edits above them.
-func TestBaselineRatchet(t *testing.T) {
-	bl := filepath.Join(t.TempDir(), "baseline.json")
-	root := "./" + fixtureRoot + "/..."
-
-	var stderr bytes.Buffer
-	if code := run([]string{"-write-baseline", bl, root}, io.Discard, &stderr); code != 0 {
-		t.Fatalf("write-baseline = %d, want 0\nstderr:\n%s", code, &stderr)
-	}
-	var stdout bytes.Buffer
-	stderr.Reset()
-	if code := run([]string{"-baseline", bl, root}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run with fresh baseline = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
-	}
-
-	data, err := os.ReadFile(bl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []jsonDiag
-	if err := json.Unmarshal(data, &entries); err != nil {
-		t.Fatalf("baseline is not a JSON array: %v", err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("baseline captured no findings")
-	}
-	for _, e := range entries {
-		if e.Line != 0 || e.Col != 0 {
-			t.Errorf("baseline entry carries a position (%+v): entries must be line-less", e)
-		}
-	}
-}
-
 func mustGetwd(t *testing.T) string {
 	t.Helper()
 	wd, err := os.Getwd()
@@ -280,7 +244,7 @@ func TestRunExitCodes(t *testing.T) {
 }
 
 // TestRepoIsClean locks in the repo-wide guarantee: the live tree has no
-// magevet findings — with no baseline — under both build-tag variants.
+// magevet findings under both build-tag variants.
 func TestRepoIsClean(t *testing.T) {
 	for _, tags := range []string{"", "magecheck"} {
 		args := []string{"../../..."}

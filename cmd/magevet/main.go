@@ -20,7 +20,6 @@
 //	go run ./cmd/magevet ./...
 //	go run ./cmd/magevet -tags magecheck ./internal/...
 //	go run ./cmd/magevet -json -passes overflowcmp,lockscope ./internal/memnode
-//	go run ./cmd/magevet -write-baseline magevet.baseline ./... # then ratchet it empty
 //
 // Exit status: 0 clean, 1 findings, 2 load/type-check or flag errors.
 package main
@@ -50,8 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	listFlag := fs.Bool("list", false, "print the pass catalog and exit")
 	passesFlag := fs.String("passes", "", "comma-separated passes to run (default: all default-on passes; 'all' for every pass)")
 	skipFlag := fs.String("skip", "", "comma-separated passes to skip")
-	baselineFlag := fs.String("baseline", "", "baseline file of known findings to tolerate (ratchet: shrink it, never grow it)")
-	writeBaselineFlag := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -78,30 +75,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Print module-relative paths; the baseline stores the same form so
-	// entries survive checkouts at different absolute paths.
+	// Print module-relative paths, which read the same in every checkout.
 	cwd, _ := os.Getwd()
 	for i := range diags {
 		if rel, err := filepath.Rel(cwd, diags[i].pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			diags[i].pos.Filename = rel
 		}
-	}
-
-	if *writeBaselineFlag != "" {
-		if err := writeBaseline(*writeBaselineFlag, diags); err != nil {
-			fmt.Fprintf(stderr, "magevet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "magevet: wrote %d finding(s) to %s\n", len(diags), *writeBaselineFlag)
-		return 0
-	}
-	if *baselineFlag != "" {
-		bl, err := readBaseline(*baselineFlag)
-		if err != nil {
-			fmt.Fprintf(stderr, "magevet: %v\n", err)
-			return 2
-		}
-		diags = bl.filter(diags)
 	}
 
 	if *jsonFlag {

@@ -25,9 +25,9 @@ type pass struct {
 	doc  string // one-line summary, rendered into usage and -list
 	bug  string // the shipped bug this pass is pinned to (see DESIGN.md §12)
 
-	// defaultOn selects the pass when no -passes flag is given. New
-	// passes land defaultOn with a baseline file, then the baseline is
-	// ratcheted to empty (see DESIGN.md §12).
+	// defaultOn selects the pass when no -passes flag is given. A new
+	// pass lands defaultOn with the tree already clean under it (see
+	// DESIGN.md §12).
 	defaultOn bool
 
 	// bypassAllow marks meta passes whose diagnostics ignore

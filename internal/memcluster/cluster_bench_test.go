@@ -1,7 +1,6 @@
 package memcluster_test
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,9 +15,7 @@ import (
 // latency on a degraded 3-shard x 2-replica cluster: one replica is
 // killed before the timer starts, so every read of its shard's pages
 // rides the failover ladder to the surviving peer. This is the
-// failover-read p99 the CI bench job pins via benchsnap -require; the
-// printed cluster-topology line records shards/replicas/transport in
-// the BENCH_*.json snapshot.
+// failover-read p99 the CI bench job pins via benchsnap -require.
 func BenchmarkClusterFailoverRead(b *testing.B) {
 	const (
 		shards   = 3
@@ -94,6 +91,4 @@ func BenchmarkClusterFailoverRead(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 	b.ReportMetric(float64(lat.Snapshot().P99())/1e3, "p99-us")
-	fmt.Printf("cluster-topology: bench=BenchmarkClusterFailoverRead shards=%d replicas=%d transport=tcp\n",
-		shards, replicas)
 }

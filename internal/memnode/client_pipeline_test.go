@@ -497,8 +497,8 @@ func BenchmarkServerRoundtrip(b *testing.B) {
 // stated against (cmd/memnode-bench reports the same workload with the
 // full percentile spread). 32 persistent lanes issue synchronous reads
 // that the client multiplexes onto one pipelined stream; per-lane
-// latency histograms merge into the reported p99. benchsnap -require
-// pins both pages/s and p99-us in BENCH_*.json snapshots.
+// latency histograms merge into the reported p99. make bench pins both
+// pages/s and p99-us with benchsnap -require.
 func BenchmarkMemnodePipeline(b *testing.B) {
 	srv, err := NewServer("127.0.0.1:0", 64<<20)
 	if err != nil {

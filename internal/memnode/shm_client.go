@@ -272,10 +272,11 @@ func needBytes(ca *call) int64 {
 // start submits one request on the caller's goroutine: an arena extent
 // for it, its payload staged there, the call filed and its entry
 // published on the submission ring, the server's doorbell rung if the
-// server sleeps. What can make it wait is backpressure — an arena or a
-// ring momentarily full of in-flight calls — which the op's deadline
-// bounds without poisoning the stream. A request that cannot be
-// submitted completes here, with st.mu released.
+// server sleeps. What can make it wait is backpressure — an arena
+// momentarily full of in-flight calls' extents — which the op's deadline
+// bounds without poisoning the stream. A full submission ring is a
+// broken server, not backpressure: it poisons the stream. A request that
+// cannot be submitted completes here, with st.mu released.
 func (st *shmStream) start(ca *call) {
 	// Submission is inline and completion takes the call out of the
 	// table: past its completion nobody of the stream's holds ca.
@@ -339,31 +340,16 @@ func (st *shmStream) start(ca *call) {
 		ca.fail(err)
 	}
 	st.mu.Lock()
-	for {
-		if err := st.err; err != nil {
-			st.mu.Unlock()
-			abort(err)
-			return
-		}
-		full, ferr := st.sq.full()
-		if ferr != nil {
-			st.mu.Unlock()
-			st.fail(ferr)
-			abort(ferr)
-			return
-		}
-		if !full {
-			break
-		}
-		// Ring full, which a server that consumes it never lets happen (it
-		// holds twice the window): wait for it under the op deadline.
+	if err := st.err; err != nil {
 		st.mu.Unlock()
-		if overdue() {
-			abort(fmt.Errorf("memnode: submission ring stalled past op deadline: %w", errShmStall))
-			return
-		}
-		st.stall(st.sqFree)
-		st.mu.Lock()
+		abort(err)
+		return
+	}
+	if err := st.sq.room(); err != nil {
+		st.mu.Unlock()
+		st.fail(err)
+		abort(err)
+		return
 	}
 	_ = st.enterLocked(ca) // the poison was checked above, under this lock
 	encodeSQE(st.sq.slot(st.sq.local), sqEntry{
@@ -428,24 +414,13 @@ func (st *shmStream) wait(ca *call) ([]byte, error) {
 	return ca.body, ca.err
 }
 
-// sqFree reports whether start has a reason to stop waiting: room in the
-// submission ring, a ring index it will reject, or a dead stream — the
-// submitter finds the last two under the lock.
-func (st *shmStream) sqFree() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	full, err := st.sq.full()
-	return !full || err != nil || st.err != nil
-}
-
-// shmStallSleep is how long either side sleeps per round of
+// shmStallSleep is how long a submitter sleeps per round of arena
 // backpressure once yielding has stopped paying. Nothing signals "arena
-// extent freed" or "ring slot freed", so this is a timed poll, bounded
-// by the op deadline on the client and by shmBellTimeout on the server.
+// extent freed", so this is a timed poll, bounded by the op deadline.
 const shmStallSleep = 200 * time.Microsecond
 
-// stall waits out one round of backpressure — arena or ring space that
-// the server, or a local drain of its completions, has to free first.
+// stall waits out one round of backpressure — arena space that the
+// server, or a local drain of its completions, has to free first.
 // It yields within the submitters' budget and reports true when freed
 // came true meanwhile. Past the budget it makes sure the server is not
 // asleep on work already published, sleeps, and reports false.
@@ -470,7 +445,7 @@ func (st *shmStream) ring() {
 	}
 }
 
-// errShmStall marks arena/ring backpressure that outlived an op
+// errShmStall marks arena backpressure that outlived an op
 // deadline; it is retryable (the op may succeed after reconnect or
 // once in-flight load drains).
 var errShmStall = errors.New("shm transport stalled")

@@ -53,17 +53,16 @@ func (r *shmRing) slot(idx uint64) []byte {
 
 // producer side ---------------------------------------------------------
 
-// full reports whether the ring has no free slot, per the peer's
-// published consumer index. err is non-nil when that index is
-// implausible (consumer ahead of producer, or lagging by more than the
-// ring size), which only a corrupt or hostile peer can produce.
-func (r *shmRing) full() (bool, error) {
-	cons := atomic.LoadUint64(r.peer)
-	used := r.local - cons
-	if used > r.entries {
-		return false, errShmRingCorrupt
+// room reports whether the ring has a free slot, per the peer's
+// published consumer index. A ring holds twice the calls a client may
+// have in flight (tableSize), so a peer that keeps to the protocol never
+// fills it: a full ring, like an implausible index (consumer ahead of
+// producer, or lagging by more than the ring size), is errShmRingCorrupt.
+func (r *shmRing) room() error {
+	if r.local-atomic.LoadUint64(r.peer) >= r.entries {
+		return errShmRingCorrupt
 	}
-	return used == r.entries, nil
+	return nil
 }
 
 // produce encodes nothing itself: the caller writes into slot(r.local)
@@ -84,13 +83,6 @@ func (r *shmRing) available() (uint64, error) {
 		return 0, errShmRingCorrupt
 	}
 	return n, nil
-}
-
-// advance retires the entry at slot(r.local) and publishes the new
-// consumer index so the producer sees the freed slot.
-func (r *shmRing) advance() {
-	r.local++
-	atomic.StoreUint64(r.mine, r.local)
 }
 
 // advanceLocal retires the entry at slot(r.local) without publishing;

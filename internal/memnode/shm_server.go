@@ -155,16 +155,15 @@ type shmConn struct {
 	cliSleep *uint64
 
 	// idle is the loop's yield budget (shm_wait.go) before it parks on
-	// the doorbell socket, also spent waiting out a full completion
-	// ring; waits counts what this connection's waits cost.
+	// the doorbell socket; waits counts what this connection's waits
+	// cost.
 	idle   shmWait
 	waits  shmWaitStats
 	bellDl shmDeadline // write deadline bounding doorbell writes
 }
 
-// shmBellTimeout bounds a doorbell write and a completion-ring stall: a
-// client that stops draining its socket or its ring for this long has
-// its connection poisoned.
+// shmBellTimeout bounds a doorbell write: a client that stops draining
+// its socket for this long has its connection poisoned.
 const shmBellTimeout = 5 * time.Second
 
 // sqReady reports whether the loop has a reason to stop waiting: a
@@ -213,7 +212,7 @@ func (h *shmConn) process() (int, error) {
 	}
 	done := 0
 	// Submission-consumer index publication is batched: one shared store
-	// per burst (the client's full-check lags by at most one burst, which
+	// per burst (the client's room check lags by at most one burst, which
 	// a 2x-window ring absorbs). Completions still publish per entry so
 	// the client can start draining while the burst is in progress.
 	defer h.sq.commit()
@@ -250,42 +249,13 @@ func (h *shmConn) ringClient() error {
 	return err
 }
 
-// cqFree reports whether complete has a reason to stop waiting: room in
-// the completion ring, or a ring index it will reject.
-func (h *shmConn) cqFree() bool {
-	full, err := h.cq.full()
-	return !full || err != nil
-}
-
-// complete publishes one completion entry, waiting if the ring is full:
-// within the loop's yield budget, then — making sure the client's
-// completer is not asleep on completions already published — in
-// shmStallSleep naps. An honestly sized ring (2x the window) cannot
-// fill, so a ring still full after shmBellTimeout means the client
-// stopped consuming and the connection is poisoned.
+// complete publishes one completion entry. The ring holds twice the
+// calls the client may have in flight, so a full one means the client
+// overran it — submitted past its window, or stopped consuming — and
+// the connection is poisoned at once.
 func (h *shmConn) complete(e cqEntry) error {
-	var giveUp time.Time
-	for {
-		full, err := h.cq.full()
-		if err != nil {
-			return err
-		}
-		if !full {
-			break
-		}
-		if h.idle.spin(h.cqFree) {
-			continue
-		}
-		if err := h.ringClient(); err != nil {
-			return err
-		}
-		now := time.Now() //magevet:ok shm backpressure: stall bound before poisoning
-		if giveUp.IsZero() {
-			giveUp = now.Add(shmBellTimeout)
-		} else if now.After(giveUp) {
-			return fmt.Errorf("shm: completion ring full, client not consuming")
-		}
-		time.Sleep(shmStallSleep) //magevet:ok shm backpressure: timed poll bounded by shmBellTimeout
+	if err := h.cq.room(); err != nil {
+		return err
 	}
 	encodeCQE(h.cq.slot(h.cq.local), e)
 	h.cq.publish()

@@ -510,7 +510,7 @@ func TestShmLayout(t *testing.T) {
 // BenchmarkMemnodeShmPipeline is BenchmarkMemnodePipeline over the
 // shared-memory transport: same 32-deep synchronous-read lanes, same
 // pages/s and p99 metrics, so the two numbers are directly comparable.
-// benchsnap -require pins the shm speedup in BENCH_*.json snapshots.
+// make bench pins its pages/s, p99 and allocs/op with benchsnap -require.
 func BenchmarkMemnodeShmPipeline(b *testing.B) { benchShmPipeline(b, false) }
 
 // BenchmarkMemnodeShmPipelineParked is the same pipeline with every
@@ -583,5 +583,100 @@ func TestShmUnregister(t *testing.T) {
 	unregisterSuite(t, c)
 	if got := c.TransportKind(); got != "shm" {
 		t.Fatalf("TransportKind = %q, want shm", got)
+	}
+}
+
+// TestShmTableHoldsTwiceTheWindow: every window a client may ask for
+// gets rings of twice its calls and some, which is why a full ring is a
+// broken peer and never backpressure.
+func TestShmTableHoldsTwiceTheWindow(t *testing.T) {
+	for w := 1; w <= shmMaxWindow; w++ {
+		if n := tableSize(w); n < uint64(2*w+16) {
+			t.Fatalf("window %d gets a table of %d; want at least %d", w, n, 2*w+16)
+		}
+	}
+}
+
+// shmOf is the live shm stream of c.
+func shmOf(t *testing.T, c *Client) *shmStream {
+	t.Helper()
+	l, err := c.getStream()
+	st, ok := l.(*shmStream)
+	if err != nil || !ok {
+		t.Fatalf("no shm stream: %T, %v", l, err)
+	}
+	return st
+}
+
+// waitParked waits until the side that owns a doorbell flag has
+// announced it is parking: from then until its doorbell rings it
+// publishes no ring index, and a test may forge the one it owns.
+func waitParked(t *testing.T, who string, flag *uint64) {
+	t.Helper()
+	for end := time.Now().Add(5 * time.Second); atomic.LoadUint64(flag) != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("%s never parked", who)
+		}
+	}
+}
+
+// TestShmFullSubmissionRingPoisons: a client whose submission ring reads
+// full has a broken server behind it. The op that finds it so poisons
+// the stream at once and completes over a new one, well inside
+// IOTimeout, instead of waiting for a slot.
+func TestShmFullSubmissionRingPoisons(t *testing.T) {
+	_, c := newShmPair(t, 16<<20)
+	id, err := c.Register(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := shmOf(t, c)
+	waitParked(t, "the server", st.srvSleep)
+	st.mu.Lock()
+	atomic.StoreUint64(st.sq.peer, st.sq.local-st.sq.entries) // the server's consumer index
+	st.mu.Unlock()
+	start := time.Now()
+	body, err := c.Read(id, 0, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	PutBuf(body)
+	if took := time.Since(start); took > c.opts.IOTimeout/4 {
+		t.Errorf("the read took %v against a full ring; want well under IOTimeout (%v)", took, c.opts.IOTimeout)
+	}
+	st.mu.Lock()
+	poison := st.err
+	st.mu.Unlock()
+	if !errors.Is(poison, errShmRingCorrupt) || c.Metrics().Reconnects == 0 {
+		t.Errorf("stream poisoned with %v, %d reconnects; want ring corruption and a reconnect", poison, c.Metrics().Reconnects)
+	}
+}
+
+// TestShmCompletionRingOverrunDisconnects: a client whose completion
+// ring reads full to the server has overrun it, and the server drops the
+// connection at once rather than after shmBellTimeout; the client's op
+// completes over a new stream.
+func TestShmCompletionRingOverrunDisconnects(t *testing.T) {
+	_, c := newShmPair(t, 16<<20)
+	id, err := c.Register(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := shmOf(t, c)
+	waitParked(t, "the client's completer", st.cliSleep)
+	st.mu.Lock()
+	atomic.StoreUint64(st.cq.mine, st.cq.local-st.cq.entries) // the client's consumer index
+	st.mu.Unlock()
+	start := time.Now()
+	body, err := c.Read(id, 0, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	PutBuf(body)
+	if took := time.Since(start); took > shmBellTimeout/5 {
+		t.Errorf("the read took %v against an overrun ring; want well under shmBellTimeout (%v)", took, shmBellTimeout)
+	}
+	if !st.poisoned.Load() || c.Metrics().Reconnects == 0 {
+		t.Errorf("old stream poisoned: %v, %d reconnects; want the server to have dropped it", st.poisoned.Load(), c.Metrics().Reconnects)
 	}
 }

@@ -113,7 +113,7 @@ var (
 func TestFiveMethodBackingFillsBatches(t *testing.T) {
 	five := &fiveBacking{}
 	shim := &shimBacking{Backing: five}
-	p, err := upager.New(shim, 64, 16, upager.Options{NoPrefetch: true})
+	p, err := upager.New(shim, 64, 16, upager.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestAsyncShimKeepsReadAsync(t *testing.T) {
 	}
 	defer c.Close()
 	shim := &asyncShimBacking{shimBacking: shimBacking{Backing: c}, async: c, done: make(chan struct{}, 4)}
-	p, err := upager.New(shim, 64, 16, upager.Options{NoPrefetch: true})
+	p, err := upager.New(shim, 64, 16, upager.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

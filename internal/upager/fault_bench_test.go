@@ -11,8 +11,8 @@ import (
 )
 
 // BenchmarkPagerFault is the demand-fault path and nothing else: one
-// goroutine pins its way round a region eight times the arena, read-only
-// and with prefetch off, so every Pin is a major fault over a real
+// goroutine pins its way round a region eight times the arena, read-only,
+// so every Pin is a major fault over a real
 // client — TCP or the shm ring to an in-process memnode, or a 2 × 2
 // memcluster of in-process memnodes with its prober off — and every
 // eviction a clean drop. Besides faults/s it reports what a fault costs
@@ -79,7 +79,7 @@ func benchClusterFault(b *testing.B) {
 // one of the servers behind it, whose bare Read is the server's share.
 func benchPagerFault(b *testing.B, backing Backing, node *memnode.Client) {
 	const frames, pages = 1024, 8 * 1024
-	p, err := New(backing, pages, frames, Options{NoPrefetch: true})
+	p, err := New(backing, pages, frames, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func benchPagerFault(b *testing.B, backing Backing, node *memnode.Client) {
 // lock or a map on this path would still break.
 func BenchmarkPinHit(b *testing.B) {
 	const frames = 1024
-	p, err := New(newFakeBacking(), 8*frames, frames, Options{NoPrefetch: true})
+	p, err := New(newFakeBacking(), 8*frames, frames, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

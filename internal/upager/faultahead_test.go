@@ -42,11 +42,11 @@ func pageRange(from, n uint64) []uint64 {
 
 // TestFaultAheadOneReadV: 16 absent pages handed over together cost one
 // ReadV however many Pins race for them, the Pins coalesce on the
-// latches, and the pages count as demand faults, not as prefetch.
+// latches, and the pages count as demand faults.
 func TestFaultAheadOneReadV(t *testing.T) {
 	fb := newFakeBacking()
 	fb.rvGate = make(chan struct{})
-	p, err := New(fb, 64, 32, Options{NoPrefetch: true})
+	p, err := New(fb, 64, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +85,8 @@ func TestFaultAheadOneReadV(t *testing.T) {
 		t.Fatalf("backing saw %d ReadV and %d Read; want 1 and 0", rv, r)
 	}
 	s := p.Stats()
-	if s.Faults != 16 || s.FaultsAhead != 16 || s.Hits != pinners || s.PrefetchIssued != 0 || s.PrefetchHits != 0 {
-		t.Errorf("faults=%d ahead=%d hits=%d prefetch issued=%d hit=%d; want 16, 16, %d, 0, 0",
-			s.Faults, s.FaultsAhead, s.Hits, s.PrefetchIssued, s.PrefetchHits, pinners)
+	if s.Faults != 16 || s.FaultsAhead != 16 || s.Hits != pinners {
+		t.Errorf("faults=%d ahead=%d hits=%d; want 16, 16, %d", s.Faults, s.FaultsAhead, s.Hits, pinners)
 	}
 	if n := p.FaultLatency().Count(); n != 16 {
 		t.Errorf("fault-latency histogram holds %d samples; want 16", n)
@@ -98,7 +97,7 @@ func TestFaultAheadOneReadV(t *testing.T) {
 // out of range are left alone.
 func TestFaultAheadSkips(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 64, 32, Options{NoPrefetch: true})
+	p, err := New(fb, 64, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +138,7 @@ func TestFaultAheadSkips(t *testing.T) {
 // FaultAhead returns at once, and the pages fault normally later.
 func TestFaultAheadNeverBlocks(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 64, 4, Options{NoPrefetch: true})
+	p, err := New(fb, 64, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +178,7 @@ func TestFaultAheadReadVFailure(t *testing.T) {
 	const frames = 16
 	fb := newFakeBacking()
 	fb.rvGate = make(chan struct{})
-	p, err := New(fb, 64, frames, Options{NoPrefetch: true})
+	p, err := New(fb, 64, frames, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +236,7 @@ func TestFaultAheadReadVFailure(t *testing.T) {
 func TestCloseDrainsFaultAhead(t *testing.T) {
 	fb := newFakeBacking()
 	fb.rvGate = make(chan struct{})
-	p, err := New(fb, 64, 16, Options{NoPrefetch: true})
+	p, err := New(fb, 64, 16, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +270,11 @@ func TestCloseDrainsFaultAhead(t *testing.T) {
 // TestFaultAheadBalance: driven through FaultAhead, the pager still
 // balances: one fault per page touched (bar the odd look-ahead page the
 // CLOCK hand reaches before its Pin does), evictions tracking faults
-// once the arena is full, and nothing booked as prefetch.
+// once the arena is full.
 func TestFaultAheadBalance(t *testing.T) {
 	const pages, frames = 2048, 256
 	fb := newFakeBacking()
-	p, err := New(fb, pages, frames, Options{NoPrefetch: true})
+	p, err := New(fb, pages, frames, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,9 +303,6 @@ func TestFaultAheadBalance(t *testing.T) {
 	}
 	if s.Evictions < s.Faults-frames || s.Evictions > s.Faults {
 		t.Errorf("evictions = %d, want within [%d, %d]", s.Evictions, s.Faults-frames, s.Faults)
-	}
-	if s.PrefetchIssued != 0 {
-		t.Errorf("look-ahead booked %d prefetches", s.PrefetchIssued)
 	}
 	// FaultsAhead splits the faults by how they reached the backing: in
 	// batches of up to 8, or page by page where a window was skipped.

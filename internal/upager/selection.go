@@ -25,17 +25,6 @@ import "mage/internal/invariant"
 // maxFreq saturates a page's use counter: two bits, S3-FIFO's choice.
 const maxFreq = 3
 
-// page.untouched: a page is untouched from the moment a batched fill
-// installs it until its first Pin, which is the use it was read for —
-// FaultAhead's caller coming for its page, or the prefetcher's guess
-// coming true — and not a second one. A lone demand fault is installed
-// touched: the Pin that took it is already there.
-const (
-	touched      = iota
-	faultedAhead // installed by FaultAhead, its Pin on the way
-	prefetched   // installed by the prefetcher, for a Pin that may not come
-)
-
 // ring is a FIFO of frame numbers in a buffer made once, as large as
 // the arena: a ring can hold every frame, so push never fails.
 type ring struct {
@@ -84,23 +73,24 @@ func newSelection(frames int) *selection {
 	}
 }
 
-// touch records a Pin of resident page pd.
-func (pd *page) touch() (prefetchHit bool) {
+// touch records a Pin of resident page pd. A page is untouched from the
+// moment FaultAhead's batch installs it until its first Pin, which is
+// the use it was read for and not a second one. A lone demand fault is
+// installed touched: the Pin that took it is already there.
+func (pd *page) touch() {
 	switch {
-	case pd.untouched != touched:
-		prefetchHit = pd.untouched == prefetched
-		pd.untouched = touched
+	case pd.untouched:
+		pd.untouched = false
 	case pd.freq < maxFreq:
 		pd.freq++
 	}
-	return prefetchHit
 }
 
 // admit queues frame f, in which pd has just become resident, and
 // reports whether pd's ghost was live: a refault. The stamp wraps after
 // 2^32 evictions from small, when a page absent for all of them can pass
 // for a ghost once; that costs it a place on main it had not earned.
-func (s *selection) admit(pd *page, f int32, untouched uint8) (refault bool) {
+func (s *selection) admit(pd *page, f int32, untouched bool) (refault bool) {
 	refault = pd.ghost != 0 && s.clock-pd.ghost < s.window
 	pd.freq, pd.untouched, pd.ghost = 0, untouched, 0
 	if refault {

@@ -289,7 +289,14 @@ func newSelTable(t *testing.T) *selTable {
 	return &selTable{arena: newArena(64, 10), t: t, s: newSelection(10)}
 }
 
-func (x *selTable) install(untouched uint8, pgs ...uint64) (refaults int) {
+// How a page is installed: by the Pin that faulted it, or by FaultAhead
+// ahead of its first Pin.
+const (
+	touched      = false
+	faultedAhead = true
+)
+
+func (x *selTable) install(untouched bool, pgs ...uint64) (refaults int) {
 	for _, pg := range pgs {
 		if pd, f := x.arena.install(pg); x.s.admit(pd, f, untouched) {
 			refaults++
@@ -403,14 +410,6 @@ func TestSelectionTransitions(t *testing.T) {
 			x.install(touched, 5, 6)
 			x.wantVictim(5)
 			x.wantQueued(1, 1)
-		}},
-		{"a prefetch nobody came for is the first victim", func(x *selTable) {
-			x.install(touched, 0)
-			x.install(prefetched, 1)
-			x.install(touched, 2, 3)
-			x.pin(0, 2, 3)
-			x.wantVictim(1)
-			x.wantQueued(2, 1)
 		}},
 		{"a pinned or flushing head is requeued unjudged", func(x *selTable) {
 			x.install(touched, 0, 1, 2, 3)

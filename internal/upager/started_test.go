@@ -50,7 +50,7 @@ func (s *startFake) StartReadVInto(handle uint64, offsets []int64, dst [][]byte,
 // its latch and see the bytes the completion installed.
 func TestFaultAheadStartsOnCaller(t *testing.T) {
 	sf := &startFake{fakeBacking: newFakeBacking(), t: t, wire: make(chan func(), 4)}
-	p, err := New(sf, 64, 32, Options{NoPrefetch: true})
+	p, err := New(sf, 64, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestFaultOverlapsReclaim(t *testing.T) {
 	const wire, hold = 100 * time.Millisecond, 200 * time.Millisecond
 	c, proxy := proxiedClient(t, memnode.Options{})
 	const frames = 4
-	p, err := New(&slowWriteback{Client: c, hold: hold}, 64, frames, Options{NoPrefetch: true})
+	p, err := New(&slowWriteback{Client: c, hold: hold}, 64, frames, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestFaultAheadTimesOutOverRealClient(t *testing.T) {
 		IOTimeout: timeout, MaxAttempts: 1,
 		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
 	})
-	p, err := New(c, 64, frames, Options{NoPrefetch: true})
+	p, err := New(c, 64, frames, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

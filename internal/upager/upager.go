@@ -1,11 +1,10 @@
 // Package upager is a user-level pager: it manages a small local page
 // arena over a far-memory backing store, giving real host services the
 // same fault/evict mechanics the DES models — demand fault-in over the
-// async futures API, a sequential-pattern prefetch window, frame reclaim
-// that picks its victims by how often a page was pinned (S3-FIFO, see
-// selection.go), and a dedicated write-behind evictor that batches
-// dirty victims into WRITEV frames (the paper's P2 cross-batch
-// pipeline, in userspace).
+// async futures API, frame reclaim that picks its victims by how often
+// a page was pinned (S3-FIFO, see selection.go), and a dedicated
+// write-behind evictor that batches dirty victims into WRITEV frames
+// (the paper's P2 cross-batch pipeline, in userspace).
 //
 // The pager is the userspace mirror of the kernel data path the paper
 // instruments: Pin is the page fault, the evictor is the reclaim
@@ -25,7 +24,6 @@ import (
 	"time"
 
 	"mage/internal/memnode"
-	"mage/internal/prefetch"
 	"mage/internal/stats"
 )
 
@@ -102,7 +100,7 @@ type page struct {
 	state     int8
 	dirty     bool
 	freq      uint8 // pins since it was queued, saturating at maxFreq
-	untouched uint8 // touched, or who installed it ahead of its first Pin
+	untouched bool  // installed by FaultAhead, its first Pin still to come
 	pins      int32
 	frame     int32
 	ghost     uint32 // selection's stamp of its eviction from small; 0 is none
@@ -121,9 +119,8 @@ type Options struct {
 	// least this many frames are free (default max(EvictBatch,
 	// frames/8), at least 1).
 	LowWater int
-	// Detector proposes prefetch pages from the fault stream. Default
-	// is a Leap-style majority-stride detector; NoPrefetch disables.
-	Detector   prefetch.Detector
+	// This field does nothing: the pager reads only the pages it is
+	// asked for. It stays because callers that cannot be edited set it.
 	NoPrefetch bool
 }
 
@@ -153,28 +150,22 @@ type Pager struct {
 	stopC chan struct{}
 	doneC chan struct{} // evictor exited
 
-	detMu sync.Mutex // the detector sees the global fault stream
-	det   prefetch.Detector
-
 	fillWG   sync.WaitGroup // fills claimed and not yet installed; Close drains them
 	fillPool sync.Pool      // *fill scratch between batches
 	evict    evictScratch
 
 	// Fault/eviction balance counters (the paper's steering signals).
-	faults          atomic.Uint64
-	faultsAhead     atomic.Uint64
-	frameWaits      atomic.Uint64
-	hits            atomic.Uint64
-	coalesced       atomic.Uint64
-	prefetchIssued  atomic.Uint64
-	prefetchHits    atomic.Uint64
-	prefetchDropped atomic.Uint64
-	evictions       atomic.Uint64
-	refaults        atomic.Uint64
-	cleanDrops      atomic.Uint64
-	wbBatches       atomic.Uint64
-	wbPages         atomic.Uint64
-	wbErrors        atomic.Uint64
+	faults      atomic.Uint64
+	faultsAhead atomic.Uint64
+	frameWaits  atomic.Uint64
+	hits        atomic.Uint64
+	coalesced   atomic.Uint64
+	evictions   atomic.Uint64
+	refaults    atomic.Uint64
+	cleanDrops  atomic.Uint64
+	wbBatches   atomic.Uint64
+	wbPages     atomic.Uint64
+	wbErrors    atomic.Uint64
 
 	faultLat *stats.ConcurrentHistogram
 }
@@ -264,21 +255,9 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 		p.owner[f] = noPage
 		p.freeC <- int32(f)
 	}
-	if !opts.NoPrefetch {
-		p.det = opts.Detector
-		if p.det == nil {
-			p.det = prefetch.NewMajority(8, 8, numPages)
-		}
-	}
 	go p.evictLoop() //magevet:ok real-host pager: the dedicated write-behind evictor thread
 	return p, nil
 }
-
-// PageBytes returns the page size.
-func (p *Pager) PageBytes() int64 { return p.pageBytes }
-
-// NumPages returns the region size in pages.
-func (p *Pager) NumPages() uint64 { return p.numPages }
 
 // Frame is a pinned view of one resident page. Data aliases the arena;
 // it is valid until Unpin, after which the frame may be evicted and
@@ -332,12 +311,9 @@ func (p *Pager) Pin(pg uint64, write bool) (Frame, error) {
 			if write {
 				pd.dirty = true
 			}
-			prefetchHit := pd.touch()
+			pd.touch()
 			frame := pd.frame
 			p.mu.Unlock()
-			if prefetchHit {
-				p.prefetchHits.Add(1)
-			}
 			p.hits.Add(1)
 			return p.frameView(pg, frame), nil
 		case pageFaulting, pageEvicting:
@@ -369,7 +345,7 @@ func (p *Pager) frameData(frame int32) []byte {
 
 // faultIn runs the major-fault path for a page already claimed as
 // pageFaulting by the caller: issue the demand read, reclaim a frame
-// while it flies, install, then feed the prefetcher.
+// while it flies, install.
 func (p *Pager) faultIn(pg uint64, write bool) (Frame, error) {
 	start := time.Now() //magevet:ok real-host pager: fault service time is a reported metric
 	p.faults.Add(1)
@@ -414,7 +390,7 @@ func (p *Pager) faultIn(pg uint64, write bool) (Frame, error) {
 	pd.dirty = write
 	pd.pins = 1
 	p.owner[frame] = pg
-	refault := p.sel.admit(pd, frame, touched)
+	refault := p.sel.admit(pd, frame, false)
 	pd.openLatch()
 	p.sel.check(p.pages, p.owner)
 	p.mu.Unlock()
@@ -423,7 +399,6 @@ func (p *Pager) faultIn(pg uint64, write bool) (Frame, error) {
 	}
 
 	p.faultLat.Record(time.Since(start).Nanoseconds()) //magevet:ok real-host pager: fault service time is a reported metric
-	p.maybePrefetch(pg)
 	return p.frameView(pg, frame), nil
 }
 
@@ -470,8 +445,8 @@ func (p *Pager) takeFrame() (int32, error) {
 // frames, so the send never blocks, under p.mu or not.
 func (p *Pager) putFrame(f int32) { p.freeC <- f }
 
-// tryTakeFrame is the non-blocking variant the batched fills use: under
-// frame pressure a fill-ahead is dropped rather than queued.
+// tryTakeFrame is the non-blocking variant FaultAhead uses: under frame
+// pressure the rest of its batch is dropped rather than queued.
 func (p *Pager) tryTakeFrame() (int32, bool) {
 	select {
 	case f := <-p.freeC:
@@ -495,60 +470,40 @@ func (p *Pager) maybeKick() {
 	}
 }
 
-// FaultAhead starts the faults of pgs early and together: a caller that
-// already knows the pages its next Pins will touch (magecache, from the
-// requests buffered on a connection) hands them over, and every page
-// that is absent and can get a free frame right now is claimed
-// absent→faulting under one latch and filled by one batched read, which
-// is on its way to the backing when FaultAhead returns. It never waits
-// for a read or a frame and promises nothing — pages that are resident
-// or in transit, out of range, or left over when the free pool runs dry
-// are skipped. Pin remains the only way to touch data: a Pin of a
-// claimed page coalesces on the latch like on any other fault, and finds
-// the page resident when the read's completion has installed it.
-//
-// These are demand misses issued early, not speculation: they count in
-// Faults (and in FaultsAhead) and the fault-latency histogram, and feed
-// the prefetch detector.
-func (p *Pager) FaultAhead(pgs []uint64) { p.fillAhead(pgs, false) }
-
-// maybePrefetch feeds the fault address to the detector and fills its
-// proposals speculatively. Prefetch never blocks the faulting caller:
-// no free frame means the candidate is dropped.
-func (p *Pager) maybePrefetch(pg uint64) {
-	if p.det == nil {
-		return
-	}
-	p.detMu.Lock()
-	cands := p.det.OnFault(pg)
-	p.detMu.Unlock()
-	if len(cands) > 0 {
-		p.fillAhead(cands, true)
-	}
-}
-
-// fill is one batch from fillAhead's claim to install: the pages
+// fill is one FaultAhead batch from its claim to install: the pages
 // claimed, the frame, region offset and frame bytes of each, and the
 // latch they share — the pages of a batch open together, so one channel
 // serves them all. The slices are scratch that travels with the struct
 // through fillPool, and so does done, the struct's install as the hook
 // a started read takes; only the latch is made per batch.
 type fill struct {
-	p           *Pager
-	pgs         []uint64
-	frames      []int32
-	offs        []int64
-	dst         [][]byte
-	latch       chan struct{}
-	speculative bool
-	start       time.Time
-	done        func(error)
+	p      *Pager
+	pgs    []uint64
+	frames []int32
+	offs   []int64
+	dst    [][]byte
+	latch  chan struct{}
+	start  time.Time
+	done   func(error)
 }
 
-// fillAhead claims the absent pages of pgs that a free frame can be had
-// for without blocking and starts one batched read for them, here, on
-// the caller's goroutine; install runs wherever the read completes.
-func (p *Pager) fillAhead(pgs []uint64, speculative bool) {
+// FaultAhead starts the faults of pgs early and together: a caller that
+// already knows the pages its next Pins will touch (magecache, from the
+// requests buffered on a connection) hands them over, and every page
+// that is absent and can get a free frame right now is claimed
+// absent→faulting under one latch and filled by one batched read, which
+// is on its way to the backing when FaultAhead returns — started here,
+// on the caller's goroutine; install runs wherever the read completes.
+// It never waits for a read or a frame and promises nothing — pages that
+// are resident or in transit, out of range, or left over when the free
+// pool runs dry are skipped. Pin remains the only way to touch data: a
+// Pin of a claimed page coalesces on the latch like on any other fault,
+// and finds the page resident when the read's completion has installed
+// it.
+//
+// These are demand misses issued early, not speculation: they count in
+// Faults (and in FaultsAhead) and the fault-latency histogram.
+func (p *Pager) FaultAhead(pgs []uint64) {
 	var f *fill
 	p.mu.Lock()
 	if p.closed {
@@ -564,10 +519,6 @@ func (p *Pager) fillAhead(pgs []uint64, speculative bool) {
 		}
 		frame, ok := p.tryTakeFrame()
 		if !ok {
-			if speculative {
-				p.prefetchDropped.Add(1)
-				continue
-			}
 			p.kick() // the pins that follow will want frames
 			break
 		}
@@ -577,7 +528,7 @@ func (p *Pager) fillAhead(pgs []uint64, speculative bool) {
 				f.done = f.install
 			}
 			f.pgs, f.frames, f.offs, f.dst = f.pgs[:0], f.frames[:0], f.offs[:0], f.dst[:0]
-			f.latch, f.speculative = make(chan struct{}), speculative
+			f.latch = make(chan struct{})
 		}
 		pd := &p.pages[pg]
 		pd.state = pageFaulting
@@ -596,12 +547,8 @@ func (p *Pager) fillAhead(pgs []uint64, speculative bool) {
 	if f == nil {
 		return
 	}
-	if speculative {
-		p.prefetchIssued.Add(uint64(len(f.pgs)))
-	} else {
-		p.faults.Add(uint64(len(f.pgs)))
-		p.faultsAhead.Add(uint64(len(f.pgs)))
-	}
+	p.faults.Add(uint64(len(f.pgs)))
+	p.faultsAhead.Add(uint64(len(f.pgs)))
 	f.start = time.Now() //magevet:ok real-host pager: fault service time is a reported metric
 	// With p.mu dropped: the hook takes it, and a read refused on the spot
 	// runs the hook before this returns.
@@ -611,10 +558,9 @@ func (p *Pager) fillAhead(pgs []uint64, speculative bool) {
 // install ends a batch whose read has returned err: every page
 // installed resident and unpinned, or, on a failed read, aborted to
 // absent for the pinners waiting on the latch to retry and surface
-// their own error. Either kind lands untouched: the Pin that follows is
-// the use the page was read for, as the faulting Pin is of a lone fault,
-// and records no second one — so a prefetch nobody comes for leaves from
-// the small queue's head with nothing to its name.
+// their own error. A page lands untouched: the Pin that follows is the
+// use it was read for, as the faulting Pin is of a lone fault, and
+// records no second one.
 //
 // Between the claim and the end of the read the frames belong to the
 // wire: no page names them, so no Pin can see them, and they go back to
@@ -623,11 +569,10 @@ func (p *Pager) fillAhead(pgs []uint64, speculative bool) {
 //
 // install is the hook of a started read, so it runs on whichever
 // goroutine completed that: it takes p.mu and nothing else, never
-// blocks, and sends nothing to the backing — the detector, whose
-// proposals are reads of their own, is fed from a goroutine.
+// blocks, and sends nothing to the backing.
 func (f *fill) install(err error) {
 	p := f.p
-	if err == nil && !f.speculative {
+	if err == nil {
 		// Before the latch opens, so that a pinner that saw the page
 		// also sees its fault in the histogram.
 		lat := time.Since(f.start).Nanoseconds() //magevet:ok real-host pager: fault service time is a reported metric
@@ -635,10 +580,7 @@ func (f *fill) install(err error) {
 			p.faultLat.Record(lat)
 		}
 	}
-	untouched, refaults := uint8(faultedAhead), uint64(0)
-	if f.speculative {
-		untouched = prefetched
-	}
+	refaults := uint64(0)
 	p.mu.Lock()
 	for i, pg := range f.pgs {
 		pd := &p.pages[pg]
@@ -653,7 +595,7 @@ func (f *fill) install(err error) {
 		pd.dirty = false
 		pd.pins = 0
 		p.owner[f.frames[i]] = pg
-		if p.sel.admit(pd, f.frames[i], untouched) && !f.speculative {
+		if p.sel.admit(pd, f.frames[i], true) {
 			refaults++
 		}
 	}
@@ -664,19 +606,6 @@ func (f *fill) install(err error) {
 		p.refaults.Add(refaults)
 	}
 	p.fillWG.Done()
-	if err == nil && !f.speculative && p.det != nil {
-		go p.feedDetector(f) //magevet:ok real-host pager: the detector's proposals are batched reads, which a completion hook may not send
-		return
-	}
-	p.fillPool.Put(f)
-}
-
-// feedDetector shows the detector the pages of an early demand batch,
-// and recycles the batch.
-func (p *Pager) feedDetector(f *fill) {
-	for _, pg := range f.pgs {
-		p.maybePrefetch(pg)
-	}
 	p.fillPool.Put(f)
 }
 
@@ -780,37 +709,9 @@ func (p *Pager) evictSome() (bool, error) {
 		return progress, nil
 	}
 
-	// The batch write runs with no lock held: pageEvicting keeps
-	// writers off these frames, and the arena bytes go out zero-copy.
-	err := p.backing.WriteV(p.handle, offs, bufs)
-
-	p.mu.Lock()
-	for _, pg := range victims {
-		pd := &p.pages[pg]
-		pd.latch = nil
-		if err != nil {
-			// Put the victim back, resident, dirty and queued; a later
-			// sweep retries it.
-			pd.state = pageResident
-			p.owner[pd.frame] = pg
-			sel.requeue(pd, pd.frame)
-			continue
-		}
-		pd.state = pageAbsent
-		pd.dirty = false
-		p.putFrame(pd.frame)
-	}
-	close(latch)
-	sel.check(p.pages, p.owner)
-	p.mu.Unlock()
-	if err != nil {
-		p.wbErrors.Add(1)
+	if err := p.writeBack(victims, offs, bufs, latch, true); err != nil {
 		return progress, fmt.Errorf("upager: write-behind batch: %w", err)
 	}
-	n := uint64(len(victims))
-	p.evictions.Add(n)
-	p.wbBatches.Add(1)
-	p.wbPages.Add(n)
 	return true, nil
 }
 
@@ -820,12 +721,14 @@ func (p *Pager) evictSome() (bool, error) {
 // sweep completes are reported as an error (the caller owns quiescing
 // writers before a checkpoint).
 func (p *Pager) Flush() error {
+	var (
+		victims []uint64
+		offs    []int64
+		bufs    [][]byte
+	)
 	for {
-		var (
-			victims []uint64
-			offs    []int64
-			bufs    [][]byte
-		)
+		victims, offs, bufs = victims[:0], offs[:0], bufs[:0]
+		var latch chan struct{}
 		pinnedDirty := 0
 		p.mu.Lock()
 		for pg := range p.pages {
@@ -840,8 +743,11 @@ func (p *Pager) Flush() error {
 			if len(victims) == p.batch {
 				continue
 			}
+			if latch == nil {
+				latch = make(chan struct{})
+			}
 			pd.state = pageEvicting // block writers while the batch is on the wire
-			pd.latch = make(chan struct{})
+			pd.latch = latch
 			victims = append(victims, uint64(pg))
 			offs = append(offs, int64(pg)*p.pageBytes)
 			bufs = append(bufs, p.frameData(pd.frame))
@@ -853,25 +759,54 @@ func (p *Pager) Flush() error {
 			}
 			return nil
 		}
-		err := p.backing.WriteV(p.handle, offs, bufs)
-		p.mu.Lock()
-		for _, pg := range victims {
-			pd := &p.pages[pg]
-			pd.state = pageResident
-			if err == nil {
-				pd.dirty = false
-			}
-			close(pd.latch)
-			pd.latch = nil
-		}
-		p.mu.Unlock()
-		if err != nil {
-			p.wbErrors.Add(1)
+		if err := p.writeBack(victims, offs, bufs, latch, false); err != nil {
 			return fmt.Errorf("upager: flush batch: %w", err)
 		}
-		p.wbBatches.Add(1)
-		p.wbPages.Add(uint64(len(victims)))
 	}
+}
+
+// writeBack sends a batch the caller has moved to pageEvicting under
+// latch — its pages, their region offsets and frame bytes — as one
+// WRITEV, and settles it. The write runs with no lock held:
+// pageEvicting keeps writers off the frames, and the arena bytes go out
+// zero-copy. A page the evictor sent leaves its frame for the free
+// pool; one Flush sent stays resident, clean. A failed write leaves
+// every page resident and dirty — a victim back in its frame and queued
+// where it was taken from — for a later sweep or Flush to retry.
+func (p *Pager) writeBack(victims []uint64, offs []int64, bufs [][]byte, latch chan struct{}, evict bool) error {
+	err := p.backing.WriteV(p.handle, offs, bufs)
+	p.mu.Lock()
+	for _, pg := range victims {
+		pd := &p.pages[pg]
+		pd.latch = nil
+		switch {
+		case err != nil && evict:
+			pd.state = pageResident
+			p.owner[pd.frame] = pg
+			p.sel.requeue(pd, pd.frame)
+		case err != nil:
+			pd.state = pageResident
+		case evict:
+			pd.state, pd.dirty = pageAbsent, false
+			p.putFrame(pd.frame)
+		default:
+			pd.state, pd.dirty = pageResident, false
+		}
+	}
+	close(latch)
+	p.sel.check(p.pages, p.owner)
+	p.mu.Unlock()
+	if err != nil {
+		p.wbErrors.Add(1)
+		return err
+	}
+	n := uint64(len(victims))
+	if evict {
+		p.evictions.Add(n)
+	}
+	p.wbBatches.Add(1)
+	p.wbPages.Add(n)
+	return nil
 }
 
 // Close flushes dirty pages, stops the evictor, and marks the pager
@@ -913,12 +848,6 @@ type Stats struct {
 	// Coalesced counts pins that waited on another pin's in-flight
 	// fault or on an eviction instead of issuing their own read.
 	Coalesced uint64
-	// PrefetchIssued/Hits/Dropped: prefetch fills started, prefetched
-	// pages later pinned before eviction, and candidates dropped for
-	// lack of a free frame.
-	PrefetchIssued  uint64
-	PrefetchHits    uint64
-	PrefetchDropped uint64
 	// Evictions counts frames reclaimed (clean drops + written back).
 	Evictions uint64
 	// Refaults counts the faults among Faults on a page that had been
@@ -947,9 +876,6 @@ func (p *Pager) Stats() Stats {
 		FrameWaits:       p.frameWaits.Load(),
 		Hits:             p.hits.Load(),
 		Coalesced:        p.coalesced.Load(),
-		PrefetchIssued:   p.prefetchIssued.Load(),
-		PrefetchHits:     p.prefetchHits.Load(),
-		PrefetchDropped:  p.prefetchDropped.Load(),
 		Evictions:        p.evictions.Load(),
 		Refaults:         p.refaults.Load(),
 		CleanDrops:       p.cleanDrops.Load(),

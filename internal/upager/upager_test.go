@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mage/internal/memnode"
-	"mage/internal/prefetch"
 )
 
 // fakeBacking is an in-memory Backing with op accounting, failure
@@ -121,7 +120,7 @@ func checkPage(t *testing.T, data []byte, pg uint64) {
 
 func TestFaultEvictRoundtrip(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 256, 16, Options{EvictBatch: 8, NoPrefetch: true})
+	p, err := New(fb, 256, 16, Options{EvictBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestFaultEvictRoundtrip(t *testing.T) {
 // behaviour the pager exists to reproduce.
 func TestWriteBehindBatches(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 1024, 64, Options{EvictBatch: 16, LowWater: 32, NoPrefetch: true})
+	p, err := New(fb, 1024, 64, Options{EvictBatch: 16, LowWater: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +194,7 @@ func TestWriteBehindBatches(t *testing.T) {
 // page must coalesce onto a single backing read.
 func TestConcurrentFaultCoalescing(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 64, 8, Options{NoPrefetch: true})
+	p, err := New(fb, 64, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +244,7 @@ func TestConcurrentFaultCoalescing(t *testing.T) {
 // time.
 func TestConcurrentMixedChurn(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 512, 32, Options{EvictBatch: 8, NoPrefetch: true})
+	p, err := New(fb, 512, 32, Options{EvictBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,73 +300,147 @@ func TestConcurrentMixedChurn(t *testing.T) {
 	}
 }
 
-// TestWritebackFailureKeepsPagesDirty: a failed write-behind batch must
-// leave the victims resident, dirty and queued — the next sweep can
-// take them again — and their data must survive to a later successful
-// flush.
+// TestWritebackFailureKeepsPagesDirty: a failed writeback batch, the
+// evictor's or a Flush's, must leave its pages resident, dirty and
+// queued — the next sweep or Flush can take them again — and their data
+// must survive to a later successful write.
 func TestWritebackFailureKeepsPagesDirty(t *testing.T) {
-	fb := newFakeBacking()
-	p, err := New(fb, 64, 8, Options{EvictBatch: 4, NoPrefetch: true})
-	if err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"the evictor's batch", func(t *testing.T) {
+			fb := newFakeBacking()
+			p, err := New(fb, 64, 8, Options{EvictBatch: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			fb.failWV.Store(true)
+			for pg := uint64(0); pg < 8; pg++ {
+				fr, err := p.Pin(pg, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stampPage(fr.Data, pg)
+				fr.Unpin()
+			}
+			// The eighth fault left the pool dry, so the evictor has swept, or is
+			// about to. Once its batch has failed, every page is back in a queue.
+			waitFor(t, "the evictor's batch to fail", func() bool { return p.Stats().WritebackErrors > 0 })
+			p.mu.Lock()
+			resident, dirty := 0, 0
+			for pg := range p.pages[:8] {
+				if p.pages[pg].state == pageResident {
+					resident++
+				}
+				if p.pages[pg].dirty {
+					dirty++
+				}
+			}
+			queued := p.sel.small.n + p.sel.main.n
+			p.mu.Unlock()
+			if resident != 8 || dirty != 8 || queued != 8 {
+				t.Fatalf("after a failed batch: %d resident, %d dirty, %d queued; want 8 of each", resident, dirty, queued)
+			}
+			if err := p.Flush(); err == nil {
+				t.Fatal("flush succeeded against a failing backing")
+			}
+			// With the backing mended, the sweep a ninth fault waits on takes the
+			// same pages again, and writes them.
+			fb.failWV.Store(false)
+			fr, err := p.Pin(8, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr.Unpin()
+			if s := p.Stats(); s.Evictions == 0 || s.WritebackPages == 0 {
+				t.Errorf("%d evictions, %d pages written back after the retry; want both > 0", s.Evictions, s.WritebackPages)
+			}
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if p.Stats().WritebackErrors == 0 {
+				t.Error("no writeback error recorded")
+			}
+			// The stamps must have reached the backing on the retry.
+			for pg := uint64(0); pg < 8; pg++ {
+				b, err := fb.Read(1, int64(pg)*4096, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if binary.LittleEndian.Uint64(b) != pg^0x6d616765 {
+					t.Fatalf("page %d stamp missing from backing after retry", pg)
+				}
+			}
+		}},
+		{"a flush's batch", func(t *testing.T) {
+			fb := newFakeBacking()
+			p, err := New(fb, 64, 8, Options{EvictBatch: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			for pg := uint64(0); pg < 4; pg++ { // half the frames: no sweep
+				fr, err := p.Pin(pg, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stampPage(fr.Data, pg)
+				fr.Unpin()
+			}
+			fb.failWV.Store(true)
+			fb.wvGate = make(chan struct{})
+			flushed := make(chan error, 1)
+			go func() { flushed <- p.Flush() }()
+			<-fb.entered
+			p.mu.Lock()
+			latch := p.pages[0].latch
+			for pg := range p.pages[:4] {
+				if pd := &p.pages[pg]; pd.state != pageEvicting || pd.latch != latch {
+					t.Errorf("page %d on the wire in state %d under its own latch; want one latch for the batch", pg, pd.state)
+				}
+			}
+			p.mu.Unlock()
+			close(fb.wvGate)
+			if err := <-flushed; err == nil {
+				t.Fatal("flush succeeded against a failing backing")
+			}
+			p.mu.Lock()
+			for pg := range p.pages[:4] {
+				if pd := &p.pages[pg]; pd.state != pageResident || !pd.dirty || pd.latch != nil {
+					t.Errorf("after a failed flush page %d is in state %d, dirty %v; want resident and dirty", pg, pd.state, pd.dirty)
+				}
+			}
+			queued := p.sel.small.n + p.sel.main.n
+			p.mu.Unlock()
+			if queued != 4 {
+				t.Errorf("%d frames queued after a failed flush; want 4", queued)
+			}
+			fb.wvGate = nil
+			fb.failWV.Store(false)
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if s := p.Stats(); s.WritebackErrors != 1 || s.WritebackBatches != 1 || s.WritebackPages != 4 {
+				t.Errorf("%d errors, %d batches of %d pages; want 1, and 1 of 4", s.WritebackErrors, s.WritebackBatches, s.WritebackPages)
+			}
+			for pg := uint64(0); pg < 4; pg++ {
+				b, err := fb.Read(1, int64(pg)*4096, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if binary.LittleEndian.Uint64(b) != pg^0x6d616765 {
+					t.Fatalf("page %d stamp missing from backing after the second flush", pg)
+				}
+				if p.pages[pg].dirty {
+					t.Errorf("page %d still dirty after a flush that wrote it", pg)
+				}
+			}
+		}},
 	}
-	defer p.Close()
-	fb.failWV.Store(true)
-	for pg := uint64(0); pg < 8; pg++ {
-		fr, err := p.Pin(pg, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stampPage(fr.Data, pg)
-		fr.Unpin()
-	}
-	// The eighth fault left the pool dry, so the evictor has swept, or is
-	// about to. Once its batch has failed, every page is back in a queue.
-	waitFor(t, "the evictor's batch to fail", func() bool { return p.Stats().WritebackErrors > 0 })
-	p.mu.Lock()
-	resident, dirty := 0, 0
-	for pg := range p.pages[:8] {
-		if p.pages[pg].state == pageResident {
-			resident++
-		}
-		if p.pages[pg].dirty {
-			dirty++
-		}
-	}
-	queued := p.sel.small.n + p.sel.main.n
-	p.mu.Unlock()
-	if resident != 8 || dirty != 8 || queued != 8 {
-		t.Fatalf("after a failed batch: %d resident, %d dirty, %d queued; want 8 of each", resident, dirty, queued)
-	}
-	if err := p.Flush(); err == nil {
-		t.Fatal("flush succeeded against a failing backing")
-	}
-	// With the backing mended, the sweep a ninth fault waits on takes the
-	// same pages again, and writes them.
-	fb.failWV.Store(false)
-	fr, err := p.Pin(8, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr.Unpin()
-	if s := p.Stats(); s.Evictions == 0 || s.WritebackPages == 0 {
-		t.Errorf("%d evictions, %d pages written back after the retry; want both > 0", s.Evictions, s.WritebackPages)
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Stats().WritebackErrors == 0 {
-		t.Error("no writeback error recorded")
-	}
-	// The stamps must have reached the backing on the retry.
-	for pg := uint64(0); pg < 8; pg++ {
-		b, err := fb.Read(1, int64(pg)*4096, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if binary.LittleEndian.Uint64(b) != pg^0x6d616765 {
-			t.Fatalf("page %d stamp missing from backing after retry", pg)
-		}
+	for _, row := range rows {
+		t.Run(row.name, row.run)
 	}
 }
 
@@ -377,7 +450,7 @@ func TestWritebackFailureKeepsPagesDirty(t *testing.T) {
 // another's fault, and every later one, does.
 func TestWhichPinsCount(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 64, 32, Options{NoPrefetch: true})
+	p, err := New(fb, 64, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,15 +463,15 @@ func TestWhichPinsCount(t *testing.T) {
 		}
 		fr.Unpin()
 	}
-	recorded := func(pg uint64) (uint8, uint8) {
+	recorded := func(pg uint64) (uint8, bool) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		return p.pages[pg].freq, p.pages[pg].untouched
 	}
-	want := func(what string, pg uint64, freq, untouched uint8) {
+	want := func(what string, pg uint64, freq uint8, untouched bool) {
 		t.Helper()
 		if f, u := recorded(pg); f != freq || u != untouched {
-			t.Errorf("%s: %d pins recorded, untouched %d; want %d and %d", what, f, u, freq, untouched)
+			t.Errorf("%s: %d pins recorded, untouched %v; want %d and %v", what, f, u, freq, untouched)
 		}
 	}
 
@@ -439,7 +512,7 @@ func TestWhichPinsCount(t *testing.T) {
 // where it is queued; one faulted back for the first time is not.
 func TestRefaultsCountLiveGhosts(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 64, 16, Options{EvictBatch: 4, LowWater: 4, NoPrefetch: true})
+	p, err := New(fb, 64, 16, Options{EvictBatch: 4, LowWater: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,11 +550,12 @@ func TestRefaultsCountLiveGhosts(t *testing.T) {
 	}
 }
 
-// TestSequentialPrefetch: a strided fault stream must trigger the
-// detector and serve later pins without demand faults.
-func TestSequentialPrefetch(t *testing.T) {
+// TestNoSpeculativeReads: the pager reads only what it is asked for. A
+// sequential walk over a pager made with no options is one demand READ
+// per page, and no batched read the walk did not ask for.
+func TestNoSpeculativeReads(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 4096, 256, Options{Detector: prefetch.NewMajority(8, 8, 4096)})
+	p, err := New(fb, 4096, 256, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,26 +568,15 @@ func TestSequentialPrefetch(t *testing.T) {
 		fr.Unpin()
 	}
 	s := p.Stats()
-	if s.PrefetchIssued == 0 {
-		t.Fatal("sequential walk issued no prefetch")
-	}
-	if s.PrefetchHits == 0 {
-		t.Error("no prefetched page was later pinned")
-	}
-	if s.Faults >= 512 {
-		t.Errorf("every pin was a demand fault (%d) despite prefetch", s.Faults)
-	}
-	// Speculation keeps its own books: demand faults are the solo reads,
-	// prefetches went out as batches and are not counted as faults.
-	if r, rv := fb.reads.Load(), fb.readvs.Load(); s.Faults != r || rv == 0 || rv > s.PrefetchIssued {
-		t.Errorf("faults=%d solo reads=%d, prefetch issued=%d in %d ReadV", s.Faults, r, s.PrefetchIssued, rv)
+	if r, rv := fb.reads.Load(), fb.readvs.Load(); s.Faults != 512 || r != 512 || rv != 0 {
+		t.Errorf("512 pins made %d faults, %d READs and %d READVs; want 512, 512 and 0", s.Faults, r, rv)
 	}
 }
 
 // TestPinBounds and option validation.
 func TestPinBounds(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 16, 4, Options{NoPrefetch: true})
+	p, err := New(fb, 16, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +594,7 @@ func TestPinBounds(t *testing.T) {
 
 func TestPinAfterClose(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 16, 4, Options{NoPrefetch: true})
+	p, err := New(fb, 16, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +623,7 @@ func TestHitPathTouchesNoNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	p, err := New(c, 1024, 128, Options{NoPrefetch: true})
+	p, err := New(c, 1024, 128, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +676,7 @@ func TestMemnodeRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	p, err := New(c, 2048, 64, Options{EvictBatch: 16, NoPrefetch: true})
+	p, err := New(c, 2048, 64, Options{EvictBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -659,7 +722,7 @@ func TestMemnodeRoundtrip(t *testing.T) {
 // — flushed pages stay resident and further pins are hits.
 func TestFlushLeavesPagesResident(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 64, 64, Options{NoPrefetch: true})
+	p, err := New(fb, 64, 64, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
