@@ -95,11 +95,11 @@ bench-check:
 
 # The shm ring against a server that shares the client's CPU: memnode
 # and a depth-1 memnode-bench both confined to CPU 0, the same workload
-# over TCP and over shm in one run. A waiter that yields instead of
-# parking burns the timeslice the server needs, and shm — no socket
-# payloads, no kernel copies — then loses to TCP (0.53x before the
-# self-tuning wait primitive of DESIGN.md §13); the gate is that it does
-# not: shm_over_tcp >= 1. Linux only (taskset, memfd).
+# over TCP and over shm in one run. Each process has one P, so the wait
+# primitive of DESIGN.md §13 yields to the OS and hands the CPU to the
+# peer; shm then polls without parks or doorbells and beats TCP by far
+# (4.4x; 1.3x while it could only park). The gate: shm_over_tcp >= 2.5.
+# Linux only (taskset, memfd).
 shm-shared-cpu:
 	@set -e; dir=$$(mktemp -d); pid=; \
 	trap 'test -n "$$pid" && kill $$pid 2>/dev/null; rm -rf "$$dir"' EXIT; \
@@ -115,8 +115,8 @@ shm-shared-cpu:
 	ratio=$$(sed -n 's/.*"shm_over_tcp": *\([0-9.e+-]*\).*/\1/p' $$dir/compare.json); \
 	grep -E '"(transport|pages_per_sec|p50_us|shm_parks_per_op|shm_spin_yields_per_op)"' $$dir/compare.json; \
 	echo "shm_over_tcp = $$ratio (both processes on CPU 0)"; \
-	awk -v r="$$ratio" 'BEGIN { exit (r+0 >= 1) ? 0 : 1 }' || \
-		{ echo "shm is slower than TCP on a shared CPU" >&2; exit 1; }
+	awk -v r="$$ratio" 'BEGIN { exit (r+0 >= 2.5) ? 0 : 1 }' || \
+		{ echo "shm is under 2.5x TCP on a shared CPU: is the one-P OS yield gone?" >&2; exit 1; }
 
 # Coverage floor for internal/core, set just under the level the
 # Node/Tenant split landed at so fault/eviction-path statements cannot

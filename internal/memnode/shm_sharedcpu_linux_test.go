@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -49,10 +50,15 @@ func shmHelperServer() int {
 	return 0
 }
 
-// shmHelperClient runs depth-1 reads over a required shm stream and
-// prints what its waits cost after a warm-up.
+// shmHelperClient runs reads at depth MEMNODE_SHM_DEPTH over a
+// required shm stream and prints what its waits cost after a warm-up.
 func shmHelperClient() int {
 	const warmup, ops = 2000, 20000
+	depth, err := strconv.Atoi(os.Getenv("MEMNODE_SHM_DEPTH"))
+	if err != nil || depth < 1 {
+		fmt.Println("ERR depth", os.Getenv("MEMNODE_SHM_DEPTH"))
+		return 1
+	}
 	opts := DefaultOptions()
 	opts.Transport = TransportShm
 	c, err := DialOptions(os.Getenv("MEMNODE_SHM_ADDR"), opts)
@@ -61,22 +67,19 @@ func shmHelperClient() int {
 		return 1
 	}
 	defer c.Close()
-	id, err := c.Register(4 << 20)
+	id, err := c.Register(16 << 20)
 	if err != nil {
 		fmt.Println("ERR", err)
 		return 1
 	}
-	var before ClientStats
-	for i := 0; i < warmup+ops; i++ {
-		if i == warmup {
-			before = c.Metrics()
-		}
-		body, err := c.Read(id, int64(i%1024)*4096, 4096)
-		if err != nil {
-			fmt.Println("ERR", err)
-			return 1
-		}
-		PutBuf(body)
+	if fails := runShmReads(c, id, depth, warmup); fails != 0 {
+		fmt.Println("ERR", fails, "warm-up reads failed")
+		return 1
+	}
+	before := c.Metrics()
+	if fails := runShmReads(c, id, depth, ops); fails != 0 {
+		fmt.Println("ERR", fails, "reads failed")
+		return 1
 	}
 	m := c.Metrics()
 	fmt.Printf("RESULT %s %d %d %d %d %d %d %d\n", c.TransportKind(), ops, runtime.GOMAXPROCS(0),
@@ -95,13 +98,14 @@ func schedAffinity(nr uintptr, m *cpuMask) error {
 	return nil
 }
 
-// TestShmSharedCPU runs a memnode and a depth-1 client as two processes
-// on ONE CPU, where a yield can never hand the CPU to the peer. The
-// parent of this change spent ~320 yields per op there (256 by the
-// submitter, 64 by the completer, every op, before parking); the wait
-// primitive must have stopped yielding but for its probes, and the
-// parked path must be sound: no op retried. Asserted on counts, never
-// on time.
+// TestShmSharedCPU runs a memnode and a client as two processes on ONE
+// CPU, at depth 1 and at depth 8. Each runtime sizes itself to one P,
+// where a Go yield can only run the process's own goroutines, so the
+// wait primitive's one-P rule (shm_wait.go) yields to the OS and hands
+// the CPU to the peer: the stream must poll, not park. Without the OS
+// yield it read 1.76-1.83 parks and 0.97 doorbells per op at depth 1 and
+// 0.65-0.80 parks per op at depth 8; with it both read 0.00. Every op
+// must also succeed without a retry. Asserted on counts, never on time.
 func TestShmSharedCPU(t *testing.T) {
 	if !shmSupported {
 		t.Skip("shm transport unsupported on this platform")
@@ -173,33 +177,36 @@ func TestShmSharedCPU(t *testing.T) {
 		_ = srv.Wait()
 	}()
 	addr := line(srvOut, "server helper")[1]
-	cli, cliOut := helper("client", "MEMNODE_SHM_ADDR="+addr)
-	if err := cli.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = cli.Wait() }()
-	timer := time.AfterFunc(2*time.Minute, func() { _ = cli.Process.Kill() })
-	defer timer.Stop()
-
-	f := line(cliOut, "client helper")
-	var kind string
-	var ops, procs, yields, parks, doorbells, retries, reconnects uint64
-	if _, err := fmt.Sscan(strings.Join(f[1:], " "), &kind, &ops, &procs, &yields, &parks, &doorbells, &retries, &reconnects); err != nil {
-		t.Fatalf("client helper result %q: %v", f, err)
-	}
-	t.Logf("CPU %d, GOMAXPROCS %d: %.2f wasted yields, %.2f parks, %.2f doorbells per op over %d depth-1 reads",
-		cpu, procs, float64(yields)/float64(ops), float64(parks)/float64(ops), float64(doorbells)/float64(ops), ops)
-	if kind != "shm" {
-		t.Fatalf("client ran over %q, want shm", kind)
-	}
-	if procs != 1 {
-		t.Fatalf("client helper came up with GOMAXPROCS %d: it is not confined to one CPU", procs)
-	}
-	if retries != 0 || reconnects != 0 {
-		t.Errorf("%d retries, %d reconnects on the parked path", retries, reconnects)
-	}
-	if perOp := float64(yields) / float64(ops); perOp > 32 {
-		t.Errorf("%.1f wasted yields per op against a peer on the same CPU, want a few (the probes)", perOp)
+	for _, depth := range []int{1, 8} {
+		cli, cliOut := helper("client", "MEMNODE_SHM_ADDR="+addr, "MEMNODE_SHM_DEPTH="+strconv.Itoa(depth))
+		if err := cli.Start(); err != nil {
+			t.Fatal(err)
+		}
+		timer := time.AfterFunc(2*time.Minute, func() { _ = cli.Process.Kill() })
+		f := line(cliOut, "client helper")
+		timer.Stop()
+		_ = cli.Wait()
+		var kind string
+		var ops, procs, yields, parks, doorbells, retries, reconnects uint64
+		if _, err := fmt.Sscan(strings.Join(f[1:], " "), &kind, &ops, &procs, &yields, &parks, &doorbells, &retries, &reconnects); err != nil {
+			t.Fatalf("client helper result %q: %v", f, err)
+		}
+		perOp := func(n uint64) float64 { return float64(n) / float64(ops) }
+		t.Logf("CPU %d, GOMAXPROCS %d, depth %d: %.2f wasted yields, %.2f parks, %.2f doorbells per op over %d reads",
+			cpu, procs, depth, perOp(yields), perOp(parks), perOp(doorbells), ops)
+		if kind != "shm" {
+			t.Fatalf("client ran over %q, want shm", kind)
+		}
+		if procs != 1 {
+			t.Fatalf("client helper came up with GOMAXPROCS %d: it is not confined to one CPU", procs)
+		}
+		if retries != 0 || reconnects != 0 {
+			t.Errorf("depth %d: %d retries, %d reconnects", depth, retries, reconnects)
+		}
+		if perOp(parks) > 0.05 || perOp(doorbells) > 0.05 {
+			t.Errorf("depth %d: %.2f parks and %.2f doorbells per op against a peer on the same CPU, want at most 0.05 each: the OS yield does not reach it",
+				depth, perOp(parks), perOp(doorbells))
+		}
 	}
 }
 

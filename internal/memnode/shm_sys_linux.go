@@ -141,3 +141,10 @@ func shmRecvFd(uc *net.UnixConn, msg []byte) (int, error) {
 }
 
 func closeFd(fd int) error { return syscall.Close(fd) }
+
+// shmOSYield gives the CPU to whatever else the kernel has to run on
+// it: sched_yield. Through Syscall, not RawSyscall, so that the runtime
+// may hand off the P for the duration.
+func shmOSYield() {
+	_, _, _ = syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0) // cannot fail
+}

@@ -20,3 +20,4 @@ func shmSendFd(uc *net.UnixConn, msg []byte, fd int) error { return errShmUnsupp
 func shmRecvFd(uc *net.UnixConn, msg []byte) (int, error)  { return -1, errShmUnsupported }
 
 func closeFd(fd int) error { return nil }
+func shmOSYield()          {}

@@ -5,13 +5,11 @@
 // socket, and the two ring-full backpressure loops — waits for the
 // process on the other side of the ring. Yielding with runtime.Gosched
 // before parking pays only when that process runs while we yield: it
-// has a core of its own, or it is a goroutine of this process. When
-// both sides share one CPU a yield hands the CPU to another goroutine
-// of *this* process, never to the peer, and the waiter burns the very
-// timeslice the peer needs. Nothing on the wait path can tell the two
-// cases apart beforehand (an affinity mask says where a thread may run,
-// not whether the peer is running there now), so shmWait decides from
-// what the yielding achieved — the adaptive-mutex rule:
+// has a core of its own, or it is a goroutine of this process, or the
+// kernel gives it the CPU we yield. Nothing on the wait path can tell
+// these cases apart beforehand (an affinity mask says where a thread
+// may run, not whether the peer is running there now), so shmWait
+// decides from what the yielding achieved — the adaptive-mutex rule:
 //
 //   - The budget of a wait is all or nothing: the site's full limit, or
 //     zero (park at once). Waits end after a handful of yields when the
@@ -36,6 +34,16 @@
 //   - At zero credit one wait in shmProbeEvery is a probe: a full-limit
 //     spin, which is how the stream finds out that the peer got a core
 //     again. Probes cost limit/shmProbeEvery yields per parked wait.
+//
+// The one-P rule: in a process with one P, runtime.Gosched can only run
+// this process's own goroutines, never the peer. A runtime started on
+// one CPU sizes itself to one P, so that is the shared-CPU case. There
+// a site still not ready after the Go yield also yields to the OS
+// (shmOSYield, sched_yield), which hands the CPU to the peer, and it
+// re-checks. One iteration is one yield in ShmSpinYields, whichever
+// kinds it made. With more than one P the loop yields to Go only: an
+// OS yield there is a syscall per iteration that cost a third of
+// depth-1 throughput on two CPUs.
 //
 // No clock is read, and a hit at full credit — the steady state of a
 // polling stream — executes no atomic read-modify-write.
@@ -138,6 +146,10 @@ func (s *shmWaitStats) parked(n uint32) {
 	}
 }
 
+// shmPeerYield is the OS yield of a one-P site; a variable so that a
+// test can count its calls.
+var shmPeerYield = shmOSYield
+
 // shmWait is one wait site's self-tuning yield budget. Safe for
 // concurrent waiters (the submitters of a stream share one): the state
 // is one word, every transition is applied to its current value by
@@ -145,6 +157,7 @@ func (s *shmWaitStats) parked(n uint32) {
 // credit. The zero value parks at once and counts nothing.
 type shmWait struct {
 	limit uint32 // the full budget; zero holds the site at park-at-once
+	oneP  bool   // the process had one P at init: a Go yield cannot reach the peer
 	state atomic.Uint64
 	stats *shmWaitStats
 }
@@ -153,6 +166,7 @@ type shmWait struct {
 // a new stream polls until its waits say otherwise.
 func (w *shmWait) init(limit uint32, stats *shmWaitStats) {
 	w.limit, w.stats = limit, stats
+	w.oneP = runtime.GOMAXPROCS(0) == 1
 	w.state.Store(shmBudget{credit: shmCreditMax}.pack())
 }
 
@@ -190,7 +204,12 @@ func (w *shmWait) spin(ready func() bool) bool {
 	}
 	for i := uint32(0); i < w.limit; i++ {
 		runtime.Gosched()
-		if ready() {
+		ok := ready()
+		if !ok && w.oneP {
+			shmPeerYield()
+			ok = ready()
+		}
+		if ok {
 			// One attempt: a hit that loses the race forgoes its credit,
 			// and a hit at full credit writes nothing.
 			v := w.state.Load()

@@ -1,6 +1,7 @@
 package memnode
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -234,6 +235,56 @@ func TestShmWaitSpin(t *testing.T) {
 	var off shmWait
 	if off.spin(never) {
 		t.Error("zero-value shmWait reported ready")
+	}
+}
+
+// TestShmWaitOnePGate pins the one-P rule of shm_wait.go: only a site
+// whose process has one P yields to the OS, only after a Go yield left
+// the wait unsatisfied, and re-checks after it; an iteration that made
+// both yields is one wasted yield.
+func TestShmWaitOnePGate(t *testing.T) {
+	looks := 0
+	var yieldsAt []int // looks taken before each OS yield
+	saved := shmPeerYield
+	shmPeerYield = func() { yieldsAt = append(yieldsAt, looks) }
+	t.Cleanup(func() { shmPeerYield = saved })
+	after := func(n int) func() bool {
+		looks = 0
+		return func() bool { looks++; return looks > n }
+	}
+	never := after(1 << 30)
+
+	var stats shmWaitStats
+	var multi shmWait
+	multi.init(4, &stats)
+	multi.oneP = false
+	if multi.spin(never) || len(yieldsAt) != 0 {
+		t.Fatalf("a site with more than one P yielded to the OS %d times", len(yieldsAt))
+	}
+
+	var w shmWait
+	w.init(4, &stats)
+	w.oneP = true
+	if !w.spin(after(0)) || len(yieldsAt) != 0 {
+		t.Fatalf("a first-look hit yielded to the OS %d times", len(yieldsAt))
+	}
+	if !w.spin(after(1)) || len(yieldsAt) != 0 {
+		t.Fatalf("a wait the Go yield satisfied yielded to the OS %d times", len(yieldsAt))
+	}
+	if !w.spin(after(2)) || len(yieldsAt) != 1 || yieldsAt[0] != 2 || looks != 3 {
+		t.Fatalf("a wait the OS yield satisfied: OS yields after looks %v, %d looks; want [2] and 3", yieldsAt, looks)
+	}
+	yieldsAt = nil
+	parks, wasted := stats.parks.Load(), stats.spinYields.Load()
+	never = after(1 << 30)
+	if w.spin(never) {
+		t.Fatal("spin reported ready for a condition that never holds")
+	}
+	if want := []int{2, 4, 6, 8}; !slices.Equal(yieldsAt, want) || looks != 9 {
+		t.Errorf("a fruitless wait of 4: OS yields after looks %v, %d looks; want %v and 9", yieldsAt, looks, want)
+	}
+	if p, y := stats.parks.Load()-parks, stats.spinYields.Load()-wasted; p != 1 || y != 4 {
+		t.Errorf("a fruitless wait of 4 iterations counted %d parks, %d wasted yields; want 1 and 4", p, y)
 	}
 }
 
