@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strconv"
 	"strings"
 
 	"mage/internal/memcluster"
@@ -164,6 +165,14 @@ func run(cfg config) error {
 			seed:     cfg.seed,
 		})
 		printLoadReport(r, cache, cfg.sloP99Us)
+		if peak, ok := peakRSS(); ok {
+			note := ""
+			if cfg.spawn {
+				note = " (the spawned memnode's included)"
+			}
+			fmt.Printf("magecache: local memory %.1f MiB peak for %.1f MiB of frames%s\n",
+				float64(peak)/(1<<20), float64(frames)*pageBytes/(1<<20), note)
+		}
 		if r.Fails > 0 {
 			return fmt.Errorf("%d ops failed", r.Fails)
 		}
@@ -174,6 +183,34 @@ func run(cfg config) error {
 	default:
 		return fmt.Errorf("unknown -mode %q", cfg.mode)
 	}
+}
+
+// peakRSS is the process's peak resident set so far, the kernel's VmHWM:
+// the local memory the frame budget is meant to bound. ok is false where
+// there is no /proc/self/status (off Linux).
+func peakRSS() (bytes int64, ok bool) {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	return parseVmHWM(string(status))
+}
+
+// parseVmHWM reads the "VmHWM:  1234 kB" line of a /proc status file.
+func parseVmHWM(status string) (bytes int64, ok bool) {
+	for _, line := range strings.Split(status, "\n") {
+		v, found := strings.CutPrefix(line, "VmHWM:")
+		if !found {
+			continue
+		}
+		f := strings.Fields(v)
+		if len(f) != 2 || f[1] != "kB" {
+			return 0, false
+		}
+		kb, err := strconv.ParseInt(f[0], 10, 64)
+		return kb << 10, err == nil
+	}
+	return 0, false
 }
 
 func main() {

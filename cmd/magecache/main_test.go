@@ -263,6 +263,25 @@ func TestLoadGenZeroFailures(t *testing.T) {
 	}
 }
 
+// TestParseVmHWM: bench mode's local-memory line reads the peak RSS out
+// of /proc/self/status, and prints nothing when it cannot.
+func TestParseVmHWM(t *testing.T) {
+	status := "Name:\tmagecache\nVmPeak:\t 1300000 kB\nVmHWM:\t   47616 kB\nVmRSS:\t   40000 kB\n"
+	if got, ok := parseVmHWM(status); !ok || got != 47616<<10 {
+		t.Errorf("parseVmHWM = %d, %v; want %d, true", got, ok, 47616<<10)
+	}
+	for _, bad := range []string{"", "VmRSS:\t 1 kB\n", "VmHWM:\t 12 MB\n", "VmHWM:\t x kB\n"} {
+		if _, ok := parseVmHWM(bad); ok {
+			t.Errorf("parseVmHWM(%q) ok", bad)
+		}
+	}
+	if runtime.GOOS == "linux" {
+		if peak, ok := peakRSS(); !ok || peak <= 0 {
+			t.Errorf("peakRSS on linux = %d, %v", peak, ok)
+		}
+	}
+}
+
 func TestServeProtocol(t *testing.T) {
 	c := newTestCache(t, 256, 64)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -394,6 +394,11 @@ type rung struct {
 	h uint64
 }
 
+// ladderRungs is the ladder an op builds without allocating: enough for
+// the replica counts a cluster runs with; a longer ladder grows onto the
+// heap.
+const ladderRungs = 4
+
 // appendRung adds r's rung unless r was never dialled or lacks the
 // region. Caller holds the shard's mu.
 func appendRung(rungs []rung, reg *cregion, r *replica) []rung {
@@ -403,10 +408,12 @@ func appendRung(rungs []rung, reg *cregion, r *replica) []rung {
 	return rungs
 }
 
-// ladder is the read order for key on sh: weighted draws among the
-// healthy replicas for attempt 0, 1, ..., then the replicas marked down
-// in list order (a stale answer from a survivor beats no answer).
-func (cl *Cluster) ladder(sh *shard, reg *cregion, key uint64) []rung {
+// ladder appends to rungs the read order for key on sh: weighted draws
+// among the healthy replicas for attempt 0, 1, ..., then the replicas
+// marked down in list order (a stale answer from a survivor beats no
+// answer). The ops pass a [ladderRungs]rung buffer of their own, so a
+// read's ladder lives on its stack.
+func (cl *Cluster) ladder(rungs []rung, sh *shard, reg *cregion, key uint64) []rung {
 	// The draws' scratch stays on the stack for any sane replica count.
 	var wbuf [8]int64
 	var mbuf [8]bool
@@ -417,7 +424,6 @@ func (cl *Cluster) ladder(sh *shard, reg *cregion, key uint64) []rung {
 		weights = append(weights, r.weight)
 		mask = append(mask, r.healthy && r.c != nil)
 	}
-	rungs := make([]rung, 0, len(sh.replicas))
 	for attempt := range sh.replicas {
 		i := placement.SelectReplica(key, attempt, weights, mask)
 		if i == -1 {
@@ -737,7 +743,8 @@ func (cl *Cluster) Read(handle uint64, offset, length int64) ([]byte, error) {
 	si := placement.ShardOfIDs(key, topo.ids)
 	sh := topo.shards[si]
 	var body []byte
-	err = cl.climb(sh, si, cl.ladder(sh, reg, key), func(g rung) (err error) {
+	var buf [ladderRungs]rung
+	err = cl.climb(sh, si, cl.ladder(buf[:0], sh, reg, key), func(g rung) (err error) {
 		body, err = g.c.Read(g.h, offset, length)
 		return err
 	})
@@ -757,7 +764,8 @@ func (cl *Cluster) Write(handle uint64, offset int64, data []byte) error {
 func (cl *Cluster) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
 	return cl.each(handle, offsets, dst, func(reg *cregion, sh *shard, p part) error {
 		key := placement.Key(handle, uint64(p.offs[0]/cl.opts.PageBytes))
-		return cl.readInto(sh, p.si, cl.ladder(sh, reg, key), p.offs, p.bufs)
+		var buf [ladderRungs]rung
+		return cl.readInto(sh, p.si, cl.ladder(buf[:0], sh, reg, key), p.offs, p.bufs)
 	})
 }
 

@@ -140,7 +140,7 @@ func TestClimbReplicateTable(t *testing.T) {
 			cl, sh, reg := setup()
 			var rungs []rung
 			if !row.bare {
-				rungs = cl.ladder(sh, reg, pages[0])
+				rungs = cl.ladder(nil, sh, reg, pages[0])
 			}
 			var asked []rung
 			err := cl.climb(sh, 4, rungs, func(g rung) error {
@@ -261,7 +261,8 @@ func ladderOrderRow(t *testing.T) {
 	for page := uint64(0); page < 512; page++ {
 		key := placement.Key(9, page)
 		var got []*replica
-		for _, g := range cl.ladder(sh, reg, key) {
+		var buf [ladderRungs]rung
+		for _, g := range cl.ladder(buf[:0], sh, reg, key) {
 			got = append(got, g.r)
 			if h, _ := reg.handle(g.r); g.c != g.r.c || g.h != h {
 				t.Fatalf("page %d: rung of %s carries the wrong client or handle", page, g.r.addr)
@@ -281,7 +282,7 @@ func ladderOrderRow(t *testing.T) {
 	}
 	// A replica without the region is on no list, whatever its health.
 	sh, reg = bareShard([]bool{true, true, false}, []int{1})
-	if got := cl.ladder(sh, reg, 1); len(got) != 1 || got[0].r != sh.replicas[1] {
+	if got := cl.ladder(nil, sh, reg, 1); len(got) != 1 || got[0].r != sh.replicas[1] {
 		t.Errorf("ladder over one holder = %d rungs", len(got))
 	}
 	if got := holders(sh, reg, sh.replicas[1]); len(got) != 0 {

@@ -251,7 +251,7 @@ func (cl *Cluster) rebalanceMover(oldTopo, newTopo *topology, pages int64) *move
 		func(l lane, reg *cregion, offs []int64, bufs [][]byte) error {
 			sh := oldTopo.shards[l.src]
 			key := placement.Key(l.handle, uint64(offs[0]/cl.opts.PageBytes))
-			return cl.readInto(sh, l.src, cl.ladder(sh, reg, key), offs, bufs)
+			return cl.readInto(sh, l.src, cl.ladder(nil, sh, reg, key), offs, bufs)
 		},
 		func(l lane, reg *cregion, offs []int64, bufs [][]byte) error {
 			sh := newTopo.shards[l.dst]

@@ -22,8 +22,9 @@ import (
 //     allocations per bare synchronous Read of one memnode.Client on the
 //     same link (on the cluster, on one replica), measured just before —
 //     that is the in-process server's share, which a fault pays as well.
-//     What is left is the client stack's: the future, or on the cluster
-//     the replica ladder of its synchronous read.
+//     What is left is the client stack's: the future on one node, and
+//     nothing on the cluster, whose synchronous read builds its replica
+//     ladder on the stack.
 //   - goroutines/fault: goroutines started per fault, read off the
 //     runtime's goroutine ids, which it hands out in order of creation.
 //     Each P takes ids sixteen at a time, so the count can be off by
@@ -31,7 +32,7 @@ import (
 //     -benchtime 20000x or more, where that is under 0.002.
 //
 // `make bench` holds both on all three: at most one allocation per
-// fault, no goroutine (cmd/benchsnap -require).
+// fault (0.1 on the cluster), no goroutine (cmd/benchsnap -require).
 func BenchmarkPagerFault(b *testing.B) {
 	b.Run("tcp", func(b *testing.B) { benchNodeFault(b, memnode.TransportTCP) })
 	b.Run("shm", func(b *testing.B) { benchNodeFault(b, memnode.TransportShm) })

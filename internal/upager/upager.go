@@ -137,13 +137,19 @@ type Pager struct {
 	batch      int
 	lowWater   int
 
-	arena []byte
-
-	mu     sync.Mutex // guards pages, owner, sel, closed
+	mu     sync.Mutex // guards pages, owner, sel, closed, holds, arena
 	pages  []page
 	owner  []uint64   // frame -> resident page, noPage when free or on the wire
 	sel    *selection // the resident frames, queued for eviction
 	closed bool
+
+	// arena is the frames, mapped outside the Go heap where the platform
+	// allows (mapArena). holds counts who may touch it with p.mu dropped:
+	// every pin, a demand fault from its claim, a writeback batch, and
+	// Close while it drains. The last hold dropped on a closed pager
+	// unmaps the arena and sets it nil (see drop).
+	arena []byte
+	holds int
 
 	freeC chan int32    // free frame pool (buffered to frames: sends never block)
 	kickC chan struct{} // nudges the evictor (buffered 1)
@@ -172,7 +178,13 @@ type Pager struct {
 
 // New registers a numPages-page region on backing and returns a pager
 // holding frames local frames over it. frames bounds local memory: the
-// remote:local ratio of an experiment is numPages/frames.
+// remote:local ratio of an experiment is numPages/frames. On unix the
+// frames are one anonymous mapping outside the Go heap, so the
+// collector's headroom does not grow with them: a process paging through
+// 32 MiB of frames peaks near 47 MiB, its frames plus about 15 MiB of
+// heap and runtime, where a heap arena cost twice the frames plus that.
+// The DES charges the frames alone. A race build, or another platform,
+// keeps them on the heap.
 func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, error) {
 	if numPages == 0 {
 		return nil, errors.New("upager: zero-page region")
@@ -214,8 +226,13 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 	if low < 1 {
 		low = 1
 	}
+	arena, err := mapArena(int64(frames) * pb)
+	if err != nil {
+		return nil, fmt.Errorf("upager: map %d frames: %w", frames, err)
+	}
 	handle, err := backing.Register(int64(numPages) * pb)
 	if err != nil {
+		unmapArena(arena)
 		return nil, fmt.Errorf("upager: register backing region: %w", err)
 	}
 	p := &Pager{
@@ -226,7 +243,7 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 		frames:    frames,
 		batch:     batch,
 		lowWater:  low,
-		arena:     make([]byte, int64(frames)*pb),
+		arena:     arena,
 		pages:     make([]page, numPages),
 		owner:     make([]uint64, frames),
 		sel:       newSelection(frames),
@@ -261,8 +278,10 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 
 // Frame is a pinned view of one resident page. Data aliases the arena;
 // it is valid until Unpin, after which the frame may be evicted and
-// reused. Write access requires having pinned with write=true, which
-// marks the page dirty for write-behind.
+// reused — or, once the pager is closed, unmapped. A pin held across
+// Close keeps the arena, so Data stays valid until that Unpin. Write
+// access requires having pinned with write=true, which marks the page
+// dirty for write-behind.
 type Frame struct {
 	Data []byte
 	p    *Pager
@@ -276,7 +295,9 @@ func (f Frame) Unpin() {
 	pd := &p.pages[f.pg]
 	pd.pins--
 	idle := pd.pins == 0
+	arena := p.drop()
 	p.mu.Unlock()
+	releaseArena(arena)
 	// A fault may be blocked on a free frame with every frame pinned;
 	// this unpin could be the one that makes a victim available.
 	if idle && len(p.freeC) < p.lowWater {
@@ -308,6 +329,7 @@ func (p *Pager) Pin(pg uint64, write bool) (Frame, error) {
 		switch pd.state {
 		case pageResident:
 			pd.pins++
+			p.holds++
 			if write {
 				pd.dirty = true
 			}
@@ -328,6 +350,7 @@ func (p *Pager) Pin(pg uint64, write bool) (Frame, error) {
 			// fresh fault.
 		case pageAbsent:
 			pd.state = pageFaulting
+			p.holds++ // the fault's, and then its pin's
 			p.mu.Unlock()
 			return p.faultIn(pg, write)
 		}
@@ -402,14 +425,44 @@ func (p *Pager) faultIn(pg uint64, write bool) (Frame, error) {
 	return p.frameView(pg, frame), nil
 }
 
-// abortFault rolls a claimed page back to absent and releases waiters,
-// who will retry and surface their own error.
+// abortFault rolls a claimed page back to absent, drops the fault's
+// hold and releases waiters, who will retry and surface their own error.
 func (p *Pager) abortFault(pg uint64) {
 	p.mu.Lock()
 	pd := &p.pages[pg]
 	pd.state = pageAbsent
 	pd.openLatch()
+	arena := p.drop()
 	p.mu.Unlock()
+	releaseArena(arena)
+}
+
+// drop ends one hold on the arena. p.mu is held. On a closed pager the
+// last hold takes the arena away — p.arena goes nil under the lock, so no
+// later sweep can reach it — and returns it, for the caller to pass to
+// releaseArena once it has unlocked; otherwise it returns nil.
+func (p *Pager) drop() []byte {
+	p.holds--
+	if !p.closed || p.holds > 0 {
+		return nil
+	}
+	arena := p.arena
+	p.arena = nil
+	return arena
+}
+
+// testHookArenaReleased, when set, sees every arena releaseArena frees.
+var testHookArenaReleased func(arena []byte)
+
+// releaseArena frees an arena drop handed out; nil is none.
+func releaseArena(arena []byte) {
+	if arena == nil {
+		return
+	}
+	unmapArena(arena)
+	if testHookArenaReleased != nil {
+		testHookArenaReleased(arena)
+	}
 }
 
 // openLatch ends a lone fault's transition for whoever waited on it.
@@ -693,6 +746,7 @@ func (p *Pager) evictSome() (bool, error) {
 		}
 		if latch == nil {
 			latch = make(chan struct{})
+			p.holds++ // the batch's, until writeBack settles it
 		}
 		pd.state = pageEvicting
 		pd.latch = latch
@@ -719,7 +773,9 @@ func (p *Pager) evictSome() (bool, error) {
 // clean. Pages pinned for write while Flush runs are picked up by a
 // later batch within the same call; pages still write-pinned when the
 // sweep completes are reported as an error (the caller owns quiescing
-// writers before a checkpoint).
+// writers before a checkpoint). Once a closed pager has released its
+// arena there is nothing left to write from, and Flush returns
+// ErrClosed.
 func (p *Pager) Flush() error {
 	var (
 		victims []uint64
@@ -731,6 +787,10 @@ func (p *Pager) Flush() error {
 		var latch chan struct{}
 		pinnedDirty := 0
 		p.mu.Lock()
+		if p.arena == nil {
+			p.mu.Unlock()
+			return ErrClosed
+		}
 		for pg := range p.pages {
 			pd := &p.pages[pg]
 			if pd.state != pageResident || !pd.dirty {
@@ -745,6 +805,7 @@ func (p *Pager) Flush() error {
 			}
 			if latch == nil {
 				latch = make(chan struct{})
+				p.holds++ // the batch's, until writeBack settles it
 			}
 			pd.state = pageEvicting // block writers while the batch is on the wire
 			pd.latch = latch
@@ -772,7 +833,8 @@ func (p *Pager) Flush() error {
 // zero-copy. A page the evictor sent leaves its frame for the free
 // pool; one Flush sent stays resident, clean. A failed write leaves
 // every page resident and dirty — a victim back in its frame and queued
-// where it was taken from — for a later sweep or Flush to retry.
+// where it was taken from — for a later sweep or Flush to retry. Settling
+// drops the hold the caller took for the batch.
 func (p *Pager) writeBack(victims []uint64, offs []int64, bufs [][]byte, latch chan struct{}, evict bool) error {
 	err := p.backing.WriteV(p.handle, offs, bufs)
 	p.mu.Lock()
@@ -795,7 +857,9 @@ func (p *Pager) writeBack(victims []uint64, offs []int64, bufs [][]byte, latch c
 	}
 	close(latch)
 	p.sel.check(p.pages, p.owner)
+	arena := p.drop()
 	p.mu.Unlock()
+	releaseArena(arena)
 	if err != nil {
 		p.wbErrors.Add(1)
 		return err
@@ -810,8 +874,10 @@ func (p *Pager) writeBack(victims []uint64, offs []int64, bufs [][]byte, latch c
 }
 
 // Close flushes dirty pages, stops the evictor, and marks the pager
-// unusable. In-flight fill-ahead batches are drained first. The backing
-// store is not closed; the caller owns it.
+// unusable. In-flight fill-ahead batches are drained first. The arena is
+// released when Close returns, or, if a frame is still pinned then, by
+// the Unpin that drops the last pin. The backing store is not closed;
+// the caller owns it. A second Close does nothing.
 func (p *Pager) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -819,11 +885,16 @@ func (p *Pager) Close() error {
 		return nil
 	}
 	p.closed = true
+	p.holds++ // Close's own, while it drains
 	p.mu.Unlock()
 	p.fillWG.Wait()
 	err := p.Flush()
 	close(p.stopC)
 	<-p.doneC
+	p.mu.Lock()
+	arena := p.drop()
+	p.mu.Unlock()
+	releaseArena(arena)
 	return err
 }
 
