@@ -28,6 +28,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -50,13 +51,9 @@ func main() {
 	if *nodes < 1 {
 		log.Fatalf("memnode: -nodes must be >= 1, got %d", *nodes)
 	}
-	var enableShm bool
-	switch *transport {
-	case "tcp":
-	case "shm", "auto":
-		enableShm = true
-	default:
-		log.Fatalf("memnode: -transport must be tcp, shm, or auto, got %q", *transport)
+	opts, err := serverOptions(*transport, memnode.ShmSupported)
+	if err != nil {
+		log.Fatalf("memnode: %v", err)
 	}
 
 	addrs, err := nodeAddrs(*listen, *nodes)
@@ -65,7 +62,7 @@ func main() {
 	}
 	var srvs []*memnode.Server
 	for _, addr := range addrs {
-		srv, err := memnode.NewServerOptions(addr, *capacity<<20, memnode.ServerOptions{EnableShm: enableShm})
+		srv, err := memnode.NewServerOptions(addr, *capacity<<20, opts)
 		if err != nil {
 			for _, s := range srvs {
 				_ = s.Close()
@@ -73,12 +70,6 @@ func main() {
 			log.Fatalf("memnode: %v", err)
 		}
 		srvs = append(srvs, srv)
-		if *transport == "shm" && srv.ShmAddr() == "" {
-			for _, s := range srvs {
-				_ = s.Close()
-			}
-			log.Fatal("memnode: -transport shm requires Linux memfd support, which this platform lacks (use auto for best-effort)")
-		}
 		// bench/ and `make shm-shared-cpu` read the address out of this
 		// line: it is followed by a space and a parenthesis.
 		if srv.ShmAddr() != "" {
@@ -97,6 +88,24 @@ func main() {
 			log.Printf("memnode: close: %v", err)
 		}
 	}
+}
+
+// serverOptions maps -transport to the servers' options, given whether
+// the platform has the shared-memory ring: tcp offers TCP alone, shm
+// requires the ring, and auto offers it where the platform has it.
+func serverOptions(transport string, shmSupported bool) (memnode.ServerOptions, error) {
+	switch transport {
+	case "tcp":
+		return memnode.ServerOptions{}, nil
+	case "shm":
+		if !shmSupported {
+			return memnode.ServerOptions{}, errors.New("-transport shm requires Linux memfd support, which this platform lacks (use auto for best-effort)")
+		}
+		return memnode.ServerOptions{EnableShm: true}, nil
+	case "auto":
+		return memnode.ServerOptions{EnableShm: shmSupported}, nil
+	}
+	return memnode.ServerOptions{}, fmt.Errorf("-transport must be tcp, shm, or auto, got %q", transport)
 }
 
 // nodeAddrs expands a base listen address into n addresses: port 0

@@ -101,7 +101,7 @@ func (h *hooks) once(t *testing.T) {
 // once when Close returns.
 func TestAsyncOpsSpawnNothing(t *testing.T) {
 	for _, shm := range []bool{false, true} {
-		if shm && !shmSupported {
+		if shm && !ShmSupported {
 			continue
 		}
 		opts := fastOpts()
@@ -171,7 +171,7 @@ func TestAsyncOpsSpawnNothing(t *testing.T) {
 // the counters.
 func TestAsyncOpsSurviveRestart(t *testing.T) {
 	for _, shm := range []bool{false, true} {
-		if shm && !shmSupported {
+		if shm && !ShmSupported {
 			continue
 		}
 		srv, err := NewServerOptions("127.0.0.1:0", 64<<20, ServerOptions{EnableShm: shm})
@@ -277,7 +277,7 @@ func TestAsyncOpsSurviveRestart(t *testing.T) {
 // caller's again.
 func TestStartedReadVTimesOut(t *testing.T) {
 	for _, shm := range []bool{false, true} {
-		if shm && !shmSupported {
+		if shm && !ShmSupported {
 			continue
 		}
 		opts := fastOpts()

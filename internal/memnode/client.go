@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"sync"        //magevet:ok memnode is a real TCP client, not virtual-time simulation code
 	"sync/atomic" //magevet:ok lock-free robustness counters keep Metrics off the data path
 	"time"
@@ -587,34 +588,59 @@ func (s *stream) wait(ca *call) ([]byte, error) {
 	return ca.body, ca.err
 }
 
-// inlineExecMax is the largest transfer the server's frame reader executes
-// inline rather than handing to the worker pool (see serveFrames).
-const inlineExecMax = 64 << 10
-
-// writeLoop is the stream's writer (writeFrames): each request's header
-// and payload go out in a batch's writev, after which the writer reads
+// writeLoop is the stream's writer: it takes a call from sendq, drains
+// what else is queued (up to writeBatch) in two rounds with one yield
+// between them — on a busy pipeline the other submitters are runnable
+// right now, and letting them enqueue turns N writevs into one; on an
+// idle connection the yield costs nanoseconds — and writes every
+// request's header and payload in one writev, after which it reads
 // neither the call nor its payload again. A failed writev poisons the
 // stream.
 func (s *stream) writeLoop() {
 	var hdrs [writeBatch][v2ReqHdrLen]byte
-	writeFrames(s.conn, s.sendq, s.dead, func(iov net.Buffers, i int, ca *call) net.Buffers {
-		hdr := &hdrs[i]
-		hdr[0] = ca.op
-		binary.LittleEndian.PutUint64(hdr[1:], ca.id)
-		binary.LittleEndian.PutUint64(hdr[9:], ca.srvID)
-		binary.LittleEndian.PutUint64(hdr[17:], uint64(ca.offset))
-		binary.LittleEndian.PutUint64(hdr[25:], uint64(ca.length))
-		return append(append(iov, hdr[:]), ca.bufs...)
-	}, func(batch []*call, err error) bool {
-		if err != nil {
+	// WriteTo consumes the slice it is called on, capacity and all, so
+	// each batch's vector is cut afresh from vecs; iov is declared once,
+	// since WriteTo's pointer receiver puts it on the heap.
+	vecs := make(net.Buffers, 0, 2*writeBatch)
+	var iov net.Buffers
+	batch := make([]*call, 0, writeBatch)
+	for {
+		select {
+		case ca := <-s.sendq:
+			batch = append(batch[:0], ca)
+		case <-s.dead:
+			return
+		}
+		for round := 0; round < 2 && len(batch) < writeBatch; round++ {
+			// This goroutine is sendq's only receiver, so a non-zero len()
+			// guarantees the receive below cannot block — a plain recv is
+			// ~3x cheaper than a select-with-default here.
+			for len(batch) < writeBatch && len(s.sendq) > 0 {
+				batch = append(batch, <-s.sendq)
+			}
+			if round == 0 && len(batch) < writeBatch {
+				runtime.Gosched() // micro-batching yield on the writer goroutine
+			}
+		}
+		iov = vecs[:0]
+		for i, ca := range batch {
+			hdr := &hdrs[i]
+			hdr[0] = ca.op
+			binary.LittleEndian.PutUint64(hdr[1:], ca.id)
+			binary.LittleEndian.PutUint64(hdr[9:], ca.srvID)
+			binary.LittleEndian.PutUint64(hdr[17:], uint64(ca.offset))
+			binary.LittleEndian.PutUint64(hdr[25:], uint64(ca.length))
+			iov = append(append(iov, hdr[:]), ca.bufs...)
+		}
+		vecs = iov // keeps what a large batch grew
+		if _, err := iov.WriteTo(s.conn); err != nil {
 			s.fail(err)
-			return false
+			return
 		}
 		for _, ca := range batch {
 			ca.markSent()
 		}
-		return true
-	})
+	}
 }
 
 // readLoop demultiplexes response frames back to the calls held by
@@ -1039,7 +1065,7 @@ func (c *Client) hello(conn net.Conn) (link, error) {
 	if c.opts.Transport != TransportTCP {
 		ext := parseHelloExt(body)
 		switch {
-		case ext.shm && shmSupported:
+		case ext.shm && ShmSupported:
 			st, err := c.dialShm(ext)
 			if err == nil {
 				c.shmConnects.Add(1)
@@ -1049,7 +1075,7 @@ func (c *Client) hello(conn net.Conn) (link, error) {
 			if c.opts.Transport == TransportShm {
 				return nil, fmt.Errorf("memnode: shm transport required: %w", err)
 			}
-		case c.opts.Transport == TransportShm && !shmSupported:
+		case c.opts.Transport == TransportShm && !ShmSupported:
 			return nil, errShmUnsupported
 		case c.opts.Transport == TransportShm:
 			return nil, errors.New("memnode: shm transport required: server does not offer it")

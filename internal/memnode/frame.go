@@ -44,8 +44,6 @@ package memnode
 import (
 	"encoding/binary"
 	"fmt"
-	"net"
-	"runtime"
 	"sync" //magevet:ok memnode is a real TCP service; the frame buffer pool is shared by client and server goroutines
 )
 
@@ -85,61 +83,9 @@ const MaxBatchPages = 1024
 // connection.
 const maxV2Payload = MaxIO + 8 + 16*MaxBatchPages
 
-// writeBatch bounds how many queued frames one writev coalesces.
+// writeBatch bounds how many frames one writev carries: the client's
+// queued requests, or the replies a server connection has queued.
 const writeBatch = 32
-
-// writeFrames is the loop of both TCP writers, the client's and a server
-// connection's: take a frame from q, drain what else is queued (up to
-// writeBatch) in two rounds with one yield between them — on a busy
-// pipeline the other submitters are runnable right now, and letting them
-// enqueue turns N writevs into one; on an idle connection the yield costs
-// nanoseconds — encode each (the i-th of the batch) and writev the lot.
-// sent learns how each batch went and says whether to go on; after a
-// failed writev nothing more is written. It returns when q is closed and
-// empty, or stop closes.
-func writeFrames[F any](conn net.Conn, q <-chan F, stop <-chan struct{}, encode func(iov net.Buffers, i int, f F) net.Buffers, sent func(batch []F, err error) bool) {
-	// WriteTo consumes the slice it is called on, capacity and all, so
-	// each batch's vector is cut afresh from vecs; iov is declared once,
-	// since WriteTo's pointer receiver puts it on the heap.
-	vecs := make(net.Buffers, 0, 2*writeBatch)
-	var iov net.Buffers
-	batch := make([]F, 0, writeBatch)
-	var err error
-	for {
-		var f F
-		ok := false
-		select {
-		case f, ok = <-q:
-		case <-stop:
-		}
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], f)
-		for round := 0; round < 2 && len(batch) < writeBatch; round++ {
-			// This goroutine is q's only receiver, so a non-zero len()
-			// guarantees the receive below cannot block, even after a close
-			// — a plain recv is ~3x cheaper than a select-with-default here.
-			for len(batch) < writeBatch && len(q) > 0 {
-				batch = append(batch, <-q)
-			}
-			if round == 0 && len(batch) < writeBatch {
-				runtime.Gosched() // micro-batching yield on the writer goroutine
-			}
-		}
-		if err == nil {
-			iov = vecs[:0]
-			for i, b := range batch {
-				iov = encode(iov, i, b)
-			}
-			vecs = iov // keeps what a large batch grew
-			_, err = iov.WriteTo(conn)
-		}
-		if !sent(batch, err) {
-			return
-		}
-	}
-}
 
 // iovec is one page-sized slot of a batched verb.
 type iovec struct {

@@ -13,11 +13,7 @@ import (
 // fuzzServer builds a listener-less Server with one pre-registered
 // 4 MiB region (ID 1) so READ/WRITE frames can hit a real target.
 func fuzzServer() *Server {
-	// One worker: mutated inputs can put overlapping concurrent WRITEs on
-	// the wire, which race by design (RDMA semantics); the fuzz target is
-	// the frame decoder, so serialize execution to stay -race clean.
 	s := &Server{
-		workers:  1,
 		regions:  make(map[uint64][][]byte),
 		sizes:    make(map[uint64]int64),
 		nextID:   2,
@@ -102,9 +98,6 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add(append(frame(opStat, 0, 0, 0, nil), frame(opRead, 1, 0, 4096, nil)...)) // pipelined
 
 	// v2 seeds: negotiation plus pipelined/batched/hostile v2 frames.
-	// Concurrent seeds deliberately avoid overlapping WRITE ranges — the
-	// worker pool executes them in parallel and overlapping writes race
-	// by design (as one-sided RDMA would).
 	f.Add(helloFrame())                                  // bare negotiation
 	f.Add(frame(opHello, helloMagic, 1, 0, nil))         // stale version: refused
 	f.Add(frame(opHello, 0xDEAD_BEEF, protoV2, 0, nil))  // bad magic: refused

@@ -81,7 +81,7 @@ func TestClientCloseReleasesGoroutinesTCP(t *testing.T) {
 // plane, where Close must additionally reap the completion-demux
 // goroutine and unmap the segment.
 func TestClientCloseReleasesGoroutinesShm(t *testing.T) {
-	if !shmSupported {
+	if !ShmSupported {
 		t.Skip("shm transport unsupported on this platform")
 	}
 	baseline := runtime.NumGoroutine()
@@ -102,7 +102,7 @@ func TestClientCloseReleasesGoroutinesShm(t *testing.T) {
 // shm, lost the server, and reconnected over plain TCP has owned two
 // streams in its lifetime; Close must reap the survivors of both.
 func TestClientCloseReleasesGoroutinesFallback(t *testing.T) {
-	if !shmSupported {
+	if !ShmSupported {
 		t.Skip("shm transport unsupported on this platform")
 	}
 	baseline := runtime.NumGoroutine()

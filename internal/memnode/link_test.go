@@ -281,7 +281,7 @@ func coreOf(t *testing.T, st link) *calls {
 // back.
 func TestHeldCallKeepsItsSlot(t *testing.T) {
 	for _, shm := range []bool{false, true} {
-		if shm && !shmSupported {
+		if shm && !ShmSupported {
 			continue
 		}
 		srv, err := NewServerOptions("127.0.0.1:0", 16<<20, ServerOptions{EnableShm: shm})
@@ -349,7 +349,7 @@ func TestHeldCallKeepsItsSlot(t *testing.T) {
 // within 1.5 × IOTimeout on either link, and counts the timeout.
 func TestWatchdogTimesOutWithheldCall(t *testing.T) {
 	for _, shm := range []bool{false, true} {
-		if shm && !shmSupported {
+		if shm && !ShmSupported {
 			continue
 		}
 		opts := fastOpts()

@@ -14,9 +14,10 @@
 // The store and its verbs are written once: Server.exec runs a request
 // against the regions whichever framing carried it. A framing only
 // locates a request's bytes and encodes the reply — pipelined frames on
-// TCP (frame.go; a per-connection worker pool and a single writev-based
-// writer, so deep client pipelines overlap region copies with wire IO)
-// or descriptors on a shared-memory ring (shm_server.go).
+// TCP (frame.go) or descriptors on a shared-memory ring (shm_server.go).
+// Like the NIC of a passive memory node, which runs each queue pair's
+// verbs in posting order, each framing serves a connection from one loop
+// on one goroutine (serveFrames, shmConn.loop), with no pool behind it.
 package memnode
 
 import (
@@ -89,17 +90,10 @@ type ServerOptions struct {
 	ShmPath string
 }
 
-// connWorkers is the per-connection worker pool size: how many requests
-// from one pipelined client may be executed concurrently.
-const connWorkers = 8
-
 // Server is the far-memory node daemon.
 type Server struct {
-	ln   net.Listener
-	opts ServerOptions
-	// workers is connWorkers, except in the decoder fuzz target, which
-	// serializes execution so that overlapping fuzzed WRITEs cannot race.
-	workers int
+	ln      net.Listener
+	opts    ServerOptions
 	mu      sync.Mutex
 	regions map[uint64][][]byte // regionID -> chunks
 	sizes   map[uint64]int64
@@ -156,7 +150,6 @@ func NewServerOptions(addr string, capacity int64, opts ServerOptions) (*Server,
 	s := &Server{
 		ln:      ln,
 		opts:    opts,
-		workers: connWorkers,
 		regions: make(map[uint64][][]byte),
 		sizes:   make(map[uint64]int64),
 		// Region IDs are seeded with a startup epoch rather than 1: a
@@ -642,108 +635,84 @@ func (s *Server) exec(req *request, rp *reply) {
 	}
 }
 
-// tcpFrame is one request on a TCP connection from its decode to its
-// response's write: the reader fills in req, whoever executes it rp.
-type tcpFrame struct {
-	id      uint64
-	req     request
-	rp      reply
-	payload []byte // pooled; req.table and req.data are cut from it
-}
-
-// run executes a decoded frame and recycles its payload — a read plan's
-// ranges are parsed out of the table, so no reply refers to it.
-func (s *Server) run(f *tcpFrame) *tcpFrame {
-	s.exec(&f.req, &f.rp)
-	PutBuf(f.payload)
-	return f
-}
-
-// serveFrames runs the pipelined frames on one connection: this goroutine
-// decodes requests and feeds a bounded worker pool; workers execute
-// against the region store concurrently; a single writer goroutine
-// serializes responses back onto the wire (one writev per batch of
-// them). Responses complete out of order — that is the point of request
-// IDs.
+// serveFrames runs the pipelined frames on one connection, on this one
+// goroutine, as a NIC runs a queue pair's verbs: it reads a frame, runs
+// exec on it and queues the reply. The queued replies leave in one writev
+// at the refill point — just before a read, of a header or of a payload,
+// that br's buffer cannot serve, since the peer may be waiting for them
+// before it sends the rest — or once writeBatch of them are queued.
+// Replies leave in request order, and a large WRITEV delays the frames
+// behind it.
 func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader) {
-	reqs := make(chan *tcpFrame, s.workers*2)
-	resps := make(chan *tcpFrame, s.workers*2)
-	var workWG, writeWG sync.WaitGroup
-	for i := 0; i < s.workers; i++ {
-		workWG.Add(1)
-		go func() { //magevet:ok real network daemon: bounded per-connection worker pool for the pipelined protocol
-			defer workWG.Done()
-			for f := range reqs {
-				resps <- s.run(f)
-			}
-		}()
-	}
-	writeWG.Add(1)
-	go func() { //magevet:ok real network daemon: single response-writer goroutine per connection
-		defer writeWG.Done()
-		var hdrs [writeBatch][v2RespHdrLen]byte
-		writeFrames(conn, resps, nil, func(iov net.Buffers, i int, f *tcpFrame) net.Buffers {
-			hdr := &hdrs[i]
-			hdr[0] = f.rp.status
-			binary.LittleEndian.PutUint64(hdr[1:], f.id)
-			binary.LittleEndian.PutUint64(hdr[9:], uint64(int64(len(f.rp.body))+f.rp.total))
-			iov = append(iov, hdr[:])
-			if len(f.rp.body) > 0 {
-				iov = append(iov, f.rp.body)
-			}
-			// A read goes out as segments aliasing the region: the server
-			// never copies the page.
-			return f.rp.appendSegs(iov)
-		}, func([]*tcpFrame, error) bool {
-			// Keep draining after a write error so workers never block; the
-			// reader will notice the dead connection and shut down.
-			return true
-		})
-	}()
-
-	var hdr [v2ReqHdrLen]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			break
+	var (
+		hdr  [v2ReqHdrLen]byte
+		hdrs [writeBatch][v2RespHdrLen]byte
+		n    int // replies queued in iov
+		// WriteTo consumes the slice it is called on, capacity and all, so
+		// each batch's vector is cut afresh from vecs.
+		vecs = make(net.Buffers, 0, 2*writeBatch)
+		iov  = vecs
+	)
+	flush := func() error {
+		if n == 0 {
+			return nil
 		}
-		f := &tcpFrame{id: binary.LittleEndian.Uint64(hdr[1:9]), req: request{
+		vecs, n = iov[:0], 0 // keeps what a large batch grew
+		_, err := iov.WriteTo(conn)
+		iov = vecs
+		return err
+	}
+	// refill flushes the queue if reading need more bytes touches the socket.
+	refill := func(need int) bool { return br.Buffered() >= need || flush() == nil }
+	for refill(v2ReqHdrLen) {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return
+		}
+		id := binary.LittleEndian.Uint64(hdr[1:9])
+		req := request{
 			op:       hdr[0],
 			regionID: binary.LittleEndian.Uint64(hdr[9:17]),
 			offset:   int64(binary.LittleEndian.Uint64(hdr[17:25])),
 			length:   int64(binary.LittleEndian.Uint64(hdr[25:33])),
 			room:     maxV2Payload,
-		}}
+		}
 		// Ops that carry a payload declare its size in the length field.
 		// An absurd size is a framing violation we cannot skip past, so
-		// the connection dies; in-range payloads are always consumed so
-		// the stream stays aligned even when the op is later rejected.
-		if carriesPayload(f.req.op) {
-			if f.req.length < 0 || f.req.length > maxV2Payload {
-				break
+		// the connection dies after the replies it has earned; in-range
+		// payloads are always consumed so the stream stays aligned even
+		// when the op is later rejected.
+		var payload []byte
+		if carriesPayload(req.op) {
+			if req.length < 0 || req.length > maxV2Payload {
+				_ = flush() // the connection closes either way
+				return
 			}
-			if f.req.length > 0 {
-				f.payload = getBuf(int(f.req.length))
-				if _, err := io.ReadFull(br, f.payload); err != nil {
-					PutBuf(f.payload)
-					break
-				}
+			if !refill(int(req.length)) {
+				return
 			}
-			f.req.table, f.req.data = cutPayload(f.req.op, f.payload)
+			payload = getBuf(int(req.length))
+			if _, err := io.ReadFull(br, payload); err != nil {
+				PutBuf(payload)
+				return
+			}
+			req.table, req.data = cutPayload(req.op, payload)
 		}
-		// Fast path: execute page-sized ops inline instead of bouncing
-		// them through the worker pool. A 4 KiB read is cheaper than the
-		// two channel handoffs and goroutine wakeup the pool costs, and
-		// zero-copy reads do no memmove at all; only large transfers and
-		// region registration (which allocates the region) are worth
-		// shipping to a worker.
-		if f.req.length >= 0 && f.req.length <= inlineExecMax && f.req.op != opRegister {
-			resps <- s.run(f)
-			continue
+		var rp reply
+		s.exec(&req, &rp)
+		PutBuf(payload) // a read plan's ranges are parsed out of the table: no reply refers to it
+		h := &hdrs[n]
+		h[0] = rp.status
+		binary.LittleEndian.PutUint64(h[1:], id)
+		binary.LittleEndian.PutUint64(h[9:], uint64(int64(len(rp.body))+rp.total))
+		iov = append(iov, h[:])
+		if len(rp.body) > 0 {
+			iov = append(iov, rp.body)
 		}
-		reqs <- f
+		// A read goes out as segments aliasing the region: the server
+		// never copies the page.
+		iov = rp.appendSegs(iov)
+		if n++; n == writeBatch && flush() != nil {
+			return
+		}
 	}
-	close(reqs)
-	workWG.Wait()
-	close(resps)
-	writeWG.Wait()
 }

@@ -2,10 +2,15 @@ package memnode
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func newPair(t *testing.T, capacity int64) (*Server, *Client) {
@@ -292,5 +297,108 @@ func TestUnregisterUnknownHandle(t *testing.T) {
 		t.Error("unregister of never-registered handle accepted")
 	} else if !IsTerminal(err) {
 		t.Errorf("unknown-handle unregister failed non-terminally: %v", err)
+	}
+}
+
+// dialFrames opens a raw connection to srv and completes its HELLO, so
+// that what the test writes next is read as pipelined frames.
+func dialFrames(t *testing.T, srv *Server) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := conn.Write(helloFrame()); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [helloRespHdrLen]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil || hdr[0] != statusOK {
+		t.Fatalf("HELLO refused: status %d, %v", hdr[0], err)
+	}
+	if _, err := io.CopyN(io.Discard, conn, int64(binary.LittleEndian.Uint64(hdr[1:]))); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// readReply reads one reply frame from conn and checks that it answers
+// request id with OK. A reply that takes seconds on loopback is one the
+// server is holding back.
+func readReply(t *testing.T, conn net.Conn, id uint64) []byte {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) // bounding a hang in a real-network test
+	var hdr [v2RespHdrLen]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		t.Fatalf("no reply to request %d: %v", id, err)
+	}
+	body := make([]byte, binary.LittleEndian.Uint64(hdr[9:]))
+	if _, err := io.ReadFull(conn, body); err != nil {
+		t.Fatalf("reply to request %d cut short: %v", id, err)
+	}
+	if got := binary.LittleEndian.Uint64(hdr[1:]); got != id || hdr[0] != statusOK {
+		t.Fatalf("reply for request %d status %d (%q), want request %d OK", got, hdr[0], body, id)
+	}
+	return body
+}
+
+// TestServerOneGoroutinePerConnection: a TCP connection is served by its
+// handler goroutine alone, which reads, executes and replies in turn.
+func TestServerOneGoroutinePerConnection(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", 16<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	baseline := runtime.NumGoroutine()
+	const conns, slack = 16, 4
+	for i := 0; i < conns; i++ {
+		conn := dialFrames(t, srv)
+		// A STAT answered: the connection's frames are being served.
+		if _, err := conn.Write(v2frame(opStat, 1, 0, 0, 0, nil)); err != nil {
+			t.Fatal(err)
+		}
+		readReply(t, conn, 1)
+	}
+	if n := runtime.NumGoroutine() - baseline; n > conns+slack {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d connections added %d goroutines, want at most %d\n%s",
+			conns, n, conns+slack, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestServerFlushesBeforeBlockingOnPayload: a READ followed by half of a
+// WRITE's payload. The server must send the READ's reply before it waits
+// for the rest of the payload: the peer may hold the rest back until the
+// reply arrives.
+func TestServerFlushesBeforeBlockingOnPayload(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", 16<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn := dialFrames(t, srv)
+	if _, err := conn.Write(v2frame(opRegister, 1, 0, 0, 1<<20, nil)); err != nil {
+		t.Fatal(err)
+	}
+	region := binary.LittleEndian.Uint64(readReply(t, conn, 1))
+	page := bytes.Repeat([]byte{0x5A}, 4096)
+	write := v2frame(opWrite, 3, region, 0, int64(len(page)), page)
+	half := v2ReqHdrLen + len(page)/2
+	if _, err := conn.Write(append(v2frame(opRead, 2, region, 0, 4096, nil), write[:half]...)); err != nil {
+		t.Fatal(err)
+	}
+	if got := readReply(t, conn, 2); !bytes.Equal(got, make([]byte, 4096)) {
+		t.Fatal("the READ did not read the fresh region's zeros")
+	}
+	if _, err := conn.Write(write[half:]); err != nil {
+		t.Fatal(err)
+	}
+	readReply(t, conn, 3)
+	if _, err := conn.Write(v2frame(opRead, 4, region, 0, 4096, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readReply(t, conn, 4), page) {
+		t.Fatal("the WRITE whose payload came in two parts did not land")
 	}
 }

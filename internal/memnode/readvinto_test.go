@@ -218,7 +218,7 @@ func TestReadVIntoLengthMismatchPoisons(t *testing.T) {
 // and that it agrees with ReadV and with single reads on both transports.
 func TestReadVIntoShapes(t *testing.T) {
 	for _, transport := range []int{TransportTCP, TransportShm} {
-		if transport == TransportShm && !shmSupported {
+		if transport == TransportShm && !ShmSupported {
 			continue
 		}
 		opts := fastOpts()
@@ -327,7 +327,7 @@ func TestWriteVRecyclesCalls(t *testing.T) {
 		t.Skip("the race detector's allocations swamp the count")
 	}
 	for _, transport := range []int{TransportTCP, TransportShm} {
-		if transport == TransportShm && !shmSupported {
+		if transport == TransportShm && !ShmSupported {
 			continue
 		}
 		srv, err := NewServerOptions("127.0.0.1:0", 64<<20, ServerOptions{EnableShm: transport == TransportShm})

@@ -300,7 +300,7 @@ func (h *shmConn) exec(e sqEntry) (byte, int64) {
 // restarted server mints a new token, so stale clients re-negotiate
 // over TCP instead of attaching to the wrong segment namespace).
 func (s *Server) setupShm() error {
-	if !shmSupported {
+	if !ShmSupported {
 		return fmt.Errorf("memnode: shm transport unsupported on this platform")
 	}
 	var tok [8]byte

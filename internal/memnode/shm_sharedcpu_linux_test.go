@@ -107,7 +107,7 @@ func schedAffinity(nr uintptr, m *cpuMask) error {
 // 0.65-0.80 parks per op at depth 8; with it both read 0.00. Every op
 // must also succeed without a retry. Asserted on counts, never on time.
 func TestShmSharedCPU(t *testing.T) {
-	if !shmSupported {
+	if !ShmSupported {
 		t.Skip("shm transport unsupported on this platform")
 	}
 	self, err := os.Executable()

@@ -14,7 +14,8 @@ import (
 	"unsafe"
 )
 
-const shmSupported = true
+// ShmSupported reports whether this platform has the shared-memory ring.
+const ShmSupported = true
 
 // shmCreateSegment returns a file descriptor backing an anonymous
 // shared segment of n bytes.

@@ -1,7 +1,7 @@
 //go:build !linux
 
 // Shared-memory transport stubs for platforms without memfd/SCM_RIGHTS
-// support in this codebase. Negotiation sees shmSupported=false and
+// support in this codebase. Negotiation sees ShmSupported=false and
 // falls back to TCP v2 transparently; forcing Options.Transport to shm
 // surfaces errShmUnsupported.
 package memnode
@@ -10,7 +10,8 @@ import (
 	"net"
 )
 
-const shmSupported = false
+// ShmSupported reports whether this platform has the shared-memory ring.
+const ShmSupported = false
 
 func shmCreateSegment(n int64) (int, error)                { return -1, errShmUnsupported }
 func shmMap(fd int, n int64) ([]byte, error)               { return nil, errShmUnsupported }

@@ -15,7 +15,7 @@ import (
 // the test on platforms that cannot provide it.
 func newShmServer(t *testing.T, capacity int64) *Server {
 	t.Helper()
-	if !shmSupported {
+	if !ShmSupported {
 		t.Skip("shm transport unsupported on this platform")
 	}
 	srv, err := NewServerOptions("127.0.0.1:0", capacity, ServerOptions{EnableShm: true})
@@ -227,7 +227,7 @@ func TestShmNegotiationMatrix(t *testing.T) {
 		}
 	})
 	t.Run("shmRequiredAgainstTcpOnlyServer", func(t *testing.T) {
-		if !shmSupported {
+		if !ShmSupported {
 			t.Skip("shm transport unsupported on this platform")
 		}
 		srv, err := NewServer("127.0.0.1:0", 16<<20)
@@ -520,7 +520,7 @@ func BenchmarkMemnodeShmPipeline(b *testing.B) { benchShmPipeline(b, false) }
 func BenchmarkMemnodeShmPipelineParked(b *testing.B) { benchShmPipeline(b, true) }
 
 func benchShmPipeline(b *testing.B, parked bool) {
-	if !shmSupported {
+	if !ShmSupported {
 		b.Skip("shm transport unsupported on this platform")
 	}
 	srv, err := NewServerOptions("127.0.0.1:0", 64<<20, ServerOptions{EnableShm: true})

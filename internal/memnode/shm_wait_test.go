@@ -292,7 +292,7 @@ func TestShmWaitOnePGate(t *testing.T) {
 // yield budget held at zero: each wait on either side parks.
 func shmParkedPair(t testing.TB, window int) (*Server, *Client) {
 	t.Helper()
-	if !shmSupported {
+	if !ShmSupported {
 		t.Skip("shm transport unsupported on this platform")
 	}
 	srv, err := NewServerOptions("127.0.0.1:0", 64<<20, ServerOptions{EnableShm: true})
