@@ -7,10 +7,9 @@
 // -depth controls how many requests each connection keeps in flight
 // (depth 1 degenerates to the old stop-and-wait behavior); -batch > 1
 // moves batches of pages per verb via READV/WRITEV. -transport selects
-// the data plane: tcp pins the v2 TCP protocol, shm requires the
-// shared-memory ring transport (the server must offer it: -spawn does,
-// and `memnode -transport shm` does), auto negotiates shm with
-// transparent TCP fallback. -compare runs the identical workload over
+// the data plane: tcp pins the v2 TCP protocol, shm requires the file
+// link (the server must offer it: -spawn does, and `memnode -transport
+// shm` does), auto negotiates shm with transparent TCP fallback. -compare runs the identical workload over
 // both transports in one invocation and prints them side by side with
 // the shm:tcp throughput ratio. The ISSUE's headline number is that
 // ratio at depth 32 on a single connection:
@@ -69,13 +68,6 @@ type report struct {
 	P90Us       float64 `json:"p90_us"`
 	P99Us       float64 `json:"p99_us"`
 	MaxUs       float64 `json:"max_us"`
-
-	// The client side's shm wait regime, per op: waits that ended in a
-	// park, doorbell bytes written to the server, and yields spent in
-	// waits that parked anyway. All zero over TCP.
-	ShmParksPerOp      float64 `json:"shm_parks_per_op"`
-	ShmDoorbellsPerOp  float64 `json:"shm_doorbells_per_op"`
-	ShmSpinYieldsPerOp float64 `json:"shm_spin_yields_per_op"`
 
 	// SLO accounting (-slo-p99-us): sampled ops over the target burn
 	// error budget; the run reports how much is left.
@@ -236,10 +228,9 @@ func runCompare(target string, cfg config, jsonOut bool) {
 		}
 		return
 	}
-	fmt.Printf("%-10s %12s %10s %10s %11s %9s %12s %10s\n", "transport", "pages/s", "p50(us)", "p99(us)", "allocs/op", "parks/op", "doorbells/op", "yields/op")
+	fmt.Printf("%-10s %12s %10s %10s %11s\n", "transport", "pages/s", "p50(us)", "p99(us)", "allocs/op")
 	for _, r := range []report{tcp, shm} {
-		fmt.Printf("%-10s %12.0f %10.1f %10.1f %11.1f %9.3f %12.3f %10.2f\n", r.Transport, r.PagesPerSec, r.P50Us, r.P99Us, r.AllocsPerOp,
-			r.ShmParksPerOp, r.ShmDoorbellsPerOp, r.ShmSpinYieldsPerOp)
+		fmt.Printf("%-10s %12.0f %10.1f %10.1f %11.1f\n", r.Transport, r.PagesPerSec, r.P50Us, r.P99Us, r.AllocsPerOp)
 	}
 	fmt.Printf("shm/tcp:   %.2fx pages/s\n", ratio)
 }
@@ -289,9 +280,8 @@ func runLoad(target string, mode int, cfg config) (report, error) {
 
 	ld := newLoad(cfg, region, pages)
 	var wg sync.WaitGroup
-	var kindMu sync.Mutex // guards kind and shm
+	var kindMu sync.Mutex // guards kind
 	kind := setup.TransportKind()
-	var shm memnode.ClientStats // the workers' shm wait counters, summed
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
@@ -325,12 +315,8 @@ func runLoad(target string, mode int, cfg config) (report, error) {
 			laneWG.Wait()
 			// The worker connections carry the ops, so the transport they
 			// actually negotiated is the one the report should name.
-			m := c.Metrics()
 			kindMu.Lock()
 			kind = c.TransportKind()
-			shm.ShmParks += m.ShmParks
-			shm.ShmDoorbells += m.ShmDoorbells
-			shm.ShmSpinYields += m.ShmSpinYields
 			kindMu.Unlock()
 		}()
 	}
@@ -346,9 +332,6 @@ func runLoad(target string, mode int, cfg config) (report, error) {
 	r.Transport = kind
 	r.Depth = cfg.depth
 	r.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / done
-	r.ShmParksPerOp = float64(shm.ShmParks) / done
-	r.ShmDoorbellsPerOp = float64(shm.ShmDoorbells) / done
-	r.ShmSpinYieldsPerOp = float64(shm.ShmSpinYields) / done
 	return r, nil
 }
 
@@ -518,10 +501,6 @@ func printReport(r report) {
 	fmt.Printf("throughput: %.0f ops/s, %.0f pages/s, %.1f MiB/s\n", r.OpsPerSec, r.PagesPerSec, r.MiBPerSec)
 	fmt.Printf("latency:    p50=%.0fus p90=%.0fus p99=%.0fus max=%.0fus\n", r.P50Us, r.P90Us, r.P99Us, r.MaxUs)
 	fmt.Printf("allocs:     %.1f per op\n", r.AllocsPerOp)
-	if r.Transport == "shm" {
-		fmt.Printf("shm waits:  %.3f parks, %.3f doorbells, %.2f wasted yields per op\n",
-			r.ShmParksPerOp, r.ShmDoorbellsPerOp, r.ShmSpinYieldsPerOp)
-	}
 	if r.SLOTargetUs > 0 {
 		met := "MET"
 		if !r.SLOMet {

@@ -4,14 +4,14 @@
 // a HELLO (internal/memnode/frame.go); a peer that opens with anything
 // else is refused.
 //
-// -transport shm (or auto) additionally offers the shared-memory ring
-// transport to same-host clients: the HELLO response advertises a unix
-// socket, over which each client receives a memfd-backed segment of
-// rings and a data arena, moving page payloads with zero kernel
-// copies. Clients that stay on TCP (different host, older build, or
-// -transport tcp here) are unaffected — shm only ever widens the
-// choice. Requires Linux memfd; elsewhere "auto" degrades to TCP and
-// "shm" fails at startup.
+// -transport shm (or auto) additionally offers the file link to
+// same-host clients: every region is a sealed memfd, the HELLO response
+// advertises a unix socket over which a client attaches a region's file,
+// and its page reads and writes become preads and pwrites of the file
+// that this daemon never sees. Clients that stay on TCP (different host,
+// older build, or -transport tcp here) are unaffected — shm only ever
+// widens the choice. Requires Linux memfd; elsewhere "auto" degrades to
+// TCP and "shm" fails at startup.
 //
 // -nodes N spawns N independent nodes in one process, listening on
 // consecutive ports from -listen (or ephemeral ports when -listen ends
@@ -44,7 +44,7 @@ func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:7170", "listen address (with -nodes > 1: first of consecutive ports, or :0 for ephemeral)")
 		capacity  = flag.Int64("capacity-mb", 1024, "served memory capacity in MiB (per node)")
-		transport = flag.String("transport", "tcp", "data planes to offer: tcp, shm, or auto (shm = offer the shared-memory ring to same-host clients, requires Linux memfd; auto = offer it when the platform supports it)")
+		transport = flag.String("transport", "tcp", "data planes to offer: tcp, shm, or auto (shm = offer the file link to same-host clients, requires Linux memfd; auto = offer it when the platform supports it)")
 		nodes     = flag.Int("nodes", 1, "independent nodes to run in this process (a local shard set for the cluster client)")
 	)
 	flag.Parse()
@@ -73,7 +73,7 @@ func main() {
 		// bench/ and `make shm-shared-cpu` read the address out of this
 		// line: it is followed by a space and a parenthesis.
 		if srv.ShmAddr() != "" {
-			log.Printf("memnode: serving %d MiB on %s (tcp, shm doorbell %s)", *capacity, srv.Addr(), srv.ShmAddr())
+			log.Printf("memnode: serving %d MiB on %s (tcp, shm attach %s)", *capacity, srv.Addr(), srv.ShmAddr())
 		} else {
 			log.Printf("memnode: serving %d MiB on %s (tcp)", *capacity, srv.Addr())
 		}
@@ -91,8 +91,8 @@ func main() {
 }
 
 // serverOptions maps -transport to the servers' options, given whether
-// the platform has the shared-memory ring: tcp offers TCP alone, shm
-// requires the ring, and auto offers it where the platform has it.
+// the platform has the file link: tcp offers TCP alone, shm requires the
+// file link, and auto offers it where the platform has it.
 func serverOptions(transport string, shmSupported bool) (memnode.ServerOptions, error) {
 	switch transport {
 	case "tcp":

@@ -3,7 +3,7 @@ package main
 import "testing"
 
 // TestServerOptions maps every -transport value, on a platform with the
-// shared-memory ring and on one without: auto degrades to TCP where shm
+// file link and on one without: auto degrades to TCP where shm
 // fails, and a bad value fails.
 func TestServerOptions(t *testing.T) {
 	for _, tc := range []struct {

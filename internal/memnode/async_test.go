@@ -12,9 +12,10 @@ import (
 
 // withheld is a client with a negotiated link to a server that takes
 // requests and answers none, over TCP (a fake that swallows them) or the
-// shm ring (a real server whose region table the test holds locked, so
-// that its ring consumer stops inside the first request). release lets
-// the server go; it is safe to call once the client is closed.
+// file link (a real server whose region table the test holds locked, so
+// that its frame loop stops inside the first request; the ops address a
+// region no file was attached for). release lets the server go; it is
+// safe to call once the client is closed.
 func withheld(t *testing.T, shm bool, opts Options) (c *Client, release func()) {
 	t.Helper()
 	var srv *Server
@@ -164,7 +165,7 @@ func TestAsyncOpsSpawnNothing(t *testing.T) {
 
 // TestAsyncOpsSurviveRestart: the connection dies under futures and
 // started READVs that are all still in flight, and the node comes back
-// on the same address without its regions (and without the ring it
+// on the same address without its regions (and without the file link it
 // offered before). Every op completes all the same — reconnect, REGISTER
 // replay, the remaining attempts run by the waiters of the futures and
 // by a goroutine each for the hooked ones — and the recovery shows in
@@ -183,10 +184,6 @@ func TestAsyncOpsSurviveRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The writes' waiters park, as nobody waits on a future: a polling
-		// waiter would drain what the dying server still completes into the
-		// mapping after its socket has closed.
-		c.shmParkOnly.Store(true)
 		id, err := c.Register(4 << 20)
 		if err != nil {
 			t.Fatal(err)
@@ -194,6 +191,9 @@ func TestAsyncOpsSurviveRestart(t *testing.T) {
 		kind := c.TransportKind()
 		if want := map[bool]string{false: "tcp-v2", true: "shm"}[shm]; kind != want {
 			t.Fatalf("TransportKind = %q, want %q", kind, want)
+		}
+		if shm {
+			detach(t, c, id) // an attached region's ops never wait for the server
 		}
 
 		// With the region table locked the server stops inside the first
@@ -219,9 +219,6 @@ func TestAsyncOpsSurviveRestart(t *testing.T) {
 		}
 		for conn := range srv.conns {
 			conn.Close()
-		}
-		for h := range srv.shmConns {
-			h.conn.Close()
 		}
 		srv.mu.Unlock()
 		<-closed
@@ -270,11 +267,10 @@ func TestAsyncOpsSurviveRestart(t *testing.T) {
 }
 
 // TestStartedReadVTimesOut: nobody waits for a started READV, so nobody
-// ever parks on it, and parking is where the shm stream used to give a
-// call its deadline. A started call carries one from the start: against
-// a wedged shm server and against a TCP peer that swallows requests the
-// op fails within twice the IO timeout, and what it was lent is the
-// caller's again.
+// ever parks on it. A started call carries a deadline from the start:
+// against a wedged shm server and against a TCP peer that swallows
+// requests the op fails within twice the IO timeout, and what it was lent
+// is the caller's again.
 func TestStartedReadVTimesOut(t *testing.T) {
 	for _, shm := range []bool{false, true} {
 		if shm && !ShmSupported {

@@ -34,10 +34,12 @@ type Options struct {
 	// window queue at the client instead of on the wire.
 	Window int
 	// Transport selects the data plane. TransportAuto (the default)
-	// takes the shared-memory ring transport whenever the server
-	// advertises it and the platform supports it, falling back to TCP
-	// transparently; TransportTCP pins TCP; TransportShm requires shm
-	// and fails ops when it cannot be negotiated.
+	// takes the file link (DESIGN.md §13) whenever the server advertises
+	// it and the platform supports it: page verbs on a region whose file
+	// the client attached become preads and pwrites of that file, and
+	// everything else rides TCP, as do the page verbs of a region that
+	// cannot be attached. TransportTCP pins TCP; TransportShm requires the
+	// server to offer the file link and fails ops when it does not.
 	Transport int
 }
 
@@ -81,7 +83,7 @@ func (o *Options) fillDefaults() {
 	if o.Window <= 0 {
 		o.Window = d.Window
 	}
-	o.Window = min(o.Window, shmMaxWindow) // so that a call table always has a free slot
+	o.Window = min(o.Window, maxWindow) // so that a call table always has a free slot
 	if o.Transport != TransportTCP && o.Transport != TransportShm {
 		o.Transport = TransportAuto
 	}
@@ -99,23 +101,13 @@ type ClientStats struct {
 	RegionReplays uint64
 	// Timeouts counts stream failures caused by an expired deadline.
 	Timeouts uint64
-	// ShmConnects counts successful shared-memory transport
-	// negotiations (segment mapped, rings live).
+	// ShmConnects counts connections negotiated as the file link (the
+	// server offered it).
 	ShmConnects uint64
-	// ShmFallbacks counts connections that tried the shm transport and
-	// fell back to TCP (dial/handshake/validation failure).
+	// ShmFallbacks counts region attaches that failed (dial, refusal,
+	// or a file that is not a sealed region file of the right size),
+	// each leaving a region's page verbs on TCP.
 	ShmFallbacks uint64
-	// ShmParks, ShmDoorbells and ShmSpinYields show which regime the shm
-	// streams run in (DESIGN.md §13): waits that ended in a park on a
-	// call, on the doorbell socket or in a backpressure sleep; wake-up
-	// bytes written to the server's doorbell; and yields spent in waits
-	// that parked anyway. Polling against a server with a core of its
-	// own keeps all three near zero per op; against one that shares the
-	// client's CPU parks and doorbells run at one or two per op and
-	// wasted yields stay at a few per op (the probes).
-	ShmParks      uint64
-	ShmDoorbells  uint64
-	ShmSpinYields uint64
 
 	// Per-verb op/byte counters of successfully completed operations,
 	// counted at the public API (one ReadV is one ReadV op regardless of
@@ -231,7 +223,7 @@ type call struct {
 	// sent is the sending side's release, the other half of do()'s
 	// permission to recycle the struct: the TCP writer stores 1 once its
 	// writev has returned, after which it reads neither the struct nor
-	// the payload in desc again; for the shm stream, which submits on the
+	// the payload in desc again; for a verb the file link runs on the
 	// caller's goroutine, that goroutine stores it. A call failed while
 	// its writer may still be draining the old send queue never gets it,
 	// and the struct is left to the collector. Atomic for the same reason
@@ -239,30 +231,24 @@ type call struct {
 	sent uint32
 	// park carries the wake-up token of a registered waiter. Capacity
 	// one, made on the first park and kept for the life of the pooled
-	// struct (arm carries it across ops), so the parked path — the steady
-	// state of an shm stream whose peer shares its CPU — allocates
-	// nothing. A token is sent only when a waiter registered and that
-	// waiter always receives it, so none is ever left behind for the next
-	// op.
+	// struct (arm carries it across ops), so a waiter allocates nothing.
+	// A token is sent only when a waiter registered and that waiter
+	// always receives it, so none is ever left behind for the next op.
 	park chan struct{}
 	// desc is a batch's descriptor table and vec the payload vector that
 	// starts with it (and, for WRITEV, goes on with the pages), both built
 	// per attempt in storage that stays with the pooled struct like park
-	// does.
+	// does; so does iovs, the table as the file link parses it.
 	desc []byte
 	vec  net.Buffers
-
-	// Arena extent backing this call on the shm transport (unused on
-	// TCP streams).
-	extOff int64
-	extCap int64
+	iovs []iovec
 }
 
 // arm readies a pooled struct for one attempt of the op proto describes.
 func (ca *call) arm(proto *call, srvID uint64) {
-	park, desc, vec := ca.park, ca.desc, ca.vec
+	park, desc, vec, iovs := ca.park, ca.desc, ca.vec, ca.iovs
 	*ca = *proto
-	ca.park, ca.desc, ca.vec, ca.srvID = park, desc, vec, srvID
+	ca.park, ca.desc, ca.vec, ca.iovs, ca.srvID = park, desc, vec, iovs, srvID
 	switch {
 	case ca.dst != nil:
 		ca.desc = appendDescs(ca.desc, ca.offsets, ca.dst)
@@ -340,54 +326,44 @@ func (ca *call) retire() uint64 {
 	return srvID
 }
 
-// link is one negotiated connection generation, whatever its data
-// plane: the pipelined TCP stream or a shared-memory ring stream. The
-// retry/reconnect/replay stack in attempts() is transport-agnostic
-// above this interface.
-//
-// An op is started by its caller and completed by the link. start does
-// on the caller's goroutine everything short of waiting — TCP: the call
-// is entered in the call table and queued for the stream's writer; shm:
-// its extent is staged, the call entered, its submission published, the
-// doorbell rung — and from then on exactly one completion of the call
-// follows: from the link's completing side (the TCP reader, the shm
-// completer, a submitter draining the completion ring inline), from
-// fail, or from start itself when the link is dead or refuses the
-// request. None of them holds a lock of the link's while it completes a
-// call, because completing the attempt of a started READV runs its
-// caller's hook.
-type link interface {
-	start(ca *call)
-	// wait blocks until ca, started on this link, has completed, and
-	// returns its outcome.
-	wait(ca *call) ([]byte, error)
-	// alive reports whether the link has not been poisoned.
-	alive() bool
-	// fail poisons the link exactly once, failing all the calls it holds.
-	fail(err error)
-}
-
 // roundTrip runs one request on st and blocks until its response arrives or
 // the link dies: start, then wait.
-func roundTrip(st link, ca *call) ([]byte, error) {
+func roundTrip(st *stream, ca *call) ([]byte, error) {
 	st.start(ca)
 	return st.wait(ca)
 }
 
-// calls is all of a link but start and its completer, embedded by both
-// links: the table of the calls it holds from start to answer, its
-// poison and its deadline watchdog. A call is filed in slot
-// id & (len(slots)-1); the ID allocator skips a held slot, so no ID is
-// reused while its call is held, and the Window cap leaves every table
-// free slots.
+// Call tables are twice the window and some, rounded up to a power of
+// two, so that the ID allocator always finds a free slot.
+const (
+	minTable  = 64
+	maxTable  = 8192
+	maxWindow = maxTable/2 - 8 // the cap on Options.Window
+)
+
+// tableSize is the slot count of a link's call table for a window.
+func tableSize(window int) uint64 {
+	want := uint64(2 * (window + 8))
+	n := uint64(minTable)
+	for n < want && n < maxTable {
+		n <<= 1
+	}
+	return n
+}
+
+// calls is the table half of a link, embedded by the stream: the calls
+// it holds from start to answer, its poison and its deadline watchdog. A
+// call is filed in slot id & (len(slots)-1); the ID allocator skips a
+// held slot, so no ID is reused while its call is held, and the Window
+// cap leaves every table free slots.
 //
 // The watchdog looks every IOTimeout/2, or at the earliest deadline if
-// sooner, for a held call past its deadline (a zero one is a submitter
-// still polling, never late) and poisons the link with errOverdue:
-// closing its socket ends a writev, body read or park the peer left
-// hanging, so no socket carries a deadline past its handshake.
+// sooner, for a held call past its deadline (a zero one is never late)
+// and poisons the link with errOverdue: closing its socket ends a writev
+// or body read the peer left hanging, so no socket carries a deadline
+// past its handshake.
 type calls struct {
-	mu      sync.Mutex // the link's lock: the table, the poison, and the shm submission ring
+	mu      sync.Mutex // the link's lock: the table and the poison
 	slots   []*call
 	idSrc   uint64 // the last ID issued
 	landing *call  // the call whose body the TCP reader is landing: out of the table, still timed
@@ -400,7 +376,7 @@ type calls struct {
 var errOverdue = fmt.Errorf("memnode: request outlived its deadline: %w", os.ErrDeadlineExceeded)
 
 // open sizes the table for window and starts l's watchdog.
-func (t *calls) open(l link, window int, every time.Duration) {
+func (t *calls) open(l *stream, window int, every time.Duration) {
 	t.slots = make([]*call, tableSize(window))
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -408,7 +384,7 @@ func (t *calls) open(l link, window int, every time.Duration) {
 }
 
 // tick is one look of the watchdog.
-func (t *calls) tick(l link, every time.Duration) {
+func (t *calls) tick(l *stream, every time.Duration) {
 	now := wallNow()
 	late, earliest := t.overdue(now)
 	if late {
@@ -500,7 +476,7 @@ func (t *calls) alive() bool {
 	return t.err == nil
 }
 
-// failHeld is the end of either link's fail: a link that died of an
+// failHeld is the end of a link's fail: a link that died of an
 // expired deadline is counted, and every call it held completes with
 // the link's error.
 func (c *Client) failHeld(err error, held []*call) {
@@ -518,24 +494,38 @@ func (ca *call) fail(err error) {
 	ca.complete()
 }
 
-// stream is one live TCP connection generation: a writer goroutine
-// (draining sendq, one writev per batch of frames) and a reader
-// goroutine (matching response frames to the calls held by ID). Any IO
-// or protocol error poisons the whole stream: every call it holds fails
-// at once and the client re-dials lazily.
+// stream is one live connection generation, the link the retry,
+// reconnect and replay stack above it runs ops on: a writer goroutine
+// (draining sendq, one writev per batch of frames), a reader goroutine
+// (matching response frames to the calls held by ID) and, when the
+// server offered it, the file link's table of attached region files
+// (shm_client.go). Any IO or protocol error poisons the whole stream:
+// every call it holds fails at once, its files are dropped, and the
+// client re-dials lazily.
+//
+// An op is started by its caller and completed by the link. start does
+// on the caller's goroutine everything short of waiting — the call is
+// run on a region file, or entered in the call table and queued for the
+// writer — and from then on exactly one completion of the call follows:
+// from start itself (a file link's verb, or a link that is dead), the
+// reader, or fail. None of them holds a lock of the link's while it
+// completes a call, because completing the attempt of a started READV
+// runs its caller's hook.
 type stream struct {
 	calls
-	c    *Client
-	conn net.Conn
+	c     *Client
+	conn  net.Conn
+	files *fileLink // nil on a plain TCP stream
 
 	sendq chan *call
 	dead  chan struct{}
 }
 
-func newStream(c *Client, conn net.Conn) *stream {
+func newStream(c *Client, conn net.Conn, files *fileLink) *stream {
 	s := &stream{
 		c:     c,
 		conn:  conn,
+		files: files,
 		sendq: make(chan *call, c.opts.Window+8),
 		dead:  make(chan struct{}),
 	}
@@ -545,29 +535,36 @@ func newStream(c *Client, conn net.Conn) *stream {
 	return s
 }
 
-// fail poisons the stream exactly once: the connection is closed, and
-// every call it holds completes with err. Later submissions are refused
-// at the table.
+// fail poisons the stream exactly once: its files are dropped, the
+// connection is closed, and every call it holds completes with err.
+// Later submissions are refused at the table.
 func (s *stream) fail(err error) {
 	held, first := s.poison(err)
 	if !first {
 		return
+	}
+	if s.files != nil {
+		s.files.close()
 	}
 	close(s.dead)
 	_ = s.conn.Close() // the stream is already poisoned; nothing to salvage
 	s.c.failHeld(err, held)
 }
 
-// start enters ca in the call table and queues it for the writer. Safe
-// for any number of concurrent callers; that concurrency is exactly the
+// start runs ca on a region file when the file link has its region, or
+// enters it in the call table and queues it for the writer. Safe for any
+// number of concurrent callers; that concurrency is exactly the
 // pipeline. The writer goroutine, not the caller, does the send: two
 // callers that start back to back go out in one writev (see writeLoop).
 func (s *stream) start(ca *call) {
 	ca.body, ca.err = nil, nil
+	ca.resetGate()
+	if s.files != nil && s.runFile(ca) {
+		return
+	}
 	if ca.deadline.IsZero() {
 		ca.deadline = s.c.deadline()
 	}
-	ca.resetGate()
 	s.mu.Lock()
 	err := s.enterLocked(ca)
 	s.mu.Unlock()
@@ -761,7 +758,7 @@ type Client struct {
 	// network IO, so Close and Metrics stay live behind a stalled op.
 	mu      sync.Mutex
 	cond    *sync.Cond
-	cur     link
+	cur     *stream
 	raw     net.Conn // eagerly dialed, negotiation deferred to first op
 	dialing bool
 
@@ -780,11 +777,6 @@ type Client struct {
 	timeouts      atomic.Uint64
 	shmConnects   atomic.Uint64
 	shmFallbacks  atomic.Uint64
-	shmWaits      shmWaitStats // summed over this client's shm streams
-
-	// shmParkOnly is a test hook: it holds every yield budget of the
-	// shm streams dialed after it is set at zero, so each wait parks.
-	shmParkOnly atomic.Bool
 
 	// verbOps/verbBytes index by wire verb (opRead..opProbe) and count
 	// completed public-API ops and their payload bytes.
@@ -865,9 +857,6 @@ func (c *Client) Metrics() ClientStats {
 		Timeouts:      c.timeouts.Load(),
 		ShmConnects:   c.shmConnects.Load(),
 		ShmFallbacks:  c.shmFallbacks.Load(),
-		ShmParks:      c.shmWaits.parks.Load(),
-		ShmDoorbells:  c.shmWaits.doorbells.Load(),
-		ShmSpinYields: c.shmWaits.spinYields.Load(),
 		Read:          c.verbStats(opRead),
 		Write:         c.verbStats(opWrite),
 		ReadV:         c.verbStats(opReadV),
@@ -877,18 +866,18 @@ func (c *Client) Metrics() ClientStats {
 }
 
 // TransportKind reports the data plane of the current connection
-// generation: "shm", "tcp-v2" (the pipelined frames, wire version 2), or
-// "none" when no connection has been negotiated yet.
+// generation: "shm" (the file link), "tcp-v2" (the pipelined frames,
+// wire version 2), or "none" when no connection has been negotiated yet.
 func (c *Client) TransportKind() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch c.cur.(type) {
-	case *shmStream:
+	switch {
+	case c.cur == nil:
+		return "none"
+	case c.cur.files != nil:
 		return "shm"
-	case *stream:
-		return "tcp-v2"
 	}
-	return "none"
+	return "tcp-v2"
 }
 
 func (c *Client) isClosed() bool {
@@ -940,7 +929,7 @@ func (c *Client) backoff(attempt int) time.Duration {
 // liveLink returns the current link when an op can start on it right
 // now, and nil when that would take a dial first (or the client is
 // closed).
-func (c *Client) liveLink() link {
+func (c *Client) liveLink() *stream {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.isClosed() || c.cur == nil || !c.cur.alive() {
@@ -954,7 +943,7 @@ func (c *Client) liveLink() link {
 // dials at a time; the rest wait on the condition variable, so an
 // outage costs one connection attempt per backoff interval, not one
 // per blocked op.
-func (c *Client) getStream() (link, error) {
+func (c *Client) getStream() (*stream, error) {
 	c.mu.Lock()
 	for {
 		if c.isClosed() {
@@ -984,7 +973,7 @@ func (c *Client) getStream() (link, error) {
 			}
 			fresh = err == nil
 		}
-		var st link
+		var st *stream
 		if err == nil {
 			st, err = c.negotiate(conn) // closes conn on error
 		}
@@ -1014,19 +1003,24 @@ func (c *Client) getStream() (link, error) {
 	}
 }
 
-// negotiate opens a fresh connection with the HELLO exchange and moves
-// to the shared-memory transport when the server's response advertises
-// it and Options.Transport allows. On an error the connection is closed;
-// the caller's retry loop re-dials unless the error is terminal.
-func (c *Client) negotiate(conn net.Conn) (link, error) {
+// negotiate opens a fresh connection with the HELLO exchange and makes
+// it the file link, with every region this client registered attached,
+// when the server's response advertises it and Options.Transport
+// allows. On an error the connection is closed; the caller's retry loop
+// re-dials unless the error is terminal.
+func (c *Client) negotiate(conn net.Conn) (*stream, error) {
 	st, err := c.hello(conn)
-	if _, keep := st.(*stream); !keep {
-		_ = conn.Close() // it failed, or the shm rings replace it; the error returned is the one that matters
+	if err != nil {
+		_ = conn.Close() // the error returned is the one that matters
+		return nil, err
 	}
-	return st, err
+	if st.files != nil {
+		c.attachAll(st)
+	}
+	return st, nil
 }
 
-func (c *Client) hello(conn net.Conn) (link, error) {
+func (c *Client) hello(conn net.Conn) (*stream, error) {
 	if err := conn.SetDeadline(c.deadline()); err != nil {
 		return nil, err
 	}
@@ -1062,26 +1056,20 @@ func (c *Client) hello(conn net.Conn) (link, error) {
 	// The link's watchdog times calls from here; a failed clear surfaces
 	// as a spurious timeout the retry path absorbs.
 	_ = conn.SetDeadline(time.Time{})
+	var files *fileLink
 	if c.opts.Transport != TransportTCP {
 		ext := parseHelloExt(body)
 		switch {
 		case ext.shm && ShmSupported:
-			st, err := c.dialShm(ext)
-			if err == nil {
-				c.shmConnects.Add(1)
-				return st, nil
-			}
-			c.shmFallbacks.Add(1)
-			if c.opts.Transport == TransportShm {
-				return nil, fmt.Errorf("memnode: shm transport required: %w", err)
-			}
+			files = &fileLink{ext: ext}
+			c.shmConnects.Add(1)
 		case c.opts.Transport == TransportShm && !ShmSupported:
 			return nil, errShmUnsupported
 		case c.opts.Transport == TransportShm:
 			return nil, errors.New("memnode: shm transport required: server does not offer it")
 		}
 	}
-	return newStream(c, conn), nil
+	return newStream(c, conn, files), nil
 }
 
 // translate maps a caller's stable handle to the server's current
@@ -1108,7 +1096,7 @@ func (c *Client) canReplay(handle uint64) bool {
 // fault back in from the new (zeroed) backing. regMu serializes
 // replays so a storm of concurrent region-lost ops registers the
 // region once, not once per op.
-func (c *Client) replayRegion(st link, handle, usedSrvID uint64) error {
+func (c *Client) replayRegion(st *stream, handle, usedSrvID uint64) error {
 	c.regMu.Lock()
 	defer c.regMu.Unlock()
 	reg, ok := c.regions[handle]
@@ -1128,6 +1116,7 @@ func (c *Client) replayRegion(st link, handle, usedSrvID uint64) error {
 	}
 	reg.srvID = id
 	c.regionReplays.Add(1)
+	c.attach(st, id, reg.size)
 	return nil
 }
 
@@ -1203,14 +1192,17 @@ func (c *Client) attempts(proto *call, attempt int, lastErr error) ([]byte, erro
 		// the previous attempt's struct must never be mutated again. It
 		// goes back to the pool only once both sides of the stream have
 		// let go of it (see retire).
-		// The links own the deadline their watchdog reads: TCP streams stamp
-		// it at start, the shm stream lazily, on its doorbell, stall and
-		// park slow paths only — the inline-completing hot path never reads
-		// the wall clock.
+		// The link owns the deadline its watchdog reads: it stamps it when
+		// the call goes on the wire, and a verb run on a region file, which
+		// completes inside start, never reads the wall clock.
+		srvID := c.translate(proto.handle)
+		if st.files != nil && pageVerb(proto.op) && !st.files.tried(srvID) {
+			c.attach(st, srvID, 0) // a region this client did not register
+		}
 		att := callPool.Get().(*call)
-		att.arm(proto, c.translate(proto.handle))
+		att.arm(proto, srvID)
 		body, err := roundTrip(st, att)
-		srvID := att.retire()
+		srvID = att.retire()
 		if err == nil {
 			return body, nil
 		}
@@ -1227,7 +1219,7 @@ func (c *Client) attempts(proto *call, attempt int, lastErr error) ([]byte, erro
 // a connection that stays healthy. Otherwise another attempt follows,
 // of which the error returned is the cause; a region the server lost is
 // replayed first, which is a round trip on st.
-func (c *Client) failed(st link, proto *call, srvID uint64, err error) (final bool, _ error) {
+func (c *Client) failed(st *stream, proto *call, srvID uint64, err error) (final bool, _ error) {
 	var se *serverError
 	if errors.As(err, &se) {
 		return true, se
@@ -1278,6 +1270,8 @@ var callPool = sync.Pool{New: func() any { return new(call) }}
 // handle for it: the region ID the server issued. The handle survives
 // server restarts — ops that hit a restarted server transparently
 // re-register the region (at its original size, zero-filled) and retry.
+// On the file link the region's file is attached before Register
+// returns.
 func (c *Client) Register(size int64) (uint64, error) {
 	body, err := c.do(&call{op: opRegister, length: size})
 	if err != nil {
@@ -1288,8 +1282,9 @@ func (c *Client) Register(size int64) (uint64, error) {
 		return 0, err
 	}
 	c.regMu.Lock()
-	defer c.regMu.Unlock()
 	c.regions[id] = &region{size: size, srvID: id}
+	c.regMu.Unlock()
+	c.attach(c.liveLink(), id, size)
 	return id, nil
 }
 
@@ -1298,8 +1293,9 @@ func (c *Client) Register(size int64) (uint64, error) {
 // The op rides the normal robustness stack; against a server that
 // restarted and lost the region, the lazy REGISTER replay briefly
 // recreates it (zero-filled) and the retry then removes it, so both
-// paths converge on "gone". The handle record is dropped only on
-// success — a failed unregister leaves the region usable.
+// paths converge on "gone". The handle record, and the region's file on
+// the file link, are dropped only on success — a failed unregister
+// leaves the region usable.
 func (c *Client) Unregister(handle uint64) error {
 	if !c.canReplay(handle) {
 		return refusef("unknown region handle %d", handle)
@@ -1307,9 +1303,13 @@ func (c *Client) Unregister(handle uint64) error {
 	if _, err := c.do(&call{op: opUnregister, handle: handle}); err != nil {
 		return err
 	}
+	srvID := c.translate(handle)
 	c.regMu.Lock()
 	delete(c.regions, handle)
 	c.regMu.Unlock()
+	if st := c.liveLink(); st != nil && st.files != nil {
+		st.files.remove(srvID, nil)
+	}
 	return nil
 }
 
@@ -1351,12 +1351,11 @@ func (ca *call) check() error {
 // link completes it, and no goroutine stands between the two. What
 // happens at the completion depends on who is watching.
 //
-// ReadAsync returns the future and nobody watches: the
-// completion leaves the outcome on the attempt and lets go of its window
-// slot, and Wait is what ends the op — it waits out the attempt (on the
-// shm ring by draining completions itself, like a synchronous op), and
-// if the attempt failed of something a retry can cure it runs the rest
-// of the retry loop itself. An op nobody waits for therefore gets one
+// ReadAsync returns the future and nobody watches: the completion leaves
+// the outcome on the attempt and lets go of its window slot, and Wait is
+// what ends the op — it waits out the attempt (which the file link
+// completed before ReadAsync returned), and if the attempt failed of
+// something a retry can cure it runs the rest of the retry loop itself. An op nobody waits for therefore gets one
 // attempt. Wait may be called any number of times, from any number of
 // goroutines: one of them drives the op, the others wait for it.
 //
@@ -1376,7 +1375,7 @@ type Pending struct {
 
 	// The first attempt and the link it went out on, set before it starts
 	// and the driver's from then on.
-	st  link
+	st  *stream
 	att *call
 
 	mu       sync.Mutex
@@ -1573,13 +1572,12 @@ func (c *Client) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
 // StartReadVInto is ReadVInto started, not run: the batch goes on the
 // wire from the caller's goroutine and done is called, once, with the
 // outcome ReadVInto would have returned. offsets and dst are lent until
-// then. done runs on whichever goroutine ends the op — a completer of
-// the link, another op's waiter that drained the completion ring, the
-// goroutine that closed the client or poisoned the link, or this one,
-// before StartReadVInto returns, when the request is refused on the
-// spot — so it must not block, must not start or wait for an op of this
-// client, and must take no lock that is held around a call into the
-// client.
+// then. done runs on whichever goroutine ends the op — the link's
+// reader, the goroutine that closed the client or poisoned the link, or
+// this one, before StartReadVInto returns, when the file link ran the
+// batch or the request is refused on the spot — so it must not block,
+// must not start or wait for an op of this client, and must take no lock
+// that is held around a call into the client.
 func (c *Client) StartReadVInto(handle uint64, offsets []int64, dst [][]byte, done func(error)) {
 	p := &Pending{c: c, hook: done}
 	if err := p.proto.readv(handle, offsets, dst); err != nil {

@@ -53,12 +53,8 @@ type verbState struct {
 // verbRow is one request and what both framings must make of it.
 type verbRow struct {
 	name string
-	// call builds the request as link.exec takes it. A row with sqe
-	// instead runs on the ring alone: a hand-built submission, and the
-	// payload staged at the head of its extent — the only way to an
-	// extent smaller than the ones the client's arena hands out.
+	// call builds the request as the link's start takes it.
 	call func(vs *verbState) *call
-	sqe  func(vs *verbState) (sqEntry, []byte)
 	want verbClass
 	// delta is zero for every refusal: a refused request has no effect.
 	delta statDelta
@@ -203,10 +199,6 @@ func verbRows() []verbRow {
 			call: func(*verbState) *call { return &call{op: opRegister, length: confCap + 1} }},
 		{name: "register of more than what is left", want: verbTerminal,
 			call: func(*verbState) *call { return &call{op: opRegister, length: confCap - confSize + 1} }},
-		{name: "register into an extent too small for the id", want: verbTerminal,
-			sqe: func(*verbState) (sqEntry, []byte) {
-				return sqEntry{op: opRegister, id: 1, length: 1 << 20, extCap: 4}, nil
-			}},
 		{name: "register", want: verbOK, delta: statDelta{regions: 1, used: 1 << 20},
 			call: func(*verbState) *call { return &call{op: opRegister, length: 1 << 20} }},
 		{name: "unregister", want: verbOK, delta: statDelta{regions: -1, used: -(1 << 20)},
@@ -218,60 +210,14 @@ func verbRows() []verbRow {
 		{name: "stat", want: verbOK, call: func(*verbState) *call { return &call{op: opStat} }},
 		{name: "stats", want: verbOK, call: func(*verbState) *call { return &call{op: opProbe} }},
 		{name: "unknown opcode", want: verbTerminal, call: func(*verbState) *call { return &call{op: 0xEE} }},
-
-		// What only a ring can be asked: a reply the extent has no room
-		// for, a payload the extent does not hold.
-		{name: "read into an extent too small for the page", want: verbTerminal,
-			sqe: func(vs *verbState) (sqEntry, []byte) {
-				return sqEntry{op: opRead, id: 1, regionID: vs.region, length: 4096, extCap: 64}, nil
-			}},
-		{name: "readv into an extent that holds the table and not the pages", want: verbTerminal,
-			sqe: func(vs *verbState) (sqEntry, []byte) {
-				return sqEntry{op: opReadV, id: 1, regionID: vs.region, length: int64(len(two)), extCap: 64}, two
-			}},
-		{name: "write of more than its extent", want: verbTerminal,
-			sqe: func(vs *verbState) (sqEntry, []byte) {
-				return sqEntry{op: opWrite, id: 1, regionID: vs.region, length: 4096, extCap: 64}, stamp(64, 0xC1)
-			}},
-		{name: "writev of more than its extent", want: verbTerminal,
-			sqe: func(vs *verbState) (sqEntry, []byte) {
-				return sqEntry{op: opWriteV, id: 1, regionID: vs.region, length: 24 + 4096, extCap: 64}, descs(0, 4096)
-			}},
-		{name: "stat into an extent too small for the counters", want: verbTerminal,
-			sqe: func(*verbState) (sqEntry, []byte) { return sqEntry{op: opStat, id: 1, extCap: 8}, nil }},
 	}
 }
 
-// ringExec puts one hand-built submission to srv through the ring framing
-// on an in-memory segment, as FuzzRingDemux's server driver does.
-func ringExec(t *testing.T, srv *Server, e sqEntry, payload []byte) verbClass {
-	t.Helper()
-	h := fakeShmConn(srv, 64<<10)
-	copy(h.arena[e.extOff:e.extOff+e.extCap], payload)
-	encodeSQE(h.sq.slot(0), e)
-	*h.sq.peer = 1
-	if n, err := h.process(); n != 1 || err != nil {
-		t.Fatalf("process: %d submissions, %v", n, err)
-	}
-	cqe := decodeCQE(h.cq.slot(0))
-	if cqe.id != e.id || cqe.length < 0 || cqe.length > int64(e.extCap) {
-		t.Fatalf("completion %+v for submission %+v", cqe, e)
-	}
-	switch cqe.status {
-	case statusOK:
-		return verbOK
-	case statusErrRegion:
-		return verbLost
-	}
-	return verbTerminal
-}
-
-// runVerbRows puts every row to srv through c's link, and after each
-// checks the four things a framing could get wrong: the kind of outcome,
-// the bytes that came back, what the server counted, and what the region
-// holds — read back whole over the same stream, which shows that it
-// still serves.
-func runVerbRows(t *testing.T, srv *Server, c *Client, kind string) {
+// runVerbRows puts every row through c's link, and after each checks the
+// four things a path could get wrong: the kind of outcome, the bytes
+// that came back, what the server counted, and what the region holds —
+// read back whole over the same link, which shows that it still serves.
+func runVerbRows(t *testing.T, c *Client, kind string) {
 	vs := &verbState{shadow: make([]byte, confSize)}
 	rand.New(rand.NewSource(17)).Read(vs.shadow)
 	var err error
@@ -294,32 +240,24 @@ func runVerbRows(t *testing.T, srv *Server, c *Client, kind string) {
 		return roundTrip(st, ca)
 	}
 	for _, row := range verbRows() {
-		if row.sqe != nil && kind != "shm" {
-			continue
-		}
 		before, err := c.Stat()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got verbClass
-		if row.sqe != nil {
-			e, payload := row.sqe(vs)
-			got = ringExec(t, srv, e, payload)
-		} else {
-			proto := row.call(vs)
-			body, err := exec(proto)
-			switch {
-			case err == nil:
-				got = verbOK
-				checkReply(t, row.name, vs, proto, body)
-				PutBuf(body)
-			case IsTerminal(err):
-				got = verbTerminal
-			case errors.Is(err, errRegionLost):
-				got = verbLost
-			default:
-				t.Fatalf("%s: the link failed: %v", row.name, err)
-			}
+		proto := row.call(vs)
+		body, err := exec(proto)
+		switch {
+		case err == nil:
+			got = verbOK
+			checkReply(t, row.name, vs, proto, body)
+			PutBuf(body)
+		case IsTerminal(err):
+			got = verbTerminal
+		case errors.Is(err, errRegionLost):
+			got = verbLost
+		default:
+			t.Fatalf("%s: the link failed: %v", row.name, err)
 		}
 		after, err := c.Stat()
 		if err != nil {
@@ -372,16 +310,18 @@ func checkReply(t *testing.T, name string, vs *verbState, proto *call, body []by
 }
 
 // TestVerbConformance runs one table of requests — each verb, valid and
-// in every way refusable — over both framings of Server.exec, through
-// the client link that speaks each.
+// in every way refusable — over TCP, where Server.exec runs every row,
+// and over the file link, where the page verbs on the registered region
+// are preads and pwrites behind exec's own checks and the rest still
+// reach exec: both must read the same.
 func TestVerbConformance(t *testing.T) {
 	t.Run("tcp", func(t *testing.T) {
-		srv, c := newPair(t, confCap)
-		runVerbRows(t, srv, c, "tcp-v2")
+		_, c := newPair(t, confCap)
+		runVerbRows(t, c, "tcp-v2")
 	})
 	t.Run("shm", func(t *testing.T) {
-		srv, c := newShmPair(t, confCap)
-		runVerbRows(t, srv, c, "shm")
+		_, c := newShmPair(t, confCap)
+		runVerbRows(t, c, "shm")
 	})
 }
 

@@ -131,9 +131,9 @@ func batchTableLen(payload []byte) int {
 }
 
 // parseIovecs decodes and bounds-checks a batch descriptor table, the
-// bytes batchTableLen cut. It returns the descriptors and the total data
-// bytes they cover.
-func parseIovecs(table []byte) (iovs []iovec, total int64, err error) {
+// bytes batchTableLen cut. It returns the descriptors, in iovs' storage
+// when that holds them, and the total data bytes they cover.
+func parseIovecs(table []byte, iovs []iovec) (_ []iovec, total int64, err error) {
 	if len(table) < 8 {
 		return nil, 0, fmt.Errorf("batch: truncated count (have %d bytes)", len(table))
 	}
@@ -141,12 +141,15 @@ func parseIovecs(table []byte) (iovs []iovec, total int64, err error) {
 	if n == 0 || n > MaxBatchPages {
 		return nil, 0, fmt.Errorf("batch: bad page count %d (max %d)", n, MaxBatchPages)
 	}
-	// Subtracted form, as in batchTableLen. A longer table is one whose
-	// count changed under a ring's cut; its tail is ignored.
+	// Subtracted form, as in batchTableLen; a longer table's tail is
+	// ignored.
 	if int(n) > (len(table)-8)/16 {
 		return nil, 0, fmt.Errorf("batch: truncated descriptors (%d pages, %d bytes)", n, len(table))
 	}
-	iovs = make([]iovec, n)
+	if cap(iovs) < int(n) {
+		iovs = make([]iovec, n)
+	}
+	iovs = iovs[:n]
 	for i := range iovs {
 		iovs[i].off = int64(binary.LittleEndian.Uint64(table[8+16*i:]))
 		iovs[i].length = int64(binary.LittleEndian.Uint64(table[16+16*i:]))
@@ -162,17 +165,21 @@ func parseIovecs(table []byte) (iovs []iovec, total int64, err error) {
 }
 
 // bufPool recycles payload buffers on both sides of the wire: the
-// server's per-request read and response buffers, and the client's
-// response bodies. Buffers are pooled as *[]byte to keep the slice
-// header off the heap.
-var bufPool = sync.Pool{}
+// server's request payloads, and the client's response bodies. A buffer
+// is pooled in a box, a *[]byte, since a slice put in a sync.Pool as it
+// is would cost an allocation per Put; boxPool keeps the empty boxes, so
+// that neither getBuf nor PutBuf allocates once both pools are warm.
+var bufPool, boxPool sync.Pool
 
 // getBuf returns a length-n buffer backed by the pool when a pooled
 // buffer is large enough, allocating (with power-of-two rounding, 4 KiB
 // minimum) otherwise. Contents are unspecified.
 func getBuf(n int) []byte {
 	if v := bufPool.Get(); v != nil {
-		b := *(v.(*[]byte))
+		box := v.(*[]byte)
+		b := *box
+		*box = nil
+		boxPool.Put(box)
 		if cap(b) >= n {
 			return b[:n]
 		}
@@ -190,21 +197,13 @@ func getBuf(n int) []byte {
 // caller) to the shared pool. Optional: unreturned buffers are simply
 // garbage-collected. After PutBuf the caller must not touch b again.
 func PutBuf(b []byte) {
-	if cap(b) == 0 {
+	if cap(b) == 0 || cap(b) > maxV2Payload {
 		return
 	}
-	// Arena-backed shm read bodies go home to their arena, not the pool
-	// (pooling a slice of a mapping that can be unmapped would be a
-	// use-after-unmap wired into every later getBuf).
-	if shmReleaseBuf(b) {
-		return
+	box, _ := boxPool.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
 	}
-	if cap(b) > maxV2Payload {
-		return
-	}
-	// Box a slice declared after the early returns: taking &b would make
-	// the parameter escape and cost every caller a heap allocation, even
-	// on the arena path above that never touches the pool.
-	s := b[:0]
-	bufPool.Put(&s)
+	*box = b[:0]
+	bufPool.Put(box)
 }

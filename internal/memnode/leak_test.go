@@ -1,10 +1,10 @@
 package memnode
 
 // Goroutine-lifecycle regression tests for the client teardown paths.
-// Every transport spins up background goroutines — the TCP v2 stream's
-// writer/reader pair, the shm stream's completer — and Close must reap
-// all of them, including after a mid-life transport fallback where the
-// client has owned more than one stream. These tests pin that contract
+// Every link spins up background goroutines — the stream's writer/reader
+// pair, on TCP and on the file link alike — and Close must reap all of
+// them, including after a mid-life transport fallback where the client
+// has owned more than one stream. These tests pin that contract
 // with runtime.NumGoroutine before/after repeated dial/close cycles,
 // using the same retry-settle idiom as TestServerChaos (stacks retire
 // asynchronously after Close returns).
@@ -77,9 +77,8 @@ func TestClientCloseReleasesGoroutinesTCP(t *testing.T) {
 	settleGoroutines(t, baseline)
 }
 
-// TestClientCloseReleasesGoroutinesShm: same contract on the shm data
-// plane, where Close must additionally reap the completion-demux
-// goroutine and unmap the segment.
+// TestClientCloseReleasesGoroutinesShm: same contract on the file link,
+// whose attaches start nothing that outlives them.
 func TestClientCloseReleasesGoroutinesShm(t *testing.T) {
 	if !ShmSupported {
 		t.Skip("shm transport unsupported on this platform")
@@ -126,7 +125,8 @@ func TestClientCloseReleasesGoroutinesFallback(t *testing.T) {
 	}
 
 	// Kill the shm server and restart tcp-only on the same port: the
-	// next op forces reconnect + fallback, retiring the shm stream.
+	// next op finds its region revoked, and forces reconnect + fallback,
+	// retiring the file link.
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

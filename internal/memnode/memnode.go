@@ -11,13 +11,16 @@
 // HugeTLB backing the paper uses to keep page-table walks cheap on the
 // memory node.
 //
-// The store and its verbs are written once: Server.exec runs a request
-// against the regions whichever framing carried it. A framing only
-// locates a request's bytes and encodes the reply — pipelined frames on
-// TCP (frame.go) or descriptors on a shared-memory ring (shm_server.go).
-// Like the NIC of a passive memory node, which runs each queue pair's
-// verbs in posting order, each framing serves a connection from one loop
-// on one goroutine (serveFrames, shmConn.loop), with no pool behind it.
+// The store and its verbs are written once. Server.exec runs a request
+// that pipelined frames carried over TCP (frame.go); like the NIC of a
+// passive memory node, which runs each queue pair's verbs in posting
+// order, the server runs a connection's frames from one loop on one
+// goroutine (serveFrames), with no pool behind it. On the same host a
+// server that offers shm is passive for page verbs, as the paper's node
+// is: each region is a sealed memfd, a client attaches it over a unix
+// socket (the fd is the rkey), and READ, WRITE, READV and WRITEV on an
+// attached region are a pread or pwrite per page on the caller's
+// goroutine, after exec's own checks (shm_client.go, shm_server.go).
 package memnode
 
 import (
@@ -78,13 +81,14 @@ const MaxIO = 8 << 20
 
 // ServerOptions selects the data planes a server offers besides TCP.
 type ServerOptions struct {
-	// EnableShm additionally serves the shared-memory ring transport
-	// (DESIGN.md §13): the HELLO response advertises a unix-domain
-	// socket where clients obtain a memfd-backed segment and move page
-	// data through shared rings instead of socket payloads. Requires
-	// platform support (Linux); NewServerOptions fails otherwise.
+	// EnableShm additionally offers same-host clients the file link
+	// (DESIGN.md §13): every region is backed by a sealed memfd, the
+	// HELLO response advertises a unix-domain socket where a client
+	// attaches a region's file, and the client's page verbs on it are
+	// preads and pwrites the server never sees. Requires platform
+	// support (Linux); NewServerOptions fails otherwise.
 	EnableShm bool
-	// ShmPath is the unix socket path for shm negotiation. Default:
+	// ShmPath is the unix socket path for attaching. Default:
 	// memnode-shm-<port>.sock in the temp directory. A stale socket
 	// file at the path is removed.
 	ShmPath string
@@ -97,9 +101,14 @@ type Server struct {
 	mu      sync.Mutex
 	regions map[uint64][][]byte // regionID -> chunks
 	sizes   map[uint64]int64
-	// regionFrees unmaps mmap-backed region chunks; run only after
-	// every handler has drained (Close, post-wg.Wait) so no IO can
-	// still alias a chunk.
+	// files holds the file a client may attach, of every region that has
+	// one (shm servers only); ctrs the counter page of every region file
+	// this server made, which STAT sums, unregistered ones included.
+	files map[uint64]hostFile
+	ctrs  []*counters
+	// regionFrees unmaps mmap-backed region chunks and closes region
+	// files; run only after every handler has drained (Close,
+	// post-wg.Wait) so no IO can still alias a chunk.
 	regionFrees []func()
 	nextID      uint64
 	capacity    int64
@@ -109,20 +118,14 @@ type Server struct {
 	// parked in ReadFull on idle clients.
 	conns map[net.Conn]struct{}
 
-	// Shm transport state (nil/zero unless ServerOptions.EnableShm).
+	// Attach socket state (nil/zero unless ServerOptions.EnableShm).
 	shmLn    *net.UnixListener
 	shmPath  string
 	shmToken uint64
-	shmConns map[*shmConn]struct{} // live shm connections; under mu
-	// shmParkOnly is a test hook: it holds the yield budget of every
-	// shm connection accepted after it is set at zero, so each wait parks.
-	shmParkOnly atomic.Bool
 
-	// Stats (atomic; served by STAT).
-	ReadOps    atomic.Uint64
-	WriteOps   atomic.Uint64
-	BytesRead  atomic.Uint64
-	BytesWrite atomic.Uint64
+	// ops counts the page verbs exec ran (STAT adds the region files'
+	// counter pages).
+	ops counters
 
 	// inflight counts requests currently executing across every
 	// transport; served by the STATS probe as the server's load signal.
@@ -161,7 +164,7 @@ func NewServerOptions(addr string, capacity int64, opts ServerOptions) (*Server,
 		nextID:   uint64(time.Now().UnixNano()), //magevet:ok restart-unique region-ID epoch on a real network daemon
 		capacity: capacity,
 		conns:    make(map[net.Conn]struct{}),
-		shmConns: make(map[*shmConn]struct{}),
+		files:    make(map[uint64]hostFile),
 	}
 	if opts.EnableShm {
 		if err := s.setupShm(); err != nil {
@@ -185,6 +188,11 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Live connections are closed so handlers parked mid-read return.
 func (s *Server) Close() error {
 	s.closed.Store(true)
+	s.mu.Lock()
+	for _, ctr := range s.ctrs {
+		ctr.revoke() // attached clients stop using the files before their TCP streams end
+	}
+	s.mu.Unlock()
 	err := s.ln.Close()
 	if s.shmLn != nil {
 		_ = s.shmLn.Close() // the TCP listener Close error above is the one worth returning
@@ -199,6 +207,7 @@ func (s *Server) Close() error {
 	frees := s.regionFrees
 	s.regionFrees = nil
 	s.regions = make(map[uint64][][]byte)
+	s.files, s.ctrs = make(map[uint64]hostFile), nil // the frees unmap the counter pages
 	s.mu.Unlock()
 	for _, free := range frees {
 		free()
@@ -279,7 +288,10 @@ func heapRegionChunks(nChunks int) [][]byte {
 	return chunks
 }
 
-// doRegister allocates a region and returns its ID as the reply body.
+// doRegister allocates a region and returns its ID as the reply body. A
+// server that offers shm backs the region with a sealed file a client
+// may attach (allocRegionFile), and with an anonymous mapping where it
+// cannot make one; any other server with the anonymous mapping.
 func (s *Server) doRegister(size int64) ([]byte, error) {
 	// Bounds-check before any allocation: size is attacker-controlled
 	// wire input.
@@ -296,7 +308,21 @@ func (s *Server) doRegister(size int64) ([]byte, error) {
 	id := s.nextID
 	s.nextID++
 	nChunks := int((size + ChunkBytes - 1) / ChunkBytes)
-	chunks, release := allocRegionChunks(nChunks)
+	var (
+		chunks  [][]byte
+		release func()
+		file    hostFile
+		err     error = errShmUnsupported
+	)
+	if s.shmLn != nil {
+		chunks, release, file, err = allocRegionFile(nChunks)
+	}
+	if err == nil {
+		s.files[id] = file
+		s.ctrs = append(s.ctrs, file.ctr)
+	} else {
+		chunks, release = allocRegionChunks(nChunks)
+	}
 	if release != nil {
 		s.regionFrees = append(s.regionFrees, release)
 	}
@@ -310,17 +336,23 @@ func (s *Server) doRegister(size int64) ([]byte, error) {
 	return resp, nil
 }
 
-// doUnregister forgets a region: the ID stops resolving and its bytes
-// return to the capacity pool. The backing chunks are deliberately NOT
+// doUnregister forgets a region: the ID stops resolving, a file link
+// that attached its file is told to stop using it, and its bytes return
+// to the capacity pool. The backing chunks are deliberately NOT
 // released here — zero-copy READ responses may still hold writev
-// segments aliasing them — so mmap-backed chunks stay mapped until
-// Close (regionFrees) and heap chunks are garbage-collected once the
-// last in-flight response drops its reference.
+// segments aliasing them — so mmap-backed chunks stay mapped, and a
+// region's file open, until Close (regionFrees), and heap chunks are
+// garbage-collected once the last in-flight response drops its
+// reference.
 func (s *Server) doUnregister(regionID uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.regions[regionID]; !ok {
 		return fmt.Errorf("%w %d", errUnknownRegion, regionID)
+	}
+	if f, ok := s.files[regionID]; ok {
+		f.ctr.revoke()
+		delete(s.files, regionID)
 	}
 	delete(s.regions, regionID)
 	s.used -= s.sizes[regionID]
@@ -328,60 +360,14 @@ func (s *Server) doUnregister(regionID uint64) error {
 	return nil
 }
 
-// regionAt validates and returns the chunk list for an IO.
-func (s *Server) regionAt(regionID uint64, offset, length int64) ([][]byte, error) {
-	if length <= 0 || length > MaxIO {
-		return nil, fmt.Errorf("bad length %d", length)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	chunks, ok := s.regions[regionID]
-	if !ok {
-		return nil, fmt.Errorf("%w %d", errUnknownRegion, regionID)
-	}
-	// offset > size-length rather than offset+length > size: the sum
-	// overflows int64 for offsets near MaxInt64 and would pass validation.
-	if size := s.sizes[regionID]; offset < 0 || length > size || offset > size-length {
-		return nil, fmt.Errorf("out of bounds off=%d len=%d in %d", offset, length, size)
-	}
-	return chunks, nil
-}
-
-// regionForBatch validates every descriptor of a batch against the
-// region under one lock acquisition. The batch either fully validates
-// or fails without side effects.
-func (s *Server) regionForBatch(regionID uint64, iovs []iovec) ([][]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	chunks, ok := s.regions[regionID]
-	if !ok {
-		return nil, fmt.Errorf("%w %d", errUnknownRegion, regionID)
-	}
-	size := s.sizes[regionID]
-	for i, v := range iovs {
-		// Overflow-safe form of v.off+v.length > size (see regionAt).
-		if v.off < 0 || v.length > size || v.off > size-v.length {
-			return nil, fmt.Errorf("batch desc %d out of bounds off=%d len=%d in %d", i, v.off, v.length, size)
-		}
-	}
-	return chunks, nil
-}
-
-func chunkedCopy(chunks [][]byte, offset int64, buf []byte, toRegion bool) {
+// chunkedWrite copies buf into the region at offset. The caller must
+// have validated the range.
+func chunkedWrite(chunks [][]byte, offset int64, buf []byte) {
 	for len(buf) > 0 {
-		ci := offset / ChunkBytes
-		co := offset % ChunkBytes
-		n := int64(len(buf))
-		if rem := ChunkBytes - co; n > rem {
-			n = rem
-		}
-		if toRegion {
-			copy(chunks[ci][co:co+n], buf[:n])
-		} else {
-			copy(buf[:n], chunks[ci][co:co+n])
-		}
+		ci, co := offset/ChunkBytes, offset%ChunkBytes
+		n := copy(chunks[ci][co:], buf)
 		buf = buf[n:]
-		offset += n
+		offset += int64(n)
 	}
 }
 
@@ -417,17 +403,46 @@ type Stats struct {
 	BytesWrite uint64
 }
 
+// counters is STAT's four page-verb counters, in the order of its
+// reply: read ops, write ops, bytes read, bytes written. The server
+// keeps one set for the verbs exec runs, and each region file one in its
+// counter page for the verbs file links run (shm_server.go).
+type counters struct {
+	revoked atomic.Uint32 // a region file's: set when its region is gone
+	_       [60]byte      // the client-written words on a cache line of their own
+	n       [4]atomic.Uint64
+}
+
+// tally counts a page verb that passed exec's checks as exec counts it:
+// one op per range it moved, and their bytes.
+func (c *counters) tally(op byte, ranges int, total int64) {
+	i := 1 // WRITE, WRITEV
+	if op == opRead || op == opReadV {
+		i = 0
+	}
+	c.n[i].Add(uint64(ranges))
+	c.n[i+2].Add(uint64(total))
+}
+
+func (c *counters) revoke()         { c.revoked.Store(1) }
+func (c *counters) isRevoked() bool { return c.revoked.Load() != 0 }
+
 func (s *Server) doStat() []byte {
 	s.mu.Lock()
 	regions, used := uint64(len(s.regions)), uint64(s.used)
+	var sum [4]uint64
+	for _, ctr := range append(s.ctrs, &s.ops) {
+		for i := range sum {
+			sum[i] += ctr.n[i].Load()
+		}
+	}
 	s.mu.Unlock()
 	buf := make([]byte, statRespLen)
 	binary.LittleEndian.PutUint64(buf[0:], regions)
 	binary.LittleEndian.PutUint64(buf[8:], used)
-	binary.LittleEndian.PutUint64(buf[16:], s.ReadOps.Load())
-	binary.LittleEndian.PutUint64(buf[24:], s.WriteOps.Load())
-	binary.LittleEndian.PutUint64(buf[32:], s.BytesRead.Load())
-	binary.LittleEndian.PutUint64(buf[40:], s.BytesWrite.Load())
+	for i, n := range sum {
+		binary.LittleEndian.PutUint64(buf[16+8*i:], n)
+	}
 	return buf
 }
 
@@ -456,68 +471,95 @@ func (s *Server) doProbe() []byte {
 	return buf
 }
 
-// request is one decoded verb, whichever framing carried it. The framing
-// fills in where it located the payload and how many bytes it can carry
-// back; exec checks both against what the header declares.
+// request is one decoded verb, however it came: a frame the server read,
+// or a call a file link runs on the caller's goroutine.
 type request struct {
 	op       byte
 	regionID uint64
 	offset   int64
 	length   int64  // READ: bytes wanted; REGISTER: region size; WRITE, READV, WRITEV: payload bytes
 	table    []byte // READV, WRITEV: the descriptor table, in memory the peer cannot write
-	data     []byte // WRITE, WRITEV: the payload past the table; may alias memory the peer can write
-	room     int64  // the largest reply the framing can carry
+	data     []byte // WRITE, WRITEV read off a frame: the payload past the table
+	dataLen  int64  // the bytes of payload past the table, wherever they are held
 }
 
 // carriesPayload reports whether op's requests are followed by payload
 // bytes, length of them.
 func carriesPayload(op byte) bool { return op == opWrite || op == opReadV || op == opWriteV }
 
-// cutPayload splits a located payload by verb: WRITE's is all data, a
-// batch verb's is its descriptor table and whatever follows it.
-func cutPayload(op byte, payload []byte) (table, data []byte) {
-	if op == opWrite {
-		return nil, payload
+// pageVerb reports whether op moves pages: the verbs a file link runs.
+func pageVerb(op byte) bool { return op == opRead || carriesPayload(op) }
+
+// setPayload locates a payload held whole: WRITE's is all data, a batch
+// verb's is its descriptor table and whatever follows it.
+func (req *request) setPayload(payload []byte) {
+	if req.op == opWrite {
+		req.data = payload
+	} else {
+		n := batchTableLen(payload)
+		req.table, req.data = payload[:n], payload[n:]
 	}
-	n := batchTableLen(payload)
-	return payload[:n], payload[n:]
+	req.dataLen = int64(len(req.data))
 }
 
-// fits refuses a reply of n bytes that the framing has no room for. exec
-// asks before it allocates, counts or moves anything.
-func (req *request) fits(n int64) error {
-	if n > req.room {
-		return fmt.Errorf("op %d: reply of %d bytes exceeds the %d the request left room for", req.op, n, req.room)
+// shape is the first half of exec's checks of a page verb, the ones that
+// need no region: the payload the header declares against the one the
+// request holds, a single page's length, and a batch's table, parsed into
+// iovs, against its data — WRITEV's is exactly what the descriptors
+// cover, READV has none. It returns the ranges' total bytes; a single
+// page's range is the request's own offset and length.
+func (req *request) shape(iovs []iovec) ([]iovec, int64, error) {
+	if held := int64(len(req.table)) + req.dataLen; carriesPayload(req.op) && req.length != held {
+		return nil, 0, fmt.Errorf("op %d: header declares %d payload bytes, the request holds %d", req.op, req.length, held)
 	}
-	return nil
-}
-
-// batch parses a batch verb's table and holds the rest of the payload to
-// it: WRITEV's data is exactly what the descriptors cover, READV has none.
-func (req *request) batch() (iovs []iovec, total int64, err error) {
-	iovs, total, err = parseIovecs(req.table)
+	if req.op == opRead || req.op == opWrite {
+		if req.length <= 0 || req.length > MaxIO {
+			return nil, 0, fmt.Errorf("bad length %d", req.length)
+		}
+		return iovs, req.length, nil
+	}
+	iovs, total, err := parseIovecs(req.table, iovs)
 	switch {
 	case err != nil:
-	case req.op == opWriteV && int64(len(req.data)) != total:
-		err = fmt.Errorf("writev: descriptors cover %d bytes, payload carries %d", total, len(req.data))
-	case req.op == opReadV && len(req.data) != 0:
-		err = fmt.Errorf("readv: %d trailing payload bytes", len(req.data))
+	case req.op == opWriteV && req.dataLen != total:
+		err = fmt.Errorf("writev: descriptors cover %d bytes, payload carries %d", total, req.dataLen)
+	case req.op == opReadV && req.dataLen != 0:
+		err = fmt.Errorf("readv: %d trailing payload bytes", req.dataLen)
 	}
 	return iovs, total, err
 }
 
+// inBounds is the second half, against the size of the verb's region:
+// every range, all of them before a byte moves, so that a batch applies
+// whole or not at all.
+func (req *request) inBounds(iovs []iovec, size int64) error {
+	// off > size-n rather than off+n > size: the sum overflows int64 for
+	// offsets near MaxInt64 and would pass validation.
+	if off, n := req.offset, req.length; req.op == opRead || req.op == opWrite {
+		if off < 0 || n > size || off > size-n {
+			return fmt.Errorf("out of bounds off=%d len=%d in %d", off, n, size)
+		}
+		return nil
+	}
+	for i, v := range iovs {
+		if v.off < 0 || v.length > size || v.off > size-v.length {
+			return fmt.Errorf("batch desc %d out of bounds off=%d len=%d in %d", i, v.off, v.length, size)
+		}
+	}
+	return nil
+}
+
 // reply is exec's answer: a status with a small body (a region ID, a
 // counter blob, an error message) or, for a READ or READV that passed
-// every check, a read plan — the ranges to move, which the framing
-// encodes its own way (appendSegs, copyTo).
+// every check, a read plan — the ranges to move, which serveFrames sends
+// as segments aliasing the region (appendSegs).
 type reply struct {
 	status byte
 	body   []byte
 	// The plan: total bytes (zero: no plan) of the region chunks holds,
 	// at read for a READ and at readv for a READV. read is a value — a
 	// slice of the reply's own array would point the reply at itself,
-	// which sends every reply to the heap, and the ring path allocates
-	// nothing per op.
+	// which sends every reply to the heap.
 	total  int64
 	chunks [][]byte
 	read   iovec
@@ -534,98 +576,36 @@ func (rp *reply) appendSegs(segs net.Buffers) net.Buffers {
 	return segs
 }
 
-// copyTo copies the plan's total bytes into dst, in order: the ring
-// framing's read, into the request's extent.
-func (rp *reply) copyTo(dst []byte) {
-	chunkedCopy(rp.chunks, rp.read.off, dst[:rp.read.length], false)
-	for _, v := range rp.readv {
-		chunkedCopy(rp.chunks, v.off, dst[:v.length], false)
-		dst = dst[v.length:]
-	}
-}
-
 // exec runs one request against the region store: the one
-// implementation of every verb, behind both framings. The checks and
-// their wording, batch atomicity (every descriptor validated before the
-// first byte moves), the op counters and the in-flight gauge are here and
-// nowhere else, and a request exec refuses has had no effect.
+// implementation of every verb the frames carry. Its checks of a page
+// verb are shape and inBounds, which a file link runs too, so that the
+// two refuse the same requests in the same words; batch atomicity
+// (every descriptor validated before the first byte moves), the op
+// counters and the in-flight gauge are here, and a request exec refuses
+// has had no effect.
 //
 // Concurrent requests touching overlapping byte ranges race exactly as
-// one-sided RDMA would — and so does a peer rewriting a ring payload
-// under its own WRITE: the server guarantees bounds and frame integrity,
-// not cross-request ordering. Callers that need ordering (the paging
-// systems do: one page has one owner at a time) must not issue
+// one-sided RDMA would: the server guarantees bounds and frame
+// integrity, not cross-request ordering. Callers that need ordering (the
+// paging systems do: one page has one owner at a time) must not issue
 // conflicting ops concurrently.
 func (s *Server) exec(req *request, rp *reply) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	var (
-		err    error
-		chunks [][]byte
-		iovs   []iovec
-		total  int64
-	)
-	if held := int64(len(req.table) + len(req.data)); carriesPayload(req.op) && req.length != held {
-		err = fmt.Errorf("op %d: header declares %d payload bytes, the request holds %d", req.op, req.length, held)
-	} else {
-		switch req.op {
-		case opRegister:
-			if err = req.fits(registerRespLen); err == nil {
-				rp.body, err = s.doRegister(req.length)
-			}
-		case opRead:
-			if chunks, err = s.regionAt(req.regionID, req.offset, req.length); err == nil {
-				err = req.fits(req.length)
-			}
-			if err == nil {
-				rp.total, rp.chunks, rp.read = req.length, chunks, iovec{req.offset, req.length}
-				s.ReadOps.Add(1)
-				s.BytesRead.Add(uint64(req.length))
-			}
-		case opWrite:
-			if chunks, err = s.regionAt(req.regionID, req.offset, req.length); err == nil {
-				chunkedCopy(chunks, req.offset, req.data, true)
-				s.WriteOps.Add(1)
-				s.BytesWrite.Add(uint64(req.length))
-			}
-		case opReadV:
-			if iovs, total, err = req.batch(); err == nil {
-				chunks, err = s.regionForBatch(req.regionID, iovs)
-			}
-			if err == nil {
-				err = req.fits(total)
-			}
-			if err == nil {
-				rp.total, rp.chunks, rp.readv = total, chunks, iovs
-				s.ReadOps.Add(uint64(len(iovs)))
-				s.BytesRead.Add(uint64(total))
-			}
-		case opWriteV:
-			if iovs, total, err = req.batch(); err == nil {
-				chunks, err = s.regionForBatch(req.regionID, iovs)
-			}
-			if err == nil {
-				data := req.data
-				for _, v := range iovs {
-					chunkedCopy(chunks, v.off, data[:v.length], true)
-					data = data[v.length:]
-				}
-				s.WriteOps.Add(uint64(len(iovs)))
-				s.BytesWrite.Add(uint64(total))
-			}
-		case opStat:
-			if err = req.fits(statRespLen); err == nil {
-				rp.body = s.doStat()
-			}
-		case opProbe:
-			if err = req.fits(probeRespLen); err == nil {
-				rp.body = s.doProbe()
-			}
-		case opUnregister:
-			err = s.doUnregister(req.regionID)
-		default:
-			err = fmt.Errorf("bad opcode %d", req.op)
-		}
+	var err error
+	switch req.op {
+	case opRead, opWrite, opReadV, opWriteV:
+		err = s.pages(req, rp)
+	case opRegister:
+		rp.body, err = s.doRegister(req.length)
+	case opStat:
+		rp.body = s.doStat()
+	case opProbe:
+		rp.body = s.doProbe()
+	case opUnregister:
+		err = s.doUnregister(req.regionID)
+	default:
+		err = fmt.Errorf("bad opcode %d", req.op)
 	}
 	if err != nil {
 		*rp = reply{status: statusErr, body: []byte(err.Error())}
@@ -633,6 +613,41 @@ func (s *Server) exec(req *request, rp *reply) {
 			rp.status = statusErrRegion
 		}
 	}
+}
+
+// pages is exec of a page verb: shape, the region, inBounds, and then
+// the write, or the read plan.
+func (s *Server) pages(req *request, rp *reply) error {
+	iovs, total, err := req.shape(nil)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	chunks, ok := s.regions[req.regionID]
+	size := s.sizes[req.regionID]
+	s.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("%w %d", errUnknownRegion, req.regionID)
+	}
+	if err := req.inBounds(iovs, size); err != nil {
+		return err
+	}
+	switch req.op {
+	case opRead:
+		rp.total, rp.chunks, rp.read = total, chunks, iovec{req.offset, req.length}
+	case opReadV:
+		rp.total, rp.chunks, rp.readv = total, chunks, iovs
+	case opWrite:
+		chunkedWrite(chunks, req.offset, req.data)
+	case opWriteV:
+		data := req.data
+		for _, v := range iovs {
+			chunkedWrite(chunks, v.off, data[:v.length])
+			data = data[v.length:]
+		}
+	}
+	s.ops.tally(req.op, max(len(iovs), 1), total)
+	return nil
 }
 
 // serveFrames runs the pipelined frames on one connection, on this one
@@ -674,7 +689,6 @@ func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader) {
 			regionID: binary.LittleEndian.Uint64(hdr[9:17]),
 			offset:   int64(binary.LittleEndian.Uint64(hdr[17:25])),
 			length:   int64(binary.LittleEndian.Uint64(hdr[25:33])),
-			room:     maxV2Payload,
 		}
 		// Ops that carry a payload declare its size in the length field.
 		// An absurd size is a framing violation we cannot skip past, so
@@ -695,7 +709,7 @@ func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader) {
 				PutBuf(payload)
 				return
 			}
-			req.table, req.data = cutPayload(req.op, payload)
+			req.setPayload(payload)
 		}
 		var rp reply
 		s.exec(&req, &rp)

@@ -283,7 +283,7 @@ func unregisterSuite(t *testing.T, c *Client) {
 	}
 }
 
-// TestUnregister runs the suite over TCP (TestShmUnregister: the ring).
+// TestUnregister runs the suite over TCP (TestShmUnregister: the file link).
 func TestUnregister(t *testing.T) {
 	t.Run("v2", func(t *testing.T) {
 		_, c := newPair(t, 8<<20)

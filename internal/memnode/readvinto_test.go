@@ -275,9 +275,9 @@ func TestReadVIntoShapes(t *testing.T) {
 // struct back to the pool — the writer's release and the reader's
 // completion both happen — so a batched read costs the client no call,
 // descriptor, vector or body allocation, whatever the batch size. The
-// in-process server's three (the frame, the box its payload goes back to
-// the pool in, the parsed descriptors) are in the count, and do not grow
-// with the batch either.
+// in-process server's one (the parsed descriptors; its payload buffer and
+// the box it goes back to the pool in are recycled) is in the count, and
+// does not grow with the batch either.
 func TestReadVIntoRecyclesCalls(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations swamp the count")
@@ -311,17 +311,17 @@ func TestReadVIntoRecyclesCalls(t *testing.T) {
 		})
 	}
 	small, large := perBatch(4), perBatch(64)
-	if small > 3.5 || large > small+0.5 {
-		t.Errorf("ReadVInto costs %.1f allocations for 4 pages and %.1f for 64; want the server's 3 for both", small, large)
+	if small > 1.5 || large > small+0.5 {
+		t.Errorf("ReadVInto costs %.1f allocations for 4 pages and %.1f for 64; want the server's 1 for both", small, large)
 	}
 }
 
 // TestWriteVRecyclesCalls: the evictor's batched write costs the client
-// nothing either — its descriptor table and payload vector live in the
-// pooled call like READV's — on TCP or on the ring, whatever the batch
-// size. What is counted is the in-process server's: the frame, its box
-// and the parsed descriptors over TCP, the descriptors and their private
-// copy of the table on the ring.
+// nothing either — its descriptor table, payload vector and parsed
+// descriptors live in the pooled call like READV's — on TCP or on the
+// file link, whatever the batch size. What is counted over TCP is the
+// in-process server's: the parsed descriptors; the file link's server
+// sees none of it.
 func TestWriteVRecyclesCalls(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations swamp the count")
@@ -357,7 +357,7 @@ func TestWriteVRecyclesCalls(t *testing.T) {
 			})
 		}
 		small, large := perBatch(4), perBatch(64)
-		if server := map[int]float64{TransportTCP: 3, TransportShm: 2}[transport]; small > server+0.5 || large > small+0.5 {
+		if server := map[int]float64{TransportTCP: 1, TransportShm: 0}[transport]; small > server+0.5 || large > small+0.5 {
 			t.Errorf("%s: WriteV costs %.1f allocations for 4 pages and %.1f for 64; want the server's %.0f for both", c.TransportKind(), small, large, server)
 		}
 		c.Close()

@@ -1,30 +1,29 @@
-// Shared-memory transport: server side.
+// The file link, server side.
 //
-// The server announces shm support in its HELLO response (a unix-domain
-// socket path plus a per-server token). A client that wants the shm
-// data plane dials that socket, proves it spoke to this server instance
-// by echoing the token, and receives a freshly created memfd segment
-// via SCM_RIGHTS. From then on the unix connection carries only
-// doorbell bytes and peer-death notification (EOF); all requests,
-// responses, and page data move through the mapped segment.
+// A server that offers shm backs every region with a memfd (a "region
+// file": the region's chunks, then one counter page), sealed against
+// shrinking and growing before any fd leaves the process, and maps it
+// shared for its own exec. The HELLO response advertises a unix-domain
+// socket and a per-server token. A client attaches a region by dialing
+// that socket, sending the token and the region's ID, and receiving the
+// region file's fd over SCM_RIGHTS: the fd is the rkey. From then on its
+// READ, WRITE, READV and WRITEV on the region are preads and pwrites of
+// the file on its own goroutine (shm_client.go), which this server never
+// sees — it is as passive as the paper's RDMA-registered memory node.
+// Everything else, and page verbs on regions not attached, rides the TCP
+// frames.
 //
-// The verbs are Server.exec, their one implementation, which the TCP
-// frames run too: shmConn.exec below is the ring's framing of it — a
-// submission becomes a request, the reply goes back through the
-// submission's extent — so the two transports cannot drift
-// semantically. Safety against a hostile peer sharing the mapping:
+// What the server still owes the client's verbs:
 //
-//   - extents are bounds-checked against the arena before any access
-//     (unsigned subtracted form), so no descriptor can point the server
-//     outside its own mapping;
-//   - descriptor tables are copied into private memory before parsing,
-//     so a client racing writes into the arena cannot change a table
-//     between validation and use (TOCTOU);
-//   - implausible ring indices poison the connection (close + unmap),
-//     never index out of bounds;
-//   - region validation failures are reported as status errors through
-//     the completion ring, exactly like TCP, so an honest client's
-//     errors keep flowing even while another extent is being abused.
+//   - STAT counts them as exec would: each region file's counter page
+//     holds four counters the client bumps atomically, and doStat sums
+//     the counter pages of every region file this server made;
+//   - a region that goes — UNREGISTER, or the server closing — sets the
+//     revoked word of its counter page, and a client checks it before
+//     each verb, so that it stops using a file whose region is gone;
+//   - the seals make a hostile client's ftruncate fail with EPERM, so no
+//     client can pull pages out from under the server's mapping (which
+//     would SIGBUS the daemon on its next access).
 package memnode
 
 import (
@@ -37,92 +36,81 @@ import (
 	"time"
 )
 
-// Shm handshake framing (unix socket, little-endian).
+// attachMagic opens an attach request on the unix socket; it is distinct
+// from the TCP magic so stray traffic cannot start one.
+const attachMagic uint64 = 0x4d48_5345_4741_4d21 // "!MAGESHM" (LE)
+
+// helloFlagShm, set in the flags word of an extended TCP HELLO
+// response, advertises the attach socket.
+const helloFlagShm uint64 = 1 << 0
+
+// Attach framing (unix socket, little-endian): one exchange per
+// connection.
+//
+//	request:  magic(8) token(8) regionID(8)
+//	response: status(1) size(8), the region file's fd attached; or
+//	          status(1) msgLen(1) msg(≤31), no fd: a refusal, with
+//	          statusErrRegion when the server has no such region
 const (
-	shmHelloReqLen  = 24 // magic(8) token(8) window(8)
-	shmHelloRespLen = 33 // status(1) entries(8) arenaOff(8) arenaBytes(8) segBytes(8); refusal: status(1) msgLen(1) msg(≤31)
+	attachReqLen  = 24
+	attachRespLen = 33
 )
 
-// serveShmConn runs one shm connection: handshake (create + pass the
-// segment), then the submission-ring consumer loop until the peer dies,
-// the ring turns hostile, or the server closes.
-func (s *Server) serveShmConn(uc *net.UnixConn) {
-	// The handshake is bounded so a dialer that never speaks cannot park
-	// a handler forever.
+// ctrPageBytes is the counter page at the end of a region file.
+const ctrPageBytes = 4096
+
+// regionFileBytes is the layout of the file behind a region of size
+// bytes: the region's chunks, then the counter page at ctrOff.
+func regionFileBytes(size int64) (ctrOff, fileBytes int64) {
+	ctrOff = (size + ChunkBytes - 1) / ChunkBytes * ChunkBytes
+	return ctrOff, ctrOff + ctrPageBytes
+}
+
+// hostFile is a region file on the server: the fd it sends to attaching
+// clients, and the counter page in its mapping.
+type hostFile struct {
+	fd  int
+	ctr *counters
+}
+
+// serveAttach answers one attach request: the region file's fd, or a
+// refusal.
+func (s *Server) serveAttach(uc *net.UnixConn) {
+	// Bounded, so that a dialer that never speaks cannot park a handler.
 	_ = uc.SetDeadline(time.Now().Add(5 * time.Second)) //magevet:ok handshake deadline on a real unix socket
-	var req [shmHelloReqLen]byte
+	var req [attachReqLen]byte
 	if _, err := readFullConn(uc, req[:]); err != nil {
 		return
 	}
-	magic := binary.LittleEndian.Uint64(req[0:])
-	token := binary.LittleEndian.Uint64(req[8:])
-	window := int64(binary.LittleEndian.Uint64(req[16:]))
-	if magic != shmHelloMagic || token != s.shmToken {
-		_ = writeShmRefusal(uc, "bad shm hello")
+	if binary.LittleEndian.Uint64(req[0:]) != attachMagic || binary.LittleEndian.Uint64(req[8:]) != s.shmToken {
+		_ = refuseAttach(uc, statusErr, "bad attach request")
 		return
 	}
-	if window < 1 || window > shmMaxWindow {
-		_ = writeShmRefusal(uc, fmt.Sprintf("bad window %d", window))
+	id := binary.LittleEndian.Uint64(req[16:])
+	s.mu.Lock()
+	f, ok := s.files[id]
+	size := s.sizes[id]
+	_, known := s.regions[id]
+	s.mu.Unlock()
+	switch {
+	case !known:
+		_ = refuseAttach(uc, statusErrRegion, "unknown region")
+		return
+	case !ok:
+		_ = refuseAttach(uc, statusErr, "region has no file")
 		return
 	}
-	layout := shmLayoutFor(int(window), s.shmToken)
-	fd, err := shmCreateSegment(layout.segBytes)
-	if err != nil {
-		_ = writeShmRefusal(uc, "segment creation failed")
-		return
-	}
-	seg, err := shmMap(fd, layout.segBytes)
-	if err != nil {
-		_ = closeFd(fd)
-		_ = writeShmRefusal(uc, "segment map failed")
-		return
-	}
-	layout.stamp(seg)
-	var resp [shmHelloRespLen]byte
+	// The fd stays open until Close, which waits for this handler.
+	var resp [attachRespLen]byte
 	resp[0] = statusOK
-	binary.LittleEndian.PutUint64(resp[1:], layout.entries)
-	binary.LittleEndian.PutUint64(resp[9:], uint64(layout.arenaOff))
-	binary.LittleEndian.PutUint64(resp[17:], uint64(layout.arenaBytes))
-	binary.LittleEndian.PutUint64(resp[25:], uint64(layout.segBytes))
-	err = shmSendFd(uc, resp[:], fd)
-	_ = closeFd(fd) // both sides hold mappings (or the send failed); the fd itself is done
-	if err != nil {
-		shmUnmap(seg)
-		return
-	}
-	_ = uc.SetDeadline(time.Time{}) // steady state: reads block until doorbell or peer death
-	h := &shmConn{
-		s:     s,
-		conn:  uc,
-		seg:   seg,
-		arena: seg[layout.arenaOff : layout.arenaOff+layout.arenaBytes],
-		sq:    newShmRing(seg, shmHdrBytes, layout.entries, shmOffSqCons, shmOffSqProd),
-		cq:    newShmRing(seg, shmHdrBytes+int64(layout.entries)*shmSlotBytes, layout.entries, shmOffCqProd, shmOffCqCons),
-	}
-	h.srvSleep = shmWord(seg, shmOffSrvSleep)
-	h.cliSleep = shmWord(seg, shmOffCliSleep)
-	idle := uint32(shmSpinYields)
-	if s.shmParkOnly.Load() {
-		idle = 0
-	}
-	h.idle.init(idle, &h.waits)
-	// Live connections are kept so that their wait counters can be read.
-	s.mu.Lock()
-	s.shmConns[h] = struct{}{}
-	s.mu.Unlock()
-	h.loop()
-	s.mu.Lock()
-	delete(s.shmConns, h)
-	s.mu.Unlock()
-	shmUnmap(seg)
+	binary.LittleEndian.PutUint64(resp[1:], uint64(size))
+	_ = shmSendFd(uc, resp[:], f.fd) // a failed send leaves the client to refuse the attach
 }
 
-func writeShmRefusal(uc *net.UnixConn, msg string) error {
-	var resp [shmHelloRespLen]byte
-	resp[0] = statusErr
-	if len(msg) > 31 {
-		msg = msg[:31]
-	}
+func refuseAttach(uc *net.UnixConn, status byte, msg string) error {
+	var resp [attachRespLen]byte
+	resp[0] = status
+	msg = msg[:min(len(msg), attachRespLen-2)]
 	resp[1] = byte(len(msg))
 	copy(resp[2:], msg)
 	_, err := uc.Write(resp[:])
@@ -142,166 +130,12 @@ func readFullConn(conn net.Conn, buf []byte) (int, error) {
 	return n, nil
 }
 
-// shmConn is one live shm connection on the server.
-type shmConn struct {
-	s     *Server
-	conn  *net.UnixConn
-	seg   []byte
-	arena []byte
-	sq    shmRing // consumer view of the submission ring
-	cq    shmRing // producer view of the completion ring
-
-	srvSleep *uint64
-	cliSleep *uint64
-
-	// idle is the loop's yield budget (shm_wait.go) before it parks on
-	// the doorbell socket; waits counts what this connection's waits
-	// cost.
-	idle   shmWait
-	waits  shmWaitStats
-	bellDl shmDeadline // write deadline bounding doorbell writes
-}
-
-// shmBellTimeout bounds a doorbell write: a client that stops draining
-// its socket for this long has its connection poisoned.
-const shmBellTimeout = 5 * time.Second
-
-// sqReady reports whether the loop has a reason to stop waiting: a
-// published submission, or a ring index process will reject.
-func (h *shmConn) sqReady() bool {
-	avail, err := h.sq.available()
-	return avail > 0 || err != nil
-}
-
-// loop consumes submissions until the connection dies. Between bursts
-// it yields within its budget (which pays when the client runs
-// meanwhile), then parks on a doorbell read — which is also how peer
-// death (EOF) and server shutdown (Close closes the conn) are detected.
-func (h *shmConn) loop() {
-	var db [1]byte
-	for {
-		n, err := h.process()
-		if err != nil {
-			return // hostile ring state: poison the connection
-		}
-		if n > 0 {
-			continue
-		}
-		if h.idle.spin(h.sqReady) {
-			continue
-		}
-		shmAnnounceSleep(h.srvSleep)
-		if h.sqReady() {
-			shmCancelSleep(h.srvSleep)
-			continue
-		}
-		if _, err := h.conn.Read(db[:]); err != nil {
-			return // peer death or server Close
-		}
-		shmCancelSleep(h.srvSleep)
-	}
-}
-
-// process consumes every available submission, executes it, and
-// publishes its completion. A non-nil error means the ring state or a
-// descriptor was hostile and the connection must be poisoned.
-func (h *shmConn) process() (int, error) {
-	avail, err := h.sq.available()
-	if err != nil {
-		return 0, err
-	}
-	done := 0
-	// Submission-consumer index publication is batched: one shared store
-	// per burst (the client's room check lags by at most one burst, which
-	// a 2x-window ring absorbs). Completions still publish per entry so
-	// the client can start draining while the burst is in progress.
-	defer h.sq.commit()
-	for i := uint64(0); i < avail; i++ {
-		e := decodeSQE(h.sq.slot(h.sq.local))
-		h.sq.advanceLocal()
-		if !extentInArena(e.extOff, e.extCap, int64(len(h.arena))) {
-			return done, fmt.Errorf("shm: extent [%d,+%d) outside arena %d", e.extOff, e.extCap, len(h.arena))
-		}
-		status, n := h.exec(e)
-		if err := h.complete(cqEntry{status: status, id: e.id, length: n}); err != nil {
-			return done, err
-		}
-		done++
-	}
-	if done > 0 {
-		return done, h.ringClient()
-	}
-	return done, nil
-}
-
-// ringClient writes the client's doorbell byte, but only when its
-// completer announced it is parking. The write is bounded so that a
-// client which never drains its socket poisons the connection.
-func (h *shmConn) ringClient() error {
-	if !shmShouldWake(h.cliSleep) {
-		return nil
-	}
-	if dl, ok := h.bellDl.due(shmBellTimeout); ok {
-		_ = h.conn.SetWriteDeadline(dl) // a failed set surfaces on the write below
-	}
-	h.waits.doorbells.Add(1)
-	_, err := h.conn.Write(shmBell)
-	return err
-}
-
-// complete publishes one completion entry. The ring holds twice the
-// calls the client may have in flight, so a full one means the client
-// overran it — submitted past its window, or stopped consuming — and
-// the connection is poisoned at once.
-func (h *shmConn) complete(e cqEntry) error {
-	if err := h.cq.room(); err != nil {
-		return err
-	}
-	encodeCQE(h.cq.slot(h.cq.local), e)
-	h.cq.publish()
-	return nil
-}
-
-// exec is the ring's framing of one submission whose extent process has
-// validated: the payload is the head of the extent, the reply — data,
-// REGISTER ids, STAT blobs, error messages alike — lands in the extent
-// from its first byte, and may be as long as the extent is. It returns
-// the completion's status and length.
-func (h *shmConn) exec(e sqEntry) (byte, int64) {
-	ext := h.arena[e.extOff : e.extOff+e.extCap]
-	req := request{op: e.op, regionID: e.regionID, offset: e.offset, length: e.length, room: int64(len(ext))}
-	if carriesPayload(e.op) {
-		// A length the extent cannot hold locates what there is; exec
-		// refuses the request for the difference.
-		var shared []byte
-		shared, req.data = cutPayload(e.op, ext[:max(0, min(e.length, req.room))])
-		if shared != nil {
-			// The extent stays client-writable: the table is parsed from a
-			// private copy, so that it cannot change between validation and
-			// use (and a READV's reply overwrites it).
-			req.table = getBuf(len(shared))
-			copy(req.table, shared)
-		}
-	}
-	var rp reply
-	h.s.exec(&req, &rp)
-	if req.table != nil {
-		PutBuf(req.table)
-	}
-	if rp.total > 0 {
-		rp.copyTo(ext)
-		return rp.status, rp.total
-	}
-	return rp.status, int64(copy(ext, rp.body)) // an error message is cut to fit
-}
-
-// setupShm creates the shm negotiation socket and the per-server token
-// clients must echo to prove they negotiated against this instance (a
-// restarted server mints a new token, so stale clients re-negotiate
-// over TCP instead of attaching to the wrong segment namespace).
+// setupShm creates the attach socket and the per-server token clients
+// must echo to prove they negotiated against this instance (a restarted
+// server mints a new token, so a stale client cannot attach).
 func (s *Server) setupShm() error {
 	if !ShmSupported {
-		return fmt.Errorf("memnode: shm transport unsupported on this platform")
+		return errShmUnsupported
 	}
 	var tok [8]byte
 	if _, err := cryptorand.Read(tok[:]); err != nil {
@@ -330,12 +164,12 @@ func (s *Server) setupShm() error {
 	return nil
 }
 
-// ShmAddr returns the shm negotiation socket path, or "" when the shm
-// transport is disabled.
+// ShmAddr returns the attach socket path, or "" when the server does not
+// offer shm.
 func (s *Server) ShmAddr() string { return s.shmPath }
 
-// shmAcceptLoop accepts shm negotiation connections, mirroring the TCP
-// accept loop (tracked in conns so Close unblocks parked handlers).
+// shmAcceptLoop accepts attach connections, mirroring the TCP accept loop
+// (tracked in conns so Close unblocks their handlers).
 func (s *Server) shmAcceptLoop() {
 	defer s.wg.Done()
 	for {
@@ -352,7 +186,7 @@ func (s *Server) shmAcceptLoop() {
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
-		//magevet:ok real network daemon: one handler goroutine per shm connection
+		//magevet:ok real network daemon: one handler goroutine per attach
 		go func() {
 			defer s.wg.Done()
 			defer func() {
@@ -361,16 +195,16 @@ func (s *Server) shmAcceptLoop() {
 				delete(s.conns, conn)
 				s.mu.Unlock()
 			}()
-			s.serveShmConn(conn)
+			s.serveAttach(conn)
 		}()
 	}
 }
 
 // helloBody builds the v2 HELLO response payload: the mandatory
-// magic+version, then — when the shm transport is live — a flags word,
-// the per-server token, and the negotiation socket path. Clients that
-// predate the extension validate only the first 16 bytes and ignore
-// the rest, so advertising shm is invisible to them.
+// magic+version, then — when the server offers shm — a flags word, the
+// per-server token, and the attach socket path. Clients that predate
+// the extension validate only the first 16 bytes and ignore the rest,
+// so advertising shm is invisible to them.
 func (s *Server) helloBody() []byte {
 	if s.shmLn == nil {
 		resp := make([]byte, helloRespLen)

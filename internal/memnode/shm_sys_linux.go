@@ -1,77 +1,154 @@
 //go:build linux
 
-// Shared-memory transport: Linux-specific plumbing — anonymous segment
-// creation (memfd_create, with an unlinked tmpfile fallback for kernels
-// or architectures without it), mmap/munmap, and fd passing over
-// unix-domain sockets via SCM_RIGHTS. Everything here is stdlib-only.
+// The file link's Linux plumbing: sealed memfd region files, the one
+// page a client maps of one, fd passing over unix-domain sockets via
+// SCM_RIGHTS, and the preads and pwrites a page verb is. Stdlib only.
 package memnode
 
 import (
 	"fmt"
+	"io"
 	"net"
-	"os"
 	"syscall"
 	"unsafe"
 )
 
-// ShmSupported reports whether this platform has the shared-memory ring.
+// ShmSupported reports whether this platform has the file link.
 const ShmSupported = true
 
-// shmCreateSegment returns a file descriptor backing an anonymous
-// shared segment of n bytes.
-func shmCreateSegment(n int64) (int, error) {
-	if sysMemfdCreate != 0 {
-		name, err := syscall.BytePtrFromString("memnode-shm")
-		if err == nil {
-			const mfdCloexec = 0x1
-			fd, _, errno := syscall.Syscall(sysMemfdCreate, uintptr(unsafe.Pointer(name)), mfdCloexec, 0)
-			if errno == 0 {
-				if err := syscall.Ftruncate(int(fd), n); err != nil {
-					_ = syscall.Close(int(fd)) // best-effort cleanup on the error path
-					return -1, fmt.Errorf("shm: ftruncate memfd: %w", err)
-				}
-				return int(fd), nil
-			}
-		}
+// memfd_create flags and the seals of fcntl(2).
+const (
+	mfdCloexec      = 0x1
+	mfdAllowSealing = 0x2
+	fAddSeals       = 1033
+	fGetSeals       = 1034
+	sealSeal        = 0x1
+	sealShrink      = 0x2
+	sealGrow        = 0x4
+)
+
+// createRegionFile returns a memfd of n bytes, sealed against shrinking,
+// growing and further sealing. Without memfd_create or seals there is no
+// region file: a file a client could truncate would let it SIGBUS the
+// server's mapping.
+func createRegionFile(n int64) (int, error) {
+	if sysMemfdCreate == 0 {
+		return -1, errShmUnsupported
 	}
-	// Fallback: an unlinked temp file gives the same anonymous,
-	// fd-passable backing without memfd_create.
-	f, err := os.CreateTemp("", "memnode-shm-*")
+	name, err := syscall.BytePtrFromString("memnode-region")
 	if err != nil {
-		return -1, fmt.Errorf("shm: create segment backing: %w", err)
+		return -1, err
 	}
-	name := f.Name()
-	fd, err := syscall.Dup(int(f.Fd()))
-	_ = f.Close() // the dup keeps the backing alive
-	_ = os.Remove(name)
-	if err != nil {
-		return -1, fmt.Errorf("shm: dup segment fd: %w", err)
+	r, _, errno := syscall.Syscall(sysMemfdCreate, uintptr(unsafe.Pointer(name)), mfdCloexec|mfdAllowSealing, 0)
+	if errno != 0 {
+		return -1, fmt.Errorf("memfd_create: %w", errno)
 	}
-	syscall.CloseOnExec(fd)
+	fd := int(r)
 	if err := syscall.Ftruncate(fd, n); err != nil {
 		_ = syscall.Close(fd) // best-effort cleanup on the error path
-		return -1, fmt.Errorf("shm: ftruncate segment: %w", err)
+		return -1, fmt.Errorf("ftruncate region file: %w", err)
+	}
+	if _, _, errno := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), fAddSeals, sealShrink|sealGrow|sealSeal); errno != 0 {
+		_ = syscall.Close(fd) // best-effort cleanup on the error path
+		return -1, fmt.Errorf("seal region file: %w", errno)
 	}
 	return fd, nil
 }
 
-// shmMap maps n bytes of fd shared read-write.
-func shmMap(fd int, n int64) ([]byte, error) {
-	return syscall.Mmap(fd, 0, int(n), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+// allocRegionFile backs a region of nChunks chunks with a sealed region
+// file the server maps shared: its chunks carved from the mapping, and
+// the counter page behind them. release unmaps the file and closes it.
+func allocRegionFile(nChunks int) ([][]byte, func(), hostFile, error) {
+	ctrOff, n := regionFileBytes(int64(nChunks) * ChunkBytes)
+	fd, err := createRegionFile(n)
+	if err != nil {
+		return nil, nil, hostFile{}, err
+	}
+	m, err := syscall.Mmap(fd, 0, int(n), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		_ = syscall.Close(fd) // best-effort cleanup on the error path
+		return nil, nil, hostFile{}, err
+	}
+	chunks := make([][]byte, nChunks)
+	for i := range chunks {
+		chunks[i] = m[i*ChunkBytes : (i+1)*ChunkBytes : (i+1)*ChunkBytes]
+	}
+	release := func() {
+		_ = syscall.Munmap(m) // a dead mapping is the only fallback; nothing actionable
+		_ = syscall.Close(fd) // clients that attached hold fds of their own
+	}
+	return chunks, release, hostFile{fd: fd, ctr: (*counters)(unsafe.Pointer(&m[ctrOff]))}, nil
 }
 
-func shmUnmap(seg []byte) {
-	_ = syscall.Munmap(seg) // unmap failure leaves a dead mapping; nothing actionable
-}
-
-// shmFdSize returns the size of the file backing fd (authoritative,
-// unlike any size the peer claims).
-func shmFdSize(fd int) (int64, error) {
+// checkRegionFile holds a received fd to the file a region of size bytes
+// has: exactly as long as the layout says, and sealed against shrinking
+// and growing — so that the counter page the client maps cannot be cut
+// from under it, which would SIGBUS the client.
+func checkRegionFile(fd int, size int64) error {
 	var st syscall.Stat_t
 	if err := syscall.Fstat(fd, &st); err != nil {
-		return 0, err
+		return err
 	}
-	return st.Size, nil
+	if _, want := regionFileBytes(size); st.Size != want {
+		return fmt.Errorf("region file of %d bytes, want %d", st.Size, want)
+	}
+	seals, _, errno := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), fGetSeals, 0)
+	if errno != 0 {
+		return fmt.Errorf("region file seals: %w", errno)
+	}
+	if seals&(sealShrink|sealGrow) != sealShrink|sealGrow {
+		return fmt.Errorf("region file not sealed against resizing (seals %#x)", seals)
+	}
+	return nil
+}
+
+// mapCounterPage maps the counter page of a region file of size bytes:
+// the only page of a region file a client maps.
+func mapCounterPage(fd int, size int64) ([]byte, *counters, error) {
+	ctrOff, _ := regionFileBytes(size)
+	m, err := syscall.Mmap(fd, ctrOff, ctrPageBytes, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, (*counters)(unsafe.Pointer(&m[0])), nil
+}
+
+func unmapPage(m []byte) {
+	_ = syscall.Munmap(m) // unmap failure leaves a dead mapping; nothing actionable
+}
+
+// preadFull reads len(b) bytes of fd at off.
+func preadFull(fd int, b []byte, off int64) error {
+	for len(b) > 0 {
+		n, err := syscall.Pread(fd, b, off)
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err != nil:
+			return err
+		case n == 0:
+			return io.ErrUnexpectedEOF
+		}
+		b, off = b[n:], off+int64(n)
+	}
+	return nil
+}
+
+// pwriteFull writes b to fd at off.
+func pwriteFull(fd int, b []byte, off int64) error {
+	for len(b) > 0 {
+		n, err := syscall.Pwrite(fd, b, off)
+		switch {
+		case err == syscall.EINTR:
+			continue
+		case err != nil:
+			return err
+		case n == 0:
+			return io.ErrShortWrite
+		}
+		b, off = b[n:], off+int64(n)
+	}
+	return nil
 }
 
 // shmSendFd writes msg and attaches fd as SCM_RIGHTS ancillary data.
@@ -89,8 +166,9 @@ func shmSendFd(uc *net.UnixConn, msg []byte, fd int) error {
 
 // shmRecvFd reads exactly len(msg) bytes into msg and extracts a single
 // passed fd from the ancillary data (which arrives with the first data
-// segment; any remaining message bytes are read plainly). Extra fds a
-// hostile peer smuggles in are closed, never leaked.
+// segment; any remaining message bytes are read plainly), or -1 when
+// none came. Extra fds a hostile peer smuggles in are closed, never
+// leaked.
 func shmRecvFd(uc *net.UnixConn, msg []byte) (int, error) {
 	oob := make([]byte, 128)
 	n, oobn, _, _, err := uc.ReadMsgUnix(msg, oob)
@@ -98,11 +176,6 @@ func shmRecvFd(uc *net.UnixConn, msg []byte) (int, error) {
 		return -1, err
 	}
 	fd := -1
-	closeAll := func(fds []int) {
-		for _, f := range fds {
-			_ = syscall.Close(f) // surplus descriptors from a hostile peer
-		}
-	}
 	if oobn > 0 {
 		msgs, err := syscall.ParseSocketControlMessage(oob[:oobn])
 		if err != nil {
@@ -117,7 +190,7 @@ func shmRecvFd(uc *net.UnixConn, msg []byte) (int, error) {
 				if fd == -1 {
 					fd = f
 				} else {
-					closeAll([]int{f})
+					_ = syscall.Close(f) // a surplus descriptor from a hostile peer
 				}
 			}
 		}
@@ -126,26 +199,16 @@ func shmRecvFd(uc *net.UnixConn, msg []byte) (int, error) {
 		m, err := uc.Read(msg[n:])
 		if err != nil {
 			if fd != -1 {
-				closeAll([]int{fd})
+				_ = syscall.Close(fd) // the message never arrived whole
 			}
 			return -1, err
 		}
 		n += m
 	}
-	if fd == -1 {
-		// No fd attached: a refusal response. The caller decides from
-		// the message body whether that is an error.
-		return -1, nil
+	if fd != -1 {
+		syscall.CloseOnExec(fd)
 	}
-	syscall.CloseOnExec(fd)
 	return fd, nil
 }
 
 func closeFd(fd int) error { return syscall.Close(fd) }
-
-// shmOSYield gives the CPU to whatever else the kernel has to run on
-// it: sched_yield. Through Syscall, not RawSyscall, so that the runtime
-// may hand off the P for the duration.
-func shmOSYield() {
-	_, _, _ = syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0) // cannot fail
-}

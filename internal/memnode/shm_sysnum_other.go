@@ -2,6 +2,6 @@
 
 package memnode
 
-// No memfd_create number carried for this architecture; the unlinked
-// tmpfile fallback in shmCreateSegment is used instead.
+// No memfd_create number carried for this architecture: a server there
+// makes no region files, and offers no file link.
 const sysMemfdCreate uintptr = 0

@@ -13,7 +13,7 @@ import (
 // BenchmarkPagerFault is the demand-fault path and nothing else: one
 // goroutine pins its way round a region eight times the arena, read-only,
 // so every Pin is a major fault over a real
-// client — TCP or the shm ring to an in-process memnode, or a 2 × 2
+// client — TCP or the file link to an in-process memnode, or a 2 × 2
 // memcluster of in-process memnodes with its prober off — and every
 // eviction a clean drop. Besides faults/s it reports what a fault costs
 // beyond the round trip it cannot avoid:
