@@ -363,15 +363,12 @@ func TestFarWindowAllocs(t *testing.T) {
 		t.Errorf("%.2f batched reads per window, want 1", rv)
 	}
 	allocs := float64(m1.Mallocs-m0.Mallocs) / runs
-	// The bytes that are not the window's: a page the CLOCK hand took
-	// between the look-ahead and its request is faulted by its Pin alone
-	// — 0.15 to 0.45 times a window, as the evictor's timing has it —
-	// and the fake's Read allocates the page that memnode.Client.Read
-	// takes from its pool. One allocation, 4 KiB: the count barely moves,
-	// the bytes swung between 860 and 2070 per window.
-	fakes := float64(back.reads.Load()-rd0) * pageBytes
-	bytesPer := (float64(m1.TotalAlloc-m0.TotalAlloc) - fakes) / runs
-	t.Logf("%.1f faults, %.1f allocations, %.0f bytes per window (and %.0f of the fake backing's)", faults, allocs, bytesPer, fakes/runs)
+	// A page the CLOCK hand took between the look-ahead and its request is
+	// faulted by its Pin alone — 0.15 to 0.45 times a window, as the
+	// evictor's timing has it — straight into its frame, as a READ that
+	// allocates nothing.
+	bytesPer := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	t.Logf("%.1f faults (%.2f alone), %.1f allocations, %.0f bytes per window", faults, float64(back.reads.Load()-rd0)/runs, allocs, bytesPer)
 	// Seven allocations today: 4 SET keys, the batch's latch and
 	// goroutine, the latch of the evictor's sweep. About 250 bytes. What
 	// the ceiling tells apart is a cost that grows with the pages faulted:

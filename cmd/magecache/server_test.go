@@ -14,7 +14,9 @@ import (
 	"time"
 )
 
-// memBacking is an in-process far memory that counts its reads, so
+// memBacking is an in-process far memory that counts its reads as the
+// wire carries them — a read of one page, a demand fault's, is a READ
+// whichever method asked for it, and a batch of more a READV — so
 // connection-loop tests and the fuzzer need no memnode.
 type memBacking struct {
 	mu     sync.Mutex
@@ -42,10 +44,14 @@ func (b *memBacking) Write(_ uint64, off int64, data []byte) error {
 	return nil
 }
 
-// ReadVInto is the pager's batched read; like memnode's it allocates
-// nothing.
+// ReadVInto is the pager's read into its frames, a demand fault's page
+// or a batch; like memnode's it allocates nothing.
 func (b *memBacking) ReadVInto(_ uint64, offs []int64, dst [][]byte) error {
-	b.readvs.Add(1)
+	if len(dst) == 1 {
+		b.reads.Add(1)
+	} else {
+		b.readvs.Add(1)
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i, off := range offs {

@@ -630,8 +630,10 @@ type part struct {
 // cuts (offsets, bufs) along ownership pages by sub-slicing the
 // caller's buffers — a descriptor that straddles a boundary becomes one
 // entry on each side — and groups the pieces by owning shard into parts
-// a node accepts. Parts of one shard keep the request's order.
-func (cl *Cluster) route(topo *topology, reg *cregion, handle uint64, offsets []int64, bufs [][]byte) ([]part, error) {
+// a node accepts. Parts of one shard keep the request's order. The parts
+// are appended to parts, which the caller has on its stack with room for
+// the common case's one.
+func (cl *Cluster) route(parts []part, topo *topology, reg *cregion, handle uint64, offsets []int64, bufs [][]byte) ([]part, error) {
 	if len(bufs) == 0 || len(bufs) != len(offsets) {
 		return nil, fmt.Errorf("memcluster: bad batch shape (%d offsets, %d buffers)", len(offsets), len(bufs))
 	}
@@ -657,10 +659,9 @@ func (cl *Cluster) route(topo *topology, reg *cregion, handle uint64, offsets []
 		one = si
 	}
 	if whole {
-		return []part{{si: one, offs: offsets, bufs: bufs}}, nil
+		return append(parts, part{si: one, offs: offsets, bufs: bufs}), nil
 	}
 	open := make([]part, len(topo.shards)) // the part each shard is still filling
-	var parts []part
 	for i, off := range offsets {
 		for buf := bufs[i]; len(buf) > 0; {
 			n := min(int64(len(buf)), pb-off%pb, memnode.MaxIO)
@@ -699,7 +700,8 @@ func (cl *Cluster) each(handle uint64, offsets []int64, bufs [][]byte, do func(r
 	cl.topoMu.RLock()
 	defer cl.topoMu.RUnlock()
 	topo := cl.topo
-	parts, err := cl.route(topo, reg, handle, offsets, bufs)
+	var one [1]part
+	parts, err := cl.route(one[:0], topo, reg, handle, offsets, bufs)
 	if err != nil {
 		return err
 	}
@@ -733,9 +735,11 @@ func (cl *Cluster) Read(handle uint64, offset, length int64) ([]byte, error) {
 		}
 		return out, nil
 	}
-	// A read inside one ownership page stays a wire READ: the node hands
-	// back its own buffer (pooled on TCP, arena-backed on shm), which a
-	// READV of one would make this layer allocate on every demand fault.
+	// A read inside one ownership page is a node's Read: the body is the
+	// node's pooled buffer, where a ReadVInto of one would make this layer
+	// allocate a page. (A caller with a page of its own, as the pager's
+	// demand fault has its frame, calls ReadVInto, which is a wire READ
+	// too.)
 	cl.topoMu.RLock()
 	defer cl.topoMu.RUnlock()
 	topo := cl.topo

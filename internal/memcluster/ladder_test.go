@@ -339,7 +339,7 @@ func TestRouteParts(t *testing.T) {
 	}
 	for name, build := range requests {
 		offsets, bufs := build()
-		parts, err := cl.route(topo, reg, handle, offsets, bufs)
+		parts, err := cl.route(nil, topo, reg, handle, offsets, bufs)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -384,7 +384,7 @@ func TestRouteParts(t *testing.T) {
 	for i := range offsets {
 		offsets[i], bufs[i] = 9*pb, []byte{byte(i), byte(i >> 8)}
 	}
-	parts, err := cl.route(topo, reg, handle, offsets, bufs)
+	parts, err := cl.route(nil, topo, reg, handle, offsets, bufs)
 	if err != nil || len(parts) != 3 {
 		t.Fatalf("3000 writes to one page: %d parts, err=%v", len(parts), err)
 	}
@@ -410,7 +410,7 @@ func TestRouteParts(t *testing.T) {
 	}
 	for name, build := range refused {
 		offsets, bufs := build()
-		if parts, err := cl.route(topo, reg, handle, offsets, bufs); err == nil || parts != nil {
+		if parts, err := cl.route(nil, topo, reg, handle, offsets, bufs); err == nil || parts != nil {
 			t.Errorf("%s: routed into %d parts", name, len(parts))
 		} else if memnode.IsTerminal(err) {
 			t.Errorf("%s: %v claims to come from a node", name, err)

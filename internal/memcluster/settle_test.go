@@ -95,7 +95,7 @@ func TestSettleIsBatched(t *testing.T) {
 			offs[p], bufs[p] = int64(p)*page, body(int64(p), 2)
 		}
 		topo := cl.topo // the stalled copy holds the topology where it is
-		parts, err := cl.route(topo, reg, handle, offs, bufs)
+		parts, err := cl.route(nil, topo, reg, handle, offs, bufs)
 		for _, p := range parts {
 			sh := topo.shards[p.si]
 			if err == nil {

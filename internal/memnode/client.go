@@ -187,7 +187,9 @@ type call struct {
 
 	// A batch's shape: the region offset of each page and the page itself,
 	// the caller's — READV's destinations (dst, dstLen bytes in all) or
-	// WRITEV's sources (src, length bytes in all). The destinations are
+	// WRITEV's sources (src, length bytes in all). A READV of one page goes
+	// out as a READ that keeps its one destination: its body lands there,
+	// as a READV's does, and no table is built for it. The destinations are
 	// lent to the wire for as long as an attempt is in flight: only the
 	// goroutine that took the call out of its link's call table writes
 	// into them, and it completes the call only when it has stopped, so
@@ -245,12 +247,15 @@ type call struct {
 }
 
 // arm readies a pooled struct for one attempt of the op proto describes.
+// The gate and the sending side's release start afresh: a prototype the
+// file link ran itself (see doPages) comes with both set.
 func (ca *call) arm(proto *call, srvID uint64) {
 	park, desc, vec, iovs := ca.park, ca.desc, ca.vec, ca.iovs
 	*ca = *proto
 	ca.park, ca.desc, ca.vec, ca.iovs, ca.srvID = park, desc, vec, iovs, srvID
+	ca.fin, ca.sent = finPending, 0
 	switch {
-	case ca.dst != nil:
+	case ca.dst != nil && ca.op == opReadV: // a READ's one destination needs no table
 		ca.desc = appendDescs(ca.desc, ca.offsets, ca.dst)
 		ca.vec = append(ca.vec[:0], ca.desc)
 		ca.bufs, ca.length = ca.vec, int64(len(ca.desc))
@@ -1135,12 +1140,16 @@ func registeredID(body []byte) (uint64, error) {
 // op's whole lifetime, per-attempt deadlines, reconnect-on-poison with
 // capped backoff, and lazy REGISTER replay when the server reports the
 // region unknown.
-func (c *Client) do(proto *call) ([]byte, error) {
+func (c *Client) do(proto *call) ([]byte, error) { return c.doFrom(proto, 1, nil) }
+
+// doFrom is do from the attempt-th try on, lastErr being what the one
+// before failed of.
+func (c *Client) doFrom(proto *call, attempt int, lastErr error) ([]byte, error) {
 	if !c.acquire() {
 		return nil, ErrClosed
 	}
 	defer c.release()
-	return c.attempts(proto, 1, nil)
+	return c.attempts(proto, attempt, lastErr)
 }
 
 // acquire takes a slot of the in-flight window, waiting for one unless
@@ -1239,26 +1248,44 @@ func (c *Client) failed(st *stream, proto *call, srvID uint64, err error) (final
 
 // finish is the end of a page op on the public API, however it ran: a
 // READ's body is checked against the length asked for, and a completed
-// op is counted under its verb with the bytes it moved.
+// op is counted under the verb it was asked as with the bytes it moved —
+// an op with destinations is a READV, whichever verb carried it.
 func (c *Client) finish(proto *call, body []byte, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
+	}
+	if proto.dst != nil {
+		c.countVerb(opReadV, proto.dstLen)
+		return nil, nil
 	}
 	if proto.op == opRead && int64(len(body)) != proto.length {
 		PutBuf(body)
 		return nil, fmt.Errorf("memnode: short read response (%d of %d bytes)", len(body), proto.length)
 	}
-	moved := proto.length
-	if proto.dst != nil {
-		moved = proto.dstLen
-	}
-	c.countVerb(proto.op, moved)
+	c.countVerb(proto.op, proto.length)
 	return body, nil
 }
 
-// doPages is do and finish: a synchronous page op.
+// doPages is do and finish: a synchronous page op. One that needs no
+// descriptor table, on a region the file link has attached, is run by
+// runFile on proto itself, on this goroutine: no window slot, since it is
+// never in flight on the wire, no pooled attempt and no clock. The op
+// goes to the retry loop when the region is not attached (which attaches
+// it), when the server has revoked it (the frames carry it then), or
+// when the file failed under it (which poisoned the link: the loop goes
+// on from its second attempt).
 func (c *Client) doPages(proto *call) ([]byte, error) {
-	body, err := c.do(proto)
+	st, attempt := c.liveLink(), 1
+	if st != nil && st.files != nil && proto.op != opReadV && proto.op != opWriteV {
+		proto.srvID = c.translate(proto.handle)
+		if st.runFile(proto) {
+			if proto.err == nil || IsTerminal(proto.err) {
+				return c.finish(proto, proto.body, proto.err)
+			}
+			attempt = 2
+		}
+	}
+	body, err := c.doFrom(proto, attempt, proto.err)
 	return c.finish(proto, body, err)
 }
 
@@ -1511,11 +1538,7 @@ func (p *Pending) drive() ([]byte, error) {
 	if final {
 		return nil, lastErr
 	}
-	if !c.acquire() {
-		return nil, ErrClosed
-	}
-	defer c.release()
-	return c.attempts(&p.proto, 2, lastErr)
+	return c.doFrom(&p.proto, 2, lastErr)
 }
 
 // refused is the future of an op the client's own checks turned away.
@@ -1537,7 +1560,9 @@ func (c *Client) ReadAsync(handle uint64, offset, length int64) *Pending {
 }
 
 // readv shapes ca as a READV of len(offsets) pages, page i of len(dst[i])
-// bytes from offsets[i] into dst[i], or refuses the batch.
+// bytes from offsets[i] into dst[i], or refuses the batch. A batch of one
+// is shaped as the READ of that page, keeping its destination: the same
+// bytes and STAT counts as Read on the wire, no descriptor table.
 func (ca *call) readv(handle uint64, offsets []int64, dst [][]byte) error {
 	if len(dst) == 0 || len(dst) > MaxBatchPages || len(dst) != len(offsets) {
 		return refusef("bad batch shape (%d offsets, %d buffers)", len(offsets), len(dst))
@@ -1552,14 +1577,19 @@ func (ca *call) readv(handle uint64, offsets []int64, dst [][]byte) error {
 		}
 	}
 	*ca = call{op: opReadV, handle: handle, offsets: offsets, dst: dst, dstLen: total}
+	if len(dst) == 1 {
+		ca.op, ca.offset, ca.length = opRead, offsets[0], total
+	}
 	return nil
 }
 
 // ReadVInto reads len(offsets) pages in one wire round trip (the
 // transport analogue of the DES evictor's grouped writebacks), page i
-// of len(dst[i]) bytes from offsets[i] into dst[i]. The buffers are the
-// caller's and are written by the transport alone until the call
-// returns; on an error their contents are unspecified.
+// of len(dst[i]) bytes from offsets[i] into dst[i]. One page goes out
+// as a READ, whose body lands in dst[0] as a READV's would; the client
+// counts it as a ReadV all the same. The buffers are the caller's and
+// are written by the transport alone until the call returns; on an error
+// their contents are unspecified.
 func (c *Client) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
 	var proto call
 	if err := proto.readv(handle, offsets, dst); err != nil {

@@ -364,3 +364,123 @@ func TestWriteVRecyclesCalls(t *testing.T) {
 		srv.Close()
 	}
 }
+
+// TestOnePageReadVIntoIsARead: a ReadVInto of one page goes out as a
+// READ of that page, with no descriptor table, and its body lands in the
+// caller's buffer. On the wire, a peer sees the READ's header and nothing
+// after it. On either link, the server counts what it counts for a Read
+// of the page, the client counts a ReadV, and the call allocates nothing.
+func TestOnePageReadVIntoIsARead(t *testing.T) {
+	want := stampedPages(1)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	seen := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if answerHello(conn) != nil {
+			return
+		}
+		var hdr [v2ReqHdrLen]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			return
+		}
+		seen <- hdr[:]
+		var resp [v2RespHdrLen]byte
+		resp[0] = statusOK
+		copy(resp[1:9], hdr[1:9])
+		binary.LittleEndian.PutUint64(resp[9:], 4096)
+		conn.Write(append(resp[:], want...))
+		io.Copy(io.Discard, conn) // a table after the header would be read here, and answered never
+	}()
+	opts := fastOpts()
+	opts.Transport = TransportTCP
+	c, err := DialOptions(ln.Addr().String(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := [][]byte{make([]byte, 4096)}
+	if err := c.ReadVInto(7, []int64{8192}, dst); err != nil {
+		t.Fatal(err)
+	}
+	hdr := <-seen
+	if op, off, n := hdr[0], binary.LittleEndian.Uint64(hdr[17:]), binary.LittleEndian.Uint64(hdr[25:]); op != opRead || off != 8192 || n != 4096 {
+		t.Errorf("the wire carried op %d at %d for %d bytes; want a READ (%d) of 4096 at 8192", op, off, n, opRead)
+	}
+	if !bytes.Equal(dst[0], want) {
+		t.Error("the body did not land in the caller's buffer")
+	}
+	c.Close()
+
+	for _, transport := range []int{TransportTCP, TransportShm} {
+		if transport == TransportShm && !ShmSupported {
+			continue
+		}
+		srv, err := NewServerOptions("127.0.0.1:0", 16<<20, ServerOptions{EnableShm: transport == TransportShm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := fastOpts()
+		opts.Transport = transport
+		c, err := DialOptions(srv.Addr(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := c.Register(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind := c.TransportKind()
+		if err := c.Write(id, 8192, want); err != nil {
+			t.Fatal(err)
+		}
+		stat := func() Stats {
+			t.Helper()
+			st, err := c.Stat()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		s0 := stat()
+		body, err := c.Read(id, 8192, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		PutBuf(body)
+		s1, m1 := stat(), c.Metrics()
+		offs, dst := []int64{8192}, [][]byte{make([]byte, 4096)}
+		if err := c.ReadVInto(id, offs, dst); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		s2, m2 := stat(), c.Metrics()
+		if s2.ReadOps-s1.ReadOps != s1.ReadOps-s0.ReadOps || s2.BytesRead-s1.BytesRead != s1.BytesRead-s0.BytesRead {
+			t.Errorf("%s: the server counted %d ops, %d bytes for the ReadVInto and %d, %d for the Read", kind,
+				s2.ReadOps-s1.ReadOps, s2.BytesRead-s1.BytesRead, s1.ReadOps-s0.ReadOps, s1.BytesRead-s0.BytesRead)
+		}
+		if rv, r := m2.ReadV, m2.Read; rv.Ops-m1.ReadV.Ops != 1 || rv.Bytes-m1.ReadV.Bytes != 4096 || r != m1.Read {
+			t.Errorf("%s: the client counted ReadV %+v → %+v and Read %+v → %+v; want one ReadV of 4096 bytes", kind, m1.ReadV, rv, m1.Read, r)
+		}
+		if !bytes.Equal(dst[0], want) {
+			t.Errorf("%s: the page did not land in the caller's buffer", kind)
+		}
+		if !raceEnabled {
+			if n := testing.AllocsPerRun(200, func() {
+				if err := c.ReadVInto(id, offs, dst); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%s: a one-page ReadVInto costs %.2f allocations, want 0", kind, n)
+			}
+		}
+		c.Close()
+		srv.Close()
+	}
+}

@@ -8,11 +8,13 @@
 // did not register before its first synchronous page verb — never
 // inside start. A region is tried once per stream.
 // From then on a page verb on the region runs on the caller's goroutine
-// inside start (runFile): exec's own checks, shape and inBounds, then
-// one pread or pwrite per page, the counter page bumped, and the call
-// completed inline. No goroutine, hand-off or second copy is involved,
-// and the server's CPU not at all. Everything else, and page verbs on a
-// region not attached, rides the stream's frames.
+// in runFile — inside start, or, for a synchronous verb that needs no
+// descriptor table, straight from doPages on the verb's own prototype:
+// exec's own checks, shape and inBounds, then one pread or pwrite per
+// page, the counter page bumped, and the call completed inline. No
+// goroutine, hand-off or second copy is involved, and the server's CPU
+// not at all. Everything else, and page verbs on a region not attached,
+// rides the stream's frames.
 //
 // The client never maps a region file, only its counter page, and only
 // after checking that the file is sealed against shrinking: a hostile

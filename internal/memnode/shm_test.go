@@ -524,3 +524,115 @@ func detach(t *testing.T, c *Client, id uint64) {
 	f.release()
 	st.files.remove(id, nil)
 }
+
+// TestFileVerbTakesNoWindowSlot: a synchronous page verb on an attached
+// region is never in flight on the wire, so it takes no slot of the
+// window. With every slot held by a call the server leaves unanswered,
+// a Write, a Read and a one-page ReadVInto of the attached region still
+// complete.
+func TestFileVerbTakesNoWindowSlot(t *testing.T) {
+	srv := newShmServer(t, 16<<20)
+	defer srv.Close()
+	opts := fastOpts()
+	opts.Window = 4
+	opts.IOTimeout = 30 * time.Second // nothing here may pass by timing out
+	c, err := DialOptions(srv.Addr(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	attached, err := c.Register(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	framed, err := c.Register(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	detach(t, c, framed)
+
+	srv.mu.Lock() // the server's frames stall: exec takes the lock
+	var once sync.Once
+	release := func() { once.Do(srv.mu.Unlock) }
+	defer release()
+	held := make([]*Pending, opts.Window)
+	for i := range held {
+		held[i] = c.ReadAsync(framed, int64(i)*4096, 4096)
+	}
+	if n := len(c.window); n != opts.Window {
+		t.Fatalf("%d of %d window slots held", n, opts.Window)
+	}
+	done := make(chan error, 1)
+	go func() {
+		want := stampedPages(1)
+		if err := c.Write(attached, 4096, want); err != nil {
+			done <- err
+			return
+		}
+		body, err := c.Read(attached, 4096, 4096)
+		if err != nil {
+			done <- err
+			return
+		}
+		dst := [][]byte{make([]byte, 4096)}
+		if err := c.ReadVInto(attached, []int64{4096}, dst); err != nil {
+			done <- err
+			return
+		}
+		if !bytes.Equal(body, want) || !bytes.Equal(dst[0], want) {
+			err = errors.New("the attached region gave back other bytes")
+		}
+		PutBuf(body)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("verbs on an attached region waited for a window slot")
+	}
+	release()
+	for i, p := range held {
+		body, err := p.Wait()
+		if err != nil {
+			t.Fatalf("held read %d: %v", i, err)
+		}
+		PutBuf(body)
+	}
+}
+
+// TestRevokedFileVerbRidesFrames: a synchronous verb on a region whose
+// file the server revoked lets go of the file and rides the frames. Here
+// the server has lost the region: the frames say so, and the client
+// replays its REGISTER, attaches the new region's file and reads that.
+func TestRevokedFileVerbRidesFrames(t *testing.T) {
+	srv, c := newShmPair(t, 16<<20)
+	id, err := c.Register(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(id, 0, stampedPages(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.doUnregister(id); err != nil {
+		t.Fatal(err)
+	}
+	dst := [][]byte{make([]byte, 4096)}
+	if err := c.ReadVInto(id, []int64{0}, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst[0], make([]byte, 4096)) {
+		t.Error("the replayed region is not zero-filled")
+	}
+	if m := c.Metrics(); m.RegionReplays != 1 || m.ReadV.Ops != 1 {
+		t.Errorf("%d REGISTER replays and %d ReadV ops; want the verb to have ridden the frames to one replay, and counted once", m.RegionReplays, m.ReadV.Ops)
+	}
+	st := c.liveLink()
+	f := st.files.acquire(c.translate(id))
+	if f == nil {
+		t.Fatal("the replayed region's file is not attached")
+	}
+	f.release()
+}

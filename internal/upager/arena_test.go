@@ -156,8 +156,9 @@ func TestCloseUnderChurn(t *testing.T) {
 	}
 }
 
-// gatedRead is a fakeBacking whose Read signals entered and then waits
-// for gate: a demand fault held on the wire.
+// gatedRead is a fakeBacking whose reads signal entered and then wait
+// for gate: a demand fault held on the wire, whether it reads into its
+// frame or reads first.
 type gatedRead struct {
 	*fakeBacking
 	gate, entered chan struct{}
@@ -167,6 +168,12 @@ func (g *gatedRead) Read(handle uint64, offset, length int64) ([]byte, error) {
 	g.entered <- struct{}{}
 	<-g.gate
 	return g.fakeBacking.Read(handle, offset, length)
+}
+
+func (g *gatedRead) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
+	g.entered <- struct{}{}
+	<-g.gate
+	return g.fakeBacking.ReadVInto(handle, offsets, dst)
 }
 
 // TestArenaOutsideGCGoal: on unix, outside a race build, 64 MiB of

@@ -22,16 +22,18 @@ import (
 //     allocations per bare synchronous Read of one memnode.Client on the
 //     same link (on the cluster, on one replica), measured just before —
 //     that is the in-process server's share, which a fault pays as well.
-//     What is left is the client stack's: the future on one node, and
-//     nothing on the cluster, whose synchronous read builds its replica
-//     ladder on the stack.
+//     What is left is the client stack's, and it is nothing: a fault with
+//     a free frame reads its page straight into it, through lists the
+//     pager keeps per frame, and on the cluster the replica ladder and
+//     the request's one part are on the reader's stack. What the mean
+//     shows is the pools the collector emptied.
 //   - goroutines/fault: goroutines started per fault, read off the
 //     runtime's goroutine ids, which it hands out in order of creation.
 //     Each P takes ids sixteen at a time, so the count can be off by
 //     sixteen per P whatever the number of faults: run it with
 //     -benchtime 20000x or more, where that is under 0.002.
 //
-// `make bench` holds both on all three: at most one allocation per
+// `make bench` holds both on all three: at most 0.05 allocations per
 // fault (0.1 on the cluster), no goroutine (cmd/benchsnap -require).
 func BenchmarkPagerFault(b *testing.B) {
 	b.Run("tcp", func(b *testing.B) { benchNodeFault(b, memnode.TransportTCP) })

@@ -3,6 +3,7 @@ package upager
 import (
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -249,6 +250,106 @@ func TestFaultOverlapsReclaim(t *testing.T) {
 		t.Errorf("frame waits = %d, writeback batches = %d; want the one fault to have waited for a writeback", s.FrameWaits, s.WritebackBatches)
 	}
 	proxy.delay.Store(0)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scriptedReads is a memnode client whose demand-path reads are on
+// record: every destination list ReadVInto is handed, and, for every
+// future ReadAsync starts, the frame waits the pager had counted by then.
+type scriptedReads struct {
+	*memnode.Client
+	pager *Pager
+
+	mu      sync.Mutex
+	intos   [][][]byte
+	futures []uint64
+}
+
+func (s *scriptedReads) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
+	s.mu.Lock()
+	s.intos = append(s.intos, dst)
+	s.mu.Unlock()
+	return s.Client.ReadVInto(handle, offsets, dst)
+}
+
+func (s *scriptedReads) ReadAsync(handle uint64, offset, length int64) *memnode.Pending {
+	s.mu.Lock()
+	s.futures = append(s.futures, s.pager.Stats().FrameWaits)
+	s.mu.Unlock()
+	return s.Client.ReadAsync(handle, offset, length)
+}
+
+func (s *scriptedReads) record() (intos [][][]byte, futures []uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.intos), slices.Clone(s.futures)
+}
+
+// TestDemandFaultLandsInFrame: a fault that gets a free frame at once
+// reads its page straight into it — one ReadVInto whose one destination
+// is the frame's bytes in the arena — and starts no future. One that
+// finds the pool dry starts its read before it waits for a frame.
+func TestDemandFaultLandsInFrame(t *testing.T) {
+	srv, err := memnode.NewServer("127.0.0.1:0", 16<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := memnode.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sr := &scriptedReads{Client: c}
+	const frames = 4
+	p, err := New(sr, 64, frames, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr.pager = p
+
+	var held []Frame
+	for pg := uint64(0); pg < frames; pg++ {
+		fr, err := p.Pin(pg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, fr)
+		intos, _ := sr.record()
+		if len(intos) != int(pg)+1 {
+			t.Fatalf("fault %d made %d reads into frames so far", pg, len(intos))
+		}
+		if dst := intos[pg]; len(dst) != 1 || len(dst[0]) != len(fr.Data) || &dst[0][0] != &fr.Data[0] {
+			t.Errorf("fault %d read into %d buffers, not its frame alone", pg, len(dst))
+		}
+	}
+	if _, futures := sr.record(); len(futures) != 0 {
+		t.Errorf("faults that had a free frame started %d futures", len(futures))
+	}
+
+	// Every frame pinned: the pool is dry until one is let go.
+	faulted := make(chan error, 1)
+	go func() {
+		fr, err := p.Pin(10, false)
+		if err == nil {
+			fr.Unpin()
+		}
+		faulted <- err
+	}()
+	waitFor(t, "the fault to wait for a frame", func() bool { return p.Stats().FrameWaits == 1 })
+	held[0].Unpin()
+	if err := <-faulted; err != nil {
+		t.Fatal(err)
+	}
+	intos, futures := sr.record()
+	if len(intos) != frames || len(futures) != 1 || futures[0] != 0 {
+		t.Errorf("the fault into a dry pool made %d reads into frames and started futures at frame waits %v; want none, and one started before its wait", len(intos)-frames, futures)
+	}
+	for _, fr := range held[1:] {
+		fr.Unpin()
+	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}

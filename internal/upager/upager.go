@@ -1,10 +1,10 @@
 // Package upager is a user-level pager: it manages a small local page
 // arena over a far-memory backing store, giving real host services the
-// same fault/evict mechanics the DES models — demand fault-in over the
-// async futures API, frame reclaim that picks its victims by how often
-// a page was pinned (S3-FIFO, see selection.go), and a dedicated
-// write-behind evictor that batches dirty victims into WRITEV frames
-// (the paper's P2 cross-batch pipeline, in userspace).
+// same fault/evict mechanics the DES models — a demand fault that reads
+// its page straight into the frame it took, frame reclaim that picks its
+// victims by how often a page was pinned (S3-FIFO, see selection.go), and
+// a dedicated write-behind evictor that batches dirty victims into WRITEV
+// frames (the paper's P2 cross-batch pipeline, in userspace).
 //
 // The pager is the userspace mirror of the kernel data path the paper
 // instruments: Pin is the page fault, the evictor is the reclaim
@@ -128,6 +128,7 @@ type Options struct {
 // arena.
 type Pager struct {
 	backing    Backing
+	into       IntoBacking  // nil when backing cannot read into the caller's buffers
 	async      AsyncBacking // nil when backing has no futures API
 	startReadV func(handle uint64, offsets []int64, dst [][]byte, done func(error))
 	handle     uint64
@@ -156,6 +157,7 @@ type Pager struct {
 	stopC chan struct{}
 	doneC chan struct{} // evictor exited
 
+	faultIO  []faultIO      // by frame: the read a demand fault makes into it
 	fillWG   sync.WaitGroup // fills claimed and not yet installed; Close drains them
 	fillPool sync.Pool      // *fill scratch between batches
 	evict    evictScratch
@@ -246,6 +248,7 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 		arena:     arena,
 		pages:     make([]page, numPages),
 		owner:     make([]uint64, frames),
+		faultIO:   make([]faultIO, frames),
 		sel:       newSelection(frames),
 		freeC:     make(chan int32, frames),
 		kickC:     make(chan struct{}, 1),
@@ -253,6 +256,7 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 		doneC:     make(chan struct{}),
 		faultLat:  stats.NewConcurrentHistogram(),
 	}
+	p.into, _ = backing.(IntoBacking)
 	p.async, _ = backing.(AsyncBacking)
 	// A batched read is started and ends in a hook. The backing that can
 	// do that starts it itself; for any other, starting it is a goroutine
@@ -261,8 +265,8 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 		p.startReadV = st.StartReadVInto
 	} else {
 		readVInto := p.readVCopy
-		if into, ok := backing.(IntoBacking); ok {
-			readVInto = into.ReadVInto
+		if p.into != nil {
+			readVInto = p.into.ReadVInto
 		}
 		p.startReadV = func(handle uint64, offsets []int64, dst [][]byte, done func(error)) {
 			go func() { done(readVInto(handle, offsets, dst)) }() //magevet:ok real-host pager: a backing that cannot start a read has it run beside the caller's own work
@@ -367,44 +371,31 @@ func (p *Pager) frameData(frame int32) []byte {
 }
 
 // faultIn runs the major-fault path for a page already claimed as
-// pageFaulting by the caller: issue the demand read, reclaim a frame
-// while it flies, install.
+// pageFaulting by the caller: read the page into a frame, install. A
+// fault that gets a free frame at once reads straight into it; one that
+// finds the pool dry reads first and waits for a frame while the read
+// flies (readBeforeFrame).
 func (p *Pager) faultIn(pg uint64, write bool) (Frame, error) {
 	start := time.Now() //magevet:ok real-host pager: fault service time is a reported metric
 	p.faults.Add(1)
 	off := int64(pg) * p.pageBytes
 
-	// Issue the read before blocking on a frame so the wire round-trip
-	// overlaps reclaim.
-	var pending *memnode.Pending
-	if p.async != nil {
-		pending = p.async.ReadAsync(p.handle, off, p.pageBytes)
+	frame, ok := int32(-1), false
+	if p.into != nil {
+		frame, ok = p.tryTakeFrame()
 	}
-
-	frame, err := p.takeFrame()
-	if err != nil {
-		if pending != nil {
-			if body, werr := pending.Wait(); werr == nil {
-				memnode.PutBuf(body)
-			}
-		}
+	var err error
+	if ok {
+		err = p.readInto(frame, off)
+	} else if frame, err = p.readBeforeFrame(off); frame < 0 {
 		p.abortFault(pg)
 		return Frame{}, err
-	}
-
-	var body []byte
-	if pending != nil {
-		body, err = pending.Wait()
-	} else {
-		body, err = p.backing.Read(p.handle, off, p.pageBytes)
 	}
 	if err != nil {
 		p.putFrame(frame)
 		p.abortFault(pg)
 		return Frame{}, fmt.Errorf("upager: fault-in page %d: %w", pg, err)
 	}
-	copy(p.frameData(frame), body)
-	memnode.PutBuf(body)
 
 	p.mu.Lock()
 	pd := &p.pages[pg]
@@ -423,6 +414,56 @@ func (p *Pager) faultIn(pg uint64, write bool) (Frame, error) {
 
 	p.faultLat.Record(time.Since(start).Nanoseconds()) //magevet:ok real-host pager: fault service time is a reported metric
 	return p.frameView(pg, frame), nil
+}
+
+// faultIO is the one-page read of a demand fault into its frame, as the
+// one-element lists ReadVInto takes. There is one per frame, used only
+// by the fault that holds the frame, so a fault allocates none.
+type faultIO struct {
+	off [1]int64
+	dst [1][]byte
+}
+
+// readInto reads the page at off straight into frame, which the fault
+// has taken: one ReadVInto of one page, which memnode sends as a READ
+// whose body lands in the frame — no future, no buffer, no second copy.
+func (p *Pager) readInto(frame int32, off int64) error {
+	io := &p.faultIO[frame]
+	io.off[0], io.dst[0] = off, p.frameData(frame)
+	return p.into.ReadVInto(p.handle, io.off[:], io.dst[:])
+}
+
+// readBeforeFrame is the fault that found no free frame: it issues the
+// read first, so that the wire round trip overlaps reclaim, then waits
+// for a frame and copies the page in. The frame is -1 when the pager
+// closed before one came free, and err then is ErrClosed; otherwise err
+// is the read's, and on a failed read the caller frees the frame.
+func (p *Pager) readBeforeFrame(off int64) (int32, error) {
+	var pending *memnode.Pending
+	if p.async != nil {
+		pending = p.async.ReadAsync(p.handle, off, p.pageBytes)
+	}
+	frame, err := p.takeFrame()
+	if err != nil {
+		if pending != nil {
+			if body, werr := pending.Wait(); werr == nil {
+				memnode.PutBuf(body)
+			}
+		}
+		return -1, err
+	}
+	var body []byte
+	if pending != nil {
+		body, err = pending.Wait()
+	} else {
+		body, err = p.backing.Read(p.handle, off, p.pageBytes)
+	}
+	if err != nil {
+		return frame, err
+	}
+	copy(p.frameData(frame), body)
+	memnode.PutBuf(body)
+	return frame, nil
 }
 
 // abortFault rolls a claimed page back to absent, drops the fault's
@@ -498,8 +539,9 @@ func (p *Pager) takeFrame() (int32, error) {
 // frames, so the send never blocks, under p.mu or not.
 func (p *Pager) putFrame(f int32) { p.freeC <- f }
 
-// tryTakeFrame is the non-blocking variant FaultAhead uses: under frame
-// pressure the rest of its batch is dropped rather than queued.
+// tryTakeFrame is the non-blocking variant: under frame pressure
+// FaultAhead drops the rest of its batch rather than queue it, and a
+// demand fault reads before it waits.
 func (p *Pager) tryTakeFrame() (int32, bool) {
 	select {
 	case f := <-p.freeC:
@@ -770,37 +812,37 @@ func (p *Pager) evictSome() (bool, error) {
 }
 
 // Flush writes back every dirty unpinned page, leaving it resident and
-// clean. Pages pinned for write while Flush runs are picked up by a
-// later batch within the same call; pages still write-pinned when the
-// sweep completes are reported as an error (the caller owns quiescing
-// writers before a checkpoint). Once a closed pager has released its
-// arena there is nothing left to write from, and Flush returns
-// ErrClosed.
+// clean. Each batch resumes the walk of the page table where the last
+// one stopped, and a walk that sent anything is followed by another, so
+// Flush returns after a walk that found nothing to send: pages pinned for
+// write while Flush runs, behind its cursor or ahead of it, are picked up
+// within the same call, and a table with a few dirty pages among many
+// costs two walks, not one per batch. Pages still write-pinned in that
+// last walk are reported as an error (the caller owns quiescing writers
+// before a checkpoint). Once a closed pager has released its arena there
+// is nothing left to write from, and Flush returns ErrClosed.
 func (p *Pager) Flush() error {
 	var (
 		victims []uint64
 		offs    []int64
 		bufs    [][]byte
 	)
+	pg, sent, pinnedDirty := 0, false, 0 // the walk's cursor, and what it has met
 	for {
 		victims, offs, bufs = victims[:0], offs[:0], bufs[:0]
 		var latch chan struct{}
-		pinnedDirty := 0
 		p.mu.Lock()
 		if p.arena == nil {
 			p.mu.Unlock()
 			return ErrClosed
 		}
-		for pg := range p.pages {
+		for ; pg < len(p.pages) && len(victims) < p.batch; pg++ {
 			pd := &p.pages[pg]
 			if pd.state != pageResident || !pd.dirty {
 				continue
 			}
 			if pd.pins > 0 {
 				pinnedDirty++
-				continue
-			}
-			if len(victims) == p.batch {
 				continue
 			}
 			if latch == nil {
@@ -814,15 +856,20 @@ func (p *Pager) Flush() error {
 			bufs = append(bufs, p.frameData(pd.frame))
 		}
 		p.mu.Unlock()
-		if len(victims) == 0 {
+		if len(victims) > 0 {
+			sent = true
+			if err := p.writeBack(victims, offs, bufs, latch, false); err != nil {
+				return fmt.Errorf("upager: flush batch: %w", err)
+			}
+			continue
+		}
+		if !sent { // a whole walk that found nothing to send
 			if pinnedDirty > 0 {
 				return fmt.Errorf("upager: flush left %d dirty pages pinned by writers", pinnedDirty)
 			}
 			return nil
 		}
-		if err := p.writeBack(victims, offs, bufs, latch, false); err != nil {
-			return fmt.Errorf("upager: flush batch: %w", err)
-		}
+		pg, sent, pinnedDirty = 0, false, 0
 	}
 }
 

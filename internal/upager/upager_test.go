@@ -3,6 +3,7 @@ package upager
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,20 +12,24 @@ import (
 )
 
 // fakeBacking is an in-memory Backing with op accounting, failure
-// injectors and gates that hold a batch verb on the wire until the test
-// lets it go, so unit tests need no sockets.
+// injectors and gates that hold a verb on the wire until the test lets it
+// go, so unit tests need no sockets. It counts reads as the wire carries
+// them: a read of one page, a demand fault's, is a READ, whichever method
+// asked for it, and a batch of more is a READV.
 type fakeBacking struct {
 	mu       sync.Mutex
 	mem      []byte
-	reads    atomic.Uint64
-	readvs   atomic.Uint64
+	reads    atomic.Uint64 // READs: pages read one at a time
+	readvs   atomic.Uint64 // READVs: batches of two pages or more
+	rvPages  atomic.Uint64 // the pages the READVs carried
 	writevs  atomic.Uint64
 	wvPages  atomic.Uint64
 	failRead atomic.Bool // fails Read and ReadVInto
 	scribble bool        // a failing ReadVInto dirties its buffers first
 	failWV   atomic.Bool
 
-	// A non-nil gate blocks the verb after it has signalled entered.
+	// A non-nil gate blocks the verb after it has signalled entered. Once
+	// closed, rvGate lets reads through without a signal.
 	rvGate, wvGate chan struct{}
 	entered        chan struct{}
 }
@@ -57,14 +62,23 @@ func (f *fakeBacking) Write(handle uint64, offset int64, data []byte) error {
 	return nil
 }
 
-// ReadVInto is the batched read the pager issues. scribble makes a
-// failing one write into its buffers first, as a transport that dies
-// mid-body does.
+// ReadVInto is the read the pager issues into its frames: a demand
+// fault's page, or a batch. scribble makes a failing one write into its
+// buffers first, as a transport that dies mid-body does.
 func (f *fakeBacking) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
-	f.readvs.Add(1)
-	if f.rvGate != nil {
-		f.entered <- struct{}{}
-		<-f.rvGate
+	if len(dst) == 1 {
+		f.reads.Add(1)
+	} else {
+		f.readvs.Add(1)
+		f.rvPages.Add(uint64(len(dst)))
+	}
+	if gate := f.rvGate; gate != nil {
+		select {
+		case <-gate:
+		default:
+			f.entered <- struct{}{}
+			<-gate
+		}
 	}
 	if f.failRead.Load() {
 		if f.scribble {
@@ -660,11 +674,10 @@ func TestHitPathTouchesNoNetwork(t *testing.T) {
 	}
 }
 
-// TestMemnodeRoundtrip: against a memnode client the demand path goes
-// through the futures API — a read started by the Pin and completed by
-// the link, counted under the Read verb like a synchronous one — and
-// content survives write-behind and re-fault end to end over a real
-// socket.
+// TestMemnodeRoundtrip: against a memnode client every demand fault is
+// one wire READ — into the frame the fault took, or, when it found the
+// pool dry, a future started before it waited — and content survives
+// write-behind and re-fault end to end over a real socket.
 func TestMemnodeRoundtrip(t *testing.T) {
 	srv, err := memnode.NewServer("127.0.0.1:0", 64<<20)
 	if err != nil {
@@ -713,8 +726,14 @@ func TestMemnodeRoundtrip(t *testing.T) {
 	if m.WriteV.Ops != s.WritebackBatches {
 		t.Errorf("WriteV wire ops %d != pager writeback batches %d", m.WriteV.Ops, s.WritebackBatches)
 	}
-	if m.Read.Ops != s.Faults {
-		t.Errorf("Read wire ops %d != pager faults %d", m.Read.Ops, s.Faults)
+	// A fault that got a frame at once asked for a ReadVInto of one page,
+	// one that waited for a frame for a Read; the wire carried a READ
+	// either way, which the server counts.
+	if m.Read.Ops+m.ReadV.Ops != s.Faults {
+		t.Errorf("Read and ReadV ops %d + %d != pager faults %d", m.Read.Ops, m.ReadV.Ops, s.Faults)
+	}
+	if st, err := c.Stat(); err != nil || st.ReadOps != s.Faults {
+		t.Errorf("the server counted %d pages read (%v) for %d faults", st.ReadOps, err, s.Faults)
 	}
 }
 
@@ -749,5 +768,65 @@ func TestFlushLeavesPagesResident(t *testing.T) {
 	}
 	if got := fb.reads.Load(); got != reads {
 		t.Errorf("pins after flush re-faulted: %d extra reads", got-reads)
+	}
+}
+
+// TestFlushResumesItsWalk: Flush's batches resume the walk of the page
+// table where the last one stopped, and the call ends only after a walk
+// that found nothing to send. A page write-dirtied behind the cursor
+// while a batch is on the wire is written by the same call; a dirty page
+// still pinned for write is reported, and written by the next Flush.
+func TestFlushResumesItsWalk(t *testing.T) {
+	fb := newFakeBacking()
+	p, err := New(fb, 64, 32, Options{EvictBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	pin := func(pg uint64, write bool) Frame {
+		t.Helper()
+		fr, err := p.Pin(pg, write)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if write {
+			stampPage(fr.Data, pg)
+		}
+		return fr
+	}
+	pin(0, false).Unpin() // resident and clean
+	for pg := uint64(8); pg < 16; pg++ {
+		pin(pg, true).Unpin()
+	}
+	held := pin(20, true) // dirty, and pinned for write throughout
+
+	fb.wvGate = make(chan struct{})
+	flushed := make(chan error, 1)
+	go func() { flushed <- p.Flush() }()
+	<-fb.entered         // pages 8..11 are on the wire, the cursor past them
+	pin(0, true).Unpin() // dirtied behind the cursor
+	close(fb.wvGate)
+	if err := <-flushed; err == nil || !strings.Contains(err.Error(), "left 1 dirty pages pinned") {
+		t.Errorf("flush with page 20 pinned for write = %v, want it reported", err)
+	}
+	if wv := fb.writevs.Load(); wv != 3 {
+		t.Errorf("%d batches written; want 8..11, 12..15 and page 0", wv)
+	}
+	stamped := func(pg uint64) bool {
+		fb.mu.Lock()
+		defer fb.mu.Unlock()
+		return binary.LittleEndian.Uint64(fb.mem[pg*4096:]) == pg^0x6d616765
+	}
+	for _, pg := range []uint64{0, 8, 11, 12, 15} {
+		if !stamped(pg) {
+			t.Errorf("page %d is not in far memory after the flush", pg)
+		}
+	}
+	if stamped(20) {
+		t.Error("the flush wrote a page pinned for write")
+	}
+	held.Unpin()
+	if err := p.Flush(); err != nil || !stamped(20) || fb.writevs.Load() != 4 {
+		t.Errorf("the next flush = %v, page 20 written: %v, %d batches in all; want nil, true, 4", err, stamped(20), fb.writevs.Load())
 	}
 }
