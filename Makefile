@@ -62,6 +62,13 @@ lint: fmtcheck vet magevet
 # figure-regeneration pin is ROADMAP aim 1's wall clock: fig5 + fig7 +
 # fig14 on one worker in at most 4.0 s (2.1-2.7 s measured; 3.2-5.5 s
 # with the channel hand-off back, as the box's speed that day has it).
+# The fault-path count pin holds the DES to a number the box's speed
+# cannot move: coroutine resumes per simulated major fault on the
+# Mage^LIB stack. An IPI in flight and a posted RDMA write are chains of
+# continuations, not processes, and cost no resume; 6.6-6.8 measured at
+# the 0.2-2M faults a one-second run reaches (7.9 while each was a
+# spawned process), hence a ceiling of 7.2. A one-shot helper that
+# becomes a process again breaks it.
 # The magecache pin is the headline end-to-end floor: the KV cache over
 # the user-level pager must sustain >= 120k ops/s with its value heap
 # at a remote:local ratio of 8:1 on a live memnode socket (measured
@@ -90,7 +97,7 @@ lint: fmtcheck vet magevet
 bench:
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkEngineDispatch|BenchmarkParexpFigures|BenchmarkFaultPathMageLib|BenchmarkFaultToleranceMageLib|BenchmarkColocateNode|BenchmarkMemnodePipeline|BenchmarkMemnodeShmPipeline|BenchmarkServerRoundtrip|BenchmarkClusterFailoverRead|BenchmarkMagecacheZipf|BenchmarkPagerFault|BenchmarkPinHit' ./... \
 		| tee /dev/stderr | $(GO) run ./cmd/benchsnap \
-			-require 'BenchmarkMemnodePipeline:pages/s,BenchmarkMemnodePipeline:p99-us,BenchmarkServerRoundtrip:allocs/op,BenchmarkMemnodeShmPipeline:pages/s,BenchmarkMemnodeShmPipeline:p99-us,BenchmarkMemnodeShmPipeline:allocs/op,BenchmarkClusterFailoverRead:pages/s,BenchmarkClusterFailoverRead:p99-us,BenchmarkEngineDispatch:events/s>=2700000,BenchmarkEngineDispatch:allocs/op<=0,BenchmarkParexpFigures/sequential:ns/op<=4000000000,BenchmarkMagecacheZipf:ops/s>=120000,BenchmarkMagecacheZipf:p99-us,BenchmarkPagerFault/tcp:allocs/fault<=0.05,BenchmarkPagerFault/shm:allocs/fault<=0.05,BenchmarkPagerFault/cluster:allocs/fault<=0.1,BenchmarkPagerFault/tcp:goroutines/fault<=0.01,BenchmarkPagerFault/shm:goroutines/fault<=0.01,BenchmarkPagerFault/cluster:goroutines/fault<=0.01,BenchmarkPinHit:ns/op<=250,BenchmarkPinHit:allocs/op<=0,BenchmarkMemnodeShmPipeline:allocs/op<=0,BenchmarkMemnodePipeline:allocs/op<=0'
+			-require 'BenchmarkMemnodePipeline:pages/s,BenchmarkMemnodePipeline:p99-us,BenchmarkServerRoundtrip:allocs/op,BenchmarkMemnodeShmPipeline:pages/s,BenchmarkMemnodeShmPipeline:p99-us,BenchmarkMemnodeShmPipeline:allocs/op,BenchmarkClusterFailoverRead:pages/s,BenchmarkClusterFailoverRead:p99-us,BenchmarkEngineDispatch:events/s>=2700000,BenchmarkEngineDispatch:allocs/op<=0,BenchmarkParexpFigures/sequential:ns/op<=4000000000,BenchmarkFaultPathMageLib:resumes/fault<=7.2,BenchmarkMagecacheZipf:ops/s>=120000,BenchmarkMagecacheZipf:p99-us,BenchmarkPagerFault/tcp:allocs/fault<=0.05,BenchmarkPagerFault/shm:allocs/fault<=0.05,BenchmarkPagerFault/cluster:allocs/fault<=0.1,BenchmarkPagerFault/tcp:goroutines/fault<=0.01,BenchmarkPagerFault/shm:goroutines/fault<=0.01,BenchmarkPagerFault/cluster:goroutines/fault<=0.01,BenchmarkPinHit:ns/op<=250,BenchmarkPinHit:allocs/op<=0,BenchmarkMemnodeShmPipeline:allocs/op<=0,BenchmarkMemnodePipeline:allocs/op<=0'
 
 # bench/ is a module of its own (BENCHMARK.json's harness), so build,
 # vet and test above never compile it: a change to upager.Backing,

@@ -208,7 +208,9 @@ func BenchmarkParexpFigures(b *testing.B) {
 }
 
 // BenchmarkFaultPathMageLib measures the simulated fault pipeline itself:
-// host ns per simulated major fault on the full Mage^LIB stack.
+// host ns per simulated major fault on the full Mage^LIB stack, beside two
+// counts that do not depend on the box: events dispatched and coroutine
+// resumes per major fault.
 func BenchmarkFaultPathMageLib(b *testing.B) {
 	cfg := mage.MageLib(8, 1<<14, 1<<13)
 	cfg.Sockets = 1
@@ -227,6 +229,10 @@ func BenchmarkFaultPathMageLib(b *testing.B) {
 	res := sys.Run([]mage.AccessStream{stream})
 	if res.TotalAccesses() == 0 {
 		b.Fatal("no accesses")
+	}
+	if faults := float64(res.Metrics.MajorFaults); faults > 0 {
+		b.ReportMetric(float64(sys.Eng.Resumes())/faults, "resumes/fault")
+		b.ReportMetric(float64(sys.Eng.Dispatched())/faults, "events/fault")
 	}
 }
 

@@ -12,6 +12,12 @@
 //     by an order of magnitude at high thread counts.
 //  3. Delivery latency is NUMA-dependent (higher across sockets) and, for
 //     virtualized systems, every delivered IPI pays a VM-exit surcharge.
+//
+// An IPI in flight is not a simulated process. Its round trip (wire,
+// inbox, handler, ack) is a chain of sim continuations, each scheduled
+// where a process's wake would have been, so it costs no coroutine and no
+// resume: whoever pops a step runs it, usually the sender still parked in
+// its next send slot.
 package apic
 
 import (
@@ -111,28 +117,40 @@ func (f *Fabric) Post(p *sim.Proc, from topo.CoreID, targets []topo.CoreID, hand
 		p.Sleep(f.costs.SendCost)
 		f.IPIsSent.Inc()
 
-		tgt := tgt
 		issued := p.Now()
 		delivery := f.costs.DeliverySameSocket
 		if !f.machine.SameSocket(from, tgt) {
 			delivery = f.costs.DeliveryCrossSocket
 		}
-		f.eng.Spawn("ipi", func(ip *sim.Proc) {
-			ip.Sleep(delivery + f.costs.VMExit)
-			inbox := f.inbox[tgt]
-			inbox.Lock(ip)
-			ip.Sleep(handlerCost)
-			f.machine.Core(tgt).Steal(int64(handlerCost + f.costs.VMExit))
-			inbox.Unlock(ip)
-			f.DeliveryLatency.Record(int64(ip.Now() - issued))
-			ip.Sleep(f.costs.AckLatency)
-			c.pending--
-			if c.pending == 0 {
-				c.q.Broadcast()
-			}
-		})
+		f.eng.After(0, func() { f.deliver(c, tgt, issued, delivery, handlerCost) })
 	}
 	return c
+}
+
+// deliver runs one IPI's round trip: the wire and VM exit, the target's
+// inbox in FIFO turn, the handler, the ack. Each step is a continuation
+// scheduled where the IPI used to sleep or queue as a process of its own.
+func (f *Fabric) deliver(c *Completion, tgt topo.CoreID, issued, delivery, handlerCost sim.Time) {
+	inbox := f.inbox[tgt]
+	f.eng.After(delivery+f.costs.VMExit, func() {
+		inbox.LockThen(func() {
+			f.eng.After(handlerCost, func() {
+				f.machine.Core(tgt).Steal(int64(handlerCost + f.costs.VMExit))
+				inbox.Release()
+				f.DeliveryLatency.Record(int64(f.eng.Now() - issued))
+				f.eng.After(f.costs.AckLatency, c.ack)
+			})
+		})
+	})
+}
+
+// ack counts one target's acknowledgement and releases the waiters on the
+// last.
+func (c *Completion) ack() {
+	c.pending--
+	if c.pending == 0 {
+		c.q.Broadcast()
+	}
 }
 
 // Broadcast issues one IPI from core `from` to every core in targets,

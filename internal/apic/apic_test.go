@@ -156,3 +156,36 @@ func TestConcurrentBroadcastsComplete(t *testing.T) {
 		t.Errorf("IPIsSent = %d, want 56", f.IPIsSent.Value())
 	}
 }
+
+// TestPostIsNoProcess: an IPI in flight is a chain of continuations, not
+// a process. Post leaves Engine.Live unchanged, and a lone sender's 23
+// send slots cost it no resume: each IPI's steps run on its stack while
+// it parks in its next slot, and so does the last ack that wakes it.
+func TestPostIsNoProcess(t *testing.T) {
+	eng, f, _ := testFabric(2, 12)
+	var targets []topo.CoreID
+	for c := topo.CoreID(1); c < 24; c++ {
+		targets = append(targets, c)
+	}
+	eng.Spawn("init", func(p *sim.Proc) {
+		live, resumes := eng.Live(), eng.Resumes()
+		c := f.Post(p, 0, targets, 500)
+		if eng.Live() != live {
+			t.Errorf("Post: Live %d -> %d", live, eng.Live())
+		}
+		if got := eng.Resumes() - resumes; got != 0 {
+			t.Errorf("23 send slots cost the sender %d resumes, want 0", got)
+		}
+		c.Wait(p)
+		if eng.Live() != live {
+			t.Errorf("after the acks: Live %d -> %d", live, eng.Live())
+		}
+		if got := eng.Resumes() - resumes; got != 0 {
+			t.Errorf("a 23-target broadcast cost the sender %d resumes, want 0", got)
+		}
+	})
+	eng.Run()
+	if f.IPIsSent.Value() != 23 || f.DeliveryLatency.Count() != 23 {
+		t.Errorf("IPIs sent %d, latencies recorded %d; want 23 and 23", f.IPIsSent.Value(), f.DeliveryLatency.Count())
+	}
+}

@@ -101,38 +101,19 @@ func (n *NIC) TryPostWriteWith(p *sim.Proc, bytes int64, timeout sim.Time, inj *
 	}
 	o := inj.WriteOutcome(p.Now())
 	n.hostPost(p)
-	c := &Completion{q: sim.NewWaitQueue(n.eng, "wr-completion")}
-	issued := p.Now()
+	var lost sim.Time // how long a dropped write takes to report
 	switch o.Drop {
 	case faultinject.DropTimeout:
-		n.eng.Spawn("rdma-write", func(wp *sim.Proc) {
-			wp.Sleep(timeout)
-			c.failed = true
-			c.timedOut = true
-			c.done = true
-			c.at = wp.Now()
-			c.q.Broadcast()
-		})
-		return c
+		lost = timeout
 	case faultinject.DropNack:
-		n.eng.Spawn("rdma-write", func(wp *sim.Proc) {
-			wp.Sleep(n.costs.BaseLatency)
-			c.failed = true
-			c.done = true
-			c.at = wp.Now()
-			c.q.Broadcast()
-		})
-		return c
+		lost = n.costs.BaseLatency
+	default:
+		return n.startWrite(p, bytes, o.ExtraLatency, o.RateFactor)
 	}
-	n.eng.Spawn("rdma-write", func(wp *sim.Proc) {
-		wp.Sleep(n.costs.BaseLatency + o.ExtraLatency)
-		n.serializeAt(wp, n.tx, bytes, o.RateFactor)
-		n.Writes.Inc()
-		n.BytesWritten.Add(uint64(bytes))
-		n.WriteLatency.Record(int64(wp.Now() - issued))
-		c.done = true
-		c.at = wp.Now()
-		c.q.Broadcast()
+	c := &Completion{q: sim.NewWaitQueue(n.eng, "wr-completion")}
+	timedOut := o.Drop == faultinject.DropTimeout
+	n.eng.After(0, func() {
+		n.eng.After(lost, func() { c.finish(n.eng.Now(), true, timedOut) })
 	})
 	return c
 }

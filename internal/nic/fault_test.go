@@ -184,3 +184,52 @@ func TestFaultedNICDeterministic(t *testing.T) {
 		t.Error("no nacks fired at p=0.3 over 500 ops")
 	}
 }
+
+// TestPostWriteIsNoProcess: a posted WRITE in flight is a chain of
+// continuations, not a process, on every path: plain, and under an
+// injector that passes, NACKs or times it out. Neither the post nor the
+// completion changes Engine.Live.
+func TestPostWriteIsNoProcess(t *testing.T) {
+	rows := []struct {
+		name     string
+		plan     *faultinject.Plan
+		failed   bool
+		timedOut bool
+	}{
+		{"PostWrite", nil, false, false},
+		{"TryPostWriteWith ok", &faultinject.Plan{Seed: 2}, false, false},
+		{"TryPostWriteWith nack", &faultinject.Plan{Seed: 2, WriteFailProb: 1}, true, false},
+		{"TryPostWriteWith timeout", &faultinject.Plan{Outages: []faultinject.Window{{Start: 0, End: sim.Second}}}, true, true},
+	}
+	for _, r := range rows {
+		eng := sim.NewEngine()
+		n := NewDefault(eng, StackLibOS)
+		eng.Spawn("writer", func(p *sim.Proc) {
+			live := eng.Live()
+			var cs []*Completion
+			for i := 0; i < 4; i++ {
+				if r.plan == nil {
+					cs = append(cs, n.PostWrite(p, PageSize))
+				} else {
+					cs = append(cs, n.TryPostWriteWith(p, PageSize, 50*sim.Microsecond, faultinject.MustNew(*r.plan)))
+				}
+				if eng.Live() != live {
+					t.Errorf("%s: post %d: Live %d -> %d", r.name, i, live, eng.Live())
+				}
+			}
+			for _, c := range cs {
+				c.Wait(p)
+				if c.Failed() != r.failed || c.TimedOut() != r.timedOut {
+					t.Errorf("%s: failed=%v timedOut=%v", r.name, c.Failed(), c.TimedOut())
+				}
+			}
+			if eng.Live() != live {
+				t.Errorf("%s: after completion: Live %d -> %d", r.name, live, eng.Live())
+			}
+		})
+		eng.Run()
+		if want := uint64(4); !r.failed && n.Writes.Value() != want {
+			t.Errorf("%s: %d writes, want %d", r.name, n.Writes.Value(), want)
+		}
+	}
+}

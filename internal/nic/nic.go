@@ -14,6 +14,11 @@
 //     stack. The kernel RDMA stack (Hermit, Mage^LNX) costs more per
 //     operation and serializes on a shared lock; the libOS/microkernel
 //     driver (DiLOS, Mage^LIB) uses per-core QPs with no shared lock.
+//
+// A posted WRITE in flight is not a simulated process. Its propagation,
+// its turn on the TX link and its completion are a chain of sim
+// continuations, each scheduled where a process's wake would have been,
+// so it costs no coroutine and no resume: whoever pops a step runs it.
 package nic
 
 import (
@@ -182,8 +187,24 @@ func (n *NIC) serialize(p *sim.Proc, link *sim.Mutex, bytes int64) {
 // fault injector's degraded-link windows run transfers at factor < 1.
 func (n *NIC) serializeAt(p *sim.Proc, link *sim.Mutex, bytes int64, factor float64) {
 	link.Lock(p)
-	p.Sleep(sim.Time(float64(bytes) / (n.costs.BytesPerNs * factor)))
+	p.Sleep(n.wire(bytes, factor))
 	link.Unlock(p)
+}
+
+// serializeThen is serializeAt for a continuation: k runs once the
+// transfer has left the link.
+func (n *NIC) serializeThen(link *sim.Mutex, bytes int64, factor float64, k func()) {
+	link.LockThen(func() {
+		n.eng.After(n.wire(bytes, factor), func() {
+			link.Release()
+			k()
+		})
+	})
+}
+
+// wire is the time bytes hold a link at the line rate scaled by factor.
+func (n *NIC) wire(bytes int64, factor float64) sim.Time {
+	return sim.Time(float64(bytes) / (n.costs.BytesPerNs * factor))
 }
 
 // hostPost models the CPU-side cost of submitting one work request.
@@ -244,6 +265,15 @@ func (c *Completion) Wait(p *sim.Proc) sim.Time {
 	return c.at
 }
 
+// finish marks the write done at the current instant, with the injector's
+// verdict, and releases its waiters.
+func (c *Completion) finish(now sim.Time, failed, timedOut bool) {
+	c.failed, c.timedOut = failed, timedOut
+	c.done = true
+	c.at = now
+	c.q.Broadcast()
+}
+
 // PostWrite submits a one-sided RDMA WRITE of bytes and returns
 // immediately with a completion handle; the wire transfer proceeds
 // asynchronously. The caller pays only the CPU-side submission cost.
@@ -251,17 +281,26 @@ func (c *Completion) Wait(p *sim.Proc) sim.Time {
 // overlap RDMA waits with work on other batches (Fig 8, steps ⑤–⑥).
 func (n *NIC) PostWrite(p *sim.Proc, bytes int64) *Completion {
 	n.hostPost(p)
+	return n.startWrite(p, bytes, 0, 1)
+}
+
+// startWrite posts the wire half of a WRITE that will succeed: the base
+// latency plus extra, then the TX link at the line rate scaled by factor,
+// then the completion. The first step is scheduled now, where a spawned
+// process's start would be, so that every later step takes the seq its
+// sleep or hand-off would have had.
+func (n *NIC) startWrite(p *sim.Proc, bytes int64, extra sim.Time, factor float64) *Completion {
 	c := &Completion{q: sim.NewWaitQueue(n.eng, "wr-completion")}
 	issued := p.Now()
-	n.eng.Spawn("rdma-write", func(wp *sim.Proc) {
-		wp.Sleep(n.costs.BaseLatency)
-		n.serialize(wp, n.tx, bytes)
-		n.Writes.Inc()
-		n.BytesWritten.Add(uint64(bytes))
-		n.WriteLatency.Record(int64(wp.Now() - issued))
-		c.done = true
-		c.at = wp.Now()
-		c.q.Broadcast()
+	n.eng.After(0, func() {
+		n.eng.After(n.costs.BaseLatency+extra, func() {
+			n.serializeThen(n.tx, bytes, factor, func() {
+				n.Writes.Inc()
+				n.BytesWritten.Add(uint64(bytes))
+				n.WriteLatency.Record(int64(n.eng.Now() - issued))
+				c.finish(n.eng.Now(), false, false)
+			})
+		})
 	})
 	return c
 }

@@ -1,23 +1,31 @@
 package sim
 
-// Mutex is a FIFO-queued lock for simulated processes. Waiting for a
-// contended Mutex consumes virtual time; the engine records how much, which
-// is how lock contention shows up in experiment results.
+// Mutex is a FIFO-queued lock for simulated processes and continuations.
+// Waiting for a contended Mutex consumes virtual time; the engine records
+// how much, which is how lock contention shows up in experiment results.
 //
 // The zero value is NOT usable; create with NewMutex so contention
 // statistics are attached to an engine.
 type Mutex struct {
 	eng     *Engine
 	name    string
-	holder  *Proc
-	waiters []*Proc
-	waitAt  []Time
+	held    bool
+	holder  *Proc // nil while a continuation holds the mutex
+	waiters []waiter
 
 	// Contention statistics, readable at any time.
 	Acquires  uint64 // total successful Lock calls
 	Contended uint64 // Lock calls that had to wait
 	WaitNs    int64  // total virtual ns spent waiting
 	MaxWaitNs int64  // largest single wait
+}
+
+// waiter is one entry of a Mutex's FIFO: a blocked process, or a
+// continuation (k) with the instant it queued.
+type waiter struct {
+	p  *Proc
+	k  func()
+	at Time
 }
 
 // NewMutex returns an unlocked mutex attached to eng.
@@ -29,60 +37,101 @@ func NewMutex(eng *Engine, name string) *Mutex {
 func (m *Mutex) Name() string { return m.name }
 
 // Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.holder != nil }
+func (m *Mutex) Locked() bool { return m.held }
 
-// QueueLen returns the number of processes waiting for the mutex.
+// QueueLen returns the number of processes and continuations waiting for
+// the mutex.
 func (m *Mutex) QueueLen() int { return len(m.waiters) }
 
 // Lock acquires the mutex, blocking p in FIFO order if it is held.
 func (m *Mutex) Lock(p *Proc) {
 	m.Acquires++
-	if m.holder == nil {
-		m.holder = p
+	if !m.held {
+		m.held, m.holder = true, p
 		return
 	}
 	m.Contended++
-	m.waiters = append(m.waiters, p)
-	m.waitAt = append(m.waitAt, p.eng.now)
+	m.waiters = append(m.waiters, waiter{p: p})
 	start := p.eng.now
 	p.block()
-	waited := int64(p.eng.now - start)
-	m.WaitNs += waited
-	if waited > m.MaxWaitNs {
-		m.MaxWaitNs = waited
-	}
+	m.recordWait(int64(p.eng.now - start))
 	// Ownership was transferred by Unlock before we were woken.
 	if m.holder != p {
 		panic("sim: mutex handoff error on " + m.name)
 	}
 }
 
+// LockThen is Lock for a continuation: k runs holding the mutex, at once
+// if it is free, or else from the same FIFO as the processes, as an event
+// at the instant Unlock hands the mutex over, where a queued process's
+// wake would have been. k, or a continuation it schedules, releases the
+// mutex with Release.
+func (m *Mutex) LockThen(k func()) {
+	m.Acquires++
+	if !m.held {
+		m.held, m.holder = true, nil
+		k()
+		return
+	}
+	m.Contended++
+	m.waiters = append(m.waiters, waiter{k: k, at: m.eng.now})
+}
+
 // TryLock acquires the mutex if it is free and reports whether it did.
 func (m *Mutex) TryLock(p *Proc) bool {
-	if m.holder != nil {
+	if m.held {
 		return false
 	}
 	m.Acquires++
-	m.holder = p
+	m.held, m.holder = true, p
 	return true
 }
 
-// Unlock releases the mutex, handing it to the longest-waiting process if
-// any. Only the holder may unlock.
+// Unlock releases the mutex, handing it to the longest waiter if any.
+// Only the holder may unlock.
 func (m *Mutex) Unlock(p *Proc) {
-	if m.holder != p {
+	if !m.held || m.holder != p {
 		panic("sim: unlock of mutex " + m.name + " not held by " + p.name)
 	}
+	m.handOff()
+}
+
+// Release is Unlock for the continuation that holds the mutex through
+// LockThen.
+func (m *Mutex) Release() {
+	if !m.held || m.holder != nil {
+		panic("sim: release of mutex " + m.name + " not held by a continuation")
+	}
+	m.handOff()
+}
+
+// handOff passes the mutex to the longest waiter, or frees it. A process
+// is woken now and counts its own wait when it resumes; a continuation is
+// scheduled now, and its wait, which ends at this same instant, is
+// counted here.
+func (m *Mutex) handOff() {
 	if len(m.waiters) == 0 {
-		m.holder = nil
+		m.held, m.holder = false, nil
 		return
 	}
-	next := m.waiters[0]
-	copy(m.waiters, m.waiters[1:])
-	m.waiters = m.waiters[:len(m.waiters)-1]
-	m.waitAt = m.waitAt[:len(m.waitAt)-1]
-	m.holder = next
-	m.eng.wake(next, wakeSignal)
+	w := m.waiters[0]
+	n := copy(m.waiters, m.waiters[1:])
+	m.waiters[n] = waiter{}
+	m.waiters = m.waiters[:n]
+	m.holder = w.p
+	if w.k == nil {
+		m.eng.wake(w.p, wakeSignal)
+		return
+	}
+	m.recordWait(int64(m.eng.now - w.at))
+	m.eng.After(0, w.k)
+}
+
+func (m *Mutex) recordWait(waited int64) {
+	m.WaitNs += waited
+	if waited > m.MaxWaitNs {
+		m.MaxWaitNs = waited
+	}
 }
 
 // AvgWait returns the mean virtual time spent waiting per acquisition, in

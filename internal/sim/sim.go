@@ -25,6 +25,20 @@
 // ...) therefore never races with other processes and needs no host-level
 // synchronization. Which process runs next is the event heap's (time, seq)
 // order and nothing else; the Go scheduler is never asked.
+//
+// A one-shot helper that only sleeps, takes a Mutex and signals need not
+// be a process at all. It is a chain of continuations, events that carry
+// a func() instead of a process:
+//
+//	eng.After(d, func() {          // runs d from now
+//		link.LockThen(func() { // runs holding link, in its FIFO turn
+//			eng.After(wire, func() { link.Release(); done.Broadcast() })
+//		})
+//	})
+//
+// Whoever pops a continuation's event runs it on the spot: the run loop,
+// or a process parking in Sleep, Lock or Wait. It costs no resume, and it
+// must never block.
 package sim
 
 import (
@@ -79,10 +93,14 @@ const (
 	wakeTimeout
 )
 
+// event is a process's wake or, when k is set, a continuation: a function
+// run by whoever pops the event (the loop, or a parking process), with no
+// process of its own.
 type event struct {
 	at       Time
 	seq      uint64
 	p        *Proc
+	k        func()
 	reason   wakeReason
 	canceled bool
 }
@@ -170,10 +188,11 @@ func (p *Proc) Now() Time { return p.eng.now }
 // queue, and RunUntil's loop is the one dispatcher: it pops the head and
 // resumes that event's process, which runs until it parks or returns and
 // so hands control straight back to the loop. A parking process whose own
-// event is the next one takes it and keeps running without any switch. A
-// process is never runnable in the Go scheduler's sense, only resumed by
-// the loop, so exactly one runs at a time by construction and the shared
-// state below needs no locking.
+// event is the next one takes it and keeps running without any switch,
+// and it runs any continuation it pops on its own stack before it looks
+// again. A process is never runnable in the Go scheduler's sense, only
+// resumed by the loop, so exactly one runs at a time by construction and
+// the shared state below needs no locking.
 type Engine struct {
 	now      Time
 	seq      uint64
@@ -187,13 +206,15 @@ type Engine struct {
 	// to be another process's: it suspends and the loop dispatches this
 	// instead of calling next again, so next runs once per event.
 	popped *event
-	// resumes counts the loop's hand-offs, so that a test can hold the
-	// no-switch park to a count instead of a timing.
-	resumes uint64
-	procs   []*Proc // indexed by Proc.ID; nil once exited
-	live    int
-	panicV  interface{}
-	stopped bool
+	// resumes counts the loop's hand-offs into a process, dispatched the
+	// events next has handed out: counts, not timings, that a test or a
+	// benchmark can hold the no-switch park and the continuations to.
+	resumes    uint64
+	dispatched uint64
+	procs      []*Proc // indexed by Proc.ID; nil once exited
+	live       int
+	panicV     interface{}
+	stopped    bool
 	// lastAt, lastSeq: the key next last returned (magecheck builds only).
 	lastAt  Time
 	lastSeq uint64
@@ -224,6 +245,15 @@ func (e *Engine) Now() Time { return e.now }
 
 // Live returns the number of processes that have not yet exited.
 func (e *Engine) Live() int { return e.live }
+
+// Resumes returns how many times the run loop has switched into a
+// process. A process that finds its own wake next when it parks, or pops
+// a continuation, costs none.
+func (e *Engine) Resumes() uint64 { return e.resumes }
+
+// Dispatched returns how many events have been dispatched: process wakes
+// and continuations alike, canceled events not counted.
+func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
 // poison is the panic value park uses to unwind a process being shut
 // down; the spawn wrapper recognizes and swallows it.
@@ -277,9 +307,23 @@ func (e *Engine) schedule(at Time, p *Proc, reason wakeReason) *event {
 	return ev
 }
 
+// After schedules the continuation k to run d from now; a non-positive d
+// runs it at the current instant, after every event already due then.
+// The event takes its seq here, exactly as a process's Sleep(d) would
+// have, so a one-shot helper rewritten from Spawn, Sleep and Lock to
+// After and Mutex.LockThen keeps every event's (time, seq). k runs on the
+// stack of whoever pops it and must not block: it goes on by scheduling
+// the next continuation.
+func (e *Engine) After(d Time, k func()) {
+	if d < 0 {
+		d = 0
+	}
+	e.schedule(e.now+d, nil, wakeNone).k = k
+}
+
 // recycle returns a no-longer-referenced event to the freelist.
 func (e *Engine) recycle(ev *event) {
-	ev.p = nil
+	ev.p, ev.k = nil, nil
 	e.free = append(e.free, ev)
 }
 
@@ -311,6 +355,7 @@ func (e *Engine) next() *event {
 				"sim: event (t=%v, seq %d) dispatched after (t=%v, seq %d)", ev.at, ev.seq, e.lastAt, e.lastSeq)
 			e.lastAt, e.lastSeq = ev.at, ev.seq
 		}
+		e.dispatched++
 		return ev
 	}
 	return nil
@@ -325,6 +370,15 @@ func (e *Engine) deliver(ev *event) *Proc {
 	p.pending = nil
 	e.recycle(ev)
 	return p
+}
+
+// run advances the clock to a continuation's event, consumes it and runs
+// its function on the caller's stack.
+func (e *Engine) run(ev *event) {
+	e.now = ev.at
+	k := ev.k
+	e.recycle(ev)
+	k()
 }
 
 // scheduleWake arranges for p to resume at time at, canceling any
@@ -346,7 +400,8 @@ func (e *Engine) Run() Time {
 }
 
 // RunUntil is like Run but stops once the clock would pass the deadline.
-// Events at exactly the deadline still execute.
+// Events at exactly the deadline still execute. A continuation the loop
+// pops runs on the caller's stack, so its panic leaves RunUntil directly.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.deadline = deadline
 	for {
@@ -356,6 +411,10 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			if ev = e.next(); ev == nil {
 				break
 			}
+		}
+		if ev.k != nil {
+			e.run(ev)
+			continue
 		}
 		e.cur = e.deliver(ev)
 		e.resumes++
@@ -425,14 +484,21 @@ func (e *Engine) Shutdown() {
 }
 
 // park suspends the process until its next wake event is dispatched. It
-// pops the next event itself: when that event is its own (consecutive
-// sleeps with no one else due) it returns without any switch; otherwise
-// it leaves the event, or nil when nothing is dispatchable, for the loop
-// and suspends. A kill (Shutdown) unwinds the process's stack instead of
-// returning; the spawn wrapper swallows the sentinel panic.
+// pops the next event itself: a continuation it runs on the spot and pops
+// again; when the event is its own (consecutive sleeps with no one else
+// due) it returns without any switch; otherwise it leaves the event, or
+// nil when nothing is dispatchable, for the loop and suspends. A
+// continuation that panics here unwinds this process, whose spawn wrapper
+// hands the value to the loop. A kill (Shutdown) unwinds the process's
+// stack instead of returning; the spawn wrapper swallows the sentinel
+// panic.
 func (p *Proc) park() wakeReason {
 	e := p.eng
 	ev := e.next()
+	for ev != nil && ev.k != nil {
+		e.run(ev)
+		ev = e.next()
+	}
 	if ev != nil && ev.p == p {
 		e.deliver(ev)
 		return p.woke

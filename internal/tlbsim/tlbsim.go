@@ -19,14 +19,29 @@ import (
 
 // TLB is one core's translation cache: a bounded set of virtual page
 // numbers with FIFO replacement.
+//
+// FlushAll is O(1): every ring slot carries the generation it was filled
+// in, and a flush bumps the current one. An entry is cached only while
+// its slot's stamp is current; the map may keep stale entries, at most
+// one per slot, until their slot is reused. Only when the generation
+// counter wraps does a flush clear the map and the ring.
 type TLB struct {
 	capacity int
-	entries  map[uint64]int // page -> ring index
-	ring     []uint64
+	entries  map[uint64]int // page -> ring index; ring[i].page == page
+	ring     []slot
 	pos      int
+	gen      uint32 // the current generation, bumped by FlushAll
+	live     int    // entries whose slot is stamped gen
 
 	Hits   uint64
 	Misses uint64
+}
+
+// slot is one ring position: the page it holds and the generation it was
+// filled in.
+type slot struct {
+	page uint64
+	gen  uint32
 }
 
 const emptySlot = ^uint64(0)
@@ -39,58 +54,79 @@ func NewTLB(capacity int) *TLB {
 	t := &TLB{
 		capacity: capacity,
 		entries:  make(map[uint64]int, capacity),
-		ring:     make([]uint64, capacity),
+		ring:     make([]slot, capacity),
 	}
-	for i := range t.ring {
-		t.ring[i] = emptySlot
-	}
+	t.reset()
 	return t
+}
+
+// reset empties the map and the ring.
+func (t *TLB) reset() {
+	clear(t.entries)
+	for i := range t.ring {
+		t.ring[i] = slot{page: emptySlot}
+	}
+	t.live = 0
+}
+
+// cached reports whether page is in the TLB: its map entry names a slot
+// stamped with the current generation.
+func (t *TLB) cached(page uint64) bool {
+	i, ok := t.entries[page]
+	return ok && t.ring[i].gen == t.gen
 }
 
 // Touch looks up page, inserting it on a miss (evicting the oldest entry
 // if full), and reports whether it hit. The page number emptySlot (all
 // ones) is reserved and must not be used.
 func (t *TLB) Touch(page uint64) bool {
-	if _, ok := t.entries[page]; ok {
+	if t.cached(page) {
 		t.Hits++
 		return true
 	}
 	t.Misses++
-	if old := t.ring[t.pos]; old != emptySlot {
+	if old := t.ring[t.pos]; old.page != emptySlot {
 		// Only evict if the slot still owns the mapping (FlushPage may
-		// have removed it already).
-		if idx, ok := t.entries[old]; ok && idx == t.pos {
-			delete(t.entries, old)
+		// have removed it already, or the page moved to a newer slot
+		// after a FlushAll).
+		if idx, ok := t.entries[old.page]; ok && idx == t.pos {
+			delete(t.entries, old.page)
+			if old.gen == t.gen {
+				t.live--
+			}
 		}
 	}
-	t.ring[t.pos] = page
+	t.ring[t.pos] = slot{page: page, gen: t.gen}
 	t.entries[page] = t.pos
+	t.live++
 	t.pos = (t.pos + 1) % t.capacity
 	return false
 }
 
 // Contains reports whether page is cached without updating statistics.
-func (t *TLB) Contains(page uint64) bool {
-	_, ok := t.entries[page]
-	return ok
-}
+func (t *TLB) Contains(page uint64) bool { return t.cached(page) }
 
 // Len returns the number of cached entries.
-func (t *TLB) Len() int { return len(t.entries) }
+func (t *TLB) Len() int { return t.live }
 
 // FlushPage removes one page if present.
 func (t *TLB) FlushPage(page uint64) {
 	if i, ok := t.entries[page]; ok {
+		if t.ring[i].gen == t.gen {
+			t.live--
+		}
 		delete(t.entries, page)
-		t.ring[i] = emptySlot
+		t.ring[i].page = emptySlot
 	}
 }
 
-// FlushAll empties the TLB (the cr3-write path).
+// FlushAll empties the TLB (the cr3-write path) by starting a new
+// generation. When the counter wraps, a stamp from 2^32 flushes ago would
+// read as current again, so that flush empties the map and ring instead.
 func (t *TLB) FlushAll() {
-	clear(t.entries)
-	for i := range t.ring {
-		t.ring[i] = emptySlot
+	t.live = 0
+	if t.gen++; t.gen == 0 {
+		t.reset()
 	}
 }
 
@@ -230,8 +266,9 @@ func (s *Shooter) invalidate(t *TLB, pages []uint64) {
 }
 
 // checkFlushed asserts that none of the just-invalidated pages are still
-// cached and that the entries map agrees with the FIFO ring; called after
-// every shootdown invalidation when built with -tags magecheck.
+// cached and that the live count agrees with the current-generation slots
+// the map points at; called after every shootdown invalidation when built
+// with -tags magecheck.
 func (t *TLB) checkFlushed(pages []uint64) {
 	for _, pg := range pages {
 		invariant.Assert(!t.Contains(pg), "tlbsim: page %d still cached after invalidation", pg)
@@ -239,14 +276,14 @@ func (t *TLB) checkFlushed(pages []uint64) {
 	invariant.Assert(len(t.entries) <= t.capacity,
 		"tlbsim: %d entries exceed capacity %d", len(t.entries), t.capacity)
 	live := 0
-	for i, pg := range t.ring {
-		if pg == emptySlot {
+	for i, sl := range t.ring {
+		if sl.page == emptySlot {
 			continue
 		}
-		if idx, ok := t.entries[pg]; ok && idx == i {
+		if idx, ok := t.entries[sl.page]; ok && idx == i && sl.gen == t.gen {
 			live++
 		}
 	}
-	invariant.Assert(live == len(t.entries),
-		"tlbsim: ring holds %d live entries but map holds %d", live, len(t.entries))
+	invariant.Assert(live == t.live,
+		"tlbsim: ring holds %d live entries but the count is %d", live, t.live)
 }

@@ -107,9 +107,9 @@ func TestTLBRingMapConsistency(t *testing.T) {
 		}
 		// Every map entry must point at a ring slot holding its key.
 		for page, idx := range tlb.entries {
-			if tlb.ring[idx] != page {
+			if tlb.ring[idx].page != page {
 				t.Fatalf("iteration %d: entry %d points at slot %d holding %d",
-					i, page, idx, tlb.ring[idx])
+					i, page, idx, tlb.ring[idx].page)
 			}
 		}
 	}
