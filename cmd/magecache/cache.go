@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"mage/internal/upager"
 )
@@ -47,11 +48,11 @@ type entry struct {
 	cls  uint8
 }
 
-// fifoNode is one link of a class's steal FIFO: the key that owns a
-// published cell, in publication order (the key's index entry names the
-// cell). Node 0 is the list's nil.
+// fifoNode is one link of a class's steal FIFO: the hash of the key
+// that owns a published cell, in publication order (the key's index
+// entry names the cell and the node). Node 0 is the list's nil.
 type fifoNode struct {
-	key        string
+	hash       uint64
 	prev, next uint32
 }
 
@@ -59,7 +60,7 @@ const indexShards = 64
 
 type idxShard struct {
 	mu sync.Mutex
-	m  map[string]entry
+	ix index
 }
 
 // Cache is the sharded KV index plus the slab allocator over the paged
@@ -76,7 +77,7 @@ type Cache struct {
 	// by a connection that reserved it for a SET it has parsed and not
 	// yet executed; the holder alone knows it, and either publishes it or
 	// puts it back. Published: named by an index entry and linked, under
-	// that entry's key, into its class's steal FIFO.
+	// the hash of that entry's key, into its class's steal FIFO.
 	//
 	// The steal FIFO is a doubly linked list per class threaded through
 	// nodes, one node per published cell, so the bookkeeping is O(live
@@ -88,7 +89,8 @@ type Cache struct {
 	// ownership follows the entry: whoever removes or replaces an entry
 	// under its shard mu owns that entry's node and cell and gives both
 	// back under alloc.mu (release). A stealer only peeks at the head; it
-	// becomes the owner by deleting the head's entry.
+	// becomes the owner by deleting the entry that the head's hash and
+	// node id name.
 	alloc struct {
 		mu       sync.Mutex
 		free     [len(classSizes)][]slot
@@ -121,9 +123,6 @@ func NewCache(b upager.Backing, heapPages uint64, frames int) (*Cache, error) {
 	c := &Cache{pager: p}
 	c.alloc.pages = uint32(heapPages)
 	c.alloc.nodes = make([]fifoNode, 1)
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]entry)
-	}
 	return c, nil
 }
 
@@ -133,16 +132,8 @@ func (c *Cache) Close() error { return c.pager.Close() }
 // Pager exposes the underlying pager (for stats reporting).
 func (c *Cache) Pager() *upager.Pager { return c.pager }
 
-// shard picks key's index shard (FNV-1a). Generic so that neither a
-// string key nor a byte-slice key pays a conversion.
-func shard[K string | []byte](c *Cache, key K) *idxShard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return &c.shards[h%indexShards]
-}
+// shard picks the index shard of a key that hashes to h.
+func (c *Cache) shard(h uint64) *idxShard { return &c.shards[h%indexShards] }
 
 // holdCell takes a cell of class cls for a Set to write. It carves a
 // fresh heap page when the free list is empty and steals the oldest
@@ -175,16 +166,12 @@ func (c *Cache) holdCell(cls int) (slot, error) {
 			runtime.Gosched()
 			continue
 		}
-		victim := a.nodes[head].key
+		h := a.nodes[head].hash
 		a.mu.Unlock()
 		// Take ownership outside alloc.mu (lock order: never both).
-		sh := shard(c, victim)
+		sh := c.shard(h)
 		sh.mu.Lock()
-		e, ok := sh.m[victim]
-		owned := ok && e.node == head
-		if owned {
-			delete(sh.m, victim)
-		}
+		e, owned := sh.ix.steal(h, head)
 		sh.mu.Unlock()
 		if owned {
 			c.steals.Add(1)
@@ -245,9 +232,9 @@ func (c *Cache) takeCell(cls int) (slot, bool) {
 	return slot{pg: pg}, true
 }
 
-// linkNode appends a node for key to the tail of the class's FIFO.
-// Caller holds alloc.mu.
-func (c *Cache) linkNode(cls int, key string) uint32 {
+// linkNode appends a node for the key that hashes to h to the tail of
+// the class's FIFO. Caller holds alloc.mu.
+func (c *Cache) linkNode(cls int, h uint64) uint32 {
 	a := &c.alloc
 	n := a.freeNode
 	if n != 0 {
@@ -256,7 +243,7 @@ func (c *Cache) linkNode(cls int, key string) uint32 {
 		a.nodes = append(a.nodes, fifoNode{})
 		n = uint32(len(a.nodes) - 1)
 	}
-	a.nodes[n] = fifoNode{key: key, prev: a.tail[cls]}
+	a.nodes[n] = fifoNode{hash: h, prev: a.tail[cls]}
 	if a.tail[cls] != 0 {
 		a.nodes[a.tail[cls]].next = n
 	} else {
@@ -282,7 +269,7 @@ func (c *Cache) release(e entry) {
 	} else {
 		a.tail[e.cls] = nd.prev
 	}
-	a.nodes[e.node] = fifoNode{next: a.freeNode} // drops the key string
+	a.nodes[e.node] = fifoNode{next: a.freeNode}
 	a.freeNode = e.node
 	a.free[e.cls] = append(a.free[e.cls], slot{pg: e.pg, off: e.off})
 	a.mu.Unlock()
@@ -291,9 +278,18 @@ func (c *Cache) release(e entry) {
 // ErrValueTooLarge rejects values over one page.
 var ErrValueTooLarge = errors.New("magecache: value exceeds page size")
 
+// ErrKeyTooLong rejects keys over maxKeyLen bytes, as the protocol does:
+// an index record keeps its key's length in one byte.
+var ErrKeyTooLong = errors.New("magecache: key longer than 250 bytes")
+
 // Set stores key=val (cache-aside fill or overwrite). An overwrite
 // moves the value to a fresh cell and frees the old one.
-func (c *Cache) Set(key string, val []byte) error {
+func (c *Cache) Set(key string, val []byte) error { return c.set([]byte(key), val) }
+
+func (c *Cache) set(key, val []byte) error {
+	if len(key) > maxKeyLen {
+		return ErrKeyTooLong
+	}
 	cls, ok := classFor(len(val))
 	if !ok {
 		return ErrValueTooLarge
@@ -312,8 +308,8 @@ func (c *Cache) setReserved(r reservation, val []byte) error {
 }
 
 // store writes val into the held cell s and publishes it under key, or
-// puts the cell back when its page cannot be had.
-func (c *Cache) store(key string, cls int, s slot, val []byte) error {
+// puts the cell back when its page cannot be had. The index copies key.
+func (c *Cache) store(key []byte, cls int, s slot, val []byte) error {
 	defer c.writing[cls].Add(-1)
 	fr, err := c.pager.Pin(uint64(s.pg), true)
 	if err != nil {
@@ -323,14 +319,14 @@ func (c *Cache) store(key string, cls int, s slot, val []byte) error {
 	copy(fr.Data[s.off:int(s.off)+len(val)], val)
 	fr.Unpin()
 
+	h := keyHash(key)
 	e := entry{pg: s.pg, off: s.off, ln: uint16(len(val)), cls: uint8(cls)}
 	c.alloc.mu.Lock()
-	e.node = c.linkNode(cls, key)
+	e.node = c.linkNode(cls, h)
 	c.alloc.mu.Unlock()
-	sh := shard(c, key)
+	sh := c.shard(h)
 	sh.mu.Lock()
-	old, had := sh.m[key]
-	sh.m[key] = e
+	old, had := sh.ix.put(h, key, e)
 	sh.mu.Unlock()
 	if had {
 		c.release(old)
@@ -356,9 +352,10 @@ func (c *Cache) Get(key string) ([]byte, bool, error) {
 // coming in is simply followed to its new cell.
 func (c *Cache) AppendGet(dst, key []byte) ([]byte, bool, error) {
 	c.gets.Add(1)
-	sh := shard(c, key)
+	h := keyHash(key)
+	sh := c.shard(h)
 	sh.mu.Lock()
-	e, ok := sh.m[string(key)]
+	e, ok := sh.ix.get(h, key)
 	sh.mu.Unlock()
 	for ok {
 		fr, err := c.pager.Pin(uint64(e.pg), false)
@@ -366,7 +363,7 @@ func (c *Cache) AppendGet(dst, key []byte) ([]byte, bool, error) {
 			return dst, false, err
 		}
 		sh.mu.Lock()
-		cur, still := sh.m[string(key)]
+		cur, still := sh.ix.get(h, key)
 		if still && cur == e {
 			dst = append(dst, fr.Data[e.off:uint32(e.off)+uint32(e.ln)]...)
 		}
@@ -382,10 +379,10 @@ func (c *Cache) AppendGet(dst, key []byte) ([]byte, bool, error) {
 }
 
 // reservation is a cell a connection holds for a SET it has parsed and
-// not yet executed, and the key the cell will be published under: the
-// one string made for that SET, which the index and the steal FIFO keep.
+// not yet executed, and the key the cell will be published under, in the
+// connection's scratch until the index copies it.
 type reservation struct {
-	key string
+	key []byte
 	s   slot
 	cls int
 }
@@ -393,21 +390,22 @@ type reservation struct {
 // pageOf resolves key to the heap page its value lives on, for the
 // connection loop's look-ahead.
 func (c *Cache) pageOf(key []byte) (uint64, bool) {
-	sh := shard(c, key)
+	h := keyHash(key)
+	sh := c.shard(h)
 	sh.mu.Lock()
-	e, ok := sh.m[string(key)]
+	e, ok := sh.ix.get(h, key)
 	sh.mu.Unlock()
 	return uint64(e.pg), ok
 }
 
 // Delete removes key, freeing its cell.
-func (c *Cache) Delete(key string) bool {
-	sh := shard(c, key)
+func (c *Cache) Delete(key string) bool { return c.delete([]byte(key)) }
+
+func (c *Cache) delete(key []byte) bool {
+	h := keyHash(key)
+	sh := c.shard(h)
 	sh.mu.Lock()
-	e, ok := sh.m[key]
-	if ok {
-		delete(sh.m, key)
-	}
+	e, ok := sh.ix.remove(h, key)
 	sh.mu.Unlock()
 	if ok {
 		c.release(e)
@@ -422,9 +420,13 @@ type CacheStats struct {
 	// StealYields counts the times a stealer found the cell it was after
 	// changing hands and gave way.
 	StealYields uint64
+	// IndexBytes is the heap the key index holds: every shard's table and
+	// arena, and the steal FIFOs' nodes.
+	IndexBytes uint64
 }
 
-// Stats snapshots the counters.
+// Stats snapshots the counters. It takes every index lock, to size the
+// index.
 func (c *Cache) Stats() CacheStats {
 	return CacheStats{
 		Gets:        c.gets.Load(),
@@ -432,5 +434,20 @@ func (c *Cache) Stats() CacheStats {
 		Sets:        c.sets.Load(),
 		Steals:      c.steals.Load(),
 		StealYields: c.stealYields.Load(),
+		IndexBytes:  c.indexBytes(),
 	}
+}
+
+func (c *Cache) indexBytes() uint64 {
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		n += sh.ix.bytes()
+		sh.mu.Unlock()
+	}
+	c.alloc.mu.Lock()
+	n += cap(c.alloc.nodes) * int(unsafe.Sizeof(fifoNode{}))
+	c.alloc.mu.Unlock()
+	return uint64(n)
 }

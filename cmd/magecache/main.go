@@ -170,8 +170,8 @@ func run(cfg config) error {
 			if cfg.spawn {
 				note = " (the spawned memnode's included)"
 			}
-			fmt.Printf("magecache: local memory %.1f MiB peak for %.1f MiB of frames%s\n",
-				float64(peak)/(1<<20), float64(frames)*pageBytes/(1<<20), note)
+			fmt.Printf("magecache: local memory %.1f MiB peak for %.1f MiB of frames and %.1f MiB of index%s\n",
+				float64(peak)/(1<<20), float64(frames)*pageBytes/(1<<20), float64(cache.Stats().IndexBytes)/(1<<20), note)
 		}
 		if r.Fails > 0 {
 			return fmt.Errorf("%d ops failed", r.Fails)

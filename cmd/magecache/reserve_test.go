@@ -25,9 +25,11 @@ func checkLedger(t *testing.T, c *Cache) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.m {
-			live[e.cls]++
-			total++
+		for _, s := range sh.ix.slots {
+			if s != 0 {
+				live[recEntry(sh.ix.record(s)).cls]++
+				total++
+			}
 		}
 		sh.mu.Unlock()
 	}
@@ -322,9 +324,9 @@ func farWindows(t testing.TB) (*Cache, *memBacking, [][]byte) {
 }
 
 // TestFarWindowAllocs pins what a window that faults costs in
-// allocations: the key string of each SET, one latch and one goroutine
-// for the batch, one latch for the evictor's sweep — a small constant,
-// where a buffer per batch (pages x 4 KiB, which no caller could ever
+// allocations: one latch and one goroutine for the batch, one latch for
+// the evictor's sweep — a small constant, where a key string per SET and
+// a buffer per batch (pages x 4 KiB, which no caller could ever
 // hand back), three lists per batch and sweep, and a latch per page
 // faulted or written back used to be.
 func TestFarWindowAllocs(t *testing.T) {
@@ -369,13 +371,16 @@ func TestFarWindowAllocs(t *testing.T) {
 	// allocates nothing.
 	bytesPer := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
 	t.Logf("%.1f faults (%.2f alone), %.1f allocations, %.0f bytes per window", faults, float64(back.reads.Load()-rd0)/runs, allocs, bytesPer)
-	// Seven allocations today: 4 SET keys, the batch's latch and
-	// goroutine, the latch of the evictor's sweep. About 250 bytes. What
-	// the ceiling tells apart is a cost that grows with the pages faulted:
-	// a buffer per batch is pages x 4 KiB, 16 KiB for these windows (what
+	// At most three allocations today: the batch's latch and goroutine,
+	// the latch of the evictor's sweep when it runs. About 250 bytes. A
+	// SET's key costs none: the reservation keeps it in the connection's
+	// scratch, and the index copies it into its arena only for a new key
+	// (four strings a window when the index kept strings). What the
+	// ceiling tells apart is a cost that grows with the pages faulted: a
+	// buffer per batch is pages x 4 KiB, 16 KiB for these windows (what
 	// they cost before the frames were lent to the wire). Half a page has
 	// a factor of eight to either side.
-	if allocs > 12 || bytesPer > pageBytes/2 {
+	if allocs > 6 || bytesPer > pageBytes/2 {
 		t.Errorf("a window that faults %.1f pages costs %.1f allocations and %.0f bytes; want a constant well under one page", faults, allocs, bytesPer)
 	}
 	if s := c.Stats(); s.Misses != 0 {

@@ -201,8 +201,9 @@ type connState struct {
 	// connection until handle publishes it or puts it back, and a window
 	// ends with none left. noMore: a SET of this window went without, so
 	// those behind it do too — handle cannot tell which SET a later
-	// reservation would be for.
+	// reservation would be for. keys holds the reserved SETs' keys.
 	resv   []reservation
+	keys   []byte
 	next   int
 	noMore bool
 }
@@ -270,7 +271,7 @@ func (cs *connState) serve() {
 // and a latch hand-off to that.
 func (cs *connState) lookAhead() {
 	buf, _ := cs.r.Peek(cs.r.Buffered())
-	cs.pgs, cs.resv, cs.next, cs.noMore = cs.pgs[:0], cs.resv[:0], 0, false
+	cs.pgs, cs.resv, cs.keys, cs.next, cs.noMore = cs.pgs[:0], cs.resv[:0], cs.keys[:0], 0, false
 	var first request
 	for n := 0; ; n++ {
 		req, size, ok := parseRequest(buf)
@@ -303,7 +304,7 @@ func (cs *connState) hint(req request) {
 		// A key the window has set by then is read from its new cell,
 		// whose page is on the list already.
 		for i := range cs.resv {
-			if cs.resv[i].key == string(req.key) {
+			if string(cs.resv[i].key) == string(req.key) {
 				return
 			}
 		}
@@ -320,7 +321,11 @@ func (cs *connState) hint(req request) {
 			cs.noMore = true
 			return
 		}
-		cs.resv = append(cs.resv, reservation{key: string(req.key), s: s, cls: cls})
+		// An append that moves cs.keys leaves the keys reserved before it
+		// in the array they were copied into, where they stay valid.
+		cs.keys = append(cs.keys, req.key...)
+		key := cs.keys[len(cs.keys)-len(req.key):]
+		cs.resv = append(cs.resv, reservation{key: key, s: s, cls: cls})
 		cs.noMore = len(cs.resv) == maxReserve
 		cs.pgs = append(cs.pgs, uint64(s.pg))
 	}
@@ -361,12 +366,12 @@ func (cs *connState) handle(req request) bool {
 		if cs.next < len(cs.resv) {
 			r := cs.resv[cs.next]
 			cs.next++
-			if r.key != string(req.key) {
+			if string(r.key) != string(req.key) {
 				panic("magecache: reservation out of step with the requests")
 			}
 			err = cs.c.setReserved(r, req.payload)
 		} else {
-			err = cs.c.Set(string(req.key), req.payload)
+			err = cs.c.set(req.key, req.payload)
 		}
 		if err != nil {
 			cs.replyErr(err.Error())
@@ -374,7 +379,7 @@ func (cs *connState) handle(req request) bool {
 			w.WriteString("STORED\n")
 		}
 	case verbDel:
-		if cs.c.Delete(string(req.key)) {
+		if cs.c.delete(req.key) {
 			w.WriteString("DELETED\n")
 		} else {
 			w.WriteString("MISS\n")

@@ -305,3 +305,56 @@ func TestGetHitZeroAllocs(t *testing.T) {
 		t.Errorf("%d requests handled, %d misses", hits, s.Misses)
 	}
 }
+
+// TestSetZeroAllocs pins a SET that overwrites a resident key — parse,
+// cell, pin, copy, publish, reply — at zero allocations: the index copies
+// a key's bytes when the key is new, and rewrites its record in place
+// when it is not. The key is longer than the 32 bytes a string
+// conversion could borrow from the stack.
+func TestSetZeroAllocs(t *testing.T) {
+	c, _ := newMemCache(t, 64, 64)
+	key := "k0123456789abcdef0123456789abcdef0123456"
+	if err := c.Set(key, bytes.Repeat([]byte{7}, 900)); err != nil {
+		t.Fatal(err)
+	}
+	cs := &connState{c: c, w: bufio.NewWriterSize(io.Discard, connBuf), val: make([]byte, 0, pageBytes)}
+	val := strings.Repeat("v", 900)
+	line := []byte(setReq(key, val))
+	stored := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		req, _, ok := parseRequest(line)
+		if ok && cs.handle(req) {
+			stored++
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a SET that overwrites allocates %.1f times per request, want 0", allocs)
+	}
+	got, ok, err := c.Get(key)
+	if s := c.Stats(); stored != 1001 || s.Sets != 1002 || err != nil || !ok || string(got) != val {
+		t.Errorf("%d requests handled, %d sets; the key reads %.10q, %v, %v", stored, s.Sets, got, ok, err)
+	}
+}
+
+// TestKeyTooLong: a key of maxKeyLen+1 bytes is refused by Set and by the
+// protocol alike — an index record keeps its key's length in one byte —
+// and one of maxKeyLen bytes is taken by both.
+func TestKeyTooLong(t *testing.T) {
+	c, _ := newMemCache(t, 64, 8)
+	long, longest := strings.Repeat("k", maxKeyLen+1), strings.Repeat("k", maxKeyLen)
+	if err := c.Set(long, []byte("v")); err != ErrKeyTooLong {
+		t.Errorf("Set of a %d-byte key = %v, want ErrKeyTooLong", len(long), err)
+	}
+	if err := c.Set(longest, []byte("v")); err != nil {
+		t.Errorf("Set of a %d-byte key: %v", len(longest), err)
+	}
+	conn := pipeConn(t, c)
+	go io.WriteString(conn, setReq(long, "w")+"get "+longest+"\n")
+	got := readReplies(t, bufio.NewReader(conn), 2)
+	if got[0] != "ERR key too long\n" || got[1] != valueReply("v") {
+		t.Errorf("replies %q", got)
+	}
+	if s := c.Stats(); s.Sets != 1 {
+		t.Errorf("%d sets stored, want 1", s.Sets)
+	}
+}
