@@ -60,6 +60,13 @@ func (b *memBacking) ReadVInto(_ uint64, offs []int64, dst [][]byte) error {
 	return nil
 }
 
+// StartReadVInto runs ReadVInto on a goroutine of its own, which makes
+// the fake far, as memnode's client is: the pager reads through
+// ReadVInto, not through its adapter's allocating Read and ReadV.
+func (b *memBacking) StartReadVInto(h uint64, offs []int64, dst [][]byte, done func(error)) {
+	go func() { done(b.ReadVInto(h, offs, dst)) }()
+}
+
 func (b *memBacking) ReadV(h uint64, offs []int64, n int64) ([][]byte, error) {
 	out := make([][]byte, len(offs))
 	for i := range out {

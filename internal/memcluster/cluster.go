@@ -26,6 +26,7 @@
 package memcluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"        //magevet:ok memcluster is a real network client layered over TCP/shm memnode clients
@@ -363,7 +364,11 @@ func (cl *Cluster) Register(size int64) (uint64, error) {
 	return handle, nil
 }
 
+// region is the region of handle on a cluster that is not closed.
 func (cl *Cluster) region(handle uint64) (*cregion, error) {
+	if err := cl.checkClosed(); err != nil {
+		return nil, err
+	}
 	cl.regMu.Lock()
 	defer cl.regMu.Unlock()
 	reg, ok := cl.regions[handle]
@@ -492,26 +497,50 @@ func (cl *Cluster) markDown(sh *shard, r *replica, failover bool) {
 }
 
 // climb is the only read loop: try each rung in order until one
-// answers. A terminal error stops the climb (the same request would
-// fail the same way on every node); any other demotes the replica and
-// moves on. try only names the verb.
-func (cl *Cluster) climb(sh *shard, si int, rungs []rung, try func(rung) error) error {
-	var lastErr error
+// answers, lastErr being what the rung before the first failed of (nil:
+// none did). try only names the verb.
+func (cl *Cluster) climb(sh *shard, si int, rungs []rung, lastErr error, try func(rung) error) error {
 	for _, g := range rungs {
 		err := try(g)
-		if err == nil {
-			return nil
-		}
-		if memnode.IsTerminal(err) {
+		if cl.rungOver(sh, g, err) {
 			return err
 		}
-		cl.markDown(sh, g.r, true)
 		lastErr = err
 	}
 	if lastErr == nil {
 		lastErr = errors.New("no replica holds the region")
 	}
 	return errAllReplicasFailed(si, lastErr)
+}
+
+// rungOver judges a rung that ended in err: a success or a terminal
+// error ends the climb (the same request would fail the same way on
+// every node); any other demotes the replica, and the climb goes on.
+func (cl *Cluster) rungOver(sh *shard, g rung, err error) bool {
+	if err == nil || memnode.IsTerminal(err) {
+		return true
+	}
+	cl.markDown(sh, g.r, true)
+	return false
+}
+
+// startClimb is climb with its first rung started, not run: start puts
+// that rung's op on the wire with the hook that judges it. A failure
+// that is not the end leaves the rest of the ladder to climb on a
+// goroutine, memnode's rule for a started op's slow path. end gets what
+// climb would have returned, once, where the climb ended.
+func (cl *Cluster) startClimb(sh *shard, si int, rungs []rung, start func(rung, func(error)), try func(rung) error, end func(error)) {
+	if len(rungs) == 0 {
+		end(cl.climb(sh, si, nil, nil, try))
+		return
+	}
+	start(rungs[0], func(err error) {
+		if cl.rungOver(sh, rungs[0], err) {
+			end(err)
+			return
+		}
+		go func() { end(cl.climb(sh, si, rungs[1:], err, try)) }() //magevet:ok real network client: a failed rung's failover blocks, and a hook may not
+	})
 }
 
 // replicate is the only write loop: send to every rung at once (the
@@ -608,7 +637,7 @@ func (cl *Cluster) logDirty(sh *shard, handle uint64, offs []int64) {
 // readInto fills bufs from the first rung that answers; every rung
 // tried fills the same buffers.
 func (cl *Cluster) readInto(sh *shard, si int, rungs []rung, offs []int64, bufs [][]byte) error {
-	return cl.climb(sh, si, rungs, func(g rung) error { return g.c.ReadVInto(g.h, offs, bufs) })
+	return cl.climb(sh, si, rungs, nil, func(g rung) error { return g.c.ReadVInto(g.h, offs, bufs) })
 }
 
 // writeTo replicates one batch to every rung.
@@ -690,9 +719,6 @@ func (cl *Cluster) route(parts []part, topo *topology, reg *cregion, handle uint
 // each routes one request and runs do on every part, all under the
 // topology read lock.
 func (cl *Cluster) each(handle uint64, offsets []int64, bufs [][]byte, do func(reg *cregion, sh *shard, p part) error) error {
-	if err := cl.checkClosed(); err != nil {
-		return err
-	}
 	reg, err := cl.region(handle)
 	if err != nil {
 		return err
@@ -717,9 +743,6 @@ func (cl *Cluster) each(handle uint64, offsets []int64, bufs [][]byte, do func(r
 // out across shards when the range spans ownership pages. The
 // returned buffer may be passed to memnode.PutBuf.
 func (cl *Cluster) Read(handle uint64, offset, length int64) ([]byte, error) {
-	if err := cl.checkClosed(); err != nil {
-		return nil, err
-	}
 	reg, err := cl.region(handle)
 	if err != nil {
 		return nil, err
@@ -748,7 +771,7 @@ func (cl *Cluster) Read(handle uint64, offset, length int64) ([]byte, error) {
 	sh := topo.shards[si]
 	var body []byte
 	var buf [ladderRungs]rung
-	err = cl.climb(sh, si, cl.ladder(buf[:0], sh, reg, key), func(g rung) (err error) {
+	err = cl.climb(sh, si, cl.ladder(buf[:0], sh, reg, key), nil, func(g rung) (err error) {
 		body, err = g.c.Read(g.h, offset, length)
 		return err
 	})
@@ -773,17 +796,41 @@ func (cl *Cluster) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error
 	})
 }
 
-// ReadV is ReadVInto into pages of pageBytes each that it allocates as
-// one contiguous buffer, which is what its limits bound.
-func (cl *Cluster) ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]byte, error) {
-	if len(offsets) == 0 || len(offsets) > memnode.MaxBatchPages || pageBytes <= 0 || pageBytes > memnode.MaxIO/int64(len(offsets)) {
-		return nil, fmt.Errorf("memcluster: bad batch shape (%d pages of %d bytes)", len(offsets), pageBytes)
+// StartReadVInto is ReadVInto started, not run: each part route cuts the
+// request into starts its ladder's first rung with that node's
+// StartReadVInto, and done is called once, after the last part has
+// ended, with the error ReadVInto would have returned. The buffers are
+// lent, and the topology barrier held, until then. done runs where the
+// last part ended, and is held to memnode's rules for a hook.
+func (cl *Cluster) StartReadVInto(handle uint64, offsets []int64, dst [][]byte, done func(error)) {
+	reg, err := cl.region(handle)
+	if err != nil {
+		done(err)
+		return
 	}
-	pages := memnode.SplitPages(make([]byte, pageBytes*int64(len(offsets))), pageBytes)
-	if err := cl.ReadVInto(handle, offsets, pages); err != nil {
-		return nil, err
+	cl.topoMu.RLock()
+	topo := cl.topo
+	parts, err := cl.route(nil, topo, reg, handle, offsets, dst)
+	if err != nil {
+		cl.topoMu.RUnlock()
+		done(err)
+		return
 	}
-	return pages, nil
+	errs, left := make([]error, len(parts)), new(atomic.Int32)
+	left.Store(int32(len(parts)))
+	for i, p := range parts {
+		sh := topo.shards[p.si]
+		key := placement.Key(handle, uint64(p.offs[0]/cl.opts.PageBytes))
+		cl.startClimb(sh, p.si, cl.ladder(make([]rung, 0, ladderRungs), sh, reg, key),
+			func(g rung, hook func(error)) { g.c.StartReadVInto(g.h, p.offs, p.bufs, hook) },
+			func(g rung) error { return g.c.ReadVInto(g.h, p.offs, p.bufs) },
+			func(err error) {
+				if errs[i] = err; left.Add(-1) == 0 {
+					cl.topoMu.RUnlock()
+					done(cmp.Or(errs...)) // the first part's failure, as ReadVInto meets them
+				}
+			})
+	}
 }
 
 // WriteV writes len(pages) pages at the matching offsets, one batched

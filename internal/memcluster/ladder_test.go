@@ -37,9 +37,11 @@ func bareShard(healthy []bool, held []int) (*shard, *cregion) {
 	return sh, reg
 }
 
-// TestClimbReplicateTable drives the two loops with scripted results
-// per rung: which rungs are asked, who is demoted, what is counted,
-// what comes back and what reaches the dirty logs.
+// TestClimbReplicateTable drives the two loops, and the climb whose
+// first rung is started, with scripted results per rung: which rungs are
+// asked, who is demoted, what is counted, what comes back and what
+// reaches the dirty logs. A started climb must do on every row what
+// climb does.
 func TestClimbReplicateTable(t *testing.T) {
 	boom := errors.New("connection reset")
 	// A refusal from the client's own checks is the one terminal error
@@ -143,11 +145,39 @@ func TestClimbReplicateTable(t *testing.T) {
 				rungs = cl.ladder(nil, sh, reg, pages[0])
 			}
 			var asked []rung
-			err := cl.climb(sh, 4, rungs, func(g rung) error {
+			err := cl.climb(sh, 4, rungs, nil, func(g rung) error {
 				asked = append(asked, g)
 				return row.script[len(asked)-1]
 			})
 			check(t, cl, sh, rungs, asked, err, row.climb)
+			if n := len(sh.replicas[2].dirty) + len(cl.mig.dirty); n != 0 {
+				t.Errorf("a read logged %d dirty pages", n)
+			}
+		})
+		t.Run("started/"+row.name, func(t *testing.T) {
+			cl, sh, reg := setup()
+			var rungs []rung
+			if !row.bare {
+				rungs = cl.ladder(nil, sh, reg, pages[0])
+			}
+			var asked []rung
+			try := func(g rung) error {
+				asked = append(asked, g)
+				return row.script[len(asked)-1]
+			}
+			// The first rung's hook runs on a goroutine of its own, as a node
+			// client's completer runs it.
+			var ends atomic.Int32
+			ended := make(chan error, 2)
+			cl.startClimb(sh, 4, rungs, func(g rung, hook func(error)) { go hook(try(g)) }, try, func(err error) {
+				ends.Add(1)
+				ended <- err
+			})
+			err := <-ended
+			check(t, cl, sh, rungs, asked, err, row.climb)
+			if n := ends.Load(); n != 1 {
+				t.Errorf("end ran %d times", n)
+			}
 			if n := len(sh.replicas[2].dirty) + len(cl.mig.dirty); n != 0 {
 				t.Errorf("a read logged %d dirty pages", n)
 			}

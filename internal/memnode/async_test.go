@@ -129,7 +129,7 @@ func TestAsyncOpsSpawnNothing(t *testing.T) {
 		if got := runtime.NumGoroutine(); got > base {
 			t.Errorf("%s: %d goroutines with %d ops in flight, %d before", kind, got, 2*n, base)
 		}
-		early := pend[0].Done() // asked before completion: this one does cost a goroutine
+		early := pend[0].Done() // asked before completion
 		select {
 		case <-early:
 			t.Fatalf("%s: a read resolved against a server that answers nothing", kind)
@@ -167,9 +167,8 @@ func TestAsyncOpsSpawnNothing(t *testing.T) {
 // started READVs that are all still in flight, and the node comes back
 // on the same address without its regions (and without the file link it
 // offered before). Every op completes all the same — reconnect, REGISTER
-// replay, the remaining attempts run by the waiters of the futures and
-// by a goroutine each for the hooked ones — and the recovery shows in
-// the counters.
+// replay, the remaining attempts run by a goroutine each — and the
+// recovery shows in the counters.
 func TestAsyncOpsSurviveRestart(t *testing.T) {
 	for _, shm := range []bool{false, true} {
 		if shm && !ShmSupported {

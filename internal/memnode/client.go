@@ -199,10 +199,10 @@ type call struct {
 	src     [][]byte
 	dstLen  int64
 
-	// owner is the future behind an asynchronous op, set on the attempt
-	// its starter put on the wire and nil on every attempt a waiter runs:
-	// whoever completes the attempt tells it (see Pending).
-	owner *Pending
+	// owner is the asynchronous op behind an attempt its starter put on
+	// the wire, nil on every other: whoever completes the attempt tells it
+	// (see asyncOp).
+	owner *asyncOp
 
 	id       uint64
 	deadline time.Time
@@ -279,7 +279,7 @@ const (
 // one. Swap here and compare-and-swap in wait are sequentially
 // consistent on one word, so either complete observes the waiter or
 // wait observes finDone — a lost wakeup is impossible. The attempt of
-// an asynchronous op then tells its future, which is read out of the
+// an asynchronous op then tells its owner, which is read out of the
 // struct before the swap gives the struct away.
 func (ca *call) complete() {
 	p, err := ca.owner, ca.err
@@ -721,7 +721,7 @@ func readBody(br *bufio.Reader, ca *call, status byte, n uint64) error {
 	}
 	var body []byte
 	if n > 0 {
-		body = getBuf(int(n))
+		body = GetBuf(int(n))
 		if _, err := io.ReadFull(br, body); err != nil {
 			PutBuf(body)
 			return err
@@ -753,7 +753,7 @@ func statusError(status byte, msg []byte) error {
 // with capped exponential backoff, and idempotent ops are retried
 // across reconnects — including transparent REGISTER replay when the
 // server restarted and lost its regions. All methods are safe for
-// concurrent use; issuing many ops concurrently (or via ReadAsync and
+// concurrent use; issuing many ops concurrently (or starting them with
 // StartReadVInto) is how the pipeline fills.
 type Client struct {
 	addr string
@@ -1373,98 +1373,36 @@ func (ca *call) check() error {
 	return nil
 }
 
-// Pending is the future of an asynchronous operation: the op's first
-// attempt was put on the wire by the goroutine that started it, the
-// link completes it, and no goroutine stands between the two. What
-// happens at the completion depends on who is watching.
-//
-// ReadAsync returns the future and nobody watches: the completion leaves
-// the outcome on the attempt and lets go of its window slot, and Wait is
-// what ends the op — it waits out the attempt (which the file link
-// completed before ReadAsync returned), and if the attempt failed of
-// something a retry can cure it runs the rest of the retry loop itself. An op nobody waits for therefore gets one
-// attempt. Wait may be called any number of times, from any number of
-// goroutines: one of them drives the op, the others wait for it.
-//
-// A started READV carries a hook and nobody will wait: whoever completes
-// the attempt ends the op and runs the hook, unless that takes what a
-// completer may not do — a backoff, a dial, a REGISTER replay — in which
-// case the rest of the loop gets a goroutine. Done, for a caller that
-// wants a channel, is the same: a goroutine that waits. So is an op that
-// found the window full or no negotiated link to start on, which is not
-// started but run, as a synchronous op on a goroutine of its own: ops
-// beyond the window queue at the client. On a healthy link none of the
-// three happens and an asynchronous op starts no goroutine.
-type Pending struct {
+// asyncOp is a started op: its first attempt was put on the wire by the
+// goroutine that started it, the link completes it, and no goroutine
+// stands between the two. hook is its one watcher: whoever completes the
+// attempt ends the op and runs the hook, unless that takes a backoff, a
+// dial or a REGISTER replay, which a completer may not do: the rest of
+// the retry loop then gets a goroutine. So does an op that found the
+// window full or no negotiated link, which runs as a synchronous op. When
+// the hook runs, proto holds the result in body and err, as runFile
+// leaves a prototype.
+type asyncOp struct {
 	c     *Client
 	proto call
-	hook  func(error) // a started READV's; nil on a future that was returned
+	hook  func(error)
 
 	// The first attempt and the link it went out on, set before it starts
 	// and the driver's from then on.
 	st  *stream
 	att *call
-
-	mu       sync.Mutex
-	driving  bool          // a waiter, a completer or a goroutine is taking the op to its end
-	resolved bool          // body and err are the op's result
-	done     chan struct{} // made when somebody has to wait for another's drive; closed with resolved
-	body     []byte
-	err      error
-}
-
-// Wait blocks until the operation completes and returns its result.
-// For writes the returned buffer is nil.
-func (p *Pending) Wait() ([]byte, error) {
-	p.mu.Lock()
-	switch {
-	case p.resolved:
-		p.mu.Unlock()
-	case p.driving:
-		done := p.doneLocked()
-		p.mu.Unlock()
-		<-done
-	default:
-		p.driving = true
-		p.mu.Unlock()
-		p.run()
-	}
-	return p.body, p.err
-}
-
-// Done returns a channel closed when the operation has completed. An op
-// that nobody is driving yet gets a goroutine that does.
-func (p *Pending) Done() <-chan struct{} {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.resolved && !p.driving {
-		p.spawn()
-	}
-	return p.doneLocked()
-}
-
-func (p *Pending) doneLocked() chan struct{} {
-	if p.done == nil {
-		p.done = make(chan struct{})
-		if p.resolved {
-			close(p.done)
-		}
-	}
-	return p.done
 }
 
 // spawn gives the op a goroutine to drive it: the one place an
-// asynchronous op starts one. The caller holds p.mu, or nobody else can
-// reach p: it is not returned yet, or it carries a hook and never is.
-func (p *Pending) spawn() {
-	p.driving = true
-	go p.run() //magevet:ok real TCP client: the slow paths of an async op (window full, link down, failed attempt, Done) block, and their caller must not
+// asynchronous op starts one.
+func (p *asyncOp) spawn() {
+	go p.run() //magevet:ok real TCP client: the slow paths of an async op (window full, link down, failed attempt) block, and their caller must not
 }
 
 // start puts the op's first attempt on the wire from the caller's
 // goroutine, when there is a slot in the window and a live link to put
 // it on.
-func (p *Pending) start() {
+func (p *asyncOp) start() {
 	c := p.c
 	select {
 	case c.window <- struct{}{}:
@@ -1481,7 +1419,7 @@ func (p *Pending) start() {
 	att := callPool.Get().(*call)
 	att.arm(&p.proto, c.translate(p.proto.handle))
 	att.owner = p
-	// Stamped here, not when a waiter parks: nobody may ever wait for this
+	// Stamped here, not when a waiter parks: nobody ever waits for this
 	// attempt, and a link times out only what carries a deadline.
 	att.deadline = c.deadline()
 	p.st, p.att = st, att
@@ -1489,13 +1427,10 @@ func (p *Pending) start() {
 }
 
 // attemptOver is the completing side's word that the first attempt has
-// ended in err: its window slot is free, and if the op carries a hook
-// this is where it goes on. The completer holds no lock.
-func (p *Pending) attemptOver(err error) {
+// ended in err: its window slot is free, and the op goes on here. The
+// completer holds no lock.
+func (p *asyncOp) attemptOver(err error) {
 	p.c.release()
-	if p.hook == nil {
-		return
-	}
 	if err != nil && !IsTerminal(err) && !p.c.isClosed() {
 		p.spawn()
 		return
@@ -1505,26 +1440,17 @@ func (p *Pending) attemptOver(err error) {
 	p.run()
 }
 
-// run drives the op from wherever its start left it to its result, and
-// publishes that.
-func (p *Pending) run() {
-	c := p.c
+// run drives the op from wherever its start left it to its result,
+// leaves that on proto and runs the hook.
+func (p *asyncOp) run() {
 	body, err := p.drive()
-	body, err = c.finish(&p.proto, body, err)
-	p.mu.Lock()
-	p.body, p.err, p.resolved = body, err, true
-	if p.done != nil {
-		close(p.done)
-	}
-	p.mu.Unlock()
-	if p.hook != nil {
-		p.hook(err)
-	}
+	p.proto.body, p.proto.err = p.c.finish(&p.proto, body, err)
+	p.hook(p.proto.err)
 }
 
 // drive is do for an op whose first attempt may already be in flight:
 // wait it out, and on a failure go on from the second.
-func (p *Pending) drive() ([]byte, error) {
+func (p *asyncOp) drive() ([]byte, error) {
 	c, att := p.c, p.att
 	if att == nil {
 		return c.do(&p.proto)
@@ -1539,24 +1465,6 @@ func (p *Pending) drive() ([]byte, error) {
 		return nil, lastErr
 	}
 	return c.doFrom(&p.proto, 2, lastErr)
-}
-
-// refused is the future of an op the client's own checks turned away.
-func refused(p *Pending, err error) *Pending {
-	p.resolved, p.err = true, err
-	return p
-}
-
-// ReadAsync issues a one-sided read and returns immediately. The
-// request is pipelined onto the shared connection; completion order
-// across ops is whatever the server delivers.
-func (c *Client) ReadAsync(handle uint64, offset, length int64) *Pending {
-	p := &Pending{c: c, proto: call{op: opRead, handle: handle, offset: offset, length: length}}
-	if err := p.proto.check(); err != nil {
-		return refused(p, err)
-	}
-	p.start()
-	return p
 }
 
 // readv shapes ca as a READV of len(offsets) pages, page i of len(dst[i])
@@ -1609,27 +1517,12 @@ func (c *Client) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
 // must not start or wait for an op of this client, and must take no lock
 // that is held around a call into the client.
 func (c *Client) StartReadVInto(handle uint64, offsets []int64, dst [][]byte, done func(error)) {
-	p := &Pending{c: c, hook: done}
+	p := &asyncOp{c: c, hook: done}
 	if err := p.proto.readv(handle, offsets, dst); err != nil {
 		done(err)
 		return
 	}
 	p.start()
-}
-
-// ReadV is ReadVInto into pages of pageBytes each that it allocates as
-// one contiguous buffer.
-func (c *Client) ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]byte, error) {
-	// Division, not multiplication: pageBytes*len(offsets) can overflow
-	// int64 and slip past a product-form check.
-	if len(offsets) == 0 || len(offsets) > MaxBatchPages || pageBytes <= 0 || pageBytes > MaxIO/int64(len(offsets)) {
-		return nil, refusef("bad batch shape (%d pages of %d bytes)", len(offsets), pageBytes)
-	}
-	pages := SplitPages(make([]byte, pageBytes*int64(len(offsets))), pageBytes)
-	if err := c.ReadVInto(handle, offsets, pages); err != nil {
-		return nil, err
-	}
-	return pages, nil
 }
 
 // SplitPages cuts buf into pageBytes-sized pages, each capped at its own

@@ -462,16 +462,16 @@ func TestAttachHandshake(t *testing.T) {
 	}
 }
 
-// TestBufPoolAllocatesNothing: once both pools are warm, a getBuf and
+// TestBufPoolAllocatesNothing: once both pools are warm, a GetBuf and
 // the PutBuf of what it returned allocate nothing — the box a buffer is
 // pooled in is recycled like the buffer.
 func TestBufPoolAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop what it is given")
 	}
-	PutBuf(getBuf(4096))
-	if n := testing.AllocsPerRun(1000, func() { PutBuf(getBuf(4096)) }); n != 0 {
-		t.Errorf("getBuf + PutBuf: %.2f allocations, want 0", n)
+	PutBuf(GetBuf(4096))
+	if n := testing.AllocsPerRun(1000, func() { PutBuf(GetBuf(4096)) }); n != 0 {
+		t.Errorf("GetBuf + PutBuf: %.2f allocations, want 0", n)
 	}
 }
 

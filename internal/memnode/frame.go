@@ -168,13 +168,15 @@ func parseIovecs(table []byte, iovs []iovec) (_ []iovec, total int64, err error)
 // server's request payloads, and the client's response bodies. A buffer
 // is pooled in a box, a *[]byte, since a slice put in a sync.Pool as it
 // is would cost an allocation per Put; boxPool keeps the empty boxes, so
-// that neither getBuf nor PutBuf allocates once both pools are warm.
+// that neither GetBuf nor PutBuf allocates once both pools are warm.
 var bufPool, boxPool sync.Pool
 
-// getBuf returns a length-n buffer backed by the pool when a pooled
+// GetBuf returns a length-n buffer backed by the pool when a pooled
 // buffer is large enough, allocating (with power-of-two rounding, 4 KiB
-// minimum) otherwise. Contents are unspecified.
-func getBuf(n int) []byte {
+// minimum) otherwise. Contents are unspecified. It is PutBuf's twin: a
+// caller that needs a scratch page (the pager's dry-pool fault) takes it
+// here and gives it back there.
+func GetBuf(n int) []byte {
 	if v := bufPool.Get(); v != nil {
 		box := v.(*[]byte)
 		b := *box
@@ -193,7 +195,7 @@ func getBuf(n int) []byte {
 	return make([]byte, n, c)
 }
 
-// PutBuf returns a buffer obtained from Client.Read (or any getBuf
+// PutBuf returns a buffer obtained from Client.Read (or any GetBuf
 // caller) to the shared pool. Optional: unreturned buffers are simply
 // garbage-collected. After PutBuf the caller must not touch b again.
 func PutBuf(b []byte) {

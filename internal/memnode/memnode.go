@@ -704,7 +704,7 @@ func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader) {
 			if !refill(int(req.length)) {
 				return
 			}
-			payload = getBuf(int(req.length))
+			payload = GetBuf(int(req.length))
 			if _, err := io.ReadFull(br, payload); err != nil {
 				PutBuf(payload)
 				return

@@ -354,7 +354,7 @@ func (f *regionFile) exec(ca *call) ([]byte, error) {
 	default:
 		// A table cut across buffers: none of the client's own calls has
 		// one, and the server sees the payload whole.
-		flat = getBuf(int(buffersLen(data)))
+		flat = GetBuf(int(buffersLen(data)))
 		defer PutBuf(flat)
 		n := 0
 		for _, b := range data {
@@ -381,7 +381,7 @@ func (f *regionFile) exec(ca *call) ([]byte, error) {
 	if !write {
 		switch {
 		case ca.dst == nil:
-			body = getBuf(int(total))
+			body = GetBuf(int(total))
 			bodies := [1][]byte{body}
 			data = bodies[:]
 		case total != ca.dstLen:

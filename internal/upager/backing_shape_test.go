@@ -1,7 +1,9 @@
 package upager_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -60,14 +62,19 @@ func (b *fiveBacking) WriteV(_ uint64, offs []int64, pages [][]byte) error {
 
 // shimBacking is the shape of bench/shim.go's tracedBacking: it embeds
 // the interface — which hides whatever else the wrapped store can do —
-// and forwards Read, ReadV and WriteV by name.
+// and forwards Read, ReadV and WriteV by name. offPin counts the Reads
+// that did not run inside the Pin that asked for them.
 type shimBacking struct {
 	upager.Backing
-	reads, readvs, writevs int
+	reads, readvs, writevs, offPin int
 }
 
 func (b *shimBacking) Read(h uint64, off, n int64) ([]byte, error) {
 	b.reads++
+	stack := make([]byte, 8<<10)
+	if !bytes.Contains(stack[:runtime.Stack(stack, false)], []byte("upager.(*Pager).Pin(")) {
+		b.offPin++
+	}
 	return b.Backing.Read(h, off, n)
 }
 
@@ -82,34 +89,29 @@ func (b *shimBacking) WriteV(h uint64, offs []int64, pages [][]byte) error {
 }
 
 // asyncShimBacking is the shape of bench/shim.go's tracedAsyncBacking:
-// ReadAsync kept visible, its completion observed through Done.
+// ReadAsync kept visible beside the three the shim forwards.
 type asyncShimBacking struct {
 	shimBacking
-	async upager.AsyncBacking
-	done  chan struct{}
+	async  upager.AsyncBacking
+	asyncs int
 }
 
 func (b *asyncShimBacking) ReadAsync(h uint64, off, n int64) *memnode.Pending {
-	p := b.async.ReadAsync(h, off, n)
-	go func() {
-		<-p.Done()
-		b.done <- struct{}{}
-	}()
-	return p
+	b.asyncs++
+	return b.async.ReadAsync(h, off, n)
 }
 
 var (
 	_ upager.Backing      = (*fiveBacking)(nil)
 	_ upager.Backing      = (*shimBacking)(nil)
 	_ upager.AsyncBacking = (*asyncShimBacking)(nil)
-	_ upager.IntoBacking  = (*memnode.Client)(nil)
 	_ upager.AsyncBacking = (*memnode.Client)(nil)
-	_ upager.IntoBacking  = (*memcluster.Cluster)(nil)
+	_ upager.Backing      = (*memcluster.Cluster)(nil)
 )
 
-// TestFiveMethodBackingFillsBatches: a backing that is not an
-// IntoBacking — bench's fake, or anything behind bench's shim — still
-// gets its batches, through ReadV and a copy, and the shim sees them.
+// TestFiveMethodBackingFillsBatches: a backing that is not far — bench's
+// fake, or anything behind bench's shim — still gets its batches, through
+// the adapter's ReadV and a copy, and the shim sees them.
 func TestFiveMethodBackingFillsBatches(t *testing.T) {
 	five := &fiveBacking{}
 	shim := &shimBacking{Backing: five}
@@ -143,9 +145,11 @@ func TestFiveMethodBackingFillsBatches(t *testing.T) {
 	}
 }
 
-// TestAsyncShimKeepsReadAsync: behind the async shim the pager still
-// takes its futures path, and the shim sees each future complete.
-func TestAsyncShimKeepsReadAsync(t *testing.T) {
+// TestShimFaultIsOneRead: behind either of bench's shims the pager reads
+// through the adapter, so a fault that finds a free frame is one Read,
+// made inside the Pin that faulted — which is what lets the shim name the
+// pin as the read's parent — and the shim's ReadAsync is never called.
+func TestShimFaultIsOneRead(t *testing.T) {
 	srv, err := memnode.NewServer("127.0.0.1:0", 16<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -156,19 +160,30 @@ func TestAsyncShimKeepsReadAsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	shim := &asyncShimBacking{shimBacking: shimBacking{Backing: c}, async: c, done: make(chan struct{}, 4)}
-	p, err := upager.New(shim, 64, 16, upager.Options{})
-	if err != nil {
-		t.Fatal(err)
+	plain := &shimBacking{Backing: c}
+	async := &asyncShimBacking{shimBacking: shimBacking{Backing: c}, async: c}
+	for _, row := range []struct {
+		name    string
+		backing upager.Backing
+		shim    *shimBacking
+	}{{"tracedBacking", plain, plain}, {"tracedAsyncBacking", async, &async.shimBacking}} {
+		p, err := upager.New(row.backing, 64, 16, upager.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := p.Pin(5, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Unpin()
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if row.shim.reads != 1 || row.shim.offPin != 0 || row.shim.readvs != 0 {
+			t.Errorf("%s: the fault made %d Reads, %d of them outside its Pin, and %d ReadVs; want one Read, inside", row.name, row.shim.reads, row.shim.offPin, row.shim.readvs)
+		}
 	}
-	defer p.Close()
-	fr, err := p.Pin(5, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr.Unpin()
-	<-shim.done
-	if shim.reads != 0 {
-		t.Errorf("the pager fell back to %d synchronous Read behind an AsyncBacking", shim.reads)
+	if async.asyncs != 0 {
+		t.Errorf("the pager called the shim's ReadAsync %d times", async.asyncs)
 	}
 }

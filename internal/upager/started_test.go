@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mage/internal/memcluster"
 	"mage/internal/memnode"
 )
 
@@ -195,31 +196,84 @@ func proxiedClient(t *testing.T, opts memnode.Options) (*memnode.Client, *wirePr
 	return c, proxy
 }
 
+// Both far stores are far as they are: New wraps neither.
+var (
+	_ far = (*memnode.Client)(nil)
+	_ far = (*memcluster.Cluster)(nil)
+)
+
+// farBacking is a Backing that is far: a Client or a Cluster, or a
+// wrapper that keeps what makes it so.
+type farBacking interface {
+	Backing
+	far
+}
+
+// proxiedCluster is a 2 × 2 memcluster of fresh in-process memnodes with
+// its prober off, every replica dialled over TCP through a wireProxy of
+// its own; delay sets the wire of all four.
+func proxiedCluster(t *testing.T) (cl *memcluster.Cluster, delay func(time.Duration)) {
+	t.Helper()
+	addrs := make([][]string, 2)
+	var proxies []*wireProxy
+	for i := 0; i < 4; i++ {
+		srv, err := memnode.NewServer("127.0.0.1:0", 64<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		proxy := newWireProxy(t, srv.Addr())
+		proxies = append(proxies, proxy)
+		addrs[i/2] = append(addrs[i/2], proxy.ln.Addr().String())
+	}
+	cl, err := memcluster.New(addrs, memcluster.Options{DisableProber: true, Node: memnode.Options{Transport: memnode.TransportTCP}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl, func(d time.Duration) {
+		for _, proxy := range proxies {
+			proxy.delay.Store(int64(d))
+		}
+	}
+}
+
 // slowWriteback holds every batched write back before it goes out.
 type slowWriteback struct {
-	*memnode.Client
+	farBacking
 	hold time.Duration
 }
 
 func (b *slowWriteback) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
 	time.Sleep(b.hold)
-	return b.Client.WriteV(handle, offsets, pages)
+	return b.farBacking.WriteV(handle, offsets, pages)
 }
 
 // TestFaultOverlapsReclaim: a fault that meets a dry pool starts its
 // read before it waits for a frame, so it costs the longer of the two,
 // not their sum. A wire 100 ms long, a writeback that takes 300 ms, every
-// frame dirty: the fault takes the writeback's 300 ms, not 400.
+// frame dirty: the fault takes the writeback's 300 ms, not 400 — over a
+// client, and over a cluster whose every replica has that wire.
 func TestFaultOverlapsReclaim(t *testing.T) {
+	t.Run("client", func(t *testing.T) {
+		c, proxy := proxiedClient(t, memnode.Options{})
+		faultOverlapsReclaim(t, c, func(d time.Duration) { proxy.delay.Store(int64(d)) })
+	})
+	t.Run("cluster", func(t *testing.T) {
+		cl, delay := proxiedCluster(t)
+		faultOverlapsReclaim(t, cl, delay)
+	})
+}
+
+func faultOverlapsReclaim(t *testing.T, backing farBacking, delay func(time.Duration)) {
 	const wire, hold = 100 * time.Millisecond, 200 * time.Millisecond
-	c, proxy := proxiedClient(t, memnode.Options{})
 	const frames = 4
-	p, err := New(&slowWriteback{Client: c, hold: hold}, 64, frames, Options{})
+	p, err := New(&slowWriteback{farBacking: backing, hold: hold}, 64, frames, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.async == nil {
-		t.Fatal("the wrapped client lost its futures")
+	if _, adapted := p.far.(adapter); adapted {
+		t.Fatal("the wrapped backing lost its started read")
 	}
 	// Every frame dirty and pinned: the pool is dry and stays so.
 	var held []Frame
@@ -231,7 +285,7 @@ func TestFaultOverlapsReclaim(t *testing.T) {
 		stampPage(fr.Data, pg)
 		held = append(held, fr)
 	}
-	proxy.delay.Store(int64(wire))
+	delay(wire)
 	for _, fr := range held {
 		fr.Unpin() // the last of these at the latest wakes the evictor
 	}
@@ -249,7 +303,7 @@ func TestFaultOverlapsReclaim(t *testing.T) {
 	if s := p.Stats(); s.FrameWaits != 1 || s.WritebackBatches == 0 {
 		t.Errorf("frame waits = %d, writeback batches = %d; want the one fault to have waited for a writeback", s.FrameWaits, s.WritebackBatches)
 	}
-	proxy.delay.Store(0)
+	delay(0)
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -257,14 +311,15 @@ func TestFaultOverlapsReclaim(t *testing.T) {
 
 // scriptedReads is a memnode client whose demand-path reads are on
 // record: every destination list ReadVInto is handed, and, for every
-// future ReadAsync starts, the frame waits the pager had counted by then.
+// read StartReadVInto starts, the frame waits the pager had counted by
+// then.
 type scriptedReads struct {
 	*memnode.Client
 	pager *Pager
 
-	mu      sync.Mutex
-	intos   [][][]byte
-	futures []uint64
+	mu     sync.Mutex
+	intos  [][][]byte
+	starts []uint64
 }
 
 func (s *scriptedReads) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
@@ -274,23 +329,23 @@ func (s *scriptedReads) ReadVInto(handle uint64, offsets []int64, dst [][]byte) 
 	return s.Client.ReadVInto(handle, offsets, dst)
 }
 
-func (s *scriptedReads) ReadAsync(handle uint64, offset, length int64) *memnode.Pending {
+func (s *scriptedReads) StartReadVInto(handle uint64, offsets []int64, dst [][]byte, done func(error)) {
 	s.mu.Lock()
-	s.futures = append(s.futures, s.pager.Stats().FrameWaits)
+	s.starts = append(s.starts, s.pager.Stats().FrameWaits)
 	s.mu.Unlock()
-	return s.Client.ReadAsync(handle, offset, length)
+	s.Client.StartReadVInto(handle, offsets, dst, done)
 }
 
-func (s *scriptedReads) record() (intos [][][]byte, futures []uint64) {
+func (s *scriptedReads) record() (intos [][][]byte, starts []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.Clone(s.intos), slices.Clone(s.futures)
+	return slices.Clone(s.intos), slices.Clone(s.starts)
 }
 
 // TestDemandFaultLandsInFrame: a fault that gets a free frame at once
 // reads its page straight into it — one ReadVInto whose one destination
-// is the frame's bytes in the arena — and starts no future. One that
-// finds the pool dry starts its read before it waits for a frame.
+// is the frame's bytes in the arena — and starts no read. One that finds
+// the pool dry starts its read before it waits for a frame.
 func TestDemandFaultLandsInFrame(t *testing.T) {
 	srv, err := memnode.NewServer("127.0.0.1:0", 16<<20)
 	if err != nil {
@@ -325,8 +380,8 @@ func TestDemandFaultLandsInFrame(t *testing.T) {
 			t.Errorf("fault %d read into %d buffers, not its frame alone", pg, len(dst))
 		}
 	}
-	if _, futures := sr.record(); len(futures) != 0 {
-		t.Errorf("faults that had a free frame started %d futures", len(futures))
+	if _, starts := sr.record(); len(starts) != 0 {
+		t.Errorf("faults that had a free frame started %d reads", len(starts))
 	}
 
 	// Every frame pinned: the pool is dry until one is let go.
@@ -343,9 +398,9 @@ func TestDemandFaultLandsInFrame(t *testing.T) {
 	if err := <-faulted; err != nil {
 		t.Fatal(err)
 	}
-	intos, futures := sr.record()
-	if len(intos) != frames || len(futures) != 1 || futures[0] != 0 {
-		t.Errorf("the fault into a dry pool made %d reads into frames and started futures at frame waits %v; want none, and one started before its wait", len(intos)-frames, futures)
+	intos, starts := sr.record()
+	if len(intos) != frames || len(starts) != 1 || starts[0] != 0 {
+		t.Errorf("the fault into a dry pool made %d reads into frames and started reads at frame waits %v; want none, and one started before its wait", len(intos)-frames, starts)
 	}
 	for _, fr := range held[1:] {
 		fr.Unpin()

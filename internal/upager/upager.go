@@ -27,53 +27,16 @@ import (
 	"mage/internal/stats"
 )
 
-// Backing is the far-memory store a pager swaps against. Both
-// memnode.Client and memcluster.Cluster satisfy it.
-//
-// The method set is frozen by bench/, which a change that claims a gain
-// may not edit: its shim embeds the interface and forwards Read, ReadV
-// and WriteV by name, and its self-test passes New a five-method fake.
-// ReadV is here for those two alone — the pager fills batches through
-// IntoBacking, and calls ReadV only on a backing that is not one.
-type Backing interface {
+// far is the one shape of far memory the pager knows. memnode.Client and
+// memcluster.Cluster are far; New wraps any other Backing in frozen.go's
+// adapter. A read's buffers are lent until it returns or done has been
+// called — once, wherever the read ended, holding no lock of the
+// backing's, before StartReadVInto returns if it was refused on the spot.
+type far interface {
 	Register(size int64) (uint64, error)
-	Read(handle uint64, offset, length int64) ([]byte, error)
-	Write(handle uint64, offset int64, data []byte) error
-	ReadV(handle uint64, offsets []int64, pageBytes int64) ([][]byte, error)
-	WriteV(handle uint64, offsets []int64, pages [][]byte) error
-}
-
-// IntoBacking is a Backing whose batched read lands in buffers the
-// caller names: page i, len(dst[i]) bytes at offsets[i], into dst[i].
-// The pager passes the frames it has claimed for the batch, so a page
-// crosses user space once, from the transport's buffer into its frame.
-// The frames are lent for the duration of the call: the backing may
-// write them (and on failure leave anything in them) until it returns,
-// and not after. memnode.Client and memcluster.Cluster satisfy it.
-type IntoBacking interface {
-	Backing
 	ReadVInto(handle uint64, offsets []int64, dst [][]byte) error
-}
-
-// AsyncBacking is a Backing that can issue one-sided reads returning a
-// future, letting the demand read overlap frame reclaim.
-// memnode.Client satisfies it; the pager falls back to the synchronous
-// Read when the backing does not.
-type AsyncBacking interface {
-	Backing
-	ReadAsync(handle uint64, offset, length int64) *memnode.Pending
-}
-
-// startBacking is a backing that can start a batched read from the
-// caller's goroutine and report its end through a hook: ReadVInto's
-// contract, with the frames lent until done has been called — once, on
-// whichever goroutine ends the read, holding no lock of the backing's.
-// memnode.Client is the one; with it a fill-ahead starts no goroutine.
-// It is not exported: bench's shim hides the method, and a backing that
-// has none gets its batched reads run on a goroutine each, as before
-// (see New).
-type startBacking interface {
 	StartReadVInto(handle uint64, offsets []int64, dst [][]byte, done func(error))
+	WriteV(handle uint64, offsets []int64, pages [][]byte) error
 }
 
 // ErrClosed is returned by Pin after Close.
@@ -127,16 +90,13 @@ type Options struct {
 // Pager pages a numPages*PageBytes region through a frames-sized local
 // arena.
 type Pager struct {
-	backing    Backing
-	into       IntoBacking  // nil when backing cannot read into the caller's buffers
-	async      AsyncBacking // nil when backing has no futures API
-	startReadV func(handle uint64, offsets []int64, dst [][]byte, done func(error))
-	handle     uint64
-	pageBytes  int64
-	numPages   uint64
-	frames     int
-	batch      int
-	lowWater   int
+	far       far
+	handle    uint64
+	pageBytes int64
+	numPages  uint64
+	frames    int
+	batch     int
+	lowWater  int
 
 	mu     sync.Mutex // guards pages, owner, sel, closed, holds, arena
 	pages  []page
@@ -232,13 +192,17 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 	if err != nil {
 		return nil, fmt.Errorf("upager: map %d frames: %w", frames, err)
 	}
-	handle, err := backing.Register(int64(numPages) * pb)
+	f, ok := backing.(far)
+	if !ok {
+		f = adapter{backing}
+	}
+	handle, err := f.Register(int64(numPages) * pb)
 	if err != nil {
 		unmapArena(arena)
 		return nil, fmt.Errorf("upager: register backing region: %w", err)
 	}
 	p := &Pager{
-		backing:   backing,
+		far:       f,
 		handle:    handle,
 		pageBytes: pb,
 		numPages:  numPages,
@@ -255,22 +219,6 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 		stopC:     make(chan struct{}),
 		doneC:     make(chan struct{}),
 		faultLat:  stats.NewConcurrentHistogram(),
-	}
-	p.into, _ = backing.(IntoBacking)
-	p.async, _ = backing.(AsyncBacking)
-	// A batched read is started and ends in a hook. The backing that can
-	// do that starts it itself; for any other, starting it is a goroutine
-	// that runs its ReadVInto — or its ReadV, and a copy.
-	if st, ok := backing.(startBacking); ok {
-		p.startReadV = st.StartReadVInto
-	} else {
-		readVInto := p.readVCopy
-		if p.into != nil {
-			readVInto = p.into.ReadVInto
-		}
-		p.startReadV = func(handle uint64, offsets []int64, dst [][]byte, done func(error)) {
-			go func() { done(readVInto(handle, offsets, dst)) }() //magevet:ok real-host pager: a backing that cannot start a read has it run beside the caller's own work
-		}
 	}
 	for f := 0; f < frames; f++ {
 		p.owner[f] = noPage
@@ -380,10 +328,7 @@ func (p *Pager) faultIn(pg uint64, write bool) (Frame, error) {
 	p.faults.Add(1)
 	off := int64(pg) * p.pageBytes
 
-	frame, ok := int32(-1), false
-	if p.into != nil {
-		frame, ok = p.tryTakeFrame()
-	}
+	frame, ok := p.tryTakeFrame()
 	var err error
 	if ok {
 		err = p.readInto(frame, off)
@@ -430,40 +375,29 @@ type faultIO struct {
 func (p *Pager) readInto(frame int32, off int64) error {
 	io := &p.faultIO[frame]
 	io.off[0], io.dst[0] = off, p.frameData(frame)
-	return p.into.ReadVInto(p.handle, io.off[:], io.dst[:])
+	return p.far.ReadVInto(p.handle, io.off[:], io.dst[:])
 }
 
-// readBeforeFrame is the fault that found no free frame: it issues the
-// read first, so that the wire round trip overlaps reclaim, then waits
-// for a frame and copies the page in. The frame is -1 when the pager
-// closed before one came free, and err then is ErrClosed; otherwise err
-// is the read's, and on a failed read the caller frees the frame.
+// readBeforeFrame is the fault that found no free frame: it starts the
+// read into a scratch page, so that the round trip overlaps reclaim,
+// then waits for a frame and for the read, and copies the page in. The
+// scratch is lent to the read until its hook has run, so a pager closed
+// before a frame came free (frame -1, err ErrClosed) waits it out too.
+// Otherwise err is the read's; on a failure the caller frees the frame.
 func (p *Pager) readBeforeFrame(off int64) (int32, error) {
-	var pending *memnode.Pending
-	if p.async != nil {
-		pending = p.async.ReadAsync(p.handle, off, p.pageBytes)
-	}
+	io := &faultIO{off: [1]int64{off}, dst: [1][]byte{memnode.GetBuf(int(p.pageBytes))}}
+	read := make(chan error, 1)
+	p.far.StartReadVInto(p.handle, io.off[:], io.dst[:], func(err error) { read <- err })
 	frame, err := p.takeFrame()
+	rerr := <-read
+	if err == nil && rerr == nil {
+		copy(p.frameData(frame), io.dst[0])
+	}
+	memnode.PutBuf(io.dst[0])
 	if err != nil {
-		if pending != nil {
-			if body, werr := pending.Wait(); werr == nil {
-				memnode.PutBuf(body)
-			}
-		}
 		return -1, err
 	}
-	var body []byte
-	if pending != nil {
-		body, err = pending.Wait()
-	} else {
-		body, err = p.backing.Read(p.handle, off, p.pageBytes)
-	}
-	if err != nil {
-		return frame, err
-	}
-	copy(p.frameData(frame), body)
-	memnode.PutBuf(body)
-	return frame, nil
+	return frame, rerr
 }
 
 // abortFault rolls a claimed page back to absent, drops the fault's
@@ -647,7 +581,7 @@ func (p *Pager) FaultAhead(pgs []uint64) {
 	f.start = time.Now() //magevet:ok real-host pager: fault service time is a reported metric
 	// With p.mu dropped: the hook takes it, and a read refused on the spot
 	// runs the hook before this returns.
-	p.startReadV(p.handle, f.offs, f.dst, f.done)
+	p.far.StartReadVInto(p.handle, f.offs, f.dst, f.done)
 }
 
 // install ends a batch whose read has returned err: every page
@@ -702,22 +636,6 @@ func (f *fill) install(err error) {
 	}
 	p.fillWG.Done()
 	p.fillPool.Put(f)
-}
-
-// readVCopy is readVInto over a backing that is not an IntoBacking: its
-// ReadV, and a copy.
-func (p *Pager) readVCopy(handle uint64, offsets []int64, dst [][]byte) error {
-	bodies, err := p.backing.ReadV(handle, offsets, p.pageBytes)
-	if err != nil {
-		return err
-	}
-	if len(bodies) != len(dst) {
-		return fmt.Errorf("upager: readv returned %d of %d pages", len(bodies), len(dst))
-	}
-	for i, body := range bodies {
-		copy(dst[i], body)
-	}
-	return nil
 }
 
 // evictLoop is the write-behind evictor: on every kick it reclaims
@@ -883,7 +801,7 @@ func (p *Pager) Flush() error {
 // where it was taken from — for a later sweep or Flush to retry. Settling
 // drops the hold the caller took for the batch.
 func (p *Pager) writeBack(victims []uint64, offs []int64, bufs [][]byte, latch chan struct{}, evict bool) error {
-	err := p.backing.WriteV(p.handle, offs, bufs)
+	err := p.far.WriteV(p.handle, offs, bufs)
 	p.mu.Lock()
 	for _, pg := range victims {
 		pd := &p.pages[pg]
