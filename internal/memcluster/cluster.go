@@ -62,29 +62,20 @@ type Options struct {
 }
 
 func (o *Options) fillDefaults() {
-	if o.PageBytes <= 0 {
-		o.PageBytes = 4096
-	}
-	if o.Node.DialTimeout <= 0 {
-		o.Node.DialTimeout = 500 * time.Millisecond
-	}
-	if o.Node.IOTimeout <= 0 {
-		o.Node.IOTimeout = time.Second
-	}
-	if o.Node.MaxAttempts <= 0 {
-		o.Node.MaxAttempts = 2
-	}
-	if o.Node.BaseBackoff <= 0 {
-		o.Node.BaseBackoff = 10 * time.Millisecond
-	}
-	if o.Node.MaxBackoff <= 0 {
-		o.Node.MaxBackoff = 100 * time.Millisecond
-	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 100 * time.Millisecond
-	}
-	if o.ProbeBackoffMax <= 0 {
-		o.ProbeBackoffMax = 2 * time.Second
+	orDefault(&o.PageBytes, 4096)
+	orDefault(&o.Node.DialTimeout, 500*time.Millisecond)
+	orDefault(&o.Node.IOTimeout, time.Second)
+	orDefault(&o.Node.MaxAttempts, 2)
+	orDefault(&o.Node.BaseBackoff, 10*time.Millisecond)
+	orDefault(&o.Node.MaxBackoff, 100*time.Millisecond)
+	orDefault(&o.ProbeInterval, 100*time.Millisecond)
+	orDefault(&o.ProbeBackoffMax, 2*time.Second)
+}
+
+// orDefault sets an option that is not positive to its default d.
+func orDefault[T int | int64 | time.Duration](v *T, d T) {
+	if *v <= 0 {
+		*v = d
 	}
 }
 
@@ -507,10 +498,7 @@ func (cl *Cluster) climb(sh *shard, si int, rungs []rung, lastErr error, try fun
 		}
 		lastErr = err
 	}
-	if lastErr == nil {
-		lastErr = errors.New("no replica holds the region")
-	}
-	return errAllReplicasFailed(si, lastErr)
+	return errAllReplicasFailed(si, cmp.Or(lastErr, errors.New("no replica holds the region")))
 }
 
 // rungOver judges a rung that ended in err: a success or a terminal
@@ -543,61 +531,75 @@ func (cl *Cluster) startClimb(sh *shard, si int, rungs []rung, start func(rung, 
 	})
 }
 
-// replicate is the only write loop: send to every rung at once (the
-// first inline, the rest on goroutines) and drain them all, even past
-// a terminal error — a send still in flight references the caller's
+// startReplicate is the only write loop: it starts the batch on every
+// rung at once and judges them when the last has ended, even past a
+// terminal error — a rung still in flight references the caller's
 // buffers, and a replica that did apply the write must be dirty-logged
-// before this returns. One ack is success; replicas that fail demote
-// and resync later. With log set the pages at (handle, offs) are then
-// logged dirty, which is what lets a settle pass run with all ops
-// drained guarantee no missed write; a migration copy passes false, or
-// it would re-mark the very pages it just moved and the settle would
-// never converge.
-func (cl *Cluster) replicate(sh *shard, si int, rungs []rung, handle uint64, offs []int64, log bool, send func(rung) error) error {
-	errs := make([]error, len(rungs))
-	var wg sync.WaitGroup
-	for i := 1; i < len(rungs); i++ {
-		wg.Add(1)
-		go func(i int) { //magevet:ok write fan-out on a real network client: the wait below, not goroutine scheduling, orders completion
-			defer wg.Done()
-			errs[i] = send(rungs[i])
-		}(i)
-	}
-	if len(rungs) > 0 {
-		errs[0] = send(rungs[0])
-	}
-	wg.Wait()
-	acks := 0
-	var lastErr, termErr error
-	for i, err := range errs {
-		switch {
-		case err == nil:
-			acks++
-		case memnode.IsTerminal(err):
-			if termErr == nil {
-				termErr = err
+// before end runs. One ack is success; replicas that fail demote and
+// resync later. With log set the pages at (handle, offs) are then logged
+// dirty, which is what lets a settle pass run with all ops drained
+// guarantee no missed write; a migration copy passes false, or it would
+// re-mark the very pages it just moved and the settle would never
+// converge. end gets the verdict once, where the last rung ended.
+//
+// The judge runs in a node client's hook and takes sh.mu (markDown,
+// logDirty) and migMu (logDirty), neither of which is held around a call
+// into a node client: ProbeNow drops sh.mu before Probe, and migrate and
+// the movers take neither around a copy. startClimb's hook relies on it.
+func (cl *Cluster) startReplicate(sh *shard, si int, rungs []rung, handle uint64, offs []int64, log bool, start func(rung, func(error)), end func(error)) {
+	report := gather(len(rungs), func(errs []error) {
+		acks := 0
+		var lastErr, termErr error
+		for i, err := range errs {
+			switch {
+			case err == nil:
+				acks++
+			case memnode.IsTerminal(err):
+				termErr = cmp.Or(termErr, err)
+			default:
+				cl.markDown(sh, rungs[i].r, true)
+				lastErr = err
 			}
+		}
+		if log {
+			cl.logDirty(sh, handle, offs)
+		}
+		switch {
+		case termErr != nil:
+			end(termErr)
+		case acks == 0:
+			end(errAllReplicasFailed(si, cmp.Or(lastErr, errors.New("no healthy replica"))))
 		default:
-			cl.markDown(sh, rungs[i].r, true)
-			lastErr = err
+			if lastErr != nil {
+				cl.stats.degradedWrites.Add(1)
+			}
+			end(nil)
+		}
+	})
+	for i, g := range rungs {
+		start(g, func(err error) { report(i, err) })
+	}
+}
+
+// gather counts n results down: report records result i, and the report
+// of the last of them runs last with all n (gather itself, for none).
+func gather(n int, last func(errs []error)) (report func(i int, err error)) {
+	errs, left := make([]error, n), new(atomic.Int32)
+	if left.Store(int32(n)); n == 0 {
+		last(errs)
+	}
+	return func(i int, err error) {
+		if errs[i] = err; left.Add(-1) == 0 {
+			last(errs)
 		}
 	}
-	if log {
-		cl.logDirty(sh, handle, offs)
-	}
-	if termErr != nil {
-		return termErr
-	}
-	if acks == 0 {
-		if lastErr == nil {
-			lastErr = errors.New("no healthy replica")
-		}
-		return errAllReplicasFailed(si, lastErr)
-	}
-	if lastErr != nil {
-		cl.stats.degradedWrites.Add(1)
-	}
-	return nil
+}
+
+// wait runs a started op to its end and returns what its end was told.
+func wait(start func(end func(error))) error {
+	ended := make(chan error, 1)
+	start(func(err error) { ended <- err })
+	return <-ended
 }
 
 // logDirty records a completed write's pages for every replica of the
@@ -640,9 +642,11 @@ func (cl *Cluster) readInto(sh *shard, si int, rungs []rung, offs []int64, bufs 
 	return cl.climb(sh, si, rungs, nil, func(g rung) error { return g.c.ReadVInto(g.h, offs, bufs) })
 }
 
-// writeTo replicates one batch to every rung.
+// writeTo replicates one batch to every rung and waits for the verdict.
 func (cl *Cluster) writeTo(sh *shard, si int, rungs []rung, handle uint64, offs []int64, bufs [][]byte, log bool) error {
-	return cl.replicate(sh, si, rungs, handle, offs, log, func(g rung) error { return g.c.WriteV(g.h, offs, bufs) })
+	return wait(func(end func(error)) {
+		cl.startReplicate(sh, si, rungs, handle, offs, log, func(g rung, hook func(error)) { g.c.StartWriteV(g.h, offs, bufs, hook) }, end)
+	})
 }
 
 // part is the share of one request that one shard serves as one node
@@ -716,27 +720,32 @@ func (cl *Cluster) route(parts []part, topo *topology, reg *cregion, handle uint
 	return parts, nil
 }
 
-// each routes one request and runs do on every part, all under the
-// topology read lock.
-func (cl *Cluster) each(handle uint64, offsets []int64, bufs [][]byte, do func(reg *cregion, sh *shard, p part) error) error {
+// fan routes one request and starts every part with start, which calls
+// the part's end once the part is over. The topology read lock is held,
+// and the buffers lent, until the last part has ended; done then gets the
+// first failing part's error in route order, where that part ended, and
+// is held to memnode's rules for a hook.
+func (cl *Cluster) fan(handle uint64, offsets []int64, bufs [][]byte, start func(reg *cregion, sh *shard, p part, end func(error)), done func(error)) {
 	reg, err := cl.region(handle)
 	if err != nil {
-		return err
+		done(err)
+		return
 	}
 	cl.topoMu.RLock()
-	defer cl.topoMu.RUnlock()
 	topo := cl.topo
-	var one [1]part
-	parts, err := cl.route(one[:0], topo, reg, handle, offsets, bufs)
+	parts, err := cl.route(nil, topo, reg, handle, offsets, bufs)
 	if err != nil {
-		return err
+		cl.topoMu.RUnlock()
+		done(err)
+		return
 	}
-	for _, p := range parts {
-		if err := do(reg, topo.shards[p.si], p); err != nil {
-			return err
-		}
+	report := gather(len(parts), func(errs []error) {
+		cl.topoMu.RUnlock()
+		done(cmp.Or(errs...))
+	})
+	for i, p := range parts {
+		start(reg, topo.shards[p.si], p, func(err error) { report(i, err) })
 	}
-	return nil
 }
 
 // Read performs a one-sided read of length bytes at offset, fanning
@@ -786,14 +795,27 @@ func (cl *Cluster) Write(handle uint64, offset int64, data []byte) error {
 
 // ReadVInto reads len(offsets) pages, page i of len(dst[i]) bytes at
 // offsets[i] into dst[i], one batched READV per part route cuts the
-// request into. The buffers are the caller's; every replica a shard's
-// ladder tries fills the same ones.
+// request into, under the topology read lock. The buffers are the
+// caller's; every replica a shard's ladder tries fills the same ones.
 func (cl *Cluster) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
-	return cl.each(handle, offsets, dst, func(reg *cregion, sh *shard, p part) error {
+	reg, err := cl.region(handle)
+	if err != nil {
+		return err
+	}
+	cl.topoMu.RLock()
+	defer cl.topoMu.RUnlock()
+	topo := cl.topo
+	var one [1]part
+	parts, err := cl.route(one[:0], topo, reg, handle, offsets, dst)
+	for _, p := range parts {
+		sh := topo.shards[p.si]
 		key := placement.Key(handle, uint64(p.offs[0]/cl.opts.PageBytes))
 		var buf [ladderRungs]rung
-		return cl.readInto(sh, p.si, cl.ladder(buf[:0], sh, reg, key), p.offs, p.bufs)
-	})
+		if err := cl.readInto(sh, p.si, cl.ladder(buf[:0], sh, reg, key), p.offs, p.bufs); err != nil {
+			return err
+		}
+	}
+	return err
 }
 
 // StartReadVInto is ReadVInto started, not run: each part route cuts the
@@ -803,40 +825,24 @@ func (cl *Cluster) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error
 // lent, and the topology barrier held, until then. done runs where the
 // last part ended, and is held to memnode's rules for a hook.
 func (cl *Cluster) StartReadVInto(handle uint64, offsets []int64, dst [][]byte, done func(error)) {
-	reg, err := cl.region(handle)
-	if err != nil {
-		done(err)
-		return
-	}
-	cl.topoMu.RLock()
-	topo := cl.topo
-	parts, err := cl.route(nil, topo, reg, handle, offsets, dst)
-	if err != nil {
-		cl.topoMu.RUnlock()
-		done(err)
-		return
-	}
-	errs, left := make([]error, len(parts)), new(atomic.Int32)
-	left.Store(int32(len(parts)))
-	for i, p := range parts {
-		sh := topo.shards[p.si]
+	cl.fan(handle, offsets, dst, func(reg *cregion, sh *shard, p part, end func(error)) {
 		key := placement.Key(handle, uint64(p.offs[0]/cl.opts.PageBytes))
 		cl.startClimb(sh, p.si, cl.ladder(make([]rung, 0, ladderRungs), sh, reg, key),
 			func(g rung, hook func(error)) { g.c.StartReadVInto(g.h, p.offs, p.bufs, hook) },
 			func(g rung) error { return g.c.ReadVInto(g.h, p.offs, p.bufs) },
-			func(err error) {
-				if errs[i] = err; left.Add(-1) == 0 {
-					cl.topoMu.RUnlock()
-					done(cmp.Or(errs...)) // the first part's failure, as ReadVInto meets them
-				}
-			})
-	}
+			end)
+	}, done)
 }
 
 // WriteV writes len(pages) pages at the matching offsets, one batched
-// WRITEV per part per healthy replica.
+// WRITEV per part per healthy replica, every one of them started at once.
+// A failing part does not keep the others from being written and
+// dirty-logged; the error is the first failing part's in route order.
 func (cl *Cluster) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
-	return cl.each(handle, offsets, pages, func(reg *cregion, sh *shard, p part) error {
-		return cl.writeTo(sh, p.si, holders(sh, reg, nil), handle, p.offs, p.bufs, true)
+	return wait(func(done func(error)) {
+		cl.fan(handle, offsets, pages, func(reg *cregion, sh *shard, p part, end func(error)) {
+			cl.startReplicate(sh, p.si, holders(sh, reg, nil), handle, p.offs, true,
+				func(g rung, hook func(error)) { g.c.StartWriteV(g.h, p.offs, p.bufs, hook) }, end)
+		}, done)
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time" // the cluster's own prober options are durations
@@ -41,7 +42,8 @@ func bareShard(healthy []bool, held []int) (*shard, *cregion) {
 // first rung is started, with scripted results per rung: which rungs are
 // asked, who is demoted, what is counted, what comes back and what
 // reaches the dirty logs. A started climb must do on every row what
-// climb does.
+// climb does; the write loop starts every rung before any has ended, and
+// ends once, after the last.
 func TestClimbReplicateTable(t *testing.T) {
 	boom := errors.New("connection reset")
 	// A refusal from the client's own checks is the one terminal error
@@ -85,6 +87,7 @@ func TestClimbReplicateTable(t *testing.T) {
 			replicas: want{wording: "memcluster: shard 4: all replicas failed: no healthy replica"}},
 	}
 	t.Run("ladder order", ladderOrderRow)
+	t.Run("write/two parts, the first failing", twoPartWriteRow)
 	for _, row := range rows {
 		// setup builds a fresh cluster for one run: replicas 0 and 1 healthy,
 		// replica 2 down with its resync log open, and a leave under way that
@@ -189,25 +192,42 @@ func TestClimbReplicateTable(t *testing.T) {
 				if !row.bare {
 					rungs = holders(sh, reg, nil)
 				}
-				// The sends on goroutines wait for the inline one, so they
-				// finish after it: replicate must still be there when they do.
-				inline := make(chan struct{})
+				// Every hook is held until the last rung has been started, so a
+				// loop that waited for one send before the next never ends; the
+				// hooks then run on goroutines of their own, as node clients'
+				// completers run them.
 				askedAt := make([]atomic.Bool, 3)
-				var finished atomic.Int32
-				err := cl.replicate(sh, 4, rungs, handle, offs, log, func(g rung) error {
+				var started, hooks sync.WaitGroup
+				started.Add(len(rungs))
+				var entered, ends atomic.Int32
+				ended := make(chan error, 2)
+				cl.startReplicate(sh, 4, rungs, handle, offs, log, func(g rung, hook func(error)) {
 					i := indexOf(rungs, g.r)
 					askedAt[i].Store(true)
-					if i == 0 {
-						close(inline)
-					} else {
-						<-inline
-						time.Sleep(time.Millisecond)
+					started.Done()
+					hooks.Add(1)
+					go func() {
+						defer hooks.Done()
+						started.Wait()
+						entered.Add(1)
+						hook(row.script[i])
+					}()
+				}, func(err error) {
+					if n := entered.Load(); int(n) != len(rungs) {
+						t.Errorf("end ran with %d of %d hooks run", n, len(rungs))
 					}
-					finished.Add(1)
-					return row.script[i]
+					ends.Add(1)
+					ended <- err
 				})
-				if int(finished.Load()) != len(rungs) {
-					t.Errorf("replicate returned with %d of %d sends finished", finished.Load(), len(rungs))
+				var err error
+				select {
+				case err = <-ended:
+				case <-time.After(10 * time.Second):
+					t.Fatal("end never ran: a send waited for another")
+				}
+				hooks.Wait()
+				if n := ends.Load(); n != 1 {
+					t.Errorf("end ran %d times", n)
 				}
 				var asked []rung
 				for i, g := range rungs {
@@ -232,6 +252,77 @@ func TestClimbReplicateTable(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// twoPartWriteRow is WriteV's fan-out with the node's StartWriteV
+// scripted: a batch over two shards whose first part in route order
+// fails on every replica. The second part is still sent and
+// dirty-logged, so is the first, and the first part's error comes back.
+func twoPartWriteRow(t *testing.T) {
+	boom := errors.New("connection reset")
+	const handle = 7
+	cl := bareCluster()
+	reg := &cregion{size: 1 << 20}
+	handles := make(map[*replica]uint64)
+	topo := &topology{ids: []uint64{1, 2}}
+	for _, id := range topo.ids {
+		sh, r := bareShard([]bool{true, true, false}, []int{0, 1, 2})
+		sh.id = id
+		sh.replicas[2].resyncing = true
+		sh.replicas[2].dirty = make(map[uint64]struct{})
+		sh.resyncCount.Store(1)
+		for rep, h := range r.handles.Load().(map[*replica]uint64) {
+			handles[rep] = h
+		}
+		topo.shards = append(topo.shards, sh)
+	}
+	reg.handles.Store(handles)
+	cl.topo, cl.regions[handle] = topo, reg
+
+	offs, bufs := make([]int64, 32), make([][]byte, 32)
+	owned := make([][]uint64, 2) // each shard's page keys
+	for p := range offs {
+		offs[p], bufs[p] = int64(p)*4096, make([]byte, 4096)
+		key := placement.Key(handle, uint64(p))
+		si := placement.ShardOfIDs(key, topo.ids)
+		owned[si] = append(owned[si], key)
+	}
+	if len(owned[0]) == 0 || len(owned[1]) == 0 {
+		t.Fatal("the batch does not span both shards")
+	}
+	var sent [2]atomic.Int32
+	err := wait(func(done func(error)) {
+		cl.fan(handle, offs, bufs, func(reg *cregion, sh *shard, p part, end func(error)) {
+			cl.startReplicate(sh, p.si, holders(sh, reg, nil), handle, p.offs, true, func(g rung, hook func(error)) {
+				sent[p.si].Add(1)
+				if p.si == 0 {
+					go hook(boom)
+				} else {
+					go hook(nil)
+				}
+			}, end)
+		}, done)
+	})
+	if want := "memcluster: shard 0: all replicas failed: connection reset"; err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
+	}
+	if a, b := sent[0].Load(), sent[1].Load(); a != 2 || b != 2 {
+		t.Errorf("sent %d and %d WRITEVs to the shards' two healthy replicas each", a, b)
+	}
+	for si, keys := range owned {
+		dirty := topo.shards[si].replicas[2].dirty
+		if len(dirty) != len(keys) {
+			t.Errorf("shard %d: resync log holds %d pages, want %d", si, len(dirty), len(keys))
+		}
+		for _, k := range keys {
+			if _, ok := dirty[k]; !ok {
+				t.Errorf("shard %d: resync log misses page key %#x", si, k)
+			}
+		}
+	}
+	if f, d := cl.stats.failovers.Load(), cl.stats.degradedWrites.Load(); f != 2 || d != 0 {
+		t.Errorf("failovers=%d degraded=%d, want 2 0", f, d)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,22 +26,35 @@ type farMemory interface {
 	Close() error
 }
 
-// started is one started read: its hook's runs, whether the first of
-// them came before StartReadVInto returned, and what it was told.
+// startedWriter is a far store with a started write: a node client.
+type startedWriter interface {
+	StartWriteV(handle uint64, offsets []int64, pages [][]byte, done func(error))
+}
+
+// started is one started op: its hook's runs, whether the first of them
+// came before the start returned, and what it was told.
 type started struct {
 	runs   atomic.Int32
 	inline bool
 	ended  chan error
 }
 
-func startRead(b farMemory, h uint64, offs []int64, dst [][]byte) *started {
+func startOp(start func(done func(error))) *started {
 	s := &started{ended: make(chan error, 2)}
-	b.StartReadVInto(h, offs, dst, func(err error) {
+	start(func(err error) {
 		s.runs.Add(1)
 		s.ended <- err
 	})
 	s.inline = s.runs.Load() > 0
 	return s
+}
+
+func startRead(b farMemory, h uint64, offs []int64, dst [][]byte) *started {
+	return startOp(func(done func(error)) { b.StartReadVInto(h, offs, dst, done) })
+}
+
+func startWrite(b startedWriter, h uint64, offs []int64, pages [][]byte) *started {
+	return startOp(func(done func(error)) { b.StartWriteV(h, offs, pages, done) })
 }
 
 func (s *started) wait(t *testing.T) error {
@@ -49,7 +63,7 @@ func (s *started) wait(t *testing.T) error {
 	case err := <-s.ended:
 		return err
 	case <-time.After(10 * time.Second):
-		t.Fatal("a started read's hook never ran")
+		t.Fatal("a started op's hook never ran")
 		return nil
 	}
 }
@@ -69,8 +83,10 @@ func batch(pages ...int64) (offs []int64, want []byte) {
 // twin: the same bytes land in the caller's buffers, the hook runs
 // exactly once, a request refused on the spot has run it by the time
 // StartReadVInto returns, and after Close the read ends in the store's
-// ErrClosed. Two more rows are the cluster's own: a ladder whose first
-// rung dies, and 256 reads in flight on a healthy one.
+// ErrClosed. A node client's started write is held to the same table:
+// it writes half the pages the reads then check. Three more rows are the
+// cluster's own: a ladder whose first rung dies, 256 reads in flight on a
+// healthy one, and 256 writes on it that start no goroutine.
 func TestStartedReadConformance(t *testing.T) {
 	node := func(t *testing.T, transport int) farMemory {
 		srv, err := memnode.NewServerOptions("127.0.0.1:0", 64<<20, memnode.ServerOptions{EnableShm: transport == memnode.TransportShm})
@@ -118,7 +134,15 @@ func TestStartedReadConformance(t *testing.T) {
 				all[p] = int64(p)
 			}
 			offs, want := batch(all...)
-			if err := b.WriteV(h, offs[:32], memnode.SplitPages(want[:32*testPage], testPage)); err != nil {
+			sw, _ := b.(startedWriter)
+			var writes []*started
+			if sw != nil { // a node client writes the first half started
+				s := startWrite(sw, h, offs[:32], memnode.SplitPages(want[:32*testPage], testPage))
+				writes = append(writes, s)
+				if err := s.wait(t); err != nil {
+					t.Fatalf("started write: %v", err)
+				}
+			} else if err := b.WriteV(h, offs[:32], memnode.SplitPages(want[:32*testPage], testPage)); err != nil {
 				t.Fatal(err)
 			}
 			if err := b.WriteV(h, offs[32:], memnode.SplitPages(want[32*testPage:], testPage)); err != nil {
@@ -151,6 +175,16 @@ func TestStartedReadConformance(t *testing.T) {
 			if err := refused.wait(t); err == nil {
 				t.Error("two offsets into one buffer were not refused")
 			}
+			if sw != nil {
+				refused := startWrite(sw, h, offs[:2], memnode.SplitPages(make([]byte, testPage), testPage))
+				writes = append(writes, refused)
+				if !refused.inline {
+					t.Error("a write refused on the spot had not run its hook when StartWriteV returned")
+				}
+				if err := refused.wait(t); err == nil {
+					t.Error("two offsets with one page were not refused")
+				}
+			}
 
 			if err := b.Close(); err != nil {
 				t.Fatal(err)
@@ -160,15 +194,28 @@ func TestStartedReadConformance(t *testing.T) {
 			if err := late.wait(t); !errors.Is(err, row.closed) {
 				t.Errorf("a read started after Close ended in %v, want %v", err, row.closed)
 			}
+			if sw != nil {
+				late := startWrite(sw, h, offs[:1], memnode.SplitPages(want[:testPage], testPage))
+				writes = append(writes, late)
+				if err := late.wait(t); !errors.Is(err, row.closed) {
+					t.Errorf("a write started after Close ended in %v, want %v", err, row.closed)
+				}
+			}
 			for i, s := range reads {
 				if n := s.runs.Load(); n != 1 {
 					t.Errorf("read %d ran its hook %d times", i, n)
+				}
+			}
+			for i, s := range writes {
+				if n := s.runs.Load(); n != 1 {
+					t.Errorf("write %d ran its hook %d times", i, n)
 				}
 			}
 		})
 	}
 	t.Run("cluster/first-rung-dies", startedReadFailsOver)
 	t.Run("cluster/256-in-flight", startedReadsSpawnNothing)
+	t.Run("cluster/256-writes", writesSpawnNothing)
 }
 
 // startedReadFailsOver is the started twin of
@@ -339,4 +386,69 @@ func startedReadsSpawnNothing(t *testing.T) {
 			t.Errorf("read %d ran its hook %d times", i, n)
 		}
 	}
+}
+
+// writesSpawnNothing: on a healthy 2 × 2 cluster a WriteV starts every
+// replica's WRITEV of every part from its caller and is ended by the node
+// clients' completers — 256 of them, each 32 pages over both shards,
+// start no goroutine. Goroutines are counted off the runtime's goroutine
+// ids, which it hands out in order of creation, sixteen at a time to each
+// P. The count runs on one P, whose id cache has been refilled before it
+// starts, so no other P's cache can skew it; the sixteen of slack are for
+// what the runtime's own timers start meanwhile (a link's watchdog tick).
+func writesSpawnNothing(t *testing.T) {
+	_, addrs := startServers(t, 2, 2)
+	cl, err := memcluster.New(addrs, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	h, err := cl.Register(testPages * testPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeAll(t, cl, h, 3) // every replica's link is up
+	var first32 []int64   // an evictor's batch: both shards own some of it
+	for p := int64(0); p < 32; p++ {
+		first32 = append(first32, p)
+	}
+	offs, want := batch(first32...)
+	pages := memnode.SplitPages(want, testPage)
+
+	const n = 256
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 16; i++ { // use up the P's cached ids: the next come in order
+		newGoroutineID()
+	}
+	g0 := newGoroutineID()
+	for i := 0; i < n; i++ {
+		if err := cl.WriteV(h, offs, pages); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	started := int64(newGoroutineID()-g0) - 1 // the second probe's own
+	t.Logf("%d WriteVs started %d goroutines", n, started)
+	if started > 16 {
+		t.Errorf("%d WriteVs started %d goroutines", n, started)
+	}
+	if st := cl.Stats(); st.Failovers != 0 || st.DegradedWrites != 0 {
+		t.Errorf("a healthy cluster failed over: %+v", st)
+	}
+	got := make([]byte, len(want))
+	if err := cl.ReadVInto(h, offs, memnode.SplitPages(got, testPage)); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the pages read back other than written (err %v)", err)
+	}
+}
+
+// newGoroutineID is the id the runtime gives the next goroutine.
+func newGoroutineID() uint64 {
+	ch := make(chan uint64)
+	go func() {
+		var buf [64]byte
+		// "goroutine 123 [running]:..."
+		fields := bytes.Fields(buf[:runtime.Stack(buf[:], false)])
+		id, _ := strconv.ParseUint(string(fields[1]), 10, 64)
+		ch <- id
+	}()
+	return <-ch
 }

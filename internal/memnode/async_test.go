@@ -95,8 +95,8 @@ func (h *hooks) once(t *testing.T) {
 
 // TestAsyncOpsSpawnNothing: an asynchronous op on a healthy link is
 // started by its caller and completed by the link, and no goroutine
-// stands between the two — 256 futures and 256 started READVs in flight
-// leave the goroutine count where it was. Close then completes every one
+// stands between the two — 128 futures, 128 started READVs and 256
+// started WRITEVs in flight leave the goroutine count where it was. Close then completes every one
 // of them, on its own goroutine: each future resolves to ErrClosed,
 // however often and however it is asked, and each hook has run exactly
 // once when Close returns.
@@ -112,22 +112,25 @@ func TestAsyncOpsSpawnNothing(t *testing.T) {
 		c, release := withheld(t, shm, opts)
 		kind := c.TransportKind()
 
-		const n = 256
+		const n = 128
 		base := runtime.NumGoroutine()
 		pend := make([]*Pending, n)
 		for i := range pend {
 			pend[i] = c.ReadAsync(1, int64(i)*4096, 4096)
 		}
-		hk := newHooks(n)
+		hk := newHooks(3 * n)
 		page := SplitPages(make([]byte, 4096), 4096)
 		for i := 0; i < n; i++ {
 			// The batches share their page: nothing is ever read into it.
 			c.StartReadVInto(1, []int64{int64(i) * 4096}, page, hk.hook(i))
 		}
+		for i := n; i < 3*n; i++ {
+			c.StartWriteV(1, []int64{int64(i) * 4096}, page, hk.hook(i))
+		}
 		// Not above: what the transport before this one left winding down
 		// may have gone meanwhile.
 		if got := runtime.NumGoroutine(); got > base {
-			t.Errorf("%s: %d goroutines with %d ops in flight, %d before", kind, got, 2*n, base)
+			t.Errorf("%s: %d goroutines with %d ops in flight, %d before", kind, got, 4*n, base)
 		}
 		early := pend[0].Done() // asked before completion
 		select {

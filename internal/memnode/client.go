@@ -514,7 +514,7 @@ func (ca *call) fail(err error) {
 // writer — and from then on exactly one completion of the call follows:
 // from start itself (a file link's verb, or a link that is dead), the
 // reader, or fail. None of them holds a lock of the link's while it
-// completes a call, because completing the attempt of a started READV
+// completes a call, because completing the attempt of a started op
 // runs its caller's hook.
 type stream struct {
 	calls
@@ -919,16 +919,10 @@ func (c *Client) sleep(d time.Duration) bool {
 // consecutive failure (attempt ≥ 1).
 func (c *Client) backoff(attempt int) time.Duration {
 	d := c.opts.BaseBackoff
-	for i := 1; i < attempt; i++ {
+	for i := 1; i < attempt && d < c.opts.MaxBackoff; i++ {
 		d *= 2
-		if d >= c.opts.MaxBackoff {
-			return c.opts.MaxBackoff
-		}
 	}
-	if d > c.opts.MaxBackoff {
-		d = c.opts.MaxBackoff
-	}
-	return d
+	return min(d, c.opts.MaxBackoff)
 }
 
 // liveLink returns the current link when an op can start on it right
@@ -1517,8 +1511,19 @@ func (c *Client) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
 // must not start or wait for an op of this client, and must take no lock
 // that is held around a call into the client.
 func (c *Client) StartReadVInto(handle uint64, offsets []int64, dst [][]byte, done func(error)) {
+	c.startBatch((*call).readv, handle, offsets, dst, done)
+}
+
+// StartWriteV is WriteV started, not run, on StartReadVInto's terms: pages
+// are lent until done, which runs once with the outcome WriteV would have.
+func (c *Client) StartWriteV(handle uint64, offsets []int64, pages [][]byte, done func(error)) {
+	c.startBatch((*call).writev, handle, offsets, pages, done)
+}
+
+// startBatch shapes a started batch, or hands done the refusal, and starts it.
+func (c *Client) startBatch(shape func(*call, uint64, []int64, [][]byte) error, handle uint64, offsets []int64, bufs [][]byte, done func(error)) {
 	p := &asyncOp{c: c, hook: done}
-	if err := p.proto.readv(handle, offsets, dst); err != nil {
+	if err := shape(&p.proto, handle, offsets, bufs); err != nil {
 		done(err)
 		return
 	}
@@ -1536,10 +1541,9 @@ func SplitPages(buf []byte, pageBytes int64) [][]byte {
 	return pages
 }
 
-// WriteV writes len(pages) pages at the matching offsets in one wire
-// round trip. The batch either fully applies or fails; retries re-send
-// the whole batch, which is safe because page writes are idempotent.
-func (c *Client) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
+// writev shapes ca as a WRITEV of len(offsets) pages, pages[i] at
+// offsets[i], or refuses the batch.
+func (ca *call) writev(handle uint64, offsets []int64, pages [][]byte) error {
 	if len(pages) == 0 || len(pages) > MaxBatchPages || len(pages) != len(offsets) {
 		return refusef("bad batch shape (%d offsets, %d pages)", len(offsets), len(pages))
 	}
@@ -1553,7 +1557,19 @@ func (c *Client) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
 	if total > MaxIO {
 		return refusef("batch total %d exceeds MaxIO", total)
 	}
-	_, err := c.doPages(&call{op: opWriteV, handle: handle, offsets: offsets, src: pages, length: total})
+	*ca = call{op: opWriteV, handle: handle, offsets: offsets, src: pages, length: total}
+	return nil
+}
+
+// WriteV writes len(pages) pages at the matching offsets in one wire
+// round trip. The batch either fully applies or fails; retries re-send
+// the whole batch, which is safe because page writes are idempotent.
+func (c *Client) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
+	var proto call
+	if err := proto.writev(handle, offsets, pages); err != nil {
+		return err
+	}
+	_, err := c.doPages(&proto)
 	return err
 }
 

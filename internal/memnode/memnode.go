@@ -382,10 +382,7 @@ func appendChunkSegs(segs net.Buffers, chunks [][]byte, offset, length int64) ne
 	for length > 0 {
 		ci := offset / ChunkBytes
 		co := offset % ChunkBytes
-		n := length
-		if rem := ChunkBytes - co; n > rem {
-			n = rem
-		}
+		n := min(length, ChunkBytes-co)
 		segs = append(segs, chunks[ci][co:co+n])
 		offset += n
 		length -= n

@@ -161,33 +161,17 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 	// The evictor must never be asked to reclaim most of the arena:
 	// batch and low-water both cap at half the frames so a fresh fault
 	// cannot be evicted just to satisfy the free-pool target.
-	half := frames / 2
-	if half < 1 {
-		half = 1
-	}
+	half := max(frames/2, 1)
 	batch := opts.EvictBatch
 	if batch <= 0 {
 		batch = 32
 	}
-	if batch > memnode.MaxBatchPages {
-		batch = memnode.MaxBatchPages
-	}
-	if batch > half {
-		batch = half
-	}
+	batch = min(batch, memnode.MaxBatchPages, half)
 	low := opts.LowWater
 	if low <= 0 {
-		low = frames / 8
-		if low > batch {
-			low = batch
-		}
+		low = min(frames/8, batch)
 	}
-	if low > half {
-		low = half
-	}
-	if low < 1 {
-		low = 1
-	}
+	low = max(min(low, half), 1)
 	arena, err := mapArena(int64(frames) * pb)
 	if err != nil {
 		return nil, fmt.Errorf("upager: map %d frames: %w", frames, err)
@@ -452,11 +436,8 @@ func (pd *page) openLatch() {
 // takeFrame pops a free frame, kicking the evictor and blocking while
 // none are free. It fails only once the pager is closing.
 func (p *Pager) takeFrame() (int32, error) {
-	select {
-	case f := <-p.freeC:
-		p.maybeKick()
+	if f, ok := p.tryTakeFrame(); ok {
 		return f, nil
-	default:
 	}
 	p.frameWaits.Add(1)
 	p.kick()
