@@ -193,3 +193,14 @@ func (ix *index) compact() {
 
 // bytes is what the index holds of the heap.
 func (ix *index) bytes() int { return 8*cap(ix.slots) + cap(ix.arena) }
+
+// valueBytes sums the lengths of the values the live keys name.
+func (ix *index) valueBytes() uint64 {
+	n := uint64(0)
+	for _, s := range ix.slots {
+		if s != 0 {
+			n += uint64(recEntry(ix.record(s)).ln)
+		}
+	}
+	return n
+}

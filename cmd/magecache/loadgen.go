@@ -236,6 +236,8 @@ func printLoadReport(r loadReport, c *Cache, sloP99Us float64) {
 	}
 	fmt.Printf("magecache-cache: %d gets (%.1f%% hit), %d sets, %d steals (%d stealer yields)\n",
 		cs.Gets, hitRate, cs.Sets, cs.Steals, cs.StealYields)
+	fmt.Printf("magecache-heap: %d pages carved hold %.1f MiB of values (%.3f value bytes per carved byte), %.1f MiB of index\n",
+		cs.HeapPages, float64(cs.ValueBytes)/(1<<20), cs.density(), float64(cs.IndexBytes)/(1<<20))
 	batching := 0.0
 	if ps.WritebackBatches > 0 {
 		batching = float64(ps.WritebackPages) / float64(ps.WritebackBatches)

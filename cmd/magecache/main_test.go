@@ -78,23 +78,104 @@ func TestCacheBasic(t *testing.T) {
 	}
 }
 
+// TestClassTable: the slab classes are the rule's — for n = 64 down to
+// 1 cells per page, the largest multiple of 8 that fits n times in a
+// page, duplicates collapsed — classFor picks the smallest class that
+// holds a length, and a carved page of every class is ⌊pageBytes/size⌋
+// disjoint cells inside the page.
+func TestClassTable(t *testing.T) {
+	var want []int
+	for n := 64; n >= 1; n-- {
+		if size := pageBytes / n / 8 * 8; len(want) == 0 || want[len(want)-1] != size {
+			want = append(want, size)
+		}
+	}
+	if len(want) != len(classSizes) {
+		t.Fatalf("%d classes, the rule gives %d: %v", len(classSizes), len(want), want)
+	}
+	for i, size := range want {
+		if classSizes[i] != size {
+			t.Errorf("class %d is %d bytes, the rule gives %d", i, classSizes[i], size)
+		}
+	}
+	for n := 1; n <= pageBytes; n++ {
+		cls, ok := classFor(n)
+		if !ok || classSizes[cls] < n || cls > 0 && classSizes[cls-1] >= n {
+			t.Fatalf("classFor(%d) = %d, %v", n, cls, ok)
+		}
+	}
+	if cls, ok := classFor(pageBytes + 1); ok {
+		t.Errorf("classFor(%d) = %d, want none", pageBytes+1, cls)
+	}
+	c, _ := newMemCache(t, uint64(len(classSizes)), 8)
+	a := &c.alloc
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for cls, size := range classSizes {
+		first, ok := c.takeCell(cls)
+		if !ok {
+			t.Fatalf("class %d: no page to carve", size)
+		}
+		cells := append([]slot{first}, a.free[cls]...)
+		if len(cells) != pageBytes/size {
+			t.Errorf("class %d: a page carves into %d cells, want %d", size, len(cells), pageBytes/size)
+		}
+		var used [pageBytes]bool
+		for _, s := range cells {
+			if s.pg != first.pg || int(s.off)+size > pageBytes {
+				t.Fatalf("class %d: cell %+v is not inside page %d", size, s, first.pg)
+			}
+			for b := int(s.off); b < int(s.off)+size; b++ {
+				if used[b] {
+					t.Fatalf("class %d: cell %+v overlaps another", size, s)
+				}
+				used[b] = true
+			}
+		}
+	}
+}
+
+// TestHeapDensity loads the value model's 65,536 keys once: they carve
+// at most 9,500 pages and fill at least 91 % of them with value bytes.
+// Power-of-two classes carved 11,592 pages and filled 75.0 %.
+func TestHeapDensity(t *testing.T) {
+	const keys = 1 << 16
+	heap := heapPagesFor(keys)
+	c, _ := newMemCache(t, heap, int(heap)/8)
+	for k := int64(0); k < keys; k++ {
+		if err := c.Set(keyName(k), valFor(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := c.Stats()
+	t.Logf("%d keys: %d pages carved of %d, %d value bytes, %.3f value bytes per carved byte", keys, s.HeapPages, heap, s.ValueBytes, s.density())
+	if s.Steals != 0 {
+		t.Errorf("a heap heapPagesFor sized stole %d cells", s.Steals)
+	}
+	if s.HeapPages > 9500 || s.density() < 0.91 {
+		t.Errorf("%d pages carved at %.3f value bytes per carved byte; want <= 9500 at >= 0.91", s.HeapPages, s.density())
+	}
+}
+
 // TestCacheStealUnderPressure fills past heap capacity: the allocator
 // must steal oldest cells (FIFO-evicting their keys) instead of
 // failing, stolen keys must read as clean misses, and surviving keys
 // must stay intact.
 func TestCacheStealUnderPressure(t *testing.T) {
-	// 16 heap pages of class-1024 cells = 64 cells; write 256 keys.
+	// 16 heap pages of 600-byte values' cells; write 256 keys.
 	c := newTestCache(t, 16, 8)
 	val := func(i int) []byte {
-		return bytes.Repeat([]byte{byte(i)}, 600) // class 1024
+		return bytes.Repeat([]byte{byte(i)}, 600)
 	}
+	cls, _ := classFor(600)
+	cells := 16 * (pageBytes / classSizes[cls])
 	for i := 0; i < 256; i++ {
 		if err := c.Set(fmt.Sprintf("key-%d", i), val(i)); err != nil {
 			t.Fatalf("set %d: %v", i, err)
 		}
 	}
 	if c.Stats().Steals == 0 {
-		t.Fatal("256 sets into a 64-cell heap stole nothing")
+		t.Fatalf("256 sets into a %d-cell heap stole nothing", cells)
 	}
 	present := 0
 	for i := 0; i < 256; i++ {
@@ -110,8 +191,8 @@ func TestCacheStealUnderPressure(t *testing.T) {
 			t.Fatalf("key-%d corrupt after steals", i)
 		}
 	}
-	if present == 0 || present > 64 {
-		t.Fatalf("%d keys present; want (0, 64]", present)
+	if present == 0 || present > cells {
+		t.Fatalf("%d keys present; want (0, %d]", present, cells)
 	}
 }
 
@@ -210,7 +291,7 @@ func TestStealRaces(t *testing.T) {
 				k := (i*31 + w*17) % keys
 				switch i % 4 {
 				case 0, 1:
-					if err := c.Set(names[k], bytes.Repeat([]byte{byte(k)}, 600+k)); err != nil {
+					if err := c.Set(names[k], bytes.Repeat([]byte{byte(k)}, 820+k)); err != nil {
 						errs <- fmt.Errorf("set %d: %w", k, err)
 						return
 					}
@@ -222,7 +303,7 @@ func TestStealRaces(t *testing.T) {
 						errs <- fmt.Errorf("get %d: %w", k, err)
 						return
 					}
-					if ok && !bytes.Equal(buf, bytes.Repeat([]byte{byte(k)}, 600+k)) {
+					if ok && !bytes.Equal(buf, bytes.Repeat([]byte{byte(k)}, 820+k)) {
 						errs <- fmt.Errorf("key %d read %d bytes starting %#x", k, len(buf), buf[0])
 						return
 					}
@@ -466,7 +547,9 @@ func TestMagecacheClusterChaos(t *testing.T) {
 // BenchmarkMagecacheZipf is the headline number: sustained cache ops/s
 // with the value heap at a remote:local ratio of 8:1 over a live
 // memnode socket, phased Zipf/storm/crowd traffic, zero failed ops
-// tolerated. CI pins the ops/s floor via benchsnap -require.
+// tolerated. It also reports how densely the slab classes pack the
+// values it filled: value bytes per carved byte. make bench pins the
+// ops/s floor and the density via benchsnap -require.
 func BenchmarkMagecacheZipf(b *testing.B) {
 	const keys = 1 << 15
 	heapPages := heapPagesFor(keys)
@@ -488,4 +571,5 @@ func BenchmarkMagecacheZipf(b *testing.B) {
 	if cs.Gets > 0 {
 		b.ReportMetric(float64(cs.Gets-cs.Misses)/float64(cs.Gets)*100, "hit-%")
 	}
+	b.ReportMetric(cs.density(), "value-bytes/carved-byte")
 }

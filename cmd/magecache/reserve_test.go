@@ -14,50 +14,75 @@ import (
 )
 
 // checkLedger walks the allocator's books once everything that used the
-// cache has stopped: every cell of every carved page is on a free list
-// or published under exactly one live key, none is held — by a Set that
-// never finished or a reservation nobody consumed — and the steal FIFOs
-// hold the published ones and nothing else.
+// cache has stopped: every carved page belongs to one class and is
+// covered by exactly ⌊pageBytes/size⌋ cells of it, each on a free list
+// or published under exactly one live key, none twice and none held — by
+// a Set that never finished or a reservation nobody consumed — and the
+// steal FIFOs hold the published cells and nothing else.
 func checkLedger(t *testing.T, c *Cache) {
 	t.Helper()
-	var live [len(classSizes)]int
-	total := 0
+	type cell struct {
+		cls int
+		s   slot
+	}
+	var cells []cell
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		for _, s := range sh.ix.slots {
 			if s != 0 {
-				live[recEntry(sh.ix.record(s)).cls]++
-				total++
+				e := recEntry(sh.ix.record(s))
+				cells = append(cells, cell{int(e.cls), slot{pg: e.pg, off: e.off}})
 			}
 		}
 		sh.mu.Unlock()
 	}
+	live := len(cells)
 	a := &c.alloc
 	a.mu.Lock()
-	bytesHeld := 0
-	for cls, size := range classSizes {
-		bytesHeld += (len(a.free[cls]) + live[cls]) * size
-		seen := make(map[slot]bool, len(a.free[cls]))
+	for cls := range a.free {
 		for _, s := range a.free[cls] {
-			if seen[s] {
-				t.Errorf("class %d: cell %+v is on the free list twice", size, s)
-			}
-			seen[s] = true
+			cells = append(cells, cell{cls, s})
 		}
 	}
-	carved := int(a.nextPage) * pageBytes
+	carved := int(a.nextPage)
 	a.mu.Unlock()
-	if bytesHeld != carved {
-		t.Errorf("free and published cells cover %d bytes of %d carved: %d bytes of cells are still held", bytesHeld, carved, carved-bytesHeld)
+	pageCls := make(map[uint32]int, carved)
+	onPage := make(map[uint32]int, carved)
+	seen := make(map[slot]bool, len(cells))
+	for _, x := range cells {
+		size, off := classSizes[x.cls], int(x.s.off)
+		switch {
+		case int(x.s.pg) >= carved:
+			t.Errorf("class %d: cell %+v is on a page never carved (%d carved)", size, x.s, carved)
+		case off != 0 && (off < size || (pageBytes-off)%size != 0):
+			t.Errorf("class %d: cell %+v is not where the carve puts one", size, x.s)
+		case seen[x.s]:
+			t.Errorf("class %d: cell %+v is free or published twice", size, x.s)
+		}
+		seen[x.s] = true
+		if cls, ok := pageCls[x.s.pg]; ok && cls != x.cls {
+			t.Errorf("page %d has cells of classes %d and %d", x.s.pg, classSizes[cls], size)
+		}
+		pageCls[x.s.pg] = x.cls
+		onPage[x.s.pg]++
+	}
+	if len(pageCls) != carved {
+		t.Errorf("%d of %d carved pages have a free or published cell: the rest are held whole", len(pageCls), carved)
+	}
+	for pg, n := range onPage {
+		size := classSizes[pageCls[pg]]
+		if want := pageBytes / size; n != want {
+			t.Errorf("page %d (class %d): %d of its %d cells are free or published: the rest are still held", pg, size, n, want)
+		}
 	}
 	for cls := range c.writing {
 		if n := c.writing[cls].Load(); n != 0 {
 			t.Errorf("class %d: %d cells still counted as being written", classSizes[cls], n)
 		}
 	}
-	if n := fifoLen(t, c); n != total {
-		t.Errorf("%d live keys but %d steal-FIFO records", total, n)
+	if n := fifoLen(t, c); n != live {
+		t.Errorf("%d live keys but %d steal-FIFO records", live, n)
 	}
 }
 
@@ -106,20 +131,21 @@ func TestWindowOfOneSkipsLookAhead(t *testing.T) {
 // FIFO node linked at reservation the second connection spins on "head
 // is changing hands" until the first one's peer comes back.)
 func TestReservationOutOfStealersReach(t *testing.T) {
-	// 3 heap pages: one for the page-sized value, two of class 1024.
+	// 3 heap pages: one for the page-sized value, two of val's class.
 	c, _ := newMemCache(t, 3, 3)
 	big := strings.Repeat("B", 4000)
 	if err := c.Set("big", []byte(big)); err != nil {
 		t.Fatal(err)
 	}
 	val := func(k string) string { return strings.Repeat(k[len(k)-1:], 700) }
-	for i := 0; i < 8; i++ {
+	cls, _ := classFor(700)
+	for i := 0; i < 2*(pageBytes/classSizes[cls]); i++ {
 		k := fmt.Sprintf("seed%d", i)
 		if err := c.Set(k, []byte(val(k))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 4; i++ { // four free cells, four published, heap exhausted
+	for i := 0; i < 4; i++ { // four free cells, the rest published, heap exhausted
 		c.Delete(fmt.Sprintf("seed%d", i))
 	}
 
@@ -145,7 +171,7 @@ func TestReservationOutOfStealersReach(t *testing.T) {
 	freeCells := func() int {
 		c.alloc.mu.Lock()
 		defer c.alloc.mu.Unlock()
-		return len(c.alloc.free[4])
+		return len(c.alloc.free[cls])
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for freeCells() != 0 { // ... and has reserved the four free cells
@@ -206,7 +232,7 @@ func TestStealRacesConnections(t *testing.T) {
 		windows = 300
 	)
 	c, _ := newMemCache(t, pages, 2)
-	val := func(k int) string { return strings.Repeat(string(rune('A'+k%26)), 600+k) }
+	val := func(k int) string { return strings.Repeat(string(rune('A'+k%26)), 820+k) }
 	var wg sync.WaitGroup
 	errs := make(chan error, conns)
 	conn := make([]io.Closer, conns)

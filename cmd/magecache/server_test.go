@@ -154,7 +154,7 @@ func valueReply(val string) string  { return fmt.Sprintf("VALUE %d\n%s\n", len(v
 // the look-ahead in one batched read, none of them alone.
 func TestWindowOneWrite(t *testing.T) {
 	c, back := newMemCache(t, 256, 64)
-	// One value each of classes 64, 128 and 256, on heap pages 0, 1 and
+	// One value each of classes 64, 104 and 200, on heap pages 0, 1 and
 	// 2: the cells the window's SETs will reserve are their neighbours.
 	for _, n := range []int{5, 100, 200} {
 		if err := c.Set(fmt.Sprintf("seed%d", n), bytes.Repeat([]byte{'s'}, n)); err != nil {
@@ -163,7 +163,7 @@ func TestWindowOneWrite(t *testing.T) {
 	}
 	// 400 values of class 1024, four to a page: 100 more heap pages under
 	// 64 frames, so the seeds' pages and the oldest keys' are long evicted.
-	old := func(i int) string { return strings.Repeat(string(rune('a'+i%26)), 700+i%300) }
+	old := func(i int) string { return strings.Repeat(string(rune('a'+i%26)), 820+i%200) }
 	for i := 0; i < 400; i++ {
 		if err := c.Set(fmt.Sprintf("old%d", i), []byte(old(i))); err != nil {
 			t.Fatal(err)
@@ -183,7 +183,7 @@ func TestWindowOneWrite(t *testing.T) {
 		{"get old8\n", valueReply(old(8))},
 		{setReq("k", "first"), "STORED\n"}, // a class-64 cell on page 0: absent
 		{"get k\n", valueReply("first")},
-		{setReq("k", second), "STORED\n"}, // class 128, page 1: absent
+		{setReq("k", second), "STORED\n"}, // class 104, page 1: absent
 		{"get k\n", valueReply(second)},
 		{"del old4\n", "DELETED\n"},
 		{"get old4\n", "MISS\n"},
@@ -191,7 +191,7 @@ func TestWindowOneWrite(t *testing.T) {
 		{"get nothing\n", "MISS\n"},
 		{"bogus\n", "ERR unknown verb \"bogus\"\n"},
 		{"get\n", "ERR get wants 1 arg\n"},
-		{setReq("old0", third), "STORED\n"}, // class 256, page 2: absent
+		{setReq("old0", third), "STORED\n"}, // class 200, page 2: absent
 		{"get old0\n", valueReply(third)},
 		{"get old1\n", valueReply(old(1))}, // page 3 again
 	}

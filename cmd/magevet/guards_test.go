@@ -77,6 +77,13 @@ var guards = []guard{
 		reason: "ReadAsync and a backing's ReadV are kept for bench/ alone; the root module reads far memory with ReadVInto and StartReadVInto",
 	},
 	{
+		name:   "cache.go declares classSizes once",
+		files:  is("cmd/magecache/cache.go"),
+		line:   regexp.MustCompile(`^var classSizes = \[\.\.\.\]int\{`),
+		count:  1,
+		reason: "one slab class per cells-per-page count, an array literal in cache.go that TestClassTable derives from its rule: no second table, flag or growth factor",
+	},
+	{
 		name:    "DESIGN.md does not grow",
 		files:   is("DESIGN.md"),
 		line:    regexp.MustCompile(``),
