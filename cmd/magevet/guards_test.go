@@ -52,6 +52,10 @@ func goIn(dir string, except ...string) func(string) bool {
 	}
 }
 
+// madvHuge matches a request for transparent huge pages (MADV_HUGEPAGE,
+// or a helper named for it), not MADV_NOHUGEPAGE.
+var madvHuge = regexp.MustCompile(`(?i)madv(ise)?_?hugepage`)
+
 var guards = []guard{
 	{
 		name:   "upager.go starts one goroutine",
@@ -87,7 +91,7 @@ var guards = []guard{
 		name:    "DESIGN.md does not grow",
 		files:   is("DESIGN.md"),
 		line:    regexp.MustCompile(``),
-		count:   1900,
+		count:   1899,
 		ceiling: true,
 		reason:  "the prose only shrinks: lower the ceiling when it does, and cut before adding",
 	},
@@ -164,6 +168,13 @@ var guards = []guard{
 		reason: "region_alloc_linux.go and shm_sys_linux.go are where memnode maps memory",
 	},
 	{
+		name:   "memnode advises no huge pages",
+		files:  goIn("internal/memnode"),
+		line:   madvHuge,
+		count:  0,
+		reason: "placement interleaves shards page by page, so a region is committed 4 KiB at a time: a huge page would zero and keep 2 MiB for one page",
+	},
+	{
 		name:     "shm_sys_linux.go maps in allocRegionFile and mapCounterPage alone",
 		files:    is("internal/memnode/shm_sys_linux.go"),
 		line:     regexp.MustCompile(`Mmap\(`),
@@ -203,11 +214,18 @@ var guards = []guard{
 		reason: "no sharded engine, spawn domain or shard-count knob: the engine keeps one heap",
 	},
 	{
-		name:   "upager maps memory in arena_unix.go alone",
-		files:  goIn("internal/upager", "arena_unix.go"),
+		name:   "upager maps memory in its arena files alone",
+		files:  goIn("internal/upager", "arena_unix.go", "arena_linux.go"),
 		line:   regexp.MustCompile(`syscall\.Mmap`),
 		count:  0,
-		reason: "one place maps the arena",
+		reason: "one place per platform maps the arena",
+	},
+	{
+		name:   "upager advises huge pages in its arena file alone",
+		files:  goIn("internal/upager", "arena_linux.go"),
+		line:   madvHuge,
+		count:  0,
+		reason: "the frames are the dense, hot memory that huge pages are for; nothing else of the pager's is",
 	},
 	{
 		name:   "upager.go makes no byte slice",

@@ -72,7 +72,8 @@ const (
 	statusErrRegion = 2
 )
 
-// ChunkBytes is the backing allocation granularity (a 2 MiB huge page).
+// ChunkBytes is the size of the chunks a region is carved into. The
+// kernel commits a chunk page by page, on each page's first write.
 const ChunkBytes = 2 << 20
 
 // MaxIO bounds a single READ/WRITE payload and the total data moved by

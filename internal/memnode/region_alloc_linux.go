@@ -2,70 +2,34 @@
 
 package memnode
 
-import (
-	"syscall"
-	"unsafe"
-)
+import "syscall"
 
-func sliceAddr(b []byte) unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(b)) }
-
-// allocRegionChunks backs a region with one anonymous mapping aligned
-// to ChunkBytes and advised MADV_HUGEPAGE, carved into ChunkBytes
-// chunks. Heap chunks from make() are almost never 2 MiB-aligned, so
-// under the kernel's default THP mode (madvise) they stay on 4 KiB
-// pages and every random page copy pays a TLB walk over the whole
-// region; an aligned, advised mapping lets the kernel back the region
-// with huge pages, which measurably speeds the region<->arena/socket
-// copy that both transports bottleneck on. Falls back to heap chunks
-// if mmap fails (e.g. strict overcommit). The returned release frees
-// the mapping; it is nil for heap chunks (the GC owns those) and must
-// only run once no chunk is referenced.
+// allocRegionChunks backs a region with one anonymous mapping advised
+// MADV_NOHUGEPAGE, carved into ChunkBytes chunks, so the kernel commits
+// it 4 KiB at a time, on a page's first write, whatever the box's THP
+// mode. Placement interleaves a cluster's shards page by page: a node
+// holds every other page, or fewer, of the extents it serves, and a huge
+// page would zero and keep 2 MiB for each extent one of its pages
+// touched. Falls back to heap chunks if mmap fails (e.g. strict
+// overcommit). The returned release unmaps the mapping, exactly the
+// slice Mmap returned; it is nil for heap chunks (the GC owns those)
+// and must only run once no chunk is referenced.
 func allocRegionChunks(nChunks int) ([][]byte, func()) {
-	total := nChunks * ChunkBytes
-	// Over-map by one chunk so a ChunkBytes-aligned base of `total`
-	// bytes always fits, then trim the misaligned head and the tail.
-	raw, err := syscall.Mmap(-1, 0, total+ChunkBytes,
+	raw, err := syscall.Mmap(-1, 0, nChunks*ChunkBytes,
 		syscall.PROT_READ|syscall.PROT_WRITE,
 		syscall.MAP_PRIVATE|syscall.MAP_ANONYMOUS)
 	if err != nil {
 		return heapRegionChunks(nChunks), nil
 	}
-	base := uintptr(0)
-	if len(raw) > 0 {
-		base = uintptr(sliceAddr(raw))
-	}
-	pad := 0
-	if rem := base % ChunkBytes; rem != 0 {
-		pad = ChunkBytes - int(rem)
-	}
-	if pad > 0 {
-		_ = syscall.Munmap(raw[:pad:pad]) // trim the misaligned head
-	}
-	if tail := raw[pad+total:]; len(tail) > 0 {
-		_ = syscall.Munmap(tail[:len(tail):len(tail)]) // trim the slack tail
-	}
-	region := raw[pad : pad+total : pad+total]
-	_ = madviseHugepage(region) // advisory: absence of THP only costs speed
+	_ = syscall.Madvise(raw, syscall.MADV_NOHUGEPAGE) // advisory: a kernel without THP commits base pages anyway
 	chunks := make([][]byte, nChunks)
 	for i := range chunks {
-		chunks[i] = region[i*ChunkBytes : (i+1)*ChunkBytes : (i+1)*ChunkBytes]
+		chunks[i] = raw[i*ChunkBytes : (i+1)*ChunkBytes : (i+1)*ChunkBytes]
 	}
 	release := func() {
-		_ = syscall.Munmap(region) // a dead mapping is the only fallback; nothing actionable
+		if err := syscall.Munmap(raw); err != nil {
+			panic("memnode: unmap region: " + err.Error())
+		}
 	}
 	return chunks, release
-}
-
-const sysMadvHugepage = 14 // MADV_HUGEPAGE
-
-func madviseHugepage(b []byte) error {
-	if len(b) == 0 {
-		return nil
-	}
-	_, _, errno := syscall.Syscall(syscall.SYS_MADVISE,
-		uintptr(sliceAddr(b)), uintptr(len(b)), sysMadvHugepage)
-	if errno != 0 {
-		return errno
-	}
-	return nil
 }

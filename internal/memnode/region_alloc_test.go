@@ -1,50 +1,6 @@
 package memnode
 
-import (
-	"testing"
-	"unsafe"
-)
-
-// TestAllocRegionChunks exercises the platform chunk allocator: chunk
-// count and size, ChunkBytes alignment of the mmap-backed mapping (the
-// precondition for THP collapsing it to huge pages), disjointness,
-// writability end to end, and that release (when present) can run
-// after the chunks are dropped.
-func TestAllocRegionChunks(t *testing.T) {
-	const n = 3
-	chunks, release := allocRegionChunks(n)
-	if len(chunks) != n {
-		t.Fatalf("got %d chunks, want %d", len(chunks), n)
-	}
-	for i, c := range chunks {
-		if len(c) != ChunkBytes {
-			t.Fatalf("chunk %d: len %d, want %d", i, len(c), ChunkBytes)
-		}
-		// First and last byte of every chunk must be writable.
-		c[0] = byte(i + 1)
-		c[ChunkBytes-1] = byte(i + 1)
-	}
-	for i, c := range chunks {
-		if c[0] != byte(i+1) || c[ChunkBytes-1] != byte(i+1) {
-			t.Fatalf("chunk %d: writes did not stick (overlap with another chunk?)", i)
-		}
-	}
-	if release != nil {
-		// mmap-backed: the region must be one contiguous ChunkBytes-aligned
-		// mapping carved into adjacent chunks.
-		base := uintptr(unsafe.Pointer(unsafe.SliceData(chunks[0])))
-		if base%ChunkBytes != 0 {
-			t.Fatalf("mmap-backed region base %#x not aligned to ChunkBytes", base)
-		}
-		for i := 1; i < n; i++ {
-			addr := uintptr(unsafe.Pointer(unsafe.SliceData(chunks[i])))
-			if addr != base+uintptr(i*ChunkBytes) {
-				t.Fatalf("chunk %d at %#x, want contiguous %#x", i, addr, base+uintptr(i*ChunkBytes))
-			}
-		}
-		release()
-	}
-}
+import "testing"
 
 // TestHeapRegionChunks covers the portable fallback directly on every
 // platform.

@@ -1,10 +1,16 @@
 package upager
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // countReleases counts the calls of releaseArena that free p's arena
@@ -204,4 +210,67 @@ func TestArenaOutsideGCGoal(t *testing.T) {
 		t.Errorf("heap grew %d bytes for 64 MiB of frames: this build's arena must be on the heap", grew)
 	}
 	runtime.KeepAlive(p)
+}
+
+// TestArenaOnHugePages: on Linux, outside a race build, the frames start
+// on a 2 MiB boundary and, where the kernel's transparent huge pages are
+// on (always, or madvise: the arena asks), frames touched are backed by
+// huge pages, so one TLB entry covers 512 of them.
+func TestArenaOnHugePages(t *testing.T) {
+	if runtime.GOOS != "linux" || !offHeapArena {
+		t.Skip("the arena is mapped for huge pages on Linux outside a race build")
+	}
+	const frames, pb, huge = 2048, 4096, 2 << 20
+	p, err := New(newFakeBacking(), 16, frames, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(p.arena)))
+	if base%huge != 0 || len(p.arena) != frames*pb {
+		t.Fatalf("arena at %#x, %d bytes; want 2 MiB-aligned, %d bytes", base, len(p.arena), frames*pb)
+	}
+	mode, err := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled")
+	if err != nil || bytes.Contains(mode, []byte("[never]")) {
+		t.Skipf("transparent huge pages are off (%q, %v)", bytes.TrimSpace(mode), err)
+	}
+	for f := 0; f < frames; f++ {
+		p.arena[f*pb] = 1
+	}
+	kb, err := anonHugeKB(base, base+uintptr(len(p.arena)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("THP %s: %d KiB of %d KiB of frames on huge pages", bytes.TrimSpace(mode), kb, frames*pb>>10)
+	if kb == 0 {
+		t.Fatal("every frame touched, and none of them is on a huge page")
+	}
+}
+
+// anonHugeKB sums AnonHugePages over the mappings of /proc/self/smaps
+// that overlap [lo, hi).
+func anonHugeKB(lo, hi uintptr) (int, error) {
+	f, err := os.Open("/proc/self/smaps")
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	kb, in := 0, false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		var start, end uintptr
+		if n, _ := fmt.Sscanf(line, "%x-%x ", &start, &end); n == 2 {
+			in = start < hi && lo < end
+			continue
+		}
+		var v int
+		if in && strings.HasPrefix(line, "AnonHugePages:") {
+			if _, err := fmt.Sscanf(line, "AnonHugePages: %d kB", &v); err != nil {
+				return 0, err
+			}
+			kb += v
+		}
+	}
+	return kb, sc.Err()
 }

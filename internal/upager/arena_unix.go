@@ -1,4 +1,4 @@
-//go:build unix && !race
+//go:build unix && !linux && !race
 
 package upager
 

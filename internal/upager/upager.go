@@ -98,7 +98,7 @@ type Pager struct {
 	batch     int
 	lowWater  int
 
-	mu     sync.Mutex // guards pages, owner, sel, closed, holds, arena
+	mu     sync.Mutex // guards pages, owner, sel, closed, holds, arena, fills
 	pages  []page
 	owner  []uint64   // frame -> resident page, noPage when free or on the wire
 	sel    *selection // the resident frames, queued for eviction
@@ -117,10 +117,10 @@ type Pager struct {
 	stopC chan struct{}
 	doneC chan struct{} // evictor exited
 
-	faultIO  []faultIO      // by frame: the read a demand fault makes into it
-	fillWG   sync.WaitGroup // fills claimed and not yet installed; Close drains them
-	fillPool sync.Pool      // *fill scratch between batches
-	evict    evictScratch
+	faultIO []faultIO      // by frame: the read a demand fault makes into it
+	fillWG  sync.WaitGroup // fills claimed and not yet installed; Close drains them
+	fills   []*fill        // fill scratch between batches
+	evict   evictScratch
 
 	// Fault/eviction balance counters (the paper's steering signals).
 	faults      atomic.Uint64
@@ -484,7 +484,7 @@ func (p *Pager) maybeKick() {
 // claimed, the frame, region offset and frame bytes of each, and the
 // latch they share — the pages of a batch open together, so one channel
 // serves them all. The slices are scratch that travels with the struct
-// through fillPool, and so does done, the struct's install as the hook
+// through p.fills, and so does done, the struct's install as the hook
 // a started read takes; only the latch is made per batch.
 type fill struct {
 	p      *Pager
@@ -533,7 +533,9 @@ func (p *Pager) FaultAhead(pgs []uint64) {
 			break
 		}
 		if f == nil {
-			if f, _ = p.fillPool.Get().(*fill); f == nil {
+			if n := len(p.fills); n > 0 {
+				f, p.fills = p.fills[n-1], p.fills[:n-1]
+			} else {
 				f = &fill{p: p}
 				f.done = f.install
 			}
@@ -611,12 +613,12 @@ func (f *fill) install(err error) {
 	}
 	close(f.latch)
 	p.sel.check(p.pages, p.owner)
+	p.fills = append(p.fills, f)
 	p.mu.Unlock()
 	if refaults > 0 {
 		p.refaults.Add(refaults)
 	}
 	p.fillWG.Done()
-	p.fillPool.Put(f)
 }
 
 // evictLoop is the write-behind evictor: on every kick it reclaims
