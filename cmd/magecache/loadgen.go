@@ -244,7 +244,7 @@ func printLoadReport(r loadReport, c *Cache, sloP99Us float64) {
 	}
 	fmt.Printf("magecache-pager: %d faults (%d batched ahead, %d on demand, %d waited for a frame), %d hits, %d coalesced, %d evictions (%d clean), writeback %.1f pages/batch\n",
 		ps.Faults, ps.FaultsAhead, ps.Faults-ps.FaultsAhead, ps.FrameWaits, ps.Hits, ps.Coalesced, ps.Evictions, ps.CleanDrops, batching)
-	fmt.Printf("magecache-balance: %d refaults of %d faults; per interval:\n", ps.Refaults, ps.Faults)
+	fmt.Printf("magecache-balance: %d refaults of %d faults, %d zero-filled (never written back: no read); per interval:\n", ps.Refaults, ps.Faults, ps.ZeroFills)
 	fmt.Printf("magecache-balance: %8s %8s %9s %8s %11s %5s\n", "t", "faults", "evictions", "refaults", "frame-waits", "free")
 	for _, b := range r.Balance {
 		fmt.Printf("magecache-balance: %7.2fs %8d %9d %8d %11d %5d\n", b.at.Seconds(), b.faults, b.evictions, b.refaults, b.frameWaits, b.free)

@@ -91,7 +91,7 @@ var guards = []guard{
 		name:    "DESIGN.md does not grow",
 		files:   is("DESIGN.md"),
 		line:    regexp.MustCompile(``),
-		count:   1899,
+		count:   1895,
 		ceiling: true,
 		reason:  "the prose only shrinks: lower the ceiling when it does, and cut before adding",
 	},

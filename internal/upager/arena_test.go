@@ -83,6 +83,7 @@ func TestFramePinnedAcrossClose(t *testing.T) {
 		}
 		released, stop := countReleases(p)
 		defer stop()
+		markStored(p, 16)
 		stamp := make([]byte, 8)
 		stampPage(stamp, 2)
 		if err := gb.Write(1, 2*4096, stamp); err != nil {

@@ -119,6 +119,7 @@ func TestFiveMethodBackingFillsBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	upager.MarkStored(p, 64)
 	for pg := uint64(0); pg < 64; pg++ {
 		binary.LittleEndian.PutUint64(five.mem[pg*4096:], pg+1)
 	}
@@ -171,6 +172,7 @@ func TestShimFaultIsOneRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		upager.MarkStored(p, 64)
 		fr, err := p.Pin(5, false)
 		if err != nil {
 			t.Fatal(err)

@@ -15,8 +15,12 @@ import (
 // so every Pin is a major fault over a real
 // client — TCP or the file link to an in-process memnode, or a 2 × 2
 // memcluster of in-process memnodes with its prober off — and every
-// eviction a clean drop. Besides faults/s it reports what a fault costs
-// beyond the round trip it cannot avoid:
+// eviction a clean drop. Every page is written and flushed first, so a
+// fault reads the wire rather than clearing a frame; zero-fills/fault
+// says so, at 0. /zero is the same loop over a fresh region on TCP, where
+// every fault is a zero-fill (1) and the wire is silent. Besides
+// faults/s it reports what a fault costs beyond the round trip it cannot
+// avoid:
 //
 //   - allocs/fault: the process's allocations per fault less its
 //     allocations per bare synchronous Read of one memnode.Client on the
@@ -26,22 +30,27 @@ import (
 //     a free frame reads its page straight into it, through lists the
 //     pager keeps per frame, and on the cluster the replica ladder and
 //     the request's one part are on the reader's stack. What the mean
-//     shows is the pools the collector emptied.
+//     shows is the pools the collector emptied. /zero reads nothing, so
+//     nothing is taken off.
 //   - goroutines/fault: goroutines started per fault, read off the
 //     runtime's goroutine ids, which it hands out in order of creation.
 //     Each P takes ids sixteen at a time, so the count can be off by
 //     sixteen per P whatever the number of faults: run it with
 //     -benchtime 20000x or more, where that is under 0.002.
 //
-// `make bench` holds both on all three: at most 0.05 allocations per
-// fault (0.1 on the cluster), no goroutine (cmd/benchsnap -require).
+// `make bench` holds both on all four: at most 0.05 allocations per
+// fault (0.1 on the cluster), no goroutine (cmd/benchsnap -require); and
+// zero-fills/fault at 0 on the three wires, at 1 on /zero.
 func BenchmarkPagerFault(b *testing.B) {
-	b.Run("tcp", func(b *testing.B) { benchNodeFault(b, memnode.TransportTCP) })
-	b.Run("shm", func(b *testing.B) { benchNodeFault(b, memnode.TransportShm) })
+	b.Run("tcp", func(b *testing.B) { benchNodeFault(b, memnode.TransportTCP, true) })
+	b.Run("shm", func(b *testing.B) { benchNodeFault(b, memnode.TransportShm, true) })
 	b.Run("cluster", benchClusterFault)
+	b.Run("zero", func(b *testing.B) { benchNodeFault(b, memnode.TransportTCP, false) })
 }
 
-func benchNodeFault(b *testing.B, transport int) {
+// benchNodeFault runs the benchmark over a client of one in-process
+// memnode, over pages written back first when stored is set.
+func benchNodeFault(b *testing.B, transport int, stored bool) {
 	srv, err := memnode.NewServerOptions("127.0.0.1:0", 256<<20, memnode.ServerOptions{EnableShm: transport == memnode.TransportShm})
 	if err != nil {
 		b.Skipf("no server for this transport: %v", err)
@@ -52,7 +61,11 @@ func benchNodeFault(b *testing.B, transport int) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	benchPagerFault(b, c, c)
+	node := c // the server's share of a read
+	if !stored {
+		node = nil
+	}
+	benchPagerFault(b, c, node)
 }
 
 func benchClusterFault(b *testing.B) {
@@ -80,6 +93,8 @@ func benchClusterFault(b *testing.B) {
 
 // benchPagerFault runs the benchmark over backing; node is a client of
 // one of the servers behind it, whose bare Read is the server's share.
+// With node nil the region is left fresh, every fault a zero-fill with
+// no server share.
 func benchPagerFault(b *testing.B, backing Backing, node *memnode.Client) {
 	const frames, pages = 1024, 8 * 1024
 	p, err := New(backing, pages, frames, Options{})
@@ -87,6 +102,18 @@ func benchPagerFault(b *testing.B, backing Backing, node *memnode.Client) {
 		b.Fatal(err)
 	}
 	defer p.Close()
+	if node != nil {
+		for pg := uint64(0); pg < pages; pg++ { // every page stored: faults read
+			fr, err := p.Pin(pg, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fr.Unpin()
+		}
+		if err := p.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
 	next := uint64(0)
 	fault := func() {
 		fr, err := p.Pin(next%pages, false)
@@ -99,20 +126,23 @@ func benchPagerFault(b *testing.B, backing Backing, node *memnode.Client) {
 	for i := 0; i < 2*frames; i++ { // fill the arena: from here on a fault evicts
 		fault()
 	}
-	const probe = 2048
-	h, err := node.Register(probe * 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m0 := mallocs()
-	for i := 0; i < probe; i++ {
-		body, err := node.Read(h, int64(i)*4096, 4096)
+	perRead := 0.0
+	if node != nil {
+		const probe = 2048
+		h, err := node.Register(probe * 4096)
 		if err != nil {
 			b.Fatal(err)
 		}
-		memnode.PutBuf(body)
+		m0 := mallocs()
+		for i := 0; i < probe; i++ {
+			body, err := node.Read(h, int64(i)*4096, 4096)
+			if err != nil {
+				b.Fatal(err)
+			}
+			memnode.PutBuf(body)
+		}
+		perRead = float64(mallocs()-m0) / probe
 	}
-	perRead := float64(mallocs()-m0) / probe
 
 	before := p.Stats()
 	m0, g0 := mallocs(), newGoroutineID()
@@ -133,6 +163,7 @@ func benchPagerFault(b *testing.B, backing Backing, node *memnode.Client) {
 	// below g0, which an unsigned difference wraps to ~1.8e19.
 	b.ReportMetric(max(0, float64(int64(g1-g0)-1))/n, "goroutines/fault")
 	b.ReportMetric(float64(after.FrameWaits-before.FrameWaits)/n, "frame-waits/fault")
+	b.ReportMetric(float64(after.ZeroFills-before.ZeroFills)/n, "zero-fills/fault")
 }
 
 // BenchmarkPinHit is the other path, the one nine pins in ten take on

@@ -19,6 +19,18 @@ func stampBacking(fb *fakeBacking, n uint64) {
 	}
 }
 
+// markStored marks pages [0,n) stored, under p.mu: far memory holds a
+// writeback of each, so a fault of one reads it rather than clearing a
+// frame. It is what a test that writes far memory behind the pager, or
+// counts the reads of pages it never wrote, says to the pager.
+func markStored(p *Pager, n uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for pg := range p.pages[:n] {
+		p.pages[pg].flags |= flagStored
+	}
+}
+
 // waitFor polls cond; the tests below use it only for conditions that
 // another goroutine is certain to establish.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -52,6 +64,7 @@ func TestFaultAheadOneReadV(t *testing.T) {
 	}
 	defer p.Close()
 	stampBacking(fb, 64)
+	markStored(p, 64)
 
 	p.FaultAhead(pageRange(0, 16))
 	<-fb.entered // the batch is on the wire
@@ -103,6 +116,7 @@ func TestFaultAheadSkips(t *testing.T) {
 	}
 	defer p.Close()
 	stampBacking(fb, 64)
+	markStored(p, 64)
 
 	for _, pg := range []uint64{1, 2} { // resident; 2 dirty
 		fr, err := p.Pin(pg, pg == 2)
@@ -145,6 +159,7 @@ func TestFaultAheadNeverBlocks(t *testing.T) {
 	}
 	defer p.Close()
 	stampBacking(fb, 64)
+	markStored(p, 64)
 	var held []Frame
 	for pg := uint64(0); pg < 4; pg++ {
 		fr, err := p.Pin(pg, false)
@@ -184,6 +199,7 @@ func TestFaultAheadReadVFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	stampBacking(fb, 64)
+	markStored(p, 64)
 	fb.failRead.Store(true)
 	fb.scribble = true // the failed batch leaves rubbish in the frames it was lent
 
@@ -241,6 +257,7 @@ func TestCloseDrainsFaultAhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	markStored(p, 64)
 	p.FaultAhead(pageRange(0, 4))
 	<-fb.entered
 	closed := make(chan error, 1)
@@ -281,6 +298,7 @@ func TestFaultAheadBalance(t *testing.T) {
 	}
 	defer p.Close()
 	stampBacking(fb, pages)
+	markStored(p, pages)
 	for base := uint64(0); base < pages; base += 8 {
 		win := pageRange(base, 8)
 		p.FaultAhead(win)

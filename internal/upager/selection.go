@@ -79,8 +79,8 @@ func newSelection(frames int) *selection {
 // installed touched: the Pin that took it is already there.
 func (pd *page) touch() {
 	switch {
-	case pd.untouched:
-		pd.untouched = false
+	case pd.flags&flagUntouched != 0:
+		pd.flags &^= flagUntouched
 	case pd.freq < maxFreq:
 		pd.freq++
 	}
@@ -92,7 +92,10 @@ func (pd *page) touch() {
 // for a ghost once; that costs it a place on main it had not earned.
 func (s *selection) admit(pd *page, f int32, untouched bool) (refault bool) {
 	refault = pd.ghost != 0 && s.clock-pd.ghost < s.window
-	pd.freq, pd.untouched, pd.ghost = 0, untouched, 0
+	pd.freq, pd.ghost = 0, 0
+	if pd.flags &^= flagUntouched; untouched {
+		pd.flags |= flagUntouched
+	}
 	if refault {
 		s.main.push(f)
 	} else {

@@ -58,6 +58,7 @@ func TestFaultAheadStartsOnCaller(t *testing.T) {
 	}
 	sf.pager = p
 	stampBacking(sf.fakeBacking, 64)
+	markStored(p, 64)
 
 	p.FaultAhead(pageRange(0, 8))
 	if n, rv := sf.started.Load(), sf.readvs.Load(); n != 1 || rv != 0 {
@@ -275,6 +276,7 @@ func faultOverlapsReclaim(t *testing.T, backing farBacking, delay func(time.Dura
 	if _, adapted := p.far.(adapter); adapted {
 		t.Fatal("the wrapped backing lost its started read")
 	}
+	markStored(p, 64)
 	// Every frame dirty and pinned: the pool is dry and stays so.
 	var held []Frame
 	for pg := uint64(0); pg < frames; pg++ {
@@ -364,6 +366,7 @@ func TestDemandFaultLandsInFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr.pager = p
+	markStored(p, 64)
 
 	var held []Frame
 	for pg := uint64(0); pg < frames; pg++ {
@@ -438,6 +441,7 @@ func TestFaultAheadTimesOutOverRealClient(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	markStored(p, 64)
 
 	proxy.holeAfter.Store(17 + 4096 + 2048) // the response header, a page and a half
 	proxy.hole.Store(true)

@@ -13,7 +13,9 @@
 // on a per-page latch, so a hot miss costs one wire read however many
 // goroutines hit it; a caller that knows which pages it is about to pin
 // can start their faults together with FaultAhead, one READV for the
-// lot (P2 again, on the fault side).
+// lot (P2 again, on the fault side). A page the pager has never written
+// back is zeros in far memory, so its fault clears a frame and reads
+// nothing, as the DES's FaultFetchZero does.
 package upager
 
 import (
@@ -23,6 +25,7 @@ import (
 	"sync/atomic" //magevet:ok lock-free fault/eviction balance counters read by monitoring
 	"time"
 
+	"mage/internal/invariant"
 	"mage/internal/memnode"
 	"mage/internal/stats"
 )
@@ -32,6 +35,11 @@ import (
 // adapter. A read's buffers are lent until it returns or done has been
 // called — once, wherever the read ended, holding no lock of the
 // backing's, before StartReadVInto returns if it was refused on the spot.
+//
+// The pager reads only pages it has written back. That rests on the
+// region: Register returns one that reads zero until written, and only
+// the pager that registered it writes it, so a page never written back
+// holds zeros and its fault needs no read.
 type far interface {
 	Register(size int64) (uint64, error)
 	ReadVInto(handle uint64, offsets []int64, dst [][]byte) error
@@ -60,15 +68,24 @@ const noPage = ^uint64(0)
 // page is one entry of the page table: 24 bytes, which at 65,536 pages
 // is the pager's largest allocation after the arena.
 type page struct {
-	state     int8
-	dirty     bool
-	freq      uint8 // pins since it was queued, saturating at maxFreq
-	untouched bool  // installed by FaultAhead, its first Pin still to come
-	pins      int32
-	frame     int32
-	ghost     uint32 // selection's stamp of its eviction from small; 0 is none
-	latch     chan struct{}
+	state int8
+	dirty bool
+	freq  uint8 // pins since it was queued, saturating at maxFreq
+	flags uint8 // flagUntouched, flagStored
+	pins  int32
+	frame int32
+	ghost uint32 // selection's stamp of its eviction from small; 0 is none
+	latch chan struct{}
 }
+
+// A page's flags. flagStored is set under Pager.mu when a writeback of
+// the page is sent, and never cleared: a WRITEV that failed, or reached
+// only some replicas, leaves the page dirty, so it is sent again before
+// its frame is let go, and a later fault reads far memory either way.
+const (
+	flagUntouched uint8 = 1 << iota // installed by FaultAhead, its first Pin still to come
+	flagStored                      // a writeback was sent: a fault reads far memory, not zeros
+)
 
 // Options sizes a Pager. The zero value of every field selects a
 // default.
@@ -85,6 +102,12 @@ type Options struct {
 	// This field does nothing: the pager reads only the pages it is
 	// asked for. It stays because callers that cannot be edited set it.
 	NoPrefetch bool
+
+	// noEvictor, set only by tests, starts no evictor goroutine: eviction
+	// is evictSome, a step the test calls, or that a fault which finds
+	// the pool dry runs itself, on its own goroutine. The step takes the
+	// evictor's scratch, so a pager made so is driven from one goroutine.
+	noEvictor bool
 }
 
 // Pager pages a numPages*PageBytes region through a frames-sized local
@@ -97,6 +120,7 @@ type Pager struct {
 	frames    int
 	batch     int
 	lowWater  int
+	noEvictor bool
 
 	mu     sync.Mutex // guards pages, owner, sel, closed, holds, arena, fills
 	pages  []page
@@ -125,6 +149,7 @@ type Pager struct {
 	// Fault/eviction balance counters (the paper's steering signals).
 	faults      atomic.Uint64
 	faultsAhead atomic.Uint64
+	zeroFills   atomic.Uint64
 	frameWaits  atomic.Uint64
 	hits        atomic.Uint64
 	coalesced   atomic.Uint64
@@ -193,6 +218,7 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 		frames:    frames,
 		batch:     batch,
 		lowWater:  low,
+		noEvictor: opts.noEvictor,
 		arena:     arena,
 		pages:     make([]page, numPages),
 		owner:     make([]uint64, frames),
@@ -208,7 +234,11 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 		p.owner[f] = noPage
 		p.freeC <- int32(f)
 	}
-	go p.evictLoop() //magevet:ok real-host pager: the dedicated write-behind evictor thread
+	if p.noEvictor {
+		close(p.doneC)
+	} else {
+		go p.evictLoop() //magevet:ok real-host pager: the dedicated write-behind evictor thread
+	}
 	return p, nil
 }
 
@@ -287,8 +317,9 @@ func (p *Pager) Pin(pg uint64, write bool) (Frame, error) {
 		case pageAbsent:
 			pd.state = pageFaulting
 			p.holds++ // the fault's, and then its pin's
+			stored := pd.flags&flagStored != 0
 			p.mu.Unlock()
-			return p.faultIn(pg, write)
+			return p.faultIn(pg, write, stored)
 		}
 	}
 }
@@ -306,17 +337,25 @@ func (p *Pager) frameData(frame int32) []byte {
 // pageFaulting by the caller: read the page into a frame, install. A
 // fault that gets a free frame at once reads straight into it; one that
 // finds the pool dry reads first and waits for a frame while the read
-// flies (readBeforeFrame).
-func (p *Pager) faultIn(pg uint64, write bool) (Frame, error) {
+// flies (readBeforeFrame). A page that was never stored is zeros in far
+// memory: its fault clears a frame instead, and with no read to overlap
+// it waits for one in takeFrame.
+func (p *Pager) faultIn(pg uint64, write, stored bool) (Frame, error) {
 	start := time.Now() //magevet:ok real-host pager: fault service time is a reported metric
 	p.faults.Add(1)
 	off := int64(pg) * p.pageBytes
 
 	frame, ok := p.tryTakeFrame()
 	var err error
-	if ok {
+	switch {
+	case stored && ok:
 		err = p.readInto(frame, off)
-	} else if frame, err = p.readBeforeFrame(off); frame < 0 {
+	case stored:
+		frame, err = p.readBeforeFrame(off)
+	case !ok:
+		frame, err = p.takeFrame()
+	}
+	if frame < 0 {
 		p.abortFault(pg)
 		return Frame{}, err
 	}
@@ -324,6 +363,10 @@ func (p *Pager) faultIn(pg uint64, write bool) (Frame, error) {
 		p.putFrame(frame)
 		p.abortFault(pg)
 		return Frame{}, fmt.Errorf("upager: fault-in page %d: %w", pg, err)
+	}
+	if !stored {
+		clear(p.frameData(frame))
+		p.zeroFills.Add(1)
 	}
 
 	p.mu.Lock()
@@ -359,7 +402,32 @@ type faultIO struct {
 func (p *Pager) readInto(frame int32, off int64) error {
 	io := &p.faultIO[frame]
 	io.off[0], io.dst[0] = off, p.frameData(frame)
+	p.checkStored(io.off[:], false)
 	return p.far.ReadVInto(p.handle, io.off[:], io.dst[:])
+}
+
+// checkStored is the magecheck build's invariant over a read the pager
+// is about to send: every page it names has been stored, for a page that
+// was not is zeros in far memory and faults in without a read. locked
+// says the caller holds p.mu; otherwise the check takes it. A failed
+// check drops it before it panics, so that a deferred Close still runs.
+// Without the tag it compiles to nothing.
+func (p *Pager) checkStored(offs []int64, locked bool) {
+	if !invariant.Enabled {
+		return
+	}
+	if !locked {
+		p.mu.Lock()
+	}
+	for _, off := range offs {
+		if pg := off / p.pageBytes; p.pages[pg].flags&flagStored == 0 {
+			p.mu.Unlock()
+			invariant.Assert(false, "upager: a read names page %d, which was never stored", pg)
+		}
+	}
+	if !locked {
+		p.mu.Unlock()
+	}
 }
 
 // readBeforeFrame is the fault that found no free frame: it starts the
@@ -370,6 +438,7 @@ func (p *Pager) readInto(frame int32, off int64) error {
 // Otherwise err is the read's; on a failure the caller frees the frame.
 func (p *Pager) readBeforeFrame(off int64) (int32, error) {
 	io := &faultIO{off: [1]int64{off}, dst: [1][]byte{memnode.GetBuf(int(p.pageBytes))}}
+	p.checkStored(io.off[:], false)
 	read := make(chan error, 1)
 	p.far.StartReadVInto(p.handle, io.off[:], io.dst[:], func(err error) { read <- err })
 	frame, err := p.takeFrame()
@@ -434,12 +503,26 @@ func (pd *page) openLatch() {
 }
 
 // takeFrame pops a free frame, kicking the evictor and blocking while
-// none are free. It fails only once the pager is closing.
+// none are free. It fails only once the pager is closing. A pager with
+// no evictor runs its step here instead, until a frame is free, a step
+// fails — the fault fails with it — or one frees nothing.
 func (p *Pager) takeFrame() (int32, error) {
 	if f, ok := p.tryTakeFrame(); ok {
 		return f, nil
 	}
 	p.frameWaits.Add(1)
+	for p.noEvictor {
+		progress, err := p.evictSome()
+		if err != nil {
+			return -1, err
+		}
+		if f, ok := p.tryTakeFrame(); ok {
+			return f, nil
+		}
+		if !progress {
+			break
+		}
+	}
 	p.kick()
 	select {
 	case f := <-p.freeC:
@@ -500,21 +583,28 @@ type fill struct {
 // FaultAhead starts the faults of pgs early and together: a caller that
 // already knows the pages its next Pins will touch (magecache, from the
 // requests buffered on a connection) hands them over, and every page
-// that is absent and can get a free frame right now is claimed
-// absent→faulting under one latch and filled by one batched read, which
-// is on its way to the backing when FaultAhead returns — started here,
-// on the caller's goroutine; install runs wherever the read completes.
-// It never waits for a read or a frame and promises nothing — pages that
-// are resident or in transit, out of range, or left over when the free
-// pool runs dry are skipped. Pin remains the only way to touch data: a
-// Pin of a claimed page coalesces on the latch like on any other fault,
-// and finds the page resident when the read's completion has installed
-// it.
+// that is absent and can get a free frame right now is claimed. A stored
+// page goes absent→faulting under the batch's one latch and is filled by
+// one batched read, which is on its way to the backing when FaultAhead
+// returns — started here, on the caller's goroutine; install runs
+// wherever the read completes. A page never stored is zeros: its frame
+// is cleared and it is resident before FaultAhead returns, and a batch
+// of such pages alone starts no read. FaultAhead never waits for a read
+// or a frame and promises nothing — pages that are resident or in
+// transit, out of range, or left over when the free pool runs dry are
+// skipped. Pin remains the only way to touch data: a Pin of a claimed
+// page coalesces on the latch like on any other fault, and finds the
+// page resident when the read's completion has installed it.
 //
 // These are demand misses issued early, not speculation: they count in
 // Faults (and in FaultsAhead) and the fault-latency histogram.
 func (p *Pager) FaultAhead(pgs []uint64) {
-	var f *fill
+	var (
+		f               *fill
+		start           time.Time
+		claimed, zeroed int
+		refaults        uint64
+	)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -524,13 +614,25 @@ func (p *Pager) FaultAhead(pgs []uint64) {
 		if pg >= p.numPages || p.pages[pg].state != pageAbsent {
 			continue
 		}
-		if f != nil && len(f.pgs) == p.batch {
-			break // one fill never takes more than the evictor's share of the arena
+		if claimed == p.batch {
+			break // one call never takes more than the evictor's share of the arena
 		}
 		frame, ok := p.tryTakeFrame()
 		if !ok {
 			p.kick() // the pins that follow will want frames
 			break
+		}
+		if claimed++; claimed == 1 {
+			start = time.Now() //magevet:ok real-host pager: fault service time is a reported metric
+		}
+		pd := &p.pages[pg]
+		if pd.flags&flagStored == 0 {
+			clear(p.frameData(frame))
+			if p.land(pd, pg, frame) {
+				refaults++
+			}
+			zeroed++
+			continue
 		}
 		if f == nil {
 			if n := len(p.fills); n > 0 {
@@ -542,7 +644,6 @@ func (p *Pager) FaultAhead(pgs []uint64) {
 			f.pgs, f.frames, f.offs, f.dst = f.pgs[:0], f.frames[:0], f.offs[:0], f.dst[:0]
 			f.latch = make(chan struct{})
 		}
-		pd := &p.pages[pg]
 		pd.state = pageFaulting
 		pd.latch = f.latch
 		f.pgs = append(f.pgs, pg)
@@ -550,18 +651,34 @@ func (p *Pager) FaultAhead(pgs []uint64) {
 		f.offs = append(f.offs, int64(pg)*p.pageBytes)
 		f.dst = append(f.dst, p.frameData(frame))
 	}
+	if zeroed > 0 {
+		// Counted before the pages can be pinned, as install counts its own.
+		n := uint64(zeroed)
+		p.faults.Add(n)
+		p.faultsAhead.Add(n)
+		p.zeroFills.Add(n)
+		lat := time.Since(start).Nanoseconds() //magevet:ok real-host pager: fault service time is a reported metric
+		for range zeroed {
+			p.faultLat.Record(lat)
+		}
+		p.sel.check(p.pages, p.owner)
+	}
 	if f != nil {
+		p.checkStored(f.offs, true)
 		// Add under mu so Close (which sets closed under mu before
 		// waiting) can never miss an in-flight fill.
 		p.fillWG.Add(1)
 	}
 	p.mu.Unlock()
+	if refaults > 0 {
+		p.refaults.Add(refaults)
+	}
 	if f == nil {
 		return
 	}
 	p.faults.Add(uint64(len(f.pgs)))
 	p.faultsAhead.Add(uint64(len(f.pgs)))
-	f.start = time.Now() //magevet:ok real-host pager: fault service time is a reported metric
+	f.start = start
 	// With p.mu dropped: the hook takes it, and a read refused on the spot
 	// runs the hook before this returns.
 	p.far.StartReadVInto(p.handle, f.offs, f.dst, f.done)
@@ -602,12 +719,7 @@ func (f *fill) install(err error) {
 			p.putFrame(f.frames[i])
 			continue
 		}
-		pd.state = pageResident
-		pd.frame = f.frames[i]
-		pd.dirty = false
-		pd.pins = 0
-		p.owner[f.frames[i]] = pg
-		if p.sel.admit(pd, f.frames[i], true) {
+		if p.land(pd, pg, f.frames[i]) {
 			refaults++
 		}
 	}
@@ -619,6 +731,15 @@ func (f *fill) install(err error) {
 		p.refaults.Add(refaults)
 	}
 	p.fillWG.Done()
+}
+
+// land makes pd, page pg, resident in frame as a FaultAhead page lands:
+// clean, unpinned and untouched, its first Pin still to come. It reports
+// whether the page refaulted. p.mu is held.
+func (p *Pager) land(pd *page, pg uint64, frame int32) (refault bool) {
+	pd.state, pd.frame, pd.dirty, pd.pins = pageResident, frame, false, 0
+	p.owner[frame] = pg
+	return p.sel.admit(pd, frame, true)
 }
 
 // evictLoop is the write-behind evictor: on every kick it reclaims
@@ -692,6 +813,7 @@ func (p *Pager) evictSome() (bool, error) {
 			p.holds++ // the batch's, until writeBack settles it
 		}
 		pd.state = pageEvicting
+		pd.flags |= flagStored
 		pd.latch = latch
 		victims = append(victims, pg)
 		offs = append(offs, int64(pg)*p.pageBytes)
@@ -751,6 +873,7 @@ func (p *Pager) Flush() error {
 				p.holds++ // the batch's, until writeBack settles it
 			}
 			pd.state = pageEvicting // block writers while the batch is on the wire
+			pd.flags |= flagStored
 			pd.latch = latch
 			victims = append(victims, uint64(pg))
 			offs = append(offs, int64(pg)*p.pageBytes)
@@ -848,13 +971,19 @@ func (p *Pager) Close() error {
 
 // Stats is a point-in-time snapshot of the pager's balance counters.
 type Stats struct {
-	// Faults counts major faults: pages read on the demand path, whether
-	// by the Pin that needed them or early through FaultAhead.
+	// Faults counts major faults: pages brought in on the demand path,
+	// whether by the Pin that needed them or early through FaultAhead,
+	// and whether read or zero-filled.
 	Faults uint64
 	// FaultsAhead counts the faults among Faults that FaultAhead started,
 	// in batches; Faults - FaultsAhead are the demand faults a Pin had to
 	// issue alone and wait out.
 	FaultsAhead uint64
+	// ZeroFills counts the faults among Faults served without a read: the
+	// page had never been stored, so far memory held the zeros Register
+	// returned, and the fault cleared a frame instead. It is the DES's
+	// FaultFetchZero; Faults - ZeroFills are the pages read.
+	ZeroFills uint64
 	// FrameWaits counts the faults that found the free pool empty and
 	// blocked until the evictor freed a frame: reclaim running behind the
 	// fault rate. It is the real pager's core.sync_evictions — the DES
@@ -892,6 +1021,7 @@ func (p *Pager) Stats() Stats {
 	return Stats{
 		Faults:           p.faults.Load(),
 		FaultsAhead:      p.faultsAhead.Load(),
+		ZeroFills:        p.zeroFills.Load(),
 		FrameWaits:       p.frameWaits.Load(),
 		Hits:             p.hits.Load(),
 		Coalesced:        p.coalesced.Load(),

@@ -3,6 +3,7 @@ package upager
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -188,6 +189,7 @@ func TestWriteBehindBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	markStored(p, 1024)
 	for pg := uint64(0); pg < 1024; pg++ {
 		fr, err := p.Pin(pg, true)
 		if err != nil {
@@ -220,6 +222,7 @@ func TestConcurrentFaultCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	markStored(p, 64)
 	const workers = 32
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -332,7 +335,10 @@ func TestWritebackFailureKeepsPagesDirty(t *testing.T) {
 	}{
 		{"the evictor's batch", func(t *testing.T) {
 			fb := newFakeBacking()
-			p, err := New(fb, 64, 8, Options{EvictBatch: 4})
+			// No evictor goroutine: the test takes its step, and a fault that
+			// finds the pool dry takes it too, so no second sweep can come
+			// between the failed batch and the test's look.
+			p, err := New(fb, 64, 8, Options{EvictBatch: 4, noEvictor: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,9 +352,12 @@ func TestWritebackFailureKeepsPagesDirty(t *testing.T) {
 				stampPage(fr.Data, pg)
 				fr.Unpin()
 			}
-			// The eighth fault left the pool dry, so the evictor has swept, or is
-			// about to. Once its batch has failed, every page is back in a queue.
-			waitFor(t, "the evictor's batch to fail", func() bool { return p.Stats().WritebackErrors > 0 })
+			// The eighth fault left the pool dry. Once the evictor's batch has
+			// failed, every page is back in a queue.
+			p.evictSome()
+			if p.Stats().WritebackErrors == 0 {
+				t.Fatal("the evictor's batch did not fail")
+			}
 			p.mu.Lock()
 			resident, dirty := 0, 0
 			for pg := range p.pages[:8] {
@@ -360,6 +369,12 @@ func TestWritebackFailureKeepsPagesDirty(t *testing.T) {
 				}
 			}
 			queued := p.sel.small.n + p.sel.main.n
+			sent := slices.Clone(p.evict.victims)
+			for _, pg := range sent {
+				if p.pages[pg].flags&flagStored == 0 {
+					t.Errorf("page %d went out in the failed batch and is not stored: its next fault would read nothing", pg)
+				}
+			}
 			p.mu.Unlock()
 			if resident != 8 || dirty != 8 || queued != 8 {
 				t.Fatalf("after a failed batch: %d resident, %d dirty, %d queued; want 8 of each", resident, dirty, queued)
@@ -393,6 +408,21 @@ func TestWritebackFailureKeepsPagesDirty(t *testing.T) {
 				if binary.LittleEndian.Uint64(b) != pg^0x6d616765 {
 					t.Fatalf("page %d stamp missing from backing after retry", pg)
 				}
+			}
+			// Dropped clean, every page of the failed batch faults back in from
+			// far memory, stamp and all.
+			p.evictSome()
+			reads := fb.reads.Load()
+			for _, pg := range sent {
+				fr, err := p.Pin(pg, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPage(t, fr.Data, pg)
+				fr.Unpin()
+			}
+			if n := fb.reads.Load() - reads; n != uint64(len(sent)) {
+				t.Errorf("the %d pages of the failed batch faulted back in with %d reads", len(sent), n)
 			}
 		}},
 		{"a flush's batch", func(t *testing.T) {
@@ -476,6 +506,7 @@ func TestWhichPinsCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	markStored(p, 64)
 	pin := func(pg uint64) {
 		t.Helper()
 		fr, err := p.Pin(pg, false)
@@ -487,7 +518,7 @@ func TestWhichPinsCount(t *testing.T) {
 	recorded := func(pg uint64) (uint8, bool) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		return p.pages[pg].freq, p.pages[pg].untouched
+		return p.pages[pg].freq, p.pages[pg].flags&flagUntouched != 0
 	}
 	want := func(what string, pg uint64, freq uint8, untouched bool) {
 		t.Helper()
@@ -581,6 +612,7 @@ func TestNoSpeculativeReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	markStored(p, 4096)
 	for pg := uint64(0); pg < 512; pg++ {
 		fr, err := p.Pin(pg, false)
 		if err != nil {
@@ -703,6 +735,7 @@ func TestMemnodeRoundtrip(t *testing.T) {
 	if p.far != far(c) {
 		t.Fatal("memnode.Client was wrapped in the adapter: it is far itself")
 	}
+	markStored(p, 2048)
 	for pg := uint64(0); pg < 2048; pg++ {
 		fr, err := p.Pin(pg, true)
 		if err != nil {
