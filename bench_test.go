@@ -236,6 +236,21 @@ func BenchmarkFaultPathMageLib(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSystemMageLib measures what a freshly built System holds
+// of the host heap, in sim-grid's shape: Mage^LIB with 24 threads over
+// 16 Ki pages, half of them local, on the default 2 × 28 machine. B/op
+// is a number the box's speed cannot move: among it the per-core TLBs,
+// built only for the cores a thread runs on.
+func BenchmarkNewSystemMageLib(b *testing.B) {
+	cfg := mage.MageLib(24, 16<<10, 8<<10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		builtSystem = mage.MustNewSystem(cfg)
+	}
+}
+
+var builtSystem *mage.System
+
 // BenchmarkFaultToleranceMageLib runs the fault pipeline under injected
 // faults (per-op NACKs, spikes, periodic outages) and reports the
 // robustness counters per simulated op alongside host ns/op, so that

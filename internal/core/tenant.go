@@ -502,11 +502,20 @@ func (t *Thread) Access(page uint64, write bool, compute sim.Time) {
 	}
 	for {
 		tlb := nd.Shooter.TLBOf(t.Core)
-		if tlb.Contains(page) {
-			st := s.AS.PTEOf(page).State
-			switch {
-			case st == pgtable.StatePresent:
-				tlb.Touch(page)
+		st := s.AS.PTEOf(page).State
+		if st == pgtable.StateEvicting && write && tlb.Contains(page) {
+			// A write through a stale entry inside the unmap→shootdown
+			// window: with a clear TLB dirty bit it re-walks the (now
+			// non-present) PTE and faults; conservatively treat every
+			// write in the window this way. It counts no TLB hit.
+			t.flushTime()
+			s.Fault(t.p, t.TID, t.Core, page)
+			t.Faults++
+			continue
+		}
+		if tlb.Hit(page) {
+			switch st {
+			case pgtable.StatePresent:
 				// A TLB-hit access does not re-walk the page table, so
 				// the PTE accessed bit is NOT refreshed — the property
 				// real reclaim depends on to find victims among hot
@@ -516,20 +525,11 @@ func (t *Thread) Access(page uint64, write bool, compute sim.Time) {
 				if write {
 					s.AS.HardwareAccess(page, write)
 				}
-			case st == pgtable.StateEvicting && !write:
-				// Stale entry inside the unmap→shootdown window: the frame
-				// content is intact until writeback (which the eviction
-				// path only issues after the flush completes), so the read
-				// succeeds against the old frame.
-				tlb.Touch(page)
-			case st == pgtable.StateEvicting && write:
-				// A write with a clear TLB dirty bit re-walks the (now
-				// non-present) PTE and faults; conservatively treat every
-				// write in the window this way.
-				t.flushTime()
-				s.Fault(t.p, t.TID, t.Core, page)
-				t.Faults++
-				continue
+			case pgtable.StateEvicting:
+				// A read of a stale entry inside the unmap→shootdown
+				// window: the frame content is intact until writeback
+				// (which the eviction path only issues after the flush
+				// completes), so the read succeeds against the old frame.
 			default:
 				// After CompleteEvict the shootdown has settled, so no
 				// core may still cache the translation.

@@ -2,6 +2,7 @@ package tlbsim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -105,12 +106,10 @@ func TestTLBRingMapConsistency(t *testing.T) {
 		case 2:
 			tlb.FlushPage(uint64(rng.Intn(32)))
 		}
-		// Every map entry must point at a ring slot holding its key.
-		for page, idx := range tlb.entries {
-			if tlb.ring[idx].page != page {
-				t.Fatalf("iteration %d: entry %d points at slot %d holding %d",
-					i, page, idx, tlb.ring[idx].page)
-			}
+		// Every index cell must name a ring slot holding a page and be
+		// the cell that page's probe reaches; live must match the ring.
+		if err := tlb.verify(); err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
 }
@@ -220,4 +219,59 @@ func TestShootdownNoTargets(t *testing.T) {
 		}
 	})
 	eng.Run()
+}
+
+// TestIdleCoreTLBHoldsNothing: over the paper's 2 × 28 machine a TLB's
+// ring and index are built on the core's first Touch, so a shooter holds
+// neither for a core no thread runs on, a shootdown's invalidation of
+// such a core allocates nothing, by page or by full flush, and a Touch
+// builds only its own core's TLB.
+func TestIdleCoreTLBHoldsNothing(t *testing.T) {
+	m := topo.NewMachine(2, 28)
+	s := NewShooter(apic.NewFabric(sim.NewEngine(), m, apic.DefaultCosts()), m, DefaultCosts(), 1536)
+	built := func() (n int) {
+		for c := range m.NumCores() {
+			if tlb := s.TLBOf(topo.CoreID(c)); tlb.ring != nil || tlb.index != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := built(); n != 0 {
+		t.Fatalf("NewShooter built %d of %d TLBs; want 0", n, m.NumCores())
+	}
+	few := []uint64{1, 2, 3}
+	many := make([]uint64, DefaultCosts().FullFlushThreshold+1)
+	for i := range many {
+		many[i] = uint64(i)
+	}
+	for _, pages := range [][]uint64{few, many} {
+		if a := testing.AllocsPerRun(100, func() {
+			for c := range m.NumCores() {
+				s.invalidate(s.TLBOf(topo.CoreID(c)), pages)
+				s.TLBOf(topo.CoreID(c)).Contains(pages[0])
+			}
+		}); a != 0 {
+			t.Errorf("invalidating %d pages on untouched cores allocates %v times; want 0", len(pages), a)
+		}
+	}
+	if n := built(); n != 0 {
+		t.Fatalf("invalidation built %d TLBs; want 0", n)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.TLBOf(5).Touch(7)
+	runtime.ReadMemStats(&after)
+	if n := built(); n != 1 || s.TLBOf(5).ring == nil {
+		t.Fatalf("one Touch on core 5 built %d TLBs (core 5's: %v); want core 5's alone", n, s.TLBOf(5).ring != nil)
+	}
+	b := after.TotalAlloc - before.TotalAlloc
+	t.Logf("the first Touch on a core allocated %d B", b)
+	if b > 48<<10 {
+		t.Errorf("one Touch allocated %d B; want at most %d", b, 48<<10)
+	}
+	if !s.TLBOf(5).Contains(7) || s.TLBOf(5).Misses != 1 {
+		t.Error("the first Touch did not cache its page")
+	}
 }

@@ -1,6 +1,6 @@
 package upager
 
-import "mage/internal/invariant"
+import "fmt"
 
 // Victim selection: S3-FIFO over the frames.
 //
@@ -165,16 +165,13 @@ func (s *selection) next(pages []page, owner []uint64, limit uint64) (int32, boo
 	return -1, false
 }
 
-// check is the magecheck build's invariant over the queues: they hold
-// the resident frames and nothing else. A frame that names a page is in
-// exactly one ring exactly once; a frame that is free or on the wire —
-// claimed by a fill, or a dirty victim in the evictor's batch — names
-// none and is in neither. O(frames), after every install and on both
-// sides of a sweep; without the tag it compiles to nothing.
-func (s *selection) check(pages []page, owner []uint64) {
-	if !invariant.Enabled {
-		return
-	}
+// verify is the invariant over the queues, which the magecheck build
+// runs (Pager.checkQueues): they hold the resident frames and nothing
+// else. A frame that names a page is in exactly one ring exactly once; a
+// frame that is free or on the wire — claimed by a fill, or a dirty
+// victim in the evictor's batch — names none and is in neither. It
+// returns the first violation, or nil. O(frames).
+func (s *selection) verify(pages []page, owner []uint64) error {
 	queued := make([]uint8, len(owner))
 	for _, r := range []*ring{&s.small, &s.main} {
 		for i := 0; i < r.n; i++ {
@@ -184,12 +181,18 @@ func (s *selection) check(pages []page, owner []uint64) {
 	for f, n := range queued {
 		pg := owner[f]
 		if pg == noPage {
-			invariant.Assert(n == 0, "upager: frame %d is free or on the wire, and queued %d times", f, n)
+			if n != 0 {
+				return fmt.Errorf("upager: frame %d is free or on the wire, and queued %d times", f, n)
+			}
 			continue
 		}
 		pd := &pages[pg]
-		invariant.Assert(n == 1, "upager: frame %d holds page %d and is queued %d times", f, pg, n)
-		invariant.Assert(pd.frame == int32(f) && (pd.state == pageResident || pd.state == pageEvicting),
-			"upager: frame %d names page %d, which is in state %d in frame %d", f, pg, pd.state, pd.frame)
+		if n != 1 {
+			return fmt.Errorf("upager: frame %d holds page %d and is queued %d times", f, pg, n)
+		}
+		if pd.frame != int32(f) || (pd.state != pageResident && pd.state != pageEvicting) {
+			return fmt.Errorf("upager: frame %d names page %d, which is in state %d in frame %d", f, pg, pd.state, pd.frame)
+		}
 	}
+	return nil
 }

@@ -302,7 +302,9 @@ func (x *selTable) install(untouched bool, pgs ...uint64) (refaults int) {
 			refaults++
 		}
 	}
-	x.s.check(x.pages, x.owner)
+	if err := x.s.verify(x.pages, x.owner); err != nil {
+		x.t.Fatal(err)
+	}
 	return refaults
 }
 
@@ -320,7 +322,9 @@ func (x *selTable) evict() uint64 {
 		return noPage
 	}
 	pg, _ := x.arena.evict(f)
-	x.s.check(x.pages, x.owner)
+	if err := x.s.verify(x.pages, x.owner); err != nil {
+		x.t.Fatal(err)
+	}
 	return pg
 }
 

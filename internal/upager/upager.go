@@ -378,7 +378,7 @@ func (p *Pager) faultIn(pg uint64, write, stored bool) (Frame, error) {
 	p.owner[frame] = pg
 	refault := p.sel.admit(pd, frame, false)
 	pd.openLatch()
-	p.sel.check(p.pages, p.owner)
+	p.checkQueues(false)
 	p.mu.Unlock()
 	if refault {
 		p.refaults.Add(1)
@@ -427,6 +427,26 @@ func (p *Pager) checkStored(offs []int64, locked bool) {
 	}
 	if !locked {
 		p.mu.Unlock()
+	}
+}
+
+// checkQueues is the magecheck build's invariant over the selection's
+// queues (selection.verify), run with p.mu held after every install and
+// on both sides of a sweep. A failed check drops p.mu before it panics,
+// as checkStored does, so that a deferred Close still runs; from a
+// fill's install it first marks the fill done, for the read may have
+// completed inline on the goroutine of a FaultAhead whose caller's
+// Close waits for it. Without the tag it compiles to nothing.
+func (p *Pager) checkQueues(fill bool) {
+	if !invariant.Enabled {
+		return
+	}
+	if err := p.sel.verify(p.pages, p.owner); err != nil {
+		if fill {
+			p.fillWG.Done()
+		}
+		p.mu.Unlock()
+		invariant.Check(err)
 	}
 }
 
@@ -661,7 +681,7 @@ func (p *Pager) FaultAhead(pgs []uint64) {
 		for range zeroed {
 			p.faultLat.Record(lat)
 		}
-		p.sel.check(p.pages, p.owner)
+		p.checkQueues(false)
 	}
 	if f != nil {
 		p.checkStored(f.offs, true)
@@ -724,7 +744,7 @@ func (f *fill) install(err error) {
 		}
 	}
 	close(f.latch)
-	p.sel.check(p.pages, p.owner)
+	p.checkQueues(true) // a fill: Close waits for its Done
 	p.fills = append(p.fills, f)
 	p.mu.Unlock()
 	if refaults > 0 {
@@ -821,7 +841,7 @@ func (p *Pager) evictSome() (bool, error) {
 	}
 	// A head spared now is one look nearer to being a victim.
 	progress = progress || sel.spared != spared
-	sel.check(p.pages, p.owner)
+	p.checkQueues(false)
 	p.mu.Unlock()
 	ev.victims, ev.offs, ev.bufs = victims, offs, bufs
 	if len(victims) == 0 {
@@ -927,7 +947,7 @@ func (p *Pager) writeBack(victims []uint64, offs []int64, bufs [][]byte, latch c
 		}
 	}
 	close(latch)
-	p.sel.check(p.pages, p.owner)
+	p.checkQueues(false)
 	arena := p.drop()
 	p.mu.Unlock()
 	releaseArena(arena)
