@@ -65,6 +65,20 @@ var guards = []guard{
 		reason: "the evictor's: a fault, a fill-ahead batch and a dry-pool read are started on the backing and end in its hook",
 	},
 	{
+		name:   "upager.go moves a page to evicting on one line",
+		files:  is("internal/upager/upager.go"),
+		line:   regexp.MustCompile(`\.state = pageEvicting`),
+		count:  1,
+		reason: "wbatch.add: the evictor's sweep and Flush's walk latch their pages through one batch",
+	},
+	{
+		name:   "no evictor knob in the root module",
+		files:  rootGo,
+		line:   regexp.MustCompile(`\b(EvictBatch|LowWater)\b`),
+		count:  0,
+		reason: "New derives the evictor's batch and free-frame target from the frame count",
+	},
+	{
 		name:   "cluster.go starts two goroutines",
 		files:  is("internal/memcluster/cluster.go"),
 		line:   regexp.MustCompile(`^\s*go [a-zA-Z]`),

@@ -124,7 +124,7 @@ func TestFramePinnedAcrossClose(t *testing.T) {
 // that would be a segmentation fault, not a failed check.
 func TestCloseUnderChurn(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 256, 16, Options{EvictBatch: 4})
+	p, err := New(fb, 256, 16, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,9 @@
 // same fault/evict mechanics the DES models — a demand fault that reads
 // its page straight into the frame it took, frame reclaim that picks its
 // victims by how often a page was pinned (S3-FIFO, see selection.go), and
-// a dedicated write-behind evictor that batches dirty victims into WRITEV
-// frames (the paper's P2 cross-batch pipeline, in userspace).
+// a dedicated write-behind evictor whose step sweeps dirty victims into a
+// batch, sends it as one WRITEV and settles it, as Flush does its batches
+// (the stages of the paper's P2 pipeline at depth one, in userspace).
 //
 // The pager is the userspace mirror of the kernel data path the paper
 // instruments: Pin is the page fault, the evictor is the reclaim
@@ -88,25 +89,18 @@ const (
 )
 
 // Options sizes a Pager. The zero value of every field selects a
-// default.
+// default; the evictor's batch and free-frame target follow from frames.
 type Options struct {
 	// PageBytes is the page size (default 4096).
 	PageBytes int64
-	// EvictBatch caps dirty pages per write-behind WRITEV (default 32,
-	// capped at memnode.MaxBatchPages).
-	EvictBatch int
-	// LowWater is the free-frame target: the evictor runs until at
-	// least this many frames are free (default max(EvictBatch,
-	// frames/8), at least 1).
-	LowWater int
 	// This field does nothing: the pager reads only the pages it is
 	// asked for. It stays because callers that cannot be edited set it.
 	NoPrefetch bool
 
 	// noEvictor, set only by tests, starts no evictor goroutine: eviction
 	// is evictSome, a step the test calls, or that a fault which finds
-	// the pool dry runs itself, on its own goroutine. The step takes the
-	// evictor's scratch, so a pager made so is driven from one goroutine.
+	// the pool dry runs itself, on its own goroutine. The step fills the
+	// evictor's batch, so a pager made so is driven from one goroutine.
 	noEvictor bool
 }
 
@@ -144,7 +138,7 @@ type Pager struct {
 	faultIO []faultIO      // by frame: the read a demand fault makes into it
 	fillWG  sync.WaitGroup // fills claimed and not yet installed; Close drains them
 	fills   []*fill        // fill scratch between batches
-	evict   evictScratch
+	evict   wbatch         // the evictor's batch, refilled by every sweep
 
 	// Fault/eviction balance counters (the paper's steering signals).
 	faults      atomic.Uint64
@@ -183,20 +177,11 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 	if pb <= 0 {
 		pb = 4096
 	}
-	// The evictor must never be asked to reclaim most of the arena:
-	// batch and low-water both cap at half the frames so a fresh fault
-	// cannot be evicted just to satisfy the free-pool target.
-	half := max(frames/2, 1)
-	batch := opts.EvictBatch
-	if batch <= 0 {
-		batch = 32
-	}
-	batch = min(batch, memnode.MaxBatchPages, half)
-	low := opts.LowWater
-	if low <= 0 {
-		low = min(frames/8, batch)
-	}
-	low = max(min(low, half), 1)
+	// A writeback batch is at most 32 pages and the evictor keeps an eighth
+	// of the frames free, neither past half the frames, so that a fresh
+	// fault is not evicted just to meet the free-pool target.
+	batch := min(32, memnode.MaxBatchPages, max(frames/2, 1))
+	low := max(min(frames/8, batch), 1)
 	arena, err := mapArena(int64(frames) * pb)
 	if err != nil {
 		return nil, fmt.Errorf("upager: map %d frames: %w", frames, err)
@@ -230,6 +215,7 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 		doneC:     make(chan struct{}),
 		faultLat:  stats.NewConcurrentHistogram(),
 	}
+	p.evict = wbatch{p: p, evict: true}
 	for f := 0; f < frames; f++ {
 		p.owner[f] = noPage
 		p.freeC <- int32(f)
@@ -789,30 +775,99 @@ func (p *Pager) evictLoop() {
 	}
 }
 
-// evictScratch is the evictor's batch between sweeps: evictSome runs on
-// the evictor goroutine alone, so one set of lists serves every sweep.
-type evictScratch struct {
-	victims []uint64
-	offs    []int64
-	bufs    [][]byte
+// wbatch is one writeback batch, the evictor's or Flush's: its pages, the
+// region offset and frame bytes of each, and the latch they share. From
+// add to settle its frames belong to the wire: their pages are evicting,
+// so no pinner touches them and no frame goes back to the free pool.
+type wbatch struct {
+	p     *Pager
+	evict bool // the evictor's: a page written back leaves its frame
+	pgs   []uint64
+	offs  []int64
+	bufs  [][]byte
+	latch chan struct{}
 }
 
-// evictSome runs one sweep of the selection's queues. Clean victims are
-// freed on the spot; dirty victims transition to pageEvicting (blocking
-// new pinners, so the in-flight WRITEV can safely alias the arena) and
-// go out as one batch under one latch — they come back together. A
-// sweep ends with a full batch, or after looking at two heads per frame,
-// which is enough to have met every evictable page. Returns whether the
-// sweep made progress toward freeing frames.
-func (p *Pager) evictSome() (bool, error) {
-	ev := &p.evict
-	victims, offs, bufs := ev.victims[:0], ev.offs[:0], ev.bufs[:0]
-	var latch chan struct{}
-	progress := false
+// add moves page pg, resident in frame, onto the batch — the one place a
+// page goes evicting, and stored, for far memory may hold it from now on
+// whether the write lands or not. The first page makes the batch's latch
+// and takes its hold on the arena, which settle drops. p.mu is held.
+func (b *wbatch) add(pg uint64, frame int32) {
+	p := b.p
+	if b.latch == nil {
+		b.latch = make(chan struct{})
+		p.holds++
+	}
+	pd := &p.pages[pg]
+	pd.state = pageEvicting
+	pd.flags |= flagStored
+	pd.latch = b.latch
+	b.pgs = append(b.pgs, pg)
+	b.offs = append(b.offs, int64(pg)*p.pageBytes)
+	b.bufs = append(b.bufs, p.frameData(frame))
+}
+
+// send writes the batch as one WRITEV with no lock held. The arena bytes
+// go out zero-copy: evicting keeps writers off the frames.
+func (b *wbatch) send() error { return b.p.far.WriteV(b.p.handle, b.offs, b.bufs) }
+
+// settle ends a batch whose WRITEV returned err, and empties it for its
+// next add. A page the evictor sent leaves its frame for the free pool,
+// one Flush sent stays resident and clean; a failed write leaves every
+// page resident and dirty — a victim back in its frame and queued where
+// it was taken from — for a later sweep or Flush to retry. settle takes
+// p.mu and nothing else, never blocks, and sends nothing to the backing:
+// it could be the hook of a started write.
+func (b *wbatch) settle(err error) {
+	p := b.p
+	p.mu.Lock()
+	for _, pg := range b.pgs {
+		pd := &p.pages[pg]
+		pd.latch = nil
+		switch {
+		case err != nil && b.evict:
+			pd.state = pageResident
+			p.owner[pd.frame] = pg
+			p.sel.requeue(pd, pd.frame)
+		case err != nil:
+			pd.state = pageResident
+		case b.evict:
+			pd.state, pd.dirty = pageAbsent, false
+			p.putFrame(pd.frame)
+		default:
+			pd.state, pd.dirty = pageResident, false
+		}
+	}
+	close(b.latch)
+	p.checkQueues(false)
+	arena := p.drop()
+	p.mu.Unlock()
+	releaseArena(arena)
+	n := uint64(len(b.pgs))
+	b.pgs, b.offs, b.bufs, b.latch = b.pgs[:0], b.offs[:0], b.bufs[:0], nil
+	if err != nil {
+		p.wbErrors.Add(1)
+		return
+	}
+	if b.evict {
+		p.evictions.Add(n)
+	}
+	p.wbBatches.Add(1)
+	p.wbPages.Add(n)
+}
+
+// sweep is the evictor's first stage. Under p.mu it takes victims from the
+// selection's queues: a clean one goes back to the free pool on the spot,
+// a dirty one onto the evictor's batch, which sweep returns. It ends with
+// a full batch, or after looking at two heads per frame, which is enough
+// to have met every evictable page. progress says whether it freed a
+// frame or spared a head, which is one look nearer to being a victim.
+func (p *Pager) sweep() (b *wbatch, progress bool) {
+	b = &p.evict
 	p.mu.Lock()
 	sel := p.sel
 	limit, spared := sel.examined+2*uint64(p.frames), sel.spared
-	for len(victims) < p.batch {
+	for len(b.pgs) < p.batch {
 		f, ok := sel.next(p.pages, p.owner, limit)
 		if !ok {
 			break
@@ -820,66 +875,59 @@ func (p *Pager) evictSome() (bool, error) {
 		pg := p.owner[f]
 		pd := &p.pages[pg]
 		p.owner[f] = noPage
-		if !pd.dirty {
-			pd.state = pageAbsent
-			p.putFrame(f)
-			p.cleanDrops.Add(1)
-			p.evictions.Add(1)
-			progress = true
+		if pd.dirty {
+			b.add(pg, f)
 			continue
 		}
-		if latch == nil {
-			latch = make(chan struct{})
-			p.holds++ // the batch's, until writeBack settles it
-		}
-		pd.state = pageEvicting
-		pd.flags |= flagStored
-		pd.latch = latch
-		victims = append(victims, pg)
-		offs = append(offs, int64(pg)*p.pageBytes)
-		bufs = append(bufs, p.frameData(f))
+		pd.state = pageAbsent
+		p.putFrame(f)
+		p.cleanDrops.Add(1)
+		p.evictions.Add(1)
+		progress = true
 	}
-	// A head spared now is one look nearer to being a victim.
 	progress = progress || sel.spared != spared
 	p.checkQueues(false)
 	p.mu.Unlock()
-	ev.victims, ev.offs, ev.bufs = victims, offs, bufs
-	if len(victims) == 0 {
+	return b, progress
+}
+
+// evictSome is one step of the evictor: a sweep, then the send and settle
+// of its batch when it holds a dirty page. It returns whether the step
+// made progress toward freeing frames.
+func (p *Pager) evictSome() (bool, error) {
+	b, progress := p.sweep()
+	if len(b.pgs) == 0 {
 		return progress, nil
 	}
-
-	if err := p.writeBack(victims, offs, bufs, latch, true); err != nil {
+	err := b.send()
+	b.settle(err)
+	if err != nil {
 		return progress, fmt.Errorf("upager: write-behind batch: %w", err)
 	}
 	return true, nil
 }
 
 // Flush writes back every dirty unpinned page, leaving it resident and
-// clean. Each batch resumes the walk of the page table where the last
-// one stopped, and a walk that sent anything is followed by another, so
-// Flush returns after a walk that found nothing to send: pages pinned for
-// write while Flush runs, behind its cursor or ahead of it, are picked up
-// within the same call, and a table with a few dirty pages among many
-// costs two walks, not one per batch. Pages still write-pinned in that
-// last walk are reported as an error (the caller owns quiescing writers
-// before a checkpoint). Once a closed pager has released its arena there
-// is nothing left to write from, and Flush returns ErrClosed.
+// clean. Its walk of the page table fills a batch as the sweep does, and
+// each batch resumes the walk where the last one stopped; a walk that
+// sent anything is followed by another, so Flush returns after a walk that
+// found nothing to send: pages pinned for write while Flush runs, behind
+// its cursor or ahead of it, are picked up within the same call, and a
+// table with a few dirty pages among many costs two walks, not one per
+// batch. Pages still write-pinned in that last walk are reported as an
+// error (the caller owns quiescing writers before a checkpoint). Once a
+// closed pager has released its arena there is nothing left to write
+// from, and Flush returns ErrClosed.
 func (p *Pager) Flush() error {
-	var (
-		victims []uint64
-		offs    []int64
-		bufs    [][]byte
-	)
+	b := &wbatch{p: p}
 	pg, sent, pinnedDirty := 0, false, 0 // the walk's cursor, and what it has met
 	for {
-		victims, offs, bufs = victims[:0], offs[:0], bufs[:0]
-		var latch chan struct{}
 		p.mu.Lock()
 		if p.arena == nil {
 			p.mu.Unlock()
 			return ErrClosed
 		}
-		for ; pg < len(p.pages) && len(victims) < p.batch; pg++ {
+		for ; pg < len(p.pages) && len(b.pgs) < p.batch; pg++ {
 			pd := &p.pages[pg]
 			if pd.state != pageResident || !pd.dirty {
 				continue
@@ -888,21 +936,14 @@ func (p *Pager) Flush() error {
 				pinnedDirty++
 				continue
 			}
-			if latch == nil {
-				latch = make(chan struct{})
-				p.holds++ // the batch's, until writeBack settles it
-			}
-			pd.state = pageEvicting // block writers while the batch is on the wire
-			pd.flags |= flagStored
-			pd.latch = latch
-			victims = append(victims, uint64(pg))
-			offs = append(offs, int64(pg)*p.pageBytes)
-			bufs = append(bufs, p.frameData(pd.frame))
+			b.add(uint64(pg), pd.frame)
 		}
 		p.mu.Unlock()
-		if len(victims) > 0 {
+		if len(b.pgs) > 0 {
 			sent = true
-			if err := p.writeBack(victims, offs, bufs, latch, false); err != nil {
+			err := b.send()
+			b.settle(err)
+			if err != nil {
 				return fmt.Errorf("upager: flush batch: %w", err)
 			}
 			continue
@@ -915,53 +956,6 @@ func (p *Pager) Flush() error {
 		}
 		pg, sent, pinnedDirty = 0, false, 0
 	}
-}
-
-// writeBack sends a batch the caller has moved to pageEvicting under
-// latch — its pages, their region offsets and frame bytes — as one
-// WRITEV, and settles it. The write runs with no lock held:
-// pageEvicting keeps writers off the frames, and the arena bytes go out
-// zero-copy. A page the evictor sent leaves its frame for the free
-// pool; one Flush sent stays resident, clean. A failed write leaves
-// every page resident and dirty — a victim back in its frame and queued
-// where it was taken from — for a later sweep or Flush to retry. Settling
-// drops the hold the caller took for the batch.
-func (p *Pager) writeBack(victims []uint64, offs []int64, bufs [][]byte, latch chan struct{}, evict bool) error {
-	err := p.far.WriteV(p.handle, offs, bufs)
-	p.mu.Lock()
-	for _, pg := range victims {
-		pd := &p.pages[pg]
-		pd.latch = nil
-		switch {
-		case err != nil && evict:
-			pd.state = pageResident
-			p.owner[pd.frame] = pg
-			p.sel.requeue(pd, pd.frame)
-		case err != nil:
-			pd.state = pageResident
-		case evict:
-			pd.state, pd.dirty = pageAbsent, false
-			p.putFrame(pd.frame)
-		default:
-			pd.state, pd.dirty = pageResident, false
-		}
-	}
-	close(latch)
-	p.checkQueues(false)
-	arena := p.drop()
-	p.mu.Unlock()
-	releaseArena(arena)
-	if err != nil {
-		p.wbErrors.Add(1)
-		return err
-	}
-	n := uint64(len(victims))
-	if evict {
-		p.evictions.Add(n)
-	}
-	p.wbBatches.Add(1)
-	p.wbPages.Add(n)
-	return nil
 }
 
 // Close flushes dirty pages, stops the evictor, and marks the pager

@@ -142,7 +142,7 @@ func checkPage(t *testing.T, data []byte, pg uint64) {
 
 func TestFaultEvictRoundtrip(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 256, 16, Options{EvictBatch: 8})
+	p, err := New(fb, 256, 16, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestFaultEvictRoundtrip(t *testing.T) {
 // behaviour the pager exists to reproduce.
 func TestWriteBehindBatches(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 1024, 64, Options{EvictBatch: 16, LowWater: 32})
+	p, err := New(fb, 1024, 64, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestConcurrentFaultCoalescing(t *testing.T) {
 // time.
 func TestConcurrentMixedChurn(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 512, 32, Options{EvictBatch: 8})
+	p, err := New(fb, 512, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestWritebackFailureKeepsPagesDirty(t *testing.T) {
 			// No evictor goroutine: the test takes its step, and a fault that
 			// finds the pool dry takes it too, so no second sweep can come
 			// between the failed batch and the test's look.
-			p, err := New(fb, 64, 8, Options{EvictBatch: 4, noEvictor: true})
+			p, err := New(fb, 64, 8, Options{noEvictor: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,9 +352,31 @@ func TestWritebackFailureKeepsPagesDirty(t *testing.T) {
 				stampPage(fr.Data, pg)
 				fr.Unpin()
 			}
-			// The eighth fault left the pool dry. Once the evictor's batch has
-			// failed, every page is back in a queue.
-			p.evictSome()
+			// The eighth fault left the pool dry. The step's batch is held on the
+			// wire: a full batch, every page of it evicting, stored and under
+			// the batch's one latch.
+			fb.wvGate = make(chan struct{})
+			swept := make(chan error, 1)
+			go func() { _, err := p.evictSome(); swept <- err }()
+			<-fb.entered
+			p.mu.Lock()
+			sent := slices.Clone(p.evict.pgs)
+			latch := p.pages[sent[0]].latch
+			for _, pg := range sent {
+				if pd := &p.pages[pg]; pd.state != pageEvicting || pd.flags&flagStored == 0 || latch == nil || pd.latch != latch {
+					t.Errorf("page %d on the wire in state %d, stored %v, under its own latch; want evicting and stored, one latch for the batch", pg, pd.state, pd.flags&flagStored != 0)
+				}
+			}
+			p.mu.Unlock()
+			if len(sent) != 4 {
+				t.Errorf("the sweep sent %d pages; want a full batch of 4", len(sent))
+			}
+			close(fb.wvGate)
+			if err := <-swept; err == nil {
+				t.Fatal("the step's batch succeeded against a failing backing")
+			}
+			fb.wvGate = nil
+			// Once the evictor's batch has failed, every page is back in a queue.
 			if p.Stats().WritebackErrors == 0 {
 				t.Fatal("the evictor's batch did not fail")
 			}
@@ -369,7 +391,6 @@ func TestWritebackFailureKeepsPagesDirty(t *testing.T) {
 				}
 			}
 			queued := p.sel.small.n + p.sel.main.n
-			sent := slices.Clone(p.evict.victims)
 			for _, pg := range sent {
 				if p.pages[pg].flags&flagStored == 0 {
 					t.Errorf("page %d went out in the failed batch and is not stored: its next fault would read nothing", pg)
@@ -427,7 +448,7 @@ func TestWritebackFailureKeepsPagesDirty(t *testing.T) {
 		}},
 		{"a flush's batch", func(t *testing.T) {
 			fb := newFakeBacking()
-			p, err := New(fb, 64, 8, Options{EvictBatch: 4})
+			p, err := New(fb, 64, 8, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -564,25 +585,27 @@ func TestWhichPinsCount(t *testing.T) {
 // where it is queued; one faulted back for the first time is not.
 func TestRefaultsCountLiveGhosts(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 64, 16, Options{EvictBatch: 4, LowWater: 4})
+	// No evictor goroutine: the test takes its step.
+	p, err := New(fb, 64, 16, Options{noEvictor: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	for pg := uint64(0); pg < 16; pg++ {
-		fr, err := p.Pin(pg, true) // dirty: a sweep ends with a batch of four
+		fr, err := p.Pin(pg, true) // dirty: a sweep ends with a batch of eight
 		if err != nil {
 			t.Fatal(err)
 		}
 		fr.Unpin()
 	}
-	// The pool went under low water on the way; page 0, first in and
-	// pinned once, is first out.
-	waitFor(t, "page 0 to be evicted", func() bool {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.pages[0].state == pageAbsent
-	})
+	// The pool is dry; page 0, first in and pinned once, is first out.
+	p.evictSome()
+	p.mu.Lock()
+	absent := p.pages[0].state == pageAbsent
+	p.mu.Unlock()
+	if !absent {
+		t.Fatal("the step did not evict page 0")
+	}
 	if s := p.Stats(); s.Refaults != 0 {
 		t.Fatalf("%d refaults before any page came back; want 0", s.Refaults)
 	}
@@ -728,7 +751,7 @@ func TestMemnodeRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	p, err := New(c, 2048, 64, Options{EvictBatch: 16})
+	p, err := New(c, 2048, 64, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -818,7 +841,7 @@ func TestFlushLeavesPagesResident(t *testing.T) {
 // still pinned for write is reported, and written by the next Flush.
 func TestFlushResumesItsWalk(t *testing.T) {
 	fb := newFakeBacking()
-	p, err := New(fb, 64, 32, Options{EvictBatch: 4})
+	p, err := New(fb, 64, 32, Options{}) // a batch of 16
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -835,38 +858,38 @@ func TestFlushResumesItsWalk(t *testing.T) {
 		return fr
 	}
 	pin(0, false).Unpin() // resident and clean
-	for pg := uint64(8); pg < 16; pg++ {
+	for pg := uint64(8); pg <= 24; pg++ {
 		pin(pg, true).Unpin()
 	}
-	held := pin(20, true) // dirty, and pinned for write throughout
+	held := pin(40, true) // dirty, and pinned for write throughout
 
 	fb.wvGate = make(chan struct{})
 	flushed := make(chan error, 1)
 	go func() { flushed <- p.Flush() }()
-	<-fb.entered         // pages 8..11 are on the wire, the cursor past them
+	<-fb.entered         // pages 8..23 are on the wire, the cursor past them
 	pin(0, true).Unpin() // dirtied behind the cursor
 	close(fb.wvGate)
 	if err := <-flushed; err == nil || !strings.Contains(err.Error(), "left 1 dirty pages pinned") {
-		t.Errorf("flush with page 20 pinned for write = %v, want it reported", err)
+		t.Errorf("flush with page 40 pinned for write = %v, want it reported", err)
 	}
 	if wv := fb.writevs.Load(); wv != 3 {
-		t.Errorf("%d batches written; want 8..11, 12..15 and page 0", wv)
+		t.Errorf("%d batches written; want 8..23, 24 and page 0", wv)
 	}
 	stamped := func(pg uint64) bool {
 		fb.mu.Lock()
 		defer fb.mu.Unlock()
 		return binary.LittleEndian.Uint64(fb.mem[pg*4096:]) == pg^0x6d616765
 	}
-	for _, pg := range []uint64{0, 8, 11, 12, 15} {
+	for _, pg := range []uint64{0, 8, 23, 24} {
 		if !stamped(pg) {
 			t.Errorf("page %d is not in far memory after the flush", pg)
 		}
 	}
-	if stamped(20) {
+	if stamped(40) {
 		t.Error("the flush wrote a page pinned for write")
 	}
 	held.Unpin()
-	if err := p.Flush(); err != nil || !stamped(20) || fb.writevs.Load() != 4 {
-		t.Errorf("the next flush = %v, page 20 written: %v, %d batches in all; want nil, true, 4", err, stamped(20), fb.writevs.Load())
+	if err := p.Flush(); err != nil || !stamped(40) || fb.writevs.Load() != 4 {
+		t.Errorf("the next flush = %v, page 40 written: %v, %d batches in all; want nil, true, 4", err, stamped(40), fb.writevs.Load())
 	}
 }

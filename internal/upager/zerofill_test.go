@@ -21,7 +21,7 @@ func TestZeroFill(t *testing.T) {
 	}
 	newRig := func(t *testing.T, frames int) *rig {
 		fb := newFakeBacking()
-		p, err := New(fb, 64, frames, Options{EvictBatch: 4, noEvictor: true})
+		p, err := New(fb, 64, frames, Options{noEvictor: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestZeroFill(t *testing.T) {
 			readBack(r, 0)
 		}},
 		{"FaultAhead over stored and fresh pages", func(t *testing.T) {
-			r := newRig(t, 16) // a call claims up to 4 pages, the rig's batch
+			r := newRig(t, 16) // a call claims up to 8 pages, the batch of 16 frames
 			for pg := uint64(0); pg < 2; pg++ {
 				pin(r, pg, true)
 			}
