@@ -79,6 +79,22 @@ var guards = []guard{
 		reason: "New derives the evictor's batch and free-frame target from the frame count",
 	},
 	{
+		name:   "no DES knob that nothing sets",
+		files:  rootGo,
+		line:   regexp.MustCompile(`\b(SyncBatch|AllocBatch|PTShards|TLBEntries|FreeLowWater|FreeHighWater|PrefetchDegree|PrefetchPolicy|PrefetchMajority|NewMajority|RetryPolicy)\b`),
+		count:  0,
+		reason: "core.Config holds what an experiment turns; the rest are constants of config.go and retry.go, and the majority detector is gone",
+	},
+	{
+		name: "the DES runs every workload to its end",
+		files: func(rel string) bool {
+			return goIn("internal/core")(rel) && !strings.HasSuffix(rel, "_test.go")
+		},
+		line:   regexp.MustCompile(`RunUntil\(`),
+		count:  0,
+		reason: "RunTenants and Rack.Run each have one run loop, Eng.Run: no deadline path",
+	},
+	{
 		name:   "cluster.go starts two goroutines",
 		files:  is("internal/memcluster/cluster.go"),
 		line:   regexp.MustCompile(`^\s*go [a-zA-Z]`),

@@ -90,7 +90,7 @@ func (n *Node) borrowOut(p *sim.Proc, eb *ebatch, want int) int {
 	}
 	sel = sel[:len(frames)]
 	link := n.rack.Fab.Link(n.rackIndex, host.rackIndex)
-	if _, res := link.TryTransfer(p, int64(len(sel))*nic.PageSize, n.Cfg.Retry.AttemptTimeout); res != nic.ReadOK {
+	if _, res := link.TryTransfer(p, int64(len(sel))*nic.PageSize, retryAttemptTimeout); res != nic.ReadOK {
 		// The batch never left: the host frames go straight back and the
 		// victims take the ordinary swap writeback.
 		host.Alloc.FreeBatch(p, hostCore, frames)
@@ -183,7 +183,7 @@ func (n *Node) reclaimHosted(p *sim.Proc, core topo.CoreID) bool {
 		}
 		bytes := int64(len(ok)) * nic.PageSize
 		link := n.rack.Fab.Link(n.rackIndex, owner)
-		if _, res := link.TryTransfer(p, bytes, n.Cfg.Retry.AttemptTimeout); res != nic.ReadOK {
+		if _, res := link.TryTransfer(p, bytes, retryAttemptTimeout); res != nic.ReadOK {
 			for _, g := range ok {
 				own.Swap.Free(p, g.entry)
 				n.rehost(g.bp)
@@ -192,7 +192,7 @@ func (n *Node) reclaimHosted(p *sim.Proc, core topo.CoreID) bool {
 		}
 		// The owner's NIC carries the writeback into its swap device;
 		// re-posted through injected faults like any eviction writeback.
-		c := own.NIC.TryPostWrite(p, bytes, own.Cfg.Retry.AttemptTimeout)
+		c := own.NIC.TryPostWrite(p, bytes, retryAttemptTimeout)
 		attempt := 0
 		for c != nil {
 			c.Wait(p)
@@ -204,8 +204,8 @@ func (n *Node) reclaimHosted(p *sim.Proc, core topo.CoreID) bool {
 			}
 			own.EvictRetries.Inc()
 			attempt++
-			p.Sleep(own.FaultInj.Jitter(own.Cfg.Retry.backoff(attempt), own.Cfg.Retry.JitterFrac))
-			c = own.NIC.TryPostWrite(p, bytes, own.Cfg.Retry.AttemptTimeout)
+			p.Sleep(own.FaultInj.Jitter(retryBackoff(attempt), retryJitterFrac))
+			c = own.NIC.TryPostWrite(p, bytes, retryAttemptTimeout)
 		}
 		for _, g := range ok {
 			if g.bp.t.remoteOf != nil {
@@ -278,10 +278,9 @@ func (t *Tenant) fetchBorrowed(p *sim.Proc, bp *borrowedPage) {
 	nd := t.node
 	host := nd.rack.Nodes[bp.host]
 	link := nd.rack.Fab.Link(nd.rackIndex, bp.host)
-	pol := &nd.Cfg.Retry
 	attempt := 0
 	for {
-		_, res := link.TryTransfer(p, nic.PageSize, pol.AttemptTimeout)
+		_, res := link.TryTransfer(p, nic.PageSize, retryAttemptTimeout)
 		if res == nic.ReadOK {
 			break
 		}
@@ -289,20 +288,20 @@ func (t *Tenant) fetchBorrowed(p *sim.Proc, bp *borrowedPage) {
 			t.FaultTimeouts.Inc()
 		}
 		attempt++
-		if attempt >= pol.MaxAttempts {
+		if attempt >= retryMaxAttempts {
 			t.FaultGiveUps.Inc()
 			if inj := link.FaultInjector(); inj != nil {
 				t.degradedWait(p, inj)
 			} else {
-				p.Sleep(pol.MaxBackoff)
+				p.Sleep(retryMaxBackoff)
 			}
 			attempt = 0
 			continue
 		}
 		t.FaultRetries.Inc()
-		d := pol.backoff(attempt)
+		d := retryBackoff(attempt)
 		if inj := link.FaultInjector(); inj != nil {
-			d = inj.Jitter(d, pol.JitterFrac)
+			d = inj.Jitter(d, retryJitterFrac)
 		}
 		t0 := p.Now()
 		p.Sleep(d)

@@ -71,26 +71,6 @@ func (k AllocatorKind) String() string {
 	return fmt.Sprintf("AllocatorKind(%d)", int(k))
 }
 
-// PrefetchKind selects the fault-address pattern detector.
-type PrefetchKind int
-
-const (
-	// PrefetchStride is the strict constant-stride detector the
-	// evaluated systems use ("record past fault-in virtual addresses to
-	// detect sequential patterns", §6.2).
-	PrefetchStride PrefetchKind = iota
-	// PrefetchMajority is the Leap-style majority-stride detector
-	// (extension; tolerant of interleaved fault streams).
-	PrefetchMajority
-)
-
-func (k PrefetchKind) String() string {
-	if k == PrefetchMajority {
-		return "majority"
-	}
-	return "stride"
-}
-
 // SwapKind selects the remote allocator (EP₃).
 type SwapKind int
 
@@ -130,10 +110,9 @@ type Config struct {
 	// paper's sweet spot is 4).
 	EvictorThreads int
 	// SyncEviction allows faulting threads to run eviction inline when no
-	// free frame is available. MAGE forbids this (P1).
+	// free frame is available. MAGE forbids this (P1). An inline batch is
+	// min(32, BatchSize) pages (syncBatch).
 	SyncEviction bool
-	// SyncBatch is the batch size used by inline (synchronous) eviction.
-	SyncBatch int
 	// Pipelined enables cross-batch pipelined eviction (P2, Fig 8).
 	Pipelined bool
 	// BatchSize is the eviction batch size in pages.
@@ -147,18 +126,16 @@ type Config struct {
 	Accounting       AccountingKind
 	HonorAccessedBit bool
 
-	// Allocator selects the local frame source; AllocBatch is the
-	// inter-layer transfer size.
-	Allocator  AllocatorKind
-	AllocBatch int
+	// Allocator selects the local frame source; its layers trade
+	// allocBatch frames at a time.
+	Allocator AllocatorKind
 
 	// Swap selects the remote allocator.
 	Swap SwapKind
 
-	// PTLock selects page-table synchronization; PTShards is the shard
-	// count for pgtable.LockSharded.
-	PTLock   pgtable.LockModel
-	PTShards int
+	// PTLock selects page-table synchronization; pgtable.LockSharded
+	// splits the table into ptShards shards.
+	PTLock pgtable.LockModel
 
 	// Stack selects the RDMA host stack.
 	Stack nic.StackKind
@@ -171,20 +148,9 @@ type Config struct {
 	// (rmap, cgroup accounting, swap-cache maintenance) per page.
 	LinuxMM bool
 
-	// Prefetch enables the prefetcher; PrefetchDegree caps its window
-	// and PrefetchPolicy selects the detector.
-	Prefetch       bool
-	PrefetchDegree int
-	PrefetchPolicy PrefetchKind
-
-	// FreeLowWater and FreeHighWater are fractions of LocalMemPages: the
-	// eviction path is triggered below low and runs until free frames
-	// reach high.
-	FreeLowWater  float64
-	FreeHighWater float64
-
-	// TLBEntries is the per-core TLB capacity.
-	TLBEntries int
+	// Prefetch enables each app thread's stride detector, whose window
+	// ramps up to prefetchDegree pages.
+	Prefetch bool
 
 	// Ideal selects the analytical zero-software-overhead baseline of
 	// §3.1: faults cost only data movement, eviction is free and instant.
@@ -195,12 +161,22 @@ type Config struct {
 	// reads and writeback writes can NACK, time out, spike, or run over
 	// a degraded link per the plan's seeded schedule. nil (the default)
 	// keeps the fault-free paths event-for-event identical to a build
-	// without fault injection.
+	// without fault injection. Failed ops are retried under the fixed
+	// policy of retry.go.
 	FaultPlan *faultinject.Plan
-	// Retry governs the fault-in/eviction retry layer; zero fields are
-	// defaulted by Validate when FaultPlan is enabled.
-	Retry RetryPolicy
 }
+
+// Sizes every preset shares: no experiment varies them.
+const (
+	// allocBatch is the frames one allocator layer moves to another.
+	allocBatch = 32
+	// ptShards is the shard count of pgtable.LockSharded.
+	ptShards = 64
+	// tlbEntries is the per-core TLB capacity.
+	tlbEntries = 1536
+	// prefetchDegree caps a stride detector's ramped window, in pages.
+	prefetchDegree = 16
+)
 
 // Validate checks internal consistency and fills defaulted fields.
 func (c *Config) Validate() error {
@@ -225,56 +201,29 @@ func (c *Config) Validate() error {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
 	}
-	if c.SyncBatch <= 0 {
-		c.SyncBatch = 32
-	}
 	if c.TLBBatch <= 0 {
 		c.TLBBatch = c.BatchSize
-	}
-	if c.AllocBatch <= 0 {
-		c.AllocBatch = 32
-	}
-	if c.PTShards <= 0 {
-		c.PTShards = 64
-	}
-	if c.PrefetchDegree <= 0 {
-		c.PrefetchDegree = 8
-	}
-	if c.FreeLowWater <= 0 {
-		c.FreeLowWater = 0.02
-	}
-	if c.FreeHighWater <= 0 {
-		c.FreeHighWater = 0.04
-	}
-	if c.FreeHighWater <= c.FreeLowWater {
-		return fmt.Errorf("core: high watermark %v <= low %v", c.FreeHighWater, c.FreeLowWater)
-	}
-	if c.TLBEntries <= 0 {
-		c.TLBEntries = 1536
 	}
 	// Clamp batch sizes for small configurations: an eviction batch must
 	// be a small fraction of local memory or the system degenerates into
 	// whole-working-set thrashing (only relevant for scaled-down tests;
 	// real configurations have LocalMemPages >> 8×BatchSize).
 	if maxBatch := c.LocalMemPages / 8; c.BatchSize > maxBatch {
-		c.BatchSize = maxInt(maxBatch, 1)
-	}
-	if c.SyncBatch > c.BatchSize {
-		c.SyncBatch = c.BatchSize
+		c.BatchSize = max(maxBatch, 1)
 	}
 	if c.TLBBatch > c.BatchSize {
 		c.TLBBatch = c.BatchSize
 	}
-	if c.FaultPlan.Enabled() {
-		c.Retry.fillDefaults()
-	}
 	return nil
 }
+
+// syncBatch is the batch size of inline (synchronous) eviction.
+func (c *Config) syncBatch() int { return min(32, c.BatchSize) }
 
 // lowWatermarkFrames returns the free-frame count below which eviction is
 // triggered: ~2% of local memory, like a real kernel's min watermark.
 func (c *Config) lowWatermarkFrames() int {
-	n := int(float64(c.LocalMemPages) * c.FreeLowWater)
+	n := int(float64(c.LocalMemPages) * 0.02)
 	if n < 32 {
 		n = 32
 	}
@@ -290,7 +239,7 @@ func (c *Config) lowWatermarkFrames() int {
 // highWatermarkFrames is the free-frame level eviction replenishes to
 // (~4-5% of local memory).
 func (c *Config) highWatermarkFrames() int {
-	n := int(float64(c.LocalMemPages) * c.FreeHighWater)
+	n := int(float64(c.LocalMemPages) * 0.04)
 	low := c.lowWatermarkFrames()
 	if m := low + 16; n < m {
 		n = m
@@ -401,7 +350,6 @@ func MageLnx(appThreads int, totalPages uint64, localPages int) Config {
 		Allocator:        AllocMultiLayer,
 		Swap:             SwapDirectMap,
 		PTLock:           pgtable.LockSharded,
-		PTShards:         64,
 		Stack:            nic.StackKernel,
 		Virtualized:      true,
 		LinuxMM:          false,

@@ -85,11 +85,12 @@ func TestValidateFillsDefaults(t *testing.T) {
 	if cfg.EvictorThreads != 4 {
 		t.Errorf("evictors = %d", cfg.EvictorThreads)
 	}
-	if cfg.BatchSize <= 0 || cfg.TLBBatch <= 0 || cfg.SyncBatch <= 0 {
-		t.Error("batch defaults missing")
+	if cfg.BatchSize <= 0 || cfg.TLBBatch <= 0 || cfg.syncBatch() != 32 {
+		t.Errorf("batch defaults: batch %d, TLB %d, sync %d", cfg.BatchSize, cfg.TLBBatch, cfg.syncBatch())
 	}
-	if cfg.FreeLowWater <= 0 || cfg.FreeHighWater <= cfg.FreeLowWater {
-		t.Error("watermark defaults wrong")
+	// 2% and 4% of 8,192 frames.
+	if low, high := cfg.lowWatermarkFrames(), cfg.highWatermarkFrames(); low != 163 || high != 327 {
+		t.Errorf("watermarks: low %d, high %d; want 163, 327", low, high)
 	}
 }
 
@@ -101,7 +102,7 @@ func TestValidateClampsBatchesToSmallMemory(t *testing.T) {
 	if cfg.BatchSize > 256/8 {
 		t.Errorf("BatchSize %d not clamped for 256-frame memory", cfg.BatchSize)
 	}
-	if cfg.TLBBatch > cfg.BatchSize || cfg.SyncBatch > cfg.BatchSize {
+	if cfg.TLBBatch > cfg.BatchSize || cfg.syncBatch() > cfg.BatchSize {
 		t.Error("TLB/sync batches exceed the eviction batch")
 	}
 }

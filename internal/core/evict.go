@@ -312,7 +312,7 @@ func (n *Node) postWriteback(p *sim.Proc, eb *ebatch) *nic.Completion {
 	}
 	eb.wbBytes = int64(pagesToWrite) * nic.PageSize
 	// TryPostWrite degenerates to PostWrite when no injector is attached.
-	return n.NIC.TryPostWrite(p, eb.wbBytes, n.Cfg.Retry.AttemptTimeout)
+	return n.NIC.TryPostWrite(p, eb.wbBytes, retryAttemptTimeout)
 }
 
 // reclaim is the final stage: retire the PTEs, record the remote slots,

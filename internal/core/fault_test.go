@@ -52,7 +52,6 @@ func TestPrefetchDropsUnderMemoryPressure(t *testing.T) {
 	cfg.CoresPerSocket = 8
 	cfg.EvictorThreads = 2
 	cfg.Prefetch = true
-	cfg.PrefetchDegree = 32
 	s := MustNewSystem(cfg)
 	streams := []AccessStream{
 		seqStream(0, 4096, 0),

@@ -65,7 +65,6 @@ func TestFaultedRunSurvivesOutage(t *testing.T) {
 		Seed:    faultinject.DeriveSeed(7, "core", "outage"),
 		Outages: faultinject.PeriodicOutages(2*sim.Millisecond, 4*sim.Millisecond, sim.Millisecond, 3),
 	})
-	cfg.Retry = RetryPolicy{MaxAttempts: 2, AttemptTimeout: 50 * sim.Microsecond}
 	s := MustNewSystem(cfg)
 	s.Prepopulate(int(cfg.TotalPages) / 2)
 	s.SpawnEvictors()
@@ -153,12 +152,12 @@ func TestDisabledPlanIsNil(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyBackoff: capped doubling.
+// TestRetryPolicyBackoff: capped doubling, 10 µs to 1 ms.
 func TestRetryPolicyBackoff(t *testing.T) {
-	pol := RetryPolicy{BaseBackoff: 10, MaxBackoff: 100}
-	want := []sim.Time{10, 20, 40, 80, 100, 100}
+	want := []sim.Time{10, 20, 40, 80, 160, 320, 640, 1000, 1000}
 	for i, w := range want {
-		if got := pol.backoff(i + 1); got != w {
+		w *= sim.Microsecond
+		if got := retryBackoff(i + 1); got != w {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}

@@ -166,13 +166,6 @@ func newNodeOn(eng *sim.Engine, cfg Config, specs []TenantSpec) (*Node, error) {
 	if len(specs) > 1 && cfg.Ideal {
 		return nil, fmt.Errorf("core: the Ideal analytical baseline is single-tenant only")
 	}
-	for _, sp := range specs {
-		if sp.FaultPlan.Enabled() {
-			cfg.Retry.fillDefaults()
-			break
-		}
-	}
-
 	costs := DefaultCostModel(cfg)
 	machine := topo.NewMachine(cfg.Sockets, cfg.CoresPerSocket)
 	// Per-core TLBs cache tenant-local page numbers, so two tenants on one
@@ -202,7 +195,7 @@ func newNodeOn(eng *sim.Engine, cfg Config, specs []TenantSpec) (*Node, error) {
 		n.FaultInj = inj
 		n.NIC.SetFaultInjector(inj)
 	}
-	n.Shooter = tlbsim.NewShooter(n.Fabric, machine, costs.TLB, cfg.TLBEntries)
+	n.Shooter = tlbsim.NewShooter(n.Fabric, machine, costs.TLB, tlbEntries)
 
 	var swapBase uint64
 	for i, sp := range specs {
@@ -215,7 +208,7 @@ func newNodeOn(eng *sim.Engine, cfg Config, specs []TenantSpec) (*Node, error) {
 			FaultBreak:   stats.NewBreakdown(),
 			RetryWait:    stats.NewHistogram(),
 		}
-		t.AS = pgtable.New(eng, sp.TotalPages, cfg.PTLock, cfg.PTShards, costs.PT)
+		t.AS = pgtable.New(eng, sp.TotalPages, cfg.PTLock, ptShards, costs.PT)
 		t.AS.Label = fmt.Sprintf("t%d", i)
 		t.AS.Map(0, sp.TotalPages, "wss")
 		if sp.FaultPlan.Enabled() {
@@ -233,9 +226,9 @@ func newNodeOn(eng *sim.Engine, cfg Config, specs []TenantSpec) (*Node, error) {
 	case AllocGlobalLock:
 		n.Alloc = palloc.NewGlobalLock(eng, cfg.LocalMemPages, costs.Alloc)
 	case AllocPerCPUCache:
-		n.Alloc = palloc.NewPerCPUCache(eng, machine, cfg.LocalMemPages, cfg.AllocBatch, costs.Alloc)
+		n.Alloc = palloc.NewPerCPUCache(eng, machine, cfg.LocalMemPages, allocBatch, costs.Alloc)
 	case AllocMultiLayer:
-		n.Alloc = palloc.NewMultiLayer(eng, machine, cfg.LocalMemPages, cfg.AllocBatch, costs.Alloc)
+		n.Alloc = palloc.NewMultiLayer(eng, machine, cfg.LocalMemPages, allocBatch, costs.Alloc)
 	default:
 		return nil, fmt.Errorf("core: unknown allocator kind %v", cfg.Allocator)
 	}

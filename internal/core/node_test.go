@@ -87,7 +87,6 @@ func TestTenantOutageIsolation(t *testing.T) {
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 8
 	cfg.EvictorThreads = 2
-	cfg.Retry = RetryPolicy{MaxAttempts: 2, AttemptTimeout: 50 * sim.Microsecond}
 	specs := tenantSpecs(nt, threads, pagesEach)
 	specs[0].FaultPlan = &faultinject.Plan{
 		Seed:    faultinject.DeriveSeed(7, "core", "tenant-outage"),

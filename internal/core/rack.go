@@ -26,9 +26,6 @@ type NodeSpec struct {
 type RackConfig struct {
 	// Nodes are the rack's nodes in index order.
 	Nodes []NodeSpec
-	// Link parameterizes every fabric link; the zero value takes
-	// nic.DefaultLinkCosts.
-	Link nic.LinkCosts
 	// Borrow enables cross-node eviction: victims are offered to the
 	// neighbour with the most spare frames before being written to swap.
 	Borrow bool
@@ -53,13 +50,10 @@ func NewRack(rc RackConfig) (*Rack, error) {
 	if len(rc.Nodes) == 0 {
 		return nil, fmt.Errorf("core: rack needs at least one node")
 	}
-	if rc.Link == (nic.LinkCosts{}) {
-		rc.Link = nic.DefaultLinkCosts()
-	}
 	eng := sim.NewEngine()
 	r := &Rack{
 		Eng:    eng,
-		Fab:    nic.NewFabric(eng, len(rc.Nodes), rc.Link),
+		Fab:    nic.NewFabric(eng, len(rc.Nodes), nic.DefaultLinkCosts()),
 		Borrow: rc.Borrow,
 	}
 	for i, spec := range rc.Nodes {
@@ -69,9 +63,6 @@ func NewRack(rc RackConfig) (*Rack, error) {
 		}
 		n.rack = r
 		n.rackIndex = i
-		// Borrow fetches ride the same retry ladder as remote reads, so
-		// the policy must be usable even without a fault plan.
-		n.Cfg.Retry.fillDefaults()
 		r.Nodes = append(r.Nodes, n)
 	}
 	for a := 0; a < len(rc.Nodes); a++ {
@@ -129,18 +120,7 @@ func (r *Rack) Run(streams [][][]AccessStream, opts RunOptions) [][]RunResult {
 	for i, n := range r.Nodes {
 		runs[i] = n.startTenants(streams[i], opts)
 	}
-	if opts.Deadline > 0 {
-		r.Eng.RunUntil(opts.Deadline)
-		for _, n := range r.Nodes {
-			if !n.stopped {
-				n.Stop()
-			}
-		}
-		r.Eng.Stop()
-		r.Eng.Shutdown()
-	} else {
-		r.Eng.Run()
-	}
+	r.Eng.Run()
 	out := make([][]RunResult, len(r.Nodes))
 	for i, run := range runs {
 		out[i] = run.finish()

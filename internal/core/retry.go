@@ -6,58 +6,40 @@ import (
 	"mage/internal/sim"
 )
 
-// RetryPolicy parameterizes the fault-in/eviction retry layer: per-op
-// timeouts with capped exponential backoff and deterministic jitter.
-// It only takes effect when a fault plan (node-wide Config.FaultPlan or a
-// per-tenant TenantSpec.FaultPlan) enables injection; without a plan
-// every remote op succeeds on the first attempt and the policy is never
-// consulted.
-type RetryPolicy struct {
-	// MaxAttempts is how many times one remote op is tried before the
-	// path declares the remote unreachable and drops into degraded mode.
-	MaxAttempts int
-	// AttemptTimeout is the per-attempt deadline: a timed-out op burns
-	// this much virtual time before the retry logic sees the failure.
-	AttemptTimeout sim.Time
-	// BaseBackoff doubles per consecutive failure up to MaxBackoff.
-	BaseBackoff sim.Time
-	MaxBackoff  sim.Time
-	// JitterFrac spreads each backoff by ±frac (deterministically, from
-	// the injector's seeded RNG) so concurrent retriers desynchronize.
-	JitterFrac float64
-}
+// The fault-in/eviction retry layer: per-op timeouts with capped
+// exponential backoff and deterministic jitter. It only takes effect when
+// a fault plan (node-wide Config.FaultPlan, a per-tenant
+// TenantSpec.FaultPlan or a rack's LinkPlans) enables injection; without
+// a plan every remote op succeeds on the first attempt and these are
+// never consulted.
+const (
+	// retryMaxAttempts is how many times one remote op is tried before
+	// the path declares the remote unreachable and drops into degraded
+	// mode.
+	retryMaxAttempts = 4
+	// retryAttemptTimeout is the per-attempt deadline: a timed-out op
+	// burns this much virtual time before the retry logic sees the
+	// failure.
+	retryAttemptTimeout = 100 * sim.Microsecond
+	// retryBaseBackoff doubles per consecutive failure up to
+	// retryMaxBackoff.
+	retryBaseBackoff = 10 * sim.Microsecond
+	retryMaxBackoff  = sim.Millisecond
+	// retryJitterFrac spreads each backoff by ±frac (deterministically,
+	// from the injector's seeded RNG) so concurrent retriers
+	// desynchronize.
+	retryJitterFrac = 0.25
+)
 
-// fillDefaults sets the paper-scale defaults for any zero field.
-func (r *RetryPolicy) fillDefaults() {
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = 4
-	}
-	if r.AttemptTimeout <= 0 {
-		r.AttemptTimeout = 100 * sim.Microsecond
-	}
-	if r.BaseBackoff <= 0 {
-		r.BaseBackoff = 10 * sim.Microsecond
-	}
-	if r.MaxBackoff <= 0 {
-		r.MaxBackoff = sim.Millisecond
-	}
-	if r.JitterFrac <= 0 {
-		r.JitterFrac = 0.25
-	}
-}
-
-// backoff returns the capped exponential delay after the attempt-th
+// retryBackoff returns the capped exponential delay after the attempt-th
 // consecutive failure (attempt ≥ 1).
-func (r *RetryPolicy) backoff(attempt int) sim.Time {
-	d := r.BaseBackoff
+func retryBackoff(attempt int) sim.Time {
+	d := retryBaseBackoff
 	for i := 1; i < attempt; i++ {
 		d *= 2
-		if d >= r.MaxBackoff {
-			return r.MaxBackoff
+		if d >= retryMaxBackoff {
+			return retryMaxBackoff
 		}
-	}
-	if d > r.MaxBackoff {
-		d = r.MaxBackoff
 	}
 	return d
 }
@@ -76,10 +58,9 @@ func (t *Tenant) remoteRead(p *sim.Proc, bytes int64) {
 		t.node.NIC.Read(p, bytes)
 		return
 	}
-	pol := &t.node.Cfg.Retry
 	attempt := 0
 	for {
-		_, res := t.node.NIC.TryReadWith(p, bytes, pol.AttemptTimeout, inj)
+		_, res := t.node.NIC.TryReadWith(p, bytes, retryAttemptTimeout, inj)
 		if res == nic.ReadOK {
 			return
 		}
@@ -87,14 +68,14 @@ func (t *Tenant) remoteRead(p *sim.Proc, bytes int64) {
 			t.FaultTimeouts.Inc()
 		}
 		attempt++
-		if attempt >= pol.MaxAttempts {
+		if attempt >= retryMaxAttempts {
 			t.FaultGiveUps.Inc()
 			t.degradedWait(p, inj)
 			attempt = 0
 			continue
 		}
 		t.FaultRetries.Inc()
-		d := inj.Jitter(pol.backoff(attempt), pol.JitterFrac)
+		d := inj.Jitter(retryBackoff(attempt), retryJitterFrac)
 		t0 := p.Now()
 		p.Sleep(d)
 		t.RetryWait.Record(int64(p.Now() - t0))
@@ -110,7 +91,7 @@ func (t *Tenant) degradedWait(p *sim.Proc, inj *faultinject.Injector) {
 	now := p.Now()
 	until := inj.NextRecovery(now)
 	if until <= now {
-		until = now + t.node.Cfg.Retry.MaxBackoff
+		until = now + retryMaxBackoff
 	}
 	t.Degraded.Enter(int64(now))
 	p.Sleep(until - now)
@@ -126,7 +107,7 @@ func (n *Node) evictorDegradedWait(p *sim.Proc) {
 	now := p.Now()
 	until := n.FaultInj.NextRecovery(now)
 	if until <= now {
-		until = now + n.Cfg.Retry.MaxBackoff
+		until = now + retryMaxBackoff
 	}
 	for _, t := range n.tenants {
 		t.Degraded.Enter(int64(now))
@@ -161,8 +142,8 @@ func (n *Node) awaitWriteback(p *sim.Proc, eb *ebatch) {
 			n.evictorDegradedWait(p)
 			attempt = 0
 		} else {
-			p.Sleep(n.FaultInj.Jitter(n.Cfg.Retry.backoff(attempt), n.Cfg.Retry.JitterFrac))
+			p.Sleep(n.FaultInj.Jitter(retryBackoff(attempt), retryJitterFrac))
 		}
-		c = n.NIC.TryPostWrite(p, eb.wbBytes, n.Cfg.Retry.AttemptTimeout)
+		c = n.NIC.TryPostWrite(p, eb.wbBytes, retryAttemptTimeout)
 	}
 }

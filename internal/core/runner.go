@@ -109,8 +109,6 @@ type RunOptions struct {
 	// SampleEvery enables throughput time-series sampling at this period
 	// (0 disables).
 	SampleEvery sim.Time
-	// Deadline aborts the run at this virtual time (0 = none).
-	Deadline sim.Time
 }
 
 // Run executes one AccessStream per application thread to completion and
@@ -119,7 +117,7 @@ func (s *System) Run(streams []AccessStream) RunResult {
 	return s.RunWithOptions(streams, RunOptions{})
 }
 
-// RunWithOptions is Run with sampling/deadline control. It is the
+// RunWithOptions is Run with sampling control. It is the
 // single-tenant slice of Node.RunTenants.
 func (s *System) RunWithOptions(streams []AccessStream, opts RunOptions) RunResult {
 	return s.Node.RunTenants([][]AccessStream{streams}, opts)[0]
@@ -136,19 +134,7 @@ func (s *System) RunWithOptions(streams []AccessStream, opts RunOptions) RunResu
 // names) exactly.
 func (n *Node) RunTenants(tenantStreams [][]AccessStream, opts RunOptions) []RunResult {
 	run := n.startTenants(tenantStreams, opts)
-	if opts.Deadline > 0 {
-		n.Eng.RunUntil(opts.Deadline)
-		if !n.stopped {
-			n.Stop()
-			n.Eng.Stop()
-		}
-		// Deadline-abandoned threads (and the samplers) are parked in the
-		// engine; release their goroutines so grid sweeps do not
-		// accumulate thousands of leaked parked procs.
-		n.Eng.Shutdown()
-	} else {
-		n.Eng.Run()
-	}
+	n.Eng.Run()
 	return run.finish()
 }
 

@@ -38,10 +38,3 @@ func MustNewSystem(cfg Config) *System {
 	}
 	return s
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

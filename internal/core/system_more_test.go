@@ -236,29 +236,6 @@ func TestInflightReturnsToZeroAfterRun(t *testing.T) {
 	}
 }
 
-func TestRunWithDeadlineStopsEarly(t *testing.T) {
-	cfg := MageLib(2, 4096, 2048)
-	cfg.Sockets = 1
-	cfg.CoresPerSocket = 4
-	s := MustNewSystem(cfg)
-	// Endless stream; only the deadline ends the run.
-	endless := func() AccessStream {
-		pg := uint64(0)
-		return FuncStream(func() (Access, bool) {
-			pg = (pg + 1) % 4096
-			return Access{Page: pg, Compute: 200}, true
-		})
-	}
-	res := s.RunWithOptions([]AccessStream{endless(), endless()},
-		RunOptions{Deadline: 2 * sim.Millisecond})
-	if !s.Stopped() {
-		t.Error("system not stopped after deadline")
-	}
-	if res.Metrics.MajorFaults == 0 {
-		t.Error("no progress before deadline")
-	}
-}
-
 func TestMinorFaultCounting(t *testing.T) {
 	cfg := DiLOS(8, 512, 4096)
 	cfg.Sockets = 1

@@ -70,7 +70,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{AppThreads: 0, TotalPages: 10, LocalMemPages: 5},
 		{AppThreads: 1, TotalPages: 0, LocalMemPages: 5},
 		{AppThreads: 1, TotalPages: 10, LocalMemPages: 0},
-		{AppThreads: 1, TotalPages: 10, LocalMemPages: 5, FreeLowWater: 0.5, FreeHighWater: 0.2},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -242,7 +241,6 @@ func TestPrefetchCutsFaultsOnSequentialScan(t *testing.T) {
 	run := func(pf bool) uint64 {
 		cfg := smallPreset(t, "magelib", 2)
 		cfg.Prefetch = pf
-		cfg.PrefetchDegree = 16
 		s := MustNewSystem(cfg)
 		streams := []AccessStream{
 			seqStream(0, 4000, 300),

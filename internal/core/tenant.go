@@ -315,7 +315,7 @@ func (t *Tenant) allocFrame(p *sim.Proc, tid int, core topo.CoreID) (buddy.Frame
 			// fallback MAGE forbids under P1). The batch draws victims from
 			// the shared accounting, so it may evict a co-tenant's pages.
 			t.SyncEvicts.Inc()
-			res := nd.evictOnce(p, tid%maxInt(nd.Cfg.EvictorThreads, 1), core, nd.effectiveBatch(nd.Cfg.SyncBatch), true)
+			res := nd.evictOnce(p, tid%max(nd.Cfg.EvictorThreads, 1), core, nd.effectiveBatch(nd.Cfg.syncBatch()), true)
 			tlbTime += res.tlbTime
 			if res.evicted == 0 {
 				// Nothing reclaimable this instant; let evictors run.
@@ -400,7 +400,7 @@ func (t *Tenant) prefetchAsync(core topo.CoreID, pages []uint64) {
 				// A prefetch is a bet, not an obligation: one attempt, and
 				// on any injected failure the prediction is dropped before
 				// its swap slot is touched.
-				if _, res := nd.NIC.TryReadWith(p, nic.PageSize, nd.Cfg.Retry.AttemptTimeout, inj); res != nic.ReadOK {
+				if _, res := nd.NIC.TryReadWith(p, nic.PageSize, retryAttemptTimeout, inj); res != nic.ReadOK {
 					t.AS.AbortFault(p, pg)
 					nd.Alloc.Free(p, core, f)
 					t.PrefetchDrop.Inc()
@@ -458,12 +458,7 @@ func (t *Tenant) NewThread(p *sim.Proc, tid int) *Thread {
 	nd := t.node
 	var det prefetch.Detector = prefetch.None{}
 	if nd.Cfg.Prefetch {
-		switch nd.Cfg.PrefetchPolicy {
-		case PrefetchMajority:
-			det = prefetch.NewMajority(7, nd.Cfg.PrefetchDegree, t.Spec.TotalPages)
-		default:
-			det = prefetch.NewStride(3, nd.Cfg.PrefetchDegree, t.Spec.TotalPages)
-		}
+		det = prefetch.NewStride(3, prefetchDegree, t.Spec.TotalPages)
 	}
 	return &Thread{
 		s:       t,

@@ -112,7 +112,6 @@ func Fig4(sc Scale) []*Table {
 	mutate := func(c *core.Config) {
 		if !c.Ideal {
 			c.Prefetch = true
-			c.PrefetchDegree = 16
 		}
 	}
 	return []*Table{offloadSweep("fig4",
@@ -153,7 +152,6 @@ func Fig10(sc Scale) []*Table {
 		c := cells[i]
 		mutate := func(cf *core.Config) {
 			cf.Prefetch = c.pf
-			cf.PrefetchDegree = 16
 		}
 		baseRes := runStreams(c.name, sc.Threads, w(), 0, sc.Seed, mutate)
 		res := runStreams(c.name, sc.Threads, w(), off, sc.Seed, mutate)

@@ -16,7 +16,7 @@ import (
 
 // Options tunes the client's robustness behavior: connection and per-op
 // deadlines, the reconnect/retry policy, and the pipelining window. It
-// mirrors the DES retry layer (core.RetryPolicy) in the real world.
+// mirrors the DES retry layer (internal/core/retry.go) in the real world.
 type Options struct {
 	// DialTimeout bounds each (re)connection attempt.
 	DialTimeout time.Duration

@@ -9,8 +9,6 @@
 // window up on repeated success like Linux readahead.
 package prefetch
 
-import "mage/internal/stats"
-
 // Detector proposes prefetch candidates from a fault-address stream.
 type Detector interface {
 	// OnFault records a major fault at page and returns pages to prefetch
@@ -24,88 +22,6 @@ type None struct{}
 // OnFault always returns nil.
 func (None) OnFault(uint64) []uint64 { return nil }
 
-// Majority is a Leap-style prefetcher (Maruf & Chowdhury, ATC'20, the
-// paper's [44]): instead of requiring a perfectly constant stride, it
-// takes the majority stride over a recent fault window, tolerating
-// interleaved noise — the behaviour that lets Leap prefetch through
-// multi-threaded fault streams.
-type Majority struct {
-	// Window is the fault-history length examined per decision.
-	Window int
-	// Degree is the number of pages proposed on a majority hit.
-	Degree int
-	// Limit is the exclusive upper bound of valid page numbers.
-	Limit uint64
-
-	hist []uint64
-
-	// Detections counts faults where a majority stride existed.
-	Detections stats.Counter
-	// Issued counts proposed prefetch pages.
-	Issued stats.Counter
-}
-
-// NewMajority returns a majority-stride detector.
-func NewMajority(window, degree int, limit uint64) *Majority {
-	if window < 3 {
-		window = 3
-	}
-	if degree < 1 {
-		degree = 1
-	}
-	return &Majority{Window: window, Degree: degree, Limit: limit}
-}
-
-// OnFault implements Detector using the Boyer-Moore majority vote over
-// the window's strides.
-func (m *Majority) OnFault(page uint64) []uint64 {
-	m.hist = append(m.hist, page)
-	if len(m.hist)-1 > m.Window {
-		m.hist = m.hist[1:]
-	}
-	if len(m.hist)-1 < m.Window {
-		return nil
-	}
-	// Boyer-Moore majority candidate over strides.
-	var cand int64
-	count := 0
-	for i := 1; i < len(m.hist); i++ {
-		d := int64(m.hist[i]) - int64(m.hist[i-1])
-		if count == 0 {
-			cand, count = d, 1
-		} else if d == cand {
-			count++
-		} else {
-			count--
-		}
-	}
-	if cand == 0 {
-		return nil
-	}
-	// Verify it is a true majority.
-	occur := 0
-	for i := 1; i < len(m.hist); i++ {
-		if int64(m.hist[i])-int64(m.hist[i-1]) == cand {
-			occur++
-		}
-	}
-	if occur*2 <= m.Window {
-		return nil
-	}
-	m.Detections.Inc()
-	var out []uint64
-	next := int64(page)
-	for i := 0; i < m.Degree; i++ {
-		next += cand
-		if next < 0 || uint64(next) >= m.Limit {
-			break
-		}
-		out = append(out, uint64(next))
-	}
-	m.Issued.Add(uint64(len(out)))
-	return out
-}
-
 // Stride detects constant-stride fault sequences.
 type Stride struct {
 	// MatchLen is how many consecutive equal strides trigger prefetch.
@@ -117,11 +33,6 @@ type Stride struct {
 
 	hist   []uint64
 	degree int
-
-	// Detections counts faults where a pattern was recognized.
-	Detections stats.Counter
-	// Issued counts proposed prefetch pages.
-	Issued stats.Counter
 }
 
 // NewStride returns a detector requiring matchLen consistent strides and
@@ -155,7 +66,6 @@ func (s *Stride) OnFault(page uint64) []uint64 {
 			return nil
 		}
 	}
-	s.Detections.Inc()
 	var out []uint64
 	next := int64(page)
 	for i := 0; i < s.degree; i++ {
@@ -172,6 +82,5 @@ func (s *Stride) OnFault(page uint64) []uint64 {
 			s.degree = s.MaxDegree
 		}
 	}
-	s.Issued.Add(uint64(len(out)))
 	return out
 }

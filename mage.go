@@ -54,7 +54,7 @@ type (
 	Metrics = core.Metrics
 	// RunResult is a completed workload execution.
 	RunResult = core.RunResult
-	// RunOptions tunes sampling and deadlines.
+	// RunOptions tunes sampling.
 	RunOptions = core.RunOptions
 	// Access is one page reference in an access stream.
 	Access = core.Access
