@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet magevet test magecheck fmt fmtcheck lint check bench bench-check shm-shared-cpu cover
+.PHONY: all build vet magevet test magecheck fmt fmtcheck lint check bench bench-check shm-shared-cpu cover reach
 
 all: check
 
@@ -29,6 +29,15 @@ magevet:
 
 test:
 	$(GO) test ./...
+
+# The reachability census: every main and bench/ built with inlining
+# off, their symbols read with go tool nm, and every function the root
+# module declares that none of them links held to the reasoned list in
+# cmd/magevet/testdata/unreached.txt. A new unlinked function fails it,
+# and so does a listed one that is linked or gone. It builds eleven
+# binaries, so it sits behind the reach tag, outside `go test ./...`.
+reach:
+	$(GO) test -tags reach -run '^TestReach$$' -count=1 -v ./cmd/magevet/
 
 # Runtime invariant checks compiled in via the magecheck build tag.
 magecheck:

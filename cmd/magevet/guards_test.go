@@ -95,6 +95,13 @@ var guards = []guard{
 		reason: "RunTenants and Rack.Run each have one run loop, Eng.Run: no deadline path",
 	},
 	{
+		name:   "no shard join or leave",
+		files:  rootGo,
+		line:   regexp.MustCompile(`\b(AddShard|RemoveShard|migOn|beginMigration|MovedKey)\b`),
+		count:  0,
+		reason: "a cluster's shard set is fixed at New: resync is the only page copy",
+	},
+	{
 		name:   "cluster.go starts two goroutines",
 		files:  is("internal/memcluster/cluster.go"),
 		line:   regexp.MustCompile(`^\s*go [a-zA-Z]`),
@@ -121,7 +128,7 @@ var guards = []guard{
 		name:    "DESIGN.md does not grow",
 		files:   is("DESIGN.md"),
 		line:    regexp.MustCompile(``),
-		count:   1893,
+		count:   1882,
 		ceiling: true,
 		reason:  "the prose only shrinks: lower the ceiling when it does, and cut before adding",
 	},
@@ -221,7 +228,7 @@ var guards = []guard{
 	},
 	{
 		name:    "memnode.IsTerminal is judged at three memcluster sites at most",
-		files:   is("internal/memcluster/cluster.go", "internal/memcluster/prober.go", "internal/memcluster/rebalance.go"),
+		files:   is("internal/memcluster/cluster.go", "internal/memcluster/prober.go"),
 		line:    regexp.MustCompile(`IsTerminal\(`),
 		count:   3,
 		ceiling: true,

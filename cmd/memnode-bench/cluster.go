@@ -134,7 +134,7 @@ func runCluster(cfg config, shards, replicas int, chaos bool, jsonOut bool) (rep
 	r.Chaos = chaos
 	r.Failovers = st.Failovers
 	r.Readmissions = st.Readmissions
-	r.RebalancedPages = st.RebalancedPages
+	r.ResyncedPages = st.ResyncedPages
 	r.DegradedWrites = st.DegradedWrites
 	if chaos && r.Errors > 0 {
 		return r, fmt.Errorf("chaos run had %d failed ops (want zero: failover must absorb the kill)", r.Errors)
@@ -183,7 +183,7 @@ func runChaos(cl *memcluster.Cluster, srvs [][]*memnode.Server, capMB int64, don
 	}
 	if !jsonOut {
 		fmt.Printf("chaos: replica %s re-admitted after resync (%d pages copied)\n",
-			addr, cl.Stats().RebalancedPages)
+			addr, cl.Stats().ResyncedPages)
 	}
 	return nil
 }

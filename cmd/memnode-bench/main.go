@@ -79,13 +79,13 @@ type report struct {
 
 	// Cluster-mode extras (-cluster N): topology and the robustness
 	// counters of the sharded client.
-	Shards          int    `json:"shards,omitempty"`
-	Replicas        int    `json:"replicas,omitempty"`
-	Chaos           bool   `json:"chaos,omitempty"`
-	Failovers       uint64 `json:"failovers,omitempty"`
-	Readmissions    uint64 `json:"readmissions,omitempty"`
-	RebalancedPages uint64 `json:"rebalanced_pages,omitempty"`
-	DegradedWrites  uint64 `json:"degraded_writes,omitempty"`
+	Shards         int    `json:"shards,omitempty"`
+	Replicas       int    `json:"replicas,omitempty"`
+	Chaos          bool   `json:"chaos,omitempty"`
+	Failovers      uint64 `json:"failovers,omitempty"`
+	Readmissions   uint64 `json:"readmissions,omitempty"`
+	ResyncedPages  uint64 `json:"resynced_pages,omitempty"`
+	DegradedWrites uint64 `json:"degraded_writes,omitempty"`
 }
 
 type config struct {
@@ -512,6 +512,6 @@ func printReport(r report) {
 	if r.Shards > 0 {
 		fmt.Printf("cluster:    %d shards x %d replicas (chaos=%v)\n", r.Shards, r.Replicas, r.Chaos)
 		fmt.Printf("resilience: %d failovers, %d readmissions, %d resynced pages, %d degraded writes\n",
-			r.Failovers, r.Readmissions, r.RebalancedPages, r.DegradedWrites)
+			r.Failovers, r.Readmissions, r.ResyncedPages, r.DegradedWrites)
 	}
 }

@@ -81,18 +81,12 @@ func NewFabric(eng *sim.Engine, machine *topo.Machine, costs Costs) *Fabric {
 	return f
 }
 
-// Costs returns the fabric's cost parameters.
-func (f *Fabric) Costs() Costs { return f.costs }
-
 // Completion is the handle for an asynchronous broadcast: it becomes done
 // when every target has acknowledged.
 type Completion struct {
 	pending int
 	q       *sim.WaitQueue
 }
-
-// Done reports whether all acks have arrived.
-func (c *Completion) Done() bool { return c.pending == 0 }
 
 // Wait blocks p until all acks have arrived.
 func (c *Completion) Wait(p *sim.Proc) {
@@ -166,9 +160,4 @@ func (f *Fabric) Broadcast(p *sim.Proc, from topo.CoreID, targets []topo.CoreID,
 	start := p.Now()
 	f.Post(p, from, targets, handlerCost).Wait(p)
 	return p.Now() - start
-}
-
-// InboxQueueLen returns the number of IPIs waiting at a core, for tests.
-func (f *Fabric) InboxQueueLen(c topo.CoreID) int {
-	return f.inbox[c].QueueLen()
 }

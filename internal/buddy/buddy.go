@@ -86,9 +86,6 @@ func (a *Allocator) pop(order int) (Frame, bool) {
 	return NilFrame, false
 }
 
-// NumFrames returns the total number of frames managed.
-func (a *Allocator) NumFrames() int { return a.numFrames }
-
 // FreeFrames returns the number of currently free frames.
 func (a *Allocator) FreeFrames() int { return a.freeCount }
 
@@ -168,10 +165,6 @@ func (a *Allocator) checkConservation() {
 		invariant.Check(a.checkInvariants())
 	}
 }
-
-// CheckInvariants validates block conservation, alignment, and
-// no-overlap across the free lists and allocated blocks.
-func (a *Allocator) CheckInvariants() error { return a.checkInvariants() }
 
 // FreePage frees a single frame previously returned by AllocPage.
 func (a *Allocator) FreePage(f Frame) { a.Free(f) }

@@ -163,14 +163,6 @@ func (t *Tenant) Snapshot(elapsed sim.Time) Metrics {
 	return m
 }
 
-// FaultMops returns major faults per second in millions over elapsed.
-func (m Metrics) FaultMops(elapsed sim.Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.MajorFaults) / elapsed.Seconds() / 1e6
-}
-
 func (m Metrics) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: faults=%d (minor %d, dedup %d) evicted=%d sync=%d",

@@ -281,10 +281,7 @@ func newNodeOn(eng *sim.Engine, cfg Config, specs []TenantSpec) (*Node, error) {
 // Tenants returns the node's tenants in id order.
 func (n *Node) Tenants() []*Tenant { return n.tenants }
 
-// Rack returns the rack this node belongs to, or nil for a standalone
-// node; RackIndex is its position in the rack.
-func (n *Node) Rack() *Rack      { return n.rack }
-func (n *Node) RackIndex() int   { return n.rackIndex }
+// HostedPages is how many pages of other nodes this node holds.
 func (n *Node) HostedPages() int { return n.hostedLive }
 
 // procName prefixes a proc name with the node's rack index so traces

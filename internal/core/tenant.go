@@ -78,9 +78,6 @@ type Tenant struct {
 	AccessOps     uint64 // total completed accesses (host counter)
 }
 
-// Node returns the node this tenant runs on.
-func (t *Tenant) Node() *Node { return t.node }
-
 // key encodes a tenant-local page number as a node-wide accounting key.
 func (t *Tenant) key(pg uint64) uint64 {
 	return uint64(t.ID)<<tenantPageBits | pg

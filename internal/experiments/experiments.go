@@ -213,15 +213,11 @@ func localPagesFor(total uint64, offload float64) int {
 // systemNames is the figure ordering of the compared systems.
 var systemNames = []string{"Ideal", "Hermit", "DiLOS", "MageLib", "MageLnx"}
 
-// buildSystem constructs a preset system for a workload at an offload
-// fraction, warm-started like the paper's runs (cold gap spread evenly).
-func buildSystem(name string, threads int, total uint64, offload float64, mutate func(*core.Config)) *core.System {
-	return buildSystemPrepop(name, threads, total, offload, mutate, true)
-}
-
-// buildSystemPrepop is buildSystem with explicit prepopulation mode:
-// spread=false keeps the front of the address space resident (for
-// phase-change workloads whose first phase lives there).
+// buildSystemPrepop constructs a preset system for a workload at an
+// offload fraction, warm-started like the paper's runs: spread=true
+// spreads the cold gap evenly, spread=false keeps the front of the
+// address space resident (for phase-change workloads whose first phase
+// lives there).
 func buildSystemPrepop(name string, threads int, total uint64, offload float64, mutate func(*core.Config), spread bool) *core.System {
 	s := buildSystemRaw(name, threads, total, offload, mutate)
 	if spread {

@@ -213,9 +213,6 @@ func sortedWindows(ws []Window, what string) []Window {
 	return out
 }
 
-// Plan returns the validated plan the injector runs.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // windowAt finds the window containing t in a sorted disjoint list.
 func windowAt(ws []Window, t sim.Time) (Window, bool) {
 	i := sort.Search(len(ws), func(i int) bool { return ws[i].End > t })

@@ -18,6 +18,10 @@
 //     answering, and re-admitting them — after a full resync — with
 //     exponential backoff between re-probes.
 //
+// The shard set is fixed at New: a shard is never added or removed, so
+// a page's owner never changes and only a replica's contents can go
+// stale.
+//
 // Consistency model: a page has one logical writer at a time (the
 // same contract the memnode pipeline documents), so replicas converge
 // per page. A replica that missed writes while down is never read
@@ -131,18 +135,11 @@ type shard struct {
 	resyncCount atomic.Int32
 }
 
-// topology is an immutable shard list; AddShard/RemoveShard swap in a
-// fresh one under the cluster's topology lock.
-type topology struct {
-	shards []*shard
-	ids    []uint64 // parallel to shards
-}
-
 // cregion is one cluster-level region: the caller's stable handle
 // maps to a per-replica handle on every node that has registered it.
 // The handle map is copy-on-write (writers serialize on the cluster's
-// regMu; readers load the snapshot lock-free) because resync and
-// shard joins add handles while the data path is live.
+// regMu; readers load the snapshot lock-free) because resync adds
+// handles while the data path is live.
 type cregion struct {
 	size    int64
 	handles atomic.Value // map[*replica]uint64
@@ -171,24 +168,19 @@ func (reg *cregion) setHandle(r *replica, h uint64) {
 type Cluster struct {
 	opts Options
 
-	// topoMu is the op/topology barrier: every public operation runs
-	// under RLock for its full duration, so a writer (topology swap,
-	// resync's final settle) that takes Lock knows no op is in flight.
+	// shards and their stable rendezvous IDs (parallel) are set by New
+	// and never change.
+	shards []*shard
+	ids    []uint64
+
+	// topoMu is the op barrier: every data-path operation runs under
+	// RLock for its full duration, so resync's final settle, which takes
+	// Lock, knows no op is in flight.
 	topoMu sync.RWMutex
-	topo   *topology
-	nextID uint64 // next stable shard ID
 
 	regMu   sync.Mutex
 	regions map[uint64]*cregion
 	nextReg uint64
-
-	// mig is the live rebalance, nil when none is running. Guarded by
-	// migMu (not topoMu: writes record moved-page dirt while holding
-	// only their RLock). migOn mirrors mig != nil so the write hot
-	// path can skip migMu when no rebalance runs.
-	migMu sync.Mutex
-	mig   *migration
-	migOn atomic.Bool
 
 	closed   chan struct{}
 	proberWG sync.WaitGroup
@@ -214,15 +206,12 @@ func New(shardAddrs [][]string, opts Options) (*Cluster, error) {
 		nextReg: 1,
 		closed:  make(chan struct{}),
 	}
-	topo := &topology{}
-	cl.nextID = 1
 	for si, addrs := range shardAddrs {
 		if len(addrs) == 0 {
-			cl.teardown(topo)
+			cl.teardown()
 			return nil, fmt.Errorf("memcluster: shard %d has no replicas", si)
 		}
-		sh := &shard{id: cl.nextID}
-		cl.nextID++
+		sh := &shard{id: uint64(si) + 1}
 		up := 0
 		for _, addr := range addrs {
 			r := &replica{addr: addr}
@@ -237,14 +226,13 @@ func New(shardAddrs [][]string, opts Options) (*Cluster, error) {
 			sh.replicas = append(sh.replicas, r)
 		}
 		if up == 0 {
-			cl.teardown(topo)
+			cl.teardown()
 			_ = closeShard(sh)
 			return nil, fmt.Errorf("memcluster: shard %d: no replica reachable", si)
 		}
-		topo.shards = append(topo.shards, sh)
-		topo.ids = append(topo.ids, sh.id)
+		cl.shards = append(cl.shards, sh)
+		cl.ids = append(cl.ids, sh.id)
 	}
-	cl.topo = topo
 	if !opts.DisableProber {
 		cl.proberWG.Add(1)
 		go cl.proberLoop() //magevet:ok real network client: one health-probe goroutine per cluster
@@ -262,8 +250,8 @@ func closeShard(sh *shard) error {
 	return err
 }
 
-func (cl *Cluster) teardown(topo *topology) {
-	for _, sh := range topo.shards {
+func (cl *Cluster) teardown() {
+	for _, sh := range cl.shards {
 		_ = closeShard(sh) // constructor failure path; the original error wins
 	}
 }
@@ -280,11 +268,11 @@ func (cl *Cluster) Close() error {
 	close(cl.closed)
 	cl.closeMu.Unlock()
 	cl.proberWG.Wait()
+	// Wait out the ops in flight, as resync's final settle does.
 	cl.topoMu.Lock()
-	topo := cl.topo
 	cl.topoMu.Unlock()
 	var err error
-	for _, sh := range topo.shards {
+	for _, sh := range cl.shards {
 		if cerr := closeShard(sh); err == nil {
 			err = cerr
 		}
@@ -322,10 +310,9 @@ func (cl *Cluster) Register(size int64) (uint64, error) {
 	}
 	cl.topoMu.RLock()
 	defer cl.topoMu.RUnlock()
-	topo := cl.topo
 	reg := &cregion{size: size}
 	var granted []rung
-	for si, sh := range topo.shards {
+	for si, sh := range cl.shards {
 		before := len(granted)
 		for _, g := range dialled(sh) {
 			if h, err := g.c.Register(size); err == nil {
@@ -536,17 +523,15 @@ func (cl *Cluster) startClimb(sh *shard, si int, rungs []rung, start func(rung, 
 // terminal error — a rung still in flight references the caller's
 // buffers, and a replica that did apply the write must be dirty-logged
 // before end runs. One ack is success; replicas that fail demote and
-// resync later. With log set the pages at (handle, offs) are then logged
-// dirty, which is what lets a settle pass run with all ops drained
-// guarantee no missed write; a migration copy passes false, or it would
-// re-mark the very pages it just moved and the settle would never
-// converge. end gets the verdict once, where the last rung ended.
+// resync later. The pages at (handle, offs) are then logged dirty, which
+// is what lets a settle pass run with all ops drained guarantee no
+// missed write. end gets the verdict once, where the last rung ended.
 //
 // The judge runs in a node client's hook and takes sh.mu (markDown,
-// logDirty) and migMu (logDirty), neither of which is held around a call
-// into a node client: ProbeNow drops sh.mu before Probe, and migrate and
-// the movers take neither around a copy. startClimb's hook relies on it.
-func (cl *Cluster) startReplicate(sh *shard, si int, rungs []rung, handle uint64, offs []int64, log bool, start func(rung, func(error)), end func(error)) {
+// logDirty), which is never held around a call into a node client:
+// ProbeNow drops it before Probe, and the mover takes it only to list a
+// copy's rungs. startClimb's hook relies on it.
+func (cl *Cluster) startReplicate(sh *shard, si int, rungs []rung, handle uint64, offs []int64, start func(rung, func(error)), end func(error)) {
 	report := gather(len(rungs), func(errs []error) {
 		acks := 0
 		var lastErr, termErr error
@@ -561,9 +546,7 @@ func (cl *Cluster) startReplicate(sh *shard, si int, rungs []rung, handle uint64
 				lastErr = err
 			}
 		}
-		if log {
-			cl.logDirty(sh, handle, offs)
-		}
+		cl.logDirty(sh, handle, offs)
 		switch {
 		case termErr != nil:
 			end(termErr)
@@ -603,36 +586,25 @@ func wait(start func(end func(error))) error {
 }
 
 // logDirty records a completed write's pages for every replica of the
-// shard that is mid-resync, and for a live rebalance the pages that
-// move shards under the pending topology. Each offset lies in the page
-// it names (route cut the request that way).
+// shard that is mid-resync. Each offset lies in the page it names (route
+// cut the request that way).
 func (cl *Cluster) logDirty(sh *shard, handle uint64, offs []int64) {
-	pb := cl.opts.PageBytes
-	if sh.resyncCount.Load() > 0 {
-		sh.mu.Lock()
-		for _, r := range sh.replicas {
-			if !r.resyncing {
-				continue
-			}
-			if r.dirty == nil {
-				r.dirty = make(map[uint64]struct{})
-			}
-			for _, off := range offs {
-				r.dirty[placement.Key(handle, uint64(off/pb))] = struct{}{}
-			}
-		}
-		sh.mu.Unlock()
+	if sh.resyncCount.Load() == 0 {
+		return
 	}
-	if cl.migOn.Load() {
-		cl.migMu.Lock()
-		if m := cl.mig; m != nil {
-			for _, off := range offs {
-				if _, moves := m.lane(handle, off/pb); moves {
-					m.dirty[placement.Key(handle, uint64(off/pb))] = struct{}{}
-				}
-			}
+	pb := cl.opts.PageBytes
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, r := range sh.replicas {
+		if !r.resyncing {
+			continue
 		}
-		cl.migMu.Unlock()
+		if r.dirty == nil {
+			r.dirty = make(map[uint64]struct{})
+		}
+		for _, off := range offs {
+			r.dirty[placement.Key(handle, uint64(off/pb))] = struct{}{}
+		}
 	}
 }
 
@@ -640,13 +612,6 @@ func (cl *Cluster) logDirty(sh *shard, handle uint64, offs []int64) {
 // tried fills the same buffers.
 func (cl *Cluster) readInto(sh *shard, si int, rungs []rung, offs []int64, bufs [][]byte) error {
 	return cl.climb(sh, si, rungs, nil, func(g rung) error { return g.c.ReadVInto(g.h, offs, bufs) })
-}
-
-// writeTo replicates one batch to every rung and waits for the verdict.
-func (cl *Cluster) writeTo(sh *shard, si int, rungs []rung, handle uint64, offs []int64, bufs [][]byte, log bool) error {
-	return wait(func(end func(error)) {
-		cl.startReplicate(sh, si, rungs, handle, offs, log, func(g rung, hook func(error)) { g.c.StartWriteV(g.h, offs, bufs, hook) }, end)
-	})
 }
 
 // part is the share of one request that one shard serves as one node
@@ -666,13 +631,13 @@ type part struct {
 // a node accepts. Parts of one shard keep the request's order. The parts
 // are appended to parts, which the caller has on its stack with room for
 // the common case's one.
-func (cl *Cluster) route(parts []part, topo *topology, reg *cregion, handle uint64, offsets []int64, bufs [][]byte) ([]part, error) {
+func (cl *Cluster) route(parts []part, reg *cregion, handle uint64, offsets []int64, bufs [][]byte) ([]part, error) {
 	if len(bufs) == 0 || len(bufs) != len(offsets) {
 		return nil, fmt.Errorf("memcluster: bad batch shape (%d offsets, %d buffers)", len(offsets), len(bufs))
 	}
 	pb := cl.opts.PageBytes
 	owner := func(off int64) int {
-		return placement.ShardOfIDs(placement.Key(handle, uint64(off/pb)), topo.ids)
+		return placement.ShardOfIDs(placement.Key(handle, uint64(off/pb)), cl.ids)
 	}
 	// Judge every descriptor before any is served, and notice the common
 	// case on the way: one shard owns the whole request as one legal op,
@@ -694,7 +659,7 @@ func (cl *Cluster) route(parts []part, topo *topology, reg *cregion, handle uint
 	if whole {
 		return append(parts, part{si: one, offs: offsets, bufs: bufs}), nil
 	}
-	open := make([]part, len(topo.shards)) // the part each shard is still filling
+	open := make([]part, len(cl.shards)) // the part each shard is still filling
 	for i, off := range offsets {
 		for buf := bufs[i]; len(buf) > 0; {
 			n := min(int64(len(buf)), pb-off%pb, memnode.MaxIO)
@@ -721,8 +686,8 @@ func (cl *Cluster) route(parts []part, topo *topology, reg *cregion, handle uint
 }
 
 // fan routes one request and starts every part with start, which calls
-// the part's end once the part is over. The topology read lock is held,
-// and the buffers lent, until the last part has ended; done then gets the
+// the part's end once the part is over. The op barrier's read lock is
+// held, and the buffers lent, until the last part has ended; done then gets the
 // first failing part's error in route order, where that part ended, and
 // is held to memnode's rules for a hook.
 func (cl *Cluster) fan(handle uint64, offsets []int64, bufs [][]byte, start func(reg *cregion, sh *shard, p part, end func(error)), done func(error)) {
@@ -732,8 +697,7 @@ func (cl *Cluster) fan(handle uint64, offsets []int64, bufs [][]byte, start func
 		return
 	}
 	cl.topoMu.RLock()
-	topo := cl.topo
-	parts, err := cl.route(nil, topo, reg, handle, offsets, bufs)
+	parts, err := cl.route(nil, reg, handle, offsets, bufs)
 	if err != nil {
 		cl.topoMu.RUnlock()
 		done(err)
@@ -744,7 +708,7 @@ func (cl *Cluster) fan(handle uint64, offsets []int64, bufs [][]byte, start func
 		done(cmp.Or(errs...))
 	})
 	for i, p := range parts {
-		start(reg, topo.shards[p.si], p, func(err error) { report(i, err) })
+		start(reg, cl.shards[p.si], p, func(err error) { report(i, err) })
 	}
 }
 
@@ -774,10 +738,9 @@ func (cl *Cluster) Read(handle uint64, offset, length int64) ([]byte, error) {
 	// too.)
 	cl.topoMu.RLock()
 	defer cl.topoMu.RUnlock()
-	topo := cl.topo
 	key := placement.Key(handle, uint64(offset/pb))
-	si := placement.ShardOfIDs(key, topo.ids)
-	sh := topo.shards[si]
+	si := placement.ShardOfIDs(key, cl.ids)
+	sh := cl.shards[si]
 	var body []byte
 	var buf [ladderRungs]rung
 	err = cl.climb(sh, si, cl.ladder(buf[:0], sh, reg, key), nil, func(g rung) (err error) {
@@ -795,7 +758,7 @@ func (cl *Cluster) Write(handle uint64, offset int64, data []byte) error {
 
 // ReadVInto reads len(offsets) pages, page i of len(dst[i]) bytes at
 // offsets[i] into dst[i], one batched READV per part route cuts the
-// request into, under the topology read lock. The buffers are the
+// request into, under the op barrier's read lock. The buffers are the
 // caller's; every replica a shard's ladder tries fills the same ones.
 func (cl *Cluster) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
 	reg, err := cl.region(handle)
@@ -804,11 +767,10 @@ func (cl *Cluster) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error
 	}
 	cl.topoMu.RLock()
 	defer cl.topoMu.RUnlock()
-	topo := cl.topo
 	var one [1]part
-	parts, err := cl.route(one[:0], topo, reg, handle, offsets, dst)
+	parts, err := cl.route(one[:0], reg, handle, offsets, dst)
 	for _, p := range parts {
-		sh := topo.shards[p.si]
+		sh := cl.shards[p.si]
 		key := placement.Key(handle, uint64(p.offs[0]/cl.opts.PageBytes))
 		var buf [ladderRungs]rung
 		if err := cl.readInto(sh, p.si, cl.ladder(buf[:0], sh, reg, key), p.offs, p.bufs); err != nil {
@@ -822,7 +784,7 @@ func (cl *Cluster) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error
 // request into starts its ladder's first rung with that node's
 // StartReadVInto, and done is called once, after the last part has
 // ended, with the error ReadVInto would have returned. The buffers are
-// lent, and the topology barrier held, until then. done runs where the
+// lent, and the op barrier held, until then. done runs where the
 // last part ended, and is held to memnode's rules for a hook.
 func (cl *Cluster) StartReadVInto(handle uint64, offsets []int64, dst [][]byte, done func(error)) {
 	cl.fan(handle, offsets, dst, func(reg *cregion, sh *shard, p part, end func(error)) {
@@ -841,7 +803,7 @@ func (cl *Cluster) StartReadVInto(handle uint64, offsets []int64, dst [][]byte, 
 func (cl *Cluster) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
 	return wait(func(done func(error)) {
 		cl.fan(handle, offsets, pages, func(reg *cregion, sh *shard, p part, end func(error)) {
-			cl.startReplicate(sh, p.si, holders(sh, reg, nil), handle, p.offs, true,
+			cl.startReplicate(sh, p.si, holders(sh, reg, nil), handle, p.offs,
 				func(g rung, hook func(error)) { g.c.StartWriteV(g.h, p.offs, p.bufs, hook) }, end)
 		}, done)
 	})

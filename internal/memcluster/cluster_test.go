@@ -270,7 +270,7 @@ func TestClusterChaosKillReplicaMidSweep(t *testing.T) {
 	if st.Failovers == 0 {
 		t.Fatal("expected data-path failovers during the outage")
 	}
-	if st.Readmissions == 0 || st.RebalancedPages == 0 {
+	if st.Readmissions == 0 || st.ResyncedPages == 0 {
 		t.Fatalf("resync left no trace: %+v", st)
 	}
 }
@@ -438,106 +438,6 @@ func TestClusterStartsWithDeadReplica(t *testing.T) {
 	if _, err := memcluster.New([][]string{{deadAddr}}, testOpts()); err == nil {
 		t.Fatal("cluster with an all-dead shard should not start")
 	}
-}
-
-// TestClusterRebalance grows a 2-shard cluster by one shard under a
-// live writer, then shrinks it back, verifying the data survives both
-// migrations byte-for-byte and that the join moved a bounded slice of
-// pages rather than reshuffling everything.
-func TestClusterRebalance(t *testing.T) {
-	_, addrs := startServers(t, 2, 1)
-	cl, err := memcluster.New(addrs, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	h, err := cl.Register(testPages * testPage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeAll(t, cl, h, 3)
-
-	// A live writer keeps mutating a few pages during the join so the
-	// migration dirty log and settle pass see real traffic.
-	stop := make(chan struct{})
-	var writerErr error
-	var writerWG sync.WaitGroup
-	final := make([]byte, 0)
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		v := byte(10)
-		for {
-			select {
-			case <-stop:
-				final = pageBody(0, v)
-				return
-			default:
-			}
-			v++
-			if err := cl.Write(h, 0, pageBody(0, v)); err != nil {
-				writerErr = err
-				final = pageBody(0, v)
-				return
-			}
-		}
-	}()
-
-	joinSrv, err := memnode.NewServer("127.0.0.1:0", 64<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer joinSrv.Close()
-	if err := cl.AddShard([]string{joinSrv.Addr()}); err != nil {
-		t.Fatalf("AddShard: %v", err)
-	}
-	close(stop)
-	writerWG.Wait()
-	if writerErr != nil {
-		t.Fatalf("writer failed during join: %v", writerErr)
-	}
-
-	st := cl.Stats()
-	if st.Shards != 3 {
-		t.Fatalf("shards = %d after join, want 3", st.Shards)
-	}
-	moved := st.RebalancedPages
-	if moved == 0 {
-		t.Fatal("join moved no pages")
-	}
-	if moved > uint64(testPages)*3/4 {
-		t.Fatalf("join moved %d of %d pages — migration not bounded", moved, testPages)
-	}
-	// Page 0 must read back as the writer's final version, wherever it
-	// landed; every other page is still version 3.
-	got, err := cl.Read(h, 0, testPage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, final) {
-		t.Fatal("page 0 lost its last pre-join write")
-	}
-	memnode.PutBuf(got)
-	for p := int64(1); p < testPages; p++ {
-		got, err := cl.Read(h, p*testPage, testPage)
-		if err != nil {
-			t.Fatalf("read page %d after join: %v", p, err)
-		}
-		if !bytes.Equal(got, pageBody(p, 3)) {
-			t.Fatalf("page %d corrupt after join", p)
-		}
-		memnode.PutBuf(got)
-	}
-
-	// Shrink back out: the joined shard's pages migrate home.
-	writeAll(t, cl, h, 4)
-	if err := cl.RemoveShard(2); err != nil {
-		t.Fatalf("RemoveShard: %v", err)
-	}
-	if got := cl.Stats().Shards; got != 2 {
-		t.Fatalf("shards = %d after leave, want 2", got)
-	}
-	checkAll(t, cl, h, 4)
 }
 
 // TestClusterCloseReleasesGoroutines guards the prober and per-node

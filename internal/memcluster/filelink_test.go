@@ -58,7 +58,7 @@ func TestFileLinkReplicaChaos(t *testing.T) {
 	}
 	defer cl.Close()
 	kinds := func() []string {
-		sh := cl.topo.shards[0]
+		sh := cl.shards[0]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		var ks []string
@@ -140,7 +140,7 @@ func TestFileLinkReplicaChaos(t *testing.T) {
 	if ks := kinds(); ks[0] != "shm" {
 		t.Errorf("the re-admitted replica's link is %q, want shm", ks[0])
 	}
-	if st := cl.Stats(); st.Failovers == 0 || st.Readmissions == 0 || st.RebalancedPages == 0 {
-		t.Errorf("failovers %d, readmissions %d, resynced pages %d: want all three", st.Failovers, st.Readmissions, st.RebalancedPages)
+	if st := cl.Stats(); st.Failovers == 0 || st.Readmissions == 0 || st.ResyncedPages == 0 {
+		t.Errorf("failovers %d, readmissions %d, resynced pages %d: want all three", st.Failovers, st.Readmissions, st.ResyncedPages)
 	}
 }

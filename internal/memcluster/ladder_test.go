@@ -41,9 +41,11 @@ func bareShard(healthy []bool, held []int) (*shard, *cregion) {
 // TestClimbReplicateTable drives the two loops, and the climb whose
 // first rung is started, with scripted results per rung: which rungs are
 // asked, who is demoted, what is counted, what comes back and what
-// reaches the dirty logs. A started climb must do on every row what
+// reaches the dirty log. A started climb must do on every row what
 // climb does; the write loop starts every rung before any has ended, and
-// ends once, after the last.
+// ends once, after the last. The write loop runs with a resync's dirty
+// log open (log=true) and with none (log=false): it logs a write's pages
+// only while a replica of the shard resyncs.
 func TestClimbReplicateTable(t *testing.T) {
 	boom := errors.New("connection reset")
 	// A refusal from the client's own checks is the one terminal error
@@ -90,16 +92,14 @@ func TestClimbReplicateTable(t *testing.T) {
 	t.Run("write/two parts, the first failing", twoPartWriteRow)
 	for _, row := range rows {
 		// setup builds a fresh cluster for one run: replicas 0 and 1 healthy,
-		// replica 2 down with its resync log open, and a leave under way that
-		// moves every page (IDs {1} -> {2}: same index, different owner).
-		setup := func() (*Cluster, *shard, *cregion) {
+		// replica 2 down, with its resync log open if resyncing is set.
+		setup := func(resyncing bool) (*Cluster, *shard, *cregion) {
 			cl := bareCluster()
 			sh, reg := bareShard([]bool{true, true, false}, row.held)
-			sh.replicas[2].resyncing = true
-			sh.replicas[2].dirty = make(map[uint64]struct{})
-			sh.resyncCount.Store(1)
-			if _, err := cl.beginMigration([]uint64{1}, []uint64{2}); err != nil {
-				t.Fatal(err)
+			if resyncing {
+				sh.replicas[2].resyncing = true
+				sh.replicas[2].dirty = make(map[uint64]struct{})
+				sh.resyncCount.Store(1)
 			}
 			return cl, sh, reg
 		}
@@ -142,7 +142,7 @@ func TestClimbReplicateTable(t *testing.T) {
 		}
 
 		t.Run("climb/"+row.name, func(t *testing.T) {
-			cl, sh, reg := setup()
+			cl, sh, reg := setup(true)
 			var rungs []rung
 			if !row.bare {
 				rungs = cl.ladder(nil, sh, reg, pages[0])
@@ -153,12 +153,12 @@ func TestClimbReplicateTable(t *testing.T) {
 				return row.script[len(asked)-1]
 			})
 			check(t, cl, sh, rungs, asked, err, row.climb)
-			if n := len(sh.replicas[2].dirty) + len(cl.mig.dirty); n != 0 {
+			if n := len(sh.replicas[2].dirty); n != 0 {
 				t.Errorf("a read logged %d dirty pages", n)
 			}
 		})
 		t.Run("started/"+row.name, func(t *testing.T) {
-			cl, sh, reg := setup()
+			cl, sh, reg := setup(true)
 			var rungs []rung
 			if !row.bare {
 				rungs = cl.ladder(nil, sh, reg, pages[0])
@@ -181,13 +181,13 @@ func TestClimbReplicateTable(t *testing.T) {
 			if n := ends.Load(); n != 1 {
 				t.Errorf("end ran %d times", n)
 			}
-			if n := len(sh.replicas[2].dirty) + len(cl.mig.dirty); n != 0 {
+			if n := len(sh.replicas[2].dirty); n != 0 {
 				t.Errorf("a read logged %d dirty pages", n)
 			}
 		})
 		for _, log := range []bool{true, false} {
 			t.Run(fmt.Sprintf("replicate/log=%v/%s", log, row.name), func(t *testing.T) {
-				cl, sh, reg := setup()
+				cl, sh, reg := setup(log)
 				var rungs []rung
 				if !row.bare {
 					rungs = holders(sh, reg, nil)
@@ -201,7 +201,7 @@ func TestClimbReplicateTable(t *testing.T) {
 				started.Add(len(rungs))
 				var entered, ends atomic.Int32
 				ended := make(chan error, 2)
-				cl.startReplicate(sh, 4, rungs, handle, offs, log, func(g rung, hook func(error)) {
+				cl.startReplicate(sh, 4, rungs, handle, offs, func(g rung, hook func(error)) {
 					i := indexOf(rungs, g.r)
 					askedAt[i].Store(true)
 					started.Done()
@@ -240,14 +240,13 @@ func TestClimbReplicateTable(t *testing.T) {
 				if log {
 					want = pages // on every row: the terminal ones and the failed ones too
 				}
-				for name, got := range map[string]map[uint64]struct{}{"resync": sh.replicas[2].dirty, "migration": cl.mig.dirty} {
-					if len(got) != len(want) {
-						t.Errorf("%s log holds %d pages, want %d", name, len(got), len(want))
-					}
-					for _, k := range want {
-						if _, ok := got[k]; !ok {
-							t.Errorf("%s log misses page key %#x", name, k)
-						}
+				got := sh.replicas[2].dirty
+				if len(got) != len(want) {
+					t.Errorf("resync log holds %d pages, want %d", len(got), len(want))
+				}
+				for _, k := range want {
+					if _, ok := got[k]; !ok {
+						t.Errorf("resync log misses page key %#x", k)
 					}
 				}
 			})
@@ -265,8 +264,8 @@ func twoPartWriteRow(t *testing.T) {
 	cl := bareCluster()
 	reg := &cregion{size: 1 << 20}
 	handles := make(map[*replica]uint64)
-	topo := &topology{ids: []uint64{1, 2}}
-	for _, id := range topo.ids {
+	cl.ids = []uint64{1, 2}
+	for _, id := range cl.ids {
 		sh, r := bareShard([]bool{true, true, false}, []int{0, 1, 2})
 		sh.id = id
 		sh.replicas[2].resyncing = true
@@ -275,17 +274,17 @@ func twoPartWriteRow(t *testing.T) {
 		for rep, h := range r.handles.Load().(map[*replica]uint64) {
 			handles[rep] = h
 		}
-		topo.shards = append(topo.shards, sh)
+		cl.shards = append(cl.shards, sh)
 	}
 	reg.handles.Store(handles)
-	cl.topo, cl.regions[handle] = topo, reg
+	cl.regions[handle] = reg
 
 	offs, bufs := make([]int64, 32), make([][]byte, 32)
 	owned := make([][]uint64, 2) // each shard's page keys
 	for p := range offs {
 		offs[p], bufs[p] = int64(p)*4096, make([]byte, 4096)
 		key := placement.Key(handle, uint64(p))
-		si := placement.ShardOfIDs(key, topo.ids)
+		si := placement.ShardOfIDs(key, cl.ids)
 		owned[si] = append(owned[si], key)
 	}
 	if len(owned[0]) == 0 || len(owned[1]) == 0 {
@@ -294,7 +293,7 @@ func twoPartWriteRow(t *testing.T) {
 	var sent [2]atomic.Int32
 	err := wait(func(done func(error)) {
 		cl.fan(handle, offs, bufs, func(reg *cregion, sh *shard, p part, end func(error)) {
-			cl.startReplicate(sh, p.si, holders(sh, reg, nil), handle, p.offs, true, func(g rung, hook func(error)) {
+			cl.startReplicate(sh, p.si, holders(sh, reg, nil), handle, p.offs, func(g rung, hook func(error)) {
 				sent[p.si].Add(1)
 				if p.si == 0 {
 					go hook(boom)
@@ -311,7 +310,7 @@ func twoPartWriteRow(t *testing.T) {
 		t.Errorf("sent %d and %d WRITEVs to the shards' two healthy replicas each", a, b)
 	}
 	for si, keys := range owned {
-		dirty := topo.shards[si].replicas[2].dirty
+		dirty := cl.shards[si].replicas[2].dirty
 		if len(dirty) != len(keys) {
 			t.Errorf("shard %d: resync log holds %d pages, want %d", si, len(dirty), len(keys))
 		}
@@ -427,11 +426,11 @@ func TestRouteParts(t *testing.T) {
 	cl := bareCluster()
 	cl.opts.PageBytes = 1 << 16
 	pb := cl.opts.PageBytes
-	topo := &topology{shards: []*shard{{id: 1}, {id: 2}, {id: 3}}, ids: []uint64{1, 2, 3}}
+	cl.shards, cl.ids = []*shard{{id: 1}, {id: 2}, {id: 3}}, []uint64{1, 2, 3}
 	reg := &cregion{size: 4096 * pb}
 	const handle = 3
 	owner := func(off int64) int {
-		return placement.ShardOfIDs(placement.Key(handle, uint64(off/pb)), topo.ids)
+		return placement.ShardOfIDs(placement.Key(handle, uint64(off/pb)), cl.ids)
 	}
 	mark := func(off int64) byte { return byte(uint64(off) * 0x9e3779b97f4a7c15 >> 56) }
 
@@ -460,7 +459,7 @@ func TestRouteParts(t *testing.T) {
 	}
 	for name, build := range requests {
 		offsets, bufs := build()
-		parts, err := cl.route(nil, topo, reg, handle, offsets, bufs)
+		parts, err := cl.route(nil, reg, handle, offsets, bufs)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -505,7 +504,7 @@ func TestRouteParts(t *testing.T) {
 	for i := range offsets {
 		offsets[i], bufs[i] = 9*pb, []byte{byte(i), byte(i >> 8)}
 	}
-	parts, err := cl.route(nil, topo, reg, handle, offsets, bufs)
+	parts, err := cl.route(nil, reg, handle, offsets, bufs)
 	if err != nil || len(parts) != 3 {
 		t.Fatalf("3000 writes to one page: %d parts, err=%v", len(parts), err)
 	}
@@ -531,7 +530,7 @@ func TestRouteParts(t *testing.T) {
 	}
 	for name, build := range refused {
 		offsets, bufs := build()
-		if parts, err := cl.route(nil, topo, reg, handle, offsets, bufs); err == nil || parts != nil {
+		if parts, err := cl.route(nil, reg, handle, offsets, bufs); err == nil || parts != nil {
 			t.Errorf("%s: routed into %d parts", name, len(parts))
 		} else if memnode.IsTerminal(err) {
 			t.Errorf("%s: %v claims to come from a node", name, err)

@@ -8,8 +8,8 @@
 // host-runtime code into deterministic experiments: every function is
 // a pure map from its arguments to its result. Determinism is part of
 // the contract — the same key against the same topology must place
-// identically across runs, processes, and worker counts, because
-// rebalancing cost and the DES↔real-cluster parity both hinge on it.
+// identically across runs, processes, and worker counts, because the
+// DES↔real-cluster parity hinges on it.
 //
 // All inputs are treated as hostile: shard/replica counts of zero or
 // less, and selection weights that are zero, negative, or absurdly
@@ -51,7 +51,7 @@ const shardSalt = 0x9e3779b97f4a7c15 // 2^64 / golden ratio
 // ShardOf maps key onto one of n shards by rendezvous hashing: the
 // shard whose (key, shard) score is highest wins. Adding or removing
 // one shard therefore moves only the keys whose winner changed —
-// about 1/(n+1) of them — which is what bounds rebalancing migration.
+// about 1/(n+1) of them.
 // Equivalent to ShardOfIDs over the canonical ID sequence 1..n.
 // n <= 0 returns -1; n == 1 returns 0 without hashing.
 func ShardOf(key uint64, n int) int {
@@ -88,12 +88,6 @@ func ShardOfIDs(key uint64, ids []uint64) int {
 		}
 	}
 	return best
-}
-
-// MovedKey reports whether key changes owner when the shard count goes
-// from oldN to newN — the predicate a bounded rebalance iterates.
-func MovedKey(key uint64, oldN, newN int) bool {
-	return ShardOf(key, oldN) != ShardOf(key, newN)
 }
 
 // maxWeight caps a replica's selection weight. STATS reports are wire

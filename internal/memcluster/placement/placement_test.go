@@ -51,16 +51,15 @@ func TestShardOfBalance(t *testing.T) {
 	}
 }
 
-// TestShardOfBoundedMigration is the rendezvous property rebalancing
-// relies on: growing N shards to N+1 moves only the keys the new shard
-// wins — about 1/(N+1) of them — and every moved key lands on the new
-// shard.
+// TestShardOfBoundedMigration is the rendezvous property: growing N
+// shards to N+1 moves only the keys the new shard wins — about 1/(N+1)
+// of them — and every moved key lands on the new shard.
 func TestShardOfBoundedMigration(t *testing.T) {
 	const oldN, keys = 4, 50000
 	moved := 0
 	for i := 0; i < keys; i++ {
 		key := Key(2, uint64(i))
-		if MovedKey(key, oldN, oldN+1) {
+		if ShardOf(key, oldN) != ShardOf(key, oldN+1) {
 			moved++
 			if got := ShardOf(key, oldN+1); got != oldN {
 				t.Fatalf("key %#x moved to shard %d, not the new shard", key, got)
@@ -127,7 +126,7 @@ func TestSelectReplicaFailoverRedraw(t *testing.T) {
 // The golden value pins byte-identical behavior across runs, processes,
 // and refactors: any change to the hash, the clamping, or the score
 // arithmetic shows up as a digest change that must be deliberate
-// (rebalancing every deployed key is the cost of changing it).
+// (re-placing every deployed key is the cost of changing it).
 func placementDigest() string {
 	h := sha256.New()
 	var b [8]byte
@@ -176,8 +175,8 @@ func TestPlacementByteIdenticalAcrossWorkers(t *testing.T) {
 
 // TestShardOfIDsCanonicalEquivalence pins the documented contract that
 // ShardOfIDs over the canonical identities 1..n places every key
-// exactly where ShardOf(key, n) does — the property rebalancing relies
-// on when it diffs old and new topologies by stable ID.
+// exactly where ShardOf(key, n) does, so a cluster whose shards are
+// IDs 1..n places as ShardOf says.
 func TestShardOfIDsCanonicalEquivalence(t *testing.T) {
 	for n := 1; n <= 9; n++ {
 		ids := make([]uint64, n)

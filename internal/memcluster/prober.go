@@ -11,7 +11,7 @@
 //
 // Resync correctness leans on two mechanisms: the write path logs the
 // key of every completed write to a resyncing shard (the dirty log),
-// and the final settle pass runs under the cluster's topology write
+// and the final settle pass runs under the cluster's op barrier's write
 // lock, which drains all in-flight ops. Every write therefore either
 // lands before the bulk copy reads the page, or is in the dirty log
 // when the final pass copies it — a missed write is impossible. That
@@ -21,6 +21,8 @@
 // target if its own Register attempt missed it), never against the
 // bulk copy's snapshot. Unwritten pages of such regions are zero on
 // every replica, so the dirty set is exactly what needs copying.
+//
+// Every page a resync copies goes through one mover.
 package memcluster
 
 import (
@@ -55,15 +57,12 @@ func (cl *Cluster) ProbeNow() {
 	if cl.checkClosed() != nil {
 		return
 	}
-	cl.topoMu.RLock()
-	topo := cl.topo
-	cl.topoMu.RUnlock()
 	type cand struct {
-		sh *shard
+		si int
 		r  *replica
 	}
 	var readmits []cand
-	for _, sh := range topo.shards {
+	for si, sh := range cl.shards {
 		sh.mu.Lock()
 		reps := append([]*replica(nil), sh.replicas...)
 		sh.mu.Unlock()
@@ -115,14 +114,14 @@ func (cl *Cluster) ProbeNow() {
 				cl.bumpProbeBackoff(sh, r)
 				continue
 			}
-			readmits = append(readmits, cand{sh, r})
+			readmits = append(readmits, cand{si, r})
 		}
 	}
 	// Resyncs run after the sweep, outside any probe bookkeeping: each
-	// takes the topology write lock for its final settle.
+	// takes the op barrier's write lock for its final settle.
 	for _, cd := range readmits {
-		if err := cl.readmit(cd.sh, cd.r); err != nil {
-			cl.bumpProbeBackoff(cd.sh, cd.r)
+		if err := cl.readmit(cd.si, cd.r); err != nil {
+			cl.bumpProbeBackoff(cl.shards[cd.si], cd.r)
 		}
 	}
 }
@@ -143,25 +142,13 @@ func (cl *Cluster) bumpProbeBackoff(sh *shard, r *replica) {
 	r.nextProbe = time.Now().Add(r.probeBackoff) //magevet:ok probe-backoff schedule on a real network client
 }
 
-// readmit brings a down-but-answering replica back: register any
-// regions it is missing, bulk-copy every page its shard owns from a
-// surviving peer, settle writes that raced the copy, and flip it
-// healthy under the drained topology lock.
-func (cl *Cluster) readmit(sh *shard, r *replica) error {
+// readmit brings a down-but-answering replica r of shard si back:
+// register any regions it is missing, bulk-copy every page its shard
+// owns from a surviving peer, settle writes that raced the copy, and
+// flip it healthy under the drained op barrier.
+func (cl *Cluster) readmit(si int, r *replica) error {
+	sh := cl.shards[si]
 	cl.topoMu.RLock()
-	topo := cl.topo
-	si := -1
-	for i, s := range topo.shards {
-		if s == sh {
-			si = i
-			break
-		}
-	}
-	if si == -1 {
-		// The shard left the topology while the replica was down.
-		cl.topoMu.RUnlock()
-		return nil
-	}
 	// Open the dirty log first, atomically with claiming the resync: a
 	// user-driven ProbeNow can race the background prober's sweep, and
 	// two overlapping resyncs of one replica would clobber each other's
@@ -194,13 +181,13 @@ func (cl *Cluster) readmit(sh *shard, r *replica) error {
 		most = max(most, cl.pagesOf(reg))
 	}
 	// Bulk copy: every page this shard owns, batched.
-	m := cl.resyncMover(sh, t, most)
+	m := cl.newMover(si, t, most)
 	for handle, reg := range regs { //magevet:ok regions copy independently; order cannot affect the result
 		for p, n := int64(0), cl.pagesOf(reg); p < n; p++ {
-			if placement.ShardOfIDs(placement.Key(handle, uint64(p)), topo.ids) != si {
+			if placement.ShardOfIDs(placement.Key(handle, uint64(p)), cl.ids) != si {
 				continue
 			}
-			if err := m.add(lane{handle, si, si}, reg, p); err != nil {
+			if err := m.add(handle, reg, p); err != nil {
 				return abort(err)
 			}
 		}
@@ -209,28 +196,20 @@ func (cl *Cluster) readmit(sh *shard, r *replica) error {
 		return abort(err)
 	}
 	// Settle rounds: re-copy pages written during the bulk copy. Each
-	// round shrinks the window; the final round runs under the topology
-	// write lock with all ops drained, so nothing can race it.
+	// round shrinks the window; the final round runs under the op
+	// barrier's write lock with all ops drained, so nothing can race it.
 	for round := 0; ; round++ {
 		final := round >= 3
 		if final {
 			cl.topoMu.RUnlock()
 			cl.topoMu.Lock()
-			if cl.topo != topo {
-				// Topology changed while we waited for the write lock; the
-				// new topology may not own the same pages. Stay down and let
-				// the next probe restart the resync from scratch.
-				cl.topoMu.Unlock()
-				closeResync(sh, r)
-				return nil
-			}
 		}
 		dirty := swapDirty(sh, r)
 		if len(dirty) == 0 && !final {
 			round = 2 // nothing raced this round; jump to the final pass
 			continue
 		}
-		err := cl.copyDirty(si, sh, t, dirty)
+		err := cl.copyDirty(si, t, dirty)
 		if !final {
 			if err != nil {
 				return abort(err)
@@ -270,7 +249,7 @@ func swapDirty(sh *shard, r *replica) map[uint64]struct{} {
 }
 
 // admitReplica flips a fully-resynced replica healthy and rolls its
-// degraded time into the counters. Caller holds the topology write
+// degraded time into the counters. Caller holds the op barrier's write
 // lock with all ops drained, so the flip cannot race a missed write.
 func (cl *Cluster) admitReplica(sh *shard, r *replica) {
 	sh.mu.Lock()
@@ -305,29 +284,13 @@ func (cl *Cluster) registerOn(reg *cregion, t rung) error {
 	return nil
 }
 
-// resyncMover copies pages of sh from a healthy peer to the resync
-// target t, which no ladder reaches while it is down.
-func (cl *Cluster) resyncMover(sh *shard, t rung, pages int64) *mover {
-	return cl.newMover(pages,
-		func(l lane, reg *cregion, offs []int64, bufs [][]byte) error {
-			return cl.readInto(sh, l.src, holders(sh, reg, t.r), offs, bufs)
-		},
-		func(l lane, reg *cregion, offs []int64, bufs [][]byte) error {
-			th, ok := reg.handle(t.r)
-			if !ok {
-				return errors.New("memcluster: resync target lost its region handle")
-			}
-			return t.c.WriteV(th, offs, bufs)
-		})
-}
-
 // copyDirty re-copies the pages in one settle round's dirty set.
 // Dirty keys resolve against the live region table, not the bulk
 // copy's snapshot: a write to a region registered after the resync
 // began goes only to healthy replicas, so skipping its key here would
 // leave the target serving zero-filled pages after admission.
-func (cl *Cluster) copyDirty(si int, sh *shard, t rung, dirty map[uint64]struct{}) error {
-	m := cl.resyncMover(sh, t, int64(len(dirty)))
+func (cl *Cluster) copyDirty(si int, t rung, dirty map[uint64]struct{}) error {
+	m := cl.newMover(si, t, int64(len(dirty)))
 	for key := range dirty { //magevet:ok settle-pass copy set: each page is copied exactly once; order cannot matter
 		handle, page := splitKey(key)
 		cl.regMu.Lock()
@@ -346,9 +309,119 @@ func (cl *Cluster) copyDirty(si int, sh *shard, t rung, dirty map[uint64]struct{
 		if err := cl.registerOn(reg, t); err != nil {
 			return err
 		}
-		if err := m.add(lane{handle, si, si}, reg, page); err != nil {
+		if err := m.add(handle, reg, page); err != nil {
 			return err
 		}
 	}
 	return m.drain()
+}
+
+// snapshotRegions copies the region table out from under regMu.
+func (cl *Cluster) snapshotRegions() map[uint64]*cregion {
+	cl.regMu.Lock()
+	defer cl.regMu.Unlock()
+	regs := make(map[uint64]*cregion, len(cl.regions))
+	for h, reg := range cl.regions { //magevet:ok snapshot clone of the region table; order cannot affect the result
+		regs[h] = reg
+	}
+	return regs
+}
+
+// pagesOf counts reg's ownership pages; the last may be partial.
+func (cl *Cluster) pagesOf(reg *cregion) int64 {
+	return (reg.size + cl.opts.PageBytes - 1) / cl.opts.PageBytes
+}
+
+// splitKey undoes placement.Key.
+func splitKey(key uint64) (handle uint64, page int64) {
+	return key >> placement.KeyPageBits, int64(key & (1<<placement.KeyPageBits - 1))
+}
+
+// batch is the pages of one region the mover has queued: offsets and
+// where each will land in the mover's buffer. It holds no data until it
+// is flushed.
+type batch struct {
+	reg  *cregion
+	offs []int64
+	bufs [][]byte
+}
+
+// mover is the one page-copy routine, a resync's: it copies pages of
+// shard si from its current replicas to the resync target t, which no
+// ladder reaches while it is down. It queues page numbers per region and
+// moves a region's batch — one READV, one WRITEV — when the batch fills
+// the copy buffer and at drain; the bulk copy and the settle passes
+// differ only in the pages they add. The regions share the buffer:
+// flushes run one at a time and a queued batch is only offsets. A
+// region's partial last page is a shorter descriptor, not a path of its
+// own.
+type mover struct {
+	cl      *Cluster
+	si      int
+	t       rung
+	buf     []byte
+	regions map[uint64]*batch // by cluster handle
+}
+
+// newMover sizes the copy buffer for the pages expected, at most one
+// node op's worth (MaxBatchPages pages or MaxIO bytes).
+func (cl *Cluster) newMover(si int, t rung, pages int64) *mover {
+	n := max(1, min(pages, memnode.MaxBatchPages, memnode.MaxIO/cl.opts.PageBytes))
+	return &mover{cl: cl, si: si, t: t, buf: make([]byte, n*cl.opts.PageBytes), regions: make(map[uint64]*batch)}
+}
+
+// add queues one page of reg; a page number past the region's end (a
+// dirty key can be anything) is no page.
+func (m *mover) add(handle uint64, reg *cregion, page int64) error {
+	if page >= m.cl.pagesOf(reg) {
+		return nil
+	}
+	b := m.regions[handle]
+	if b == nil {
+		b = &batch{reg: reg}
+		m.regions[handle] = b
+	}
+	pb := m.cl.opts.PageBytes
+	off, lo := page*pb, int64(len(b.offs))*pb
+	n := min(pb, reg.size-off)
+	b.offs = append(b.offs, off)
+	b.bufs = append(b.bufs, m.buf[lo:lo+n:lo+n])
+	if lo+pb == int64(len(m.buf)) {
+		return m.flush(b)
+	}
+	return nil
+}
+
+// flush is the only place pages are read from one place and written to
+// another: read from the shard's current replicas, the target left out
+// (a copy source must be current, not merely alive), and written to the
+// target alone.
+func (m *mover) flush(b *batch) error {
+	if len(b.offs) == 0 {
+		return nil
+	}
+	sh := m.cl.shards[m.si]
+	if err := m.cl.readInto(sh, m.si, holders(sh, b.reg, m.t.r), b.offs, b.bufs); err != nil {
+		return err
+	}
+	th, ok := b.reg.handle(m.t.r)
+	if !ok {
+		return errors.New("memcluster: resync target lost its region handle")
+	}
+	if err := m.t.c.WriteV(th, b.offs, b.bufs); err != nil {
+		return err
+	}
+	m.cl.stats.resyncedPages.Add(uint64(len(b.offs)))
+	b.offs, b.bufs = b.offs[:0], b.bufs[:0]
+	return nil
+}
+
+// drain flushes what every region still holds.
+func (m *mover) drain() error {
+	for _, b := range m.regions { //magevet:ok regions hold disjoint page sets; copy order cannot matter
+		if err := m.flush(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }

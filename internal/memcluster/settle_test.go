@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time" // tests of the real cluster client need wall-clock deadlines
 
-	"mage/internal/memcluster/placement"
 	"mage/internal/memnode"
 )
 
@@ -23,10 +22,10 @@ func (a verbOps) minus(b verbOps) verbOps {
 }
 
 // TestSettleIsBatched counts the wire ops of the pass every op waits
-// behind. K pages of one region are written while a copy is under way —
-// a resync, then a join — so the copy's settle finds them in its dirty
-// log; it must move them as the bulk copy moves pages, a batch per READV
-// and WRITEV, with no single-page verb.
+// behind. K pages of one region are written while a resync's copy is
+// under way, so the copy's settle finds them in its dirty log; it must
+// move them as the bulk copy moves pages, a batch per READV and WRITEV,
+// with no single-page verb.
 //
 // The write lands inside the copy by construction, not by timing: the
 // copy snapshots the region table right after it opens its dirty log,
@@ -94,12 +93,15 @@ func TestSettleIsBatched(t *testing.T) {
 		for p := range offs {
 			offs[p], bufs[p] = int64(p)*page, body(int64(p), 2)
 		}
-		topo := cl.topo // the stalled copy holds the topology where it is
-		parts, err := cl.route(nil, topo, reg, handle, offs, bufs)
+		parts, err := cl.route(nil, reg, handle, offs, bufs)
 		for _, p := range parts {
-			sh := topo.shards[p.si]
+			sh := cl.shards[p.si]
 			if err == nil {
-				err = cl.writeTo(sh, p.si, holders(sh, reg, nil), handle, p.offs, p.bufs, true)
+				err = wait(func(end func(error)) {
+					cl.startReplicate(sh, p.si, holders(sh, reg, nil), handle, p.offs, func(g rung, hook func(error)) {
+						g.c.StartWriteV(g.h, p.offs, p.bufs, hook)
+					}, end)
+				})
 			}
 		}
 		cl.regMu.Unlock()
@@ -124,13 +126,10 @@ func TestSettleIsBatched(t *testing.T) {
 	}
 	// holds checks that the node behind g has every page at its latest
 	// version, asking the node itself.
-	holds := func(g rung, reg *cregion, owned func(p int64) bool) {
+	holds := func(g rung, reg *cregion) {
 		t.Helper()
 		h, _ := reg.handle(g.r)
 		for p := int64(0); p < npages; p++ {
-			if !owned(p) {
-				continue
-			}
 			version := byte(1)
 			if p < k {
 				version = 2
@@ -154,7 +153,7 @@ func TestSettleIsBatched(t *testing.T) {
 		}
 		defer cl.Close()
 		handle := fill(cl)
-		sh := cl.topo.shards[0]
+		sh := cl.shards[0]
 		src, dst := dialled(sh)[0], dialled(sh)[1]
 		b.Close()
 		for cl.Stats().PerShard[0].Replicas[1].Healthy {
@@ -175,56 +174,10 @@ func TestSettleIsBatched(t *testing.T) {
 		if got, want := opsOf(dst.c).minus(dst0), (verbOps{writev: 2}); got != want {
 			t.Errorf("target %+v, want %+v", got, want)
 		}
-		if got := cl.Stats().RebalancedPages; got != uint64(npages+k) {
+		if got := cl.Stats().ResyncedPages; got != uint64(npages+k) {
 			t.Errorf("copied %d pages, want %d in bulk and %d settled", got, npages, k)
 		}
 		reg, _ := cl.region(handle)
-		holds(dst, reg, func(int64) bool { return true })
-	})
-
-	t.Run("join", func(t *testing.T) {
-		cl, err := New([][]string{{newServer("127.0.0.1:0").Addr()}}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		handle := fill(cl)
-		src := dialled(cl.topo.shards[0])[0]
-		src0 := opsOf(src.c)
-		joining := []string{newServer("127.0.0.1:0").Addr(), newServer("127.0.0.1:0").Addr()}
-		var joinErr error
-		if !writeDuring(cl, handle, func() { joinErr = cl.AddShard(joining) }, cl.migOn.Load) || joinErr != nil {
-			t.Fatalf("AddShard: %v", joinErr)
-		}
-		// What the join moves, by the placement rule: the pages shard ID 2
-		// wins, and of those the ones the test wrote mid-copy.
-		moves := func(p int64) bool {
-			return placement.ShardOfIDs(placement.Key(handle, uint64(p)), []uint64{1, 2}) == 1
-		}
-		var moved, settled uint64
-		for p := int64(0); p < npages; p++ {
-			if moves(p) {
-				moved++
-				if p < k {
-					settled++
-				}
-			}
-		}
-		if moved == 0 || settled == 0 {
-			t.Fatalf("the join moves %d pages, %d of them dirty: nothing to count", moved, settled)
-		}
-		if got, want := opsOf(src.c).minus(src0), (verbOps{readv: 2, writev: 1}); got != want {
-			t.Errorf("source %+v, want %+v (its one WRITEV is the test's own)", got, want)
-		}
-		reg, _ := cl.region(handle)
-		for _, g := range dialled(cl.topo.shards[1]) {
-			if got, want := opsOf(g.c), (verbOps{writev: 2}); got != want {
-				t.Errorf("joining %s %+v, want %+v", g.r.addr, got, want)
-			}
-			holds(g, reg, moves)
-		}
-		if got := cl.Stats().RebalancedPages; got != moved+settled {
-			t.Errorf("copied %d pages, want %d in bulk and %d settled", got, moved, settled)
-		}
+		holds(dst, reg)
 	})
 }

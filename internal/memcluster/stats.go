@@ -8,11 +8,11 @@ import (
 // clusterCounters are the cluster-wide robustness counters, atomic so
 // the data path never serializes on a stats lock.
 type clusterCounters struct {
-	failovers       atomic.Uint64
-	flaps           atomic.Uint64
-	readmissions    atomic.Uint64
-	rebalancedPages atomic.Uint64
-	degradedWrites  atomic.Uint64
+	failovers      atomic.Uint64
+	flaps          atomic.Uint64
+	readmissions   atomic.Uint64
+	resyncedPages  atomic.Uint64
+	degradedWrites atomic.Uint64
 }
 
 // ReplicaStats is one replica's health and robustness snapshot.
@@ -53,9 +53,8 @@ type ClusterStats struct {
 	ProbeFlaps uint64
 	// Readmissions counts down replicas brought back (post-resync).
 	Readmissions uint64
-	// RebalancedPages counts pages copied by resyncs and shard
-	// join/leave migrations.
-	RebalancedPages uint64
+	// ResyncedPages counts pages copied by resyncs.
+	ResyncedPages uint64
 	// DegradedWrites counts writes acknowledged by fewer replicas
 	// than the shard's full healthy set at op start.
 	DegradedWrites uint64
@@ -66,19 +65,16 @@ type ClusterStats struct {
 
 // Stats snapshots the cluster counters and per-replica health.
 func (cl *Cluster) Stats() ClusterStats {
-	cl.topoMu.RLock()
-	topo := cl.topo
-	cl.topoMu.RUnlock()
 	now := time.Now() //magevet:ok degraded-time accounting on a real network client
 	st := ClusterStats{
-		Shards:          len(topo.shards),
-		Failovers:       cl.stats.failovers.Load(),
-		ProbeFlaps:      cl.stats.flaps.Load(),
-		Readmissions:    cl.stats.readmissions.Load(),
-		RebalancedPages: cl.stats.rebalancedPages.Load(),
-		DegradedWrites:  cl.stats.degradedWrites.Load(),
+		Shards:         len(cl.shards),
+		Failovers:      cl.stats.failovers.Load(),
+		ProbeFlaps:     cl.stats.flaps.Load(),
+		Readmissions:   cl.stats.readmissions.Load(),
+		ResyncedPages:  cl.stats.resyncedPages.Load(),
+		DegradedWrites: cl.stats.degradedWrites.Load(),
 	}
-	for _, sh := range topo.shards {
+	for _, sh := range cl.shards {
 		sh.mu.Lock()
 		ss := ShardStats{ID: sh.id}
 		for _, r := range sh.replicas {

@@ -71,15 +71,6 @@ func NewCluster(n *NIC, injs [][]*faultinject.Injector) *Cluster {
 	return c
 }
 
-// SetWeight sets one replica's selection weight (the DES stand-in for
-// the real cluster's free-memory STATS sample).
-func (c *Cluster) SetWeight(shard, replica int, w int64) {
-	c.reps[shard][replica].weight = w
-}
-
-// Shards returns the shard count.
-func (c *Cluster) Shards() int { return len(c.reps) }
-
 // admit re-admits a replica whose virtual-time backoff has elapsed.
 func (c *Cluster) admit(r *clusterReplica, now sim.Time) {
 	if !r.healthy && now >= r.downUntil {

@@ -45,8 +45,6 @@ func DefaultLinkCosts() LinkCosts {
 // produces congestion latency when several nodes spill toward the same
 // neighbour.
 type Link struct {
-	eng   *sim.Engine
-	a, b  int
 	costs LinkCosts
 	wire  *sim.Mutex
 
@@ -62,12 +60,6 @@ type Link struct {
 	Bytes     stats.Counter
 	Latency   *stats.Histogram
 }
-
-// Ends returns the two node indices the link joins, lower first.
-func (l *Link) Ends() (int, int) { return l.a, l.b }
-
-// Costs returns the link's cost parameters.
-func (l *Link) Costs() LinkCosts { return l.costs }
 
 // SetFaultInjector attaches a fault injector to the link. Pass nil to
 // detach.
@@ -118,24 +110,12 @@ func (l *Link) TryTransfer(p *sim.Proc, bytes int64, timeout sim.Time) (sim.Time
 	return d, ReadOK
 }
 
-// Transfer is TryTransfer on a healthy link: it panics if the transfer
-// does not complete, so callers that have already checked Down can stay
-// unconditional.
-func (l *Link) Transfer(p *sim.Proc, bytes int64) sim.Time {
-	d, res := l.TryTransfer(p, bytes, sim.MaxTime)
-	if res != ReadOK {
-		panic(fmt.Sprintf("nic: Transfer on link %d-%d failed: %v", l.a, l.b, res))
-	}
-	return d
-}
-
 // Fabric is the simulated rack interconnect: a full mesh of Links over n
 // nodes, one duplex link per node pair. Per-link bandwidth, propagation
 // delay, queueing, and fault schedules compose with the per-node NIC
 // model: a page borrowed from a neighbour crosses a fabric link, a page
 // swapped out crosses the node's NIC.
 type Fabric struct {
-	eng   *sim.Engine
 	n     int
 	links [][]*Link // links[a][b] for a < b; mirrored at [b][a]
 }
@@ -145,16 +125,13 @@ func NewFabric(eng *sim.Engine, n int, costs LinkCosts) *Fabric {
 	if n < 1 {
 		panic("nic: NewFabric needs at least one node")
 	}
-	f := &Fabric{eng: eng, n: n, links: make([][]*Link, n)}
+	f := &Fabric{n: n, links: make([][]*Link, n)}
 	for a := range f.links {
 		f.links[a] = make([]*Link, n)
 	}
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			l := &Link{
-				eng:     eng,
-				a:       a,
-				b:       b,
 				costs:   costs,
 				wire:    sim.NewMutex(eng, fmt.Sprintf("fabric.%d-%d", a, b)),
 				Latency: stats.NewHistogram(),
@@ -165,9 +142,6 @@ func NewFabric(eng *sim.Engine, n int, costs LinkCosts) *Fabric {
 	}
 	return f
 }
-
-// Nodes returns the number of nodes the fabric joins.
-func (f *Fabric) Nodes() int { return f.n }
 
 // Link returns the link joining nodes a and b (symmetric). It panics on
 // a == b or out-of-range indices: there is no loopback link, and a
@@ -182,15 +156,4 @@ func (f *Fabric) Link(a, b int) *Link {
 // SetLinkInjector attaches a fault injector to the a-b link.
 func (f *Fabric) SetLinkInjector(a, b int, in *faultinject.Injector) {
 	f.Link(a, b).SetFaultInjector(in)
-}
-
-// TotalBytes returns the bytes moved across all links.
-func (f *Fabric) TotalBytes() uint64 {
-	var total uint64
-	for a := 0; a < f.n; a++ {
-		for b := a + 1; b < f.n; b++ {
-			total += f.links[a][b].Bytes.Value()
-		}
-	}
-	return total
 }

@@ -18,7 +18,7 @@ func TestFabricUncontendedTransfer(t *testing.T) {
 	f := NewFabric(eng, 4, testLinkCosts())
 	var d sim.Time
 	eng.Spawn("xfer", func(p *sim.Proc) {
-		d = f.Link(0, 2).Transfer(p, 4000) // 4000 B / 10 B/ns = 400 ns wire
+		d, _ = f.Link(0, 2).TryTransfer(p, 4000, sim.MaxTime) // 4000 B / 10 B/ns = 400 ns wire
 	})
 	eng.Run()
 	if want := sim.Time(200 + 1000 + 400); d != want {
@@ -46,7 +46,7 @@ func TestFabricCongestionQueuesAtLink(t *testing.T) {
 				b = 2
 			}
 			eng.Spawn("xfer", func(p *sim.Proc) {
-				f.Link(0, b).Transfer(p, 8000)
+				f.Link(0, b).TryTransfer(p, 8000, sim.MaxTime)
 				if p.Now() > last {
 					last = p.Now()
 				}
@@ -134,8 +134,8 @@ func TestFabricTopologyGuards(t *testing.T) {
 			f.Link(pair[0], pair[1])
 		}()
 	}
-	if f.Nodes() != 3 {
-		t.Fatalf("Nodes() = %d, want 3", f.Nodes())
+	if f.n != 3 {
+		t.Fatalf("the fabric joins %d nodes, want 3", f.n)
 	}
 }
 
@@ -151,13 +151,19 @@ func TestFabricDeterministicUnderContention(t *testing.T) {
 			eng.Spawn("spill", func(p *sim.Proc) {
 				for k := 0; k < 5; k++ {
 					dst := (src + k + 1) % 8
-					f.Link(src, dst).Transfer(p, int64(4096*(1+k%3)))
+					f.Link(src, dst).TryTransfer(p, int64(4096*(1+k%3)), sim.MaxTime)
 					p.Sleep(sim.Time(100 * (src + 1)))
 				}
 			})
 		}
 		end := eng.Run()
-		return end, f.TotalBytes()
+		var total uint64
+		for a := 0; a < 8; a++ {
+			for b := a + 1; b < 8; b++ {
+				total += f.Link(a, b).Bytes.Value()
+			}
+		}
+		return end, total
 	}
 	t1, b1 := run()
 	t2, b2 := run()

@@ -175,9 +175,6 @@ func NewDefault(eng *sim.Engine, kind StackKind) *NIC {
 	return New(eng, kind, DefaultCosts(kind))
 }
 
-// Costs returns the NIC's cost parameters.
-func (n *NIC) Costs() Costs { return n.costs }
-
 // serialize models the wire time of a transfer on the given link.
 func (n *NIC) serialize(p *sim.Proc, link *sim.Mutex, bytes int64) {
 	n.serializeAt(p, link, bytes, 1)
@@ -303,13 +300,6 @@ func (n *NIC) startWrite(p *sim.Proc, bytes int64, extra sim.Time, factor float6
 		})
 	})
 	return c
-}
-
-// Write performs a synchronous WRITE (PostWrite + Wait).
-func (n *NIC) Write(p *sim.Proc, bytes int64) sim.Time {
-	start := p.Now()
-	n.PostWrite(p, bytes).Wait(p)
-	return p.Now() - start
 }
 
 // RxGbps returns achieved inbound goodput over the elapsed time, in Gbps.

@@ -61,7 +61,7 @@ func TestLinkSerializationCongestion(t *testing.T) {
 		})
 	}
 	eng.Run()
-	ser := sim.Time(float64(PageSize) / n.Costs().BytesPerNs)
+	ser := sim.Time(float64(PageSize) / n.costs.BytesPerNs)
 	if last < 3900+31*ser {
 		t.Errorf("last read at %v, want >= %v (serialized wire)", last, 3900+31*ser)
 	}
@@ -76,7 +76,7 @@ func TestFullDuplexLinksIndependent(t *testing.T) {
 	n := NewDefault(eng, StackLibOS)
 	var readLat sim.Time
 	eng.Spawn("writer", func(p *sim.Proc) {
-		n.Write(p, 64*PageSize)
+		n.PostWrite(p, 64*PageSize).Wait(p)
 	})
 	eng.Spawn("reader", func(p *sim.Proc) {
 		readLat = n.Read(p, PageSize)

@@ -183,9 +183,6 @@ func (as *AddressSpace) NumPages() uint64 { return as.numPages }
 // StateEvicting (they still occupy a local frame).
 func (as *AddressSpace) Resident() int { return as.resident }
 
-// Model returns the lock model.
-func (as *AddressSpace) Model() LockModel { return as.model }
-
 // LockWaitNs returns the cumulative wait on the address-space locks.
 func (as *AddressSpace) LockWaitNs() int64 {
 	switch as.model {
@@ -514,12 +511,4 @@ func (as *AddressSpace) checkPTE(page uint64) {
 	}
 	invariant.Assert(as.resident >= 0 && uint64(as.resident) <= as.numPages,
 		"%s: resident count %d outside [0,%d]", as.who(), as.resident, as.numPages)
-}
-
-// WaitQueueFor exposes the PTE's wait queue length (tests only).
-func (as *AddressSpace) WaitQueueFor(page uint64) int {
-	if as.ptes[page].waiters == nil {
-		return 0
-	}
-	return as.ptes[page].waiters.Len()
 }

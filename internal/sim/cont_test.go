@@ -335,9 +335,9 @@ func TestMutexHandsOffInOneFIFO(t *testing.T) {
 	if want := []string{"k1@10", "p2@15"}; !reflect.DeepEqual(order, want) {
 		t.Errorf("hand-off order %v, want %v", order, want)
 	}
-	if m.Locked() || m.Acquires != 3 || m.Contended != 2 || m.WaitNs != 10+14 {
+	if m.held || m.Acquires != 3 || m.Contended != 2 || m.WaitNs != 10+14 {
 		t.Errorf("locked %v, acquires %d, contended %d, wait %d ns; want free, 3, 2, 24",
-			m.Locked(), m.Acquires, m.Contended, m.WaitNs)
+			m.held, m.Acquires, m.Contended, m.WaitNs)
 	}
 	for _, bad := range []struct {
 		name string

@@ -31,9 +31,6 @@ func NewChan[T any](eng *Engine, name string, capacity int) *Chan[T] {
 // Len returns the number of queued items.
 func (c *Chan[T]) Len() int { return len(c.buf) }
 
-// Cap returns the capacity.
-func (c *Chan[T]) Cap() int { return c.cap }
-
 // Put appends v, blocking while the queue is full. It panics if the queue
 // is closed.
 func (c *Chan[T]) Put(p *Proc, v T) {

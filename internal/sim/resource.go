@@ -36,13 +36,6 @@ func NewMutex(eng *Engine, name string) *Mutex {
 // Name returns the name given at construction.
 func (m *Mutex) Name() string { return m.name }
 
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.held }
-
-// QueueLen returns the number of processes and continuations waiting for
-// the mutex.
-func (m *Mutex) QueueLen() int { return len(m.waiters) }
-
 // Lock acquires the mutex, blocking p in FIFO order if it is held.
 func (m *Mutex) Lock(p *Proc) {
 	m.Acquires++
@@ -75,16 +68,6 @@ func (m *Mutex) LockThen(k func()) {
 	}
 	m.Contended++
 	m.waiters = append(m.waiters, waiter{k: k, at: m.eng.now})
-}
-
-// TryLock acquires the mutex if it is free and reports whether it did.
-func (m *Mutex) TryLock(p *Proc) bool {
-	if m.held {
-		return false
-	}
-	m.Acquires++
-	m.held, m.holder = true, p
-	return true
 }
 
 // Unlock releases the mutex, handing it to the longest waiter if any.
@@ -132,15 +115,6 @@ func (m *Mutex) recordWait(waited int64) {
 	if waited > m.MaxWaitNs {
 		m.MaxWaitNs = waited
 	}
-}
-
-// AvgWait returns the mean virtual time spent waiting per acquisition, in
-// nanoseconds.
-func (m *Mutex) AvgWait() float64 {
-	if m.Acquires == 0 {
-		return 0
-	}
-	return float64(m.WaitNs) / float64(m.Acquires)
 }
 
 // WaitQueue is a condition-variable-like wait list. Processes Wait on it
@@ -219,42 +193,3 @@ func (q *WaitQueue) Signal(n int) int {
 
 // Broadcast releases all waiting processes.
 func (q *WaitQueue) Broadcast() int { return q.Signal(len(q.waiters)) }
-
-// Semaphore is a counting semaphore with FIFO wakeup.
-type Semaphore struct {
-	eng   *Engine
-	name  string
-	count int
-	q     *WaitQueue
-}
-
-// NewSemaphore returns a semaphore with the given initial count.
-func NewSemaphore(eng *Engine, name string, count int) *Semaphore {
-	return &Semaphore{eng: eng, name: name, count: count, q: NewWaitQueue(eng, name+".q")}
-}
-
-// Count returns the number of currently available permits.
-func (s *Semaphore) Count() int { return s.count }
-
-// Acquire takes one permit, blocking until one is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	for s.count == 0 {
-		s.q.Wait(p)
-	}
-	s.count--
-}
-
-// TryAcquire takes a permit without blocking and reports whether it did.
-func (s *Semaphore) TryAcquire(*Proc) bool {
-	if s.count == 0 {
-		return false
-	}
-	s.count--
-	return true
-}
-
-// Release returns n permits and wakes up to n waiters.
-func (s *Semaphore) Release(n int) {
-	s.count += n
-	s.q.Signal(n)
-}

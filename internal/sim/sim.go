@@ -67,9 +67,6 @@ const MaxTime Time = math.MaxInt64
 // Seconds returns t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-// Micros returns t as floating-point microseconds.
-func (t Time) Micros() float64 { return float64(t) / 1e3 }
-
 func (t Time) String() string {
 	switch {
 	case t >= Second:
@@ -174,12 +171,6 @@ type Proc struct {
 
 // Name returns the name given at Spawn time.
 func (p *Proc) Name() string { return p.name }
-
-// ID returns a small unique integer identifying this process.
-func (p *Proc) ID() int { return p.id }
-
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
@@ -521,10 +512,6 @@ func (p *Proc) Sleep(d Time) {
 	p.eng.scheduleWake(p, p.eng.now+d, wakeSleep)
 	p.park()
 }
-
-// Yield reschedules the process at the current time, letting every other
-// event at this instant run first.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // block parks the process with no pending event; some other process must
 // call eng.wake to resume it.

@@ -192,21 +192,6 @@ func TestMutexMutualExclusionAndFIFO(t *testing.T) {
 	}
 }
 
-func TestMutexTryLock(t *testing.T) {
-	e := NewEngine()
-	mu := NewMutex(e, "mu")
-	e.Spawn("a", func(p *Proc) {
-		if !mu.TryLock(p) {
-			t.Error("first TryLock should succeed")
-		}
-		if mu.TryLock(p) {
-			t.Error("second TryLock should fail")
-		}
-		mu.Unlock(p)
-	})
-	e.Run()
-}
-
 func TestUnlockByNonHolderPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -285,31 +270,6 @@ func TestWaitTimeoutSignaledEarly(t *testing.T) {
 	end := e.Run()
 	if end != 20 {
 		t.Errorf("run ended at %v; stale timeout event should be canceled", end)
-	}
-}
-
-func TestSemaphore(t *testing.T) {
-	e := NewEngine()
-	s := NewSemaphore(e, "s", 2)
-	var maxInside, inside int
-	for i := 0; i < 5; i++ {
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			s.Acquire(p)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Sleep(100)
-			inside--
-			s.Release(1)
-		})
-	}
-	e.Run()
-	if maxInside != 2 {
-		t.Errorf("max concurrency = %d, want 2", maxInside)
-	}
-	if s.Count() != 2 {
-		t.Errorf("final count = %d, want 2", s.Count())
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 func TestManyProcsDeterministic(t *testing.T) {
 	run := func() (Time, uint64) {
 		e := NewEngine()
-		mu := NewMutex(e, "shared")
-		sem := NewSemaphore(e, "sem", 3)
+		mu, mu2 := NewMutex(e, "shared"), NewMutex(e, "second")
 		var sum uint64
 		for i := 0; i < 200; i++ {
 			i := i
@@ -28,9 +27,9 @@ func TestManyProcsDeterministic(t *testing.T) {
 						sum += uint64(i*k) & 0xff
 						mu.Unlock(p)
 					case 1:
-						sem.Acquire(p)
+						mu2.Lock(p)
 						p.Sleep(Time(rng.Intn(30)))
-						sem.Release(1)
+						mu2.Unlock(p)
 					case 2:
 						p.Sleep(Time(rng.Intn(100)))
 					}
@@ -115,32 +114,8 @@ func TestMutexNeverHeldByTwo(t *testing.T) {
 	if violated {
 		t.Fatal("two processes held the mutex simultaneously")
 	}
-	if mu.Locked() {
+	if mu.held {
 		t.Fatal("mutex left locked after drain")
-	}
-}
-
-// TestSemaphoreCountNeverNegative property-checks the semaphore.
-func TestSemaphoreCountNeverNegative(t *testing.T) {
-	e := NewEngine()
-	s := NewSemaphore(e, "s", 2)
-	bad := false
-	for i := 0; i < 40; i++ {
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			s.Acquire(p)
-			if s.Count() < 0 {
-				bad = true
-			}
-			p.Sleep(11)
-			s.Release(1)
-		})
-	}
-	e.Run()
-	if bad {
-		t.Fatal("semaphore count went negative")
-	}
-	if s.Count() != 2 {
-		t.Fatalf("final count = %d", s.Count())
 	}
 }
 

@@ -193,7 +193,7 @@ func TestShutdownEveryState(t *testing.T) {
 		{"spawned from inside a process", func(eng *Engine, cleaned *int) {
 			eng.Spawn("parent", func(p *Proc) {
 				eng.Spawn("child", parkForever(eng, cleaned))
-				p.Yield()
+				p.Sleep(0)
 				eng.Spawn("unborn child", parkForever(eng, cleaned)) // Stop lands before its start event
 				eng.Stop()
 			})
@@ -235,7 +235,7 @@ func TestSpawnInsideProcessOrder(t *testing.T) {
 		p.Sleep(10)
 		eng.Spawn("child", func(c *Proc) { log(c, "child") })
 		log(p, "parent spawned")
-		p.Yield()
+		p.Sleep(0)
 		log(p, "parent again")
 	})
 	eng.Spawn("peer", func(p *Proc) {

@@ -10,8 +10,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 )
 
 // bucketsPerOctave controls histogram resolution: each power of two is
@@ -228,18 +226,6 @@ func (b *Breakdown) Add(name string, d int64) {
 // AddOp counts one completed operation (used to compute per-op averages).
 func (b *Breakdown) AddOp() { b.ops++ }
 
-// Ops returns the number of completed operations.
-func (b *Breakdown) Ops() uint64 { return b.ops }
-
-// Total returns the summed time across components.
-func (b *Breakdown) Total() int64 {
-	var t int64
-	for _, name := range b.order {
-		t += b.ns[name]
-	}
-	return t
-}
-
 // Component returns the accumulated time for one component.
 func (b *Breakdown) Component(name string) int64 { return b.ns[name] }
 
@@ -266,17 +252,6 @@ func (b *Breakdown) Merge(other *Breakdown) {
 	b.ops += other.ops
 }
 
-func (b *Breakdown) String() string {
-	var sb strings.Builder
-	for i, name := range b.order {
-		if i > 0 {
-			sb.WriteString(" ")
-		}
-		fmt.Fprintf(&sb, "%s=%.0fns", name, b.PerOp(name))
-	}
-	return sb.String()
-}
-
 // TimeSeries records (t, value) samples, e.g. throughput over a run for the
 // GUPS phase-change timeline (Fig 11).
 type TimeSeries struct {
@@ -293,30 +268,7 @@ func (s *TimeSeries) Add(t int64, v float64) {
 // Len returns the number of samples.
 func (s *TimeSeries) Len() int { return len(s.T) }
 
-// At returns the value at the latest sample with time <= t, or 0 before the
-// first sample.
-func (s *TimeSeries) At(t int64) float64 {
-	i := sort.Search(len(s.T), func(i int) bool { return s.T[i] > t })
-	if i == 0 {
-		return 0
-	}
-	return s.V[i-1]
-}
-
-// Min and Max return the extreme values, or 0 when empty.
-func (s *TimeSeries) Min() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	m := s.V[0]
-	for _, v := range s.V[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
+// Max returns the largest value, or 0 when empty.
 func (s *TimeSeries) Max() float64 {
 	if len(s.V) == 0 {
 		return 0
@@ -383,15 +335,8 @@ func (s *Spans) Exit(t int64) {
 	}
 }
 
-// Active reports whether any waiter is currently inside the condition.
-func (s *Spans) Active() bool { return s.depth > 0 }
-
 // Count returns how many distinct spans have been opened.
 func (s *Spans) Count() uint64 { return s.count }
-
-// TotalNs returns the accumulated closed-span time. If a span is still
-// open at time t, pass it to TotalAt instead for an up-to-date figure.
-func (s *Spans) TotalNs() int64 { return s.totalNs }
 
 // TotalAt returns accumulated span time as of t, including the still-open
 // span if any.

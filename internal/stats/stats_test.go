@@ -177,8 +177,8 @@ func TestBreakdown(t *testing.T) {
 	if got := b.PerOp("rdma"); got != 2000 {
 		t.Errorf("PerOp(rdma) = %f", got)
 	}
-	if got := b.Total(); got != 4100 {
-		t.Errorf("Total = %d", got)
+	if got := b.Component("tlb"); got != 100 {
+		t.Errorf("tlb = %d", got)
 	}
 	comps := b.Components()
 	if len(comps) != 2 || comps[0] != "rdma" || comps[1] != "tlb" {
@@ -194,8 +194,8 @@ func TestBreakdownMerge(t *testing.T) {
 	b.Add("y", 5)
 	b.AddOp()
 	a.Merge(b)
-	if a.Component("x") != 30 || a.Component("y") != 5 || a.Ops() != 2 {
-		t.Errorf("merge wrong: %v ops=%d", a, a.Ops())
+	if a.Component("x") != 30 || a.Component("y") != 5 || a.ops != 2 {
+		t.Errorf("merge wrong: %v ops=%d", a.Components(), a.ops)
 	}
 }
 
@@ -207,20 +207,14 @@ func TestTimeSeries(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if got := s.At(-1); got != 0 {
-		t.Errorf("At(-1) = %f", got)
+	if s.T[1] != 10 || s.V[1] != 2.0 {
+		t.Errorf("sample 1 = (%d, %f), want (10, 2)", s.T[1], s.V[1])
 	}
-	if got := s.At(10); got != 2.0 {
-		t.Errorf("At(10) = %f", got)
+	if s.Max() != 2.0 {
+		t.Errorf("max = %f", s.Max())
 	}
-	if got := s.At(15); got != 2.0 {
-		t.Errorf("At(15) = %f", got)
-	}
-	if got := s.At(100); got != 0.5 {
-		t.Errorf("At(100) = %f", got)
-	}
-	if s.Min() != 0.5 || s.Max() != 2.0 {
-		t.Errorf("min/max = %f/%f", s.Min(), s.Max())
+	if (&TimeSeries{}).Max() != 0 {
+		t.Error("empty series has a max")
 	}
 }
 
@@ -246,11 +240,11 @@ func BenchmarkHistogramRecord(b *testing.B) {
 
 func TestSpans(t *testing.T) {
 	var s Spans
-	if s.Active() || s.TotalNs() != 0 || s.Count() != 0 {
+	if s.depth > 0 || s.totalNs != 0 || s.Count() != 0 {
 		t.Fatal("zero Spans not empty")
 	}
 	s.Enter(100)
-	if !s.Active() || s.Count() != 1 {
+	if s.depth == 0 || s.Count() != 1 {
 		t.Fatal("span not open after Enter")
 	}
 	if got := s.TotalAt(150); got != 50 {
@@ -259,18 +253,18 @@ func TestSpans(t *testing.T) {
 	// Nested entry: only the outermost pair moves the clock.
 	s.Enter(120)
 	s.Exit(130)
-	if s.TotalNs() != 0 {
-		t.Fatalf("inner Exit accrued time: %d", s.TotalNs())
+	if s.totalNs != 0 {
+		t.Fatalf("inner Exit accrued time: %d", s.totalNs)
 	}
 	s.Exit(200)
-	if s.Active() || s.TotalNs() != 100 {
-		t.Fatalf("after close: active=%v total=%d", s.Active(), s.TotalNs())
+	if s.depth > 0 || s.totalNs != 100 {
+		t.Fatalf("after close: depth=%d total=%d", s.depth, s.totalNs)
 	}
 	// Second span accumulates.
 	s.Enter(300)
 	s.Exit(340)
-	if s.TotalNs() != 140 || s.Count() != 2 {
-		t.Fatalf("total=%d count=%d, want 140/2", s.TotalNs(), s.Count())
+	if s.totalNs != 140 || s.Count() != 2 {
+		t.Fatalf("total=%d count=%d, want 140/2", s.totalNs, s.Count())
 	}
 	if got := s.TotalAt(999); got != 140 {
 		t.Fatalf("TotalAt with no open span = %d, want 140", got)

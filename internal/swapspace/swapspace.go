@@ -92,24 +92,6 @@ func (g *GlobalSwapMap) Name() string      { return "global-swap-map" }
 func (g *GlobalSwapMap) FreeSlots() int    { return len(g.freeList) }
 func (g *GlobalSwapMap) LockWaitNs() int64 { return g.mu.WaitNs }
 
-// Reserve marks slot e as used without cost, for initializing a system
-// whose pages all start swapped out. It panics if the slot is taken.
-func (g *GlobalSwapMap) Reserve(e Entry) {
-	if e < 0 || int(e) >= len(g.used) || g.used[e] {
-		panic(fmt.Sprintf("swapspace: bad reserve of entry %d", e))
-	}
-	g.used[e] = true
-	// Remove from the free list lazily: filter on next rebuild. The free
-	// list is rebuilt here directly since Reserve only runs at init.
-	nl := g.freeList[:0]
-	for _, fe := range g.freeList {
-		if fe != e {
-			nl = append(nl, fe)
-		}
-	}
-	g.freeList = nl
-}
-
 // ReserveFirst reserves slots [0, n) at init time, in O(n).
 func (g *GlobalSwapMap) ReserveFirst(n int) {
 	if n < 0 || n > len(g.used) {

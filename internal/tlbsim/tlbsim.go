@@ -317,14 +317,10 @@ type Completion struct {
 	inner   *apic.Completion
 	shooter *Shooter
 	start   sim.Time
-	sendEnd sim.Time
 	settled bool
 	targets []topo.CoreID
 	pages   []uint64
 }
-
-// Done reports whether all targets have acknowledged.
-func (c *Completion) Done() bool { return c.inner == nil || c.inner.Done() }
 
 // Wait blocks p until all targets have acknowledged and settles the TLB
 // state. It returns the initiator-observed shootdown duration.
@@ -355,14 +351,10 @@ func (s *Shooter) PostShootdown(p *sim.Proc, from topo.CoreID, targets []topo.Co
 	if len(targets) > 0 {
 		c.inner = s.fabric.Post(p, from, targets, s.HandlerCost(len(pages)))
 	}
-	c.sendEnd = p.Now()
 	s.Shootdowns.Inc()
 	s.PagesInvalidated.Add(uint64(len(pages)))
 	return c
 }
-
-// SendTime returns how long the initiator spent issuing the IPIs.
-func (c *Completion) SendTime() sim.Time { return c.sendEnd - c.start }
 
 // Shootdown invalidates pages on the initiator core and on every target
 // core, blocking p until all targets acknowledge. It returns the total

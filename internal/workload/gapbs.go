@@ -107,9 +107,6 @@ func (w *GapBS) NumPages() uint64 { return w.total }
 // Graph exposes the underlying graph (tests, examples).
 func (w *GapBS) Graph() *Graph { return w.g }
 
-// ScorePages returns the score region size (tests).
-func (w *GapBS) ScorePages() uint64 { return w.scores.pages }
-
 // Streams implements Workload: thread i processes the contiguous vertex
 // shard OpenMP static scheduling would give it.
 func (w *GapBS) Streams(threads int, seed int64) []core.AccessStream {
@@ -191,21 +188,5 @@ func (w *GapBS) threadStream(lo, hi int) core.AccessStream {
 		a := pending[pos]
 		pos++
 		return a, true
-	})
-}
-
-// RandomScoreProbe returns a stream of n uniformly random score-array
-// reads — used by microbenchmark-style experiments that want GapBS's
-// address-space shape without full PageRank sweeps.
-func (w *GapBS) RandomScoreProbe(n int, seed int64, compute sim.Time) core.AccessStream {
-	rng := seedRNG(seed)
-	i := 0
-	return core.FuncStream(func() (core.Access, bool) {
-		if i >= n {
-			return core.Access{}, false
-		}
-		i++
-		vtx := rng.Int63n(int64(w.g.NumVertices))
-		return core.Access{Page: w.scores.page(vtx * w.p.BytesPerVertex), Compute: compute}, true
 	})
 }

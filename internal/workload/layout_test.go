@@ -11,7 +11,7 @@ import (
 
 func TestGapBSLayoutRatios(t *testing.T) {
 	w := NewGapBS(DefaultGapBS())
-	scoreFrac := float64(w.ScorePages()) / float64(w.NumPages())
+	scoreFrac := float64(w.scores.pages) / float64(w.NumPages())
 	if scoreFrac > 0.05 {
 		t.Errorf("score region is %.1f%% of the WSS; must stay <5%% so it "+
 			"remains resident at any offload level (paper: 330MB of 20GB)",
@@ -35,7 +35,7 @@ func TestGapBSScoreReadsAreTheBulkOfAccesses(t *testing.T) {
 			if !ok {
 				break
 			}
-			if a.Page < w.ScorePages() && !a.Write {
+			if a.Page < w.scores.pages && !a.Write {
 				scoreReads++
 			} else {
 				other++

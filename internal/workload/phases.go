@@ -1,30 +1,15 @@
 package workload
 
-import (
-	"math/rand"
-
-	"mage/internal/core"
-	"mage/internal/sim"
-)
+import "math/rand"
 
 // KeyGen draws keys in [0, Keys). Zipfian and Scrambled satisfy it, so
 // the phase combinators below compose with the existing popularity
 // models. All generators are deterministic functions of the *rand.Rand
 // they are handed — the same seed replays the same key sequence — which
-// is what lets the DES and the magecache load generator share one
-// traffic model.
+// is what makes a magecache load run replayable from its seed.
 type KeyGen interface {
 	Next(rng *rand.Rand) int64
 }
-
-// Uniform draws keys uniformly over [0, n).
-type Uniform struct{ n int64 }
-
-// NewUniform returns a uniform generator over [0, n).
-func NewUniform(n int64) *Uniform { return &Uniform{n: n} }
-
-// Next implements KeyGen.
-func (u *Uniform) Next(rng *rand.Rand) int64 { return rng.Int63n(u.n) }
 
 // HotStorm is a hot-key storm: StormFrac of the traffic collapses onto
 // StormKeys specific keys (a viral post, a celebrity account, a
@@ -157,7 +142,7 @@ func (p *PhasedKeys) Next(rng *rand.Rand) int64 {
 }
 
 // StandardPhases is the canonical three-phase traffic model the
-// magecache load generator and the DES share: steady Zipf(theta), then
+// magecache load generator runs: steady Zipf(theta), then
 // a hot-key storm (90% of traffic onto 16 keys), then a flash crowd
 // ramping half the traffic onto a previously cold eighth of the key
 // space. drawsPerPhase sizes each leg.
@@ -172,66 +157,4 @@ func StandardPhases(keys int64, theta float64, drawsPerPhase int64) []Phase {
 		{Name: "hot-key-storm", Draws: drawsPerPhase, Gen: NewHotStorm(base(), keys, 16, 0.9, 0x5307)},
 		{Name: "flash-crowd", Draws: drawsPerPhase, Gen: NewFlashCrowd(base(), keys, keys-crowdKeys, crowdKeys, 0.5, drawsPerPhase/2, theta)},
 	}
-}
-
-// PhasedZipfParams sizes the phased closed-loop workload for the DES.
-type PhasedZipfParams struct {
-	// Pages is the buffer size in pages (one key per page).
-	Pages uint64
-	// AccessesPerThread is the closed-loop run length per thread.
-	AccessesPerThread int
-	// Theta is the steady-state Zipfian skew.
-	Theta float64
-	// WriteFraction dirties pages at this rate.
-	WriteFraction float64
-	// ComputePerAccess is the CPU work per access.
-	ComputePerAccess sim.Time
-}
-
-// PhasedZipf is the DES mirror of the magecache load generator: the
-// same StandardPhases schedule driving page accesses, so phase-change
-// behaviour observed on real sockets can be reproduced (and swept)
-// deterministically in the simulator.
-type PhasedZipf struct {
-	p   PhasedZipfParams
-	buf region
-}
-
-// NewPhasedZipf lays out the buffer.
-func NewPhasedZipf(p PhasedZipfParams) *PhasedZipf {
-	var l layout
-	w := &PhasedZipf{p: p}
-	w.buf = l.addPages(p.Pages)
-	return w
-}
-
-// Name implements Workload.
-func (w *PhasedZipf) Name() string { return "phased-zipf" }
-
-// NumPages implements Workload.
-func (w *PhasedZipf) NumPages() uint64 { return w.buf.pages }
-
-// Streams implements Workload: each thread walks its own copy of the
-// standard phase schedule.
-func (w *PhasedZipf) Streams(threads int, seed int64) []core.AccessStream {
-	out := make([]core.AccessStream, threads)
-	for t := 0; t < threads; t++ {
-		rng := threadRNG(seed, t, 6029)
-		per := int64(w.p.AccessesPerThread) / 3
-		if per < 1 {
-			per = 1
-		}
-		gen := NewPhasedKeys(StandardPhases(int64(w.buf.pages), w.p.Theta, per)...)
-		left := w.p.AccessesPerThread
-		out[t] = core.FuncStream(func() (core.Access, bool) {
-			if left <= 0 {
-				return core.Access{}, false
-			}
-			left--
-			pg := w.buf.pageIdx(uint64(gen.Next(rng)))
-			write := rng.Float64() < w.p.WriteFraction
-			return core.Access{Page: pg, Write: write, Compute: w.p.ComputePerAccess}, true
-		})
-	}
-	return out
 }

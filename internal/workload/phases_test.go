@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"testing"
-
-	"mage/internal/core"
-)
+import "testing"
 
 // drawKeys pulls n keys from a freshly built generator under a fresh
 // seeded rng — the determinism contract is that this is a pure function
@@ -21,12 +17,11 @@ func drawKeys(n int, seed int64, build func() KeyGen) []int64 {
 
 // TestPhaseGeneratorsDeterministic is the double-run determinism test:
 // every phase generator must replay the identical key sequence from the
-// same seed, because the magecache load generator and the DES both lean
-// on that to share one traffic model.
+// same seed, because the magecache load generator leans on that to
+// replay a run.
 func TestPhaseGeneratorsDeterministic(t *testing.T) {
 	const keys = 1 << 14
 	builds := map[string]func() KeyGen{
-		"uniform": func() KeyGen { return NewUniform(keys) },
 		"storm": func() KeyGen {
 			return NewHotStorm(NewScrambled(keys, 0.99), keys, 16, 0.9, 0x5307)
 		},
@@ -121,9 +116,9 @@ func TestFlashCrowdRampsOntoColdSegment(t *testing.T) {
 func TestPhasedKeysWalksSchedule(t *testing.T) {
 	rng := seedRNG(1)
 	p := NewPhasedKeys(
-		Phase{Name: "a", Draws: 3, Gen: NewUniform(10)},
-		Phase{Name: "b", Draws: 2, Gen: NewUniform(10)},
-		Phase{Name: "c", Draws: 0, Gen: NewUniform(10)},
+		Phase{Name: "a", Draws: 3, Gen: NewScrambled(10, 0.99)},
+		Phase{Name: "b", Draws: 2, Gen: NewScrambled(10, 0.99)},
+		Phase{Name: "c", Draws: 0, Gen: NewScrambled(10, 0.99)},
 	)
 	// The final Draws:0 phase is unbounded, so the walk can keep drawing
 	// past the bounded legs.
@@ -136,39 +131,6 @@ func TestPhasedKeysWalksSchedule(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("draw %d served by phase %q, want %q (full: %v)", i, got[i], want[i], got)
-		}
-	}
-}
-
-// TestPhasedZipfDeterministic pins the DES mirror: Streams must replay
-// byte-identical access sequences from one seed at any thread count.
-func TestPhasedZipfDeterministic(t *testing.T) {
-	p := PhasedZipfParams{Pages: 1 << 12, AccessesPerThread: 3000, Theta: 0.99, WriteFraction: 0.3, ComputePerAccess: 1000}
-	collect := func() [][]core.Access {
-		w := NewPhasedZipf(p)
-		streams := w.Streams(4, 99)
-		out := make([][]core.Access, len(streams))
-		for i, s := range streams {
-			for {
-				a, ok := s.Next()
-				if !ok {
-					break
-				}
-				out[i] = append(out[i], a)
-			}
-		}
-		return out
-	}
-	a, b := collect(), collect()
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			t.Fatalf("thread %d length differs: %d vs %d", i, len(a[i]), len(b[i]))
-		}
-		for j := range a[i] {
-			x, y := a[i][j], b[i][j]
-			if x.Page != y.Page || x.Write != y.Write || x.Compute != y.Compute {
-				t.Fatalf("thread %d access %d differs: %+v vs %+v", i, j, x, y)
-			}
 		}
 	}
 }

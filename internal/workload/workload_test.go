@@ -192,20 +192,6 @@ func TestGapBSStreams(t *testing.T) {
 	}
 }
 
-func TestGapBSRandomProbeInScoreRegion(t *testing.T) {
-	w := NewGapBS(GapBSParams{Scale: 10, EdgeFactor: 4, Iterations: 1, BytesPerVertex: 64, Seed: 1})
-	accs := drain(t, w.RandomScoreProbe(500, 9, 100), 501)
-	if len(accs) != 500 {
-		t.Fatalf("probe yielded %d", len(accs))
-	}
-	checkInRange(t, "probe", accs, w.NumPages())
-	for _, a := range accs {
-		if a.Page >= w.scores.base+w.scores.pages {
-			t.Fatalf("probe outside score region: page %d", a.Page)
-		}
-	}
-}
-
 func TestXSBenchStreams(t *testing.T) {
 	p := DefaultXSBench()
 	p.LookupsPerThread = 200

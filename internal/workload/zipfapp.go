@@ -25,12 +25,6 @@ type ZipfParams struct {
 	ComputePerAccess sim.Time
 }
 
-// DefaultZipf returns a scaled-down skewed-random tenant.
-func DefaultZipf() ZipfParams {
-	return ZipfParams{Pages: 1 << 14, AccessesPerThread: 4000, Theta: 0.99,
-		WriteFraction: 0.3, ComputePerAccess: 1500}
-}
-
 // Zipf is the closed-loop skewed-random workload.
 type Zipf struct {
 	p   ZipfParams

@@ -129,7 +129,6 @@ var (
 	DefaultGapBSParams     = workload.DefaultGapBS
 	DefaultXSBenchParams   = workload.DefaultXSBench
 	DefaultSeqScanParams   = workload.DefaultSeqScan
-	DefaultZipfParams      = workload.DefaultZipf
 	DefaultGUPSParams      = workload.DefaultGUPS
 	DefaultMetisParams     = workload.DefaultMetis
 	DefaultMemcachedParams = workload.DefaultMemcached
