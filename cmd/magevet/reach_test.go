@@ -40,7 +40,6 @@ var reachReasons = []string{
 	"test accessor", // a test reads or drives the package through it
 	"frozen",        // bench/ names it, and bench/ changes only with the benchmark itself
 	"kept API",      // the root package's documented facade
-	"deferred",      // its deletion, tests and all, is the next census cut (ROADMAP item 15)
 }
 
 // magecheckHook reports whether a func is a runtime-invariant hook, which

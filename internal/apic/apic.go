@@ -146,18 +146,3 @@ func (c *Completion) ack() {
 		c.q.Broadcast()
 	}
 }
-
-// Broadcast issues one IPI from core `from` to every core in targets,
-// executing a handler of handlerCost on each, and blocks p until every
-// target has acknowledged. It returns the total virtual time the broadcast
-// took. Handler time is charged as stolen cycles to each target core.
-//
-// A broadcast with no targets returns immediately.
-func (f *Fabric) Broadcast(p *sim.Proc, from topo.CoreID, targets []topo.CoreID, handlerCost sim.Time) sim.Time {
-	if len(targets) == 0 {
-		return 0
-	}
-	start := p.Now()
-	f.Post(p, from, targets, handlerCost).Wait(p)
-	return p.Now() - start
-}

@@ -13,10 +13,18 @@ func testFabric(sockets, cps int) (*sim.Engine, *Fabric, *topo.Machine) {
 	return eng, NewFabric(eng, m, DefaultCosts()), m
 }
 
+// roundTrip posts an IPI from core `from` to every target and waits for
+// the last ack, and returns how long p spent on both.
+func roundTrip(p *sim.Proc, f *Fabric, from topo.CoreID, targets []topo.CoreID, handlerCost sim.Time) sim.Time {
+	start := p.Now()
+	f.Post(p, from, targets, handlerCost).Wait(p)
+	return p.Now() - start
+}
+
 func TestBroadcastNoTargets(t *testing.T) {
 	eng, f, _ := testFabric(1, 4)
 	eng.Spawn("init", func(p *sim.Proc) {
-		if d := f.Broadcast(p, 0, nil, 500); d != 0 {
+		if d := roundTrip(p, f, 0, nil, 500); d != 0 {
 			t.Errorf("empty broadcast took %v", d)
 		}
 	})
@@ -32,7 +40,7 @@ func TestBroadcastSingleTargetLatency(t *testing.T) {
 	handler := sim.Time(400)
 	var took sim.Time
 	eng.Spawn("init", func(p *sim.Proc) {
-		took = f.Broadcast(p, 0, []topo.CoreID{1}, handler)
+		took = roundTrip(p, f, 0, []topo.CoreID{1}, handler)
 	})
 	eng.Run()
 	want := c.SendCost + c.DeliverySameSocket + handler + c.AckLatency
@@ -48,8 +56,8 @@ func TestCrossSocketSlower(t *testing.T) {
 	eng, f, _ := testFabric(2, 2)
 	var same, cross sim.Time
 	eng.Spawn("init", func(p *sim.Proc) {
-		same = f.Broadcast(p, 0, []topo.CoreID{1}, 100)
-		cross = f.Broadcast(p, 0, []topo.CoreID{2}, 100)
+		same = roundTrip(p, f, 0, []topo.CoreID{1}, 100)
+		cross = roundTrip(p, f, 0, []topo.CoreID{2}, 100)
 	})
 	eng.Run()
 	if cross <= same {
@@ -67,7 +75,7 @@ func TestSerializedSends(t *testing.T) {
 	targets := []topo.CoreID{1, 2, 3, 4, 5, 6, 7}
 	var took sim.Time
 	eng.Spawn("init", func(p *sim.Proc) {
-		took = f.Broadcast(p, 0, targets, 100)
+		took = roundTrip(p, f, 0, targets, 100)
 	})
 	eng.Run()
 	// The last IPI leaves after 7 send slots; its round trip bounds the
@@ -86,7 +94,7 @@ func TestVMExitSurcharge(t *testing.T) {
 	f := NewFabric(eng, m, costs)
 	var took sim.Time
 	eng.Spawn("init", func(p *sim.Proc) {
-		took = f.Broadcast(p, 0, []topo.CoreID{1}, 100)
+		took = roundTrip(p, f, 0, []topo.CoreID{1}, 100)
 	})
 	eng.Run()
 	bare := costs.SendCost + costs.DeliverySameSocket + 100 + costs.AckLatency
@@ -103,7 +111,7 @@ func TestIPIStormQueuesAtTarget(t *testing.T) {
 	for i := 1; i < 16; i++ {
 		i := i
 		eng.Spawn("sender", func(p *sim.Proc) {
-			f.Broadcast(p, topo.CoreID(i), []topo.CoreID{0}, handler)
+			roundTrip(p, f, topo.CoreID(i), []topo.CoreID{0}, handler)
 		})
 	}
 	eng.Run()
@@ -120,7 +128,7 @@ func TestIPIStormQueuesAtTarget(t *testing.T) {
 func TestHandlerStealsTargetTime(t *testing.T) {
 	eng, f, m := testFabric(1, 2)
 	eng.Spawn("init", func(p *sim.Proc) {
-		f.Broadcast(p, 0, []topo.CoreID{1}, 700)
+		roundTrip(p, f, 0, []topo.CoreID{1}, 700)
 	})
 	eng.Run()
 	if got := m.Core(1).DrainStolen(); got != 700 {
@@ -144,7 +152,7 @@ func TestConcurrentBroadcastsComplete(t *testing.T) {
 					tgts = append(tgts, c)
 				}
 			}
-			f.Broadcast(p, topo.CoreID(i), tgts, 300)
+			roundTrip(p, f, topo.CoreID(i), tgts, 300)
 			doneCount++
 		})
 	}

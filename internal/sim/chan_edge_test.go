@@ -10,8 +10,8 @@ func TestChanGetDrainsBufferAfterClose(t *testing.T) {
 	var got []int
 	var closedOK bool
 	eng.Spawn("writer", func(p *Proc) {
-		c.Put(p, 1)
-		c.Put(p, 2)
+		c.TryPut(1)
+		c.TryPut(2)
 		c.Close()
 	})
 	eng.Spawn("reader", func(p *Proc) {

@@ -5,13 +5,10 @@ package sim
 // treated as 1 (the engine has no rendezvous primitive and none of the
 // simulated systems need one).
 type Chan[T any] struct {
-	eng      *Engine
-	name     string
 	buf      []T
 	cap      int
 	closed   bool
 	notEmpty *WaitQueue
-	notFull  *WaitQueue
 }
 
 // NewChan returns a bounded queue with the given capacity.
@@ -20,32 +17,13 @@ func NewChan[T any](eng *Engine, name string, capacity int) *Chan[T] {
 		capacity = 1
 	}
 	return &Chan[T]{
-		eng:      eng,
-		name:     name,
 		cap:      capacity,
 		notEmpty: NewWaitQueue(eng, name+".notEmpty"),
-		notFull:  NewWaitQueue(eng, name+".notFull"),
 	}
 }
 
 // Len returns the number of queued items.
 func (c *Chan[T]) Len() int { return len(c.buf) }
-
-// Put appends v, blocking while the queue is full. It panics if the queue
-// is closed.
-func (c *Chan[T]) Put(p *Proc, v T) {
-	for len(c.buf) >= c.cap {
-		if c.closed {
-			panic("sim: Put on closed Chan " + c.name)
-		}
-		c.notFull.Wait(p)
-	}
-	if c.closed {
-		panic("sim: Put on closed Chan " + c.name)
-	}
-	c.buf = append(c.buf, v)
-	c.notEmpty.Signal(1)
-}
 
 // TryPut appends v if there is room and reports whether it did.
 func (c *Chan[T]) TryPut(v T) bool {
@@ -69,19 +47,6 @@ func (c *Chan[T]) Get(p *Proc) (v T, ok bool) {
 	v = c.buf[0]
 	copy(c.buf, c.buf[1:])
 	c.buf = c.buf[:len(c.buf)-1]
-	c.notFull.Signal(1)
-	return v, true
-}
-
-// TryGet removes the oldest item without blocking.
-func (c *Chan[T]) TryGet() (v T, ok bool) {
-	if len(c.buf) == 0 {
-		return v, false
-	}
-	v = c.buf[0]
-	copy(c.buf, c.buf[1:])
-	c.buf = c.buf[:len(c.buf)-1]
-	c.notFull.Signal(1)
 	return v, true
 }
 
@@ -89,5 +54,4 @@ func (c *Chan[T]) TryGet() (v T, ok bool) {
 func (c *Chan[T]) Close() {
 	c.closed = true
 	c.notEmpty.Broadcast()
-	c.notFull.Broadcast()
 }

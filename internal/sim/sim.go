@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic" //magevet:ok engine-construction epoch only: seeds seq before any process runs; all simulation state stays single-threaded
 
 	"mage/internal/invariant"
 )
@@ -176,7 +175,7 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() Time { return p.eng.now }
 
 // Engine runs the simulation: it owns the virtual clock and the event
-// queue, and RunUntil's loop is the one dispatcher: it pops the head and
+// queue, and Run's loop is the one dispatcher: it pops the head and
 // resumes that event's process, which runs until it parks or returns and
 // so hands control straight back to the loop. A parking process whose own
 // event is the next one takes it and keeps running without any switch,
@@ -185,14 +184,12 @@ func (p *Proc) Now() Time { return p.eng.now }
 // resumed by the loop, so exactly one runs at a time by construction and
 // the shared state below needs no locking.
 type Engine struct {
-	now      Time
-	seq      uint64
-	deadline Time
-	events   eventHeap
+	now    Time
+	seq    uint64
+	events eventHeap
 	// free is the *event freelist: dispatched and canceled events are
 	// recycled so steady-state scheduling allocates nothing.
 	free []*event
-	cur  *Proc
 	// popped is the event a parking process took off the queue and found
 	// to be another process's: it suspends and the loop dispatches this
 	// instead of calling next again, so next runs once per event.
@@ -205,30 +202,16 @@ type Engine struct {
 	procs      []*Proc // indexed by Proc.ID; nil once exited
 	live       int
 	panicV     interface{}
-	stopped    bool
 	// lastAt, lastSeq: the key next last returned (magecheck builds only).
 	lastAt  Time
 	lastSeq uint64
 }
 
-// engineEpoch seeds each new engine's seq counter. Every engine gets a
-// disjoint 2^40-wide seq range, mirroring how memnode seeds region IDs
-// from an epoch: an engine constructed after another (e.g. a test that
-// Shutdowns one engine and builds a replacement) can never reissue seq
-// numbers the earlier engine used, so resumed or restarted runs cannot
-// alias event ordering. Ordering within an engine only ever compares
-// seqs sharing the same base, so the base offset is invisible to
-// digests.
-var engineEpoch atomic.Uint64
-
-// seqEpochStride is the seq-number range reserved per engine. 2^40
-// events per engine before ranges could touch, 2^24 engines per process
-// before the epoch wraps — both orders of magnitude beyond any grid.
-const seqEpochStride = 1 << 40
-
 // NewEngine returns an engine with the clock at zero and no processes.
+// Its first event takes seq 1, so every event dispatched follows the
+// (0, 0) key the dispatch order check starts from.
 func NewEngine() *Engine {
-	return &Engine{seq: engineEpoch.Add(1) * seqEpochStride}
+	return &Engine{seq: 1}
 }
 
 // Now returns the current virtual time.
@@ -246,10 +229,6 @@ func (e *Engine) Resumes() uint64 { return e.resumes }
 // and continuations alike, canceled events not counted.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
-// poison is the panic value park uses to unwind a process being shut
-// down; the spawn wrapper recognizes and swallows it.
-type poison struct{}
-
 // Spawn creates a process that will begin executing fn at the current
 // virtual time. It may be called before Run or from inside a running
 // process.
@@ -261,7 +240,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	// The body starts when the loop dispatches the wake event above.
 	p.co.init(func() {
 		defer func() {
-			if v := recover(); v != nil && v != (poison{}) {
+			if v := recover(); v != nil {
 				e.panicV = v
 			}
 			e.retire(p)
@@ -271,13 +250,10 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// retire takes an exiting process off the books. e.cur is cleared here
-// as well as in the loop because a process that leaves by runtime.Goexit
-// takes Run's caller with it, past the loop's own store.
+// retire takes an exiting process off the books.
 func (e *Engine) retire(p *Proc) {
 	e.live--
 	e.procs[p.id] = nil
-	e.cur = nil
 }
 
 func (e *Engine) schedule(at Time, p *Proc, reason wakeReason) *event {
@@ -319,24 +295,14 @@ func (e *Engine) recycle(ev *event) {
 }
 
 // next pops the next dispatchable event, recycling canceled carcasses it
-// finds at the head on the way. It returns nil when RunUntil must return:
-// the queue is drained, the engine is stopped, or the earliest event lies
-// past the deadline (it stays queued for a later RunUntil).
+// finds on the way. It returns nil once the queue is drained.
 func (e *Engine) next() *event {
-	if e.stopped {
-		return nil
-	}
 	for len(e.events) > 0 {
-		ev := e.events[0]
+		ev := e.events.pop()
 		if ev.canceled {
-			e.events.pop()
 			e.recycle(ev)
 			continue
 		}
-		if ev.at > e.deadline {
-			return nil
-		}
-		e.events.pop()
 		if invariant.Enabled {
 			// The heap's contract: events leave in strictly increasing
 			// (at, seq) order, and never behind the clock.
@@ -382,19 +348,14 @@ func (e *Engine) scheduleWake(p *Proc, at Time, reason wakeReason) {
 	p.blocked = false
 }
 
-// Run processes events until none remain or Stop is called. It returns the
-// final virtual time. If processes remain blocked with no pending events
-// (a simulated deadlock), Run panics with a description of the stuck
-// processes. If any process panicked, Run re-panics with its value.
+// Run processes events until none remain and returns the final virtual
+// time. That is the one way a run ends. If processes remain blocked with
+// no pending events (a simulated deadlock), Run panics with a description
+// of the stuck processes. If a process panicked, Run re-panics with its
+// value; a continuation the loop pops runs on the caller's stack, so its
+// panic leaves Run directly. Either panic leaves the engine's other
+// processes suspended where they were.
 func (e *Engine) Run() Time {
-	return e.RunUntil(MaxTime)
-}
-
-// RunUntil is like Run but stops once the clock would pass the deadline.
-// Events at exactly the deadline still execute. A continuation the loop
-// pops runs on the caller's stack, so its panic leaves RunUntil directly.
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.deadline = deadline
 	for {
 		ev := e.popped
 		e.popped = nil
@@ -407,25 +368,16 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			e.run(ev)
 			continue
 		}
-		e.cur = e.deliver(ev)
+		p := e.deliver(ev)
 		e.resumes++
-		e.cur.co.resume()
-		e.cur = nil
+		p.co.resume()
 		if e.panicV != nil {
 			panic(e.panicV)
 		}
 	}
-	if !e.stopped {
-		if len(e.events) > 0 {
-			// The next event lies beyond the deadline; leave it queued
-			// for a later RunUntil call.
-			e.now = deadline
-			return e.now
-		}
-		if e.live > 0 {
-			panic(fmt.Sprintf("sim: deadlock at t=%v: %d blocked process(es): %v",
-				e.now, e.live, e.blockedNames()))
-		}
+	if e.live > 0 {
+		panic(fmt.Sprintf("sim: deadlock at t=%v: %d blocked process(es): %v",
+			e.now, e.live, e.blockedNames()))
 	}
 	return e.now
 }
@@ -444,45 +396,13 @@ func (e *Engine) blockedNames() []string {
 	return names
 }
 
-// Stop makes Run return after the current event completes. Blocked
-// processes are abandoned but stay suspended; call Shutdown once Run has
-// returned to release them.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Shutdown terminates every process that has not yet exited: a suspended
-// one is killed, which unwinds its stack from the park it sits in so its
-// deferred clean-ups run, and one that never started is simply retired.
-// It must be called after Run/RunUntil has returned (never from inside a
-// running process), and it is idempotent: a drained engine shuts down as
-// a no-op. Engines that stop early (Stop, RunUntil deadlines) would
-// otherwise keep one suspended coroutine per abandoned process for the
-// life of the host process. Every body has returned before Shutdown
-// does.
-func (e *Engine) Shutdown() {
-	if e.cur != nil {
-		panic("sim: Shutdown called from inside a running process")
-	}
-	e.stopped = true
-	for _, p := range e.procs {
-		if p == nil {
-			continue
-		}
-		p.co.kill()
-		if e.procs[p.id] == p {
-			e.retire(p) // never started: its body, and the retire in it, never ran
-		}
-	}
-}
-
 // park suspends the process until its next wake event is dispatched. It
 // pops the next event itself: a continuation it runs on the spot and pops
 // again; when the event is its own (consecutive sleeps with no one else
 // due) it returns without any switch; otherwise it leaves the event, or
 // nil when nothing is dispatchable, for the loop and suspends. A
 // continuation that panics here unwinds this process, whose spawn wrapper
-// hands the value to the loop. A kill (Shutdown) unwinds the process's
-// stack instead of returning; the spawn wrapper swallows the sentinel
-// panic.
+// hands the value to the loop.
 func (p *Proc) park() wakeReason {
 	e := p.eng
 	ev := e.next()
@@ -495,9 +415,7 @@ func (p *Proc) park() wakeReason {
 		return p.woke
 	}
 	e.popped = ev
-	if !p.co.suspend() {
-		panic(poison{})
-	}
+	p.co.suspend()
 	return p.woke
 }
 

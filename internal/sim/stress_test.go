@@ -58,7 +58,9 @@ func TestChanFIFOProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < n; i++ {
 				p.Sleep(Time(rng.Intn(20)))
-				c.Put(p, i)
+				for !c.TryPut(i) {
+					p.Sleep(1) // full: try again once the consumer has taken one
+				}
 			}
 			c.Close()
 		})

@@ -12,49 +12,34 @@ import "runtime"
 // loop above it, two trips through the Go scheduler per event.
 type coro struct {
 	body    func()
-	wake    chan bool     // owner to body: true resumes, false kills
+	wake    chan struct{} // owner to body: resume
 	back    chan struct{} // body to owner: suspended, or gone
 	started bool
-	killed  bool
 	goexit  bool // the body left by runtime.Goexit, not by returning
 }
 
 func (c *coro) init(body func()) {
-	c.body, c.wake, c.back = body, make(chan bool), make(chan struct{})
+	c.body, c.wake, c.back = body, make(chan struct{}), make(chan struct{})
 }
 
 func (c *coro) resume() {
 	if c.started {
-		c.wake <- true
+		c.wake <- struct{}{}
 	} else {
 		c.started = true
-		go func() { //magevet:ok coroutine hand-off: the body runs only while its owner waits in await
+		go func() { //magevet:ok coroutine hand-off: the body runs only while its owner waits in resume
 			returned := false
 			defer func() { c.goexit = !returned; c.back <- struct{}{} }()
 			c.body()
 			returned = true
 		}()
 	}
-	c.await()
-}
-
-func (c *coro) await() {
 	if <-c.back; c.goexit {
 		runtime.Goexit()
 	}
 }
 
-func (c *coro) suspend() bool {
-	if c.killed {
-		return false
-	}
+func (c *coro) suspend() {
 	c.back <- struct{}{}
-	return <-c.wake
-}
-
-func (c *coro) kill() {
-	if c.killed = true; c.started {
-		c.wake <- false
-		c.await()
-	}
+	<-c.wake
 }

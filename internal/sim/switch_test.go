@@ -12,10 +12,27 @@ import (
 // hand-offs. Every test here passes over switch_coro.go and, with
 // -tags simchan, over switch_chan.go, with the same assertions.
 
+// stableGoroutines samples the goroutine count once it has held for a
+// millisecond, so that the goroutines an earlier test's bodies ran on
+// have finished exiting before it is taken as a base.
+func stableGoroutines() int {
+	n, held := runtime.NumGoroutine(), 0
+	for i := 0; i < 2000 && held < 20; i++ {
+		time.Sleep(50 * time.Microsecond)
+		if m := runtime.NumGoroutine(); m == n {
+			held++
+		} else {
+			n, held = m, 0
+		}
+	}
+	return n
+}
+
 // goroutinesDownTo samples the goroutine count until it has fallen to
-// base. Under the channel twin a killed body has handed control back
-// before its goroutine is quite gone, so the count is awaited, briefly,
-// not read once; a leak still shows as a count that never comes down.
+// base. Under the channel twin a body that has returned hands control
+// back before its goroutine is quite gone, so the count is awaited,
+// briefly, not read once; a leak still shows as a count that never comes
+// down.
 func goroutinesDownTo(base int) int {
 	n := runtime.NumGoroutine()
 	for i := 0; i < 2000 && n > base; i++ {
@@ -25,12 +42,64 @@ func goroutinesDownTo(base int) int {
 	return n
 }
 
-// parkForever blocks p on a queue nobody signals, counting in *cleaned
-// when its stack is unwound.
-func parkForever(eng *Engine, cleaned *int) func(*Proc) {
-	return func(p *Proc) {
-		defer func() { *cleaned++ }()
-		NewWaitQueue(eng, "never").Wait(p)
+// TestDrainedRunReleasesEverything: a Run that drains its queue is the
+// one way an engine ends, and it leaves nothing behind: no live process
+// and no goroutine, whichever way each body parked on the way (sleeps,
+// queues, timeouts, mutexes, a channel, a child spawned mid-run,
+// continuations).
+func TestDrainedRunReleasesEverything(t *testing.T) {
+	base := stableGoroutines()
+	eng := NewEngine()
+	q := NewWaitQueue(eng, "q")
+	mu := NewMutex(eng, "mu")
+	c := NewChan[int](eng, "c", 2)
+	const workers = 50
+	for i := 0; i < workers; i++ {
+		eng.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
+			p.Sleep(Time(i % 7))
+			mu.Lock(p)
+			p.Sleep(1)
+			mu.Unlock(p)
+			if i%2 == 0 {
+				q.Wait(p)
+			} else {
+				q.WaitTimeout(p, 3)
+			}
+		})
+	}
+	eng.Spawn("signaler", func(p *Proc) {
+		p.Sleep(100)
+		q.Broadcast()
+		eng.Spawn("child", func(p *Proc) {
+			for i := 0; i < 5; i++ {
+				for !c.TryPut(i) {
+					p.Sleep(1)
+				}
+			}
+			c.Close()
+		})
+	})
+	got := 0
+	eng.Spawn("reader", func(p *Proc) {
+		for {
+			if _, ok := c.Get(p); !ok {
+				return
+			}
+			got++
+			p.Sleep(2)
+		}
+	})
+	ks := 0
+	eng.After(50, func() { mu.LockThen(func() { ks++; eng.After(1, mu.Release) }) })
+	end := eng.Run()
+	if end <= 100 || got != 5 || ks != 1 {
+		t.Errorf("run ended at %v with %d items read and %d continuations; want past t=100, 5 and 1", end, got, ks)
+	}
+	if eng.Live() != 0 || len(eng.events) != 0 || mu.held {
+		t.Errorf("after the drain: Live %d, %d events queued, mutex held %v; want 0, 0, false", eng.Live(), len(eng.events), mu.held)
+	}
+	if n := goroutinesDownTo(base); n != base {
+		t.Errorf("goroutines: %d, want %d", n, base)
 	}
 }
 
@@ -82,11 +151,16 @@ func TestParkOwnEventDoesNotSwitch(t *testing.T) {
 	}
 }
 
-func TestPanicSurfacesAndShutdownCleansUp(t *testing.T) {
-	base := stableGoroutines()
+// TestPanicSurfaces: a process's panic leaves Run with its value once the
+// process's own stack has unwound. The bystander stays parked where it
+// was: nothing ends an engine early.
+func TestPanicSurfaces(t *testing.T) {
 	eng := NewEngine()
 	cleaned := 0
-	eng.Spawn("bystander", parkForever(eng, &cleaned))
+	eng.Spawn("bystander", func(p *Proc) {
+		defer func() { cleaned++ }()
+		NewWaitQueue(eng, "never").Wait(p) // nobody signals it
+	})
 	eng.Spawn("bomb", func(p *Proc) {
 		defer func() { cleaned++ }()
 		p.Sleep(5)
@@ -103,20 +177,13 @@ func TestPanicSurfacesAndShutdownCleansUp(t *testing.T) {
 	if eng.Live() != 1 || cleaned != 1 {
 		t.Fatalf("after the panic: Live %d, %d clean-ups; want the bystander live and the bomb's one clean-up", eng.Live(), cleaned)
 	}
-	eng.Shutdown()
-	if eng.Live() != 0 || cleaned != 2 {
-		t.Errorf("after Shutdown: Live %d, %d clean-ups; want 0 and 2", eng.Live(), cleaned)
-	}
-	if n := goroutinesDownTo(base); n != base {
-		t.Errorf("goroutines: %d, want %d", n, base)
-	}
 }
 
 // TestGoexitInsideProcess: a process that leaves by runtime.Goexit (which
 // is how t.FailNow and t.SkipNow leave) unwinds its own stack and then
 // takes Run's caller with it, so a test that fails inside a process stops
-// there instead of simulating on. The engine is left consistent: the
-// caller's deferred Shutdown works.
+// there instead of simulating on. The process is retired on the way out,
+// and neither its goroutine nor the caller's is left.
 func TestGoexitInsideProcess(t *testing.T) {
 	failed := new(testing.T)
 	rows := []struct {
@@ -130,7 +197,6 @@ func TestGoexitInsideProcess(t *testing.T) {
 		base := stableGoroutines()
 		eng := NewEngine()
 		cleaned, returned := 0, false
-		eng.Spawn("bystander", parkForever(eng, &cleaned))
 		eng.Spawn("quitter", func(p *Proc) {
 			defer func() { cleaned++ }()
 			p.Sleep(5)
@@ -139,7 +205,6 @@ func TestGoexitInsideProcess(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			defer eng.Shutdown()
 			eng.Run()
 			returned = true
 		}()
@@ -147,8 +212,8 @@ func TestGoexitInsideProcess(t *testing.T) {
 		if returned {
 			t.Errorf("%s: Run returned to its caller", r.name)
 		}
-		if eng.Live() != 0 || cleaned != 2 {
-			t.Errorf("%s: Live %d, %d clean-ups; want 0 and 2", r.name, eng.Live(), cleaned)
+		if eng.Live() != 0 || cleaned != 1 {
+			t.Errorf("%s: Live %d, %d clean-ups; want 0 and 1", r.name, eng.Live(), cleaned)
 		}
 		if n := goroutinesDownTo(base); n != base {
 			t.Errorf("%s: goroutines: %d, want %d", r.name, n, base)
@@ -156,69 +221,6 @@ func TestGoexitInsideProcess(t *testing.T) {
 	}
 	if !failed.Failed() {
 		t.Error("FailNow inside a process did not mark its test failed")
-	}
-}
-
-// TestShutdownEveryState: Shutdown meets a process in each state it can
-// be abandoned in. Afterwards none is live, every stack that was ever
-// entered has been unwound exactly once, and no goroutine is left.
-func TestShutdownEveryState(t *testing.T) {
-	rows := []struct {
-		name    string
-		run     func(eng *Engine, cleaned *int)
-		cleaned int
-	}{
-		{"never started", func(eng *Engine, cleaned *int) {
-			eng.Spawn("unborn", func(p *Proc) {
-				defer func() { *cleaned++ }()
-				t.Error("never started: body ran")
-			})
-			eng.Stop()
-			eng.Run()
-		}, 0},
-		{"parked on a queue", func(eng *Engine, cleaned *int) {
-			eng.Spawn("parked", parkForever(eng, cleaned))
-			eng.Spawn("stopper", func(p *Proc) { p.Sleep(1); eng.Stop() })
-			eng.Run()
-		}, 1},
-		{"abandoned by a deadline, wake still queued", func(eng *Engine, cleaned *int) {
-			eng.Spawn("sleeper", func(p *Proc) {
-				defer func() { *cleaned++ }()
-				for {
-					p.Sleep(100)
-				}
-			})
-			eng.RunUntil(250)
-		}, 1},
-		{"spawned from inside a process", func(eng *Engine, cleaned *int) {
-			eng.Spawn("parent", func(p *Proc) {
-				eng.Spawn("child", parkForever(eng, cleaned))
-				p.Sleep(0)
-				eng.Spawn("unborn child", parkForever(eng, cleaned)) // Stop lands before its start event
-				eng.Stop()
-			})
-			eng.Run()
-		}, 1},
-	}
-	for _, r := range rows {
-		base := stableGoroutines()
-		eng := NewEngine()
-		cleaned := 0
-		r.run(eng, &cleaned)
-		if eng.Live() == 0 {
-			t.Errorf("%s: nothing left for Shutdown to do", r.name)
-		}
-		eng.Shutdown()
-		eng.Shutdown()
-		if eng.Live() != 0 {
-			t.Errorf("%s: Live %d after Shutdown", r.name, eng.Live())
-		}
-		if cleaned != r.cleaned {
-			t.Errorf("%s: %d clean-ups, want %d", r.name, cleaned, r.cleaned)
-		}
-		if n := goroutinesDownTo(base); n != base {
-			t.Errorf("%s: goroutines: %d, want %d", r.name, n, base)
-		}
 	}
 }
 
@@ -246,47 +248,5 @@ func TestSpawnInsideProcessOrder(t *testing.T) {
 	want := []string{"t=10 parent spawned", "t=10 peer", "t=10 child", "t=10 parent again"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("order %q, want %q", got, want)
-	}
-}
-
-// TestRunUntilResumes: a second RunUntil picks up exactly where the first
-// one's deadline left the queue, whether the process it stopped was
-// alone (parks that never reach the loop) or had company.
-func TestRunUntilResumes(t *testing.T) {
-	for _, procs := range []int{1, 3} {
-		eng := NewEngine()
-		var got []string
-		for i := 0; i < procs; i++ {
-			eng.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				for j := 0; j < 4; j++ {
-					p.Sleep(100)
-					got = append(got, fmt.Sprintf("%s@%d", p.Name(), p.Now()))
-				}
-			})
-		}
-		var stops []Time
-		for _, d := range []Time{250, 250, 300} {
-			stops = append(stops, eng.RunUntil(d))
-		}
-		mid := len(got)
-		stops = append(stops, eng.Run())
-		if want := []Time{250, 250, 300, 400}; !reflect.DeepEqual(stops, want) {
-			t.Errorf("%d procs: RunUntil returned %v, want %v", procs, stops, want)
-		}
-		var want []string
-		for j := 1; j <= 4; j++ {
-			for i := 0; i < procs; i++ {
-				want = append(want, fmt.Sprintf("p%d@%d", i, j*100))
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%d procs: steps %q, want %q", procs, got, want)
-		}
-		if mid != 3*procs {
-			t.Errorf("%d procs: %d steps by t=300, want %d", procs, mid, 3*procs)
-		}
-		if eng.Live() != 0 {
-			t.Errorf("%d procs: Live %d after the drain", procs, eng.Live())
-		}
 	}
 }

@@ -1,92 +1,5 @@
 package stats
 
-// WindowMeter measures throughput over a sliding time window, bucketed
-// so memory stays bounded however long the run is. Times are explicit
-// int64 nanoseconds — virtual time in the DES, wall-clock nanoseconds in
-// the real services — so the meter itself stays deterministic and
-// clock-free. Callers serialize access (wrap per worker and Merge, or
-// guard with the caller's own lock, like Histogram).
-type WindowMeter struct {
-	bucketNs int64
-	counts   []uint64 // ring of per-bucket op counts
-	starts   []int64  // bucket start time per slot; -1 = never used
-	firstNs  int64    // time of the first Add; -1 before any
-}
-
-// NewWindowMeter returns a meter whose window is buckets*bucketNs wide.
-// Finer buckets give a smoother rate at the cost of memory.
-func NewWindowMeter(bucketNs int64, buckets int) *WindowMeter {
-	if bucketNs <= 0 {
-		bucketNs = 1e9
-	}
-	if buckets < 2 {
-		buckets = 2
-	}
-	m := &WindowMeter{bucketNs: bucketNs, counts: make([]uint64, buckets), starts: make([]int64, buckets), firstNs: -1}
-	for i := range m.starts {
-		m.starts[i] = -1
-	}
-	return m
-}
-
-// WindowNs returns the window width the meter averages over.
-func (m *WindowMeter) WindowNs() int64 { return m.bucketNs * int64(len(m.counts)) }
-
-// slot returns the ring slot for time now, recycling it if its previous
-// tenancy has aged out of the window.
-func (m *WindowMeter) slot(now int64) int {
-	if now < 0 {
-		now = 0
-	}
-	b := now / m.bucketNs
-	i := int(b % int64(len(m.counts)))
-	start := b * m.bucketNs
-	if m.starts[i] != start {
-		m.starts[i] = start
-		m.counts[i] = 0
-	}
-	return i
-}
-
-// Add records n operations at time now.
-func (m *WindowMeter) Add(now int64, n uint64) {
-	if m.firstNs < 0 || now < m.firstNs {
-		m.firstNs = now
-	}
-	m.counts[m.slot(now)] += n
-}
-
-// Rate returns operations per second over the window ending at now.
-// Buckets older than the window are excluded. The averaging span is the
-// window width, shortened to the meter's actual lifetime while it is
-// still younger than one window — a meter 200ms into a 1s window divides
-// by 200ms, not 1s.
-func (m *WindowMeter) Rate(now int64) float64 {
-	if now <= 0 || m.firstNs < 0 {
-		return 0
-	}
-	cur := now / m.bucketNs
-	var ops uint64
-	for i := range m.counts {
-		if m.starts[i] < 0 {
-			continue
-		}
-		age := cur - m.starts[i]/m.bucketNs
-		if age < 0 || age >= int64(len(m.counts)) {
-			continue
-		}
-		ops += m.counts[i]
-	}
-	span := m.WindowNs()
-	if lived := now - m.firstNs; lived < span {
-		span = lived
-	}
-	if span <= 0 || ops == 0 {
-		return 0
-	}
-	return float64(ops) / (float64(span) / 1e9)
-}
-
 // SLOTracker scores a latency stream against a target: every recorded
 // op either meets the target latency or burns error budget. The budget
 // is a fraction (an SLO of "p99 under target" allows 1% of ops over it,

@@ -5,58 +5,6 @@ import (
 	"testing"
 )
 
-func TestWindowMeterSteadyRate(t *testing.T) {
-	// 10 buckets of 100ms: 1s window. 1000 ops/s steady input must read
-	// back as ~1000 ops/s.
-	m := NewWindowMeter(100e6, 10)
-	var now int64
-	for i := 0; i < 3000; i++ {
-		now = int64(i) * 1e6 // one op per ms
-		m.Add(now, 1)
-	}
-	got := m.Rate(now)
-	if math.Abs(got-1000) > 100 {
-		t.Fatalf("steady 1000 ops/s read as %.1f", got)
-	}
-}
-
-func TestWindowMeterSlidesOffOldTraffic(t *testing.T) {
-	m := NewWindowMeter(100e6, 10)
-	// Burst of 1000 ops at t=0, then silence.
-	m.Add(0, 1000)
-	if r := m.Rate(50e6); r == 0 {
-		t.Fatal("burst invisible inside its own bucket")
-	}
-	// Two full windows later the burst must have aged out entirely.
-	if r := m.Rate(2e9 + 50e6); r != 0 {
-		t.Fatalf("rate %.1f two windows after the only burst; want 0", r)
-	}
-}
-
-func TestWindowMeterYoungerThanWindow(t *testing.T) {
-	// A meter that has only run 200ms of its 1s window must divide by
-	// elapsed time, not the nominal width.
-	m := NewWindowMeter(100e6, 10)
-	for i := 0; i < 200; i++ {
-		m.Add(int64(i)*1e6, 1) // 1000 ops/s for 200ms
-	}
-	got := m.Rate(199e6)
-	if math.Abs(got-1000) > 150 {
-		t.Fatalf("young meter read %.1f ops/s; want ~1000", got)
-	}
-}
-
-func TestWindowMeterBucketRecycling(t *testing.T) {
-	m := NewWindowMeter(1e9, 4)
-	m.Add(0, 100)
-	// Revisit the same ring slot 4s later: the old tenancy must not leak
-	// into the new bucket's count.
-	m.Add(4e9, 1)
-	if r := m.Rate(4e9 + 1); r > 2 {
-		t.Fatalf("recycled bucket kept stale count: rate %.2f", r)
-	}
-}
-
 func TestSLOTrackerBudget(t *testing.T) {
 	s := NewSLOTracker(1000, 0.01) // p99 under 1µs
 	for i := 0; i < 990; i++ {

@@ -244,14 +244,6 @@ func (b *Breakdown) Components() []string {
 	return out
 }
 
-// Merge adds other's accumulations into b.
-func (b *Breakdown) Merge(other *Breakdown) {
-	for _, name := range other.order {
-		b.Add(name, other.ns[name])
-	}
-	b.ops += other.ops
-}
-
 // TimeSeries records (t, value) samples, e.g. throughput over a run for the
 // GUPS phase-change timeline (Fig 11).
 type TimeSeries struct {

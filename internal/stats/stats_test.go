@@ -186,19 +186,6 @@ func TestBreakdown(t *testing.T) {
 	}
 }
 
-func TestBreakdownMerge(t *testing.T) {
-	a, b := NewBreakdown(), NewBreakdown()
-	a.Add("x", 10)
-	a.AddOp()
-	b.Add("x", 20)
-	b.Add("y", 5)
-	b.AddOp()
-	a.Merge(b)
-	if a.Component("x") != 30 || a.Component("y") != 5 || a.ops != 2 {
-		t.Errorf("merge wrong: %v ops=%d", a.Components(), a.ops)
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	var s TimeSeries
 	s.Add(0, 1.0)

@@ -356,13 +356,6 @@ func (s *Shooter) PostShootdown(p *sim.Proc, from topo.CoreID, targets []topo.Co
 	return c
 }
 
-// Shootdown invalidates pages on the initiator core and on every target
-// core, blocking p until all targets acknowledge. It returns the total
-// virtual time taken. The initiator core must not appear in targets.
-func (s *Shooter) Shootdown(p *sim.Proc, from topo.CoreID, targets []topo.CoreID, pages []uint64) sim.Time {
-	return s.PostShootdown(p, from, targets, pages).Wait(p)
-}
-
 func (s *Shooter) invalidate(t *TLB, pages []uint64) {
 	if len(pages) > s.costs.FullFlushThreshold {
 		t.FlushAll()

@@ -145,7 +145,7 @@ func TestShootdownInvalidatesAllTargets(t *testing.T) {
 			}
 			s.TLBOf(c).Touch(99) // unrelated entry survives
 		}
-		s.Shootdown(p, 0, []topo.CoreID{1, 2, 3}, pages)
+		s.PostShootdown(p, 0, []topo.CoreID{1, 2, 3}, pages).Wait(p)
 		for c := topo.CoreID(0); c < 4; c++ {
 			for _, pg := range pages {
 				if s.TLBOf(c).Contains(pg) {
@@ -172,7 +172,7 @@ func TestLargeBatchUsesFullFlush(t *testing.T) {
 	}
 	eng.Spawn("setup", func(p *sim.Proc) {
 		s.TLBOf(1).Touch(1000) // unrelated entry; full flush removes it too
-		s.Shootdown(p, 0, []topo.CoreID{1}, pages)
+		s.PostShootdown(p, 0, []topo.CoreID{1}, pages).Wait(p)
 		if s.TLBOf(1).Len() != 0 {
 			t.Errorf("full flush left %d entries", s.TLBOf(1).Len())
 		}
@@ -196,7 +196,7 @@ func TestBatchingAmortizesIPIs(t *testing.T) {
 					pages = append(pages, pg)
 					pg++
 				}
-				s.Shootdown(p, 0, targets, pages)
+				s.PostShootdown(p, 0, targets, pages).Wait(p)
 			}
 			total = p.Now()
 		})
@@ -213,7 +213,7 @@ func TestBatchingAmortizesIPIs(t *testing.T) {
 func TestShootdownNoTargets(t *testing.T) {
 	eng, s, _ := newShooter(1, 1)
 	eng.Spawn("e", func(p *sim.Proc) {
-		d := s.Shootdown(p, 0, nil, []uint64{1})
+		d := s.PostShootdown(p, 0, nil, []uint64{1}).Wait(p)
 		if d != DefaultCosts().LocalFlush {
 			t.Errorf("local-only shootdown took %v", d)
 		}

@@ -9,7 +9,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 )
@@ -83,11 +82,6 @@ func (r *Recorder) Instant(name, cat string, pid, tid int, ts int64) {
 	r.Add(Event{Name: name, Cat: cat, Phase: PhaseInstant, TS: ts, PID: pid, TID: tid})
 }
 
-// Counter records a counter sample.
-func (r *Recorder) Counter(name string, ts int64, values map[string]any) {
-	r.Add(Event{Name: name, Phase: PhaseCounter, TS: ts, Args: values})
-}
-
 // ProcessName emits the Chrome metadata event that labels process lane
 // pid in trace viewers. The core emits one per tenant at run start, so a
 // multi-tenant trace groups each tenant's spans under its name.
@@ -141,27 +135,4 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// Summary returns per-(category, name) counts and total duration — a
-// cheap sanity view without a trace viewer.
-func (r *Recorder) Summary() map[string]struct {
-	Count int
-	DurNs int64
-} {
-	out := make(map[string]struct {
-		Count int
-		DurNs int64
-	})
-	if r == nil {
-		return out
-	}
-	for _, e := range r.events {
-		k := fmt.Sprintf("%s/%s", e.Cat, e.Name)
-		s := out[k]
-		s.Count++
-		s.DurNs += e.Dur
-		out[k] = s
-	}
-	return out
 }

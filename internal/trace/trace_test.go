@@ -11,7 +11,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Add(Event{Name: "x"})
 	r.Span("a", "b", 0, 0, 0, 10, nil)
 	r.Instant("i", "c", 0, 0, 5)
-	r.Counter("n", 1, nil)
+	r.ProcessName(0, "p")
 	if r.Len() != 0 {
 		t.Fatal("nil recorder recorded something")
 	}
@@ -21,9 +21,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	if buf.String() != "[]" {
 		t.Errorf("nil recorder JSON = %q", buf.String())
-	}
-	if len(r.Summary()) != 0 {
-		t.Error("nil summary non-empty")
 	}
 }
 
@@ -108,19 +105,5 @@ func TestLimitDropsExcess(t *testing.T) {
 	}
 	if r.Len() != 2 {
 		t.Errorf("Len = %d, want 2", r.Len())
-	}
-}
-
-func TestSummary(t *testing.T) {
-	r := New(0)
-	r.Span("fault", "fp", 0, 0, 0, 100, nil)
-	r.Span("fault", "fp", 0, 1, 50, 250, nil)
-	r.Instant("kick", "ep", 1, 0, 60)
-	s := r.Summary()
-	if got := s["fp/fault"]; got.Count != 2 || got.DurNs != 300 {
-		t.Errorf("fp/fault = %+v", got)
-	}
-	if got := s["ep/kick"]; got.Count != 1 {
-		t.Errorf("ep/kick = %+v", got)
 	}
 }

@@ -38,7 +38,8 @@ func DefaultMemcached() MemcachedParams {
 
 // Memcached is the in-memory KV store: a hash-index region plus a slab
 // region holding values. A GET touches one index page and one value page;
-// a SET additionally dirties the value page.
+// a SET additionally dirties the value page. It runs open-loop only
+// (RunOpenLoop), so it is not a Workload.
 type Memcached struct {
 	p     MemcachedParams
 	index region
@@ -54,39 +55,8 @@ func NewMemcached(p MemcachedParams) *Memcached {
 	return w
 }
 
-// Name implements Workload.
-func (w *Memcached) Name() string { return "memcached" }
-
-// NumPages implements Workload.
+// NumPages returns the pages of the index and the slab together.
 func (w *Memcached) NumPages() uint64 { return w.index.pages + w.slab.pages }
-
-// Streams implements Workload with a closed-loop driver (each thread
-// issues requests back-to-back); use RunOpenLoop for the paper's
-// latency-vs-load experiments.
-func (w *Memcached) Streams(threads int, seed int64) []core.AccessStream {
-	out := make([]core.AccessStream, threads)
-	for t := 0; t < threads; t++ {
-		rng := threadRNG(seed, t, 31337)
-		zipf := NewScrambled(w.p.Keys, w.p.Theta)
-		n := 0
-		var pend []core.Access
-		pos := 0
-		out[t] = core.FuncStream(func() (core.Access, bool) {
-			if pos >= len(pend) {
-				if n >= 4000 {
-					return core.Access{}, false
-				}
-				n++
-				pend = w.requestAccesses(pend[:0], rng, zipf)
-				pos = 0
-			}
-			a := pend[pos]
-			pos++
-			return a, true
-		})
-	}
-	return out
-}
 
 // requestAccesses appends one request's page accesses to buf.
 func (w *Memcached) requestAccesses(buf []core.Access, rng *rand.Rand, zipf *Scrambled) []core.Access {

@@ -351,7 +351,6 @@ func TestWorkloadsImplementInterface(t *testing.T) {
 		NewSeqScan(DefaultSeqScan()),
 		NewGUPS(DefaultGUPS()),
 		NewMetis(DefaultMetis()),
-		NewMemcached(DefaultMemcached()),
 	}
 	for _, w := range ws {
 		if w.Name() == "" || w.NumPages() == 0 {
