@@ -232,6 +232,16 @@ var guards = []guard{
 		reason: "a file-link client's page verbs are preads and pwrites",
 	},
 	{
+		name: "a region file is read and written in move alone",
+		files: func(rel string) bool {
+			return goIn("internal/memnode", "shm_sys_linux.go", "shm_sys_stub.go")(rel) && !strings.HasSuffix(rel, "_test.go")
+		},
+		line:     regexp.MustCompile(`\b(preadFull|pwriteFull)\(`),
+		exceptIn: regexp.MustCompile(`^func \(f \*regionFile\) move\(`),
+		count:    0,
+		reason:   "every file verb, a call's or a synchronous page's, passes exec's checks on its way to move: no second path to the file",
+	},
+	{
 		name:    "memnode.IsTerminal is judged at three memcluster sites at most",
 		files:   is("internal/memcluster/cluster.go", "internal/memcluster/prober.go"),
 		line:    regexp.MustCompile(`IsTerminal\(`),

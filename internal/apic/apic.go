@@ -104,7 +104,7 @@ func (c *Completion) Wait(p *sim.Proc) {
 func (f *Fabric) Post(p *sim.Proc, from topo.CoreID, targets []topo.CoreID, handlerCost sim.Time) *Completion {
 	c := &Completion{
 		pending: len(targets),
-		q:       sim.NewWaitQueue(f.eng, "ipi-acks"),
+		q:       sim.NewWaitQueue(f.eng),
 	}
 	for _, tgt := range targets {
 		// The sender is busy issuing this IPI before moving to the next.

@@ -183,9 +183,9 @@ func newNodeOn(eng *sim.Engine, cfg Config, specs []TenantSpec) (*Node, error) {
 		Machine:    machine,
 		Fabric:     apic.NewFabric(eng, machine, costs.APIC),
 		NIC:        nic.New(eng, cfg.Stack, costs.NIC),
-		freeWait:   sim.NewWaitQueue(eng, "free-wait"),
-		evictKick:  sim.NewWaitQueue(eng, "evict-kick"),
-		borrowWait: sim.NewWaitQueue(eng, "borrow-wait"),
+		freeWait:   sim.NewWaitQueue(eng),
+		evictKick:  sim.NewWaitQueue(eng),
+		borrowWait: sim.NewWaitQueue(eng),
 	}
 	if cfg.FaultPlan.Enabled() {
 		inj, err := faultinject.New(*cfg.FaultPlan)

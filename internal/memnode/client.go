@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"os"
 	"runtime"
@@ -247,13 +248,10 @@ type call struct {
 }
 
 // arm readies a pooled struct for one attempt of the op proto describes.
-// The gate and the sending side's release start afresh: a prototype the
-// file link ran itself (see doPages) comes with both set.
 func (ca *call) arm(proto *call, srvID uint64) {
 	park, desc, vec, iovs := ca.park, ca.desc, ca.vec, ca.iovs
 	*ca = *proto
 	ca.park, ca.desc, ca.vec, ca.iovs, ca.srvID = park, desc, vec, iovs, srvID
-	ca.fin, ca.sent = finPending, 0
 	switch {
 	case ca.dst != nil && ca.op == opReadV: // a READ's one destination needs no table
 		ca.desc = appendDescs(ca.desc, ca.offsets, ca.dst)
@@ -564,7 +562,7 @@ func (s *stream) fail(err error) {
 func (s *stream) start(ca *call) {
 	ca.body, ca.err = nil, nil
 	ca.resetGate()
-	if s.files != nil && s.runFile(ca) {
+	if s.files != nil && s.runCall(ca) {
 		return
 	}
 	if ca.deadline.IsZero() {
@@ -763,14 +761,16 @@ type Client struct {
 	// network IO, so Close and Metrics stay live behind a stalled op.
 	mu      sync.Mutex
 	cond    *sync.Cond
-	cur     *stream
-	raw     net.Conn // eagerly dialed, negotiation deferred to first op
+	cur     atomic.Pointer[stream] // stored under mu, nil once closed; loaded without it
+	raw     net.Conn               // eagerly dialed, negotiation deferred to first op
 	dialing bool
 
 	closedCh chan struct{} // closed by Close, under mu
 
-	regMu   sync.Mutex // guards the stable-handle region table
-	regions map[uint64]*region
+	// The stable-handle region table, replaced whole under regMu and read
+	// with one atomic load.
+	regMu   sync.Mutex
+	regions atomic.Pointer[map[uint64]region]
 
 	// window is the in-flight semaphore: one slot per operation from
 	// submission to completion, across all its retry attempts.
@@ -815,11 +815,11 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	c := &Client{
 		addr:     addr,
 		opts:     opts,
-		regions:  make(map[uint64]*region),
 		window:   make(chan struct{}, opts.Window),
 		closedCh: make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
+	c.regions.Store(&map[uint64]region{})
 	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("memnode: dial: %w", err)
@@ -838,8 +838,8 @@ func (c *Client) Close() error {
 		return nil
 	}
 	close(c.closedCh)
-	raw, st := c.raw, c.cur
-	c.raw, c.cur = nil, nil
+	raw, st := c.raw, c.cur.Swap(nil)
+	c.raw = nil
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	var err error
@@ -874,12 +874,10 @@ func (c *Client) Metrics() ClientStats {
 // generation: "shm" (the file link), "tcp-v2" (the pipelined frames,
 // wire version 2), or "none" when no connection has been negotiated yet.
 func (c *Client) TransportKind() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch {
-	case c.cur == nil:
+	switch st := c.cur.Load(); {
+	case st == nil:
 		return "none"
-	case c.cur.files != nil:
+	case st.files != nil:
 		return "shm"
 	}
 	return "tcp-v2"
@@ -929,12 +927,10 @@ func (c *Client) backoff(attempt int) time.Duration {
 // now, and nil when that would take a dial first (or the client is
 // closed).
 func (c *Client) liveLink() *stream {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.isClosed() || c.cur == nil || !c.cur.alive() {
-		return nil
+	if st := c.cur.Load(); st != nil && st.alive() {
+		return st
 	}
-	return c.cur
+	return nil
 }
 
 // getStream returns the live stream, dialing and negotiating a new
@@ -949,8 +945,7 @@ func (c *Client) getStream() (*stream, error) {
 			c.mu.Unlock()
 			return nil, ErrClosed
 		}
-		if c.cur != nil && c.cur.alive() {
-			st := c.cur
+		if st := c.cur.Load(); st != nil && st.alive() {
 			c.mu.Unlock()
 			return st, nil
 		}
@@ -993,7 +988,7 @@ func (c *Client) getStream() (*stream, error) {
 			c.mu.Unlock()
 			return nil, err
 		}
-		c.cur = st
+		c.cur.Store(st)
 		if fresh {
 			c.reconnects.Add(1)
 		}
@@ -1074,19 +1069,23 @@ func (c *Client) hello(conn net.Conn) (*stream, error) {
 // translate maps a caller's stable handle to the server's current
 // region ID (they diverge after a restart replay).
 func (c *Client) translate(handle uint64) uint64 {
-	c.regMu.Lock()
-	defer c.regMu.Unlock()
-	if reg, ok := c.regions[handle]; ok {
+	if reg, ok := (*c.regions.Load())[handle]; ok {
 		return reg.srvID
 	}
 	return handle
 }
 
 func (c *Client) canReplay(handle uint64) bool {
-	c.regMu.Lock()
-	defer c.regMu.Unlock()
-	_, ok := c.regions[handle]
+	_, ok := (*c.regions.Load())[handle]
 	return ok
+}
+
+// editRegions replaces the region table with what edit makes of a copy
+// of it. The caller holds regMu.
+func (c *Client) editRegions(edit func(map[uint64]region)) {
+	m := maps.Clone(*c.regions.Load())
+	edit(m)
+	c.regions.Store(&m)
 }
 
 // replayRegion re-registers a handle's region on a restarted server.
@@ -1098,7 +1097,7 @@ func (c *Client) canReplay(handle uint64) bool {
 func (c *Client) replayRegion(st *stream, handle, usedSrvID uint64) error {
 	c.regMu.Lock()
 	defer c.regMu.Unlock()
-	reg, ok := c.regions[handle]
+	reg, ok := (*c.regions.Load())[handle]
 	if !ok {
 		return fmt.Errorf("memnode: unknown region handle %d", handle)
 	}
@@ -1113,7 +1112,7 @@ func (c *Client) replayRegion(st *stream, handle, usedSrvID uint64) error {
 	if err != nil {
 		return err
 	}
-	reg.srvID = id
+	c.editRegions(func(m map[uint64]region) { m[handle] = region{size: reg.size, srvID: id} })
 	c.regionReplays.Add(1)
 	c.attach(st, id, reg.size)
 	return nil
@@ -1260,27 +1259,50 @@ func (c *Client) finish(proto *call, body []byte, err error) ([]byte, error) {
 	return body, nil
 }
 
-// doPages is do and finish: a synchronous page op. One that needs no
-// descriptor table, on a region the file link has attached, is run by
-// runFile on proto itself, on this goroutine: no window slot, since it is
-// never in flight on the wire, no pooled attempt and no clock. The op
-// goes to the retry loop when the region is not attached (which attaches
-// it), when the server has revoked it (the frames carry it then), or
-// when the file failed under it (which poisoned the link: the loop goes
-// on from its second attempt).
-func (c *Client) doPages(proto *call) ([]byte, error) {
-	st, attempt := c.liveLink(), 1
-	if st != nil && st.files != nil && proto.op != opReadV && proto.op != opWriteV {
-		proto.srvID = c.translate(proto.handle)
-		if st.runFile(proto) {
-			if proto.err == nil || IsTerminal(proto.err) {
-				return c.finish(proto, proto.body, proto.err)
-			}
-			attempt = 2
-		}
-	}
-	body, err := c.doFrom(proto, attempt, proto.err)
+// doPages is doFrom and finish: a synchronous page op on the retry loop.
+func (c *Client) doPages(proto *call, attempt int, lastErr error) ([]byte, error) {
+	body, err := c.doFrom(proto, attempt, lastErr)
 	return c.finish(proto, body, err)
+}
+
+// filePage runs a synchronous one-range page verb on the file link: a
+// READ, into buf or, when buf is nil, into a body of its own, or a WRITE
+// of buf. When the live link is the file link and has the region's file,
+// the verb runs on this goroutine (runFile), built as no call and with
+// no window slot, since it is never in flight on the wire, no lock and
+// no clock. done: the op is over and body and err are its outcome, a
+// success, counted as verb (READV for a READ into the caller's buffer),
+// or a terminal refusal. Otherwise the op goes to the retry loop from
+// attempt: 1 when nothing ran — no file link, a region not attached
+// (which the loop attaches), or one the server revoked (the frames carry
+// it then) — and 2 when the file failed under the verb, which poisoned
+// the link; err is then that failure.
+func (c *Client) filePage(verb byte, handle uint64, off, length int64, buf []byte) (body []byte, done bool, attempt int, err error) {
+	st := c.cur.Load()
+	if st == nil || st.files == nil {
+		return nil, false, 1, nil
+	}
+	req := request{op: opRead, regionID: c.translate(handle), offset: off, length: length}
+	if verb == opWrite {
+		req.op, req.dataLen = opWrite, length
+	}
+	one := [1][]byte{buf}
+	var pieces [][]byte
+	if buf != nil {
+		pieces = one[:]
+	}
+	var iovs []iovec
+	body, ran, err := st.runFile(&req, pieces, &iovs)
+	switch {
+	case !ran:
+		return nil, false, 1, nil
+	case err == nil:
+		c.countVerb(verb, length)
+		return body, true, 0, nil
+	case IsTerminal(err):
+		return nil, true, 0, err
+	}
+	return nil, false, 2, err
 }
 
 // callPool recycles call structs across attempts; do() decides when one
@@ -1303,7 +1325,7 @@ func (c *Client) Register(size int64) (uint64, error) {
 		return 0, err
 	}
 	c.regMu.Lock()
-	c.regions[id] = &region{size: size, srvID: id}
+	c.editRegions(func(m map[uint64]region) { m[id] = region{size: size, srvID: id} })
 	c.regMu.Unlock()
 	c.attach(c.liveLink(), id, size)
 	return id, nil
@@ -1326,7 +1348,7 @@ func (c *Client) Unregister(handle uint64) error {
 	}
 	srvID := c.translate(handle)
 	c.regMu.Lock()
-	delete(c.regions, handle)
+	c.editRegions(func(m map[uint64]region) { delete(m, handle) })
 	c.regMu.Unlock()
 	if st := c.liveLink(); st != nil && st.files != nil {
 		st.files.remove(srvID, nil)
@@ -1342,7 +1364,11 @@ func (c *Client) Read(handle uint64, offset, length int64) ([]byte, error) {
 	if err := proto.check(); err != nil {
 		return nil, err
 	}
-	return c.doPages(&proto)
+	body, done, attempt, err := c.filePage(opRead, handle, offset, length, nil)
+	if done {
+		return body, err
+	}
+	return c.doPages(&proto, attempt, err)
 }
 
 // Write performs a one-sided write of data at offset.
@@ -1351,7 +1377,10 @@ func (c *Client) Write(handle uint64, offset int64, data []byte) error {
 	if err := proto.check(); err != nil {
 		return err
 	}
-	_, err := c.doPages(&proto)
+	_, done, attempt, err := c.filePage(opWrite, handle, offset, proto.length, data)
+	if !done {
+		_, err = c.doPages(&proto, attempt, err)
+	}
 	return err
 }
 
@@ -1374,8 +1403,7 @@ func (ca *call) check() error {
 // dial or a REGISTER replay, which a completer may not do: the rest of
 // the retry loop then gets a goroutine. So does an op that found the
 // window full or no negotiated link, which runs as a synchronous op. When
-// the hook runs, proto holds the result in body and err, as runFile
-// leaves a prototype.
+// the hook runs, proto holds the result in body and err.
 type asyncOp struct {
 	c     *Client
 	proto call
@@ -1493,11 +1521,24 @@ func (ca *call) readv(handle uint64, offsets []int64, dst [][]byte) error {
 // are written by the transport alone until the call returns; on an error
 // their contents are unspecified.
 func (c *Client) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
+	attempt, err := 1, error(nil)
+	if len(dst) == 1 && len(offsets) == 1 && len(dst[0]) > 0 && len(dst[0]) <= MaxIO {
+		var done bool
+		if _, done, attempt, err = c.filePage(opReadV, handle, offsets[0], int64(len(dst[0])), dst[0]); done {
+			return err
+		}
+	}
+	return c.readVInto(handle, offsets, dst, attempt, err)
+}
+
+// readVInto is ReadVInto on the retry loop, from the attempt-th try on.
+// The call is built here, out of the file link's way.
+func (c *Client) readVInto(handle uint64, offsets []int64, dst [][]byte, attempt int, lastErr error) error {
 	var proto call
 	if err := proto.readv(handle, offsets, dst); err != nil {
 		return err
 	}
-	_, err := c.doPages(&proto)
+	_, err := c.doPages(&proto, attempt, lastErr)
 	return err
 }
 
@@ -1569,7 +1610,7 @@ func (c *Client) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
 	if err := proto.writev(handle, offsets, pages); err != nil {
 		return err
 	}
-	_, err := c.doPages(&proto)
+	_, err := c.doPages(&proto, 1, nil)
 	return err
 }
 

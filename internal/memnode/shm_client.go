@@ -8,13 +8,12 @@
 // did not register before its first synchronous page verb — never
 // inside start. A region is tried once per stream.
 // From then on a page verb on the region runs on the caller's goroutine
-// in runFile — inside start, or, for a synchronous verb that needs no
-// descriptor table, straight from doPages on the verb's own prototype:
-// exec's own checks, shape and inBounds, then one pread or pwrite per
-// page, the counter page bumped, and the call completed inline. No
-// goroutine, hand-off or second copy is involved, and the server's CPU
-// not at all. Everything else, and page verbs on a region not attached,
-// rides the stream's frames.
+// in runFile — inside start, for a call, or, for a synchronous verb of
+// one range, straight from filePage, which builds no call: exec's own
+// checks, shape and inBounds, then one pread or pwrite per page, and the
+// counter page bumped. No goroutine, hand-off or second copy is
+// involved, and the server's CPU not at all. Everything else, and page
+// verbs on a region not attached, rides the stream's frames.
 //
 // The client never maps a region file, only its counter page, and only
 // after checking that the file is sealed against shrinking: a hostile
@@ -238,12 +237,11 @@ func (c *Client) attach(st *stream, id uint64, size int64) {
 // attachAll attaches every region this client registered to a new
 // stream, before any op can use it.
 func (c *Client) attachAll(st *stream) {
-	c.regMu.Lock()
-	regs := make([]region, 0, len(c.regions))
-	for _, reg := range c.regions { //magevet:ok snapshot of the region table, sorted below
-		regs = append(regs, *reg)
+	m := *c.regions.Load()
+	regs := make([]region, 0, len(m))
+	for _, reg := range m { //magevet:ok snapshot of the region table, sorted below
+		regs = append(regs, reg)
 	}
-	c.regMu.Unlock()
 	slices.SortFunc(regs, func(a, b region) int { return cmp.Compare(a.srvID, b.srvID) })
 	for _, reg := range regs {
 		c.attach(st, reg.srvID, reg.size)
@@ -310,40 +308,57 @@ func (c *Client) dialAttach(ext helloExt, id uint64, size int64) (*regionFile, e
 	return f, nil
 }
 
-// runFile runs ca on the caller's goroutine when it is a page verb on a
-// region attached to s, completes it, and reports whether it did. A file
-// whose region the server revoked is dropped, and ca rides the frames.
-func (s *stream) runFile(ca *call) bool {
-	if !pageVerb(ca.op) {
-		return false
-	}
-	f := s.files.acquire(ca.srvID)
+// runFile runs req, a page verb, on the caller's goroutine when s's file
+// link has the file of its region: its bytes move between the file and
+// pieces, and a READ or READV with no pieces reads into a body of its
+// own, which is returned; iovs is storage for a batch's ranges. ran is
+// false, and nothing ran, when the region has no file here or the server
+// revoked it, whose file is dropped: the verb rides the frames. A file
+// that fails under a verb exec accepted fails s.
+func (s *stream) runFile(req *request, pieces [][]byte, iovs *[]iovec) (body []byte, ran bool, err error) {
+	f := s.files.acquire(req.regionID)
 	if f == nil {
-		return false
+		return nil, false, nil
 	}
 	if f.ctr.isRevoked() {
 		f.release()
-		s.files.remove(ca.srvID, f)
-		return false
+		s.files.remove(req.regionID, f)
+		return nil, false, nil
 	}
-	ca.markSent() // no writer will see it
-	body, err := f.exec(ca)
+	body, err = f.exec(req, pieces, iovs)
 	f.release()
 	if err != nil && !IsTerminal(err) {
 		s.fail(err) // the file failed under a verb exec accepted: re-dial
 	}
+	return body, true, err
+}
+
+// runCall runs ca, when it is a page verb, on s's file link (runFile),
+// completes it, and reports whether it did.
+func (s *stream) runCall(ca *call) bool {
+	if !pageVerb(ca.op) {
+		return false
+	}
+	req, pieces, flat := ca.fileVerb()
+	body, ran, err := s.runFile(&req, pieces, &ca.iovs)
+	PutBuf(flat)
+	if !ran {
+		return false
+	}
+	ca.markSent() // no writer will see it
 	ca.body, ca.err = body, err
 	ca.complete()
 	return true
 }
 
-// exec is a page verb on the file: exec's checks, shape and inBounds,
-// with the server's wording, then the preads or pwrites, then the
-// counters exec would have bumped.
-func (f *regionFile) exec(ca *call) ([]byte, error) {
-	req := request{op: ca.op, regionID: ca.srvID, offset: ca.offset, length: ca.length}
+// fileVerb is ca, a page verb, as exec sees it, with the buffers its
+// bytes move between: a WRITE's data, a WRITEV's pages, a READ's or
+// READV's destinations (none: it reads into a body of its own). A table
+// cut across buffers, which none of the client's own calls has, is
+// copied whole into flat, for the caller to give back.
+func (ca *call) fileVerb() (req request, pieces net.Buffers, flat []byte) {
+	req = request{op: ca.op, regionID: ca.srvID, offset: ca.offset, length: ca.length}
 	data := ca.bufs // WRITE's data; a batch's table, then WRITEV's data
-	var flat []byte
 	switch {
 	case ca.op == opRead:
 	case ca.op == opWrite:
@@ -352,10 +367,7 @@ func (f *regionFile) exec(ca *call) ([]byte, error) {
 		req.table, data = data[0], data[1:]
 		req.dataLen = buffersLen(data)
 	default:
-		// A table cut across buffers: none of the client's own calls has
-		// one, and the server sees the payload whole.
 		flat = GetBuf(int(buffersLen(data)))
-		defer PutBuf(flat)
 		n := 0
 		for _, b := range data {
 			n += copy(flat[n:], b)
@@ -363,38 +375,49 @@ func (f *regionFile) exec(ca *call) ([]byte, error) {
 		req.setPayload(flat)
 		data = net.Buffers{req.data}
 	}
+	if ca.op == opRead || ca.op == opReadV {
+		return req, ca.dst, flat
+	}
+	return req, data, flat
+}
+
+// exec is a page verb on the file: exec's checks, shape and inBounds,
+// with the server's wording, then the preads into pieces or the pwrites
+// from them, then the counters exec would have bumped. It is the one
+// place a region file is read or written (move). A READ or READV with no
+// pieces reads into a body of its own, which it returns; iovs is storage
+// for a batch's ranges.
+func (f *regionFile) exec(req *request, pieces [][]byte, iovs *[]iovec) ([]byte, error) {
 	var total int64
 	var err error
-	if ca.iovs, total, err = req.shape(ca.iovs[:0]); err == nil {
-		err = req.inBounds(ca.iovs, f.size)
+	if *iovs, total, err = req.shape((*iovs)[:0]); err == nil {
+		err = req.inBounds(*iovs, f.size)
 	}
 	if err != nil {
 		return nil, &serverError{msg: err.Error()}
 	}
-	ranges := ca.iovs
-	if ca.op == opRead || ca.op == opWrite {
+	ranges := *iovs
+	if req.op == opRead || req.op == opWrite {
 		one := [1]iovec{{req.offset, req.length}}
 		ranges = one[:]
 	}
-	write := ca.op == opWrite || ca.op == opWriteV
+	write := req.op == opWrite || req.op == opWriteV
 	var body []byte
 	if !write {
-		switch {
-		case ca.dst == nil:
+		switch n := buffersLen(pieces); {
+		case pieces == nil:
 			body = GetBuf(int(total))
 			bodies := [1][]byte{body}
-			data = bodies[:]
-		case total != ca.dstLen:
-			return nil, fmt.Errorf("memnode: readv of %d bytes for %d bytes of buffers", total, ca.dstLen)
-		default:
-			data = ca.dst
+			pieces = bodies[:]
+		case total != n:
+			return nil, fmt.Errorf("memnode: readv of %d bytes for %d bytes of buffers", total, n)
 		}
 	}
-	if err := f.move(write, data, ranges); err != nil {
+	if err := f.move(write, pieces, ranges); err != nil {
 		PutBuf(body)
 		return nil, err
 	}
-	f.ctr.tally(ca.op, len(ranges), total)
+	f.ctr.tally(req.op, len(ranges), total)
 	return body, nil
 }
 

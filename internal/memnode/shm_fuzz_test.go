@@ -325,7 +325,7 @@ func snapshot(c *counters) (n [4]uint64) {
 	return n
 }
 
-// fuzzFileExec runs each verb of b on fx's region file, as runFile
+// fuzzFileExec runs each verb of b on fx's region file, as runCall
 // would, and the same verb as a frame would carry it through exec on the
 // twin region.
 func fuzzFileExec(t *testing.T, fx *fuzzFixture, b *fuzzBurst) {
@@ -351,7 +351,9 @@ func fuzzFileExec(t *testing.T, fx *fuzzFixture, b *fuzzBurst) {
 		if !pageVerb(v.op) {
 			continue // the frames' alone
 		}
-		body, err := fx.file.exec(ca)
+		fv, pieces, flat := ca.fileVerb()
+		body, err := fx.file.exec(&fv, pieces, &ca.iovs)
+		PutBuf(flat)
 		var got, want string
 		if err != nil {
 			var se *serverError

@@ -636,3 +636,87 @@ func TestRevokedFileVerbRidesFrames(t *testing.T) {
 	}
 	f.release()
 }
+
+// TestFilePageTakesNoLock: a synchronous one-page read of an attached
+// region reaches the region file without taking a lock of the client's
+// or allocating. With the connection lock and the region-table lock
+// held, a one-page ReadVInto returns the page, at zero allocations. An
+// out-of-bounds offset is refused in the frames' words, a revoked region
+// rides the frames, and a closed client fails with ErrClosed.
+func TestFilePageTakesNoLock(t *testing.T) {
+	srv, c := newShmPair(t, 16<<20)
+	id, err := c.Register(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stampedPages(1)
+	if err := c.Write(id, 4096, want); err != nil {
+		t.Fatal(err)
+	}
+	st := c.liveLink()
+	offs, dst := []int64{4096}, [][]byte{make([]byte, 4096)}
+
+	c.mu.Lock()
+	c.regMu.Lock()
+	var once sync.Once
+	unlock := func() { once.Do(func() { c.regMu.Unlock(); c.mu.Unlock() }) }
+	defer unlock()
+	done := make(chan error, 1)
+	go func() { done <- c.ReadVInto(id, offs, dst) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a one-page ReadVInto of an attached region waited for a lock of the client's")
+	}
+	if !bytes.Equal(dst[0], want) {
+		t.Fatal("the page did not land in the caller's buffer")
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(200, func() {
+			if err := c.ReadVInto(id, offs, dst); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("a one-page ReadVInto of an attached region costs %.2f allocations, want 0", n)
+		}
+	}
+	unlock()
+
+	opts := fastOpts()
+	opts.Transport = TransportTCP
+	tc, err := DialOptions(srv.Addr(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	tid, err := tc.Register(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	past := []int64{1 << 20}
+	framed, filed := tc.ReadVInto(tid, past, dst), c.ReadVInto(id, past, dst)
+	if framed == nil || filed == nil || !IsTerminal(filed) || filed.Error() != framed.Error() {
+		t.Errorf("out of bounds: the file link says %v, the frames %v", filed, framed)
+	}
+	if c.liveLink() != st {
+		t.Error("a refused read cost the file link its stream")
+	}
+
+	if err := srv.doUnregister(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReadVInto(id, offs, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst[0], make([]byte, 4096)) || c.Metrics().RegionReplays != 1 {
+		t.Errorf("a revoked region's read gave other bytes, or %d REGISTER replays; want it to ride the frames to one", c.Metrics().RegionReplays)
+	}
+
+	c.Close()
+	if err := c.ReadVInto(id, offs, dst); !errors.Is(err, ErrClosed) || err.Error() != ErrClosed.Error() {
+		t.Errorf("a closed client's read: %v, want %v", err, ErrClosed)
+	}
+}

@@ -287,7 +287,7 @@ func (n *NIC) PostWrite(p *sim.Proc, bytes int64) *Completion {
 // process's start would be, so that every later step takes the seq its
 // sleep or hand-off would have had.
 func (n *NIC) startWrite(p *sim.Proc, bytes int64, extra sim.Time, factor float64) *Completion {
-	c := &Completion{q: sim.NewWaitQueue(n.eng, "wr-completion")}
+	c := &Completion{q: sim.NewWaitQueue(n.eng)}
 	issued := p.Now()
 	n.eng.After(0, func() {
 		n.eng.After(n.costs.BaseLatency+extra, func() {

@@ -329,7 +329,7 @@ func (as *AddressSpace) BeginFault(p *sim.Proc, page uint64) FaultDisposition {
 		case StateFaulting, StateEvicting:
 			// Wait for the in-flight operation, then re-evaluate.
 			if pte.waiters == nil {
-				pte.waiters = sim.NewWaitQueue(as.eng, "pte.waiters")
+				pte.waiters = sim.NewWaitQueue(as.eng)
 			}
 			w := pte.waiters
 			unlock(p, mu)

@@ -12,13 +12,13 @@ type Chan[T any] struct {
 }
 
 // NewChan returns a bounded queue with the given capacity.
-func NewChan[T any](eng *Engine, name string, capacity int) *Chan[T] {
+func NewChan[T any](eng *Engine, capacity int) *Chan[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &Chan[T]{
 		cap:      capacity,
-		notEmpty: NewWaitQueue(eng, name+".notEmpty"),
+		notEmpty: NewWaitQueue(eng),
 	}
 }
 

@@ -121,17 +121,12 @@ func (m *Mutex) recordWait(waited int64) {
 // and are released in FIFO order by Signal or Broadcast.
 type WaitQueue struct {
 	eng     *Engine
-	name    string
 	waiters []*Proc
-
-	Waits   uint64
-	WaitNs  int64
-	Signals uint64
 }
 
 // NewWaitQueue returns an empty wait queue attached to eng.
-func NewWaitQueue(eng *Engine, name string) *WaitQueue {
-	return &WaitQueue{eng: eng, name: name}
+func NewWaitQueue(eng *Engine) *WaitQueue {
+	return &WaitQueue{eng: eng}
 }
 
 // Len returns the number of waiting processes.
@@ -139,26 +134,20 @@ func (q *WaitQueue) Len() int { return len(q.waiters) }
 
 // Wait blocks p until a Signal or Broadcast releases it.
 func (q *WaitQueue) Wait(p *Proc) {
-	q.Waits++
 	q.waiters = append(q.waiters, p)
-	start := p.eng.now
 	p.block()
-	q.WaitNs += int64(p.eng.now - start)
 }
 
 // WaitTimeout blocks p until signaled or until d elapses. It reports true
 // if the process was signaled and false on timeout.
 func (q *WaitQueue) WaitTimeout(p *Proc, d Time) bool {
-	q.Waits++
 	q.waiters = append(q.waiters, p)
-	start := p.eng.now
 	// Schedule the timeout as the pending event; Signal cancels it.
 	p.blocked = true
 	p.pending = q.eng.schedule(q.eng.now+d, p, wakeTimeout)
 	reason := p.park()
 	p.blocked = false
 	p.pending = nil
-	q.WaitNs += int64(p.eng.now - start)
 	if reason == wakeTimeout {
 		q.remove(p)
 		return false
@@ -187,7 +176,6 @@ func (q *WaitQueue) Signal(n int) int {
 		q.eng.scheduleWake(p, q.eng.now, wakeSignal)
 		released++
 	}
-	q.Signals += uint64(released)
 	return released
 }
 

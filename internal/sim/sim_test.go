@@ -110,7 +110,7 @@ func TestDeadlockPanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	q := NewWaitQueue(e, "never")
+	q := NewWaitQueue(e)
 	e.Spawn("stuck", func(p *Proc) { q.Wait(p) })
 	e.Run()
 }
@@ -184,7 +184,7 @@ func TestUnlockByNonHolderPanics(t *testing.T) {
 
 func TestWaitQueueSignalFIFO(t *testing.T) {
 	e := NewEngine()
-	q := NewWaitQueue(e, "q")
+	q := NewWaitQueue(e)
 	var woke []string
 	for i := 0; i < 3; i++ {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
@@ -213,7 +213,7 @@ func TestWaitQueueSignalFIFO(t *testing.T) {
 
 func TestWaitTimeoutExpires(t *testing.T) {
 	e := NewEngine()
-	q := NewWaitQueue(e, "q")
+	q := NewWaitQueue(e)
 	e.Spawn("w", func(p *Proc) {
 		ok := q.WaitTimeout(p, 50)
 		if ok {
@@ -231,7 +231,7 @@ func TestWaitTimeoutExpires(t *testing.T) {
 
 func TestWaitTimeoutSignaledEarly(t *testing.T) {
 	e := NewEngine()
-	q := NewWaitQueue(e, "q")
+	q := NewWaitQueue(e)
 	e.Spawn("w", func(p *Proc) {
 		ok := q.WaitTimeout(p, 1000)
 		if !ok {
@@ -253,7 +253,7 @@ func TestWaitTimeoutSignaledEarly(t *testing.T) {
 
 func TestChanPutGetOrder(t *testing.T) {
 	e := NewEngine()
-	c := NewChan[int](e, "c", 2)
+	c := NewChan[int](e, 2)
 	var got []int
 	e.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {

@@ -10,12 +10,16 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
-// bucketsPerOctave controls histogram resolution: each power of two is
-// split into this many sub-buckets, giving a relative error of about
-// 2^(1/64) - 1 ≈ 1.1 %.
-const bucketsPerOctave = 64
+// octaveBits controls histogram resolution: each power of two is split
+// into bucketsPerOctave = 2^octaveBits sub-buckets, giving a relative
+// error of about 2^(1/64) - 1 ≈ 1.1 %.
+const (
+	octaveBits       = 6
+	bucketsPerOctave = 1 << octaveBits
+)
 
 // Histogram records non-negative int64 samples (typically latencies in
 // nanoseconds) in logarithmic buckets.
@@ -36,12 +40,19 @@ func bucketOf(v int64) int {
 	if v <= 0 {
 		return 0
 	}
-	// 1 + floor(log2(v) * bucketsPerOctave) computed via bit math for the
-	// integer part and linear interpolation within the octave.
-	lz := 63 - leadingZeros64(uint64(v))
-	base := int64(1) << uint(lz)
-	frac := float64(v-base) / float64(base) // [0,1)
-	return 1 + lz*bucketsPerOctave + int(frac*bucketsPerOctave)
+	// 1 + floor(log2(v) * bucketsPerOctave): the octave from the top bit,
+	// and the step within it, floor((v-base) * bucketsPerOctave / base),
+	// as a shift, exact because base and bucketsPerOctave are powers of
+	// two.
+	oct := 63 - bits.LeadingZeros64(uint64(v))
+	rem := uint64(v) - 1<<oct
+	var sub uint64
+	if oct >= octaveBits {
+		sub = rem >> (oct - octaveBits)
+	} else {
+		sub = rem << (octaveBits - oct)
+	}
+	return 1 + oct*bucketsPerOctave + int(sub)
 }
 
 func bucketLow(b int) int64 {
@@ -53,18 +64,6 @@ func bucketLow(b int) int64 {
 	sub := b % bucketsPerOctave
 	base := int64(1) << uint(oct)
 	return base + int64(float64(base)*float64(sub)/bucketsPerOctave)
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // Record adds one sample.

@@ -177,9 +177,11 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 	if pb <= 0 {
 		pb = 4096
 	}
-	// A writeback batch is at most 32 pages and the evictor keeps an eighth
-	// of the frames free, neither past half the frames, so that a fresh
-	// fault is not evicted just to meet the free-pool target.
+	// A writeback batch is 32 pages, or half the frames when that is fewer.
+	// The evictor keeps min(frames/8, batch) frames free, and at least one:
+	// 32 of 8,192 frames, an eighth of a pool of 256 or fewer. Neither
+	// passes half the frames, so that a fresh fault is not evicted just to
+	// meet the free-pool target.
 	batch := min(32, memnode.MaxBatchPages, max(frames/2, 1))
 	low := max(min(frames/8, batch), 1)
 	arena, err := mapArena(int64(frames) * pb)
@@ -327,7 +329,7 @@ func (p *Pager) frameData(frame int32) []byte {
 // memory: its fault clears a frame instead, and with no read to overlap
 // it waits for one in takeFrame.
 func (p *Pager) faultIn(pg uint64, write, stored bool) (Frame, error) {
-	start := time.Now() //magevet:ok real-host pager: fault service time is a reported metric
+	start := monoNow()
 	p.faults.Add(1)
 	off := int64(pg) * p.pageBytes
 
@@ -370,8 +372,17 @@ func (p *Pager) faultIn(pg uint64, write, stored bool) (Frame, error) {
 		p.refaults.Add(1)
 	}
 
-	p.faultLat.Record(time.Since(start).Nanoseconds()) //magevet:ok real-host pager: fault service time is a reported metric
+	p.faultLat.Record(monoNow() - start)
 	return p.frameView(pg, frame), nil
+}
+
+// epoch is where the fault clock starts.
+var epoch = time.Now() //magevet:ok real-host pager: fault service time is a reported metric
+
+// monoNow is the fault clock, in nanoseconds since epoch: one read of
+// the monotonic clock, where time.Now reads the wall clock as well.
+func monoNow() int64 {
+	return int64(time.Since(epoch)) //magevet:ok real-host pager: fault service time is a reported metric
 }
 
 // faultIO is the one-page read of a demand fault into its frame, as the
@@ -582,7 +593,7 @@ type fill struct {
 	offs   []int64
 	dst    [][]byte
 	latch  chan struct{}
-	start  time.Time
+	start  int64 // monoNow at the claim of the batch's first page
 	done   func(error)
 }
 
@@ -607,7 +618,7 @@ type fill struct {
 func (p *Pager) FaultAhead(pgs []uint64) {
 	var (
 		f               *fill
-		start           time.Time
+		start           int64
 		claimed, zeroed int
 		refaults        uint64
 	)
@@ -629,7 +640,7 @@ func (p *Pager) FaultAhead(pgs []uint64) {
 			break
 		}
 		if claimed++; claimed == 1 {
-			start = time.Now() //magevet:ok real-host pager: fault service time is a reported metric
+			start = monoNow()
 		}
 		pd := &p.pages[pg]
 		if pd.flags&flagStored == 0 {
@@ -663,7 +674,7 @@ func (p *Pager) FaultAhead(pgs []uint64) {
 		p.faults.Add(n)
 		p.faultsAhead.Add(n)
 		p.zeroFills.Add(n)
-		lat := time.Since(start).Nanoseconds() //magevet:ok real-host pager: fault service time is a reported metric
+		lat := monoNow() - start
 		for range zeroed {
 			p.faultLat.Record(lat)
 		}
@@ -710,7 +721,7 @@ func (f *fill) install(err error) {
 	if err == nil {
 		// Before the latch opens, so that a pinner that saw the page
 		// also sees its fault in the histogram.
-		lat := time.Since(f.start).Nanoseconds() //magevet:ok real-host pager: fault service time is a reported metric
+		lat := monoNow() - f.start
 		for range f.pgs {
 			p.faultLat.Record(lat)
 		}

@@ -97,7 +97,7 @@ func (w *Memcached) RunOpenLoop(s *core.System, threads int, loadOps float64, du
 	type request struct{ arrived sim.Time }
 	queues := make([]*sim.Chan[request], threads)
 	for i := range queues {
-		queues[i] = sim.NewChan[request](s.Eng, fmt.Sprintf("mc-q%d", i), 4096)
+		queues[i] = sim.NewChan[request](s.Eng, 4096)
 	}
 	lat := stats.NewHistogram()
 	var completed, dropped uint64

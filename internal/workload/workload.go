@@ -89,7 +89,7 @@ type Barrier struct {
 
 // NewBarrier returns a barrier for n participants on eng.
 func NewBarrier(eng *sim.Engine, n int) *Barrier {
-	return &Barrier{n: n, q: sim.NewWaitQueue(eng, "barrier")}
+	return &Barrier{n: n, q: sim.NewWaitQueue(eng)}
 }
 
 // Wait blocks until all n participants have arrived.
