@@ -109,11 +109,11 @@ lint: fmtcheck vet magevet
 # holds, and must stay a few tens of nanoseconds and no allocation (68 ns
 # measured; 250 leaves room for noisy runners and none for a second lock
 # or a map on that path).
-# The built-System pin is the DES's host footprint, which the box's
-# speed cannot move: the heap a fresh Mage^LIB System holds in sim-grid's
-# shape (24 threads, 16 Ki pages, the default 2 x 28 machine). A core's
-# TLB is built on its first Touch, so the cores no thread runs on cost a
-# few words: 418 kB measured, hence 630000 (about 1.5 x); with every
+# The built-node pin is the DES's host footprint, which the box's
+# speed cannot move: the heap a fresh single-tenant Mage^LIB node holds
+# in sim-grid's shape (24 threads, 16 Ki pages, the default 2 x 28
+# machine). A core's TLB is built on its first Touch, so the cores no
+# thread runs on cost a few words: 418 kB measured, hence 630000 (about 1.5 x); with every
 # core's TLB built up front, a ring and a map each, it read 3.87 MB.
 bench:
 	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkEngineDispatch|BenchmarkParexpFigures|BenchmarkFaultPathMageLib|BenchmarkFaultToleranceMageLib|BenchmarkColocateNode|BenchmarkMemnodePipeline|BenchmarkMemnodeShmPipeline|BenchmarkServerRoundtrip|BenchmarkClusterFailoverRead|BenchmarkMagecacheZipf|BenchmarkPagerFault|BenchmarkPinHit|BenchmarkNewSystemMageLib' ./... \

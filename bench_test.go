@@ -215,7 +215,7 @@ func BenchmarkFaultPathMageLib(b *testing.B) {
 	cfg := mage.MageLib(8, 1<<14, 1<<13)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 12
-	sys := mage.MustNewSystem(cfg)
+	node := mage.MustNewSystem(cfg)
 	i := uint64(0)
 	stream := mage.FuncStream(func() (mage.Access, bool) {
 		if i >= uint64(b.N) {
@@ -226,30 +226,30 @@ func BenchmarkFaultPathMageLib(b *testing.B) {
 		return mage.Access{Page: pg}, true
 	})
 	b.ResetTimer()
-	res := sys.Run([]mage.AccessStream{stream})
+	res := node.Run([]mage.AccessStream{stream})
 	if res.TotalAccesses() == 0 {
 		b.Fatal("no accesses")
 	}
 	if faults := float64(res.Metrics.MajorFaults); faults > 0 {
-		b.ReportMetric(float64(sys.Eng.Resumes())/faults, "resumes/fault")
-		b.ReportMetric(float64(sys.Eng.Dispatched())/faults, "events/fault")
+		b.ReportMetric(float64(node.Eng.Resumes())/faults, "resumes/fault")
+		b.ReportMetric(float64(node.Eng.Dispatched())/faults, "events/fault")
 	}
 }
 
-// BenchmarkNewSystemMageLib measures what a freshly built System holds
-// of the host heap, in sim-grid's shape: Mage^LIB with 24 threads over
-// 16 Ki pages, half of them local, on the default 2 × 28 machine. B/op
-// is a number the box's speed cannot move: among it the per-core TLBs,
-// built only for the cores a thread runs on.
+// BenchmarkNewSystemMageLib measures what a freshly built single-tenant
+// node (mage.MustNewSystem) holds of the host heap, in sim-grid's shape:
+// Mage^LIB with 24 threads over 16 Ki pages, half of them local, on the
+// default 2 × 28 machine. B/op is a number the box's speed cannot move:
+// among it the per-core TLBs, built only for the cores a thread runs on.
 func BenchmarkNewSystemMageLib(b *testing.B) {
 	cfg := mage.MageLib(24, 16<<10, 8<<10)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		builtSystem = mage.MustNewSystem(cfg)
+		builtNode = mage.MustNewSystem(cfg)
 	}
 }
 
-var builtSystem *mage.System
+var builtNode *mage.Node
 
 // BenchmarkFaultToleranceMageLib runs the fault pipeline under injected
 // faults (per-op NACKs, spikes, periodic outages) and reports the
@@ -268,7 +268,7 @@ func BenchmarkFaultToleranceMageLib(b *testing.B) {
 		SpikeMax:      20 * mage.Microsecond,
 		Outages:       faultinject.PeriodicOutages(2*mage.Millisecond, 5*mage.Millisecond, 500*mage.Microsecond, 100),
 	}
-	sys := mage.MustNewSystem(cfg)
+	node := mage.MustNewSystem(cfg)
 	i := uint64(0)
 	stream := mage.FuncStream(func() (mage.Access, bool) {
 		if i >= uint64(b.N) {
@@ -279,7 +279,7 @@ func BenchmarkFaultToleranceMageLib(b *testing.B) {
 		return mage.Access{Page: pg}, true
 	})
 	b.ResetTimer()
-	res := sys.Run([]mage.AccessStream{stream})
+	res := node.Run([]mage.AccessStream{stream})
 	if res.TotalAccesses() == 0 {
 		b.Fatal("no accesses")
 	}

@@ -38,15 +38,18 @@ func runCalib(name string, w workload.Workload, off float64) (float64, core.RunR
 	total := w.NumPages()
 	local := int(float64(total) * (1 - off))
 	if off == 0 {
-		local = int(total) + int(total)/6 + 4096
+		local = core.FullyLocalPages(total)
 	}
 	cfg, err := core.Preset(name, 48, total, local)
 	if err != nil {
 		panic(err)
 	}
-	s := core.MustNewSystem(cfg)
-	s.Prepopulate(int(total))
-	res := s.Run(w.Streams(48, 1))
+	n, err := core.NewNode(cfg, nil)
+	if err != nil {
+		panic(err)
+	}
+	n.Tenants()[0].Prepopulate(int(total))
+	res := n.Run(w.Streams(48, 1))
 	return res.JobsPerHour(), res
 }
 

@@ -17,21 +17,24 @@ func runTrace(path string) error {
 	p := workload.GapBSParams{Scale: 13, EdgeFactor: 16, Iterations: 1, BytesPerVertex: 16, Seed: 7}
 	w := workload.NewGapBS(p)
 	cfg := core.MageLib(8, w.NumPages(), int(float64(w.NumPages())*0.6))
-	s := core.MustNewSystem(cfg)
-	s.Trace = trace.New(1 << 18)
-	s.Prepopulate(int(w.NumPages()))
-	res := s.Run(w.Streams(8, 1))
+	n, err := core.NewNode(cfg, nil)
+	if err != nil {
+		return err
+	}
+	n.Trace = trace.New(1 << 18)
+	n.Tenants()[0].Prepopulate(int(w.NumPages()))
+	res := n.Run(w.Streams(8, 1))
 
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := s.Trace.WriteJSON(f); err != nil {
+	if err := n.Trace.WriteJSON(f); err != nil {
 		return err
 	}
 	fmt.Printf("traced %d events over %v (%d faults, %d evictions) -> %s\n",
-		s.Trace.Len(), res.Makespan, res.Metrics.MajorFaults,
+		n.Trace.Len(), res.Makespan, res.Metrics.MajorFaults,
 		res.Metrics.EvictedPages, path)
 	fmt.Println("open chrome://tracing or https://ui.perfetto.dev and load the file")
 	return nil

@@ -6,15 +6,15 @@ import (
 	"mage"
 )
 
-// ExampleMustNewSystem runs a small deterministic workload on a Mage^LIB
-// system and prints stable facts about the execution.
+// ExampleMustNewSystem runs a small deterministic workload on a
+// single-tenant Mage^LIB node and prints stable facts about the execution.
 func ExampleMustNewSystem() {
 	cfg := mage.MageLib(4, 2048, 1024) // 4 threads, 2048-page WSS, half local
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 8
 	cfg.EvictorThreads = 2
-	sys := mage.MustNewSystem(cfg)
-	sys.Prepopulate(2048)
+	node := mage.MustNewSystem(cfg)
+	node.Tenants()[0].Prepopulate(2048)
 
 	// Each thread scans a quarter of the working set.
 	streams := make([]mage.AccessStream, 4)
@@ -30,7 +30,7 @@ func ExampleMustNewSystem() {
 			return a, true
 		})
 	}
-	res := sys.Run(streams)
+	res := node.Run(streams)
 
 	fmt.Println("accesses:", res.TotalAccesses())
 	fmt.Println("sync evictions:", res.Metrics.SyncEvicts)

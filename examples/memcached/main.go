@@ -32,9 +32,9 @@ func main() {
 			if err != nil {
 				panic(err)
 			}
-			sys := mage.MustNewSystem(cfg)
-			sys.Prepopulate(int(w.NumPages()))
-			res := w.RunOpenLoop(sys, threads, load, 30*mage.Millisecond, 11)
+			node := mage.MustNewSystem(cfg)
+			node.Tenants()[0].Prepopulate(int(w.NumPages()))
+			res := w.RunOpenLoop(node, threads, load, 30*mage.Millisecond, 11)
 			fmt.Printf("%-10.0f %-8s %12.1f %12.1f %12.0f\n",
 				load/1e3, cfg.Name,
 				float64(res.P50Ns)/1e3, float64(res.P99Ns)/1e3, res.AchievedOps)

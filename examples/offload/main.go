@@ -82,14 +82,14 @@ func runAt(preset string, threads int, params mage.XSBenchParams, off float64) f
 	total := w.NumPages()
 	local := int(float64(total) * (1 - off))
 	if off == 0 {
-		local = int(total) + int(total)/6 + 4096
+		local = mage.FullyLocalPages(total)
 	}
 	cfg, err := mage.Preset(preset, threads, total, local)
 	if err != nil {
 		panic(err)
 	}
-	sys := mage.MustNewSystem(cfg)
-	sys.Prepopulate(int(total))
-	res := sys.Run(w.Streams(threads, 1))
+	node := mage.MustNewSystem(cfg)
+	node.Tenants()[0].Prepopulate(int(total))
+	res := node.Run(w.Streams(threads, 1))
 	return res.JobsPerHour()
 }

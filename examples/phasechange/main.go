@@ -25,11 +25,11 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		sys := mage.MustNewSystem(cfg)
-		sys.Prepopulate(int(w.NumPages()))
-		res := sys.RunWithOptions(w.Streams(threads, 3), mage.RunOptions{
+		node := mage.MustNewSystem(cfg)
+		node.Tenants()[0].Prepopulate(int(w.NumPages()))
+		res := node.RunTenants([][]mage.AccessStream{w.Streams(threads, 3)}, mage.RunOptions{
 			SampleEvery: 250 * mage.Microsecond,
-		})
+		})[0]
 
 		fmt.Printf("\n%s (makespan %.1f ms) — throughput over time:\n",
 			cfg.Name, res.Makespan.Seconds()*1e3)

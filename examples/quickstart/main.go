@@ -29,9 +29,9 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		sys := mage.MustNewSystem(cfg)
-		sys.Prepopulate(int(w.NumPages())) // warm start: hot data loaded
-		res := sys.Run(w.Streams(threads, 1))
+		node := mage.MustNewSystem(cfg)
+		node.Tenants()[0].Prepopulate(int(w.NumPages())) // warm start: hot data loaded
+		res := node.Run(w.Streams(threads, 1))
 		fmt.Printf("%-8s %12.2f %12d %12d %14.1f\n",
 			cfg.Name,
 			res.Makespan.Seconds()*1e3,

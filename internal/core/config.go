@@ -392,6 +392,13 @@ func Preset(name string, appThreads int, totalPages uint64, localPages int) (Con
 	return Config{}, fmt.Errorf("core: unknown preset %q", name)
 }
 
+// FullyLocalPages is the local DRAM quota of an all-local run over a
+// working set of totalPages: the WSS plus headroom for the free-frame
+// watermarks, so steady state never evicts.
+func FullyLocalPages(totalPages uint64) int {
+	return int(totalPages) + int(totalPages)/6 + 4096
+}
+
 // Presets returns all five system configurations in the order the paper's
 // figures list them.
 func Presets(appThreads int, totalPages uint64, localPages int) []Config {

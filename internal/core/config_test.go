@@ -128,9 +128,9 @@ func TestIdealRunsConsumeComputeTime(t *testing.T) {
 	cfg := Ideal(1, 256, 4096)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 2
-	s := MustNewSystem(cfg)
-	s.Prepopulate(256)
-	res := s.Run([]AccessStream{seqStream(0, 256, 1000)})
+	node, tn := mustNode(t, cfg)
+	tn.Prepopulate(256)
+	res := node.Run([]AccessStream{seqStream(0, 256, 1000)})
 	if res.Makespan < 256*1000 {
 		t.Errorf("ideal makespan %v < pure compute 256µs", res.Makespan)
 	}

@@ -9,79 +9,79 @@ import (
 
 // evictFixture builds a MageLib-flavoured system with pages faulted in by
 // a setup proc so the eviction paths can be driven directly.
-func evictFixture(t *testing.T, cfg Config, resident int) *System {
+func evictFixture(t *testing.T, cfg Config, resident int) (*Node, *Tenant) {
 	t.Helper()
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 8
-	s := MustNewSystem(cfg)
-	if got := s.Prepopulate(resident); got < resident {
+	node, tn := mustNode(t, cfg)
+	if got := tn.Prepopulate(resident); got < resident {
 		t.Fatalf("prepopulated %d of %d", got, resident)
 	}
-	return s
+	return node, tn
 }
 
 func TestScanAndUnmapRespectsDeficit(t *testing.T) {
 	cfg := MageLib(2, 4096, 2048)
-	s := evictFixture(t, cfg, 1024)
-	s.Eng.Spawn("e", func(p *sim.Proc) {
+	node, _ := evictFixture(t, cfg, 1024)
+	node.Eng.Spawn("e", func(p *sim.Proc) {
 		// Plenty of free frames: deficit 0 -> no eviction work.
-		if eb := s.scanAndUnmap(p, 0, 7, 64, false); eb != nil {
+		if eb := node.scanAndUnmap(p, 0, 7, 64, false); eb != nil {
 			t.Errorf("scanAndUnmap evicted %d pages with zero deficit", len(eb.victims))
 		}
 		// force bypasses the clamp.
-		eb := s.scanAndUnmap(p, 0, 7, 16, true)
+		eb := node.scanAndUnmap(p, 0, 7, 16, true)
 		if eb == nil || len(eb.victims) == 0 {
 			t.Fatal("forced scan returned nothing")
 		}
-		if s.inflight != len(eb.victims) {
-			t.Errorf("inflight = %d, victims = %d", s.inflight, len(eb.victims))
+		if node.inflight != len(eb.victims) {
+			t.Errorf("inflight = %d, victims = %d", node.inflight, len(eb.victims))
 		}
-		s.reclaim(p, 7, eb)
-		if s.inflight != 0 {
-			t.Errorf("inflight = %d after reclaim", s.inflight)
+		node.reclaim(p, 7, eb)
+		if node.inflight != 0 {
+			t.Errorf("inflight = %d after reclaim", node.inflight)
 		}
 	})
-	s.Eng.Run()
+	node.Eng.Run()
 }
 
 func TestScanBudgetSurvivesSecondChances(t *testing.T) {
 	cfg := MageLib(2, 4096, 2048)
 	cfg.HonorAccessedBit = true
-	s := evictFixture(t, cfg, 512)
+	node, _ := evictFixture(t, cfg, 512)
 	// Set every page's accessed bit (prepopulate already does); first
 	// forced scan must still find victims by scanning past rejections —
 	// prepopulated pages have A set, so one pass clears and the budget
 	// (4x batch) lets the scan reach cleared pages only on deep scans.
-	s.Eng.Spawn("e", func(p *sim.Proc) {
-		first := s.scanAndUnmap(p, 0, 7, 8, true)
+	node.Eng.Spawn("e", func(p *sim.Proc) {
+		first := node.scanAndUnmap(p, 0, 7, 8, true)
 		if first != nil {
-			s.reclaim(p, 7, first)
+			node.reclaim(p, 7, first)
 		}
 		// After enough scans, eviction must make progress.
 		total := 0
 		for i := 0; i < 100 && total < 8; i++ {
-			if eb := s.scanAndUnmap(p, 0, 7, 8, true); eb != nil {
+			if eb := node.scanAndUnmap(p, 0, 7, 8, true); eb != nil {
 				total += len(eb.victims)
-				s.reclaim(p, 7, eb)
+				node.reclaim(p, 7, eb)
 			}
 		}
 		if total < 8 {
 			t.Errorf("eviction starved: only %d pages in 100 scans", total)
 		}
 	})
-	s.Eng.Run()
+	node.Eng.Run()
 }
 
 func TestShootdownChunkingHonorsTLBBatch(t *testing.T) {
 	cfg := MageLib(2, 4096, 2048)
 	cfg.TLBBatch = 8
-	s := evictFixture(t, cfg, 512)
-	s.Eng.Spawn("e", func(p *sim.Proc) {
-		eb := s.scanAndUnmap(p, 0, 7, 32, true)
+	node, _ := evictFixture(t, cfg, 512)
+	node.Eng.Spawn("e", func(p *sim.Proc) {
+		eb := node.scanAndUnmap(p, 0, 7, 32, true)
 		if eb == nil || len(eb.victims) < 9 {
 			t.Skipf("too few victims: %v", eb)
 		}
-		comps := s.postShootdowns(p, 7, eb)
+		comps := node.postShootdowns(p, 7, eb)
 		wantChunks := (len(eb.victims) + 7) / 8
 		if len(comps) != wantChunks {
 			t.Errorf("%d victims -> %d shootdowns, want %d",
@@ -90,22 +90,22 @@ func TestShootdownChunkingHonorsTLBBatch(t *testing.T) {
 		for _, c := range comps {
 			c.Wait(p)
 		}
-		s.reclaim(p, 7, eb)
+		node.reclaim(p, 7, eb)
 	})
-	s.Eng.Run()
+	node.Eng.Run()
 }
 
 func TestWritebackOnlyDirtyWithDirectMap(t *testing.T) {
 	cfg := MageLib(1, 512, 4096)
-	s := evictFixture(t, cfg, 0)
-	s.Eng.Spawn("setup", func(p *sim.Proc) {
-		th := s.NewThread(p, 0)
+	node, tn := evictFixture(t, cfg, 0)
+	node.Eng.Spawn("setup", func(p *sim.Proc) {
+		th := tn.NewThread(p, 0)
 		// Fault in 64 pages; dirty the even ones.
 		for pg := uint64(0); pg < 64; pg++ {
 			th.Access(pg, pg%2 == 0, 10)
 		}
 		th.Flush()
-		eb := s.scanAndUnmap(p, 0, 7, 64, true)
+		eb := node.scanAndUnmap(p, 0, 7, 64, true)
 		if eb == nil {
 			t.Fatal("no victims")
 		}
@@ -115,70 +115,70 @@ func TestWritebackOnlyDirtyWithDirectMap(t *testing.T) {
 				dirty++
 			}
 		}
-		writesBefore := s.NIC.BytesWritten.Value()
-		if c := s.postWriteback(p, eb); c != nil {
+		writesBefore := node.NIC.BytesWritten.Value()
+		if c := node.postWriteback(p, eb); c != nil {
 			c.Wait(p)
 		}
-		written := s.NIC.BytesWritten.Value() - writesBefore
+		written := node.NIC.BytesWritten.Value() - writesBefore
 		if got := int(written) / 4096; got != dirty {
 			t.Errorf("wrote %d pages, want %d dirty ones", got, dirty)
 		}
-		s.reclaim(p, 7, eb)
+		node.reclaim(p, 7, eb)
 	})
-	s.Eng.Run()
+	node.Eng.Run()
 }
 
 func TestWritebackEverythingWithGlobalSwapMap(t *testing.T) {
 	cfg := Hermit(1, 512, 4096)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 8
-	s := MustNewSystem(cfg)
-	s.Eng.Spawn("setup", func(p *sim.Proc) {
-		th := s.NewThread(p, 0)
+	node, tn := mustNode(t, cfg)
+	node.Eng.Spawn("setup", func(p *sim.Proc) {
+		th := tn.NewThread(p, 0)
 		for pg := uint64(0); pg < 32; pg++ {
 			th.Access(pg, false, 10) // clean reads only
 		}
 		th.Flush()
-		eb := s.scanAndUnmap(p, 0, 7, 32, true)
+		eb := node.scanAndUnmap(p, 0, 7, 32, true)
 		if eb == nil {
 			t.Fatal("no victims")
 		}
-		before := s.NIC.BytesWritten.Value()
-		if c := s.postWriteback(p, eb); c == nil {
+		before := node.NIC.BytesWritten.Value()
+		if c := node.postWriteback(p, eb); c == nil {
 			t.Fatal("swap-map eviction must write back even clean pages " +
 				"(their freshly allocated slots hold no valid copy)")
 		} else {
 			c.Wait(p)
 		}
-		if got := int(s.NIC.BytesWritten.Value()-before) / 4096; got != len(eb.victims) {
+		if got := int(node.NIC.BytesWritten.Value()-before) / 4096; got != len(eb.victims) {
 			t.Errorf("wrote %d pages, want all %d", got, len(eb.victims))
 		}
-		s.reclaim(p, 7, eb)
+		node.reclaim(p, 7, eb)
 	})
-	s.Eng.Run()
+	node.Eng.Run()
 }
 
 func TestEvictOnceEndToEnd(t *testing.T) {
 	cfg := DiLOS(2, 4096, 2048)
-	s := evictFixture(t, cfg, 1024)
-	s.Eng.Spawn("e", func(p *sim.Proc) {
+	node, tn := evictFixture(t, cfg, 1024)
+	node.Eng.Spawn("e", func(p *sim.Proc) {
 		// Freshly populated pages carry set accessed bits; the first
 		// rounds clear them (second chance) and later rounds evict.
 		evicted := 0
 		for i := 0; i < 50 && evicted == 0; i++ {
-			evicted += s.evictOnce(p, 0, topo.CoreID(7), 32, true).evicted
+			evicted += node.evictOnce(p, 0, topo.CoreID(7), 32, true).evicted
 		}
 		if evicted == 0 {
 			t.Fatal("evictOnce made no progress in 50 forced rounds")
 		}
-		if s.AS.Resident() != 1024-evicted {
-			t.Errorf("resident = %d, want %d", s.AS.Resident(), 1024-evicted)
+		if tn.AS.Resident() != 1024-evicted {
+			t.Errorf("resident = %d, want %d", tn.AS.Resident(), 1024-evicted)
 		}
-		if s.Alloc.FreeFrames() != 2048-1024+evicted {
-			t.Errorf("free = %d", s.Alloc.FreeFrames())
+		if node.Alloc.FreeFrames() != 2048-1024+evicted {
+			t.Errorf("free = %d", node.Alloc.FreeFrames())
 		}
 	})
-	s.Eng.Run()
+	node.Eng.Run()
 }
 
 func TestPipelinedEvictorDrainsOnStop(t *testing.T) {
@@ -186,19 +186,19 @@ func TestPipelinedEvictorDrainsOnStop(t *testing.T) {
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 8
 	cfg.EvictorThreads = 2
-	s := MustNewSystem(cfg)
+	node, tn := mustNode(t, cfg)
 	streams := make([]AccessStream, 4)
 	for i := range streams {
 		streams[i] = seqStream(uint64(i)*1024, 1024, 100)
 	}
-	s.Run(streams)
+	node.Run(streams)
 	// After Run returns every batch has been reclaimed: nothing in
 	// flight, no page left in a transient PTE state (checked elsewhere),
 	// frames conserved.
-	if s.inflight != 0 {
-		t.Errorf("inflight = %d after drain", s.inflight)
+	if node.inflight != 0 {
+		t.Errorf("inflight = %d after drain", node.inflight)
 	}
-	if got := s.Alloc.FreeFrames() + s.AS.Resident(); got != cfg.LocalMemPages {
+	if got := node.Alloc.FreeFrames() + tn.AS.Resident(); got != cfg.LocalMemPages {
 		t.Errorf("frames: %d, want %d", got, cfg.LocalMemPages)
 	}
 }

@@ -13,18 +13,18 @@ func TestFaultReleasesSwapSlotOnSwapIn(t *testing.T) {
 	cfg := Hermit(1, 256, 2048)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 4
-	s := MustNewSystem(cfg)
-	gm := s.Swap.(*swapspace.GlobalSwapMap)
+	node, tn := mustNode(t, cfg)
+	gm := node.Swap.(*swapspace.GlobalSwapMap)
 	// All 256 pages start reserved (swapped out).
 	free0 := gm.FreeSlots()
-	s.Eng.Spawn("t", func(p *sim.Proc) {
-		th := s.NewThread(p, 0)
+	node.Eng.Spawn("t", func(p *sim.Proc) {
+		th := tn.NewThread(p, 0)
 		for pg := uint64(0); pg < 10; pg++ {
 			th.Access(pg, false, 10)
 		}
 		th.Flush()
 	})
-	s.Eng.Run()
+	node.Eng.Run()
 	if got := gm.FreeSlots(); got != free0+10 {
 		t.Errorf("free slots = %d, want %d (slot freed per swap-in)", got, free0+10)
 	}
@@ -36,8 +36,8 @@ func TestLinuxMMCostsShowInFaultLatency(t *testing.T) {
 		cfg.Sockets = 1
 		cfg.CoresPerSocket = 4
 		cfg.LinuxMM = linuxMM
-		s := MustNewSystem(cfg)
-		res := s.Run([]AccessStream{seqStream(0, 512, 0)})
+		node, _ := mustNode(t, cfg)
+		res := node.Run([]AccessStream{seqStream(0, 512, 0)})
 		return res.Metrics.FaultMeanNs
 	}
 	with, without := run(true), run(false)
@@ -52,18 +52,18 @@ func TestPrefetchDropsUnderMemoryPressure(t *testing.T) {
 	cfg.CoresPerSocket = 8
 	cfg.EvictorThreads = 2
 	cfg.Prefetch = true
-	s := MustNewSystem(cfg)
+	node, tn := mustNode(t, cfg)
 	streams := []AccessStream{
 		seqStream(0, 4096, 0),
 		seqStream(0, 4096, 0),
 	}
-	res := s.Run(streams)
+	res := node.Run(streams)
 	if res.Metrics.Prefetched == 0 && res.Metrics.PrefetchDrop == 0 {
 		t.Error("no prefetches issued on a sequential scan")
 	}
 	// No page may be stranded in StateFaulting by a dropped prefetch.
 	for pg := uint64(0); pg < cfg.TotalPages; pg++ {
-		st := s.AS.PTEOf(pg).State
+		st := tn.AS.PTEOf(pg).State
 		if st != pgtable.StatePresent && st != pgtable.StateRemote {
 			t.Fatalf("page %d left in state %v", pg, st)
 		}
@@ -76,8 +76,8 @@ func TestVirtualizationCostsShowInFaultPath(t *testing.T) {
 		cfg.Sockets = 1
 		cfg.CoresPerSocket = 4
 		cfg.Virtualized = virt
-		s := MustNewSystem(cfg)
-		res := s.Run([]AccessStream{seqStream(0, 512, 0)})
+		node, _ := mustNode(t, cfg)
+		res := node.Run([]AccessStream{seqStream(0, 512, 0)})
 		return res.Metrics.FaultMeanNs
 	}
 	if v, b := run(true), run(false); v <= b {
@@ -93,8 +93,8 @@ func TestKernelStackCostsShowInFaultPath(t *testing.T) {
 		if kernel {
 			cfg.Stack = nic.StackKernel
 		}
-		s := MustNewSystem(cfg)
-		res := s.Run([]AccessStream{seqStream(0, 512, 0)})
+		node, _ := mustNode(t, cfg)
+		res := node.Run([]AccessStream{seqStream(0, 512, 0)})
 		return res.Metrics.FaultMeanNs
 	}
 	if k, l := mk(true), mk(false); k <= l {
@@ -107,12 +107,12 @@ func TestBreakdownSumApproximatesMeanLatency(t *testing.T) {
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 8
 	cfg.EvictorThreads = 2
-	s := MustNewSystem(cfg)
+	node, _ := mustNode(t, cfg)
 	streams := make([]AccessStream, 4)
 	for i := range streams {
 		streams[i] = randStream(int64(i+40), 2000, cfg.TotalPages, 100, 0.3)
 	}
-	res := s.Run(streams)
+	res := node.Run(streams)
 	var sum float64
 	for _, v := range res.Metrics.BreakdownNs {
 		sum += v

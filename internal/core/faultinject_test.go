@@ -35,10 +35,10 @@ func TestFaultedRunCompletesWithRetries(t *testing.T) {
 		SpikeMin:      sim.Microsecond,
 		SpikeMax:      20 * sim.Microsecond,
 	})
-	s := MustNewSystem(cfg)
-	s.Prepopulate(int(cfg.TotalPages) / 2)
-	s.SpawnEvictors()
-	res := s.Run(faultedStreams(4, 2000, cfg.TotalPages))
+	node, tn := mustNode(t, cfg)
+	tn.Prepopulate(int(cfg.TotalPages) / 2)
+	node.SpawnEvictors()
+	res := node.Run(faultedStreams(4, 2000, cfg.TotalPages))
 	if res.TotalAccesses() != 4*2000 {
 		t.Fatalf("accesses = %d, want %d", res.TotalAccesses(), 4*2000)
 	}
@@ -65,10 +65,10 @@ func TestFaultedRunSurvivesOutage(t *testing.T) {
 		Seed:    faultinject.DeriveSeed(7, "core", "outage"),
 		Outages: faultinject.PeriodicOutages(2*sim.Millisecond, 4*sim.Millisecond, sim.Millisecond, 3),
 	})
-	s := MustNewSystem(cfg)
-	s.Prepopulate(int(cfg.TotalPages) / 2)
-	s.SpawnEvictors()
-	res := s.Run(faultedStreams(4, 3000, cfg.TotalPages))
+	node, tn := mustNode(t, cfg)
+	tn.Prepopulate(int(cfg.TotalPages) / 2)
+	node.SpawnEvictors()
+	res := node.Run(faultedStreams(4, 3000, cfg.TotalPages))
 	if res.TotalAccesses() != 4*3000 {
 		t.Fatalf("accesses = %d, want %d", res.TotalAccesses(), 4*3000)
 	}
@@ -102,10 +102,10 @@ func TestFaultedRunDeterministic(t *testing.T) {
 			SpikeMax:      10 * sim.Microsecond,
 			Outages:       faultinject.PeriodicOutages(3*sim.Millisecond, 6*sim.Millisecond, 500*sim.Microsecond, 2),
 		})
-		s := MustNewSystem(cfg)
-		s.Prepopulate(int(cfg.TotalPages) / 2)
-		s.SpawnEvictors()
-		res := s.Run(faultedStreams(4, 2000, cfg.TotalPages))
+		node, tn := mustNode(t, cfg)
+		tn.Prepopulate(int(cfg.TotalPages) / 2)
+		node.SpawnEvictors()
+		res := node.Run(faultedStreams(4, 2000, cfg.TotalPages))
 		return res.Makespan, res.Metrics
 	}
 	mk1, m1 := run()
@@ -125,13 +125,13 @@ func TestFaultedRunDeterministic(t *testing.T) {
 // guard for the nil-injector fast paths.
 func TestNoPlanLeavesMetricsZero(t *testing.T) {
 	cfg := smallPreset(t, "magelib", 4)
-	s := MustNewSystem(cfg)
-	if s.FaultInj != nil || s.NIC.FaultInjector() != nil {
+	node, tn := mustNode(t, cfg)
+	if node.FaultInj != nil || node.NIC.FaultInjector() != nil {
 		t.Fatal("injector attached without a plan")
 	}
-	s.Prepopulate(int(cfg.TotalPages) / 2)
-	s.SpawnEvictors()
-	res := s.Run(faultedStreams(4, 1500, cfg.TotalPages))
+	tn.Prepopulate(int(cfg.TotalPages) / 2)
+	node.SpawnEvictors()
+	res := node.Run(faultedStreams(4, 1500, cfg.TotalPages))
 	m := res.Metrics
 	if m.FaultRetries != 0 || m.FaultTimeouts != 0 || m.FaultGiveUps != 0 ||
 		m.EvictRetries != 0 || m.EvictTimeouts != 0 || m.RetryWaits != 0 ||
@@ -146,8 +146,8 @@ func TestNoPlanLeavesMetricsZero(t *testing.T) {
 // knobs keep the exact baseline event order).
 func TestDisabledPlanIsNil(t *testing.T) {
 	cfg := faultedConfig(t, &faultinject.Plan{Seed: 99})
-	s := MustNewSystem(cfg)
-	if s.FaultInj != nil {
+	node, _ := mustNode(t, cfg)
+	if node.FaultInj != nil {
 		t.Fatal("injector attached for a plan with no enabled knobs")
 	}
 }
@@ -163,10 +163,10 @@ func TestRetryPolicyBackoff(t *testing.T) {
 	}
 }
 
-// TestInvalidFaultPlanRejected: NewSystem surfaces plan validation.
+// TestInvalidFaultPlanRejected: NewNode surfaces plan validation.
 func TestInvalidFaultPlanRejected(t *testing.T) {
 	cfg := faultedConfig(t, &faultinject.Plan{ReadFailProb: 2})
-	if _, err := NewSystem(cfg); err == nil {
+	if _, err := NewNode(cfg, nil); err == nil {
 		t.Fatal("invalid fault plan accepted")
 	}
 }

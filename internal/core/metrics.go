@@ -8,6 +8,15 @@ import (
 	"mage/internal/sim"
 )
 
+// Breakdown component labels (Figs 6 and 16).
+const (
+	CompRDMA   = "rdma-read"
+	CompTLB    = "tlb-flush"
+	CompAcct   = "page-accounting"
+	CompAlloc  = "mem-circulation"
+	CompOthers = "others"
+)
+
 // Metrics is a point-in-time measurement snapshot of a system.
 type Metrics struct {
 	System string

@@ -121,7 +121,7 @@ type Node struct {
 // NewNode assembles a node shared by the given tenants on a fresh engine.
 // cfg describes the shared substrate; its AppThreads and TotalPages are
 // overwritten with the tenant sums. An empty specs slice builds a
-// single-tenant node shaped by cfg alone (what NewSystem does).
+// single-tenant node shaped by cfg alone, which Node.Run drives.
 func NewNode(cfg Config, specs []TenantSpec) (*Node, error) {
 	return newNodeOn(sim.NewEngine(), cfg, specs)
 }

@@ -206,16 +206,13 @@ func TestNewNodeValidation(t *testing.T) {
 	}
 }
 
-// TestSingleTenantWrapper: NewSystem is a one-tenant node whose tenant 0
-// is the System's embedded Tenant, so promoted fields alias.
-func TestSingleTenantWrapper(t *testing.T) {
-	s := MustNewSystem(smallPreset(t, "magelib", 2))
-	tenants := s.Node.Tenants()
+// TestSingleTenantNode: NewNode with no specs is a one-tenant node whose
+// tenant 0 keys pages by their raw numbers.
+func TestSingleTenantNode(t *testing.T) {
+	node, _ := mustNode(t, smallPreset(t, "magelib", 2))
+	tenants := node.Tenants()
 	if len(tenants) != 1 {
-		t.Fatalf("single-tenant system has %d tenants", len(tenants))
-	}
-	if tenants[0] != s.Tenant {
-		t.Error("System.Tenant is not the node's tenant 0")
+		t.Fatalf("single-tenant node has %d tenants", len(tenants))
 	}
 	if tenants[0].ID != 0 {
 		t.Errorf("tenant id = %d, want 0", tenants[0].ID)

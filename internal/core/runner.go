@@ -13,8 +13,8 @@ type Access struct {
 	Write   bool
 	Compute sim.Time // CPU work attributed to this access
 	// Wait, if non-nil, blocks the thread before the access is issued —
-	// used for BSP phase barriers (Metis) and open-loop request pacing
-	// (Memcached). Pending compute time is flushed first.
+	// used for BSP phase barriers (Metis) and the open-loop fault pacing
+	// of Fig 15 (pacedFaultRun). Pending compute time is flushed first.
 	Wait func(p *sim.Proc)
 	// Skip marks a pure synchronization element: Wait runs but no memory
 	// access is performed.
@@ -111,16 +111,11 @@ type RunOptions struct {
 	SampleEvery sim.Time
 }
 
-// Run executes one AccessStream per application thread to completion and
-// returns the aggregated result. It owns the engine run loop.
-func (s *System) Run(streams []AccessStream) RunResult {
-	return s.RunWithOptions(streams, RunOptions{})
-}
-
-// RunWithOptions is Run with sampling control. It is the
-// single-tenant slice of Node.RunTenants.
-func (s *System) RunWithOptions(streams []AccessStream, opts RunOptions) RunResult {
-	return s.Node.RunTenants([][]AccessStream{streams}, opts)[0]
+// Run executes one AccessStream per application thread of a
+// single-tenant node to completion and returns its result: RunTenants
+// with one stream set and no sampling.
+func (n *Node) Run(streams []AccessStream) RunResult {
+	return n.RunTenants([][]AccessStream{streams}, RunOptions{})[0]
 }
 
 // RunTenants executes each tenant's streams (one AccessStream per app

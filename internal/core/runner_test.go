@@ -48,7 +48,7 @@ func TestAccessWaitHookRuns(t *testing.T) {
 	cfg := MageLib(1, 256, 512)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 2
-	s := MustNewSystem(cfg)
+	node, _ := mustNode(t, cfg)
 	var wokeAt sim.Time
 	stream := &SliceStream{Accs: []Access{
 		{Page: 1, Compute: 10},
@@ -58,7 +58,7 @@ func TestAccessWaitHookRuns(t *testing.T) {
 		}},
 		{Page: 2, Compute: 10},
 	}}
-	res := s.Run([]AccessStream{stream})
+	res := node.Run([]AccessStream{stream})
 	if wokeAt < 5*sim.Millisecond {
 		t.Errorf("wait hook finished at %v", wokeAt)
 	}
@@ -74,28 +74,28 @@ func TestTLBHitDoesNotRefreshAccessedBit(t *testing.T) {
 	cfg := DiLOS(1, 64, 256)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 2
-	s := MustNewSystem(cfg)
-	s.Eng.Spawn("t", func(p *sim.Proc) {
-		th := s.NewThread(p, 0)
+	node, tn := mustNode(t, cfg)
+	node.Eng.Spawn("t", func(p *sim.Proc) {
+		th := tn.NewThread(p, 0)
 		th.Access(3, false, 10) // fault-in: A set by CompleteFault
 		// Clear via a second-chance pass.
-		if r := s.AS.TryUnmap(p, 3, true); r.OK {
+		if r := tn.AS.TryUnmap(p, 3, true); r.OK {
 			t.Fatal("first unmap should be refused (accessed)")
 		}
 		// TLB-hit reads must NOT re-set the bit.
 		th.Access(3, false, 10)
 		th.Access(3, false, 10)
-		if s.AS.PTEOf(3).Accessed {
+		if tn.AS.PTEOf(3).Accessed {
 			t.Error("TLB-hit read refreshed the accessed bit")
 		}
 		// A write re-walks and sets A and D.
 		th.Access(3, true, 10)
-		pte := s.AS.PTEOf(3)
+		pte := tn.AS.PTEOf(3)
 		if !pte.Accessed || !pte.Dirty {
 			t.Errorf("write did not set A/D: %+v", pte)
 		}
 		th.Flush()
-		s.Stop()
+		node.Stop()
 	})
-	s.Eng.Run()
+	node.Eng.Run()
 }

@@ -20,12 +20,12 @@ func runShape(t *testing.T, name string, offload float64, compute sim.Time) (flo
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := MustNewSystem(cfg)
+	node, _ := mustNode(t, cfg)
 	streams := make([]AccessStream, threads)
 	for i := range streams {
 		streams[i] = randStream(int64(1000+i), accs, wss, compute, 0.3)
 	}
-	res := s.Run(streams)
+	res := node.Run(streams)
 	return res.OpsPerSec(), res.Metrics
 }
 

@@ -13,20 +13,20 @@ func TestPrepopulateStopsAtHighWatermark(t *testing.T) {
 	cfg := MageLib(4, 4096, 2048)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 8
-	s := MustNewSystem(cfg)
-	n := s.Prepopulate(4096)
+	node, tn := mustNode(t, cfg)
+	n := tn.Prepopulate(4096)
 	if n <= 0 {
 		t.Fatal("nothing populated")
 	}
-	wantMax := cfg.LocalMemPages - s.Cfg.highWatermarkFrames()
+	wantMax := cfg.LocalMemPages - node.Cfg.highWatermarkFrames()
 	if n > wantMax {
 		t.Errorf("populated %d, want <= %d (high watermark headroom)", n, wantMax)
 	}
-	if s.AS.Resident() != n {
-		t.Errorf("Resident = %d after Prepopulate(%d)", s.AS.Resident(), n)
+	if tn.AS.Resident() != n {
+		t.Errorf("Resident = %d after Prepopulate(%d)", tn.AS.Resident(), n)
 	}
-	if s.Alloc.FreeFrames() != cfg.LocalMemPages-n {
-		t.Errorf("free frames = %d, want %d", s.Alloc.FreeFrames(), cfg.LocalMemPages-n)
+	if node.Alloc.FreeFrames() != cfg.LocalMemPages-n {
+		t.Errorf("free frames = %d, want %d", node.Alloc.FreeFrames(), cfg.LocalMemPages-n)
 	}
 }
 
@@ -34,8 +34,8 @@ func TestPrepopulateClampsToWSS(t *testing.T) {
 	cfg := MageLib(4, 100, 4096)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 4
-	s := MustNewSystem(cfg)
-	if n := s.Prepopulate(10_000); n != 100 {
+	_, tn := mustNode(t, cfg)
+	if n := tn.Prepopulate(10_000); n != 100 {
 		t.Errorf("populated %d, want the whole 100-page WSS", n)
 	}
 }
@@ -44,10 +44,10 @@ func TestPrepopulateFreesHermitSwapSlots(t *testing.T) {
 	cfg := Hermit(2, 512, 4096)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 4
-	s := MustNewSystem(cfg)
-	gm := s.Swap.(*swapspace.GlobalSwapMap)
+	node, tn := mustNode(t, cfg)
+	gm := node.Swap.(*swapspace.GlobalSwapMap)
 	before := gm.FreeSlots()
-	n := s.Prepopulate(512)
+	n := tn.Prepopulate(512)
 	if gm.FreeSlots() != before+n {
 		t.Errorf("swap slots: %d -> %d after populating %d pages",
 			before, gm.FreeSlots(), n)
@@ -58,17 +58,17 @@ func TestPrepopulateFrontIsContiguous(t *testing.T) {
 	cfg := MageLib(2, 1000, 4096)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 4
-	s := MustNewSystem(cfg)
-	n := s.PrepopulateFront(800)
+	_, tn := mustNode(t, cfg)
+	n := tn.PrepopulateFront(800)
 	if n != 800 {
 		t.Fatalf("populated %d, want 800", n)
 	}
 	for pg := uint64(0); pg < 800; pg++ {
-		if s.AS.PTEOf(pg).State != pgtable.StatePresent {
+		if tn.AS.PTEOf(pg).State != pgtable.StatePresent {
 			t.Fatalf("page %d not resident after front population", pg)
 		}
 	}
-	if s.AS.PTEOf(900).State == pgtable.StatePresent {
+	if tn.AS.PTEOf(900).State == pgtable.StatePresent {
 		t.Error("page beyond the front range is resident")
 	}
 }
@@ -77,8 +77,8 @@ func TestPrepopulateSpreadLeavesUniformGap(t *testing.T) {
 	cfg := MageLib(2, 1000, 700)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 4
-	s := MustNewSystem(cfg)
-	n := s.Prepopulate(1000)
+	_, tn := mustNode(t, cfg)
+	n := tn.Prepopulate(1000)
 	if n >= 1000 || n <= 0 {
 		t.Fatalf("populated %d; the 700-frame quota must leave a gap", n)
 	}
@@ -87,7 +87,7 @@ func TestPrepopulateSpreadLeavesUniformGap(t *testing.T) {
 	absent := func(lo, hi uint64) int {
 		c := 0
 		for pg := lo; pg < hi; pg++ {
-			if s.AS.PTEOf(pg).State != pgtable.StatePresent {
+			if tn.AS.PTEOf(pg).State != pgtable.StatePresent {
 				c++
 			}
 		}
@@ -109,13 +109,13 @@ func TestComputeFactorDilatesVirtualizedRuns(t *testing.T) {
 		cfg.Sockets = 1
 		cfg.CoresPerSocket = 4
 		cfg.Virtualized = virt
-		s := MustNewSystem(cfg)
-		s.Prepopulate(512) // fully resident: pure compute
+		node, tn := mustNode(t, cfg)
+		tn.Prepopulate(512) // fully resident: pure compute
 		streams := []AccessStream{
 			seqStream(0, 512, 1000),
 			seqStream(0, 512, 1000),
 		}
-		return s.Run(streams).Makespan
+		return node.Run(streams).Makespan
 	}
 	bare, virt := run(false), run(true)
 	if virt <= bare {
@@ -129,18 +129,18 @@ func TestComputeFactorDilatesVirtualizedRuns(t *testing.T) {
 
 func TestEffectiveBatchBounds(t *testing.T) {
 	cfg := MageLib(4, 1<<16, 1<<15)
-	s := MustNewSystem(cfg)
-	if got := s.effectiveBatch(256); got != 256 {
+	node, _ := mustNode(t, cfg)
+	if got := node.effectiveBatch(256); got != 256 {
 		t.Errorf("large memory: batch = %d, want 256 unclamped", got)
 	}
 	small := MageLib(4, 4096, 512)
 	small.Sockets = 1
 	small.CoresPerSocket = 8
-	ss := MustNewSystem(small)
-	if got := ss.effectiveBatch(256); got > 512/(8*small.EvictorThreads) {
+	tiny, _ := mustNode(t, small)
+	if got := tiny.effectiveBatch(256); got > 512/(8*small.EvictorThreads) {
 		t.Errorf("small memory: batch = %d not clamped", got)
 	}
-	if got := ss.effectiveBatch(1); got != 1 {
+	if got := tiny.effectiveBatch(1); got != 1 {
 		t.Errorf("tiny configured batch changed: %d", got)
 	}
 }
@@ -149,32 +149,32 @@ func TestEvictionDeficitCountsWaitersAndInflight(t *testing.T) {
 	cfg := MageLib(2, 4096, 2048)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 4
-	s := MustNewSystem(cfg)
-	base := s.evictionDeficit()
-	s.inflight = 10
+	node, _ := mustNode(t, cfg)
+	base := node.evictionDeficit()
+	node.inflight = 10
 	want := base - 10
 	if want < 0 {
 		want = 0
 	}
-	if got := s.evictionDeficit(); got != want {
+	if got := node.evictionDeficit(); got != want {
 		t.Errorf("inflight not subtracted: %d vs %d", got, want)
 	}
 	// Deficit is floored at zero before adding waiters.
-	s.inflight = 1 << 20
-	if got := s.evictionDeficit(); got != 0 {
+	node.inflight = 1 << 20
+	if got := node.evictionDeficit(); got != 0 {
 		t.Errorf("deficit with huge inflight = %d, want 0", got)
 	}
-	s.inflight = 0
+	node.inflight = 0
 	// A blocked faulting thread raises the deficit by one.
-	s.Eng.Spawn("waiter", func(p *sim.Proc) { s.freeWait.Wait(p) })
-	s.Eng.Spawn("checker", func(p *sim.Proc) {
+	node.Eng.Spawn("waiter", func(p *sim.Proc) { node.freeWait.Wait(p) })
+	node.Eng.Spawn("checker", func(p *sim.Proc) {
 		p.Sleep(10)
-		if got := s.evictionDeficit(); got != base+1 {
+		if got := node.evictionDeficit(); got != base+1 {
 			t.Errorf("waiter not counted: %d vs %d", got, base+1)
 		}
-		s.freeWait.Broadcast()
+		node.freeWait.Broadcast()
 	})
-	s.Eng.Run()
+	node.Eng.Run()
 }
 
 func TestS3FIFOSystemRuns(t *testing.T) {
@@ -183,16 +183,16 @@ func TestS3FIFOSystemRuns(t *testing.T) {
 	cfg.CoresPerSocket = 8
 	cfg.Accounting = AcctS3FIFO
 	cfg.EvictorThreads = 2
-	s := MustNewSystem(cfg)
+	node, tn := mustNode(t, cfg)
 	streams := make([]AccessStream, 4)
 	for i := range streams {
 		streams[i] = randStream(int64(i+5), 2000, cfg.TotalPages, 150, 0.3)
 	}
-	res := s.Run(streams)
+	res := node.Run(streams)
 	if res.TotalFaults() == 0 || res.Metrics.EvictedPages == 0 {
 		t.Error("S3FIFO system did not exercise the paging paths")
 	}
-	if got := s.Alloc.FreeFrames() + s.AS.Resident(); got != cfg.LocalMemPages {
+	if got := node.Alloc.FreeFrames() + tn.AS.Resident(); got != cfg.LocalMemPages {
 		t.Errorf("frame conservation broken with S3FIFO: %d", got)
 	}
 }
@@ -204,12 +204,12 @@ func TestBackendsRunEndToEnd(t *testing.T) {
 		cfg.CoresPerSocket = 4
 		cfg.Backend = be
 		cfg.EvictorThreads = 2
-		s := MustNewSystem(cfg)
+		node, _ := mustNode(t, cfg)
 		streams := []AccessStream{
 			seqStream(0, 2048, 500),
 			seqStream(0, 2048, 500),
 		}
-		res := s.Run(streams)
+		res := node.Run(streams)
 		if res.TotalFaults() == 0 {
 			t.Errorf("%v: no faults", be)
 		}
@@ -225,14 +225,14 @@ func TestInflightReturnsToZeroAfterRun(t *testing.T) {
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 8
 	cfg.EvictorThreads = 2
-	s := MustNewSystem(cfg)
+	node, _ := mustNode(t, cfg)
 	streams := make([]AccessStream, 4)
 	for i := range streams {
 		streams[i] = randStream(int64(i), 2000, cfg.TotalPages, 100, 0.4)
 	}
-	s.Run(streams)
-	if s.inflight != 0 {
-		t.Errorf("inflight = %d after drain, want 0", s.inflight)
+	node.Run(streams)
+	if node.inflight != 0 {
+		t.Errorf("inflight = %d after drain, want 0", node.inflight)
 	}
 }
 
@@ -240,12 +240,12 @@ func TestMinorFaultCounting(t *testing.T) {
 	cfg := DiLOS(8, 512, 4096)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 8
-	s := MustNewSystem(cfg)
+	node, _ := mustNode(t, cfg)
 	streams := make([]AccessStream, 8)
 	for i := range streams {
 		streams[i] = seqStream(0, 512, 0) // identical: heavy dedup
 	}
-	res := s.Run(streams)
+	res := node.Run(streams)
 	if res.Metrics.MinorFaults == 0 {
 		t.Error("identical streams should produce minor faults (dedup hits)")
 	}

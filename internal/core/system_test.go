@@ -8,6 +8,17 @@ import (
 	"mage/internal/sim"
 )
 
+// mustNode builds a single-tenant node from cfg and returns it with its
+// tenant.
+func mustNode(t testing.TB, cfg Config) (*Node, *Tenant) {
+	t.Helper()
+	n, err := NewNode(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, n.tenants[0]
+}
+
 // randStream returns a stream of n uniform random accesses over pages
 // [0, wss) with the given per-access compute cost.
 func randStream(seed int64, n int, wss uint64, compute sim.Time, writeFrac float64) AccessStream {
@@ -93,12 +104,12 @@ func TestAllSystemsCompleteRandomWorkload(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			cfg := smallPreset(t, name, 4)
-			s := MustNewSystem(cfg)
+			node, tn := mustNode(t, cfg)
 			streams := make([]AccessStream, cfg.AppThreads)
 			for i := range streams {
 				streams[i] = randStream(int64(i+1), 2000, cfg.TotalPages, 200, 0.3)
 			}
-			res := s.Run(streams)
+			res := node.Run(streams)
 			if got := res.TotalAccesses(); got != 8000 {
 				t.Errorf("accesses = %d, want 8000", got)
 			}
@@ -110,12 +121,12 @@ func TestAllSystemsCompleteRandomWorkload(t *testing.T) {
 			}
 			// Frame conservation after drain: every frame is either free
 			// or backs a resident page.
-			if got := s.Alloc.FreeFrames() + s.AS.Resident(); got != cfg.LocalMemPages {
+			if got := node.Alloc.FreeFrames() + tn.AS.Resident(); got != cfg.LocalMemPages {
 				t.Errorf("frames: free(%d) + resident(%d) = %d, want %d",
-					s.Alloc.FreeFrames(), s.AS.Resident(), got, cfg.LocalMemPages)
+					node.Alloc.FreeFrames(), tn.AS.Resident(), got, cfg.LocalMemPages)
 			}
-			if s.AS.Resident() > cfg.LocalMemPages {
-				t.Errorf("resident %d exceeds quota %d", s.AS.Resident(), cfg.LocalMemPages)
+			if tn.AS.Resident() > cfg.LocalMemPages {
+				t.Errorf("resident %d exceeds quota %d", tn.AS.Resident(), cfg.LocalMemPages)
 			}
 		})
 	}
@@ -123,12 +134,12 @@ func TestAllSystemsCompleteRandomWorkload(t *testing.T) {
 
 func TestEvictionTriggersUnderPressure(t *testing.T) {
 	cfg := smallPreset(t, "magelib", 2)
-	s := MustNewSystem(cfg)
+	node, _ := mustNode(t, cfg)
 	streams := []AccessStream{
 		seqStream(0, 4000, 200), // touches every page: must evict
 		seqStream(0, 4000, 200),
 	}
-	res := s.Run(streams)
+	res := node.Run(streams)
 	if res.Metrics.EvictedPages == 0 {
 		t.Error("no evictions despite working set exceeding local memory")
 	}
@@ -140,12 +151,12 @@ func TestEvictionTriggersUnderPressure(t *testing.T) {
 func TestMageNeverSyncEvicts(t *testing.T) {
 	for _, name := range []string{"magelib", "magelnx"} {
 		cfg := smallPreset(t, name, 4)
-		s := MustNewSystem(cfg)
+		node, _ := mustNode(t, cfg)
 		streams := make([]AccessStream, 4)
 		for i := range streams {
 			streams[i] = randStream(int64(i+7), 3000, cfg.TotalPages, 100, 0.5)
 		}
-		res := s.Run(streams)
+		res := node.Run(streams)
 		if res.Metrics.SyncEvicts != 0 {
 			t.Errorf("%s: %d sync evictions", name, res.Metrics.SyncEvicts)
 		}
@@ -157,12 +168,12 @@ func TestHermitSyncEvictsUnderPressure(t *testing.T) {
 	// Starve the eviction path: tiny local memory, no compute between
 	// accesses.
 	cfg.LocalMemPages = 700
-	s := MustNewSystem(cfg)
+	node, _ := mustNode(t, cfg)
 	streams := make([]AccessStream, 6)
 	for i := range streams {
 		streams[i] = randStream(int64(i+3), 2500, cfg.TotalPages, 0, 0.5)
 	}
-	res := s.Run(streams)
+	res := node.Run(streams)
 	if res.Metrics.SyncEvicts == 0 {
 		t.Error("Hermit should fall back to synchronous eviction under pressure")
 	}
@@ -171,12 +182,12 @@ func TestHermitSyncEvictsUnderPressure(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() (sim.Time, uint64, uint64) {
 		cfg := smallPreset(t, "magelib", 4)
-		s := MustNewSystem(cfg)
+		node, _ := mustNode(t, cfg)
 		streams := make([]AccessStream, 4)
 		for i := range streams {
 			streams[i] = randStream(int64(i+11), 2000, cfg.TotalPages, 150, 0.4)
 		}
-		res := s.Run(streams)
+		res := node.Run(streams)
 		return res.Makespan, res.TotalFaults(), res.Metrics.EvictedPages
 	}
 	m1, f1, e1 := run()
@@ -188,8 +199,8 @@ func TestDeterminism(t *testing.T) {
 
 func TestIdealFaultCostIsPureDataMovement(t *testing.T) {
 	cfg := smallPreset(t, "ideal", 1)
-	s := MustNewSystem(cfg)
-	res := s.Run([]AccessStream{seqStream(0, 1000, 0)})
+	node, _ := mustNode(t, cfg)
+	res := node.Run([]AccessStream{seqStream(0, 1000, 0)})
 	// One uncontended fault per page, each exactly 3.9 µs.
 	if res.TotalFaults() != 1000 {
 		t.Fatalf("faults = %d, want 1000", res.TotalFaults())
@@ -206,8 +217,8 @@ func TestIdealFaultCostIsPureDataMovement(t *testing.T) {
 func TestIdealEvictsForFree(t *testing.T) {
 	cfg := smallPreset(t, "ideal", 1)
 	cfg.LocalMemPages = 256
-	s := MustNewSystem(cfg)
-	res := s.Run([]AccessStream{seqStream(0, 4096, 0)})
+	node, _ := mustNode(t, cfg)
+	res := node.Run([]AccessStream{seqStream(0, 4096, 0)})
 	if res.Metrics.EvictedPages == 0 {
 		t.Fatal("ideal system never evicted")
 	}
@@ -220,13 +231,13 @@ func TestIdealEvictsForFree(t *testing.T) {
 
 func TestConcurrentFaultsOnSamePageDeduplicate(t *testing.T) {
 	cfg := smallPreset(t, "dilos", 8)
-	s := MustNewSystem(cfg)
+	node, _ := mustNode(t, cfg)
 	// All threads touch the same small page set simultaneously.
 	streams := make([]AccessStream, 8)
 	for i := range streams {
 		streams[i] = seqStream(0, 500, 0)
 	}
-	res := s.Run(streams)
+	res := node.Run(streams)
 	if res.Metrics.DedupWaits == 0 {
 		t.Error("expected fault deduplication with identical streams")
 	}
@@ -241,12 +252,12 @@ func TestPrefetchCutsFaultsOnSequentialScan(t *testing.T) {
 	run := func(pf bool) uint64 {
 		cfg := smallPreset(t, "magelib", 2)
 		cfg.Prefetch = pf
-		s := MustNewSystem(cfg)
+		node, _ := mustNode(t, cfg)
 		streams := []AccessStream{
 			seqStream(0, 4000, 300),
 			seqStream(0, 4000, 300),
 		}
-		res := s.Run(streams)
+		res := node.Run(streams)
 		return res.TotalFaults()
 	}
 	without, with := run(false), run(true)
@@ -260,33 +271,33 @@ func TestPrefetchCutsFaultsOnSequentialScan(t *testing.T) {
 
 func TestResidencyRespectsQuotaDuringRun(t *testing.T) {
 	cfg := smallPreset(t, "magelnx", 4)
-	s := MustNewSystem(cfg)
+	node, tn := mustNode(t, cfg)
 	streams := make([]AccessStream, 4)
 	for i := range streams {
 		streams[i] = randStream(int64(i), 1500, cfg.TotalPages, 100, 0.2)
 	}
 	// Watchdog samples residency during the run.
-	s.Eng.Spawn("watchdog", func(p *sim.Proc) {
-		for !s.Stopped() {
-			if s.AS.Resident() > cfg.LocalMemPages {
+	node.Eng.Spawn("watchdog", func(p *sim.Proc) {
+		for !node.Stopped() {
+			if tn.AS.Resident() > cfg.LocalMemPages {
 				t.Errorf("resident %d > quota %d at %v",
-					s.AS.Resident(), cfg.LocalMemPages, p.Now())
+					tn.AS.Resident(), cfg.LocalMemPages, p.Now())
 				return
 			}
 			p.Sleep(20 * sim.Microsecond)
 		}
 	})
-	s.Run(streams)
+	node.Run(streams)
 }
 
 func TestFaultBreakdownComponentsPresent(t *testing.T) {
 	cfg := smallPreset(t, "hermit", 4)
-	s := MustNewSystem(cfg)
+	node, _ := mustNode(t, cfg)
 	streams := make([]AccessStream, 4)
 	for i := range streams {
 		streams[i] = randStream(int64(i+21), 2000, cfg.TotalPages, 100, 0.5)
 	}
-	res := s.Run(streams)
+	res := node.Run(streams)
 	for _, comp := range []string{CompRDMA, CompAcct, CompAlloc, CompOthers} {
 		if res.Metrics.BreakdownNs[comp] <= 0 {
 			t.Errorf("breakdown component %q = %v", comp, res.Metrics.BreakdownNs[comp])
@@ -300,12 +311,12 @@ func TestFaultBreakdownComponentsPresent(t *testing.T) {
 
 func TestRunWithSampling(t *testing.T) {
 	cfg := smallPreset(t, "magelib", 2)
-	s := MustNewSystem(cfg)
+	node, _ := mustNode(t, cfg)
 	streams := []AccessStream{
 		randStream(1, 3000, cfg.TotalPages, 500, 0.2),
 		randStream(2, 3000, cfg.TotalPages, 500, 0.2),
 	}
-	res := s.RunWithOptions(streams, RunOptions{SampleEvery: 100 * sim.Microsecond})
+	res := node.RunTenants([][]AccessStream{streams}, RunOptions{SampleEvery: 100 * sim.Microsecond})[0]
 	if res.Series == nil || res.Series.Len() == 0 {
 		t.Fatal("no time series recorded")
 	}
@@ -316,15 +327,15 @@ func TestRunWithSampling(t *testing.T) {
 
 func TestPTEStatesSettleAfterRun(t *testing.T) {
 	cfg := smallPreset(t, "magelib", 4)
-	s := MustNewSystem(cfg)
+	node, tn := mustNode(t, cfg)
 	streams := make([]AccessStream, 4)
 	for i := range streams {
 		streams[i] = randStream(int64(i+31), 2000, cfg.TotalPages, 100, 0.5)
 	}
-	s.Run(streams)
+	node.Run(streams)
 	present := 0
 	for pg := uint64(0); pg < cfg.TotalPages; pg++ {
-		st := s.AS.PTEOf(pg).State
+		st := tn.AS.PTEOf(pg).State
 		switch st {
 		case pgtable.StatePresent:
 			present++
@@ -333,8 +344,8 @@ func TestPTEStatesSettleAfterRun(t *testing.T) {
 			t.Fatalf("page %d left in transient state %v", pg, st)
 		}
 	}
-	if present != s.AS.Resident() {
-		t.Errorf("present count %d != Resident() %d", present, s.AS.Resident())
+	if present != tn.AS.Resident() {
+		t.Errorf("present count %d != Resident() %d", present, tn.AS.Resident())
 	}
 }
 
@@ -344,5 +355,6 @@ func TestNoStreamsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MustNewSystem(smallPreset(t, "ideal", 1)).Run(nil)
+	node, _ := mustNode(t, smallPreset(t, "ideal", 1))
+	node.Run(nil)
 }

@@ -10,15 +10,15 @@ func TestZeroFillFaultSkipsRDMA(t *testing.T) {
 	cfg := MageLib(1, 1024, 4096)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 4
-	s := MustNewSystem(cfg)
-	s.MarkZeroFill(512, 1024)
+	node, tn := mustNode(t, cfg)
+	tn.MarkZeroFill(512, 1024)
 	streams := []AccessStream{seqStream(0, 1024, 0)}
-	res := s.Run(streams)
+	res := node.Run(streams)
 	// All 1024 pages fault, but only the first 512 are remote reads.
 	if res.TotalFaults() != 1024 {
 		t.Fatalf("faults = %d", res.TotalFaults())
 	}
-	if got := s.NIC.Reads.Value(); got != 512 {
+	if got := node.NIC.Reads.Value(); got != 512 {
 		t.Errorf("RDMA reads = %d, want 512 (zero-fill half skips the wire)", got)
 	}
 	// Zero-fill faults are much cheaper than remote faults.
@@ -32,8 +32,8 @@ func TestZeroFillPagesEvictAndReturnAsRemote(t *testing.T) {
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 4
 	cfg.EvictorThreads = 1
-	s := MustNewSystem(cfg)
-	s.MarkZeroFill(0, 1024)
+	node, tn := mustNode(t, cfg)
+	tn.MarkZeroFill(0, 1024)
 	// Two passes: the second pass refaults evicted zero-fill pages, which
 	// now hold real (dirtied) content remotely.
 	streams := []AccessStream{FuncStream(func() func() (Access, bool) {
@@ -47,16 +47,16 @@ func TestZeroFillPagesEvictAndReturnAsRemote(t *testing.T) {
 			return a, true
 		}
 	}())}
-	res := s.Run(streams)
+	res := node.Run(streams)
 	if res.Metrics.EvictedPages == 0 {
 		t.Fatal("no evictions")
 	}
 	// Refaults of previously evicted pages must hit the wire.
-	if s.NIC.Reads.Value() == 0 {
+	if node.NIC.Reads.Value() == 0 {
 		t.Error("second-pass refaults should be remote reads")
 	}
 	// Dirtied zero-fill pages get written back on eviction.
-	if s.NIC.Writes.Value() == 0 {
+	if node.NIC.Writes.Value() == 0 {
 		t.Error("dirty zero-fill pages must be written back")
 	}
 }
@@ -65,10 +65,10 @@ func TestMarkZeroFillFreesHermitSwapSlots(t *testing.T) {
 	cfg := Hermit(1, 512, 4096)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 4
-	s := MustNewSystem(cfg)
-	gm := s.Swap.(*swapspace.GlobalSwapMap)
+	node, tn := mustNode(t, cfg)
+	gm := node.Swap.(*swapspace.GlobalSwapMap)
 	before := gm.FreeSlots()
-	s.MarkZeroFill(100, 200)
+	tn.MarkZeroFill(100, 200)
 	if got := gm.FreeSlots(); got != before+100 {
 		t.Errorf("free slots %d -> %d; zero-fill pages must not hold swap slots", before, got)
 	}
@@ -78,14 +78,14 @@ func TestIdealHandlesZeroFill(t *testing.T) {
 	cfg := Ideal(1, 512, 4096)
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 4
-	s := MustNewSystem(cfg)
-	s.MarkZeroFill(0, 512)
-	res := s.Run([]AccessStream{seqStream(0, 512, 0)})
+	node, tn := mustNode(t, cfg)
+	tn.MarkZeroFill(0, 512)
+	res := node.Run([]AccessStream{seqStream(0, 512, 0)})
 	if res.TotalFaults() != 512 {
 		t.Fatalf("faults = %d", res.TotalFaults())
 	}
-	if s.NIC.Reads.Value() != 0 {
-		t.Errorf("ideal zero-fill faults did %d reads", s.NIC.Reads.Value())
+	if node.NIC.Reads.Value() != 0 {
+		t.Errorf("ideal zero-fill faults did %d reads", node.NIC.Reads.Value())
 	}
 	if res.Makespan != 0 {
 		t.Errorf("ideal zero-fill faults cost %v; should be free", res.Makespan)

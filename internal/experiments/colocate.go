@@ -70,23 +70,12 @@ func coloRun(sc Scale, nt int, ratio float64) []core.RunResult {
 		}
 		aggregate += wls[i].NumPages()
 	}
-	cfg, err := core.Preset("MageLib", nt*p.ThreadsPerTenant, aggregate,
-		localPagesFor(aggregate, 1-ratio))
-	if err != nil {
-		panic(err)
-	}
+	cfg := core.MageLib(nt*p.ThreadsPerTenant, aggregate, localPagesFor(aggregate, 1-ratio))
 	node, err := core.NewNode(cfg, specs)
 	if err != nil {
 		panic(err)
 	}
 	tenants := node.Tenants()
-	for i, t := range tenants {
-		if zf, ok := wls[i].(zeroFiller); ok {
-			for _, r := range zf.ZeroFillRanges() {
-				t.MarkZeroFill(r[0], r[1])
-			}
-		}
-	}
 	// Fair-share warm start: split the node's population budget among the
 	// tenants in proportion to their working sets, mirroring the solo
 	// baseline's per-tenant ratio.

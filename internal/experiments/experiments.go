@@ -198,10 +198,10 @@ func Full() Scale {
 }
 
 // localPagesFor converts an offload fraction into a local DRAM quota.
-// offload 0 gets headroom above the WSS so steady state never evicts.
+// offload 0 gets the fully-local quota, so steady state never evicts.
 func localPagesFor(total uint64, offload float64) int {
 	if offload <= 0 {
-		return int(total) + int(total)/6 + 4096
+		return core.FullyLocalPages(total)
 	}
 	n := int(float64(total) * (1 - offload))
 	if n < 64 {
@@ -210,69 +210,67 @@ func localPagesFor(total uint64, offload float64) int {
 	return n
 }
 
+// localFracPages converts a local-memory fraction into a local DRAM
+// quota; a fraction of 1 or more gets the fully-local quota.
+func localFracPages(total uint64, frac float64) int {
+	if frac >= 1 {
+		return core.FullyLocalPages(total)
+	}
+	return int(float64(total) * frac)
+}
+
 // systemNames is the figure ordering of the compared systems.
 var systemNames = []string{"Ideal", "Hermit", "DiLOS", "MageLib", "MageLnx"}
 
-// buildSystemPrepop constructs a preset system for a workload at an
-// offload fraction, warm-started like the paper's runs: spread=true
-// spreads the cold gap evenly, spread=false keeps the front of the
-// address space resident (for phase-change workloads whose first phase
-// lives there).
-func buildSystemPrepop(name string, threads int, total uint64, offload float64, mutate func(*core.Config), spread bool) *core.System {
-	s := buildSystemRaw(name, threads, total, offload, mutate)
-	if spread {
-		s.Prepopulate(int(total))
-	} else {
-		s.PrepopulateFront(int(total))
-	}
-	return s
-}
-
-// buildSystemRaw builds the system without warm-starting it.
-func buildSystemRaw(name string, threads int, total uint64, offload float64, mutate func(*core.Config)) *core.System {
-	cfg, err := core.Preset(name, threads, total, localPagesFor(total, offload))
+// presetCfg is the named preset over total pages with local frames of
+// local DRAM, mutate applied.
+func presetCfg(name string, threads int, total uint64, local int, mutate func(*core.Config)) core.Config {
+	cfg, err := core.Preset(name, threads, total, local)
 	if err != nil {
 		panic(err)
 	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return core.MustNewSystem(cfg)
+	return cfg
 }
 
-// zeroFiller is implemented by workloads with runtime-allocated regions
-// that have no initial remote content.
-type zeroFiller interface{ ZeroFillRanges() [][2]uint64 }
-
-// applyZeroFill marks a workload's anonymous regions on the system; must
-// run before prepopulation.
-func applyZeroFill(s *core.System, w workload.Workload) {
-	if zf, ok := w.(zeroFiller); ok {
-		for _, r := range zf.ZeroFillRanges() {
-			s.MarkZeroFill(r[0], r[1])
-		}
+// mustNode builds a single-tenant node from cfg and returns it with its
+// tenant.
+func mustNode(cfg core.Config) (*core.Node, *core.Tenant) {
+	n, err := core.NewNode(cfg, nil)
+	if err != nil {
+		panic(err)
 	}
+	return n, n.Tenants()[0]
 }
 
-// runStreams executes a workload on a fresh preset system. Anonymous
-// regions are marked zero-fill before the warm start; phase-change
-// workloads (Metis) get front prepopulation so their first phase starts
-// resident.
+// runStreams runs a workload on a preset at an offload fraction (see
+// runCfg).
 func runStreams(name string, threads int, w workload.Workload, offload float64, seed int64, mutate func(*core.Config)) core.RunResult {
-	s := buildSystemRaw(name, threads, w.NumPages(), offload, mutate)
-	applyZeroFill(s, w)
-	if _, front := w.(*workload.Metis); front {
-		s.PrepopulateFront(int(w.NumPages()))
-	} else {
-		s.Prepopulate(int(w.NumPages()))
-	}
+	total := w.NumPages()
+	return runCfg(presetCfg(name, threads, total, localPagesFor(total, offload), mutate), w, threads, seed)
+}
+
+// runCfg runs a workload on a fresh node built from cfg, warm-started
+// like the paper's runs. Metis's intermediate and output regions are
+// runtime allocations, marked zero-fill, and the front of its address
+// space (the map phase's input) starts resident; any other workload's
+// warm start spreads the cold gap evenly.
+func runCfg(cfg core.Config, w workload.Workload, threads int, seed int64) core.RunResult {
+	n, tn := mustNode(cfg)
 	var streams []core.AccessStream
 	if m, ok := w.(*workload.Metis); ok {
-		streams = m.StreamsOn(s.Eng, threads, seed)
+		for _, r := range m.ZeroFillRanges() {
+			tn.MarkZeroFill(r[0], r[1])
+		}
+		tn.PrepopulateFront(int(m.NumPages()))
+		streams = m.StreamsOn(n.Eng, threads, seed)
 	} else {
+		tn.Prepopulate(int(w.NumPages()))
 		streams = w.Streams(threads, seed)
 	}
-	return s.RunWithOptions(streams, core.RunOptions{})
+	return n.Run(streams)
 }
 
 // runCells evaluates a figure's n grid cells — each a self-contained

@@ -122,10 +122,7 @@ func runRackCell(sc Scale, nodes int, placement string, borrow bool,
 		if !hot {
 			threads, local = 1, rackPagesPerNode
 		}
-		cfg, err := core.Preset("MageLib", threads, rackPagesPerNode, local)
-		if err != nil {
-			panic(err)
-		}
+		cfg := core.MageLib(threads, rackPagesPerNode, local)
 		cfg.Name = fmt.Sprintf("n%d", i)
 		specs[i] = core.NodeSpec{Cfg: cfg}
 		th := make([]core.AccessStream, threads)

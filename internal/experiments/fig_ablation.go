@@ -31,20 +31,6 @@ func ablationSteps(threads int, total uint64, local int) []core.Config {
 	return []core.Config{base, pip, lruP, ml}
 }
 
-// runCfg executes a workload on an explicit config with warm start.
-func runCfg(cfg core.Config, w workload.Workload, threads int, seed int64) core.RunResult {
-	s := core.MustNewSystem(cfg)
-	applyZeroFill(s, w)
-	s.Prepopulate(int(w.NumPages()))
-	var streams []core.AccessStream
-	if m, ok := w.(*workload.Metis); ok {
-		streams = m.StreamsOn(s.Eng, threads, seed)
-	} else {
-		streams = w.Streams(threads, seed)
-	}
-	return s.Run(streams)
-}
-
 // Fig17 reproduces Figure 17: the cumulative technique breakdown
 // (Baseline → +Pipelined → +LRU partitioning → +MultiLayer allocator) on
 // GapBS and XSBench across offload levels.

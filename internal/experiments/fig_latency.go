@@ -3,28 +3,12 @@ package experiments
 import (
 	"fmt"
 
-	"mage/internal/core"
 	"mage/internal/workload"
 )
 
-// mcSystem builds a memcached system at the given local-memory fraction.
-// The paper uses 24 threads to stay within one NUMA socket.
-func mcSystem(name string, sc Scale, localFrac float64) (*core.System, *workload.Memcached, int) {
-	threads := 24
-	w := workload.NewMemcached(sc.MC)
-	total := w.NumPages()
-	local := int(float64(total) * localFrac)
-	if localFrac >= 1 {
-		local = int(total) + int(total)/6 + 4096
-	}
-	cfg, err := core.Preset(name, threads, total, local)
-	if err != nil {
-		panic(err)
-	}
-	s := core.MustNewSystem(cfg)
-	s.Prepopulate(int(total))
-	return s, w, threads
-}
+// mcThreads is memcached's server thread count: the paper uses 24 to
+// stay within one NUMA socket.
+const mcThreads = 24
 
 // Fig13 reproduces Figure 13: memcached p99 latency (a) vs local-memory
 // ratio at a fixed load, and (b) vs offered load at 50% local memory.
@@ -47,8 +31,11 @@ func Fig13(sc Scale) []*Table {
 		}
 	}
 	runMC := func(c cell) workload.LatencyResult {
-		s, w, threads := mcSystem(c.name, sc, c.localFrac)
-		return w.RunOpenLoop(s, threads, c.load, sc.MCDuration, sc.Seed)
+		w := workload.NewMemcached(sc.MC)
+		total := w.NumPages()
+		n, tn := mustNode(presetCfg(c.name, mcThreads, total, localFracPages(total, c.localFrac), nil))
+		tn.Prepopulate(int(total))
+		return w.RunOpenLoop(n, mcThreads, c.load, sc.MCDuration, sc.Seed)
 	}
 	aRes := runCells(sc, len(aCells), func(i int) workload.LatencyResult { return runMC(aCells[i]) })
 	for i, c := range aCells {

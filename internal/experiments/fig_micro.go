@@ -8,23 +8,18 @@ import (
 	"mage/internal/sim"
 )
 
-// microSystem builds a system for the sequential-read microbenchmark of
-// §3.2: each thread reads a private region at page granularity; every
-// access is a major fault (pages start remote; no warm-up population).
-func microSystem(name string, threads, pagesPerThread int, localFrac float64, mutate func(*core.Config)) (*core.System, []core.AccessStream) {
+// microCfg configures the sequential-read microbenchmark of §3.2: each
+// thread reads a private region at page granularity; every access is a
+// major fault (pages start remote; no warm-up population).
+func microCfg(name string, threads, pagesPerThread int, localFrac float64, mutate func(*core.Config)) core.Config {
 	total := uint64(threads * pagesPerThread)
-	local := int(float64(total) * localFrac)
-	if localFrac >= 1 {
-		local = int(total) + int(total)/6 + 4096
-	}
-	cfg, err := core.Preset(name, threads, total, local)
-	if err != nil {
-		panic(err)
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	s := core.MustNewSystem(cfg)
+	return presetCfg(name, threads, total, localFracPages(total, localFrac), mutate)
+}
+
+// microRun executes the microbenchmark and returns fault throughput in
+// M ops/s plus the metrics snapshot.
+func microRun(name string, threads, pagesPerThread int, localFrac float64, mutate func(*core.Config)) (float64, core.RunResult) {
+	n, _ := mustNode(microCfg(name, threads, pagesPerThread, localFrac, mutate))
 	streams := make([]core.AccessStream, threads)
 	for t := 0; t < threads; t++ {
 		lo := uint64(t * pagesPerThread)
@@ -38,14 +33,7 @@ func microSystem(name string, threads, pagesPerThread int, localFrac float64, mu
 			return a, true
 		})
 	}
-	return s, streams
-}
-
-// microRun executes the microbenchmark and returns fault throughput in
-// M ops/s plus the metrics snapshot.
-func microRun(name string, threads, pagesPerThread int, localFrac float64, mutate func(*core.Config)) (float64, core.RunResult) {
-	s, streams := microSystem(name, threads, pagesPerThread, localFrac, mutate)
-	res := s.Run(streams)
+	res := n.Run(streams)
 	mops := float64(res.Metrics.MajorFaults) / res.Makespan.Seconds() / 1e6
 	return mops, res
 }
@@ -235,7 +223,7 @@ func Fig15(sc Scale) []*Table {
 func pacedFaultRun(name string, sc Scale, load float64) (achievedOps float64, p99 int64) {
 	threads := sc.Threads
 	pages := sc.MicroPagesPerThread
-	s, _ := microSystem(name, threads, pages, 0.5, nil)
+	n, _ := mustNode(microCfg(name, threads, pages, 0.5, nil))
 	perThread := load / float64(threads)
 	interNs := sim.Time(1e9 / perThread)
 	streams := make([]core.AccessStream, threads)
@@ -260,7 +248,7 @@ func pacedFaultRun(name string, sc Scale, load float64) (achievedOps float64, p9
 			return a, true
 		})
 	}
-	res := s.Run(streams)
+	res := n.Run(streams)
 	return float64(res.Metrics.MajorFaults) / res.Makespan.Seconds(), res.Metrics.FaultP99Ns
 }
 

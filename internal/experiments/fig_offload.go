@@ -191,17 +191,11 @@ func Fig12(sc Scale) []*Table {
 	}
 	results := runCells(sc, len(cells), func(i int) point {
 		c := cells[i]
+		// The map phase's input starts resident and the rest is
+		// zero-fill (runCfg), so offloading displaces what the reduce
+		// phase will need: the paper's phase-change setup.
 		m := workload.NewMetis(sc.Metis)
-		s := buildSystemRaw(c.name, sc.Threads, m.NumPages(), c.off, nil)
-		// The intermediate/output regions are runtime allocations
-		// (zero-fill on first touch); the input — the map phase's
-		// working set, laid out first — starts resident. Offloading
-		// therefore displaces what the reduce phase will need: the
-		// paper's phase-change setup.
-		applyZeroFill(s, m)
-		s.PrepopulateFront(int(m.NumPages()))
-		streams := m.StreamsOn(s.Eng, sc.Threads, sc.Seed)
-		res := s.RunWithOptions(streams, core.RunOptions{})
+		res := runStreams(c.name, sc.Threads, m, c.off, sc.Seed, nil)
 		return point{switchAt: m.PhaseSwitchAt, makespan: res.Makespan}
 	})
 	for i, c := range cells {
@@ -235,12 +229,14 @@ func Fig11(sc Scale) []*Table {
 	type point struct{ pre, minPost, rec, stall float64 }
 	results := runCells(sc, len(systemNames), func(i int) point {
 		g := workload.NewGUPS(sc.Gups)
+		total := g.NumPages()
+		n, tn := mustNode(presetCfg(systemNames[i], sc.Threads, total, localPagesFor(total, 0.15), nil))
 		// Phase 1's region (the first 80% of the WSS) starts resident and
 		// fits within the 85% local quota, so the first phase runs nearly
 		// fault-free — the transition is what gets measured.
-		s := buildSystemPrepop(systemNames[i], sc.Threads, g.NumPages(), 0.15, nil, false)
-		res := s.RunWithOptions(g.Streams(sc.Threads, sc.Seed),
-			core.RunOptions{SampleEvery: res11SamplePeriod})
+		tn.PrepopulateFront(int(total))
+		res := n.RunTenants([][]core.AccessStream{g.Streams(sc.Threads, sc.Seed)},
+			core.RunOptions{SampleEvery: res11SamplePeriod})[0]
 		pre, minPost, rec, stall := timelineStats(res)
 		return point{pre, minPost, rec, stall}
 	})

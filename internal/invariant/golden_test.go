@@ -34,8 +34,8 @@ func readGolden(t *testing.T) map[string]string {
 
 // TestWrapperMatchesGolden pins every registered experiment's rendered
 // output (text + CSV, hashed) to the digests captured before the
-// Node/Tenant split of internal/core. The single-tenant NewSystem wrapper
-// must be a zero-cost façade: if any experiment's bytes drift, the
+// Node/Tenant split of internal/core. Every refactor of how a node is
+// built and run must keep them: if any experiment's bytes drift, the
 // refactor leaked into observable behaviour. The digests were captured on
 // linux/amd64 (the CI platform); the simulation itself is deterministic,
 // so a mismatch means a code change, not environment noise. It is the

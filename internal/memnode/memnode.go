@@ -7,9 +7,10 @@
 // fabric available to a pure-Go artifact), but the protocol mirrors the
 // verbs the paging systems need: REGISTER (memory-region setup), READ and
 // WRITE at arbitrary offsets, batched READV/WRITEV, and STAT for
-// monitoring. Region storage is allocated in 2 MiB chunks, mirroring the
-// HugeTLB backing the paper uses to keep page-table walks cheap on the
-// memory node.
+// monitoring. A region is carved into 2 MiB chunks of address space that
+// the kernel commits 4 KiB at a time, on a page's first write
+// (MADV_NOHUGEPAGE): placement interleaves shards page by page, so a huge
+// page would zero and keep 2 MiB for one page.
 //
 // The store and its verbs are written once. Server.exec runs a request
 // that pipelined frames carried over TCP (frame.go); like the NIC of a

@@ -8,7 +8,7 @@ import (
 	"mage/internal/sim"
 )
 
-func tinySystem(t *testing.T, preset string, threads int, wss uint64, localFrac float64) *core.System {
+func tinyNode(t *testing.T, preset string, threads int, wss uint64, localFrac float64) *core.Node {
 	t.Helper()
 	cfg, err := core.Preset(preset, threads, wss, int(float64(wss)*localFrac))
 	if err != nil {
@@ -17,7 +17,11 @@ func tinySystem(t *testing.T, preset string, threads int, wss uint64, localFrac 
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 8
 	cfg.EvictorThreads = 2
-	return core.MustNewSystem(cfg)
+	n, err := core.NewNode(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func TestMetisPhaseBarrierOnSystem(t *testing.T) {
@@ -26,7 +30,7 @@ func TestMetisPhaseBarrierOnSystem(t *testing.T) {
 		EmitsPerInputPage: 1, MapCompute: 400, ReduceCompute: 300,
 	}
 	w := NewMetis(p)
-	s := tinySystem(t, "magelib", 4, w.NumPages(), 0.6)
+	s := tinyNode(t, "magelib", 4, w.NumPages(), 0.6)
 	streams := w.StreamsOn(s.Eng, 4, 1)
 	res := s.Run(streams)
 	if w.PhaseSwitchAt <= 0 || w.PhaseSwitchAt >= res.Makespan {
@@ -40,7 +44,7 @@ func TestMetisPhaseBarrierOnSystem(t *testing.T) {
 func TestGapBSRunsOnAllSystems(t *testing.T) {
 	w := NewGapBS(GapBSParams{Scale: 13, EdgeFactor: 4, Iterations: 1, BytesPerVertex: 64, Seed: 2})
 	for _, preset := range []string{"ideal", "hermit", "magelib"} {
-		s := tinySystem(t, preset, 4, w.NumPages(), 0.6)
+		s := tinyNode(t, preset, 4, w.NumPages(), 0.6)
 		res := s.Run(w.Streams(4, 0))
 		if res.TotalFaults() == 0 {
 			t.Errorf("%s: no faults on 50%% local", preset)
@@ -57,8 +61,8 @@ func TestGUPSPhaseChangeVisibleInTimeSeries(t *testing.T) {
 		HotFrac: 0.8, Theta: 0.99, ComputePerUpdate: 300,
 	}
 	w := NewGUPS(p)
-	s := tinySystem(t, "magelib", 4, w.NumPages(), 0.85)
-	res := s.RunWithOptions(w.Streams(4, 3), core.RunOptions{SampleEvery: 200 * sim.Microsecond})
+	s := tinyNode(t, "magelib", 4, w.NumPages(), 0.85)
+	res := s.RunTenants([][]core.AccessStream{w.Streams(4, 3)}, core.RunOptions{SampleEvery: 200 * sim.Microsecond})[0]
 	if res.Series == nil || res.Series.Len() < 5 {
 		t.Fatal("time series too short")
 	}
@@ -74,7 +78,7 @@ func TestMemcachedOpenLoopLatency(t *testing.T) {
 		GetFraction: 0.998, ComputePerOp: 1000,
 	}
 	w := NewMemcached(p)
-	s := tinySystem(t, "magelib", 4, w.NumPages(), 0.7)
+	s := tinyNode(t, "magelib", 4, w.NumPages(), 0.7)
 	res := w.RunOpenLoop(s, 4, 200000, 40*sim.Millisecond, 11)
 	if res.Completed == 0 {
 		t.Fatal("no requests completed")
@@ -98,7 +102,7 @@ func TestMemcachedLatencyGrowsWithLoad(t *testing.T) {
 			GetFraction: 0.998, ComputePerOp: 1000,
 		}
 		w := NewMemcached(p)
-		s := tinySystem(t, "dilos", 4, w.NumPages(), 0.5)
+		s := tinyNode(t, "dilos", 4, w.NumPages(), 0.5)
 		return w.RunOpenLoop(s, 4, load, 30*sim.Millisecond, 5)
 	}
 	lo := run(100000)

@@ -89,7 +89,10 @@ func TestMetisReduceEmitsOutputWrites(t *testing.T) {
 	cfg.Sockets = 1
 	cfg.CoresPerSocket = 4
 	cfg.EvictorThreads = 1
-	s := core.MustNewSystem(cfg)
+	s, err := core.NewNode(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	streams := w.StreamsOn(s.Eng, 2, 1)
 	// Collect accesses by wrapping the streams.
 	outWrites := 0

@@ -86,26 +86,27 @@ func (r LatencyResult) String() string {
 		r.OfferedOps, r.AchievedOps, float64(r.P50Ns)/1e3, float64(r.P99Ns)/1e3)
 }
 
-// RunOpenLoop drives the system with Poisson arrivals at loadOps
-// requests/s for the given virtual duration across `threads` server
-// threads, and reports sojourn-time (queueing + service) percentiles —
-// the p99 the paper plots in Fig 13.
+// RunOpenLoop drives a single-tenant node with Poisson arrivals at
+// loadOps requests/s for the given virtual duration across `threads`
+// server threads, and reports sojourn-time (queueing + service)
+// percentiles — the p99 the paper plots in Fig 13.
 //
-// The caller must pass a freshly built system; RunOpenLoop owns its
+// The caller must pass a freshly built node; RunOpenLoop owns its
 // engine.
-func (w *Memcached) RunOpenLoop(s *core.System, threads int, loadOps float64, duration sim.Time, seed int64) LatencyResult {
+func (w *Memcached) RunOpenLoop(n *core.Node, threads int, loadOps float64, duration sim.Time, seed int64) LatencyResult {
 	type request struct{ arrived sim.Time }
 	queues := make([]*sim.Chan[request], threads)
 	for i := range queues {
-		queues[i] = sim.NewChan[request](s.Eng, 4096)
+		queues[i] = sim.NewChan[request](n.Eng, 4096)
 	}
 	lat := stats.NewHistogram()
 	var completed, dropped uint64
 
-	s.SpawnEvictors()
+	tn := n.Tenants()[0]
+	n.SpawnEvictors()
 
 	// Arrival process: Poisson with mean interarrival 1/load.
-	s.Eng.Spawn("mc-arrivals", func(p *sim.Proc) {
+	n.Eng.Spawn("mc-arrivals", func(p *sim.Proc) {
 		rng := seedRNG(seed)
 		mean := 1e9 / loadOps
 		i := 0
@@ -125,8 +126,8 @@ func (w *Memcached) RunOpenLoop(s *core.System, threads int, loadOps float64, du
 	remaining := threads
 	for t := 0; t < threads; t++ {
 		t := t
-		s.Eng.Spawn(fmt.Sprintf("mc-server-%d", t), func(p *sim.Proc) {
-			th := s.NewThread(p, t)
+		n.Eng.Spawn(fmt.Sprintf("mc-server-%d", t), func(p *sim.Proc) {
+			th := tn.NewThread(p, t)
 			rng := threadRNG(seed, t, 271828)
 			zipf := NewScrambled(w.p.Keys, w.p.Theta)
 			var buf []core.Access
@@ -146,12 +147,12 @@ func (w *Memcached) RunOpenLoop(s *core.System, threads int, loadOps float64, du
 			th.Flush()
 			remaining--
 			if remaining == 0 {
-				s.Stop() // lets eviction threads exit so the engine drains
+				n.Stop() // lets eviction threads exit so the engine drains
 			}
 		})
 	}
 
-	s.Eng.Run()
+	n.Eng.Run()
 
 	elapsed := duration
 	res := LatencyResult{

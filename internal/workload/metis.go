@@ -82,8 +82,8 @@ func (w *Metis) NumPages() uint64 {
 	return w.input.pages + w.inter.pages + w.output.pages
 }
 
-// StreamsOn builds streams whose barrier lives on eng. The plain Streams
-// requires SetEngine to have been called (via the System's engine).
+// StreamsOn builds streams whose barrier lives on eng, the engine of the
+// node that runs them.
 func (w *Metis) StreamsOn(eng *sim.Engine, threads int, seed int64) []core.AccessStream {
 	w.barrier = NewBarrier(eng, threads)
 	out := make([]core.AccessStream, threads)

@@ -15,9 +15,9 @@
 // # Quick start
 //
 //	cfg := mage.MageLib(48, 1<<16, 1<<15) // threads, WSS pages, local frames
-//	sys := mage.MustNewSystem(cfg)
+//	node := mage.MustNewSystem(cfg)
 //	w := mage.NewGapBS(mage.DefaultGapBSParams())
-//	res := sys.Run(w.Streams(48, 1))
+//	res := node.Run(w.Streams(48, 1))
 //	fmt.Println(res.OpsPerSec(), res.Metrics)
 //
 // Or regenerate a paper figure:
@@ -40,8 +40,6 @@ type (
 	// Config describes one far-memory system instance (machine shape,
 	// path policies, data-structure designs).
 	Config = core.Config
-	// System is an assembled far-memory machine.
-	System = core.System
 	// Node is the substrate shared by co-located tenants: engine, NIC,
 	// frame pool, global page accounting, and the eviction threads.
 	Node = core.Node
@@ -92,21 +90,31 @@ type (
 	Scale = experiments.Scale
 )
 
-// System constructors.
+// MustNewSystem builds a single-tenant node from cfg, panicking on an
+// invalid config. Run it with Node.Run; its one tenant is Tenants()[0].
+func MustNewSystem(cfg Config) *Node {
+	n, err := core.NewNode(cfg, nil)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
+// Node constructors and configs.
 var (
-	// NewSystem builds a system from cfg (validating it).
-	NewSystem = core.NewSystem
-	// MustNewSystem is NewSystem that panics on invalid configs.
-	MustNewSystem = core.MustNewSystem
-	// NewNode builds a multi-tenant node: cfg describes the shared
-	// substrate, specs the co-located applications. Run the tenants with
-	// Node.RunTenants, one stream set per tenant.
+	// NewNode builds a node: cfg describes the shared substrate, specs
+	// the co-located applications (none: one tenant shaped by cfg). Run
+	// a single tenant with Node.Run, several with Node.RunTenants, one
+	// stream set per tenant.
 	NewNode = core.NewNode
 	// Preset returns a named system config: "ideal", "hermit", "dilos",
 	// "magelib", "magelnx".
 	Preset = core.Preset
 	// Presets returns all five configs in figure order.
 	Presets = core.Presets
+	// FullyLocalPages is the local DRAM quota at which a working set of
+	// the given pages runs all-local and never evicts.
+	FullyLocalPages = core.FullyLocalPages
 	// Ideal, Hermit, DiLOS, MageLib and MageLnx build the individual
 	// preset configurations.
 	Ideal   = core.Ideal
