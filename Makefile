@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet magevet test magecheck fmt fmtcheck lint check bench bench-check shm-shared-cpu cover reach
+.PHONY: all build vet magevet test magecheck fmt fmtcheck lint check bench bench-check lineage shm-shared-cpu cover reach
 
 all: check
 
@@ -128,6 +128,17 @@ bench:
 # benchmark.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The committed performance lineage: every pair in results/bench, a
+# parent's runs (NNN-<rev>.json) and its change's (NNN-<rev>-change.json),
+# through bench's -compare, which reads the committed files alone, so the
+# box it runs on cannot move it. A worse row fails it, and so does a
+# workload whose runs are missing or failed.
+lineage:
+	@set -e; for base in results/bench/*.json; do \
+		case $$base in *-change.json) continue;; esac; \
+		$(GO) run -C bench . -compare "$(CURDIR)/$$base" "$(CURDIR)/$${base%.json}-change.json"; \
+	done
 
 # The file link against a server that shares the client's CPU: memnode
 # and a depth-1 memnode-bench both confined to CPU 0, the same workload

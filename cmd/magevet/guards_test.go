@@ -15,14 +15,18 @@ import (
 // guard is one structural rule of the tree: across the files it selects,
 // the lines that match line number exactly count, or at most count when
 // ceiling is set. With exceptIn set, a line inside a func whose header
-// matches it does not count. A rule like this is what keeps a deleted
-// design deleted: nothing else fails when its name or its shape grows
-// back.
+// matches it does not count. With entry set, a file is a log of entries,
+// each from a line entry matches to the next one, and a hit is an entry
+// whose first line matches line and that runs past maxLines lines. A rule
+// like this is what keeps a deleted design deleted: nothing else fails
+// when its name or its shape grows back.
 type guard struct {
 	name     string
 	files    func(rel string) bool // rel is slash-separated, from the module root
 	line     *regexp.Regexp
 	exceptIn *regexp.Regexp
+	entry    *regexp.Regexp
+	maxLines int
 	count    int
 	ceiling  bool
 	reason   string
@@ -137,6 +141,15 @@ var guards = []guard{
 		reason: "one slab class per cells-per-page count, an array literal in cache.go that TestClassTable derives from its rule: no second table, flag or growth factor",
 	},
 	{
+		name:     "a CHANGES.md entry after PR 50's is at most 40 lines",
+		files:    is("CHANGES.md"),
+		entry:    regexp.MustCompile(`^- PR \d+`),
+		line:     regexp.MustCompile(`^- PR (5[1-9]|[6-9]\d|\d{3,})\b`),
+		maxLines: 40,
+		count:    0,
+		reason:   "CHANGES.md is a log: an entry says what changed, what was claimed and where its runs are, and its tables go to results/bench",
+	},
+	{
 		name:    "DESIGN.md does not grow",
 		files:   is("DESIGN.md"),
 		line:    regexp.MustCompile(``),
@@ -241,12 +254,12 @@ var guards = []guard{
 	{
 		name: "a region file is read and written in move alone",
 		files: func(rel string) bool {
-			return goIn("internal/memnode", "shm_sys_linux.go", "shm_sys_stub.go")(rel) && !strings.HasSuffix(rel, "_test.go")
+			return goIn("internal/memnode")(rel) && !strings.HasSuffix(rel, "_test.go")
 		},
-		line:     regexp.MustCompile(`\b(preadFull|pwriteFull)\(`),
-		exceptIn: regexp.MustCompile(`^func \(f \*regionFile\) move\(`),
+		line:     regexp.MustCompile(`\b(preadFull|pwriteFull)\(|\bSYS_P(READ|WRITE)64\b`),
+		exceptIn: regexp.MustCompile(`^func (\(f \*regionFile\) move|preadFull|pwriteFull)\(`),
 		count:    0,
-		reason:   "every file verb, a call's or a synchronous page's, passes exec's checks on its way to move: no second path to the file",
+		reason:   "every file verb, a call's or a synchronous page's, passes exec's checks on its way to move, and only preadFull and pwriteFull, which move calls, issue a raw pread64 or pwrite64: no second path to the file",
 	},
 	{
 		name:    "memnode.IsTerminal is judged at three memcluster sites at most",
@@ -351,6 +364,10 @@ func TestGuards(t *testing.T) {
 				}
 				lines = strings.Split(strings.TrimSuffix(string(text), "\n"), "\n")
 			}
+			if g.entry != nil {
+				hits[i] = append(hits[i], longEntries(rel, lines, g)...)
+				continue
+			}
 			fn := ""
 			for n, l := range lines {
 				if strings.HasPrefix(l, "func ") {
@@ -381,6 +398,26 @@ func TestGuards(t *testing.T) {
 		}
 		t.Errorf("%s: %d lines, want %s (%s)\n%s", g.name, n, want, g.reason, strings.Join(shown, "\n"))
 	}
+}
+
+// longEntries returns the entries of a log that g holds to maxLines and
+// that run past it, one line each.
+func longEntries(rel string, lines []string, g guard) []string {
+	var long []string
+	start := -1 // the line the entry being read starts on, or -1 before the first
+	end := func(n int) {
+		if start >= 0 && g.line.MatchString(lines[start]) && n-start > g.maxLines {
+			long = append(long, fmt.Sprintf("%s:%d: an entry of %d lines: %s", rel, start+1, n-start, lines[start]))
+		}
+	}
+	for n, l := range lines {
+		if g.entry.MatchString(l) {
+			end(n)
+			start = n
+		}
+	}
+	end(len(lines))
+	return long
 }
 
 // docs are the documents whose prose points readers at packages.
