@@ -117,10 +117,20 @@ func unmapPage(m []byte) {
 	_ = syscall.Munmap(m) // unmap failure leaves a dead mapping; nothing actionable
 }
 
-// preadFull reads len(b) bytes of fd at off.
+// preadFull reads len(b) bytes of fd at off. Where rawFileIO holds, the
+// call is a raw pread64, which skips the scheduler's syscall entry and
+// exit: a region file is a sealed memfd in RAM, so the call copies bytes
+// and returns, and never blocks for long enough to need its P handed off.
 func preadFull(fd int, b []byte, off int64) error {
 	for len(b) > 0 {
-		n, err := syscall.Pread(fd, b, off)
+		var n int
+		var err error
+		if rawFileIO {
+			r, _, e := syscall.RawSyscall6(syscall.SYS_PREAD64, uintptr(fd), uintptr(unsafe.Pointer(&b[0])), uintptr(len(b)), uintptr(off), 0, 0)
+			n, err = int(r), errnoErr(e)
+		} else {
+			n, err = syscall.Pread(fd, b, off)
+		}
 		switch {
 		case err == syscall.EINTR:
 			continue
@@ -134,10 +144,18 @@ func preadFull(fd int, b []byte, off int64) error {
 	return nil
 }
 
-// pwriteFull writes b to fd at off.
+// pwriteFull writes b to fd at off: a raw pwrite64 where rawFileIO holds,
+// as preadFull's read is.
 func pwriteFull(fd int, b []byte, off int64) error {
 	for len(b) > 0 {
-		n, err := syscall.Pwrite(fd, b, off)
+		var n int
+		var err error
+		if rawFileIO {
+			r, _, e := syscall.RawSyscall6(syscall.SYS_PWRITE64, uintptr(fd), uintptr(unsafe.Pointer(&b[0])), uintptr(len(b)), uintptr(off), 0, 0)
+			n, err = int(r), errnoErr(e)
+		} else {
+			n, err = syscall.Pwrite(fd, b, off)
+		}
 		switch {
 		case err == syscall.EINTR:
 			continue
@@ -147,6 +165,15 @@ func pwriteFull(fd int, b []byte, off int64) error {
 			return io.ErrShortWrite
 		}
 		b, off = b[n:], off+int64(n)
+	}
+	return nil
+}
+
+// errnoErr is a raw call's errno as the error a syscall wrapper returns:
+// nil for none.
+func errnoErr(e syscall.Errno) error {
+	if e != 0 {
+		return e
 	}
 	return nil
 }

@@ -13,9 +13,9 @@ func (h *Histogram) Clone() *Histogram {
 }
 
 // ConcurrentHistogram is a mutex-guarded Histogram for wall-clock
-// callers — the real-network benchmarks record latencies from many
-// goroutines at once. Simulation code must keep using the plain
-// (deterministic, single-threaded) Histogram.
+// callers — the real-network benchmarks record latencies in a plain
+// Histogram per goroutine and merge them in here. Simulation code must
+// keep using the plain (deterministic, single-threaded) Histogram.
 type ConcurrentHistogram struct {
 	mu sync.Mutex // guards a histogram shared by real benchmark goroutines
 	h  Histogram
@@ -24,13 +24,6 @@ type ConcurrentHistogram struct {
 // NewConcurrentHistogram returns an empty concurrent histogram.
 func NewConcurrentHistogram() *ConcurrentHistogram {
 	return &ConcurrentHistogram{h: Histogram{min: math.MaxInt64}}
-}
-
-// Record adds one sample.
-func (c *ConcurrentHistogram) Record(v int64) {
-	c.mu.Lock()
-	c.h.Record(v)
-	c.mu.Unlock()
 }
 
 // Merge adds all samples of other (a plain Histogram) into c.

@@ -31,7 +31,9 @@ func TestConcurrentHistogram(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				ch.Record(int64(w*per + i + 1))
+				h := NewHistogram()
+				h.Record(int64(w*per + i + 1))
+				ch.Merge(h)
 			}
 		}()
 	}
@@ -43,12 +45,11 @@ func TestConcurrentHistogram(t *testing.T) {
 	if snap.Min() != 1 || snap.Max() != workers*per {
 		t.Errorf("min/max = %d/%d", snap.Min(), snap.Max())
 	}
-
-	// Merge of a plain histogram lands in the shared state.
+	// The snapshot is a copy: a later merge does not reach it.
 	side := NewHistogram()
 	side.Record(1 << 30)
 	ch.Merge(side)
-	if got := ch.Snapshot().Max(); got != 1<<30 {
-		t.Errorf("merged max = %d", got)
+	if got := ch.Snapshot().Max(); got != 1<<30 || snap.Max() != workers*per {
+		t.Errorf("merged max = %d, snapshot's max = %d", got, snap.Max())
 	}
 }

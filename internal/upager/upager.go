@@ -116,11 +116,22 @@ type Pager struct {
 	lowWater  int
 	noEvictor bool
 
-	mu     sync.Mutex // guards pages, owner, sel, closed, holds, arena, fills
+	mu     sync.Mutex // guards pages, owner, sel, closed, holds, arena, fills, the pool, faultLat
 	pages  []page
 	owner  []uint64   // frame -> resident page, noPage when free or on the wire
 	sel    *selection // the resident frames, queued for eviction
 	closed bool
+
+	// The free-frame pool: a stack of the frames no page owns and no fault,
+	// fill or writeback holds. lent counts those held (taken from the pool
+	// by a fault or a fill, or swept onto the evictor's batch, and not yet
+	// installed or given back), so that free + owned + lent is frames.
+	// A fault that finds the pool dry waits on freed, which putFrame
+	// signals while waiters says someone waits, and Close broadcasts.
+	free    []int32
+	lent    int
+	waiters int
+	freed   sync.Cond
 
 	// arena is the frames, mapped outside the Go heap where the platform
 	// allows (mapArena). holds counts who may touch it with p.mu dropped:
@@ -130,7 +141,6 @@ type Pager struct {
 	arena []byte
 	holds int
 
-	freeC chan int32    // free frame pool (buffered to frames: sends never block)
 	kickC chan struct{} // nudges the evictor (buffered 1)
 	stopC chan struct{}
 	doneC chan struct{} // evictor exited
@@ -154,7 +164,7 @@ type Pager struct {
 	wbPages     atomic.Uint64
 	wbErrors    atomic.Uint64
 
-	faultLat *stats.ConcurrentHistogram
+	faultLat *stats.Histogram // one sample per fault, recorded at its install
 }
 
 // New registers a numPages-page region on backing and returns a pager
@@ -211,16 +221,17 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 		owner:     make([]uint64, frames),
 		faultIO:   make([]faultIO, frames),
 		sel:       newSelection(frames),
-		freeC:     make(chan int32, frames),
+		free:      make([]int32, frames),
 		kickC:     make(chan struct{}, 1),
 		stopC:     make(chan struct{}),
 		doneC:     make(chan struct{}),
-		faultLat:  stats.NewConcurrentHistogram(),
+		faultLat:  stats.NewHistogram(),
 	}
+	p.freed.L = &p.mu
 	p.evict = wbatch{p: p, evict: true}
-	for f := 0; f < frames; f++ {
+	for f := range frames {
 		p.owner[f] = noPage
-		p.freeC <- int32(f)
+		p.free[frames-1-f] = int32(f) // frame 0 on top
 	}
 	if p.noEvictor {
 		close(p.doneC)
@@ -248,15 +259,14 @@ func (f Frame) Unpin() {
 	p.mu.Lock()
 	pd := &p.pages[f.pg]
 	pd.pins--
-	idle := pd.pins == 0
+	// A fault may be blocked on a free frame with every frame pinned;
+	// this unpin could be the one that makes a victim available.
+	if pd.pins == 0 && len(p.free) < p.lowWater {
+		p.kick()
+	}
 	arena := p.drop()
 	p.mu.Unlock()
 	releaseArena(arena)
-	// A fault may be blocked on a free frame with every frame pinned;
-	// this unpin could be the one that makes a victim available.
-	if idle && len(p.freeC) < p.lowWater {
-		p.kick()
-	}
 }
 
 // Pin faults page pg into the local arena (if needed) and pins it. A
@@ -306,8 +316,9 @@ func (p *Pager) Pin(pg uint64, write bool) (Frame, error) {
 			pd.state = pageFaulting
 			p.holds++ // the fault's, and then its pin's
 			stored := pd.flags&flagStored != 0
+			frame := p.popFrame()
 			p.mu.Unlock()
-			return p.faultIn(pg, write, stored)
+			return p.faultIn(pg, write, stored, frame)
 		}
 	}
 }
@@ -321,35 +332,34 @@ func (p *Pager) frameData(frame int32) []byte {
 	return p.arena[off : off+p.pageBytes : off+p.pageBytes]
 }
 
-// faultIn runs the major-fault path for a page already claimed as
-// pageFaulting by the caller: read the page into a frame, install. A
-// fault that gets a free frame at once reads straight into it; one that
-// finds the pool dry reads first and waits for a frame while the read
-// flies (readBeforeFrame). A page that was never stored is zeros in far
-// memory: its fault clears a frame instead, and with no read to overlap
-// it waits for one in takeFrame.
-func (p *Pager) faultIn(pg uint64, write, stored bool) (Frame, error) {
+// faultIn runs the major-fault path for a page the caller claimed as
+// pageFaulting, taking frame from the pool with it (-1 when the pool was
+// dry): read the page into a frame, install. A fault that got a frame
+// reads straight into it; one that found the pool dry reads first and
+// waits for a frame while the read flies (readBeforeFrame). A page that
+// was never stored is zeros in far memory: its fault clears a frame
+// instead, and with no read to overlap it waits for one in takeFrame.
+// The install is the fault's second and last hold of p.mu, and records
+// its latency, sampled before the lock.
+func (p *Pager) faultIn(pg uint64, write, stored bool, frame int32) (Frame, error) {
 	start := monoNow()
 	p.faults.Add(1)
 	off := int64(pg) * p.pageBytes
 
-	frame, ok := p.tryTakeFrame()
 	var err error
 	switch {
-	case stored && ok:
+	case stored && frame >= 0:
 		err = p.readInto(frame, off)
 	case stored:
 		frame, err = p.readBeforeFrame(off)
-	case !ok:
+	case frame < 0:
 		frame, err = p.takeFrame()
 	}
-	if frame < 0 {
-		p.abortFault(pg)
-		return Frame{}, err
-	}
-	if err != nil {
-		p.putFrame(frame)
-		p.abortFault(pg)
+	if frame < 0 || err != nil {
+		p.abortFault(pg, frame)
+		if frame < 0 {
+			return Frame{}, err
+		}
 		return Frame{}, fmt.Errorf("upager: fault-in page %d: %w", pg, err)
 	}
 	if !stored {
@@ -357,6 +367,7 @@ func (p *Pager) faultIn(pg uint64, write, stored bool) (Frame, error) {
 		p.zeroFills.Add(1)
 	}
 
+	lat := monoNow() - start
 	p.mu.Lock()
 	pd := &p.pages[pg]
 	pd.state = pageResident
@@ -364,15 +375,15 @@ func (p *Pager) faultIn(pg uint64, write, stored bool) (Frame, error) {
 	pd.dirty = write
 	pd.pins = 1
 	p.owner[frame] = pg
+	p.lent--
 	refault := p.sel.admit(pd, frame, false)
 	pd.openLatch()
+	p.faultLat.Record(lat)
 	p.checkQueues(false)
 	p.mu.Unlock()
 	if refault {
 		p.refaults.Add(1)
 	}
-
-	p.faultLat.Record(monoNow() - start)
 	return p.frameView(pg, frame), nil
 }
 
@@ -428,8 +439,9 @@ func (p *Pager) checkStored(offs []int64, locked bool) {
 }
 
 // checkQueues is the magecheck build's invariant over the selection's
-// queues (selection.verify), run with p.mu held after every install and
-// on both sides of a sweep. A failed check drops p.mu before it panics,
+// queues (selection.verify) and the free pool (checkPool), run with p.mu
+// held after every install, a failed fault and a settle, and on both
+// sides of a sweep. A failed check drops p.mu before it panics,
 // as checkStored does, so that a deferred Close still runs; from a
 // fill's install it first marks the fill done, for the read may have
 // completed inline on the goroutine of a FaultAhead whose caller's
@@ -438,13 +450,43 @@ func (p *Pager) checkQueues(fill bool) {
 	if !invariant.Enabled {
 		return
 	}
-	if err := p.sel.verify(p.pages, p.owner); err != nil {
+	err := p.sel.verify(p.pages, p.owner)
+	if err == nil {
+		err = p.checkPool()
+	}
+	if err != nil {
 		if fill {
 			p.fillWG.Done()
 		}
 		p.mu.Unlock()
 		invariant.Check(err)
 	}
+}
+
+// checkPool checks that the pool neither lost nor duplicated a frame: no
+// frame is on the free list twice, or while a page owns it, and the free,
+// the owned and the lent frames add up to frames. p.mu is held.
+func (p *Pager) checkPool() error {
+	on := make([]bool, p.frames)
+	for _, f := range p.free {
+		if on[f] {
+			return fmt.Errorf("upager: frame %d is on the free list twice", f)
+		}
+		on[f] = true
+		if pg := p.owner[f]; pg != noPage {
+			return fmt.Errorf("upager: frame %d is on the free list and owned by page %d", f, pg)
+		}
+	}
+	owned := 0
+	for _, pg := range p.owner {
+		if pg != noPage {
+			owned++
+		}
+	}
+	if n := len(p.free) + owned + p.lent; n != p.frames {
+		return fmt.Errorf("upager: %d free + %d owned + %d lent frames make %d, not %d", len(p.free), owned, p.lent, n, p.frames)
+	}
+	return nil
 }
 
 // readBeforeFrame is the fault that found no free frame: it starts the
@@ -470,13 +512,19 @@ func (p *Pager) readBeforeFrame(off int64) (int32, error) {
 	return frame, rerr
 }
 
-// abortFault rolls a claimed page back to absent, drops the fault's
-// hold and releases waiters, who will retry and surface their own error.
-func (p *Pager) abortFault(pg uint64) {
+// abortFault rolls a claimed page back to absent, gives back the frame
+// the fault took (-1 for none), drops the fault's hold and releases
+// waiters, who will retry and surface their own error.
+func (p *Pager) abortFault(pg uint64, frame int32) {
 	p.mu.Lock()
+	if frame >= 0 {
+		p.putFrame(frame)
+		p.lent--
+	}
 	pd := &p.pages[pg]
 	pd.state = pageAbsent
 	pd.openLatch()
+	p.checkQueues(false)
 	arena := p.drop()
 	p.mu.Unlock()
 	releaseArena(arena)
@@ -519,51 +567,71 @@ func (pd *page) openLatch() {
 	}
 }
 
-// takeFrame pops a free frame, kicking the evictor and blocking while
-// none are free. It fails only once the pager is closing. A pager with
-// no evictor runs its step here instead, until a frame is free, a step
-// fails — the fault fails with it — or one frees nothing.
+// takeFrame is a fault's wait for a frame, once the pool was dry when it
+// claimed its page: it pops a free frame, waiting on freed while none is
+// free (popFrame kicks the evictor). It fails only once the pager is closed. A
+// pager with no evictor runs its step here instead, until a frame is
+// free, a step fails — the fault fails with it — or one frees nothing.
 func (p *Pager) takeFrame() (int32, error) {
-	if f, ok := p.tryTakeFrame(); ok {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if f := p.popFrame(); f >= 0 {
 		return f, nil
 	}
 	p.frameWaits.Add(1)
 	for p.noEvictor {
+		p.mu.Unlock()
 		progress, err := p.evictSome()
+		p.mu.Lock()
 		if err != nil {
 			return -1, err
 		}
-		if f, ok := p.tryTakeFrame(); ok {
+		if f := p.popFrame(); f >= 0 {
 			return f, nil
 		}
 		if !progress {
 			break
 		}
 	}
-	p.kick()
-	select {
-	case f := <-p.freeC:
-		p.maybeKick()
-		return f, nil
-	case <-p.stopC:
-		return -1, ErrClosed
+	for {
+		if p.closed {
+			return -1, ErrClosed
+		}
+		if f := p.popFrame(); f >= 0 {
+			return f, nil
+		}
+		p.waiters++
+		p.freed.Wait()
+		p.waiters--
 	}
 }
 
-// putFrame returns a frame to the free pool. freeC is buffered to
-// frames, so the send never blocks, under p.mu or not.
-func (p *Pager) putFrame(f int32) { p.freeC <- f }
+// popFrame takes a frame from the pool and lends it to the caller, or
+// returns -1 when the pool is dry: a lone fault's claim, and FaultAhead,
+// which drops the rest of its batch rather than wait. A take that leaves
+// the pool under its low-water mark, or finds it dry, kicks the evictor.
+// p.mu is held.
+func (p *Pager) popFrame() int32 {
+	n := len(p.free)
+	if n <= p.lowWater {
+		p.kick()
+	}
+	if n == 0 {
+		return -1
+	}
+	f := p.free[n-1]
+	p.free = p.free[:n-1]
+	p.lent++
+	return f
+}
 
-// tryTakeFrame is the non-blocking variant: under frame pressure
-// FaultAhead drops the rest of its batch rather than queue it, and a
-// demand fault reads before it waits.
-func (p *Pager) tryTakeFrame() (int32, bool) {
-	select {
-	case f := <-p.freeC:
-		p.maybeKick()
-		return f, true
-	default:
-		return -1, false
+// putFrame returns a frame to the pool, waking one fault that waits for
+// it. The caller ends the frame's loan, or its page's ownership, itself.
+// p.mu is held.
+func (p *Pager) putFrame(f int32) {
+	p.free = append(p.free, f)
+	if p.waiters > 0 {
+		p.freed.Signal()
 	}
 }
 
@@ -571,12 +639,6 @@ func (p *Pager) kick() {
 	select {
 	case p.kickC <- struct{}{}:
 	default:
-	}
-}
-
-func (p *Pager) maybeKick() {
-	if len(p.freeC) < p.lowWater {
-		p.kick()
 	}
 }
 
@@ -634,9 +696,8 @@ func (p *Pager) FaultAhead(pgs []uint64) {
 		if claimed == p.batch {
 			break // one call never takes more than the evictor's share of the arena
 		}
-		frame, ok := p.tryTakeFrame()
-		if !ok {
-			p.kick() // the pins that follow will want frames
+		frame := p.popFrame() // a dry pool kicks: the pins that follow will want frames
+		if frame < 0 {
 			break
 		}
 		if claimed++; claimed == 1 {
@@ -678,6 +739,7 @@ func (p *Pager) FaultAhead(pgs []uint64) {
 		for range zeroed {
 			p.faultLat.Record(lat)
 		}
+		p.lent -= zeroed
 		p.checkQueues(false)
 	}
 	if f != nil {
@@ -718,19 +780,13 @@ func (p *Pager) FaultAhead(pgs []uint64) {
 // blocks, and sends nothing to the backing.
 func (f *fill) install(err error) {
 	p := f.p
-	if err == nil {
-		// Before the latch opens, so that a pinner that saw the page
-		// also sees its fault in the histogram.
-		lat := monoNow() - f.start
-		for range f.pgs {
-			p.faultLat.Record(lat)
-		}
-	}
+	lat := monoNow() - f.start
 	refaults := uint64(0)
 	p.mu.Lock()
 	for i, pg := range f.pgs {
 		pd := &p.pages[pg]
 		pd.latch = nil
+		p.lent--
 		if err != nil {
 			pd.state = pageAbsent
 			p.putFrame(f.frames[i])
@@ -739,6 +795,9 @@ func (f *fill) install(err error) {
 		if p.land(pd, pg, f.frames[i]) {
 			refaults++
 		}
+		// Before the latch opens, so that a pinner that saw the page
+		// also sees its fault in the histogram.
+		p.faultLat.Record(lat)
 	}
 	close(f.latch)
 	p.checkQueues(true) // a fill: Close waits for its Done
@@ -770,7 +829,7 @@ func (p *Pager) evictLoop() {
 			return
 		case <-p.kickC:
 		}
-		for len(p.freeC) < p.lowWater {
+		for p.short() {
 			progress, err := p.evictSome()
 			if err != nil || !progress {
 				// Writeback failure or nothing evictable (all pinned or
@@ -784,6 +843,13 @@ func (p *Pager) evictLoop() {
 			}
 		}
 	}
+}
+
+// short reports whether the pool is under its low-water mark.
+func (p *Pager) short() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.free) < p.lowWater
 }
 
 // wbatch is one writeback batch, the evictor's or Flush's: its pages, the
@@ -839,12 +905,14 @@ func (b *wbatch) settle(err error) {
 		case err != nil && b.evict:
 			pd.state = pageResident
 			p.owner[pd.frame] = pg
+			p.lent--
 			p.sel.requeue(pd, pd.frame)
 		case err != nil:
 			pd.state = pageResident
 		case b.evict:
 			pd.state, pd.dirty = pageAbsent, false
 			p.putFrame(pd.frame)
+			p.lent--
 		default:
 			pd.state, pd.dirty = pageResident, false
 		}
@@ -888,6 +956,7 @@ func (p *Pager) sweep() (b *wbatch, progress bool) {
 		p.owner[f] = noPage
 		if pd.dirty {
 			b.add(pg, f)
+			p.lent++ // the batch's, until settle
 			continue
 		}
 		pd.state = pageAbsent
@@ -982,6 +1051,7 @@ func (p *Pager) Close() error {
 	}
 	p.closed = true
 	p.holds++ // Close's own, while it drains
+	p.freed.Broadcast()
 	p.mu.Unlock()
 	p.fillWG.Wait()
 	err := p.Flush()
@@ -1043,6 +1113,9 @@ type Stats struct {
 
 // Stats returns the current counter snapshot.
 func (p *Pager) Stats() Stats {
+	p.mu.Lock()
+	free := len(p.free)
+	p.mu.Unlock()
 	return Stats{
 		Faults:           p.faults.Load(),
 		FaultsAhead:      p.faultsAhead.Load(),
@@ -1056,10 +1129,14 @@ func (p *Pager) Stats() Stats {
 		WritebackBatches: p.wbBatches.Load(),
 		WritebackPages:   p.wbPages.Load(),
 		WritebackErrors:  p.wbErrors.Load(),
-		FreeFrames:       len(p.freeC),
+		FreeFrames:       free,
 	}
 }
 
 // FaultLatency returns a snapshot of the major-fault service-time
 // histogram.
-func (p *Pager) FaultLatency() *stats.Histogram { return p.faultLat.Snapshot() }
+func (p *Pager) FaultLatency() *stats.Histogram {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.faultLat.Clone()
+}

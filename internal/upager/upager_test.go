@@ -2,12 +2,14 @@ package upager
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mage/internal/memnode"
 )
@@ -892,4 +894,129 @@ func TestFlushResumesItsWalk(t *testing.T) {
 	if err := p.Flush(); err != nil || !stamped(40) || fb.writevs.Load() != 4 {
 		t.Errorf("the next flush = %v, page 40 written: %v, %d batches in all; want nil, true, 4", err, stamped(40), fb.writevs.Load())
 	}
+}
+
+// gatedWriteV holds every WriteV until gate is closed, and closes entered
+// when the first one arrives.
+type gatedWriteV struct {
+	*fakeBacking
+	gate, entered chan struct{}
+	once          sync.Once
+}
+
+func (g *gatedWriteV) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
+	g.once.Do(func() { close(g.entered) })
+	<-g.gate
+	return g.fakeBacking.WriteV(handle, offsets, pages)
+}
+
+// TestDryPoolWaitersWake: a fault that finds the pool dry waits on the
+// pool itself, and every frame given back wakes a waiter. Four faults
+// wait behind the evictor's batch, held on the wire — two of stored
+// pages, whose reads fly meanwhile, and two of fresh ones, which read
+// nothing; the batch's settle frees eight frames, and every pin returns
+// with its page. A fault waiting when Close runs gets ErrClosed at once,
+// while Close still flushes behind the held batch.
+func TestDryPoolWaitersWake(t *testing.T) {
+	const frames, waiting = 16, 4
+	// dry makes a pager whose every frame is taken: half by dirty pages,
+	// half by the evictor's first batch, whose WriteV is held.
+	dry := func(t *testing.T) (*Pager, *gatedWriteV) {
+		t.Helper()
+		g := &gatedWriteV{fakeBacking: newFakeBacking(), gate: make(chan struct{}), entered: make(chan struct{})}
+		p, err := New(g, 64, frames, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stampBacking(g.fakeBacking, 64)
+		p.mu.Lock()
+		p.pages[20].flags |= flagStored
+		p.pages[21].flags |= flagStored
+		p.mu.Unlock()
+		for pg := range uint64(frames) {
+			fr, err := p.Pin(pg, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr.Unpin()
+		}
+		<-g.entered
+		if n := p.Stats().FreeFrames; n != 0 {
+			t.Fatalf("%d frames free with the evictor's batch held; want a dry pool", n)
+		}
+		return p, g
+	}
+	type pinned struct {
+		pg  uint64
+		fr  Frame
+		err error
+	}
+	pinAll := func(p *Pager, pgs ...uint64) chan pinned {
+		got := make(chan pinned, len(pgs))
+		for _, pg := range pgs {
+			go func() {
+				fr, err := p.Pin(pg, false)
+				got <- pinned{pg, fr, err}
+			}()
+		}
+		waitFor(t, "the faults to wait on the pool", func() bool {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return p.waiters == len(pgs)
+		})
+		return got
+	}
+
+	t.Run("a settle wakes them", func(t *testing.T) {
+		p, g := dry(t)
+		got := pinAll(p, 20, 21, 22, 23)
+		select {
+		case r := <-got:
+			t.Fatalf("page %d's pin returned (err %v) with no frame freed", r.pg, r.err)
+		default:
+		}
+		close(g.gate)
+		deadline := time.After(time.Second)
+		for range waiting {
+			select {
+			case r := <-got:
+				if r.err != nil {
+					t.Fatalf("page %d: %v", r.pg, r.err)
+				}
+				if r.pg < 22 {
+					checkPage(t, r.fr.Data, r.pg)
+				} else if binary.LittleEndian.Uint64(r.fr.Data) != 0 {
+					t.Errorf("page %d, never stored, did not fault in as zeros", r.pg)
+				}
+				r.fr.Unpin()
+			case <-deadline:
+				t.Fatal("a fault still waits 1 s after the settle freed a batch of frames")
+			}
+		}
+		if s := p.Stats(); s.FrameWaits != waiting || s.ZeroFills != frames+2 {
+			t.Errorf("%d frame waits and %d zero fills; want %d and %d", s.FrameWaits, s.ZeroFills, waiting, frames+2)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("Close ends the wait", func(t *testing.T) {
+		p, g := dry(t)
+		got := pinAll(p, 22)
+		closed := make(chan error, 1)
+		go func() { closed <- p.Close() }()
+		select {
+		case r := <-got:
+			if !errors.Is(r.err, ErrClosed) {
+				t.Errorf("the waiting fault returned %v; want ErrClosed", r.err)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("the waiting fault was not released by Close within 1 s")
+		}
+		close(g.gate) // Close's flush waits behind the held batch
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+	})
 }
