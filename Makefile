@@ -115,8 +115,11 @@ lint: fmtcheck vet magevet
 # machine). A core's TLB is built on its first Touch, so the cores no
 # thread runs on cost a few words: 418 kB measured, hence 630000 (about 1.5 x); with every
 # core's TLB built up front, a ring and a map each, it read 3.87 MB.
+# -p 1 runs one package's benchmarks at a time, so that no floor measures
+# two packages overlapping on the box's cores (on 2 vCPUs the dispatch
+# floor read 2.27M beside the others and 3.8-4.2M alone).
 bench:
-	$(GO) test -run '^$$' -benchmem -bench 'BenchmarkEngineDispatch|BenchmarkParexpFigures|BenchmarkFaultPathMageLib|BenchmarkFaultToleranceMageLib|BenchmarkColocateNode|BenchmarkMemnodePipeline|BenchmarkMemnodeShmPipeline|BenchmarkServerRoundtrip|BenchmarkClusterFailoverRead|BenchmarkMagecacheZipf|BenchmarkPagerFault|BenchmarkPinHit|BenchmarkNewSystemMageLib' ./... \
+	$(GO) test -p 1 -run '^$$' -benchmem -bench 'BenchmarkEngineDispatch|BenchmarkParexpFigures|BenchmarkFaultPathMageLib|BenchmarkFaultToleranceMageLib|BenchmarkColocateNode|BenchmarkMemnodePipeline|BenchmarkMemnodeShmPipeline|BenchmarkServerRoundtrip|BenchmarkClusterFailoverRead|BenchmarkMagecacheZipf|BenchmarkPagerFault|BenchmarkPinHit|BenchmarkNewSystemMageLib' ./... \
 		| tee /dev/stderr | $(GO) run ./cmd/benchsnap \
 			-require 'BenchmarkMemnodePipeline:pages/s,BenchmarkMemnodePipeline:p99-us,BenchmarkServerRoundtrip:allocs/op,BenchmarkMemnodeShmPipeline:pages/s,BenchmarkMemnodeShmPipeline:p99-us,BenchmarkMemnodeShmPipeline:allocs/op,BenchmarkClusterFailoverRead:pages/s,BenchmarkClusterFailoverRead:p99-us,BenchmarkEngineDispatch:events/s>=2700000,BenchmarkEngineDispatch:allocs/op<=0,BenchmarkParexpFigures/sequential:ns/op<=4000000000,BenchmarkFaultPathMageLib:resumes/fault<=7.2,BenchmarkMagecacheZipf:ops/s>=120000,BenchmarkMagecacheZipf:p99-us,BenchmarkMagecacheZipf:value-bytes/carved-byte>=0.9,BenchmarkPagerFault/tcp:allocs/fault<=0.05,BenchmarkPagerFault/shm:allocs/fault<=0.05,BenchmarkPagerFault/cluster:allocs/fault<=0.1,BenchmarkPagerFault/tcp:goroutines/fault<=0.01,BenchmarkPagerFault/shm:goroutines/fault<=0.01,BenchmarkPagerFault/cluster:goroutines/fault<=0.01,BenchmarkPagerFault/tcp:zero-fills/fault<=0,BenchmarkPagerFault/shm:zero-fills/fault<=0,BenchmarkPagerFault/cluster:zero-fills/fault<=0,BenchmarkPagerFault/zero:zero-fills/fault>=1,BenchmarkPagerFault/zero:allocs/fault<=0.05,BenchmarkPagerFault/zero:goroutines/fault<=0.01,BenchmarkPinHit:ns/op<=250,BenchmarkPinHit:allocs/op<=0,BenchmarkMemnodeShmPipeline:allocs/op<=0,BenchmarkMemnodePipeline:allocs/op<=0,BenchmarkNewSystemMageLib:B/op<=630000'
 

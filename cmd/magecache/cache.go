@@ -351,36 +351,64 @@ func (c *Cache) Get(key string) ([]byte, bool, error) {
 // AppendGet appends key's value to dst and returns the extended slice;
 // on a miss or an error dst comes back as it was. With room in dst a
 // hit allocates nothing.
-//
-// The page is pinned with no lock held (the pin may fault), and the
-// bytes are copied under the shard mu once the entry is seen to still
-// name the pinned cell. A cell is reused only after its entry has left
-// the index under that same mu, so no writer can be inside the cell
-// while it is copied, and a value that moved while its old page was
-// coming in is simply followed to its new cell.
 func (c *Cache) AppendGet(dst, key []byte) ([]byte, bool, error) {
+	return c.appendGet(dst, key, appendValue)
+}
+
+func appendValue(dst, val []byte) []byte { return append(dst, val...) }
+
+// appendGet is the one GET loop, AppendGet's and the connection's: on a
+// hit it returns add(dst, value), which add builds while the value's cell
+// cannot change, and so must not block.
+//
+// Under the shard mu it looks the key up and pins the entry's page if it
+// is resident (PinResident never waits), copies and unlocks: a resident
+// GET is one lookup and one hold of the shard mu. A cell is reused only
+// after its entry has left the index under that mu, so no writer can be
+// inside the cell while it is copied. A page that is not resident is
+// pinned with no lock held, since the pin may fault, and the loop goes
+// round again: the pin it holds keeps the page resident, so the next pass
+// copies unless the entry moved meanwhile, and then it follows the entry
+// to its new cell. Lock order: shard mu → the pager's; no pin is waited
+// for under a shard mu.
+func (c *Cache) appendGet(dst, key []byte, add func(dst, val []byte) []byte) ([]byte, bool, error) {
 	c.gets.Add(1)
 	h := keyHash(key)
 	sh := c.shard(h)
-	sh.mu.Lock()
-	e, ok := sh.ix.get(h, key)
-	sh.mu.Unlock()
-	for ok {
-		fr, err := c.pager.Pin(uint64(e.pg), false)
-		if err != nil {
-			return dst, false, err
-		}
+	var held upager.Frame // pinned with no lock held; Data is nil while none is
+	var heldPg uint32
+	for {
 		sh.mu.Lock()
-		cur, still := sh.ix.get(h, key)
-		if still && cur == e {
-			dst = append(dst, fr.Data[e.off:uint32(e.off)+uint32(e.ln)]...)
+		e, ok := sh.ix.get(h, key)
+		if !ok {
+			sh.mu.Unlock()
+			break
 		}
-		sh.mu.Unlock()
-		fr.Unpin()
-		if still && cur == e {
+		fr, pinned := held, held.Data != nil && e.pg == heldPg
+		if !pinned {
+			fr, pinned = c.pager.PinResident(uint64(e.pg))
+		}
+		if pinned {
+			dst = add(dst, fr.Data[e.off:uint32(e.off)+uint32(e.ln)])
+			sh.mu.Unlock()
+			fr.Unpin()
+			if held.Data != nil && e.pg != heldPg {
+				held.Unpin()
+			}
 			return dst, true, nil
 		}
-		e, ok = cur, still
+		sh.mu.Unlock()
+		if held.Data != nil {
+			held.Unpin()
+		}
+		var err error
+		if held, err = c.pager.Pin(uint64(e.pg), false); err != nil {
+			return dst, false, err
+		}
+		heldPg = e.pg
+	}
+	if held.Data != nil {
+		held.Unpin()
 	}
 	c.misses.Add(1)
 	return dst, false, nil

@@ -191,9 +191,16 @@ type connState struct {
 	c   *Cache
 	r   *bufio.Reader
 	w   *bufio.Writer
-	val []byte   // GET scratch: the value between its pinned frame and w
+	val []byte   // GET scratch for a reply that w has no room for
 	pgs []uint64 // look-ahead scratch
-	num [20]byte // reply length digits
+
+	// reqs are the window's complete requests, parsed once by the
+	// look-ahead and served in order by serve; their keys and payloads
+	// alias r's buffer, which no read moves until they are all served.
+	reqs []parsed
+	// getsAhead: the look-ahead resolves GETs, which it does only once
+	// the pager has evicted a page.
+	getsAhead bool
 
 	// resv[next:] are the cells reserved for the SETs of the window being
 	// served, in request order; the look-ahead fills it, handle takes one
@@ -214,13 +221,22 @@ type connState struct {
 // not sit on more of the heap than that.
 const maxReserve = 32
 
+// parsed is a request and the bytes it occupies in the read buffer.
+type parsed struct {
+	req  request
+	size int
+}
+
+// maxValueReply is the longest GET reply: "VALUE 4096\n", a page, "\n".
+const maxValueReply = len("VALUE 4096\n") + pageBytes + 1
+
 func handleConn(conn net.Conn, c *Cache) {
 	defer conn.Close()
 	cs := &connState{
 		c:   c,
 		r:   bufio.NewReaderSize(conn, connBuf),
 		w:   bufio.NewWriterSize(conn, connBuf),
-		val: make([]byte, 0, pageBytes),
+		val: make([]byte, 0, maxValueReply),
 	}
 	cs.serve()
 	cs.unreserve()
@@ -229,27 +245,32 @@ func handleConn(conn net.Conn, c *Cache) {
 
 func (cs *connState) serve() {
 	for {
-		buf, _ := cs.r.Peek(cs.r.Buffered()) // cannot fail: asks for what is there
-		req, size, ok := parseRequest(buf)
-		if !ok {
-			// The window is used up and the socket is about to be read:
-			// the one moment replies are flushed. A rule such as "flush
-			// when nothing is buffered" would hold the replies back here
-			// whenever part of a request is buffered, while the peer may
-			// be waiting for them before it sends the rest.
-			if cs.w.Flush() != nil {
+		for i := range cs.reqs {
+			if !cs.handle(cs.reqs[i].req) {
 				return
 			}
-			if _, err := cs.r.Peek(len(buf) + 1); err != nil {
-				return
-			}
-			cs.lookAhead()
-			continue
+			cs.r.Discard(cs.reqs[i].size) // cannot fail: size bytes are buffered
 		}
-		if !cs.handle(req) {
+		cs.reqs = cs.reqs[:0]
+		// Past the look-ahead's list: a fatal request or quit, which ends
+		// the connection, or a request that is not all here yet.
+		buf, _ := cs.r.Peek(cs.r.Buffered()) // cannot fail: asks for what is there
+		if req, _, ok := parseRequest(buf); ok {
+			cs.handle(req)
 			return
 		}
-		cs.r.Discard(size) // cannot fail: size bytes are buffered
+		// The window is used up and the socket is about to be read: the
+		// one moment replies are flushed. A rule such as "flush when
+		// nothing is buffered" would hold the replies back here whenever
+		// part of a request is buffered, while the peer may be waiting for
+		// them before it sends the rest.
+		if cs.w.Flush() != nil {
+			return
+		}
+		if _, err := cs.r.Peek(len(buf) + 1); err != nil {
+			return
+		}
+		cs.lookAhead()
 	}
 }
 
@@ -269,23 +290,25 @@ func (cs *connState) serve() {
 // A window of one is left to handle: its one page would be faulted by
 // the Pin that needs it anyway, and a batch of one only adds a goroutine
 // and a latch hand-off to that.
+//
+// A GET is looked up only once the pager has evicted something. Until
+// then the page of every value is resident, faulted in by the SET that
+// wrote it, and the lookup would find nothing to start.
 func (cs *connState) lookAhead() {
 	buf, _ := cs.r.Peek(cs.r.Buffered())
 	cs.pgs, cs.resv, cs.keys, cs.next, cs.noMore = cs.pgs[:0], cs.resv[:0], cs.keys[:0], 0, false
-	var first request
-	for n := 0; ; n++ {
+	cs.reqs, cs.getsAhead = cs.reqs[:0], cs.c.pager.Stats().Evictions > 0
+	for {
 		req, size, ok := parseRequest(buf)
 		if !ok || req.fatal || req.verb == verbQuit {
 			break
 		}
-		switch n {
-		case 0:
-			first = req
-		case 1:
-			cs.hint(first)
-			fallthrough
-		default:
-			cs.hint(req)
+		cs.reqs = append(cs.reqs, parsed{req, size})
+		if n := len(cs.reqs); n > 1 {
+			if n == 2 {
+				cs.hint(&cs.reqs[0].req)
+			}
+			cs.hint(&cs.reqs[n-1].req)
 		}
 		buf = buf[size:]
 	}
@@ -295,12 +318,15 @@ func (cs *connState) lookAhead() {
 }
 
 // hint adds the page req will pin to the look-ahead's list.
-func (cs *connState) hint(req request) {
+func (cs *connState) hint(req *request) {
 	if req.err != "" {
 		return
 	}
 	switch req.verb {
 	case verbGet:
+		if !cs.getsAhead {
+			return
+		}
 		// A key the window has set by then is read from its new cell,
 		// whose page is on the list already.
 		for i := range cs.resv {
@@ -348,18 +374,21 @@ func (cs *connState) handle(req request) bool {
 	}
 	switch req.verb {
 	case verbGet:
-		val, ok, err := cs.c.AppendGet(cs.val[:0], req.key)
+		// The reply is built where w would copy it to, when w has room for
+		// any reply: the value is copied once, from its frame, and nothing
+		// under the shard mu can make w flush.
+		dst := w.AvailableBuffer()
+		if cap(dst) < maxValueReply {
+			dst = cs.val[:0]
+		}
+		reply, ok, err := cs.c.appendGet(dst, req.key, appendValueReply)
 		switch {
 		case err != nil:
 			cs.replyErr(err.Error())
 		case !ok:
 			w.WriteString("MISS\n")
 		default:
-			w.WriteString("VALUE ")
-			w.Write(strconv.AppendInt(cs.num[:0], int64(len(val)), 10))
-			w.WriteByte('\n')
-			w.Write(val)
-			w.WriteByte('\n')
+			w.Write(reply)
 		}
 	case verbSet:
 		var err error
@@ -390,6 +419,15 @@ func (cs *connState) handle(req request) bool {
 		cs.replyErr("unknown verb " + strconv.Quote(string(req.key)))
 	}
 	return true
+}
+
+// appendValueReply appends the GET reply that carries val.
+func appendValueReply(dst, val []byte) []byte {
+	dst = append(dst, "VALUE "...)
+	dst = strconv.AppendInt(dst, int64(len(val)), 10)
+	dst = append(dst, '\n')
+	dst = append(dst, val...)
+	return append(dst, '\n')
 }
 
 // Write errors on w are sticky and surface at the next Flush.

@@ -23,6 +23,10 @@ type memBacking struct {
 	mem    []byte
 	reads  atomic.Uint64
 	readvs atomic.Uint64
+
+	// A non-nil gate holds every read on the wire, after it has signalled
+	// entered, until the test closes it.
+	gate, entered chan struct{}
 }
 
 func (b *memBacking) Register(size int64) (uint64, error) {
@@ -51,6 +55,10 @@ func (b *memBacking) ReadVInto(_ uint64, offs []int64, dst [][]byte) error {
 		b.reads.Add(1)
 	} else {
 		b.readvs.Add(1)
+	}
+	if b.gate != nil {
+		b.entered <- struct{}{}
+		<-b.gate
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -146,6 +154,15 @@ func readReplies(t testing.TB, r *bufio.Reader, n int) []string {
 
 func setReq(key, val string) string { return fmt.Sprintf("set %s %d\n%s\n", key, len(val), val) }
 func valueReply(val string) string  { return fmt.Sprintf("VALUE %d\n%s\n", len(val), val) }
+
+// replies is n copies of one reply.
+func replies(reply string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = reply
+	}
+	return out
+}
 
 // TestWindowOneWrite: sixteen mixed requests arriving in one write come
 // back as sixteen replies in order, requests see the window's own
@@ -267,6 +284,10 @@ func TestProtocolLimits(t *testing.T) {
 		{"largest value", setReq("a", strings.Repeat("v", pageBytes)), []string{"STORED\n"}, false},
 		{"empty lines and blanks", "\n  \r\n\tget   a \r\n", []string{"MISS\n"}, false},
 		{"quit", "get a\nquit\nget a\n", []string{"MISS\n"}, true},
+		{"window ends in a fatal request", setReq("a", "abc") + "get a\nget b\nset a\nget a\n",
+			[]string{"STORED\n", valueReply("abc"), "MISS\n", "ERR set wants 2 args\n"}, true},
+		{"replies overflow the write buffer", setReq("a", strings.Repeat("v", pageBytes)) + strings.Repeat("get a\n", 10),
+			append([]string{"STORED\n"}, replies(valueReply(strings.Repeat("v", pageBytes)), 10)...), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, _ := newMemCache(t, 64, 8)
@@ -363,5 +384,86 @@ func TestKeyTooLong(t *testing.T) {
 	}
 	if s := c.Stats(); s.Sets != 1 {
 		t.Errorf("%d sets stored, want 1", s.Sets)
+	}
+}
+
+// TestGetFaultsWithShardFree: a GET whose page is absent faults it with
+// no index lock held, so SETs into the key's shard — of another key, and
+// of the key itself, which moves its value to a new cell — complete while
+// the read is on the wire, and the GET then follows the key to the cell
+// it moved to.
+func TestGetFaultsWithShardFree(t *testing.T) {
+	c, back := newMemCache(t, 256, 64)
+	// 8,192 values of class 104, 39 to a page, carve 211 pages over 64
+	// frames: the evictor has written the first ones back.
+	var keys []string
+	for k := range 8192 {
+		key := fmt.Sprintf("k%d", k)
+		if err := c.Set(key, bytes.Repeat([]byte{'o'}, 100)); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+	var key string
+	for _, k := range keys {
+		h := keyHash([]byte(k))
+		sh := c.shard(h)
+		sh.mu.Lock()
+		e, _ := sh.ix.get(h, []byte(k))
+		sh.mu.Unlock()
+		fr, resident := c.pager.PinResident(uint64(e.pg))
+		if !resident {
+			key = k
+			break
+		}
+		fr.Unpin()
+	}
+	if key == "" {
+		t.Fatal("every page is resident")
+	}
+	var other string // another key of the same index shard
+	for k := 0; other == ""; k++ {
+		if o := fmt.Sprintf("o%d", k); keyHash([]byte(o))%indexShards == keyHash([]byte(key))%indexShards {
+			other = o
+		}
+	}
+
+	back.entered, back.gate = make(chan struct{}, 1), make(chan struct{})
+	type got struct {
+		val []byte
+		ok  bool
+		err error
+	}
+	read := make(chan got, 1)
+	go func() {
+		v, ok, err := c.Get(key)
+		read <- got{v, ok, err}
+	}()
+	<-back.entered // the GET's fault is on the wire
+	// Values of classes no key has used yet land on freshly carved pages,
+	// which fault in as zeros with no read.
+	moved := bytes.Repeat([]byte{'n'}, 3000)
+	set := make(chan error, 2)
+	go func() {
+		set <- c.Set(other, bytes.Repeat([]byte{'x'}, 1500))
+		set <- c.Set(key, moved)
+	}()
+	for range 2 {
+		select {
+		case err := <-set:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a SET into the shard of a GET whose fault is on the wire did not complete")
+		}
+	}
+	close(back.gate)
+	r := <-read
+	if r.err != nil || !r.ok || !bytes.Equal(r.val, moved) {
+		t.Fatalf("GET after its value moved = %.10q (%d bytes), %v, %v; want the %d bytes it moved to", r.val, len(r.val), r.ok, r.err, len(moved))
+	}
+	if s := c.Stats(); s.Misses != 0 {
+		t.Errorf("%d misses", s.Misses)
 	}
 }

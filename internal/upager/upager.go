@@ -292,13 +292,7 @@ func (p *Pager) Pin(pg uint64, write bool) (Frame, error) {
 		pd := &p.pages[pg]
 		switch pd.state {
 		case pageResident:
-			pd.pins++
-			p.holds++
-			if write {
-				pd.dirty = true
-			}
-			pd.touch()
-			frame := pd.frame
+			frame := p.hit(pd, write)
 			p.mu.Unlock()
 			p.hits.Add(1)
 			return p.frameView(pg, frame), nil
@@ -321,6 +315,41 @@ func (p *Pager) Pin(pg uint64, write bool) (Frame, error) {
 			return p.faultIn(pg, write, stored, frame)
 		}
 	}
+}
+
+// PinResident pins page pg for reading if it is resident, and reports
+// whether it did: a page that is absent, faulting or evicting, out of
+// range, or a closed pager, gets no pin. It never faults, waits or sends
+// anything, and takes p.mu and no other lock, so a caller may hold a lock
+// of its own across it (magecache holds an index shard's: lock order
+// shard → p.mu; the pager never calls into its caller, and the hooks of
+// its reads and writes take only p.mu). A pin it takes counts as a hit,
+// as Pin's does.
+func (p *Pager) PinResident(pg uint64) (Frame, bool) {
+	if pg >= p.numPages {
+		return Frame{}, false
+	}
+	p.mu.Lock()
+	pd := &p.pages[pg]
+	if p.closed || pd.state != pageResident {
+		p.mu.Unlock()
+		return Frame{}, false
+	}
+	frame := p.hit(pd, false)
+	p.mu.Unlock()
+	p.hits.Add(1)
+	return p.frameView(pg, frame), true
+}
+
+// hit pins pd, which is resident, and returns its frame. p.mu is held.
+func (p *Pager) hit(pd *page, write bool) int32 {
+	pd.pins++
+	p.holds++
+	if write {
+		pd.dirty = true
+	}
+	pd.touch()
+	return pd.frame
 }
 
 func (p *Pager) frameView(pg uint64, frame int32) Frame {

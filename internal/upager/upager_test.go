@@ -687,6 +687,121 @@ func TestPinAfterClose(t *testing.T) {
 	}
 }
 
+// TestPinResident: PinResident pins a resident page as a hit and refuses
+// every other, without sending anything: an absent page, one whose fault
+// is on the wire, one whose writeback is, one out of range, and any page
+// of a closed pager. Hits count only its successes, and a frame it
+// pinned stays with its page through eviction until the Unpin.
+func TestPinResident(t *testing.T) {
+	fb := newFakeBacking()
+	p, err := New(fb, 64, 4, Options{noEvictor: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	stampBacking(fb, 64)
+	markStored(p, 64)
+	wire := func() uint64 { return fb.reads.Load() + fb.readvs.Load() + fb.writevs.Load() }
+	refused := func(what string, pg uint64) {
+		t.Helper()
+		sent, hits := wire(), p.Stats().Hits
+		if _, ok := p.PinResident(pg); ok {
+			t.Errorf("%s page %d pinned", what, pg)
+		}
+		if n, h := wire()-sent, p.Stats().Hits-hits; n != 0 || h != 0 {
+			t.Errorf("a refused PinResident of the %s page %d sent %d verbs and counted %d hits; want none", what, pg, n, h)
+		}
+	}
+
+	refused("absent", 0)
+	refused("out-of-range", 64)
+
+	// Page 1 faulting: its read is started and held on the wire.
+	fb.rvGate = make(chan struct{})
+	p.FaultAhead([]uint64{1})
+	<-fb.entered
+	refused("faulting", 1)
+	close(fb.rvGate)
+	fr, err := p.Pin(1, false) // waits for the fill
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Unpin()
+	fb.rvGate = nil
+
+	// Page 2 evicting: Flush's writeback of it is held on the wire.
+	fr, err = p.Pin(2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Unpin()
+	fb.wvGate = make(chan struct{})
+	flushed := make(chan error, 1)
+	go func() { flushed <- p.Flush() }()
+	<-fb.entered
+	refused("evicting", 2)
+	close(fb.wvGate)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	fb.wvGate = nil
+
+	hits := p.Stats().Hits
+	sent := wire()
+	fr, ok := p.PinResident(1)
+	if !ok {
+		t.Fatal("the resident page 1 was not pinned")
+	}
+	checkPage(t, fr.Data, 1)
+	if n := wire() - sent; n != 0 {
+		t.Errorf("PinResident of a resident page sent %d verbs", n)
+	}
+	if h := p.Stats().Hits - hits; h != 1 {
+		t.Errorf("a PinResident that pinned counted %d hits; want 1", h)
+	}
+
+	// Pages 2 to 5 take the other frames; step the evictor until page 1
+	// is the only page left, which its pin keeps in its frame.
+	for pg := uint64(3); pg < 6; pg++ {
+		f, err := p.Pin(pg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Unpin()
+	}
+	for range 8 {
+		if _, err := p.evictSome(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.mu.Lock()
+	pd := p.pages[1]
+	p.mu.Unlock()
+	if pd.state != pageResident || pd.pins != 1 {
+		t.Fatalf("page 1 in state %d with %d pins after eviction; want resident and pinned", pd.state, pd.pins)
+	}
+	checkPage(t, fr.Data, 1)
+	fr.Unpin()
+	for range 8 {
+		if _, err := p.evictSome(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := p.PinResident(1); ok {
+		t.Error("page 1 was not evicted once unpinned")
+	}
+
+	fr, err = p.Pin(7, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Unpin()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refused("closed pager's resident", 7)
+}
+
 // TestHitPathTouchesNoNetwork pins the acceptance criterion directly
 // against a real memnode: once a page is resident, repeated pins must
 // leave the client's per-verb wire counters completely flat.
