@@ -760,8 +760,8 @@ func TestPinResident(t *testing.T) {
 		t.Errorf("a PinResident that pinned counted %d hits; want 1", h)
 	}
 
-	// Pages 2 to 5 take the other frames; step the evictor until page 1
-	// is the only page left, which its pin keeps in its frame.
+	// Pages 3 to 5 fault in beside 1 and 2, and eight evictor steps drop
+	// every page but 1, which its pin keeps in its frame.
 	for pg := uint64(3); pg < 6; pg++ {
 		f, err := p.Pin(pg, false)
 		if err != nil {
