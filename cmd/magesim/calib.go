@@ -36,11 +36,7 @@ func calibrate(edgeNs int) {
 
 func runCalib(name string, w workload.Workload, off float64) (float64, core.RunResult) {
 	total := w.NumPages()
-	local := int(float64(total) * (1 - off))
-	if off == 0 {
-		local = core.FullyLocalPages(total)
-	}
-	cfg, err := core.Preset(name, 48, total, local)
+	cfg, err := core.Preset(name, 48, total, core.LocalPages(total, 1-off))
 	if err != nil {
 		panic(err)
 	}

@@ -27,8 +27,7 @@ func main() {
 	for _, load := range []float64{200e3, 600e3, 1200e3} {
 		for _, preset := range []string{"hermit", "magelib"} {
 			w := mage.NewMemcached(params)
-			local := int(float64(w.NumPages()) * localFrac)
-			cfg, err := mage.Preset(preset, threads, w.NumPages(), local)
+			cfg, err := mage.Preset(preset, threads, w.NumPages(), mage.LocalPages(w.NumPages(), localFrac))
 			if err != nil {
 				panic(err)
 			}

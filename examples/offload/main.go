@@ -80,11 +80,7 @@ func main() {
 func runAt(preset string, threads int, params mage.XSBenchParams, off float64) float64 {
 	w := mage.NewXSBench(params)
 	total := w.NumPages()
-	local := int(float64(total) * (1 - off))
-	if off == 0 {
-		local = mage.FullyLocalPages(total)
-	}
-	cfg, err := mage.Preset(preset, threads, total, local)
+	cfg, err := mage.Preset(preset, threads, total, mage.LocalPages(total, 1-off))
 	if err != nil {
 		panic(err)
 	}

@@ -20,8 +20,7 @@ func main() {
 	fmt.Println("GUPS with a working-set shift at the midpoint, 85% local memory")
 	for _, preset := range []string{"hermit", "dilos", "magelib"} {
 		w := mage.NewGUPS(params)
-		local := int(float64(w.NumPages()) * 0.85)
-		cfg, err := mage.Preset(preset, threads, w.NumPages(), local)
+		cfg, err := mage.Preset(preset, threads, w.NumPages(), mage.LocalPages(w.NumPages(), 0.85))
 		if err != nil {
 			panic(err)
 		}

@@ -24,8 +24,7 @@ func main() {
 
 	for _, preset := range []string{"ideal", "hermit", "dilos", "magelib", "magelnx"} {
 		w := mage.NewGapBS(params)
-		local := int(float64(w.NumPages()) * (1 - offload))
-		cfg, err := mage.Preset(preset, threads, w.NumPages(), local)
+		cfg, err := mage.Preset(preset, threads, w.NumPages(), mage.LocalPages(w.NumPages(), 1-offload))
 		if err != nil {
 			panic(err)
 		}

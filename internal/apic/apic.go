@@ -85,7 +85,7 @@ func NewFabric(eng *sim.Engine, machine *topo.Machine, costs Costs) *Fabric {
 // when every target has acknowledged.
 type Completion struct {
 	pending int
-	q       *sim.WaitQueue
+	q       sim.WaitQueue
 }
 
 // Wait blocks p until all acks have arrived.
@@ -102,10 +102,7 @@ func (c *Completion) Wait(p *sim.Proc) {
 // split is what lets MAGE's pipelined evictor overlap shootdown waits
 // with work on other batches (Fig 8, steps ②–③).
 func (f *Fabric) Post(p *sim.Proc, from topo.CoreID, targets []topo.CoreID, handlerCost sim.Time) *Completion {
-	c := &Completion{
-		pending: len(targets),
-		q:       sim.NewWaitQueue(f.eng),
-	}
+	c := &Completion{pending: len(targets)}
 	for _, tgt := range targets {
 		// The sender is busy issuing this IPI before moving to the next.
 		p.Sleep(f.costs.SendCost)

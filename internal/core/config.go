@@ -392,11 +392,15 @@ func Preset(name string, appThreads int, totalPages uint64, localPages int) (Con
 	return Config{}, fmt.Errorf("core: unknown preset %q", name)
 }
 
-// FullyLocalPages is the local DRAM quota of an all-local run over a
-// working set of totalPages: the WSS plus headroom for the free-frame
+// LocalPages is the local DRAM quota that holds localFrac of a working
+// set of totalPages, and never less than 64 pages. A fraction of 1 or
+// more is an all-local run: the WSS plus headroom for the free-frame
 // watermarks, so steady state never evicts.
-func FullyLocalPages(totalPages uint64) int {
-	return int(totalPages) + int(totalPages)/6 + 4096
+func LocalPages(totalPages uint64, localFrac float64) int {
+	if localFrac >= 1 {
+		return int(totalPages) + int(totalPages)/6 + 4096
+	}
+	return max(int(float64(totalPages)*localFrac), 64)
 }
 
 // Presets returns all five system configurations in the order the paper's

@@ -74,6 +74,22 @@ func TestPresetsAreFaithfulToTheirSystems(t *testing.T) {
 	}
 }
 
+func TestLocalPages(t *testing.T) {
+	if got := LocalPages(1000, 0.5); got != 500 {
+		t.Errorf("LocalPages(1000, 0.5) = %d, want 500", got)
+	}
+	// All-local: the WSS plus watermark headroom, so nothing is evicted.
+	if got := LocalPages(1000, 1); got != 1000+1000/6+4096 {
+		t.Errorf("LocalPages(1000, 1) = %d, want %d", got, 1000+1000/6+4096)
+	}
+	if got := LocalPages(1000, 1.5); got != LocalPages(1000, 1) {
+		t.Errorf("a fraction over 1 got %d, not the all-local quota", got)
+	}
+	if got := LocalPages(100, 0.01); got != 64 {
+		t.Errorf("LocalPages(100, 0.01) = %d, want the 64-page floor", got)
+	}
+}
+
 func TestValidateFillsDefaults(t *testing.T) {
 	cfg := Config{AppThreads: 4, TotalPages: 1 << 14, LocalMemPages: 1 << 13}
 	if err := cfg.Validate(); err != nil {

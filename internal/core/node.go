@@ -83,15 +83,15 @@ type Node struct {
 	hostedLive int
 	// borrowWait parks fault-path threads whose borrowed page is mid-push
 	// back to this node's swap by its host (see claimBorrowed).
-	borrowWait *sim.WaitQueue
+	borrowWait sim.WaitQueue
 
 	// Borrow/reclaim accounting (all zero off-rack).
 	BorrowsOut     stats.Counter // victim pages lent to a neighbour instead of swapped
 	BorrowsHosted  stats.Counter // guest pages accepted for neighbours
 	BorrowReclaims stats.Counter // guest pages pushed back to owners under pressure
 
-	freeWait  *sim.WaitQueue
-	evictKick *sim.WaitQueue
+	freeWait  sim.WaitQueue
+	evictKick sim.WaitQueue
 	stopped   bool
 	// inflight counts frames unmapped by eviction but not yet reclaimed
 	// (sitting in the TSB/RSB pipeline stages); they are committed to
@@ -177,15 +177,12 @@ func newNodeOn(eng *sim.Engine, cfg Config, specs []TenantSpec) (*Node, error) {
 	}
 
 	n := &Node{
-		Cfg:        cfg,
-		Costs:      costs,
-		Eng:        eng,
-		Machine:    machine,
-		Fabric:     apic.NewFabric(eng, machine, costs.APIC),
-		NIC:        nic.New(eng, cfg.Stack, costs.NIC),
-		freeWait:   sim.NewWaitQueue(eng),
-		evictKick:  sim.NewWaitQueue(eng),
-		borrowWait: sim.NewWaitQueue(eng),
+		Cfg:     cfg,
+		Costs:   costs,
+		Eng:     eng,
+		Machine: machine,
+		Fabric:  apic.NewFabric(eng, machine, costs.APIC),
+		NIC:     nic.New(eng, cfg.Stack, costs.NIC),
 	}
 	if cfg.FaultPlan.Enabled() {
 		inj, err := faultinject.New(*cfg.FaultPlan)

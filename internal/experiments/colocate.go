@@ -70,7 +70,7 @@ func coloRun(sc Scale, nt int, ratio float64) []core.RunResult {
 		}
 		aggregate += wls[i].NumPages()
 	}
-	cfg := core.MageLib(nt*p.ThreadsPerTenant, aggregate, localPagesFor(aggregate, 1-ratio))
+	cfg := core.MageLib(nt*p.ThreadsPerTenant, aggregate, core.LocalPages(aggregate, ratio))
 	node, err := core.NewNode(cfg, specs)
 	if err != nil {
 		panic(err)

@@ -197,28 +197,6 @@ func Full() Scale {
 	return s
 }
 
-// localPagesFor converts an offload fraction into a local DRAM quota.
-// offload 0 gets the fully-local quota, so steady state never evicts.
-func localPagesFor(total uint64, offload float64) int {
-	if offload <= 0 {
-		return core.FullyLocalPages(total)
-	}
-	n := int(float64(total) * (1 - offload))
-	if n < 64 {
-		n = 64
-	}
-	return n
-}
-
-// localFracPages converts a local-memory fraction into a local DRAM
-// quota; a fraction of 1 or more gets the fully-local quota.
-func localFracPages(total uint64, frac float64) int {
-	if frac >= 1 {
-		return core.FullyLocalPages(total)
-	}
-	return int(float64(total) * frac)
-}
-
 // systemNames is the figure ordering of the compared systems.
 var systemNames = []string{"Ideal", "Hermit", "DiLOS", "MageLib", "MageLnx"}
 
@@ -249,28 +227,31 @@ func mustNode(cfg core.Config) (*core.Node, *core.Tenant) {
 // runCfg).
 func runStreams(name string, threads int, w workload.Workload, offload float64, seed int64, mutate func(*core.Config)) core.RunResult {
 	total := w.NumPages()
-	return runCfg(presetCfg(name, threads, total, localPagesFor(total, offload), mutate), w, threads, seed)
+	return runCfg(presetCfg(name, threads, total, core.LocalPages(total, 1-offload), mutate), w, threads, seed)
+}
+
+// zeroFiller is a workload that declares the page ranges it allocates at
+// run time (Metis's intermediate and output regions): their first faults
+// are anonymous zero-fills with no remote content.
+type zeroFiller interface {
+	ZeroFillRanges() [][2]uint64
 }
 
 // runCfg runs a workload on a fresh node built from cfg, warm-started
-// like the paper's runs. Metis's intermediate and output regions are
-// runtime allocations, marked zero-fill, and the front of its address
-// space (the map phase's input) starts resident; any other workload's
-// warm start spreads the cold gap evenly.
+// like the paper's runs. A zeroFiller has its ranges marked and the front
+// of its address space (Metis's input) made resident; any other
+// workload's warm start spreads the cold gap evenly.
 func runCfg(cfg core.Config, w workload.Workload, threads int, seed int64) core.RunResult {
 	n, tn := mustNode(cfg)
-	var streams []core.AccessStream
-	if m, ok := w.(*workload.Metis); ok {
-		for _, r := range m.ZeroFillRanges() {
+	if z, ok := w.(zeroFiller); ok {
+		for _, r := range z.ZeroFillRanges() {
 			tn.MarkZeroFill(r[0], r[1])
 		}
-		tn.PrepopulateFront(int(m.NumPages()))
-		streams = m.StreamsOn(n.Eng, threads, seed)
+		tn.PrepopulateFront(int(w.NumPages()))
 	} else {
 		tn.Prepopulate(int(w.NumPages()))
-		streams = w.Streams(threads, seed)
 	}
-	return n.Run(streams)
+	return n.Run(w.Streams(threads, seed))
 }
 
 // runCells evaluates a figure's n grid cells — each a self-contained

@@ -273,18 +273,6 @@ func TestTable1Complete(t *testing.T) {
 	}
 }
 
-func TestLocalPagesFor(t *testing.T) {
-	if got := localPagesFor(1000, 0.5); got != 500 {
-		t.Errorf("localPagesFor(1000, 0.5) = %d", got)
-	}
-	if got := localPagesFor(1000, 0); got <= 1000 {
-		t.Errorf("offload 0 needs headroom: %d", got)
-	}
-	if got := localPagesFor(100, 0.99); got < 64 {
-		t.Errorf("floor violated: %d", got)
-	}
-}
-
 func TestTimelineStats(t *testing.T) {
 	// Synthetic series: steady 100, dip to 5, recover to 90.
 	tb := tinySeries([]float64{100, 100, 100, 100, 5, 5, 40, 90, 90, 90, 90, 90})

@@ -55,7 +55,7 @@ func Fig17(sc Scale) []*Table {
 		jph := runCells(sc, len(offs)*steps, func(i int) float64 {
 			off, step := offs[i/steps], i%steps
 			w0 := app.mk()
-			local := localPagesFor(w0.NumPages(), off)
+			local := core.LocalPages(w0.NumPages(), 1-off)
 			cfg := ablationSteps(sc.Threads, w0.NumPages(), local)[step]
 			res := runCfg(cfg, app.mk(), sc.Threads, sc.Seed)
 			return res.JobsPerHour()
@@ -85,7 +85,7 @@ func Fig18(sc Scale) []*Table {
 	}
 	w := func() workload.Workload { return workload.NewGapBS(sc.GapBS) }
 	total := w().NumPages()
-	local := localPagesFor(total, 0.2)
+	local := core.LocalPages(total, 0.8)
 	batches := []int{32, 64, 128, 256, 512}
 	type point struct{ pip, seq float64 }
 	results := runCells(sc, len(batches), func(i int) point {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"mage/internal/core"
 	"mage/internal/workload"
 )
 
@@ -33,7 +34,7 @@ func Fig13(sc Scale) []*Table {
 	runMC := func(c cell) workload.LatencyResult {
 		w := workload.NewMemcached(sc.MC)
 		total := w.NumPages()
-		n, tn := mustNode(presetCfg(c.name, mcThreads, total, localFracPages(total, c.localFrac), nil))
+		n, tn := mustNode(presetCfg(c.name, mcThreads, total, core.LocalPages(total, c.localFrac), nil))
 		tn.Prepopulate(int(total))
 		return w.RunOpenLoop(n, mcThreads, c.load, sc.MCDuration, sc.Seed)
 	}

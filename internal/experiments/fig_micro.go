@@ -13,7 +13,7 @@ import (
 // major fault (pages start remote; no warm-up population).
 func microCfg(name string, threads, pagesPerThread int, localFrac float64, mutate func(*core.Config)) core.Config {
 	total := uint64(threads * pagesPerThread)
-	return presetCfg(name, threads, total, localFracPages(total, localFrac), mutate)
+	return presetCfg(name, threads, total, core.LocalPages(total, localFrac), mutate)
 }
 
 // microRun executes the microbenchmark and returns fault throughput in

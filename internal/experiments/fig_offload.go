@@ -230,7 +230,7 @@ func Fig11(sc Scale) []*Table {
 	results := runCells(sc, len(systemNames), func(i int) point {
 		g := workload.NewGUPS(sc.Gups)
 		total := g.NumPages()
-		n, tn := mustNode(presetCfg(systemNames[i], sc.Threads, total, localPagesFor(total, 0.15), nil))
+		n, tn := mustNode(presetCfg(systemNames[i], sc.Threads, total, core.LocalPages(total, 0.85), nil))
 		// Phase 1's region (the first 80% of the WSS) starts resident and
 		// fits within the 85% local quota, so the first phase runs nearly
 		// fault-free — the transition is what gets measured.

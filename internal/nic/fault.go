@@ -110,7 +110,7 @@ func (n *NIC) TryPostWriteWith(p *sim.Proc, bytes int64, timeout sim.Time, inj *
 	default:
 		return n.startWrite(p, bytes, o.ExtraLatency, o.RateFactor)
 	}
-	c := &Completion{q: sim.NewWaitQueue(n.eng)}
+	c := &Completion{}
 	timedOut := o.Drop == faultinject.DropTimeout
 	n.eng.After(0, func() {
 		n.eng.After(lost, func() { c.finish(n.eng.Now(), true, timedOut) })

@@ -233,7 +233,7 @@ func (n *NIC) Read(p *sim.Proc, bytes int64) sim.Time {
 // Completion is a handle for an asynchronous WRITE.
 type Completion struct {
 	done bool
-	q    *sim.WaitQueue
+	q    sim.WaitQueue
 	at   sim.Time
 
 	// Fault-injection verdicts: set before done when the write was
@@ -287,7 +287,7 @@ func (n *NIC) PostWrite(p *sim.Proc, bytes int64) *Completion {
 // process's start would be, so that every later step takes the seq its
 // sleep or hand-off would have had.
 func (n *NIC) startWrite(p *sim.Proc, bytes int64, extra sim.Time, factor float64) *Completion {
-	c := &Completion{q: sim.NewWaitQueue(n.eng)}
+	c := &Completion{}
 	issued := p.Now()
 	n.eng.After(0, func() {
 		n.eng.After(n.costs.BaseLatency+extra, func() {

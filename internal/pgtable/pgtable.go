@@ -119,7 +119,6 @@ type VMA struct {
 
 // AddressSpace is one application's page table.
 type AddressSpace struct {
-	eng      *sim.Engine
 	numPages uint64
 	ptes     []PTE
 	vmas     []VMA
@@ -150,7 +149,6 @@ func New(eng *sim.Engine, numPages uint64, model LockModel, shards int, costs Co
 		panic("pgtable: empty address space")
 	}
 	as := &AddressSpace{
-		eng:      eng,
 		numPages: numPages,
 		ptes:     make([]PTE, numPages),
 		model:    model,
@@ -329,7 +327,7 @@ func (as *AddressSpace) BeginFault(p *sim.Proc, page uint64) FaultDisposition {
 		case StateFaulting, StateEvicting:
 			// Wait for the in-flight operation, then re-evaluate.
 			if pte.waiters == nil {
-				pte.waiters = sim.NewWaitQueue(as.eng)
+				pte.waiters = new(sim.WaitQueue)
 			}
 			w := pte.waiters
 			unlock(p, mu)

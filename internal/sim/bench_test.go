@@ -34,7 +34,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 // (and with the freelist, recycled) later.
 func BenchmarkEngineDispatchCancel(b *testing.B) {
 	eng := NewEngine()
-	q := NewWaitQueue(eng)
+	q := new(WaitQueue)
 	rounds := b.N
 	b.ResetTimer()
 	eng.Spawn("waiter", func(p *Proc) {

@@ -6,7 +6,7 @@ import "testing"
 // items; readers drain them first and only then see ok=false.
 func TestChanGetDrainsBufferAfterClose(t *testing.T) {
 	eng := NewEngine()
-	c := NewChan[int](eng, 4)
+	c := NewChan[int](4)
 	var got []int
 	var closedOK bool
 	eng.Spawn("writer", func(p *Proc) {
@@ -38,7 +38,7 @@ func TestChanGetDrainsBufferAfterClose(t *testing.T) {
 // channel is released by Close with ok=false.
 func TestChanGetBlockedReaderWokenByClose(t *testing.T) {
 	eng := NewEngine()
-	c := NewChan[int](eng, 1)
+	c := NewChan[int](1)
 	var at Time
 	ok := true
 	eng.Spawn("reader", func(p *Proc) {
@@ -62,8 +62,7 @@ func TestChanGetBlockedReaderWokenByClose(t *testing.T) {
 // channel, even when buffer space remains — the open-loop arrival
 // process relies on this to shed load during shutdown races.
 func TestChanTryPutOnClosed(t *testing.T) {
-	eng := NewEngine()
-	c := NewChan[int](eng, 4)
+	c := NewChan[int](4)
 	c.Close()
 	if c.TryPut(7) {
 		t.Error("TryPut succeeded on a closed chan")
@@ -81,7 +80,7 @@ func TestChanTryPutOnClosed(t *testing.T) {
 func TestWaitTimeoutTieAtDeadline(t *testing.T) {
 	run := func(waiterFirst bool) (signaled bool, at Time, ghosts int) {
 		eng := NewEngine()
-		q := NewWaitQueue(eng)
+		q := new(WaitQueue)
 		waiter := func(p *Proc) {
 			signaled = q.WaitTimeout(p, 100)
 			at = p.Now()
@@ -134,7 +133,7 @@ func TestWaitTimeoutTieAtDeadline(t *testing.T) {
 // from the queue so a later Signal cannot release a ghost.
 func TestWaitTimeoutExpiryExactlyAtDeadline(t *testing.T) {
 	eng := NewEngine()
-	q := NewWaitQueue(eng)
+	q := new(WaitQueue)
 	var signaled bool
 	var at Time
 	eng.Spawn("waiter", func(p *Proc) {

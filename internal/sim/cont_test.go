@@ -166,7 +166,7 @@ func runContPlan(pl contPlan, asCont bool) contResult {
 		w.mus = append(w.mus, NewMutex(eng, fmt.Sprintf("m%d", i)))
 	}
 	for i := 0; i < pl.queues; i++ {
-		w.qs = append(w.qs, NewWaitQueue(eng))
+		w.qs = append(w.qs, new(WaitQueue))
 	}
 	start := func(name string, steps []step) {
 		if asCont {

@@ -8,18 +8,15 @@ type Chan[T any] struct {
 	buf      []T
 	cap      int
 	closed   bool
-	notEmpty *WaitQueue
+	notEmpty WaitQueue
 }
 
 // NewChan returns a bounded queue with the given capacity.
-func NewChan[T any](eng *Engine, capacity int) *Chan[T] {
+func NewChan[T any](capacity int) *Chan[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Chan[T]{
-		cap:      capacity,
-		notEmpty: NewWaitQueue(eng),
-	}
+	return &Chan[T]{cap: capacity}
 }
 
 // Len returns the number of queued items.

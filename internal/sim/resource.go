@@ -118,15 +118,11 @@ func (m *Mutex) recordWait(waited int64) {
 }
 
 // WaitQueue is a condition-variable-like wait list. Processes Wait on it
-// and are released in FIFO order by Signal or Broadcast.
+// and are released in FIFO order by Signal or Broadcast. The zero value
+// is an empty queue: it schedules on the engine of the process it parks
+// or wakes, so it needs none of its own.
 type WaitQueue struct {
-	eng     *Engine
 	waiters []*Proc
-}
-
-// NewWaitQueue returns an empty wait queue attached to eng.
-func NewWaitQueue(eng *Engine) *WaitQueue {
-	return &WaitQueue{eng: eng}
 }
 
 // Len returns the number of waiting processes.
@@ -144,7 +140,7 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d Time) bool {
 	q.waiters = append(q.waiters, p)
 	// Schedule the timeout as the pending event; Signal cancels it.
 	p.blocked = true
-	p.pending = q.eng.schedule(q.eng.now+d, p, wakeTimeout)
+	p.pending = p.eng.schedule(p.eng.now+d, p, wakeTimeout)
 	reason := p.park()
 	p.blocked = false
 	p.pending = nil
@@ -173,7 +169,7 @@ func (q *WaitQueue) Signal(n int) int {
 		copy(q.waiters, q.waiters[1:])
 		q.waiters = q.waiters[:len(q.waiters)-1]
 		// A WaitTimeout waiter has a pending timeout event; wake cancels it.
-		q.eng.scheduleWake(p, q.eng.now, wakeSignal)
+		p.eng.scheduleWake(p, p.eng.now, wakeSignal)
 		released++
 	}
 	return released

@@ -110,7 +110,7 @@ func TestDeadlockPanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	q := NewWaitQueue(e)
+	q := new(WaitQueue)
 	e.Spawn("stuck", func(p *Proc) { q.Wait(p) })
 	e.Run()
 }
@@ -184,7 +184,7 @@ func TestUnlockByNonHolderPanics(t *testing.T) {
 
 func TestWaitQueueSignalFIFO(t *testing.T) {
 	e := NewEngine()
-	q := NewWaitQueue(e)
+	q := new(WaitQueue)
 	var woke []string
 	for i := 0; i < 3; i++ {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
@@ -213,7 +213,7 @@ func TestWaitQueueSignalFIFO(t *testing.T) {
 
 func TestWaitTimeoutExpires(t *testing.T) {
 	e := NewEngine()
-	q := NewWaitQueue(e)
+	q := new(WaitQueue)
 	e.Spawn("w", func(p *Proc) {
 		ok := q.WaitTimeout(p, 50)
 		if ok {
@@ -231,7 +231,7 @@ func TestWaitTimeoutExpires(t *testing.T) {
 
 func TestWaitTimeoutSignaledEarly(t *testing.T) {
 	e := NewEngine()
-	q := NewWaitQueue(e)
+	q := new(WaitQueue)
 	e.Spawn("w", func(p *Proc) {
 		ok := q.WaitTimeout(p, 1000)
 		if !ok {
@@ -251,9 +251,54 @@ func TestWaitTimeoutSignaledEarly(t *testing.T) {
 	}
 }
 
+// TestWaitQueueZeroValue: a WaitQueue needs no constructor and no
+// engine of its own. A declared queue parks processes with Wait and
+// WaitTimeout, times one out, and releases the others with Signal and
+// Broadcast, all on the engine of the processes it serves.
+func TestWaitQueueZeroValue(t *testing.T) {
+	e := NewEngine()
+	var q WaitQueue
+	woke := map[string]Time{}
+	e.Spawn("wait", func(p *Proc) {
+		q.Wait(p)
+		woke[p.Name()] = p.Now()
+	})
+	e.Spawn("signaled", func(p *Proc) {
+		if !q.WaitTimeout(p, 1000) {
+			t.Error("signaled: timed out")
+		}
+		woke[p.Name()] = p.Now()
+	})
+	e.Spawn("expires", func(p *Proc) {
+		if q.WaitTimeout(p, 5) {
+			t.Error("expires: signaled, want a timeout")
+		}
+		woke[p.Name()] = p.Now()
+	})
+	e.Spawn("waker", func(p *Proc) {
+		p.Sleep(10)
+		if n := q.Signal(1); n != 1 {
+			t.Errorf("Signal(1) = %d", n)
+		}
+		p.Sleep(10)
+		if n := q.Broadcast(); n != 1 {
+			t.Errorf("Broadcast = %d", n)
+		}
+	})
+	if end := e.Run(); end != 20 {
+		t.Errorf("run ended at %v, want 20", end)
+	}
+	want := map[string]Time{"wait": 10, "signaled": 20, "expires": 5}
+	for name, at := range want {
+		if woke[name] != at {
+			t.Errorf("%s woke at %v, want %v", name, woke[name], at)
+		}
+	}
+}
+
 func TestChanPutGetOrder(t *testing.T) {
 	e := NewEngine()
-	c := NewChan[int](e, 2)
+	c := NewChan[int](2)
 	var got []int
 	e.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {

@@ -51,7 +51,7 @@ func TestChanFIFOProperty(t *testing.T) {
 	f := func(seed int64, capRaw uint8) bool {
 		capacity := int(capRaw%8) + 1
 		e := NewEngine()
-		c := NewChan[int](e, capacity)
+		c := NewChan[int](capacity)
 		var got []int
 		const n = 50
 		e.Spawn("prod", func(p *Proc) {

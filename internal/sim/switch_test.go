@@ -50,9 +50,9 @@ func goroutinesDownTo(base int) int {
 func TestDrainedRunReleasesEverything(t *testing.T) {
 	base := stableGoroutines()
 	eng := NewEngine()
-	q := NewWaitQueue(eng)
+	q := new(WaitQueue)
 	mu := NewMutex(eng, "mu")
-	c := NewChan[int](eng, 2)
+	c := NewChan[int](2)
 	const workers = 50
 	for i := 0; i < workers; i++ {
 		eng.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
@@ -159,7 +159,7 @@ func TestPanicSurfaces(t *testing.T) {
 	cleaned := 0
 	eng.Spawn("bystander", func(p *Proc) {
 		defer func() { cleaned++ }()
-		NewWaitQueue(eng).Wait(p) // nobody signals it
+		new(WaitQueue).Wait(p) // nobody signals it
 	})
 	eng.Spawn("bomb", func(p *Proc) {
 		defer func() { cleaned++ }()

@@ -10,7 +10,7 @@ import (
 
 func tinyNode(t *testing.T, preset string, threads int, wss uint64, localFrac float64) *core.Node {
 	t.Helper()
-	cfg, err := core.Preset(preset, threads, wss, int(float64(wss)*localFrac))
+	cfg, err := core.Preset(preset, threads, wss, core.LocalPages(wss, localFrac))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +31,7 @@ func TestMetisPhaseBarrierOnSystem(t *testing.T) {
 	}
 	w := NewMetis(p)
 	s := tinyNode(t, "magelib", 4, w.NumPages(), 0.6)
-	streams := w.StreamsOn(s.Eng, 4, 1)
-	res := s.Run(streams)
+	res := s.Run(w.Streams(4, 1))
 	if w.PhaseSwitchAt <= 0 || w.PhaseSwitchAt >= res.Makespan {
 		t.Errorf("phase switch at %v, makespan %v", w.PhaseSwitchAt, res.Makespan)
 	}

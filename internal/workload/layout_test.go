@@ -93,7 +93,7 @@ func TestMetisReduceEmitsOutputWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams := w.StreamsOn(s.Eng, 2, 1)
+	streams := w.Streams(2, 1)
 	// Collect accesses by wrapping the streams.
 	outWrites := 0
 	wrapped := make([]core.AccessStream, len(streams))

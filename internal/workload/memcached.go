@@ -97,7 +97,7 @@ func (w *Memcached) RunOpenLoop(n *core.Node, threads int, loadOps float64, dura
 	type request struct{ arrived sim.Time }
 	queues := make([]*sim.Chan[request], threads)
 	for i := range queues {
-		queues[i] = sim.NewChan[request](n.Eng, 4096)
+		queues[i] = sim.NewChan[request](4096)
 	}
 	lat := stats.NewHistogram()
 	var completed, dropped uint64

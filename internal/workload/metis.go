@@ -44,10 +44,6 @@ type Metis struct {
 	inter  region
 	output region
 
-	// barrier synchronizes the map→reduce transition; built per Streams
-	// call because it needs the engine.
-	barrier *Barrier
-
 	// PhaseSwitchAt records when the last thread entered reduce (set
 	// during the run; read by experiments to split phase throughput).
 	PhaseSwitchAt sim.Time
@@ -82,25 +78,18 @@ func (w *Metis) NumPages() uint64 {
 	return w.input.pages + w.inter.pages + w.output.pages
 }
 
-// StreamsOn builds streams whose barrier lives on eng, the engine of the
-// node that runs them.
-func (w *Metis) StreamsOn(eng *sim.Engine, threads int, seed int64) []core.AccessStream {
-	w.barrier = NewBarrier(eng, threads)
+// Streams implements Workload. The streams of one call share a phase
+// barrier of their own, which the map→reduce transition waits on.
+func (w *Metis) Streams(threads int, seed int64) []core.AccessStream {
+	b := NewBarrier(threads)
 	out := make([]core.AccessStream, threads)
 	for t := 0; t < threads; t++ {
-		out[t] = w.threadStream(threads, t, seed)
+		out[t] = w.threadStream(b, threads, t, seed)
 	}
 	return out
 }
 
-// Streams implements Workload; the BSP barrier requires an engine, so
-// this panics — use StreamsOn. (Kept so Metis satisfies the interface for
-// registry listings.)
-func (w *Metis) Streams(threads int, seed int64) []core.AccessStream {
-	panic("workload: Metis needs StreamsOn(engine, ...) for its phase barrier")
-}
-
-func (w *Metis) threadStream(threads, t int, seed int64) core.AccessStream {
+func (w *Metis) threadStream(b *Barrier, threads, t int, seed int64) core.AccessStream {
 	rng := threadRNG(seed, t, 6151)
 	inLo, inHi := shard(int(w.input.pages), threads, t)
 	interLo, interHi := shard(int(w.inter.pages), threads, t)
@@ -143,7 +132,7 @@ func (w *Metis) threadStream(threads, t int, seed int64) core.AccessStream {
 				return core.Access{
 					Skip: true,
 					Wait: func(p *sim.Proc) {
-						w.barrier.Wait(p)
+						b.Wait(p)
 						if p.Now() > w.PhaseSwitchAt {
 							w.PhaseSwitchAt = p.Now()
 						}

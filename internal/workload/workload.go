@@ -17,8 +17,9 @@ type Workload interface {
 	Name() string
 	// NumPages is the working-set size in pages.
 	NumPages() uint64
-	// Streams builds one access stream per thread. Streams must be
-	// independent generators (safe to interleave in any order).
+	// Streams builds one access stream per thread, for one run. Streams
+	// from one call may synchronize with each other (Metis's phase
+	// barrier), never with the streams of another call.
 	Streams(threads int, seed int64) []core.AccessStream
 }
 
@@ -84,13 +85,11 @@ func (l *layout) addPages(pages uint64) region {
 type Barrier struct {
 	n       int
 	arrived int
-	q       *sim.WaitQueue
+	q       sim.WaitQueue
 }
 
-// NewBarrier returns a barrier for n participants on eng.
-func NewBarrier(eng *sim.Engine, n int) *Barrier {
-	return &Barrier{n: n, q: sim.NewWaitQueue(eng)}
-}
+// NewBarrier returns a barrier for n participants.
+func NewBarrier(n int) *Barrier { return &Barrier{n: n} }
 
 // Wait blocks until all n participants have arrived.
 func (b *Barrier) Wait(p *sim.Proc) {

@@ -288,14 +288,25 @@ func TestGUPSZipfSkewOnPages(t *testing.T) {
 	}
 }
 
-func TestMetisStreamsNeedEngine(t *testing.T) {
-	w := NewMetis(DefaultMetis())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Streams without engine should panic")
+// TestMetisStreamSetsOwnTheirBarriers builds two stream sets from one
+// Metis, of 2 and then 4 threads, before running either: each set waits
+// on a phase barrier of its own, so each runs to completion on a fresh
+// node and passes the map→reduce switch. With one barrier per workload,
+// the 2-thread set parked on the later call's 4-party barrier and its
+// run never ended.
+func TestMetisStreamSetsOwnTheirBarriers(t *testing.T) {
+	w := NewMetis(MetisParams{
+		InputPages: 600, IntermediatePages: 400, OutputPages: 80,
+		EmitsPerInputPage: 1, MapCompute: 400, ReduceCompute: 300,
+	})
+	sets := [][]core.AccessStream{w.Streams(2, 1), w.Streams(4, 1)}
+	for _, set := range sets {
+		w.PhaseSwitchAt = 0
+		res := tinyNode(t, "magelib", len(set), w.NumPages(), 0.6).Run(set)
+		if w.PhaseSwitchAt <= 0 || w.PhaseSwitchAt >= res.Makespan {
+			t.Errorf("%d threads: phase switch at %v, makespan %v", len(set), w.PhaseSwitchAt, res.Makespan)
 		}
-	}()
-	w.Streams(2, 0)
+	}
 }
 
 func TestMemcachedRequestShape(t *testing.T) {

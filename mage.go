@@ -112,9 +112,10 @@ var (
 	Preset = core.Preset
 	// Presets returns all five configs in figure order.
 	Presets = core.Presets
-	// FullyLocalPages is the local DRAM quota at which a working set of
-	// the given pages runs all-local and never evicts.
-	FullyLocalPages = core.FullyLocalPages
+	// LocalPages is the local DRAM quota that holds a fraction of a
+	// working set (at least 64 pages); a fraction of 1 or more runs
+	// all-local and never evicts.
+	LocalPages = core.LocalPages
 	// Ideal, Hermit, DiLOS, MageLib and MageLnx build the individual
 	// preset configurations.
 	Ideal   = core.Ideal
