@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet magevet test magecheck fmt fmtcheck lint check bench bench-check lineage shm-shared-cpu cover reach
+.PHONY: all build vet magevet test magecheck fmt fmtcheck lint check bench bench-check lineage cover reach
 
 all: check
 
@@ -142,31 +142,6 @@ lineage:
 		case $$base in *-change.json) continue;; esac; \
 		$(GO) run -C bench . -compare "$(CURDIR)/$$base" "$(CURDIR)/$${base%.json}-change.json"; \
 	done
-
-# The file link against a server that shares the client's CPU: memnode
-# and a depth-1 memnode-bench both confined to CPU 0, the same workload
-# over TCP and over shm in one run. Over TCP every page hands the CPU to
-# memnode and back; over the file link memnode is passive and the client
-# preads and pwrites the region file itself (DESIGN.md §13), so shm beats
-# TCP by far (9.4-10.1x; the shm ring read 4.7-5.1x, 1.3x while it could
-# only park). The gate: shm_over_tcp >= 2.5. Linux only (taskset, memfd).
-shm-shared-cpu:
-	@set -e; dir=$$(mktemp -d); pid=; \
-	trap 'test -n "$$pid" && kill $$pid 2>/dev/null; rm -rf "$$dir"' EXIT; \
-	$(GO) build -o $$dir/memnode ./cmd/memnode; \
-	$(GO) build -o $$dir/memnode-bench ./cmd/memnode-bench; \
-	TMPDIR=$$dir taskset -c 0 $$dir/memnode -listen 127.0.0.1:0 -capacity-mb 1024 -transport shm 2>$$dir/memnode.log & pid=$$!; \
-	addr=; for i in $$(seq 50); do \
-		addr=$$(sed -n 's/.* serving [0-9]* MiB on \([^ ]*\) .*/\1/p' $$dir/memnode.log); \
-		test -n "$$addr" && break; sleep 0.1; \
-	done; \
-	test -n "$$addr" || { cat $$dir/memnode.log >&2; echo "memnode did not come up" >&2; exit 1; }; \
-	taskset -c 0 $$dir/memnode-bench -addr $$addr -workers 1 -depth 1 -compare -json > $$dir/compare.json; \
-	ratio=$$(sed -n 's/.*"shm_over_tcp": *\([0-9.e+-]*\).*/\1/p' $$dir/compare.json); \
-	grep -E '"(transport|pages_per_sec|p50_us)"' $$dir/compare.json; \
-	echo "shm_over_tcp = $$ratio (both processes on CPU 0)"; \
-	awk -v r="$$ratio" 'BEGIN { exit (r+0 >= 2.5) ? 0 : 1 }' || \
-		{ echo "shm is under 2.5x TCP on a shared CPU: is memnode on the file link's data path?" >&2; exit 1; }
 
 # Coverage floor for internal/core, set just under the level the
 # Node/Tenant split landed at so fault/eviction-path statements cannot

@@ -153,6 +153,15 @@ var guards = []guard{
 		reason:   "core.LocalPages(total, localFrac) sizes local DRAM everywhere: all-local at a fraction of 1, never under 64 pages",
 	},
 	{
+		name: "magevet does not type-check the standard library from source",
+		files: func(rel string) bool {
+			return goIn("cmd/magevet")(rel) && !strings.HasSuffix(rel, "_test.go")
+		},
+		line:   regexp.MustCompile(`"source"`),
+		count:  0,
+		reason: "the loader imports the standard library from the toolchain's export data; the source importer re-checked it in every loader and was most of tier-1's wall clock",
+	},
+	{
 		name:   "cache.go declares classSizes once",
 		files:  is("cmd/magecache/cache.go"),
 		line:   regexp.MustCompile(`^var classSizes = \[\.\.\.\]int\{`),

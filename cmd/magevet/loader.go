@@ -15,9 +15,11 @@ import (
 )
 
 // loader discovers, parses, and type-checks the packages of one module
-// using only the standard library (go/build for file selection, a source
-// importer for the standard library, and recursive loading for
-// intra-module imports).
+// using only the standard library and the toolchain: go/build selects the
+// files, the gc importer reads the standard library's export data (which
+// it finds through `go list -export` and keeps for the life of the
+// process), and module packages are parsed and checked from source,
+// recursively, in one loader.
 type loader struct {
 	fset   *token.FileSet
 	ctxt   build.Context
@@ -55,7 +57,7 @@ func newLoader(dir string, tags []string) (*loader, error) {
 		ctxt:   ctxt,
 		module: module,
 		root:   root,
-		std:    importer.ForCompiler(fset, "source", nil),
+		std:    importer.ForCompiler(fset, "gc", nil),
 		pkgs:   make(map[string]*pkgInfo),
 	}, nil
 }
@@ -110,7 +112,8 @@ func (l *loader) dirFor(path string) string {
 }
 
 // Import implements types.Importer: intra-module imports load
-// recursively; everything else resolves from the standard library source.
+// recursively; everything else resolves from the standard library's
+// export data.
 func (l *loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil

@@ -70,8 +70,8 @@ func main() {
 			log.Fatalf("memnode: %v", err)
 		}
 		srvs = append(srvs, srv)
-		// bench/ and `make shm-shared-cpu` read the address out of this
-		// line: it is followed by a space and a parenthesis.
+		// bench/ reads the address out of this line: it is followed by a
+		// space and a parenthesis.
 		if srv.ShmAddr() != "" {
 			log.Printf("memnode: serving %d MiB on %s (tcp, shm attach %s)", *capacity, srv.Addr(), srv.ShmAddr())
 		} else {

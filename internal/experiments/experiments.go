@@ -223,11 +223,11 @@ func mustNode(cfg core.Config) (*core.Node, *core.Tenant) {
 	return n, n.Tenants()[0]
 }
 
-// runStreams runs a workload on a preset at an offload fraction (see
-// runCfg).
-func runStreams(name string, threads int, w workload.Workload, offload float64, seed int64, mutate func(*core.Config)) core.RunResult {
+// runStreams runs a workload on a preset with localFrac of its pages in
+// local memory, sized by core.LocalPages (see runCfg).
+func runStreams(name string, threads int, w workload.Workload, localFrac float64, seed int64, mutate func(*core.Config)) core.RunResult {
 	total := w.NumPages()
-	return runCfg(presetCfg(name, threads, total, core.LocalPages(total, 1-offload), mutate), w, threads, seed)
+	return runCfg(presetCfg(name, threads, total, core.LocalPages(total, localFrac), mutate), w, threads, seed)
 }
 
 // zeroFiller is a workload that declares the page ranges it allocates at

@@ -152,7 +152,7 @@ func Table2(sc Scale) []*Table {
 	sysNames := []string{"Hermit", "DiLOS", "MageLib", "MageLnx"}
 	jph := runCells(sc, len(apps)*len(sysNames), func(i int) float64 {
 		app, sys := apps[i/len(sysNames)], sysNames[i%len(sysNames)]
-		res := runStreams(sys, sc.Threads, app.mk(), 0, sc.Seed, nil)
+		res := runStreams(sys, sc.Threads, app.mk(), 1, sc.Seed, nil)
 		return res.JobsPerHour()
 	})
 	for ai, app := range apps {

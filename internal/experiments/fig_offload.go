@@ -34,7 +34,7 @@ func offloadSweep(id, title string, sc Scale, w func() workload.Workload, system
 	}
 	cellJPH := runCells(sc, len(cells), func(i int) float64 {
 		c := cells[i]
-		res := runStreams(c.name, threads, w(), c.off, sc.Seed, mutate)
+		res := runStreams(c.name, threads, w(), 1-c.off, sc.Seed, mutate)
 		return res.JobsPerHour()
 	})
 	base := map[string]float64{}
@@ -153,8 +153,8 @@ func Fig10(sc Scale) []*Table {
 		mutate := func(cf *core.Config) {
 			cf.Prefetch = c.pf
 		}
-		baseRes := runStreams(c.name, sc.Threads, w(), 0, sc.Seed, mutate)
-		res := runStreams(c.name, sc.Threads, w(), off, sc.Seed, mutate)
+		baseRes := runStreams(c.name, sc.Threads, w(), 1, sc.Seed, mutate)
+		res := runStreams(c.name, sc.Threads, w(), 1-off, sc.Seed, mutate)
 		return point{res, 1 - res.JobsPerHour()/baseRes.JobsPerHour()}
 	})
 	for i, c := range cells {
@@ -195,7 +195,7 @@ func Fig12(sc Scale) []*Table {
 		// zero-fill (runCfg), so offloading displaces what the reduce
 		// phase will need: the paper's phase-change setup.
 		m := workload.NewMetis(sc.Metis)
-		res := runStreams(c.name, sc.Threads, m, c.off, sc.Seed, nil)
+		res := runStreams(c.name, sc.Threads, m, 1-c.off, sc.Seed, nil)
 		return point{switchAt: m.PhaseSwitchAt, makespan: res.Makespan}
 	})
 	for i, c := range cells {
