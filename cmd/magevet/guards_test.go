@@ -181,7 +181,7 @@ var guards = []guard{
 		name:    "DESIGN.md does not grow",
 		files:   is("DESIGN.md"),
 		line:    regexp.MustCompile(``),
-		count:   1870,
+		count:   1863,
 		ceiling: true,
 		reason:  "the prose only shrinks: lower the ceiling when it does, and cut before adding",
 	},
@@ -287,7 +287,33 @@ var guards = []guard{
 		line:     regexp.MustCompile(`\b(preadFull|pwriteFull)\(|\bSYS_P(READ|WRITE)64\b`),
 		exceptIn: regexp.MustCompile(`^func (\(f \*regionFile\) move|preadFull|pwriteFull)\(`),
 		count:    0,
-		reason:   "every file verb, a call's or a synchronous page's, passes exec's checks on its way to move, and only preadFull and pwriteFull, which move calls, issue a raw pread64 or pwrite64: no second path to the file",
+		reason:   "every file verb passes inBounds on its way to move, and only preadFull and pwriteFull, which move calls, issue a raw pread64 or pwrite64: no second path to the file",
+	},
+	{
+		name: "a verb is run in serveFrames or runFile alone",
+		files: func(rel string) bool {
+			return goIn("internal/memnode")(rel) && !strings.HasSuffix(rel, "_test.go")
+		},
+		line:     regexp.MustCompile(`\b[a-z]+\.exec\(`),
+		exceptIn: regexp.MustCompile(`^func \((s \*Server\) serveFrames|s \*stream\) runFile)\(`),
+		count:    0,
+		reason:   "a frame reaches Server.exec from its connection's loop, and a page verb on an attached region reaches the region file's exec from runFile: one entry each",
+	},
+	{
+		name: "runFile has three callers",
+		files: func(rel string) bool {
+			return goIn("internal/memnode")(rel) && !strings.HasSuffix(rel, "_test.go")
+		},
+		line:   regexp.MustCompile(`\.runFile\(`),
+		count:  3,
+		reason: "doPages before a synchronous verb takes a window slot, attempts on every page-verb attempt on the file link, and startFile before a started op is made",
+	},
+	{
+		name:   "no call runs on a region file",
+		files:  goFile,
+		line:   regexp.MustCompile(`\b(runCall|fileVerb|wholeTable|filePage|readVInto)\b`),
+		count:  0,
+		reason: "runFile takes a page verb's ranges from its prototype, with no call and no descriptor table: stream.start is the wire's one entry",
 	},
 	{
 		name:    "memnode.IsTerminal is judged at three memcluster sites at most",

@@ -226,11 +226,9 @@ type call struct {
 	// sent is the sending side's release, the other half of do()'s
 	// permission to recycle the struct: the TCP writer stores 1 once its
 	// writev has returned, after which it reads neither the struct nor
-	// the payload in desc again; for a verb the file link runs on the
-	// caller's goroutine, that goroutine stores it. A call failed while
-	// its writer may still be draining the old send queue never gets it,
-	// and the struct is left to the collector. Atomic for the same reason
-	// as fin.
+	// the payload in desc again. A call failed while its writer may
+	// still be draining the old send queue never gets it, and the struct
+	// is left to the collector. Atomic for the same reason as fin.
 	sent uint32
 	// park carries the wake-up token of a registered waiter. Capacity
 	// one, made on the first park and kept for the life of the pooled
@@ -241,17 +239,16 @@ type call struct {
 	// desc is a batch's descriptor table and vec the payload vector that
 	// starts with it (and, for WRITEV, goes on with the pages), both built
 	// per attempt in storage that stays with the pooled struct like park
-	// does; so does iovs, the table as the file link parses it.
+	// does.
 	desc []byte
 	vec  net.Buffers
-	iovs []iovec
 }
 
 // arm readies a pooled struct for one attempt of the op proto describes.
 func (ca *call) arm(proto *call, srvID uint64) {
-	park, desc, vec, iovs := ca.park, ca.desc, ca.vec, ca.iovs
+	park, desc, vec := ca.park, ca.desc, ca.vec
 	*ca = *proto
-	ca.park, ca.desc, ca.vec, ca.iovs, ca.srvID = park, desc, vec, iovs, srvID
+	ca.park, ca.desc, ca.vec, ca.srvID = park, desc, vec, srvID
 	switch {
 	case ca.dst != nil && ca.op == opReadV: // a READ's one destination needs no table
 		ca.desc = appendDescs(ca.desc, ca.offsets, ca.dst)
@@ -502,18 +499,17 @@ func (ca *call) fail(err error) {
 // (draining sendq, one writev per batch of frames), a reader goroutine
 // (matching response frames to the calls held by ID) and, when the
 // server offered it, the file link's table of attached region files
-// (shm_client.go). Any IO or protocol error poisons the whole stream:
-// every call it holds fails at once, its files are dropped, and the
-// client re-dials lazily.
+// (shm_client.go), whose page verbs never become calls (runFile). Any
+// IO or protocol error poisons the whole stream: every call it holds
+// fails at once, its files are dropped, and the client re-dials lazily.
 //
-// An op is started by its caller and completed by the link. start does
-// on the caller's goroutine everything short of waiting — the call is
-// run on a region file, or entered in the call table and queued for the
+// A call is started by its caller and completed by the link. start, the
+// wire's one entry, does on the caller's goroutine everything short of
+// waiting — the call is entered in the call table and queued for the
 // writer — and from then on exactly one completion of the call follows:
-// from start itself (a file link's verb, or a link that is dead), the
-// reader, or fail. None of them holds a lock of the link's while it
-// completes a call, because completing the attempt of a started op
-// runs its caller's hook.
+// from start itself (a link that is dead), the reader, or fail. None of
+// them holds a lock of the link's while it completes a call, because
+// completing the attempt of a started op runs its caller's hook.
 type stream struct {
 	calls
 	c     *Client
@@ -554,17 +550,13 @@ func (s *stream) fail(err error) {
 	s.c.failHeld(err, held)
 }
 
-// start runs ca on a region file when the file link has its region, or
-// enters it in the call table and queues it for the writer. Safe for any
+// start enters ca in the call table and queues it for the writer. Safe for any
 // number of concurrent callers; that concurrency is exactly the
 // pipeline. The writer goroutine, not the caller, does the send: two
 // callers that start back to back go out in one writev (see writeLoop).
 func (s *stream) start(ca *call) {
 	ca.body, ca.err = nil, nil
 	ca.resetGate()
-	if s.files != nil && s.runCall(ca) {
-		return
-	}
 	if ca.deadline.IsZero() {
 		ca.deadline = s.c.deadline()
 	}
@@ -1195,16 +1187,19 @@ func (c *Client) attempts(proto *call, attempt int, lastErr error) ([]byte, erro
 		// goes back to the pool only once both sides of the stream have
 		// let go of it (see retire).
 		// The link owns the deadline its watchdog reads: it stamps it when
-		// the call goes on the wire, and a verb run on a region file, which
-		// completes inside start, never reads the wall clock.
+		// the call goes on the wire. A verb run on a region file is no call
+		// and never reads the wall clock.
 		srvID := c.translate(proto.handle)
 		if st.files != nil && pageVerb(proto.op) && !st.files.tried(srvID) {
 			c.attach(st, srvID, 0) // a region this client did not register
 		}
-		att := callPool.Get().(*call)
-		att.arm(proto, srvID)
-		body, err := roundTrip(st, att)
-		srvID = att.retire()
+		body, ran, err := st.runFile(proto, srvID)
+		if !ran {
+			att := callPool.Get().(*call)
+			att.arm(proto, srvID)
+			body, err = roundTrip(st, att)
+			srvID = att.retire()
+		}
 		if err == nil {
 			return body, nil
 		}
@@ -1259,50 +1254,22 @@ func (c *Client) finish(proto *call, body []byte, err error) ([]byte, error) {
 	return body, nil
 }
 
-// doPages is doFrom and finish: a synchronous page op on the retry loop.
-func (c *Client) doPages(proto *call, attempt int, lastErr error) ([]byte, error) {
-	body, err := c.doFrom(proto, attempt, lastErr)
+// doPages is a synchronous page op: on the live link's region file
+// (runFile) when it has the region's, where it is built as no call and
+// takes no window slot, since it is never in flight on the wire, no lock
+// and no clock; otherwise on the retry loop, from the first attempt when
+// nothing ran — no file link, a region not attached (which the loop
+// attaches), or one the server revoked (the frames carry it then) — and
+// from the second when the file failed under the verb, which poisoned
+// the link.
+func (c *Client) doPages(proto *call) ([]byte, error) {
+	body, ran, err := c.cur.Load().runFile(proto, c.translate(proto.handle))
+	if !ran {
+		body, err = c.doFrom(proto, 1, nil)
+	} else if err != nil && !IsTerminal(err) {
+		body, err = c.doFrom(proto, 2, err)
+	}
 	return c.finish(proto, body, err)
-}
-
-// filePage runs a synchronous one-range page verb on the file link: a
-// READ, into buf or, when buf is nil, into a body of its own, or a WRITE
-// of buf. When the live link is the file link and has the region's file,
-// the verb runs on this goroutine (runFile), built as no call and with
-// no window slot, since it is never in flight on the wire, no lock and
-// no clock. done: the op is over and body and err are its outcome, a
-// success, counted as verb (READV for a READ into the caller's buffer),
-// or a terminal refusal. Otherwise the op goes to the retry loop from
-// attempt: 1 when nothing ran — no file link, a region not attached
-// (which the loop attaches), or one the server revoked (the frames carry
-// it then) — and 2 when the file failed under the verb, which poisoned
-// the link; err is then that failure.
-func (c *Client) filePage(verb byte, handle uint64, off, length int64, buf []byte) (body []byte, done bool, attempt int, err error) {
-	st := c.cur.Load()
-	if st == nil || st.files == nil {
-		return nil, false, 1, nil
-	}
-	req := request{op: opRead, regionID: c.translate(handle), offset: off, length: length}
-	if verb == opWrite {
-		req.op, req.dataLen = opWrite, length
-	}
-	one := [1][]byte{buf}
-	var pieces [][]byte
-	if buf != nil {
-		pieces = one[:]
-	}
-	var iovs []iovec
-	body, ran, err := st.runFile(&req, pieces, &iovs)
-	switch {
-	case !ran:
-		return nil, false, 1, nil
-	case err == nil:
-		c.countVerb(verb, length)
-		return body, true, 0, nil
-	case IsTerminal(err):
-		return nil, true, 0, err
-	}
-	return nil, false, 2, err
 }
 
 // callPool recycles call structs across attempts; do() decides when one
@@ -1364,11 +1331,7 @@ func (c *Client) Read(handle uint64, offset, length int64) ([]byte, error) {
 	if err := proto.check(); err != nil {
 		return nil, err
 	}
-	body, done, attempt, err := c.filePage(opRead, handle, offset, length, nil)
-	if done {
-		return body, err
-	}
-	return c.doPages(&proto, attempt, err)
+	return c.doPages(&proto)
 }
 
 // Write performs a one-sided write of data at offset.
@@ -1377,10 +1340,7 @@ func (c *Client) Write(handle uint64, offset int64, data []byte) error {
 	if err := proto.check(); err != nil {
 		return err
 	}
-	_, done, attempt, err := c.filePage(opWrite, handle, offset, proto.length, data)
-	if !done {
-		_, err = c.doPages(&proto, attempt, err)
-	}
+	_, err := c.doPages(&proto)
 	return err
 }
 
@@ -1396,23 +1356,26 @@ func (ca *call) check() error {
 	return nil
 }
 
-// asyncOp is a started op: its first attempt was put on the wire by the
-// goroutine that started it, the link completes it, and no goroutine
-// stands between the two. hook is its one watcher: whoever completes the
-// attempt ends the op and runs the hook, unless that takes a backoff, a
-// dial or a REGISTER replay, which a completer may not do: the rest of
-// the retry loop then gets a goroutine. So does an op that found the
-// window full or no negotiated link, which runs as a synchronous op. When
-// the hook runs, proto holds the result in body and err.
+// asyncOp is a started op that did not end on a region file (startFile):
+// its first attempt was put on the wire by the goroutine that started
+// it, the link completes it, and no goroutine stands between the two.
+// hook is its one watcher: whoever completes the attempt ends the op and
+// runs the hook, unless that takes a backoff, a dial or a REGISTER
+// replay, which a completer may not do: the rest of the retry loop then
+// gets a goroutine. So does an op that found the window full or no
+// negotiated link, which runs as a synchronous op, and one whose region
+// file failed under it. When the hook runs, proto holds the result in
+// body and err.
 type asyncOp struct {
 	c     *Client
 	proto call
 	hook  func(error)
 
 	// The first attempt and the link it went out on, set before it starts
-	// and the driver's from then on.
-	st  *stream
-	att *call
+	// and the driver's from then on, or what the region file failed of.
+	st      *stream
+	att     *call
+	fileErr error
 }
 
 // spawn gives the op a goroutine to drive it: the one place an
@@ -1421,11 +1384,31 @@ func (p *asyncOp) spawn() {
 	go p.run() //magevet:ok real TCP client: the slow paths of an async op (window full, link down, failed attempt) block, and their caller must not
 }
 
+// startFile is a started page op's first attempt when the live link has
+// its region's file (runFile), before an op is made or a window slot
+// taken: the op ends there, its result left on proto and handed to hook,
+// and over is true. Otherwise the op is still to start, and fileErr is
+// what its region file failed of, if it ran on one.
+func (c *Client) startFile(proto *call, hook func(error)) (over bool, fileErr error) {
+	body, ran, err := c.cur.Load().runFile(proto, c.translate(proto.handle))
+	if ran && (err == nil || IsTerminal(err)) {
+		proto.body, proto.err = c.finish(proto, body, err)
+		hook(proto.err)
+		return true, nil
+	}
+	return false, err
+}
+
 // start puts the op's first attempt on the wire from the caller's
 // goroutine, when there is a slot in the window and a live link to put
-// it on.
-func (p *asyncOp) start() {
+// it on, and its first attempt did not fail on a region file (fileErr):
+// the driver takes it on from its second then.
+func (p *asyncOp) start(fileErr error) {
 	c := p.c
+	if p.fileErr = fileErr; fileErr != nil {
+		p.spawn()
+		return
+	}
 	select {
 	case c.window <- struct{}{}:
 	default:
@@ -1474,7 +1457,10 @@ func (p *asyncOp) run() {
 // wait it out, and on a failure go on from the second.
 func (p *asyncOp) drive() ([]byte, error) {
 	c, att := p.c, p.att
-	if att == nil {
+	switch {
+	case p.fileErr != nil:
+		return c.doFrom(&p.proto, 2, p.fileErr)
+	case att == nil:
 		return c.do(&p.proto)
 	}
 	body, err := p.st.wait(att)
@@ -1521,24 +1507,11 @@ func (ca *call) readv(handle uint64, offsets []int64, dst [][]byte) error {
 // are written by the transport alone until the call returns; on an error
 // their contents are unspecified.
 func (c *Client) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
-	attempt, err := 1, error(nil)
-	if len(dst) == 1 && len(offsets) == 1 && len(dst[0]) > 0 && len(dst[0]) <= MaxIO {
-		var done bool
-		if _, done, attempt, err = c.filePage(opReadV, handle, offsets[0], int64(len(dst[0])), dst[0]); done {
-			return err
-		}
-	}
-	return c.readVInto(handle, offsets, dst, attempt, err)
-}
-
-// readVInto is ReadVInto on the retry loop, from the attempt-th try on.
-// The call is built here, out of the file link's way.
-func (c *Client) readVInto(handle uint64, offsets []int64, dst [][]byte, attempt int, lastErr error) error {
 	var proto call
 	if err := proto.readv(handle, offsets, dst); err != nil {
 		return err
 	}
-	_, err := c.doPages(&proto, attempt, lastErr)
+	_, err := c.doPages(&proto)
 	return err
 }
 
@@ -1552,23 +1525,35 @@ func (c *Client) readVInto(handle uint64, offsets []int64, dst [][]byte, attempt
 // must not start or wait for an op of this client, and must take no lock
 // that is held around a call into the client.
 func (c *Client) StartReadVInto(handle uint64, offsets []int64, dst [][]byte, done func(error)) {
-	c.startBatch((*call).readv, handle, offsets, dst, done)
+	c.startBatch(opReadV, handle, offsets, dst, done)
 }
 
 // StartWriteV is WriteV started, not run, on StartReadVInto's terms: pages
 // are lent until done, which runs once with the outcome WriteV would have.
 func (c *Client) StartWriteV(handle uint64, offsets []int64, pages [][]byte, done func(error)) {
-	c.startBatch((*call).writev, handle, offsets, pages, done)
+	c.startBatch(opWriteV, handle, offsets, pages, done)
 }
 
-// startBatch shapes a started batch, or hands done the refusal, and starts it.
-func (c *Client) startBatch(shape func(*call, uint64, []int64, [][]byte) error, handle uint64, offsets []int64, bufs [][]byte, done func(error)) {
-	p := &asyncOp{c: c, hook: done}
-	if err := shape(&p.proto, handle, offsets, bufs); err != nil {
+// startBatch shapes a started READV or WRITEV, or hands done the
+// refusal, and starts it: on the region file, where it ends before
+// startBatch returns, or as an op.
+func (c *Client) startBatch(op byte, handle uint64, offsets []int64, bufs [][]byte, done func(error)) {
+	var proto call
+	var err error
+	if op == opWriteV {
+		err = proto.writev(handle, offsets, bufs)
+	} else {
+		err = proto.readv(handle, offsets, bufs)
+	}
+	if err != nil {
 		done(err)
 		return
 	}
-	p.start()
+	over, fileErr := c.startFile(&proto, done)
+	if !over {
+		p := &asyncOp{c: c, proto: proto, hook: done}
+		p.start(fileErr)
+	}
 }
 
 // SplitPages cuts buf into pageBytes-sized pages, each capped at its own
@@ -1610,7 +1595,7 @@ func (c *Client) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
 	if err := proto.writev(handle, offsets, pages); err != nil {
 		return err
 	}
-	_, err := c.doPages(&proto, 1, nil)
+	_, err := c.doPages(&proto)
 	return err
 }
 

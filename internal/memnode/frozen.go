@@ -29,8 +29,8 @@ func (c *Client) ReadAsync(handle uint64, offset, length int64) *Pending {
 		hook: func(error) { close(p.done) }}
 	if p.op.proto.err = p.op.proto.check(); p.op.proto.err != nil {
 		close(p.done)
-	} else {
-		p.op.start()
+	} else if over, fileErr := c.startFile(&p.op.proto, p.op.hook); !over {
+		p.op.start(fileErr)
 	}
 	return p
 }

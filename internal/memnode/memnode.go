@@ -470,16 +470,14 @@ func (s *Server) doProbe() []byte {
 	return buf
 }
 
-// request is one decoded verb, however it came: a frame the server read,
-// or a call a file link runs on the caller's goroutine.
+// request is one decoded verb: a frame the server read.
 type request struct {
 	op       byte
 	regionID uint64
 	offset   int64
 	length   int64  // READ: bytes wanted; REGISTER: region size; WRITE, READV, WRITEV: payload bytes
 	table    []byte // READV, WRITEV: the descriptor table, in memory the peer cannot write
-	data     []byte // WRITE, WRITEV read off a frame: the payload past the table
-	dataLen  int64  // the bytes of payload past the table, wherever they are held
+	data     []byte // WRITE, WRITEV: the payload past the table
 }
 
 // carriesPayload reports whether op's requests are followed by payload
@@ -498,7 +496,6 @@ func (req *request) setPayload(payload []byte) {
 		n := batchTableLen(payload)
 		req.table, req.data = payload[:n], payload[n:]
 	}
-	req.dataLen = int64(len(req.data))
 }
 
 // shape is the first half of exec's checks of a page verb, the ones that
@@ -508,7 +505,8 @@ func (req *request) setPayload(payload []byte) {
 // cover, READV has none. It returns the ranges' total bytes; a single
 // page's range is the request's own offset and length.
 func (req *request) shape(iovs []iovec) ([]iovec, int64, error) {
-	if held := int64(len(req.table)) + req.dataLen; carriesPayload(req.op) && req.length != held {
+	dataLen := int64(len(req.data))
+	if held := int64(len(req.table)) + dataLen; carriesPayload(req.op) && req.length != held {
 		return nil, 0, fmt.Errorf("op %d: header declares %d payload bytes, the request holds %d", req.op, req.length, held)
 	}
 	if req.op == opRead || req.op == opWrite {
@@ -520,10 +518,10 @@ func (req *request) shape(iovs []iovec) ([]iovec, int64, error) {
 	iovs, total, err := parseIovecs(req.table, iovs)
 	switch {
 	case err != nil:
-	case req.op == opWriteV && req.dataLen != total:
-		err = fmt.Errorf("writev: descriptors cover %d bytes, payload carries %d", total, req.dataLen)
-	case req.op == opReadV && req.dataLen != 0:
-		err = fmt.Errorf("readv: %d trailing payload bytes", req.dataLen)
+	case req.op == opWriteV && dataLen != total:
+		err = fmt.Errorf("writev: descriptors cover %d bytes, payload carries %d", total, dataLen)
+	case req.op == opReadV && dataLen != 0:
+		err = fmt.Errorf("readv: %d trailing payload bytes", dataLen)
 	}
 	return iovs, total, err
 }
@@ -532,20 +530,30 @@ func (req *request) shape(iovs []iovec) ([]iovec, int64, error) {
 // every range, all of them before a byte moves, so that a batch applies
 // whole or not at all.
 func (req *request) inBounds(iovs []iovec, size int64) error {
-	// off > size-n rather than off+n > size: the sum overflows int64 for
-	// offsets near MaxInt64 and would pass validation.
-	if off, n := req.offset, req.length; req.op == opRead || req.op == opWrite {
-		if off < 0 || n > size || off > size-n {
-			return fmt.Errorf("out of bounds off=%d len=%d in %d", off, n, size)
-		}
-		return nil
+	if req.op == opRead || req.op == opWrite {
+		return inBounds(-1, req.offset, req.length, size)
 	}
 	for i, v := range iovs {
-		if v.off < 0 || v.length > size || v.off > size-v.length {
-			return fmt.Errorf("batch desc %d out of bounds off=%d len=%d in %d", i, v.off, v.length, size)
+		if err := inBounds(i, v.off, v.length, size); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// inBounds is the check of one range of n bytes at off: a single page's
+// (i < 0) or a batch's i-th. A file link holds every range of its verbs
+// to it too, and refuses in its words.
+func inBounds(i int, off, n, size int64) error {
+	// off > size-n rather than off+n > size: the sum overflows int64 for
+	// offsets near MaxInt64 and would pass validation.
+	switch {
+	case off >= 0 && n <= size && off <= size-n:
+		return nil
+	case i < 0:
+		return fmt.Errorf("out of bounds off=%d len=%d in %d", off, n, size)
+	}
+	return fmt.Errorf("batch desc %d out of bounds off=%d len=%d in %d", i, off, n, size)
 }
 
 // reply is exec's answer: a status with a small body (a region ID, a
@@ -577,8 +585,8 @@ func (rp *reply) appendSegs(segs net.Buffers) net.Buffers {
 
 // exec runs one request against the region store: the one
 // implementation of every verb the frames carry. Its checks of a page
-// verb are shape and inBounds, which a file link runs too, so that the
-// two refuse the same requests in the same words; batch atomicity
+// verb are shape and inBounds, whose range check a file link runs too,
+// so that the two refuse the same ranges in the same words; batch atomicity
 // (every descriptor validated before the first byte moves), the op
 // counters and the in-flight gauge are here, and a request exec refuses
 // has had no effect.

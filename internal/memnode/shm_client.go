@@ -7,13 +7,14 @@
 // replays its REGISTER, or negotiates a new stream, and for a region it
 // did not register before its first synchronous page verb — never
 // inside start. A region is tried once per stream.
-// From then on a page verb on the region runs on the caller's goroutine
-// in runFile — inside start, for a call, or, for a synchronous verb of
-// one range, straight from filePage, which builds no call: exec's own
-// checks, shape and inBounds, then one pread or pwrite per page, and the
-// counter page bumped. No goroutine, hand-off or second copy is
-// involved, and the server's CPU not at all. Everything else, and page
-// verbs on a region not attached, rides the stream's frames.
+// From then on every page verb on the region — a synchronous one, an
+// attempt of the retry loop, a started one — runs on the caller's
+// goroutine through one function, runFile, built from the op's
+// prototype with no call and no descriptor table: inBounds, exec's own
+// range check, then one pread or pwrite per page, and the counter page
+// bumped. No goroutine, hand-off or second copy is involved, and the
+// server's CPU not at all. Everything else, and page verbs on a region
+// not attached, rides the stream's frames.
 //
 // The client never maps a region file, only its counter page, and only
 // after checking that the file is sealed against shrinking: a hostile
@@ -308,24 +309,31 @@ func (c *Client) dialAttach(ext helloExt, id uint64, size int64) (*regionFile, e
 	return f, nil
 }
 
-// runFile runs req, a page verb, on the caller's goroutine when s's file
-// link has the file of its region: its bytes move between the file and
-// pieces, and a READ or READV with no pieces reads into a body of its
-// own, which is returned; iovs is storage for a batch's ranges. ran is
-// false, and nothing ran, when the region has no file here or the server
-// revoked it, whose file is dropped: the verb rides the frames. A file
-// that fails under a verb exec accepted fails s.
-func (s *stream) runFile(req *request, pieces [][]byte, iovs *[]iovec) (body []byte, ran bool, err error) {
-	f := s.files.acquire(req.regionID)
+// runFile is the one way a page verb reaches a region file. When s is
+// the file link and has the file of region srvID, proto — a READ, WRITE,
+// READV or WRITEV as the client shaped it — runs on it here, on the
+// caller's goroutine, and ran is true: body is a READ's own body (none
+// when it reads into a destination), err a terminal refusal or the
+// file's failure under the verb, which fails s. ran is false, and
+// nothing ran, when s has no file of the region or the server revoked
+// it, whose file is dropped: the verb rides the frames. Its callers are
+// doPages, before a synchronous verb takes a window slot; attempts, on
+// every page-verb attempt on the file link; and startFile, before a
+// started op is made.
+func (s *stream) runFile(proto *call, srvID uint64) (body []byte, ran bool, err error) {
+	if s == nil || s.files == nil || !pageVerb(proto.op) {
+		return nil, false, nil
+	}
+	f := s.files.acquire(srvID)
 	if f == nil {
 		return nil, false, nil
 	}
 	if f.ctr.isRevoked() {
 		f.release()
-		s.files.remove(req.regionID, f)
+		s.files.remove(srvID, f)
 		return nil, false, nil
 	}
-	body, err = f.exec(req, pieces, iovs)
+	body, err = f.exec(proto)
 	f.release()
 	if err != nil && !IsTerminal(err) {
 		s.fail(err) // the file failed under a verb exec accepted: re-dial
@@ -333,137 +341,68 @@ func (s *stream) runFile(req *request, pieces [][]byte, iovs *[]iovec) (body []b
 	return body, true, err
 }
 
-// runCall runs ca, when it is a page verb, on s's file link (runFile),
-// completes it, and reports whether it did.
-func (s *stream) runCall(ca *call) bool {
-	if !pageVerb(ca.op) {
-		return false
-	}
-	req, pieces, flat := ca.fileVerb()
-	body, ran, err := s.runFile(&req, pieces, &ca.iovs)
-	PutBuf(flat)
-	if !ran {
-		return false
-	}
-	ca.markSent() // no writer will see it
-	ca.body, ca.err = body, err
-	ca.complete()
-	return true
-}
-
-// fileVerb is ca, a page verb, as exec sees it, with the buffers its
-// bytes move between: a WRITE's data, a WRITEV's pages, a READ's or
-// READV's destinations (none: it reads into a body of its own). A table
-// cut across buffers, which none of the client's own calls has, is
-// copied whole into flat, for the caller to give back.
-func (ca *call) fileVerb() (req request, pieces net.Buffers, flat []byte) {
-	req = request{op: ca.op, regionID: ca.srvID, offset: ca.offset, length: ca.length}
-	data := ca.bufs // WRITE's data; a batch's table, then WRITEV's data
-	switch {
-	case ca.op == opRead:
-	case ca.op == opWrite:
-		req.dataLen = buffersLen(data)
-	case len(data) > 0 && wholeTable(data[0]):
-		req.table, data = data[0], data[1:]
-		req.dataLen = buffersLen(data)
-	default:
-		flat = GetBuf(int(buffersLen(data)))
-		n := 0
-		for _, b := range data {
-			n += copy(flat[n:], b)
-		}
-		req.setPayload(flat)
-		data = net.Buffers{req.data}
-	}
-	if ca.op == opRead || ca.op == opReadV {
-		return req, ca.dst, flat
-	}
-	return req, data, flat
-}
-
-// exec is a page verb on the file: exec's checks, shape and inBounds,
-// with the server's wording, then the preads into pieces or the pwrites
-// from them, then the counters exec would have bumped. It is the one
-// place a region file is read or written (move). A READ or READV with no
-// pieces reads into a body of its own, which it returns; iovs is storage
-// for a batch's ranges.
-func (f *regionFile) exec(req *request, pieces [][]byte, iovs *[]iovec) ([]byte, error) {
-	var total int64
+// exec runs proto on the file, its ranges taken straight from it: a
+// READ's or WRITE's offset and length, or a batch's offsets and the
+// lengths of its pages. Every range is held to inBounds, which refuses
+// in exec's words, before move reads the ranges into their buffers or
+// writes them out; then the counters exec would have bumped. The
+// client's shaping (check, readv, writev) has refused every request
+// exec's shape would. A READ with no destination reads into a body of
+// its own, which it returns.
+func (f *regionFile) exec(proto *call) ([]byte, error) {
+	offsets, bufs, total := proto.offsets, proto.dst, proto.dstLen
+	var one [1]int64
+	var page [1][]byte
 	var err error
-	if *iovs, total, err = req.shape((*iovs)[:0]); err == nil {
-		err = req.inBounds(*iovs, f.size)
+	switch proto.op {
+	case opReadV, opWriteV:
+		if proto.op == opWriteV {
+			bufs, total = proto.src, proto.length
+		}
+		for i, b := range bufs {
+			if err = inBounds(i, offsets[i], int64(len(b)), f.size); err != nil {
+				break
+			}
+		}
+	default:
+		one[0], total = proto.offset, proto.length
+		offsets = one[:]
+		err = inBounds(-1, proto.offset, proto.length, f.size)
 	}
 	if err != nil {
 		return nil, &serverError{msg: err.Error()}
 	}
-	ranges := *iovs
-	if req.op == opRead || req.op == opWrite {
-		one := [1]iovec{{req.offset, req.length}}
-		ranges = one[:]
-	}
-	write := req.op == opWrite || req.op == opWriteV
 	var body []byte
-	if !write {
-		switch n := buffersLen(pieces); {
-		case pieces == nil:
-			body = GetBuf(int(total))
-			bodies := [1][]byte{body}
-			pieces = bodies[:]
-		case total != n:
-			return nil, fmt.Errorf("memnode: readv of %d bytes for %d bytes of buffers", total, n)
-		}
+	switch {
+	case proto.op == opWrite:
+		page[0] = proto.bufs[0]
+		bufs = page[:]
+	case proto.op == opRead && bufs == nil:
+		body = GetBuf(int(total))
+		page[0] = body
+		bufs = page[:]
 	}
-	if err := f.move(write, pieces, ranges); err != nil {
+	if err := f.move(proto.op == opWrite || proto.op == opWriteV, offsets, bufs); err != nil {
 		PutBuf(body)
 		return nil, err
 	}
-	f.ctr.tally(req.op, len(ranges), total)
+	f.ctr.tally(proto.op, len(bufs), total)
 	return body, nil
 }
 
-// move preads the ranges into pieces, or pwrites them from pieces, in
-// order: one syscall per range when, as in every call the client makes
-// itself, each range's bytes are one piece. The pieces hold at least the
-// ranges' total; shape made sure of that.
-func (f *regionFile) move(write bool, pieces [][]byte, ranges []iovec) error {
-	at := 0 // bytes of pieces[0] already moved
-	for _, v := range ranges {
-		for off, n := v.off, v.length; n > 0; {
-			p := pieces[0][at:]
-			k := min(int64(len(p)), n)
-			var err error
-			if write {
-				err = pwriteFull(f.fd, p[:k], off)
-			} else {
-				err = preadFull(f.fd, p[:k], off)
-			}
-			if err != nil {
-				return fmt.Errorf("memnode: region file: %w", err)
-			}
-			off, n, at = off+k, n-k, at+int(k)
-			if at == len(pieces[0]) {
-				pieces, at = pieces[1:], 0
-			}
+// move preads range i, bufs[i] at offsets[i], into bufs[i], or pwrites
+// it from there: one syscall per range.
+func (f *regionFile) move(write bool, offsets []int64, bufs [][]byte) error {
+	for i, b := range bufs {
+		var err error
+		if write {
+			err = pwriteFull(f.fd, b, offsets[i])
+		} else {
+			err = preadFull(f.fd, b, offsets[i])
+		}
+		if err != nil {
+			return fmt.Errorf("memnode: region file: %w", err)
 		}
 	}
 	return nil
-}
-
-// wholeTable reports whether b is exactly a descriptor table with every
-// descriptor its count announces, which batchTableLen then cuts at b's
-// end whatever follows it.
-func wholeTable(b []byte) bool {
-	if len(b) < 8 {
-		return false
-	}
-	n := binary.LittleEndian.Uint64(b)
-	return n <= MaxBatchPages && len(b) == 8+16*int(n)
-}
-
-func buffersLen(bufs net.Buffers) int64 {
-	var n int64
-	for _, b := range bufs {
-		n += int64(len(b))
-	}
-	return n
 }

@@ -18,7 +18,8 @@ import (
 // the fuzzer of the submission and completion rings that the file link
 // replaced. Two drivers share each input:
 //
-//   - fuzzFileExec runs every verb, raw, through a region file's exec and
+//   - fuzzFileExec shapes every page verb as the client would send it and
+//     runs it through a region file's exec and, as its frame carries it,
 //     through Server.exec, on twin regions. The two must accept and
 //     refuse the same verbs in the same words, read the same bytes, leave
 //     the twins equal, and count the same in STAT's counters.
@@ -46,12 +47,11 @@ func FuzzRingDemux(f *testing.F) {
 	size := int64(fuzzRegionBytes)
 	// A clean single read of the attached region.
 	f.Add(verbSeed(0, 1, 3, fuzzVerb{op: opRead, region: 1, length: 4096}.slot()))
-	// A WRITEV, its table and data handed to the file as two buffers,
-	// then a read of one of its pages.
+	// A WRITEV of two pages, then a read of one of them.
 	wtbl := descs(0, 4096, 8192, 4096)
 	wlen := uint64(len(wtbl)) + 8192
 	f.Add(verbSeed(0, 2, 3,
-		fuzzVerb{op: opWriteV, flags: 1, region: 1, length: int64(wlen), extOff: 2 * fuzzSlotBytes, extCap: wlen}.slot(),
+		fuzzVerb{op: opWriteV, region: 1, length: int64(wlen), extOff: 2 * fuzzSlotBytes, extCap: wlen}.slot(),
 		fuzzVerb{op: opRead, region: 1, offset: 8192, length: 4096}.slot(),
 		wtbl,
 	))
@@ -135,14 +135,13 @@ const (
 	fuzzMaxPage     = 64 << 10
 )
 
-// fuzzVerb is one slot: op(1) flags(1) pad(6) region(8) offset(8)
-// length(8) extOff(8) extCap(8), then 16 spare bytes. region picks the
-// region by its value mod 3 — 1: the attached one, 2: the other
-// client's, 0: none. A verb's payload is the extCap bytes of the arena at
-// extOff, clipped to the arena. Flag bit 0 hands a batch verb's table and
-// data to the file as two buffers, as the client's own batches are.
+// fuzzVerb is one slot: op(1) pad(7) region(8) offset(8) length(8)
+// extOff(8) extCap(8), then 16 spare bytes. region picks the region by
+// its value mod 3 — 1: the attached one, 2: the other client's, 0: none.
+// A verb's payload is the extCap bytes of the arena at extOff, clipped
+// to the arena.
 type fuzzVerb struct {
-	op, flags      byte
+	op             byte
 	region         uint64
 	offset, length int64
 	extOff, extCap uint64
@@ -150,7 +149,7 @@ type fuzzVerb struct {
 
 func (v fuzzVerb) slot() []byte {
 	b := make([]byte, fuzzSlotBytes)
-	b[0], b[1] = v.op, v.flags
+	b[0] = v.op
 	binary.LittleEndian.PutUint64(b[8:], v.region)
 	binary.LittleEndian.PutUint64(b[16:], uint64(v.offset))
 	binary.LittleEndian.PutUint64(b[24:], uint64(v.length))
@@ -162,7 +161,6 @@ func (v fuzzVerb) slot() []byte {
 func decodeVerb(b []byte) fuzzVerb {
 	return fuzzVerb{
 		op:     b[0],
-		flags:  b[1],
 		region: binary.LittleEndian.Uint64(b[8:]),
 		offset: int64(binary.LittleEndian.Uint64(b[16:])),
 		length: int64(binary.LittleEndian.Uint64(b[24:])),
@@ -325,35 +323,27 @@ func snapshot(c *counters) (n [4]uint64) {
 	return n
 }
 
-// fuzzFileExec runs each verb of b on fx's region file, as runCall
-// would, and the same verb as a frame would carry it through exec on the
-// twin region.
+// fuzzFileExec shapes each page verb of b as the client's own verbs
+// would (skipping those the client refuses to send), runs it on fx's
+// region file, and runs the same verb as its frame would carry it
+// through exec on the twin region.
 func fuzzFileExec(t *testing.T, fx *fuzzFixture, b *fuzzBurst) {
 	fx.reset(fx.a, fx.twin)
 	fileBefore, execBefore := snapshot(fx.file.ctr), snapshot(&fx.srv.ops)
 	for i, v := range b.verbs {
-		if v.op == opRegister || v.op == opUnregister {
-			continue // they change the region table the burst runs against
+		proto, ok := fuzzProto(b, v)
+		if !ok {
+			continue
 		}
-		ca := &call{op: v.op, srvID: fx.a, offset: b.offset(v), length: v.length}
-		req := request{op: v.op, regionID: fx.twin, offset: ca.offset, length: v.length}
-		if carriesPayload(v.op) {
-			p := b.payload(v)
-			req.setPayload(p)
-			ca.bufs = net.Buffers{p}
-			if v.flags&1 != 0 && v.op != opWrite {
-				n := batchTableLen(p)
-				ca.bufs = net.Buffers{p[:n], p[n:]}
-			}
+		var wire call
+		wire.arm(&proto, fx.twin)
+		req := request{op: wire.op, regionID: fx.twin, offset: wire.offset, length: wire.length}
+		if carriesPayload(wire.op) {
+			req.setPayload(bytes.Join(wire.bufs, nil))
 		}
 		var rp reply
 		fx.srv.exec(&req, &rp)
-		if !pageVerb(v.op) {
-			continue // the frames' alone
-		}
-		fv, pieces, flat := ca.fileVerb()
-		body, err := fx.file.exec(&fv, pieces, &ca.iovs)
-		PutBuf(flat)
+		body, err := fx.file.exec(&proto)
 		var got, want string
 		if err != nil {
 			var se *serverError
@@ -368,12 +358,14 @@ func fuzzFileExec(t *testing.T, fx *fuzzFixture, b *fuzzBurst) {
 		if got != want {
 			t.Fatalf("verb %d (op %d): the file link says %q, exec %q", i, v.op, got, want)
 		}
+		if proto.dst != nil {
+			body = bytes.Join(proto.dst, nil)
+		}
 		if err == nil && (v.op == opRead || v.op == opReadV) {
 			if plan := bytes.Join(rp.appendSegs(nil), nil); !bytes.Equal(body, plan) {
 				t.Fatalf("verb %d (op %d): the file link read %d bytes, exec %d, or other bytes", i, v.op, len(body), len(plan))
 			}
 		}
-		PutBuf(body)
 	}
 	if !bytes.Equal(fx.content(fx.a), fx.content(fx.twin)) {
 		t.Fatal("the file link's writes left its region unlike exec's twin")
@@ -384,6 +376,31 @@ func fuzzFileExec(t *testing.T, fx *fuzzFixture, b *fuzzBurst) {
 			t.Fatalf("STAT counter %d: the file link counted %d, exec %d", i, f, x)
 		}
 	}
+}
+
+// fuzzProto is v shaped as the client shapes its own page verbs, and
+// false for a verb that is no page verb or that the client refuses.
+func fuzzProto(b *fuzzBurst, v fuzzVerb) (proto call, ok bool) {
+	var err error
+	switch v.op {
+	case opRead:
+		proto = call{op: opRead, offset: b.offset(v), length: v.length}
+		err = proto.check()
+	case opWrite:
+		data := b.payload(v)
+		proto = call{op: opWrite, offset: b.offset(v), length: int64(len(data)), bufs: net.Buffers{data}}
+		err = proto.check()
+	case opReadV:
+		offs, lens := b.batch(v)
+		_, dst := cutPages(lens, 0)
+		err = proto.readv(0, offs, dst)
+	case opWriteV:
+		offs, lens := b.batch(v)
+		err = proto.writev(0, offs, b.pages(lens))
+	default:
+		return call{}, false
+	}
+	return proto, err == nil
 }
 
 // fuzzLinkDemux runs b through fx's file-link client: first with verbs

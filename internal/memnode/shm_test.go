@@ -603,6 +603,114 @@ func TestFileVerbTakesNoWindowSlot(t *testing.T) {
 	}
 }
 
+// TestFileBatchTakesNoWindowSlot: a batch on an attached region runs on
+// its file like a single page does, started or not. With every slot of
+// the window held by a call the server leaves unanswered, a READV and a
+// WRITEV of 8 pages, each synchronous and started, complete before the
+// call returns; once the server answers again, each row allocates
+// nothing.
+func TestFileBatchTakesNoWindowSlot(t *testing.T) {
+	srv := newShmServer(t, 16<<20)
+	defer srv.Close()
+	opts := fastOpts()
+	opts.Window = 4
+	opts.IOTimeout = 30 * time.Second // nothing here may pass by timing out
+	c, err := DialOptions(srv.Addr(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	attached, err := c.Register(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	framed, err := c.Register(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	detach(t, c, framed)
+
+	const pages = 8
+	offs := make([]int64, pages)
+	for i := range offs {
+		offs[i] = int64(2*i+1) * 4096 // not adjacent: 8 ranges
+	}
+	want := stampedPages(pages)
+	src, dst := SplitPages(want, 4096), SplitPages(make([]byte, pages*4096), 4096)
+	var hooked int
+	var hookErr error
+	hook := func(err error) { hooked, hookErr = hooked+1, err }
+	started := func(start func()) error {
+		hooked, hookErr = 0, nil
+		start()
+		if hooked != 1 {
+			return errors.New("a started batch on an attached region did not end before its start returned")
+		}
+		return hookErr
+	}
+	rows := []struct {
+		name string
+		run  func() error
+	}{
+		{"WriteV", func() error { return c.WriteV(attached, offs, src) }},
+		{"ReadVInto", func() error { return c.ReadVInto(attached, offs, dst) }},
+		{"StartWriteV", func() error {
+			return started(func() { c.StartWriteV(attached, offs, src, hook) })
+		}},
+		{"StartReadVInto", func() error {
+			return started(func() { c.StartReadVInto(attached, offs, dst, hook) })
+		}},
+	}
+
+	srv.mu.Lock() // the server's frames stall: exec takes the lock
+	var once sync.Once
+	release := func() { once.Do(srv.mu.Unlock) }
+	defer release()
+	held := make([]*Pending, opts.Window)
+	for i := range held {
+		held[i] = c.ReadAsync(framed, int64(i)*4096, 4096)
+	}
+	if n := len(c.window); n != opts.Window {
+		t.Fatalf("%d of %d window slots held", n, opts.Window)
+	}
+	for _, row := range rows {
+		done := make(chan error, 1)
+		go func() { done <- row.run() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: %v", row.name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("%s of an attached region waited for a window slot", row.name)
+		}
+	}
+	if !bytes.Equal(bytes.Join(dst, nil), want) {
+		t.Fatal("the attached region gave back other bytes")
+	}
+	release()
+	for i, p := range held {
+		body, err := p.Wait()
+		if err != nil {
+			t.Fatalf("held read %d: %v", i, err)
+		}
+		PutBuf(body)
+	}
+
+	if raceEnabled {
+		return
+	}
+	for _, row := range rows {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := row.run(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s of 8 pages on an attached region costs %.2f allocations, want 0", row.name, n)
+		}
+	}
+}
+
 // TestRevokedFileVerbRidesFrames: a synchronous verb on a region whose
 // file the server revoked lets go of the file and rides the frames. Here
 // the server has lost the region: the frames say so, and the client

@@ -31,9 +31,10 @@ func TestMetisPhaseBarrierOnSystem(t *testing.T) {
 	}
 	w := NewMetis(p)
 	s := tinyNode(t, "magelib", 4, w.NumPages(), 0.6)
-	res := s.Run(w.Streams(4, 1))
-	if w.PhaseSwitchAt <= 0 || w.PhaseSwitchAt >= res.Makespan {
-		t.Errorf("phase switch at %v, makespan %v", w.PhaseSwitchAt, res.Makespan)
+	set := w.Streams(4, 1)
+	res := s.Run(set)
+	if at := PhaseSwitchAt(set); at <= 0 || at >= res.Makespan {
+		t.Errorf("phase switch at %v, makespan %v", at, res.Makespan)
 	}
 	if res.TotalFaults() == 0 {
 		t.Error("expected faults")

@@ -43,10 +43,6 @@ type Metis struct {
 	input  region
 	inter  region
 	output region
-
-	// PhaseSwitchAt records when the last thread entered reduce (set
-	// during the run; read by experiments to split phase throughput).
-	PhaseSwitchAt sim.Time
 }
 
 // NewMetis lays out the three regions.
@@ -84,12 +80,35 @@ func (w *Metis) Streams(threads int, seed int64) []core.AccessStream {
 	b := NewBarrier(threads)
 	out := make([]core.AccessStream, threads)
 	for t := 0; t < threads; t++ {
-		out[t] = w.threadStream(b, threads, t, seed)
+		out[t] = &metisStream{next: w.threadStream(b, threads, t, seed), barrier: b}
 	}
 	return out
 }
 
-func (w *Metis) threadStream(b *Barrier, threads, t int, seed int64) core.AccessStream {
+// metisStream is one thread of a Metis stream set, which knows its set's
+// phase barrier.
+type metisStream struct {
+	next    core.FuncStream
+	barrier *Barrier
+}
+
+// Next implements core.AccessStream.
+func (s *metisStream) Next() (core.Access, bool) { return s.next() }
+
+// PhaseSwitchAt is when a Metis stream set that ran switched from map to
+// reduce: when its last thread reached the phase barrier. It is zero for
+// a set that never did, or is not Metis's.
+func PhaseSwitchAt(set []core.AccessStream) sim.Time {
+	if len(set) == 0 {
+		return 0
+	}
+	if s, ok := set[0].(*metisStream); ok {
+		return s.barrier.last
+	}
+	return 0
+}
+
+func (w *Metis) threadStream(b *Barrier, threads, t int, seed int64) core.FuncStream {
 	rng := threadRNG(seed, t, 6151)
 	inLo, inHi := shard(int(w.input.pages), threads, t)
 	interLo, interHi := shard(int(w.inter.pages), threads, t)
@@ -129,15 +148,7 @@ func (w *Metis) threadStream(b *Barrier, threads, t int, seed int64) core.Access
 				return a, true
 			case phaseBarrier:
 				ph = phaseReduce
-				return core.Access{
-					Skip: true,
-					Wait: func(p *sim.Proc) {
-						b.Wait(p)
-						if p.Now() > w.PhaseSwitchAt {
-							w.PhaseSwitchAt = p.Now()
-						}
-					},
-				}, true
+				return core.Access{Skip: true, Wait: b.Wait}, true
 			case phaseReduce:
 				if outPending {
 					outPending = false

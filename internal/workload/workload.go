@@ -81,11 +81,12 @@ func (l *layout) addPages(pages uint64) region {
 }
 
 // Barrier is a reusable BSP barrier for sim processes: the n-th arrival
-// releases everyone.
+// releases everyone, and is remembered.
 type Barrier struct {
 	n       int
 	arrived int
 	q       sim.WaitQueue
+	last    sim.Time // when the latest round's n-th party arrived
 }
 
 // NewBarrier returns a barrier for n participants.
@@ -95,7 +96,7 @@ func NewBarrier(n int) *Barrier { return &Barrier{n: n} }
 func (b *Barrier) Wait(p *sim.Proc) {
 	b.arrived++
 	if b.arrived == b.n {
-		b.arrived = 0
+		b.arrived, b.last = 0, p.Now()
 		b.q.Broadcast()
 		return
 	}

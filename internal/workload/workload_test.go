@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mage/internal/core"
+	"mage/internal/sim"
 )
 
 func TestZipfianBoundsAndSkew(t *testing.T) {
@@ -291,21 +292,32 @@ func TestGUPSZipfSkewOnPages(t *testing.T) {
 // TestMetisStreamSetsOwnTheirBarriers builds two stream sets from one
 // Metis, of 2 and then 4 threads, before running either: each set waits
 // on a phase barrier of its own, so each runs to completion on a fresh
-// node and passes the map→reduce switch. With one barrier per workload,
-// the 2-thread set parked on the later call's 4-party barrier and its
-// run never ended.
+// node and passes the map→reduce switch, and each reports its own
+// switch, which running the other set leaves alone. With one barrier per
+// workload, the 2-thread set parked on the later call's 4-party barrier
+// and its run never ended.
 func TestMetisStreamSetsOwnTheirBarriers(t *testing.T) {
 	w := NewMetis(MetisParams{
 		InputPages: 600, IntermediatePages: 400, OutputPages: 80,
 		EmitsPerInputPage: 1, MapCompute: 400, ReduceCompute: 300,
 	})
 	sets := [][]core.AccessStream{w.Streams(2, 1), w.Streams(4, 1)}
-	for _, set := range sets {
-		w.PhaseSwitchAt = 0
-		res := tinyNode(t, "magelib", len(set), w.NumPages(), 0.6).Run(set)
-		if w.PhaseSwitchAt <= 0 || w.PhaseSwitchAt >= res.Makespan {
-			t.Errorf("%d threads: phase switch at %v, makespan %v", len(set), w.PhaseSwitchAt, res.Makespan)
+	switches := make([]sim.Time, len(sets))
+	for i, set := range sets {
+		if at := PhaseSwitchAt(set); at != 0 {
+			t.Fatalf("%d threads: phase switch at %v before the set ran", len(set), at)
 		}
+		res := tinyNode(t, "magelib", len(set), w.NumPages(), 0.6).Run(set)
+		switches[i] = PhaseSwitchAt(set)
+		if switches[i] <= 0 || switches[i] >= res.Makespan {
+			t.Errorf("%d threads: phase switch at %v, makespan %v", len(set), switches[i], res.Makespan)
+		}
+	}
+	if switches[0] == switches[1] {
+		t.Errorf("both sets switched at %v", switches[0])
+	}
+	if at := PhaseSwitchAt(sets[0]); at != switches[0] {
+		t.Errorf("running the 4-thread set moved the 2-thread set's switch from %v to %v", switches[0], at)
 	}
 }
 
