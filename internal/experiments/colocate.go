@@ -50,7 +50,7 @@ func coloSolo(sc Scale, kind string, ratio float64) core.RunResult {
 	p := sc.Colo
 	w := coloWorkload(p, kind)
 	seed := faultinject.DeriveSeed(sc.Seed, "colocate", "solo", kind, fmt.Sprintf("r%g", ratio))
-	return runStreams("MageLib", p.ThreadsPerTenant, w, ratio, seed, nil)
+	return runStreams("MageLib", w, w.Streams(p.ThreadsPerTenant, seed), ratio, nil)
 }
 
 // coloRun builds an nt-tenant node at the given local-DRAM ratio and runs

@@ -67,8 +67,8 @@ func ExtAccounting(sc Scale) []*Table {
 	}
 	results := runCells(sc, len(kinds), func(i int) core.RunResult {
 		k := kinds[i]
-		return runStreams("MageLib", sc.Threads,
-			workload.NewGapBS(sc.GapBS), 0.5, sc.Seed,
+		w := workload.NewGapBS(sc.GapBS)
+		return runStreams("MageLib", w, w.Streams(sc.Threads, sc.Seed), 0.5,
 			func(c *core.Config) { c.Accounting = k.kind })
 	})
 	for i, k := range kinds {
@@ -104,8 +104,8 @@ func ExtBackends(sc Scale) []*Table {
 	}
 	results := runCells(sc, len(cells), func(i int) core.RunResult {
 		c := cells[i]
-		return runStreams(c.sys, sc.Threads,
-			workload.NewGapBS(sc.GapBS), 0.5, sc.Seed,
+		w := workload.NewGapBS(sc.GapBS)
+		return runStreams(c.sys, w, w.Streams(sc.Threads, sc.Seed), 0.5,
 			func(cf *core.Config) { cf.Backend = c.be })
 	})
 	for i, c := range cells {

@@ -94,6 +94,31 @@ func readvCall(region uint64, offsets []int64, sizes ...int) *call {
 	return ca
 }
 
+// writevCall is a well-formed WRITEV, as WriteV builds it.
+func writevCall(region uint64, offsets []int64, pages ...[]byte) *call {
+	ca := &call{op: opWriteV, srvID: region, offsets: offsets, src: pages}
+	for _, p := range pages {
+		ca.length += int64(len(p))
+	}
+	return ca
+}
+
+// asClient puts proto through the client's own shaping, as Read, Write,
+// ReadVInto and WriteV put theirs, and says whether any of them builds
+// such a request: no other verb does, nor a batch with a hand-built table.
+func asClient(proto *call) (shaped bool, err error) {
+	var sh call
+	switch {
+	case proto.op == opRead || proto.op == opWrite:
+		return true, proto.check()
+	case proto.op == opReadV && proto.offsets != nil:
+		return true, sh.readv(0, proto.offsets, proto.dst)
+	case proto.op == opWriteV && proto.offsets != nil:
+		return true, sh.writev(0, proto.offsets, proto.src)
+	}
+	return false, nil
+}
+
 func stamp(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
 
 func verbRows() []verbRow {
@@ -164,6 +189,14 @@ func verbRows() []verbRow {
 			call: on(func(r uint64) *call { return batchCall(opReadV, r, descs(wrap, 4096)) })},
 		{name: "readv of an unknown region", want: verbLost,
 			call: func(*verbState) *call { return batchCall(opReadV, unknown, two) }},
+		{name: "readv of no pages, as ReadVInto is asked", want: verbTerminal,
+			call: on(func(r uint64) *call { return readvCall(r, []int64{}) })},
+		{name: "readv whose second page is past the region, as ReadVInto shapes it", want: verbTerminal,
+			call: on(func(r uint64) *call { return readvCall(r, []int64{0, confSize - 100}, 4096, 4096) })},
+		{name: "readv with a wrapping page, as ReadVInto shapes it", want: verbTerminal,
+			call: on(func(r uint64) *call { return readvCall(r, []int64{0, wrap}, 4096, 4096) })},
+		{name: "readv of an unknown region, as ReadVInto shapes it", want: verbLost,
+			call: func(*verbState) *call { return readvCall(unknown, []int64{0, 8192}, 4096, 4096) }},
 
 		// WRITEV
 		{name: "writev of two pages of two sizes", want: verbOK, delta: statDelta{writeOps: 2, bytesWrite: 4096 + 2048},
@@ -189,6 +222,21 @@ func verbRows() []verbRow {
 			call: on(func(r uint64) *call { return batchCall(opWriteV, r, descs(wrap, 4096), stamp(4096, 0xB6)) })},
 		{name: "writev to an unknown region", want: verbLost,
 			call: func(*verbState) *call { return batchCall(opWriteV, unknown, descs(0, 4096), stamp(4096, 0xB7)) }},
+		{name: "writev of two pages of two sizes, as WriteV shapes it", want: verbOK, delta: statDelta{writeOps: 2, bytesWrite: 2048 + 4096},
+			call: on(func(r uint64) *call {
+				return writevCall(r, []int64{ChunkBytes - 512, 65536}, stamp(2048, 0xC1), stamp(4096, 0xC2))
+			}),
+			wrote: func(sh []byte) { copy(sh[ChunkBytes-512:], stamp(2048, 0xC1)); copy(sh[65536:], stamp(4096, 0xC2)) }},
+		{name: "writev of an empty page, as WriteV is asked", want: verbTerminal,
+			call: on(func(r uint64) *call { return writevCall(r, []int64{0, 4096}, stamp(4096, 0xC3), []byte{}) })},
+		{name: "writev whose second page is past the region, as WriteV shapes it", want: verbTerminal,
+			call: on(func(r uint64) *call {
+				return writevCall(r, []int64{0, confSize - 100}, stamp(4096, 0xC4), stamp(4096, 0xC5))
+			})},
+		{name: "writev with a wrapping page, as WriteV shapes it", want: verbTerminal,
+			call: on(func(r uint64) *call { return writevCall(r, []int64{wrap}, stamp(4096, 0xC6)) })},
+		{name: "writev to an unknown region, as WriteV shapes it", want: verbLost,
+			call: func(*verbState) *call { return writevCall(unknown, []int64{0}, stamp(4096, 0xC7)) }},
 
 		// REGISTER, UNREGISTER
 		{name: "register of zero bytes", want: verbTerminal,
@@ -217,6 +265,10 @@ func verbRows() []verbRow {
 // four things a path could get wrong: the kind of outcome, the bytes
 // that came back, what the server counted, and what the region holds —
 // read back whole over the same link, which shows that it still serves.
+// On the file link (kind "shm") a row the client could shape runs as
+// the client runs it: refused by the client's shaping, or on the region
+// file (runFile); a page verb on the attached region that runs anywhere
+// else fails the test. Every other row rides the frames to exec.
 func runVerbRows(t *testing.T, c *Client, kind string) {
 	vs := &verbState{shadow: make([]byte, confSize)}
 	rand.New(rand.NewSource(17)).Read(vs.shadow)
@@ -234,7 +286,18 @@ func runVerbRows(t *testing.T, c *Client, kind string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := func(proto *call) ([]byte, error) {
+	exec := func(name string, proto *call) ([]byte, error) {
+		if shaped, err := asClient(proto); kind == "shm" && shaped {
+			if err != nil {
+				return nil, err
+			}
+			if body, ran, err := st.runFile(proto, proto.srvID); ran {
+				return body, err
+			}
+			if proto.srvID == vs.region {
+				t.Fatalf("%s: the page verb did not run on the region file", name)
+			}
+		}
 		ca := new(call)
 		ca.arm(proto, proto.srvID)
 		return roundTrip(st, ca)
@@ -246,7 +309,7 @@ func runVerbRows(t *testing.T, c *Client, kind string) {
 		}
 		var got verbClass
 		proto := row.call(vs)
-		body, err := exec(proto)
+		body, err := exec(row.name, proto)
 		switch {
 		case err == nil:
 			got = verbOK
@@ -272,7 +335,7 @@ func runVerbRows(t *testing.T, c *Client, kind string) {
 		if row.wrote != nil && got == verbOK {
 			row.wrote(vs.shadow)
 		}
-		whole, err := exec(readCall(vs.region, 0, confSize))
+		whole, err := exec(row.name, readCall(vs.region, 0, confSize))
 		if err != nil {
 			t.Fatalf("%s: the stream no longer serves a valid read: %v", row.name, err)
 		}
@@ -311,9 +374,9 @@ func checkReply(t *testing.T, name string, vs *verbState, proto *call, body []by
 
 // TestVerbConformance runs one table of requests — each verb, valid and
 // in every way refusable — over TCP, where Server.exec runs every row,
-// and over the file link, where the page verbs on the registered region
-// are preads and pwrites behind exec's own checks and the rest still
-// reach exec: both must read the same.
+// and over the file link, where a page verb the client shapes on the
+// registered region is refused by that shaping or runs on the region
+// file, and the rest still reach exec: both must read the same.
 func TestVerbConformance(t *testing.T) {
 	t.Run("tcp", func(t *testing.T) {
 		_, c := newPair(t, confCap)
