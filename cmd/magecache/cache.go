@@ -16,7 +16,8 @@ import (
 	"mage/internal/upager"
 )
 
-const pageBytes = 4096
+// pageBytes is the pager's page, which a slab cell never crosses.
+const pageBytes = upager.PageBytes
 
 // classSizes are the slab size classes, one per count of cells a page
 // holds: for n = 64 down to 1 cells per page, the largest multiple of 8
@@ -122,7 +123,7 @@ type Cache struct {
 // NewCache builds a cache whose value heap is heapPages pages backed by
 // b, paged through frames local frames (remote:local = heapPages/frames).
 func NewCache(b upager.Backing, heapPages uint64, frames int) (*Cache, error) {
-	p, err := upager.New(b, heapPages, frames, upager.Options{PageBytes: pageBytes})
+	p, err := upager.New(b, heapPages, frames, upager.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mage/internal/invariant"
 	"mage/internal/memcluster"
 	"mage/internal/memnode"
 )
@@ -203,125 +204,15 @@ var (
 	_ far = (*memcluster.Cluster)(nil)
 )
 
-// farBacking is a Backing that is far: a Client or a Cluster, or a
-// wrapper that keeps what makes it so.
-type farBacking interface {
-	Backing
-	far
-}
-
-// proxiedCluster is a 2 × 2 memcluster of fresh in-process memnodes with
-// its prober off, every replica dialled over TCP through a wireProxy of
-// its own; delay sets the wire of all four.
-func proxiedCluster(t *testing.T) (cl *memcluster.Cluster, delay func(time.Duration)) {
-	t.Helper()
-	addrs := make([][]string, 2)
-	var proxies []*wireProxy
-	for i := 0; i < 4; i++ {
-		srv, err := memnode.NewServer("127.0.0.1:0", 64<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		proxy := newWireProxy(t, srv.Addr())
-		proxies = append(proxies, proxy)
-		addrs[i/2] = append(addrs[i/2], proxy.ln.Addr().String())
-	}
-	cl, err := memcluster.New(addrs, memcluster.Options{DisableProber: true, Node: memnode.Options{Transport: memnode.TransportTCP}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl, func(d time.Duration) {
-		for _, proxy := range proxies {
-			proxy.delay.Store(int64(d))
-		}
-	}
-}
-
-// slowWriteback holds every batched write back before it goes out.
-type slowWriteback struct {
-	farBacking
-	hold time.Duration
-}
-
-func (b *slowWriteback) WriteV(handle uint64, offsets []int64, pages [][]byte) error {
-	time.Sleep(b.hold)
-	return b.farBacking.WriteV(handle, offsets, pages)
-}
-
-// TestFaultOverlapsReclaim: a fault that meets a dry pool starts its
-// read before it waits for a frame, so it costs the longer of the two,
-// not their sum. A wire 100 ms long, a writeback that takes 300 ms, every
-// frame dirty: the fault takes the writeback's 300 ms, not 400 — over a
-// client, and over a cluster whose every replica has that wire.
-func TestFaultOverlapsReclaim(t *testing.T) {
-	t.Run("client", func(t *testing.T) {
-		c, proxy := proxiedClient(t, memnode.Options{})
-		faultOverlapsReclaim(t, c, func(d time.Duration) { proxy.delay.Store(int64(d)) })
-	})
-	t.Run("cluster", func(t *testing.T) {
-		cl, delay := proxiedCluster(t)
-		faultOverlapsReclaim(t, cl, delay)
-	})
-}
-
-func faultOverlapsReclaim(t *testing.T, backing farBacking, delay func(time.Duration)) {
-	const wire, hold = 100 * time.Millisecond, 200 * time.Millisecond
-	const frames = 4
-	p, err := New(&slowWriteback{farBacking: backing, hold: hold}, 64, frames, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, adapted := p.far.(adapter); adapted {
-		t.Fatal("the wrapped backing lost its started read")
-	}
-	markStored(p, 64)
-	// Every frame dirty and pinned: the pool is dry and stays so.
-	var held []Frame
-	for pg := uint64(0); pg < frames; pg++ {
-		fr, err := p.Pin(pg, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stampPage(fr.Data, pg)
-		held = append(held, fr)
-	}
-	delay(wire)
-	for _, fr := range held {
-		fr.Unpin() // the last of these at the latest wakes the evictor
-	}
-	start := time.Now()
-	fr, err := p.Pin(10, false)
-	took := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr.Unpin()
-	writeback := hold + wire
-	if took < writeback-wire/2 || took > writeback+wire/2 {
-		t.Errorf("a fault into a dry pool took %v; want the writeback's %v, not that and the read's %v", took, writeback, wire)
-	}
-	if s := p.Stats(); s.FrameWaits != 1 || s.WritebackBatches == 0 {
-		t.Errorf("frame waits = %d, writeback batches = %d; want the one fault to have waited for a writeback", s.FrameWaits, s.WritebackBatches)
-	}
-	delay(0)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // scriptedReads is a memnode client whose demand-path reads are on
-// record: every destination list ReadVInto is handed, and, for every
-// read StartReadVInto starts, the frame waits the pager had counted by
-// then.
+// record: every destination list ReadVInto is handed, and how many reads
+// StartReadVInto started.
 type scriptedReads struct {
 	*memnode.Client
-	pager *Pager
 
 	mu     sync.Mutex
 	intos  [][][]byte
-	starts []uint64
+	starts int
 }
 
 func (s *scriptedReads) ReadVInto(handle uint64, offsets []int64, dst [][]byte) error {
@@ -333,21 +224,21 @@ func (s *scriptedReads) ReadVInto(handle uint64, offsets []int64, dst [][]byte) 
 
 func (s *scriptedReads) StartReadVInto(handle uint64, offsets []int64, dst [][]byte, done func(error)) {
 	s.mu.Lock()
-	s.starts = append(s.starts, s.pager.Stats().FrameWaits)
+	s.starts++
 	s.mu.Unlock()
 	s.Client.StartReadVInto(handle, offsets, dst, done)
 }
 
-func (s *scriptedReads) record() (intos [][][]byte, starts []uint64) {
+func (s *scriptedReads) record() (intos [][][]byte, starts int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.Clone(s.intos), slices.Clone(s.starts)
+	return slices.Clone(s.intos), s.starts
 }
 
-// TestDemandFaultLandsInFrame: a fault that gets a free frame at once
-// reads its page straight into it — one ReadVInto whose one destination
-// is the frame's bytes in the arena — and starts no read. One that finds
-// the pool dry starts its read before it waits for a frame.
+// TestDemandFaultLandsInFrame: a demand fault reads its page straight
+// into the frame it holds — one ReadVInto whose one destination is the
+// frame's bytes in the arena — and starts no read, whether it got a free
+// frame with its claim or found the pool dry and waited for one.
 func TestDemandFaultLandsInFrame(t *testing.T) {
 	srv, err := memnode.NewServer("127.0.0.1:0", 16<<20)
 	if err != nil {
@@ -365,7 +256,6 @@ func TestDemandFaultLandsInFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr.pager = p
 	markStored(p, 64)
 
 	var held []Frame
@@ -383,33 +273,109 @@ func TestDemandFaultLandsInFrame(t *testing.T) {
 			t.Errorf("fault %d read into %d buffers, not its frame alone", pg, len(dst))
 		}
 	}
-	if _, starts := sr.record(); len(starts) != 0 {
-		t.Errorf("faults that had a free frame started %d reads", len(starts))
+	if _, starts := sr.record(); starts != 0 {
+		t.Errorf("faults that had a free frame started %d reads", starts)
 	}
 
 	// Every frame pinned: the pool is dry until one is let go.
-	faulted := make(chan error, 1)
+	type pinned struct {
+		data *byte
+		err  error
+	}
+	faulted := make(chan pinned, 1)
 	go func() {
 		fr, err := p.Pin(10, false)
-		if err == nil {
-			fr.Unpin()
+		if err != nil {
+			faulted <- pinned{nil, err}
+			return
 		}
-		faulted <- err
+		faulted <- pinned{&fr.Data[0], nil}
+		fr.Unpin()
 	}()
 	waitFor(t, "the fault to wait for a frame", func() bool { return p.Stats().FrameWaits == 1 })
 	held[0].Unpin()
-	if err := <-faulted; err != nil {
-		t.Fatal(err)
+	r := <-faulted
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
 	intos, starts := sr.record()
-	if len(intos) != frames || len(starts) != 1 || starts[0] != 0 {
-		t.Errorf("the fault into a dry pool made %d reads into frames and started reads at frame waits %v; want none, and one started before its wait", len(intos)-frames, starts)
+	if waits := p.Stats().FrameWaits; waits != 1 || starts != 0 || len(intos) != frames+1 {
+		t.Fatalf("the fault into a dry pool waited %d times, started %d reads and made %d into frames; want 1, 0 and 1", waits, starts, len(intos)-frames)
+	}
+	if dst := intos[frames]; len(dst) != 1 || len(dst[0]) != PageBytes || &dst[0][0] != r.data {
+		t.Errorf("the fault into a dry pool read into %d buffers, not the frame it waited for alone", len(dst))
 	}
 	for _, fr := range held[1:] {
 		fr.Unpin()
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDryPoolFaultAllocatesNothing: a fault that finds the pool dry
+// waits for its frame and reads into it as any other fault does, so it
+// allocates nothing — over a file-link client, and over a TCP client
+// with the in-process server's share. The pager has no evictor and every
+// page is stored and clean: all frames but one are pinned, and each
+// fault, of the page the last one evicted, runs the evictor's step
+// itself to drop the one unpinned page.
+func TestDryPoolFaultAllocatesNothing(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("the magecheck build's pool check allocates on every install")
+	}
+	for name, transport := range map[string]int{"shm": memnode.TransportShm, "tcp": memnode.TransportTCP} {
+		t.Run(name, func(t *testing.T) {
+			if transport == memnode.TransportShm && !memnode.ShmSupported {
+				t.Skip("no file link on this platform")
+			}
+			srv, err := memnode.NewServerOptions("127.0.0.1:0", 16<<20, memnode.ServerOptions{EnableShm: transport == memnode.TransportShm})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := memnode.DialOptions(srv.Addr(), memnode.Options{Transport: transport})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			const frames = 4
+			p, err := New(c, frames+1, frames, Options{noEvictor: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			markStored(p, frames+1)
+			for pg := range uint64(frames) {
+				fr, err := p.Pin(pg, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pg < frames-1 {
+					defer fr.Unpin()
+				} else {
+					fr.Unpin()
+				}
+			}
+			absent := uint64(frames) // then the page its fault evicted, frames-1, and so on
+			fault := func() {
+				fr, err := p.Pin(absent, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fr.Unpin()
+				absent = 2*frames - 1 - absent
+			}
+			before := p.Stats()
+			const runs = 200
+			allocs := testing.AllocsPerRun(runs, fault)
+			if waits := p.Stats().FrameWaits - before.FrameWaits; waits != runs+1 {
+				t.Errorf("%d of %d faults waited for a frame", waits, runs+1)
+			}
+			if allocs != 0 {
+				t.Errorf("a fault into a dry pool allocates %v times", allocs)
+			}
+		})
 	}
 }
 

@@ -88,11 +88,12 @@ const (
 	flagStored                      // a writeback was sent: a fault reads far memory, not zeros
 )
 
-// Options sizes a Pager. The zero value of every field selects a
-// default; the evictor's batch and free-frame target follow from frames.
+// PageBytes is the size of a page and of the frame that holds it.
+const PageBytes = 4096
+
+// Options are a Pager's settings. The evictor's batch and free-frame
+// target follow from frames, and no field sets them.
 type Options struct {
-	// PageBytes is the page size (default 4096).
-	PageBytes int64
 	// This field does nothing: the pager reads only the pages it is
 	// asked for. It stays because callers that cannot be edited set it.
 	NoPrefetch bool
@@ -109,7 +110,6 @@ type Options struct {
 type Pager struct {
 	far       far
 	handle    uint64
-	pageBytes int64
 	numPages  uint64
 	frames    int
 	batch     int
@@ -183,10 +183,6 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 	if frames <= 0 {
 		return nil, errors.New("upager: need at least one local frame")
 	}
-	pb := opts.PageBytes
-	if pb <= 0 {
-		pb = 4096
-	}
 	// A writeback batch is 32 pages, or half the frames when that is fewer.
 	// The evictor keeps min(frames/8, batch) frames free, and at least one:
 	// 32 of 8,192 frames, an eighth of a pool of 256 or fewer. Neither
@@ -194,7 +190,7 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 	// meet the free-pool target.
 	batch := min(32, memnode.MaxBatchPages, max(frames/2, 1))
 	low := max(min(frames/8, batch), 1)
-	arena, err := mapArena(int64(frames) * pb)
+	arena, err := mapArena(int64(frames) * PageBytes)
 	if err != nil {
 		return nil, fmt.Errorf("upager: map %d frames: %w", frames, err)
 	}
@@ -202,7 +198,7 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 	if !ok {
 		f = adapter{backing}
 	}
-	handle, err := f.Register(int64(numPages) * pb)
+	handle, err := f.Register(int64(numPages) * PageBytes)
 	if err != nil {
 		unmapArena(arena)
 		return nil, fmt.Errorf("upager: register backing region: %w", err)
@@ -210,7 +206,6 @@ func New(backing Backing, numPages uint64, frames int, opts Options) (*Pager, er
 	p := &Pager{
 		far:       f,
 		handle:    handle,
-		pageBytes: pb,
 		numPages:  numPages,
 		frames:    frames,
 		batch:     batch,
@@ -357,43 +352,37 @@ func (p *Pager) frameView(pg uint64, frame int32) Frame {
 }
 
 func (p *Pager) frameData(frame int32) []byte {
-	off := int64(frame) * p.pageBytes
-	return p.arena[off : off+p.pageBytes : off+p.pageBytes]
+	off := int64(frame) * PageBytes
+	return p.arena[off : off+PageBytes : off+PageBytes]
 }
 
 // faultIn runs the major-fault path for a page the caller claimed as
-// pageFaulting, taking frame from the pool with it (-1 when the pool was
-// dry): read the page into a frame, install. A fault that got a frame
-// reads straight into it; one that found the pool dry reads first and
-// waits for a frame while the read flies (readBeforeFrame). A page that
-// was never stored is zeros in far memory: its fault clears a frame
-// instead, and with no read to overlap it waits for one in takeFrame.
-// The install is the fault's second and last hold of p.mu, and records
-// its latency, sampled before the lock.
+// pageFaulting, with the frame its claim popped (-1 when the pool was
+// dry), in three steps: hold a frame, waiting in takeFrame when the claim
+// got none; read the page into it, or clear it for a page never stored,
+// which is zeros in far memory; install. Every read a fault makes lands
+// in a frame it holds. The install is the fault's last hold of p.mu, and
+// records its latency, sampled before the lock.
 func (p *Pager) faultIn(pg uint64, write, stored bool, frame int32) (Frame, error) {
 	start := monoNow()
 	p.faults.Add(1)
-	off := int64(pg) * p.pageBytes
 
 	var err error
-	switch {
-	case stored && frame >= 0:
-		err = p.readInto(frame, off)
-	case stored:
-		frame, err = p.readBeforeFrame(off)
-	case frame < 0:
-		frame, err = p.takeFrame()
-	}
-	if frame < 0 || err != nil {
-		p.abortFault(pg, frame)
-		if frame < 0 {
+	if frame < 0 {
+		if frame, err = p.takeFrame(); err != nil {
+			p.abortFault(pg, -1)
 			return Frame{}, err
 		}
-		return Frame{}, fmt.Errorf("upager: fault-in page %d: %w", pg, err)
 	}
-	if !stored {
+	if stored {
+		err = p.readInto(frame, int64(pg)*PageBytes)
+	} else {
 		clear(p.frameData(frame))
 		p.zeroFills.Add(1)
+	}
+	if err != nil {
+		p.abortFault(pg, frame)
+		return Frame{}, fmt.Errorf("upager: fault-in page %d: %w", pg, err)
 	}
 
 	lat := monoNow() - start
@@ -457,7 +446,7 @@ func (p *Pager) checkStored(offs []int64, locked bool) {
 		p.mu.Lock()
 	}
 	for _, off := range offs {
-		if pg := off / p.pageBytes; p.pages[pg].flags&flagStored == 0 {
+		if pg := off / PageBytes; p.pages[pg].flags&flagStored == 0 {
 			p.mu.Unlock()
 			invariant.Assert(false, "upager: a read names page %d, which was never stored", pg)
 		}
@@ -516,29 +505,6 @@ func (p *Pager) checkPool() error {
 		return fmt.Errorf("upager: %d free + %d owned + %d lent frames make %d, not %d", len(p.free), owned, p.lent, n, p.frames)
 	}
 	return nil
-}
-
-// readBeforeFrame is the fault that found no free frame: it starts the
-// read into a scratch page, so that the round trip overlaps reclaim,
-// then waits for a frame and for the read, and copies the page in. The
-// scratch is lent to the read until its hook has run, so a pager closed
-// before a frame came free (frame -1, err ErrClosed) waits it out too.
-// Otherwise err is the read's; on a failure the caller frees the frame.
-func (p *Pager) readBeforeFrame(off int64) (int32, error) {
-	io := &faultIO{off: [1]int64{off}, dst: [1][]byte{memnode.GetBuf(int(p.pageBytes))}}
-	p.checkStored(io.off[:], false)
-	read := make(chan error, 1)
-	p.far.StartReadVInto(p.handle, io.off[:], io.dst[:], func(err error) { read <- err })
-	frame, err := p.takeFrame()
-	rerr := <-read
-	if err == nil && rerr == nil {
-		copy(p.frameData(frame), io.dst[0])
-	}
-	memnode.PutBuf(io.dst[0])
-	if err != nil {
-		return -1, err
-	}
-	return frame, rerr
 }
 
 // abortFault rolls a claimed page back to absent, gives back the frame
@@ -755,7 +721,7 @@ func (p *Pager) FaultAhead(pgs []uint64) {
 		pd.latch = f.latch
 		f.pgs = append(f.pgs, pg)
 		f.frames = append(f.frames, frame)
-		f.offs = append(f.offs, int64(pg)*p.pageBytes)
+		f.offs = append(f.offs, int64(pg)*PageBytes)
 		f.dst = append(f.dst, p.frameData(frame))
 	}
 	if zeroed > 0 {
@@ -909,7 +875,7 @@ func (b *wbatch) add(pg uint64, frame int32) {
 	pd.flags |= flagStored
 	pd.latch = b.latch
 	b.pgs = append(b.pgs, pg)
-	b.offs = append(b.offs, int64(pg)*p.pageBytes)
+	b.offs = append(b.offs, int64(pg)*PageBytes)
 	b.bufs = append(b.bufs, p.frameData(frame))
 }
 
